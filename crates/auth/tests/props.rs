@@ -285,6 +285,64 @@ prop! {
         prop_assert!(batch[idx].is_err(), "tampered message must fail");
     }
 
+    // The fast arithmetic core opens no bypass: with exactly one forged
+    // message in a window, batch verification names the same culprit the
+    // division-based `verify_scalar` oracle does; and a revoked wallet —
+    // whose signatures are themselves valid under the oracle — is still
+    // `Revoked` through the CRL front, cold and warm, as in linear `verify`.
+    #[test]
+    fn fast_core_opens_no_bypass(count in 2usize..8, culprit in any_u8(), crl_size in 0usize..20) {
+        let mut ta = TrustedAuthority::new(b"prop-ta");
+        let mut reg = PseudonymRegistry::new();
+        let now = SimTime::from_secs(50);
+        let window = SimDuration::from_secs(5);
+        let wallets: Vec<_> = (0..count as u32)
+            .map(|v| {
+                let id = RealIdentity::for_vehicle(VehicleId(v));
+                ta.register(id.clone(), VehicleId(v));
+                reg.issue_wallet(&ta, &id, 2, SimTime::ZERO, SimTime::from_secs(10_000), b"w")
+                    .unwrap()
+            })
+            .collect();
+        let mut msgs: Vec<_> = wallets.iter().map(|w| w.sign(b"beacon", now)).collect();
+        let idx = culprit as usize % count;
+        msgs[idx].signature.response =
+            msgs[idx].signature.response.add(vc_crypto::group::Scalar::one());
+        let signed: Vec<Vec<u8>> = msgs
+            .iter()
+            .map(|m| [m.payload.as_slice(), &m.sent_at.as_micros().to_be_bytes()].concat())
+            .collect();
+        let items: Vec<(&[u8], _, _)> = msgs
+            .iter()
+            .zip(&signed)
+            .map(|(m, bytes)| (bytes.as_slice(), m.cert.key, m.signature))
+            .collect();
+        prop_assert_eq!(vc_crypto::schnorr::verify_batch(&items, b"prop"), Err(vec![idx]));
+        for (i, (bytes, key, sig)) in items.iter().enumerate() {
+            prop_assert_eq!(key.verify_scalar(bytes, sig), i != idx);
+        }
+
+        let revoked = &wallets[(idx + 1) % count];
+        reg.revoke_identity(revoked.real_identity());
+        for i in 0..crl_size as u64 {
+            let mut s = [0xEEu8; 16];
+            s[..8].copy_from_slice(&i.to_be_bytes());
+            reg.inject_revoked_seed(LinkageSeed(s));
+        }
+        let msg = revoked.sign(b"still signs", now);
+        let bytes = [msg.payload.as_slice(), &msg.sent_at.as_micros().to_be_bytes()].concat();
+        prop_assert!(msg.cert.key.verify_scalar(&bytes, &msg.signature));
+        let mut front = CrlFront::new(reg.crl());
+        let linear = vc_auth::pseudonym::verify(&msg, &ta.public_key(), reg.crl(), now, window);
+        prop_assert_eq!(linear.clone(), Err(AuthError::Revoked));
+        for _ in 0..2 {
+            let fast = vc_auth::pseudonym::verify_with_front(
+                &msg, &ta.public_key(), &mut front, now, window,
+            );
+            prop_assert_eq!(fast, linear.clone());
+        }
+    }
+
     // Linkage values are deterministic per (seed, cert) and collide across
     // certs only negligibly (distinct ids in a small sample never collide).
     #[test]

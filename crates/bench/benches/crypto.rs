@@ -8,7 +8,7 @@ use vc_crypto::hmac::hmac_sha256;
 use vc_crypto::merkle::MerkleTree;
 use vc_crypto::schnorr::SigningKey;
 use vc_crypto::sha256::sha256;
-use vc_crypto::u256::U256;
+use vc_crypto::u256::{Mont, U256};
 use vc_testkit::bench::{black_box, Suite};
 
 // Count every heap allocation so Suite results carry allocs/iter and
@@ -45,11 +45,15 @@ fn main() {
         U256::from_hex("1234567890abcdef1234567890abcdef1234567890abcdef1234567890abcdef").unwrap();
     let b_val =
         U256::from_hex("fedcba0987654321fedcba0987654321fedcba0987654321fedcba0987654321").unwrap();
+    // The division-based oracle's rows, then the Montgomery core on the
+    // same operands (mont/mul is one product on Montgomery-form inputs;
+    // mont/pow is canonical in and out, conversions included).
     suite.bench("u256/mul_mod", || black_box(a).mul_mod(black_box(b_val), black_box(p)));
     suite.bench("u256/pow_mod", || black_box(a).pow_mod(black_box(b_val), black_box(p)));
-    suite.bench("u256/pow_mod_windowed", || {
-        black_box(a).pow_mod_windowed(black_box(b_val), black_box(p))
-    });
+    let ctx = Mont::new(p);
+    let (a_mont, b_mont) = (ctx.to_mont(a), ctx.to_mont(b_val));
+    suite.bench("mont/mul", || black_box(&ctx).mul(black_box(a_mont), black_box(b_mont)));
+    suite.bench("mont/pow", || black_box(&ctx).pow(black_box(a), black_box(b_val)));
 
     // ---- signatures ----
     let sk = SigningKey::from_seed(b"bench");
@@ -77,7 +81,9 @@ fn main() {
             vc_crypto::schnorr::verify_batch(black_box(&refs), b"bench").is_ok()
         });
     }
-    let e = Scalar::from_u64(0xdeadbeefcafe);
+    // Full-width exponent, as every real nonce, key and response is: a
+    // short one touches only its own nonzero nibbles of the fixed-base table.
+    let e = Scalar::hash_to_scalar(&[b"bench-exponent"]);
     suite.bench("group/base_pow", || Element::base_pow(black_box(e)));
     suite.bench("group/base_pow_scalar", || Element::base_pow_scalar(black_box(e)));
 

@@ -5,7 +5,9 @@
 //! benchdiff results/BENCH_pr1.json results/BENCH_pr3.json
 //! benchdiff results/BENCH_pr3.json /tmp/bench-out/BENCH_*.json --gate 25
 //!
-//! # merge per-suite artifacts into one committed baseline
+//! # merge per-suite artifacts into one committed baseline (a suite named
+//! # again by a later file replaces the earlier one, so regenerated suites
+//! # can be merged over the previous baseline)
 //! benchdiff --merge BENCH_pr3 --out results/BENCH_pr3.json /tmp/out/BENCH_*.json
 //! ```
 //!
@@ -264,7 +266,12 @@ fn run_diff(paths: &[String], gate: Option<f64>) -> ExitCode {
 fn run_merge(id: &str, note: Option<&str>, out: &str, paths: &[String]) -> ExitCode {
     let mut suites: Vec<(String, Json)> = Vec::new();
     for path in paths {
-        suites.extend(load_suites(path));
+        for (name, suite) in load_suites(path) {
+            // A later file's suite replaces an earlier one of the same
+            // name, so regenerated suites merge over a committed baseline.
+            suites.retain(|(earlier, _)| *earlier != name);
+            suites.push((name, suite));
+        }
     }
     suites.sort_by(|a, b| a.0.cmp(&b.0));
     let all_full = suites.iter().all(|(_, s)| s.get("mode").and_then(Json::as_str) == Some("full"));

@@ -116,6 +116,23 @@ fn merge_combines_per_suite_files_into_one_gateable_baseline() {
         benchdiff(&[merged.as_os_str(), merged.as_os_str(), "--gate".as_ref(), "0".as_ref()]);
     assert!(ok, "self-diff must pass a 0% gate:\n{text}");
     assert!(text.contains("2 benchmarks compared, 2 measured on both sides"), "{text}");
+
+    // Merging a regenerated suite over the merged file replaces that suite
+    // whole (the dropped `sign` entry does not linger) and keeps the rest.
+    let fresh = write(&dir, "BENCH_crypto2.json", &suite_json("crypto", &[("mont", 20.0, 30)]));
+    let over = dir.join("BENCH_over.json");
+    let (ok, _) = benchdiff(&[
+        "--merge".as_ref(),
+        "BENCH_over".as_ref(),
+        "--out".as_ref(),
+        over.as_os_str(),
+        merged.as_os_str(),
+        fresh.as_os_str(),
+    ]);
+    assert!(ok);
+    let text = std::fs::read_to_string(&over).expect("merged file written");
+    assert_eq!(text.matches(r#""suite": "crypto""#).count(), 1, "{text}");
+    assert!(text.contains("mont") && !text.contains("sign") && text.contains("token"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -6,7 +6,8 @@
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 (verified against standard vectors)
 //! * [`hmac`] — HMAC-SHA-256 and HKDF (RFC 2104 / 5869)
-//! * [`u256`] — 256-bit integer with modular arithmetic
+//! * [`u256`] — 256-bit integer with modular arithmetic: a division-based
+//!   reference and the Montgomery context the group runs on
 //! * [`group`] — a fixed 256-bit safe-prime discrete-log group
 //! * [`schnorr`] — Schnorr signatures with deterministic nonces
 //! * [`dh`] — Diffie–Hellman key agreement with HKDF session keys
@@ -19,10 +20,11 @@
 //! have real (not mocked) asymmetric-crypto cost structure at tractable
 //! speed. A deployment would swap in an elliptic-curve group.
 //!
-//! The exponentiation fast paths (fixed-base window table, k-ary
-//! `pow_mod_windowed`, batch Schnorr verification) are result-identical to
-//! the retained square-and-multiply references; `VC_CRYPTO_SCALAR=1` forces
-//! the reference paths process-wide (see docs/CRYPTO.md).
+//! The fast paths (Montgomery multiplication for `p` and `q`, fixed-base
+//! window table, windowed Straus exponentiation, batch Schnorr verification)
+//! are result-identical to the retained division-based square-and-multiply
+//! references; `VC_CRYPTO_SCALAR=1` forces the reference paths process-wide
+//! (see docs/CRYPTO.md).
 //!
 //! ## Example
 //!

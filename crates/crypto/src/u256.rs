@@ -3,6 +3,11 @@
 //! This is the arithmetic core under the discrete-log constructions in this
 //! crate (Schnorr signatures, Diffie–Hellman). Little-endian `u64` limbs;
 //! all operations are constant-size loops (no heap).
+//!
+//! Two modular multipliers live here: the division-based
+//! [`U256::mul_mod`] / [`U256::pow_mod`] (any modulus; the reference oracle)
+//! and the [`Mont`] context (one odd modulus fixed up front; what
+//! [`group`](crate::group) runs on). docs/CRYPTO.md has the contract.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -311,47 +316,9 @@ impl U256 {
         result
     }
 
-    /// `self^exp mod m` by fixed-window (k-ary, 4-bit) exponentiation.
-    ///
-    /// Result-identical to [`U256::pow_mod`] (which is retained as the
-    /// reference oracle for the property suite and the `VC_CRYPTO_SCALAR=1`
-    /// escape hatch) but processes the exponent a nibble at a time: one
-    /// 15-entry power table up front, then four squarings plus at most one
-    /// multiply per nibble instead of one multiply per set bit — ~6 fewer
-    /// multiplies per 16 exponent bits on random exponents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is zero.
-    pub fn pow_mod_windowed(&self, exp: U256, m: U256) -> U256 {
-        assert!(!m.is_zero(), "zero modulus");
-        if m == U256::ONE {
-            return U256::ZERO;
-        }
-        let bits = exp.bits();
-        if bits == 0 {
-            return U256::ONE;
-        }
-        let base = self.rem(m);
-        // table[j] = base^(j+1) mod m.
-        let mut table = [base; 15];
-        for j in 1..15 {
-            table[j] = table[j - 1].mul_mod(base, m);
-        }
-        let top_window = (bits - 1) / 4;
-        let mut result = U256::ONE;
-        for w in (0..=top_window).rev() {
-            if w != top_window {
-                for _ in 0..4 {
-                    result = result.mul_mod(result, m);
-                }
-            }
-            let nibble = (exp.limbs[w / 16] >> ((w % 16) * 4)) & 0xF;
-            if nibble != 0 {
-                result = result.mul_mod(table[nibble as usize - 1], m);
-            }
-        }
-        result
+    /// The `w`-th 4-bit window of the value (`w < 64`, 0 = least significant).
+    pub(crate) fn nibble(&self, w: usize) -> usize {
+        ((self.limbs[w / 16] >> ((w % 16) * 4)) & 0xF) as usize
     }
 
     /// Modular inverse for a **prime** modulus, via Fermat's little theorem.
@@ -363,6 +330,156 @@ impl U256 {
         }
         let exp = p.wrapping_sub(U256::from_u64(2));
         Some(self.pow_mod(exp, p))
+    }
+}
+
+/// Montgomery arithmetic for one odd modulus `m`, with `R = 2^256`.
+///
+/// A value `a` is held in *Montgomery form* `a·R mod m`; [`Mont::mul`] of two
+/// such values is the Montgomery form of their product and costs 32 word
+/// multiplies and no division — against the 512-step bit-serial reduction
+/// under [`U256::mul_mod`], which stays as the reference oracle. Build the
+/// context once per modulus (three division-based steps) and reuse it.
+///
+/// ```
+/// use vc_crypto::u256::{Mont, U256};
+/// let ctx = Mont::new(U256::from_u64(1_000_000_007));
+/// let (a, b) = (U256::from_u64(123_456_789), U256::from_u64(987_654_321));
+/// let product = ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b)));
+/// assert_eq!(product, a.mul_mod(b, ctx.modulus()));
+/// assert_eq!(ctx.pow(a, b), a.pow_mod(b, ctx.modulus()));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mont {
+    m: U256,
+    /// `-m⁻¹ mod 2^64`.
+    n0: u64,
+    /// `R mod m`: the Montgomery form of one.
+    r: U256,
+    /// `R² mod m`: multiplying by it converts into Montgomery form.
+    r2: U256,
+}
+
+impl Mont {
+    /// Builds the context for `m`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is even (zero included): `R` must be invertible mod `m`.
+    pub fn new(m: U256) -> Mont {
+        assert!(m.is_odd(), "Montgomery modulus must be odd");
+        // Newton iteration on the low limb: m0·m0 ≡ 1 (mod 8), and each
+        // step doubles the number of correct low bits (3 → 96 ≥ 64).
+        let m0 = m.limbs[0];
+        let mut inv = m0;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
+        }
+        // 2^256 - m ≡ R (mod m), and fits in 256 bits.
+        let r = U256::ZERO.wrapping_sub(m).rem(m);
+        Mont { m, n0: inv.wrapping_neg(), r, r2: r.mul_mod(r, m) }
+    }
+
+    /// The modulus.
+    pub fn modulus(&self) -> U256 {
+        self.m
+    }
+
+    /// The Montgomery form of one (`R mod m`).
+    pub fn one(&self) -> U256 {
+        self.r
+    }
+
+    /// Converts into Montgomery form. Any 256-bit `a` is accepted; the
+    /// result is the form of `a mod m`.
+    pub fn to_mont(&self, a: U256) -> U256 {
+        self.mul(a, self.r2)
+    }
+
+    /// Converts out of Montgomery form to the canonical value `< m`.
+    pub fn from_mont(&self, a: U256) -> U256 {
+        self.mul(a, U256::ONE)
+    }
+
+    /// Montgomery product `a·b·R⁻¹ mod m` (4-limb CIOS), fully reduced.
+    ///
+    /// At least one operand must be `< m`; the other may be any 256-bit
+    /// value, since the interleaved sum stays below `(R·m + R·m)/R = 2m` and
+    /// one conditional subtraction finishes the reduction.
+    pub fn mul(&self, a: U256, b: U256) -> U256 {
+        let (a, b, m) = (a.limbs, b.limbs, self.m.limbs);
+        // t holds the running sum: four limbs plus a fifth word, because m
+        // may use all 256 bits (p does) and the sum reaches 2m.
+        let mut t = [0u64; 5];
+        for &ai in &a {
+            // t += ai · b; `top` is the carry out of the fifth word.
+            let mut carry = 0u128;
+            for j in 0..4 {
+                let cur = t[j] as u128 + (ai as u128) * (b[j] as u128) + carry;
+                t[j] = cur as u64;
+                carry = cur >> 64;
+            }
+            let cur = t[4] as u128 + carry;
+            t[4] = cur as u64;
+            let top = (cur >> 64) as u64;
+            // t = (t + k·m) / 2^64, with k chosen so the low limb cancels.
+            let k = t[0].wrapping_mul(self.n0);
+            let mut carry = (t[0] as u128 + (k as u128) * (m[0] as u128)) >> 64;
+            for j in 1..4 {
+                let cur = t[j] as u128 + (k as u128) * (m[j] as u128) + carry;
+                t[j - 1] = cur as u64;
+                carry = cur >> 64;
+            }
+            let cur = t[4] as u128 + carry;
+            t[3] = cur as u64;
+            t[4] = top + (cur >> 64) as u64;
+        }
+        let out = U256 { limbs: [t[0], t[1], t[2], t[3]] };
+        if t[4] != 0 || out >= self.m {
+            out.wrapping_sub(self.m)
+        } else {
+            out
+        }
+    }
+
+    /// `base^exp mod m`, canonical in and out: result-identical to
+    /// [`U256::pow_mod`] for every odd `m` (including `m = 1`).
+    pub fn pow(&self, base: U256, exp: U256) -> U256 {
+        self.from_mont(self.multi_pow(&[(self.powers(self.to_mont(base)), exp)]))
+    }
+
+    /// `[b, b², …, b¹⁵]` for a Montgomery-form `b`: one base's table for
+    /// `Mont::multi_pow`.
+    pub(crate) fn powers(&self, b: U256) -> [U256; 15] {
+        let mut table = [b; 15];
+        for j in 1..15 {
+            table[j] = self.mul(table[j - 1], b);
+        }
+        table
+    }
+
+    /// `Π bᵢ^eᵢ` in Montgomery form over `(powers(bᵢ), eᵢ)` terms — 4-bit
+    /// windowed Straus interleaving: one squaring chain (four per window,
+    /// none above the longest exponent's top window) shared by all terms,
+    /// plus one multiply per nonzero exponent nibble.
+    pub(crate) fn multi_pow(&self, terms: &[([U256; 15], U256)]) -> U256 {
+        let max_bits = terms.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
+        let windows = max_bits.div_ceil(4);
+        let mut acc = self.r;
+        for w in (0..windows).rev() {
+            if w + 1 != windows {
+                for _ in 0..4 {
+                    acc = self.mul(acc, acc);
+                }
+            }
+            for (table, exp) in terms {
+                let nibble = exp.nibble(w);
+                if nibble != 0 {
+                    acc = self.mul(acc, table[nibble - 1]);
+                }
+            }
+        }
+        acc
     }
 }
 
@@ -636,18 +753,35 @@ mod tests {
                 .unwrap(),
             U256::MAX,
         ];
-        for base in [u(2), u(4), u(0xdeadbeef), p.wrapping_sub(U256::ONE)] {
+        let ctx = Mont::new(p);
+        for base in [U256::ZERO, u(2), u(4), u(0xdeadbeef), p.wrapping_sub(U256::ONE), U256::MAX] {
             for exp in exps {
-                assert_eq!(
-                    base.pow_mod_windowed(exp, p),
-                    base.pow_mod(exp, p),
-                    "base={base} exp={exp}"
-                );
+                assert_eq!(ctx.pow(base, exp), base.pow_mod(exp, p), "base={base} exp={exp}");
             }
         }
         // Small-modulus corners.
-        assert_eq!(u(3).pow_mod_windowed(u(4), U256::ONE), U256::ZERO, "mod 1 is zero");
-        assert_eq!(u(2).pow_mod_windowed(u(10), u(1_000_000_007)), u(1024));
+        assert_eq!(Mont::new(U256::ONE).pow(u(3), u(4)), U256::ZERO, "mod 1 is zero");
+        assert_eq!(Mont::new(U256::ONE).pow(u(3), U256::ZERO), U256::ZERO, "mod 1 is zero");
+        assert_eq!(Mont::new(u(1_000_000_007)).pow(u(2), u(10)), u(1024));
+    }
+
+    #[test]
+    fn mont_constants_and_roundtrip() {
+        let p = U256::from_hex("a252363211224274024c034527879257e2663936263f2ec0e8818b63737f276b")
+            .unwrap();
+        for m in [p, p.shr_bits(1), u(1_000_000_007), u(3), U256::MAX] {
+            let ctx = Mont::new(m);
+            assert_eq!(ctx.modulus(), m);
+            // n0·m ≡ -1 (mod 2^64); one() is R mod m.
+            assert_eq!(ctx.n0.wrapping_mul(m.limbs[0]), u64::MAX, "m={m}");
+            assert_eq!(ctx.from_mont(ctx.one()), U256::ONE, "m={m}");
+            assert_eq!(ctx.to_mont(U256::ONE), ctx.one(), "m={m}");
+            for a in [U256::ZERO, U256::ONE, m.wrapping_sub(U256::ONE), m, U256::MAX] {
+                assert_eq!(ctx.from_mont(ctx.to_mont(a)), a.rem(m), "m={m} a={a}");
+                let sq = ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(a)));
+                assert_eq!(sq, a.rem(m).mul_mod(a.rem(m), m), "m={m} a={a}");
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,15 @@ use vc_crypto::hmac::{hkdf_expand, hkdf_extract, hmac_sha256};
 use vc_crypto::merkle::MerkleTree;
 use vc_crypto::schnorr::{Signature, SigningKey};
 use vc_crypto::sha256::sha256;
-use vc_crypto::u256::U256;
+use vc_crypto::u256::{Mont, U256};
 use vc_testkit::prop::strategy::{any_bytes, any_u16, any_u64, any_u8, any_words, vec};
 use vc_testkit::{prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume};
+
+/// `p`, `q`, and a small odd modulus where the `u128` oracle reaches.
+fn mont_moduli() -> [U256; 3] {
+    let params = vc_crypto::group::group();
+    [params.p, params.q, U256::from(1_000_000_007u128)]
+}
 
 prop! {
     #![cases(64)]
@@ -72,17 +78,98 @@ prop! {
         prop_assert_eq!(x.shl_bits(n).shr_bits(n).shl_bits(n), x.shl_bits(n));
     }
 
-    // ---- windowed exponentiation vs the square-and-multiply oracle ----
+    // ---- the Montgomery core vs the division-based oracle ----
 
     #[test]
     fn pow_mod_windowed_matches_reference(base in any_words::<4>(), exp in any_words::<4>()) {
-        let p = vc_crypto::group::group().p;
         let b = U256::from_limbs(base);
         let e = U256::from_limbs(exp);
-        prop_assert_eq!(b.pow_mod_windowed(e, p), b.pow_mod(e, p));
-        // Also against a small modulus where the u128 oracle reaches.
-        let m = U256::from(1_000_000_007u128);
-        prop_assert_eq!(b.pow_mod_windowed(e, m), b.pow_mod(e, m));
+        for m in mont_moduli() {
+            let ctx = Mont::new(m);
+            prop_assert_eq!(ctx.pow(b, e), b.pow_mod(e, m));
+            // Edge bases and exponents against the random partner.
+            for edge in [U256::ZERO, U256::ONE, m.wrapping_sub(U256::ONE), U256::MAX] {
+                prop_assert_eq!(ctx.pow(edge, e), edge.pow_mod(e, m));
+                prop_assert_eq!(ctx.pow(b, edge), b.pow_mod(edge, m));
+            }
+        }
+    }
+
+    #[test]
+    fn mont_mul_matches_mul_mod(a in any_words::<4>(), b in any_words::<4>()) {
+        for m in mont_moduli() {
+            let ctx = Mont::new(m);
+            let edges = [U256::ZERO, U256::ONE, m.wrapping_sub(U256::ONE)];
+            let randoms = [U256::from_limbs(a).rem(m), U256::from_limbs(b).rem(m)];
+            for x in edges.into_iter().chain(randoms) {
+                prop_assert_eq!(ctx.from_mont(ctx.to_mont(x)), x);
+                // to_mont is multiplication by R mod m, which is one().
+                prop_assert_eq!(ctx.to_mont(x), x.mul_mod(ctx.one(), m));
+                for y in edges.into_iter().chain(randoms) {
+                    let product = ctx.from_mont(ctx.mul(ctx.to_mont(x), ctx.to_mont(y)));
+                    prop_assert_eq!(product, x.mul_mod(y, m));
+                }
+            }
+            // Unreduced input: to_mont reduces on the way in.
+            let wide = U256::from_limbs(a);
+            prop_assert_eq!(ctx.from_mont(ctx.to_mont(wide)), wide.rem(m));
+        }
+    }
+
+    #[test]
+    fn mont_new_rejects_even_modulus(m in any_words::<4>()) {
+        let even = U256::from_limbs([m[0] & !1, m[1], m[2], m[3]]);
+        prop_assert!(std::panic::catch_unwind(|| Mont::new(even)).is_err());
+    }
+
+    // ---- Scalar reduction: conditional subtraction vs division ----
+
+    #[test]
+    fn scalar_from_u256_matches_rem(v in any_words::<4>()) {
+        let q = vc_crypto::group::group().q;
+        let two_q = q.wrapping_add(q);
+        let edges = [U256::ZERO, q.wrapping_sub(U256::ONE), q, two_q, two_q.wrapping_add(q), U256::MAX];
+        for x in edges.into_iter().chain([U256::from_limbs(v)]) {
+            prop_assert_eq!(Scalar::from_u256(x).as_u256(), x.rem(q));
+        }
+    }
+
+    // ---- subgroup membership: the full v^q == 1 check is kept ----
+
+    #[test]
+    fn element_from_bytes_matches_oracle(v in any_words::<4>(), k in any_u64()) {
+        let params = vc_crypto::group::group();
+        let oracle = |v: U256| {
+            !v.is_zero() && v < params.p && v.pow_mod(params.q, params.p) == U256::ONE
+        };
+        // Random 256-bit values (about a third are members: v < p half the
+        // time at this p, then half of those are quadratic residues), the
+        // fixed rejects, and small integers where both classes are dense.
+        let minus_one = params.p.wrapping_sub(U256::ONE);
+        for x in [U256::from_limbs(v), U256::from_u64(k), U256::ZERO, params.p, minus_one] {
+            let decoded = Element::from_bytes(&x.to_be_bytes());
+            prop_assert_eq!(decoded.is_some(), oracle(x));
+            if let Some(e) = decoded {
+                prop_assert_eq!(e.as_u256(), x);
+            }
+        }
+        for reject in [U256::ZERO, params.p, minus_one] {
+            prop_assert!(Element::from_bytes(&reject.to_be_bytes()).is_none());
+        }
+    }
+
+    // ---- Element / Scalar arithmetic vs the division oracle ----
+
+    #[test]
+    fn group_ops_match_division_oracle(a in any_bytes::<16>(), b in any_bytes::<16>()) {
+        let params = vc_crypto::group::group();
+        let (sa, sb) = (Scalar::hash_to_scalar(&[b"a", &a]), Scalar::hash_to_scalar(&[b"b", &b]));
+        prop_assert_eq!(sa.mul(sb).as_u256(), sa.as_u256().mul_mod(sb.as_u256(), params.q));
+        prop_assert_eq!(sa.invert().map(|s| s.as_u256()), sa.as_u256().inv_mod_prime(params.q));
+        let (ea, eb) = (Element::base_pow_scalar(sa), Element::base_pow_scalar(sb));
+        prop_assert_eq!(ea.mul(eb).as_u256(), ea.as_u256().mul_mod(eb.as_u256(), params.p));
+        prop_assert_eq!(ea.pow(sb).as_u256(), ea.as_u256().pow_mod(sb.as_u256(), params.p));
+        prop_assert_eq!(Some(ea.invert().as_u256()), ea.as_u256().inv_mod_prime(params.p));
     }
 
     #[test]
