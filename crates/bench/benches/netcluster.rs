@@ -1,7 +1,7 @@
 //! Micro-benches for clustering and routing rounds — the per-round cost
 //! basis of experiment E8.
 
-use vc_net::cluster::{form_clusters, ClusterConfig};
+use vc_net::cluster::{form_clusters, maintain_clusters, ClusterConfig};
 use vc_net::netsim::NetSim;
 use vc_net::routing::{ClusterRouting, Epidemic, GreedyGeo, MozoRouting, RoutingProtocol};
 use vc_net::world::WorldView;
@@ -18,10 +18,11 @@ struct Snapshot {
     table: NeighborTable,
 }
 
-fn snapshot(n: usize) -> Snapshot {
+/// `n` vehicles uniform over a square of side `extent` meters.
+fn snapshot(n: usize, extent: f64) -> Snapshot {
     let mut rng = SimRng::seed_from(7);
     let positions: Vec<Point> = (0..n)
-        .map(|_| Point::new(rng.range_f64(0.0, 1200.0), rng.range_f64(0.0, 1200.0)))
+        .map(|_| Point::new(rng.range_f64(0.0, extent), rng.range_f64(0.0, extent)))
         .collect();
     let velocities: Vec<Point> = (0..n)
         .map(|_| Point::new(rng.range_f64(-20.0, 20.0), rng.range_f64(-20.0, 20.0)))
@@ -51,15 +52,18 @@ fn main() {
 
     // ---- neighbor table construction ----
     for n in [50usize, 200, 800] {
-        let snap = snapshot(n);
+        let snap = snapshot(n, 1200.0);
         suite.bench(&format!("neighbor_table/build/{n}"), || {
             NeighborTable::build(black_box(&snap.positions), &snap.online, 300.0)
         });
     }
 
     // ---- cluster formation ----
-    for n in [50usize, 200] {
-        let snap = snapshot(n);
+    // The small fleets share one 1.2 km square; the 10 000-vehicle one is a
+    // city at 78 vehicles per km² (mean degree about 22), where per-call
+    // and per-head allocation used to dominate.
+    for (n, extent) in [(50usize, 1200.0), (200, 1200.0), (10_000, 11_300.0)] {
+        let snap = snapshot(n, extent);
         let world = WorldView {
             positions: &snap.positions,
             velocities: &snap.velocities,
@@ -72,6 +76,12 @@ fn main() {
         suite.bench(&format!("clustering/form/moving_zone/{n}"), || {
             form_clusters(black_box(&world), &ClusterConfig::moving_zone())
         });
+        if n == 10_000 {
+            let previous = form_clusters(&world, &ClusterConfig::multi_hop());
+            suite.bench(&format!("clustering/maintain/{n}"), || {
+                maintain_clusters(&previous, black_box(&world), &ClusterConfig::multi_hop(), 0.5)
+            });
+        }
     }
 
     // ---- full routing rounds (20 rounds, 60 vehicles) ----

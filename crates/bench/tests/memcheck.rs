@@ -5,9 +5,10 @@
 //!
 //! * the allocator's own counters behave: counts rise on allocation, live
 //!   bytes fall on drop, `reset_peak` re-baselines the high-water mark;
-//! * the simulator's per-tick hot loops — `Fleet::step_sharded` and
-//!   `NetSim::round` — allocate **nothing** once their scratch buffers are
-//!   warm and the single-shard plan collapses to an inline loop.
+//! * the simulator's per-tick hot loops — `Fleet::step_sharded`,
+//!   `NetSim::round`, and the neighbor-table rebuild + cluster re-formation
+//!   inside it — allocate **nothing** once their scratch buffers are warm
+//!   and the single-shard plan collapses to an inline loop.
 //!
 //! Zero-alloc assertions use [`AllocScope`], which reads *thread-local*
 //! counters, so they are immune to allocation by concurrent test threads.
@@ -17,7 +18,8 @@
 use std::sync::Mutex;
 
 use vc_net::netsim::NetSim;
-use vc_net::routing::GreedyGeo;
+use vc_net::routing::{ClusterRouting, GreedyGeo, MozoRouting, RoutingProtocol};
+use vc_net::world::WorldView;
 use vc_obs::mem::{self, AllocScope};
 use vc_sim::prelude::*;
 
@@ -113,6 +115,57 @@ fn netsim_round_steady_state_allocates_nothing() {
         (delta.allocs, delta.bytes),
         (0, 0),
         "single-shard steady-state rounds must be allocation-free"
+    );
+}
+
+#[test]
+fn neighbor_rebuild_and_cluster_reform_steady_state_allocate_nothing() {
+    // 2 000 vehicles at city density, every one of them thrown up to a full
+    // 300 m cell away from its base each iteration: vehicles change cells,
+    // the bounding box moves, cells that were empty fill up, and the number
+    // of clusters drifts. (The hash grid this replaced allocated a bucket on
+    // every first visit to a cell.)
+    let mut rng = SimRng::seed_from(13);
+    let n = 2_000;
+    let extent = 5_000.0;
+    let base: Vec<Point> = (0..n)
+        .map(|_| Point::new(rng.range_f64(0.0, extent), rng.range_f64(0.0, extent)))
+        .collect();
+    let velocities: Vec<Point> =
+        (0..n).map(|_| Point::new(rng.range_f64(-6.0, 6.0), rng.range_f64(-6.0, 6.0))).collect();
+    let online: Vec<bool> = (0..n).map(|i| i % 11 != 0).collect();
+    let mut positions = base.clone();
+    let mut table = NeighborTable::new();
+    let mut grid = SpatialGrid::new(300.0);
+    let (mut cluster, mut mozo) = (ClusterRouting::new(), MozoRouting::new());
+    let mut iterate = |rounds: usize| {
+        for _ in 0..rounds {
+            for (p, b) in positions.iter_mut().zip(&base) {
+                *p = *b + Point::new(rng.range_f64(-300.0, 300.0), rng.range_f64(-300.0, 300.0));
+            }
+            table.rebuild(&mut grid, &positions, &online, 300.0);
+            let world = WorldView {
+                positions: &positions,
+                velocities: &velocities,
+                online: &online,
+                neighbors: &table,
+            };
+            // `begin_round` is the in-place re-formation `NetSim::round` runs.
+            cluster.begin_round(&world);
+            mozo.begin_round(&world);
+        }
+    };
+    // Warm-up: the neighbor table's flat storage finds its high-water mark;
+    // everything else is sized by the fleet on the first round.
+    iterate(12);
+    let scope = AllocScope::start();
+    iterate(12);
+    let delta = scope.finish();
+    assert!(cluster.clustering().cluster_count() > 1 && mozo.zones().cluster_count() > 1);
+    assert_eq!(
+        (delta.allocs, delta.bytes),
+        (0, 0),
+        "rebuild + re-formation must be allocation-free after warm-up"
     );
 }
 

@@ -16,8 +16,9 @@ use crate::stay::{HostDynamics, StayEstimator};
 use crate::task::{TaskId, TaskSpec};
 use vc_net::cluster::{form_clusters, ClusterConfig};
 use vc_net::world::WorldView;
-use vc_sim::geom::Point;
+use vc_sim::geom::{Point, SpatialGrid};
 use vc_sim::node::VehicleId;
+use vc_sim::radio::NeighborTable;
 use vc_sim::scenario::Scenario;
 use vc_sim::time::{SimDuration, SimTime};
 
@@ -58,6 +59,19 @@ pub struct Membership {
 
 /// Computes the current membership for an architecture over a scenario.
 pub fn membership(kind: ArchitectureKind, scenario: &Scenario) -> Membership {
+    let mut neighbors = NeighborTable::new();
+    let mut grid = SpatialGrid::new(scenario.channel.range_m.max(1.0));
+    membership_with(kind, scenario, &mut neighbors, &mut grid)
+}
+
+/// [`membership`] with the dynamic architecture's neighbor table built into
+/// caller-owned buffers, so a per-tick caller stops reallocating them.
+fn membership_with(
+    kind: ArchitectureKind,
+    scenario: &Scenario,
+    neighbors: &mut NeighborTable,
+    grid: &mut SpatialGrid,
+) -> Membership {
     match kind {
         ArchitectureKind::Stationary => {
             let members: Vec<VehicleId> = scenario
@@ -88,12 +102,12 @@ pub fn membership(kind: ArchitectureKind, scenario: &Scenario) -> Membership {
             Membership { broker: None, members, center, radius: 350.0 }
         }
         ArchitectureKind::Dynamic => {
-            let neighbors = scenario.neighbor_table();
+            scenario.neighbor_table_into(neighbors, grid);
             let world = WorldView {
                 positions: scenario.fleet.positions(),
                 velocities: scenario.fleet.velocities(),
                 online: scenario.fleet.online_flags(),
-                neighbors: &neighbors,
+                neighbors,
             };
             let clustering = form_clusters(&world, &ClusterConfig::multi_hop());
             // The cloud is the largest cluster; its head is the broker.
@@ -165,6 +179,10 @@ pub struct CloudSim<E: StayEstimator> {
     estimator: E,
     now: SimTime,
     next_task: u64,
+    /// Neighbor table and spatial grid behind the dynamic architecture's
+    /// per-tick membership, rebuilt in place each tick.
+    neighbors: NeighborTable,
+    grid: SpatialGrid,
 }
 
 impl<E: StayEstimator> CloudSim<E> {
@@ -175,6 +193,7 @@ impl<E: StayEstimator> CloudSim<E> {
         config: SchedulerConfig,
         estimator: E,
     ) -> Self {
+        let grid = SpatialGrid::new(scenario.channel.range_m.max(1.0));
         CloudSim {
             scenario,
             kind,
@@ -182,6 +201,8 @@ impl<E: StayEstimator> CloudSim<E> {
             estimator,
             now: SimTime::ZERO,
             next_task: 0,
+            neighbors: NeighborTable::new(),
+            grid,
         }
     }
 
@@ -233,7 +254,8 @@ impl<E: StayEstimator> CloudSim<E> {
             self.scenario.tick_probed(self.now, vc_obs::as_probe(&mut rec));
         }
         self.now += SimDuration::from_secs_f64(self.scenario.dt);
-        let membership = membership(self.kind, &self.scenario);
+        let membership =
+            membership_with(self.kind, &self.scenario, &mut self.neighbors, &mut self.grid);
         let hosts = hosts_of(&self.scenario, &membership, &self.estimator);
         if let Some(r) = vc_obs::reborrow(&mut rec) {
             r.event(

@@ -15,7 +15,6 @@
 //! group of vehicles", §IV-A.1).
 
 use crate::world::WorldView;
-use std::collections::{BTreeMap, VecDeque};
 use vc_obs::Recorder;
 use vc_sim::node::VehicleId;
 use vc_sim::time::SimTime;
@@ -57,13 +56,29 @@ impl ClusterConfig {
 }
 
 /// The result of a clustering round.
+///
+/// Also owns the scratch buffers formation works in, so a value that is
+/// re-formed every round (as the routing protocols do) stops allocating
+/// once its buffers have grown to the fleet size.
 #[derive(Debug, Clone, Default)]
 pub struct Clustering {
     /// Head of each vehicle's cluster, indexed by vehicle id (None when
     /// offline).
     head_of: Vec<Option<VehicleId>>,
-    /// Members per head (heads include themselves).
-    members: BTreeMap<VehicleId, Vec<VehicleId>>,
+    /// All cluster heads, ascending.
+    heads: Vec<VehicleId>,
+    /// `slot[h]` is head `h`'s position in `heads`; unspecified for
+    /// vehicles that are not heads.
+    slot: Vec<u32>,
+    /// `starts[k]..starts[k + 1]` bounds `heads[k]`'s run of `members`.
+    /// One spare slot at the end lets the counting sort run in place.
+    starts: Vec<u32>,
+    /// Every clustered vehicle, grouped by head and ascending within a
+    /// cluster (heads include themselves).
+    members: Vec<VehicleId>,
+    /// Election scratch: `(score, vehicle)` for every candidate head.
+    candidates: Vec<(f64, VehicleId)>,
+    bfs: Bfs,
 }
 
 impl Clustering {
@@ -77,27 +92,32 @@ impl Clustering {
         self.head_of(id) == Some(id)
     }
 
-    /// Members of the cluster headed by `head` (empty if not a head).
+    /// Members of the cluster headed by `head`, ascending (empty if not a
+    /// head).
     pub fn members(&self, head: VehicleId) -> &[VehicleId] {
-        self.members.get(&head).map_or(&[], |v| v.as_slice())
+        if !self.is_head(head) {
+            return &[];
+        }
+        let k = self.slot[head.0 as usize] as usize;
+        &self.members[self.starts[k] as usize..self.starts[k + 1] as usize]
     }
 
-    /// All cluster heads.
+    /// All cluster heads, ascending.
     pub fn heads(&self) -> impl Iterator<Item = VehicleId> + '_ {
-        self.members.keys().copied()
+        self.heads.iter().copied()
     }
 
     /// Number of clusters.
     pub fn cluster_count(&self) -> usize {
-        self.members.len()
+        self.heads.len()
     }
 
     /// Mean cluster size.
     pub fn mean_cluster_size(&self) -> f64 {
-        if self.members.is_empty() {
+        if self.heads.is_empty() {
             return 0.0;
         }
-        self.members.values().map(|m| m.len()).sum::<usize>() as f64 / self.members.len() as f64
+        self.members.len() as f64 / self.heads.len() as f64
     }
 
     /// `true` when the two vehicles are in the same cluster.
@@ -107,94 +127,182 @@ impl Clustering {
             _ => false,
         }
     }
+
+    /// [`form_clusters`] into this value, reusing its buffers.
+    pub(crate) fn reform(&mut self, world: &WorldView<'_>, cfg: &ClusterConfig) {
+        let _form = vc_obs::profile::frame("cluster.form");
+        self.head_of.clear();
+        self.head_of.resize(world.len(), None);
+        self.candidates.clear();
+        self.candidates.extend(world.online_ids().map(|id| (head_score(world, id, cfg), id)));
+        self.elect(world, cfg, true);
+        self.index_members();
+    }
+
+    /// Runs the election over `self.candidates`: in rank order — score
+    /// descending, ties to the lower vehicle id — each candidate nobody has
+    /// claimed yet becomes a head and claims the unclaimed vehicles within
+    /// `max_hops`. The search runs on through vehicles another head already
+    /// claimed only when `through_claimed` is set.
+    fn elect(&mut self, world: &WorldView<'_>, cfg: &ClusterConfig, through_claimed: bool) {
+        // Ids are distinct, so the order is total and the unstable sort
+        // (which, unlike the stable one, allocates nothing) is deterministic.
+        self.candidates.sort_unstable_by(|a, b| {
+            b.0.partial_cmp(&a.0).expect("finite scores").then(a.1.cmp(&b.1))
+        });
+        let Clustering { head_of, candidates, bfs, .. } = self;
+        for &(_, candidate) in candidates.iter() {
+            if head_of[candidate.0 as usize].is_some() {
+                continue;
+            }
+            head_of[candidate.0 as usize] = Some(candidate);
+            bfs.search(world, cfg, [candidate], |_, next| {
+                let head = &mut head_of[next.0 as usize];
+                let free = head.is_none();
+                if free {
+                    *head = Some(candidate);
+                }
+                free || through_claimed
+            });
+        }
+    }
+
+    /// Rebuilds the `heads`/`members` view from `head_of` by a counting
+    /// sort on the head: two sweeps in ascending vehicle order, so heads and
+    /// each cluster's members come out ascending without a comparison sort.
+    fn index_members(&mut self) {
+        // Every buffer is sized for the fleet, not for this round's head
+        // count, so a drifting number of clusters never reallocates.
+        let n = self.head_of.len();
+        self.heads.clear();
+        self.heads.reserve(n);
+        self.slot.resize(n, 0);
+        for (i, head) in self.head_of.iter().enumerate() {
+            let id = VehicleId(i as u32);
+            if *head == Some(id) {
+                self.slot[i] = self.heads.len() as u32;
+                self.heads.push(id);
+            }
+        }
+        // Counts go two slots up, so after the prefix sum `starts[k + 1]`
+        // is cluster `k`'s write cursor and, once every member is written,
+        // the start of cluster `k + 1`.
+        self.starts.clear();
+        self.starts.reserve(n + 2);
+        self.starts.resize(self.heads.len() + 2, 0);
+        for head in self.head_of.iter().flatten() {
+            self.starts[self.slot[head.0 as usize] as usize + 2] += 1;
+        }
+        let mut sum = 0;
+        for s in &mut self.starts {
+            sum += *s;
+            *s = sum;
+        }
+        self.members.resize(sum as usize, VehicleId(0));
+        for (i, head) in self.head_of.iter().enumerate() {
+            if let Some(head) = head {
+                let cursor = &mut self.starts[self.slot[head.0 as usize] as usize + 1];
+                self.members[*cursor as usize] = VehicleId(i as u32);
+                *cursor += 1;
+            }
+        }
+    }
+}
+
+/// Does the link from `a` to its neighbor `b` count for clustering: `b`
+/// online and, in moving-zone mode, inside `a`'s velocity band?
+fn eligible(world: &WorldView<'_>, cfg: &ClusterConfig, a: VehicleId, b: VehicleId) -> bool {
+    world.is_online(b)
+        && cfg.velocity_similarity.is_none_or(|band| (world.vel(a) - world.vel(b)).norm() < band)
 }
 
 /// Election score for one vehicle: well-connected and kinematically calm
 /// vehicles make good heads.
 fn head_score(world: &WorldView<'_>, id: VehicleId, cfg: &ClusterConfig) -> f64 {
-    let neighbors = eligible_neighbors(world, id, cfg);
-    let degree = neighbors.len() as f64;
-    let rel_speed = if neighbors.is_empty() {
-        0.0
-    } else {
-        neighbors.iter().map(|&n| (world.vel(id) - world.vel(n)).norm()).sum::<f64>()
-            / neighbors.len() as f64
-    };
-    cfg.weight_degree * degree - cfg.weight_stability * rel_speed
+    let (mut degree, mut rel_speed) = (0usize, 0.0);
+    for &n in world.neighbors.of(id) {
+        if eligible(world, cfg, id, n) {
+            degree += 1;
+            rel_speed += (world.vel(id) - world.vel(n)).norm();
+        }
+    }
+    if degree > 0 {
+        rel_speed /= degree as f64;
+    }
+    cfg.weight_degree * degree as f64 - cfg.weight_stability * rel_speed
 }
 
-/// Neighbors of `id` that pass the (optional) velocity-similarity filter.
-fn eligible_neighbors(world: &WorldView<'_>, id: VehicleId, cfg: &ClusterConfig) -> Vec<VehicleId> {
-    world
-        .neighbors
-        .of(id)
-        .iter()
-        .copied()
-        .filter(|&n| world.is_online(n))
-        .filter(|&n| match cfg.velocity_similarity {
-            Some(band) => (world.vel(id) - world.vel(n)).norm() < band,
-            None => true,
-        })
-        .collect()
+/// Bounded-hop breadth-first search over eligible links, the one traversal
+/// under formation and maintenance. Visits are epoch-stamped, so starting a
+/// search forgets the previous one in O(1) instead of clearing a flag per
+/// vehicle, and the queue is a reused flat buffer.
+#[derive(Debug, Clone, Default)]
+struct Bfs {
+    /// `stamp[v] == epoch` marks `v` visited by the current search.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Expanded vehicles in visiting order, one hop level after another.
+    queue: Vec<VehicleId>,
+}
+
+impl Bfs {
+    /// Searches outwards from `roots` (hop 0) for at most `cfg.max_hops`
+    /// hops, walking `world.neighbors` in place. `reach(from, to)` is called
+    /// once for each vehicle other than a root when the search first
+    /// arrives at it, in breadth-first order; the search continues through
+    /// `to` only when it returns `true`.
+    fn search(
+        &mut self,
+        world: &WorldView<'_>,
+        cfg: &ClusterConfig,
+        roots: impl IntoIterator<Item = VehicleId>,
+        mut reach: impl FnMut(VehicleId, VehicleId) -> bool,
+    ) {
+        self.queue.clear();
+        if self.stamp.len() != world.len() || self.epoch == u32::MAX {
+            self.stamp.clear();
+            self.stamp.resize(world.len(), 0);
+            self.epoch = 0;
+            // A vehicle is queued at most once per search.
+            self.queue.reserve(world.len());
+        }
+        self.epoch += 1;
+        for root in roots {
+            self.stamp[root.0 as usize] = self.epoch;
+            self.queue.push(root);
+        }
+        let mut level = 0..self.queue.len();
+        for _ in 0..cfg.max_hops {
+            for at in level.clone() {
+                let cur = self.queue[at];
+                for &next in world.neighbors.of(cur) {
+                    let seen = &mut self.stamp[next.0 as usize];
+                    if *seen == self.epoch || !eligible(world, cfg, cur, next) {
+                        continue;
+                    }
+                    *seen = self.epoch;
+                    if reach(cur, next) {
+                        self.queue.push(next);
+                    }
+                }
+            }
+            level = level.end..self.queue.len();
+        }
+    }
+
+    /// Did the latest search visit `id`?
+    fn visited(&self, id: VehicleId) -> bool {
+        self.stamp[id.0 as usize] == self.epoch
+    }
 }
 
 /// Forms clusters over the current world snapshot.
 ///
-/// Deterministic: score ties break by lower vehicle id. The election-score
-/// pass (the formation hot loop) fans out over shard workers; scores are a
-/// pure function of the snapshot, and shard results concatenate in
-/// canonical index order, so the shard count never changes the outcome.
+/// Deterministic: score ties break by lower vehicle id.
 pub fn form_clusters(world: &WorldView<'_>, cfg: &ClusterConfig) -> Clustering {
-    let _form = vc_obs::profile::frame("cluster.form");
-    let n = world.len();
-    let mut head_of: Vec<Option<VehicleId>> = vec![None; n];
-    // Rank candidates by score (desc), id (asc).
-    let mut candidates: Vec<(f64, VehicleId)> =
-        vc_sim::shard::map_shards(n, vc_sim::shard::shard_count(), |range| {
-            range
-                .map(|i| VehicleId(i as u32))
-                .filter(|&id| world.is_online(id))
-                .map(|id| (head_score(world, id, cfg), id))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores").then(a.1.cmp(&b.1)));
-
-    let mut members: BTreeMap<VehicleId, Vec<VehicleId>> = BTreeMap::new();
-    for &(_, candidate) in &candidates {
-        if head_of[candidate.0 as usize].is_some() {
-            continue;
-        }
-        // candidate becomes a head; claim unassigned vehicles within max_hops.
-        let mut claimed = vec![candidate];
-        head_of[candidate.0 as usize] = Some(candidate);
-        let mut queue = VecDeque::new();
-        queue.push_back((candidate, 0u32));
-        let mut visited = vec![false; n];
-        visited[candidate.0 as usize] = true;
-        while let Some((cur, depth)) = queue.pop_front() {
-            if depth == cfg.max_hops {
-                continue;
-            }
-            for next in eligible_neighbors(world, cur, cfg) {
-                let idx = next.0 as usize;
-                if visited[idx] {
-                    continue;
-                }
-                visited[idx] = true;
-                if head_of[idx].is_none() {
-                    head_of[idx] = Some(candidate);
-                    claimed.push(next);
-                }
-                queue.push_back((next, depth + 1));
-            }
-        }
-        claimed.sort();
-        members.insert(candidate, claimed);
-    }
-    Clustering { head_of, members }
+    let mut clustering = Clustering::default();
+    clustering.reform(world, cfg);
+    clustering
 }
 
 /// [`form_clusters`] with instrumentation: emits one `net`/`cluster.elect`
@@ -238,94 +346,55 @@ pub fn maintain_clusters(
     cfg: &ClusterConfig,
     retention_quorum: f64,
 ) -> Clustering {
-    let n = world.len();
-    let mut head_of: Vec<Option<VehicleId>> = vec![None; n];
-    let mut members: BTreeMap<VehicleId, Vec<VehicleId>> = BTreeMap::new();
+    let mut next = Clustering::default();
+    next.head_of.resize(world.len(), None);
 
-    // 1. Retain adequate heads.
+    // 1. Retain adequate heads: one search per old head, then count the old
+    //    members it still reaches.
     let mut surviving_heads: Vec<VehicleId> = Vec::new();
     for head in previous.heads() {
         if !world.is_online(head) {
             continue;
         }
-        let old_members = previous.members(head);
-        if old_members.len() <= 1 {
-            surviving_heads.push(head);
-            continue;
-        }
-        let reachable = old_members
-            .iter()
-            .filter(|&&m| m != head)
-            .filter(|&&m| world.is_online(m))
-            .filter(|&&m| within_hops(world, head, m, cfg))
-            .count();
-        let quorum = ((old_members.len() - 1) as f64 * retention_quorum).ceil() as usize;
-        if reachable >= quorum.max(1).min(old_members.len() - 1) {
-            surviving_heads.push(head);
-        }
-    }
-
-    // 2. Re-attach everyone to the nearest surviving head (BFS from heads,
-    //    nearest-first, deterministic by head id).
-    surviving_heads.sort();
-    for &head in &surviving_heads {
-        head_of[head.0 as usize] = Some(head);
-        members.entry(head).or_default().push(head);
-    }
-    let mut frontier: VecDeque<(VehicleId, VehicleId, u32)> =
-        surviving_heads.iter().map(|&h| (h, h, 0)).collect();
-    while let Some((node, head, depth)) = frontier.pop_front() {
-        if depth == cfg.max_hops {
-            continue;
-        }
-        for next in eligible_neighbors(world, node, cfg) {
-            let idx = next.0 as usize;
-            if head_of[idx].is_some() {
+        let others = previous.members(head).len() - 1;
+        if others > 0 {
+            next.bfs.search(world, cfg, [head], |_, _| true);
+            let reachable = previous
+                .members(head)
+                .iter()
+                .filter(|&&m| m != head && next.bfs.visited(m))
+                .count();
+            let quorum = (others as f64 * retention_quorum).ceil() as usize;
+            if reachable < quorum.max(1).min(others) {
                 continue;
             }
-            head_of[idx] = Some(head);
-            members.entry(head).or_default().push(next);
-            frontier.push_back((next, head, depth + 1));
         }
+        next.head_of[head.0 as usize] = Some(head);
+        surviving_heads.push(head);
     }
+
+    // 2. Re-attach everyone to the nearest surviving head (one search from
+    //    all of them at once, nearest-first, deterministic by head id:
+    //    `heads()` is ascending).
+    let Clustering { head_of, bfs, .. } = &mut next;
+    bfs.search(world, cfg, surviving_heads, |from, to| {
+        let free = head_of[to.0 as usize].is_none();
+        if free {
+            head_of[to.0 as usize] = head_of[from.0 as usize];
+        }
+        free
+    });
 
     // 3. Fresh election among uncovered vehicles (splits / newcomers).
-    let uncovered: Vec<VehicleId> =
-        world.online_ids().filter(|id| head_of[id.0 as usize].is_none()).collect();
-    if !uncovered.is_empty() {
-        let mut candidates: Vec<(f64, VehicleId)> =
-            uncovered.iter().map(|&id| (head_score(world, id, cfg), id)).collect();
-        candidates
-            .sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores").then(a.1.cmp(&b.1)));
-        for &(_, candidate) in &candidates {
-            if head_of[candidate.0 as usize].is_some() {
-                continue;
-            }
-            head_of[candidate.0 as usize] = Some(candidate);
-            members.entry(candidate).or_default().push(candidate);
-            let mut queue = VecDeque::new();
-            queue.push_back((candidate, 0u32));
-            while let Some((cur, depth)) = queue.pop_front() {
-                if depth == cfg.max_hops {
-                    continue;
-                }
-                for next in eligible_neighbors(world, cur, cfg) {
-                    let idx = next.0 as usize;
-                    if head_of[idx].is_some() {
-                        continue;
-                    }
-                    head_of[idx] = Some(candidate);
-                    members.entry(candidate).or_default().push(next);
-                    queue.push_back((next, depth + 1));
-                }
-            }
-        }
-    }
-    for m in members.values_mut() {
-        m.sort();
-        m.dedup();
-    }
-    Clustering { head_of, members }
+    next.candidates.extend(
+        world
+            .online_ids()
+            .filter(|id| next.head_of[id.0 as usize].is_none())
+            .map(|id| (head_score(world, id, cfg), id)),
+    );
+    next.elect(world, cfg, false);
+    next.index_members();
+    next
 }
 
 /// [`maintain_clusters`] with instrumentation: emits one
@@ -351,33 +420,6 @@ pub fn maintain_clusters_obs(
         );
     }
     next
-}
-
-/// Is `b` within `cfg.max_hops` of `a` over eligible links?
-fn within_hops(world: &WorldView<'_>, a: VehicleId, b: VehicleId, cfg: &ClusterConfig) -> bool {
-    if a == b {
-        return true;
-    }
-    let mut visited = vec![false; world.len()];
-    visited[a.0 as usize] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back((a, 0u32));
-    while let Some((cur, depth)) = queue.pop_front() {
-        if depth == cfg.max_hops {
-            continue;
-        }
-        for next in eligible_neighbors(world, cur, cfg) {
-            if next == b {
-                return true;
-            }
-            let idx = next.0 as usize;
-            if !visited[idx] {
-                visited[idx] = true;
-                queue.push_back((next, depth + 1));
-            }
-        }
-    }
-    false
 }
 
 /// Measures head-churn between two consecutive clusterings: the fraction of
@@ -571,6 +613,42 @@ mod tests {
             let h = second.head_of(VehicleId(i)).unwrap();
             assert_eq!(second.head_of(h), Some(h));
         }
+    }
+
+    #[test]
+    fn maintenance_election_stops_at_claimed_vehicles() {
+        // 1 and 2 hang off 3's cluster at vehicle 4, three hops from the
+        // head and out of each other's range:
+        //
+        //   0, 5, 6 — 3 — 7 — 4 —< 1, 2
+        let positions = vec![
+            Point::new(-700.0, 50.0),
+            Point::new(125.0, 216.0),
+            Point::new(125.0, -216.0),
+            Point::new(-500.0, 0.0),
+            Point::new(0.0, 0.0),
+            Point::new(-700.0, -50.0),
+            Point::new(-600.0, 0.0),
+            Point::new(-250.0, 0.0),
+        ];
+        let cfg = ClusterConfig::multi_hop();
+        let mut before = Fixture::new(positions.clone(), still(8), 300.0);
+        before.online[1] = false;
+        before.online[2] = false;
+        before.neighbors = NeighborTable::build(&positions, &before.online, 300.0);
+        let first = form_clusters(&before.world(), &cfg);
+        assert_eq!(first.heads().collect::<Vec<_>>(), vec![VehicleId(3)]);
+        assert!(first.members(VehicleId(3)).contains(&VehicleId(4)));
+
+        let after = Fixture::new(positions, still(8), 300.0);
+        let second = maintain_clusters(&first, &after.world(), &cfg, 0.5);
+        // The newcomers are uncovered and elect among themselves. 1 wins
+        // the tie but must not reach 2 through 4, which 3 already holds —
+        // unlike a from-scratch formation, which searches on through it.
+        assert_eq!(second.head_of(VehicleId(4)), Some(VehicleId(3)));
+        assert_eq!(second.head_of(VehicleId(1)), Some(VehicleId(1)));
+        assert_eq!(second.head_of(VehicleId(2)), Some(VehicleId(2)));
+        assert_eq!(second.cluster_count(), 3);
     }
 
     #[test]

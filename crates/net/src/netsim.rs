@@ -104,7 +104,7 @@ pub struct NetSim<'a, P: RoutingProtocol> {
     next_id: u64,
     now: SimTime,
     /// Neighbor table and spatial grid reused across rounds (CSR storage and
-    /// grid buckets are rebuilt in place each round instead of reallocated).
+    /// grid cells are rebuilt in place each round instead of reallocated).
     table: NeighborTable,
     grid: SpatialGrid,
     /// Decides which packets carry a causal trace. Keyed by the scenario

@@ -6,7 +6,7 @@
 //! which neighbors should receive it next?* The [`NetSim`](crate::netsim)
 //! driver turns those answers into radio transmissions.
 
-use crate::cluster::{form_clusters, ClusterConfig, Clustering};
+use crate::cluster::{ClusterConfig, Clustering};
 use crate::message::Packet;
 use crate::world::WorldView;
 use vc_sim::node::VehicleId;
@@ -137,7 +137,7 @@ impl RoutingProtocol for ClusterRouting {
     }
 
     fn begin_round(&mut self, world: &WorldView<'_>) {
-        self.clustering = form_clusters(world, &self.config);
+        self.clustering.reform(world, &self.config);
     }
 
     fn next_hops(
@@ -239,7 +239,7 @@ impl RoutingProtocol for MozoRouting {
     }
 
     fn begin_round(&mut self, world: &WorldView<'_>) {
-        self.zones = form_clusters(world, &self.config);
+        self.zones.reform(world, &self.config);
     }
 
     fn next_hops(

@@ -1,6 +1,6 @@
 //! Property-based tests for clustering and routing invariants.
 
-use vc_net::cluster::{form_clusters, ClusterConfig};
+use vc_net::cluster::{form_clusters, maintain_clusters, ClusterConfig, Clustering};
 use vc_net::message::{Packet, PacketId};
 use vc_net::netsim::NetSim;
 use vc_net::routing::{ClusterRouting, Epidemic, GreedyGeo, MozoRouting, RoutingProtocol};
@@ -48,6 +48,254 @@ fn world_pair() -> FromFn<impl Fn(&mut SimRng) -> (World, World)> {
         let n = rng.range_u64(2, 24) as usize;
         (gen_world(rng, n), gen_world(rng, n))
     })
+}
+
+/// Like [`world_pair`], but with velocities drawn as three platoons plus a
+/// little jitter, so the moving-zone velocity band keeps some links and
+/// cuts others.
+fn platoon_world_pair() -> FromFn<impl Fn(&mut SimRng) -> (World, World)> {
+    fn platoon_world(rng: &mut SimRng, n: usize) -> World {
+        let mut w = gen_world(rng, n);
+        for v in &mut w.velocities {
+            let base = [Point::new(30.0, 0.0), Point::new(-30.0, 0.0), Point::new(0.0, 14.0)];
+            *v = base[rng.index(3)] + Point::new(rng.range_f64(-4.0, 4.0), 0.0);
+        }
+        w
+    }
+    from_fn(|rng| {
+        let n = rng.range_u64(2, 40) as usize;
+        (platoon_world(rng, n), platoon_world(rng, n))
+    })
+}
+
+/// Clustering as this crate formed and maintained it before the stamp-BFS
+/// rewrite — a `Vec` per neighbor filter, a fresh visited array per search,
+/// one search per (head, member) pair — kept as the oracle the production
+/// code is compared against.
+mod reference {
+    use std::collections::{BTreeMap, VecDeque};
+    use vc_net::cluster::ClusterConfig;
+    use vc_net::world::WorldView;
+    use vc_sim::node::VehicleId;
+
+    pub struct Clusters {
+        pub head_of: Vec<Option<VehicleId>>,
+        pub members: BTreeMap<VehicleId, Vec<VehicleId>>,
+    }
+
+    fn head_score(world: &WorldView<'_>, id: VehicleId, cfg: &ClusterConfig) -> f64 {
+        let neighbors = eligible(world, id, cfg);
+        let degree = neighbors.len() as f64;
+        let rel_speed = if neighbors.is_empty() {
+            0.0
+        } else {
+            neighbors.iter().map(|&n| (world.vel(id) - world.vel(n)).norm()).sum::<f64>()
+                / neighbors.len() as f64
+        };
+        cfg.weight_degree * degree - cfg.weight_stability * rel_speed
+    }
+
+    fn eligible(world: &WorldView<'_>, id: VehicleId, cfg: &ClusterConfig) -> Vec<VehicleId> {
+        world
+            .neighbors
+            .of(id)
+            .iter()
+            .copied()
+            .filter(|&n| world.is_online(n))
+            .filter(|&n| match cfg.velocity_similarity {
+                Some(band) => (world.vel(id) - world.vel(n)).norm() < band,
+                None => true,
+            })
+            .collect()
+    }
+
+    fn ranked(
+        world: &WorldView<'_>,
+        ids: impl Iterator<Item = VehicleId>,
+        cfg: &ClusterConfig,
+    ) -> Vec<(f64, VehicleId)> {
+        let mut candidates: Vec<(f64, VehicleId)> =
+            ids.map(|id| (head_score(world, id, cfg), id)).collect();
+        candidates
+            .sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores").then(a.1.cmp(&b.1)));
+        candidates
+    }
+
+    pub fn form(world: &WorldView<'_>, cfg: &ClusterConfig) -> Clusters {
+        let n = world.len();
+        let mut head_of: Vec<Option<VehicleId>> = vec![None; n];
+        let mut members: BTreeMap<VehicleId, Vec<VehicleId>> = BTreeMap::new();
+        for (_, candidate) in ranked(world, world.online_ids(), cfg) {
+            if head_of[candidate.0 as usize].is_some() {
+                continue;
+            }
+            let mut claimed = vec![candidate];
+            head_of[candidate.0 as usize] = Some(candidate);
+            let mut queue = VecDeque::new();
+            queue.push_back((candidate, 0u32));
+            let mut visited = vec![false; n];
+            visited[candidate.0 as usize] = true;
+            while let Some((cur, depth)) = queue.pop_front() {
+                if depth == cfg.max_hops {
+                    continue;
+                }
+                for next in eligible(world, cur, cfg) {
+                    let idx = next.0 as usize;
+                    if visited[idx] {
+                        continue;
+                    }
+                    visited[idx] = true;
+                    if head_of[idx].is_none() {
+                        head_of[idx] = Some(candidate);
+                        claimed.push(next);
+                    }
+                    queue.push_back((next, depth + 1));
+                }
+            }
+            claimed.sort();
+            members.insert(candidate, claimed);
+        }
+        Clusters { head_of, members }
+    }
+
+    pub fn maintain(
+        previous: &Clusters,
+        world: &WorldView<'_>,
+        cfg: &ClusterConfig,
+        retention_quorum: f64,
+    ) -> Clusters {
+        let n = world.len();
+        let mut head_of: Vec<Option<VehicleId>> = vec![None; n];
+        let mut members: BTreeMap<VehicleId, Vec<VehicleId>> = BTreeMap::new();
+
+        let mut surviving_heads: Vec<VehicleId> = Vec::new();
+        for (&head, old_members) in &previous.members {
+            if !world.is_online(head) {
+                continue;
+            }
+            if old_members.len() <= 1 {
+                surviving_heads.push(head);
+                continue;
+            }
+            let reachable = old_members
+                .iter()
+                .filter(|&&m| m != head)
+                .filter(|&&m| world.is_online(m))
+                .filter(|&&m| within_hops(world, head, m, cfg))
+                .count();
+            let quorum = ((old_members.len() - 1) as f64 * retention_quorum).ceil() as usize;
+            if reachable >= quorum.max(1).min(old_members.len() - 1) {
+                surviving_heads.push(head);
+            }
+        }
+
+        surviving_heads.sort();
+        for &head in &surviving_heads {
+            head_of[head.0 as usize] = Some(head);
+            members.entry(head).or_default().push(head);
+        }
+        let mut frontier: VecDeque<(VehicleId, VehicleId, u32)> =
+            surviving_heads.iter().map(|&h| (h, h, 0)).collect();
+        while let Some((node, head, depth)) = frontier.pop_front() {
+            if depth == cfg.max_hops {
+                continue;
+            }
+            for next in eligible(world, node, cfg) {
+                let idx = next.0 as usize;
+                if head_of[idx].is_some() {
+                    continue;
+                }
+                head_of[idx] = Some(head);
+                members.entry(head).or_default().push(next);
+                frontier.push_back((next, head, depth + 1));
+            }
+        }
+
+        let uncovered: Vec<VehicleId> =
+            world.online_ids().filter(|id| head_of[id.0 as usize].is_none()).collect();
+        for (_, candidate) in ranked(world, uncovered.into_iter(), cfg) {
+            if head_of[candidate.0 as usize].is_some() {
+                continue;
+            }
+            head_of[candidate.0 as usize] = Some(candidate);
+            members.entry(candidate).or_default().push(candidate);
+            let mut queue = VecDeque::new();
+            queue.push_back((candidate, 0u32));
+            while let Some((cur, depth)) = queue.pop_front() {
+                if depth == cfg.max_hops {
+                    continue;
+                }
+                for next in eligible(world, cur, cfg) {
+                    let idx = next.0 as usize;
+                    if head_of[idx].is_some() {
+                        continue;
+                    }
+                    head_of[idx] = Some(candidate);
+                    members.entry(candidate).or_default().push(next);
+                    queue.push_back((next, depth + 1));
+                }
+            }
+        }
+        for m in members.values_mut() {
+            m.sort();
+            m.dedup();
+        }
+        Clusters { head_of, members }
+    }
+
+    fn within_hops(world: &WorldView<'_>, a: VehicleId, b: VehicleId, cfg: &ClusterConfig) -> bool {
+        if a == b {
+            return true;
+        }
+        let mut visited = vec![false; world.len()];
+        visited[a.0 as usize] = true;
+        let mut queue = VecDeque::new();
+        queue.push_back((a, 0u32));
+        while let Some((cur, depth)) = queue.pop_front() {
+            if depth == cfg.max_hops {
+                continue;
+            }
+            for next in eligible(world, cur, cfg) {
+                if next == b {
+                    return true;
+                }
+                let idx = next.0 as usize;
+                if !visited[idx] {
+                    visited[idx] = true;
+                    queue.push_back((next, depth + 1));
+                }
+            }
+        }
+        false
+    }
+}
+
+/// Where `got`'s public view — `head_of`, ascending `heads()`, ascending
+/// `members()` — departs from the reference clustering; `None` when it
+/// shows exactly that.
+fn mismatch(got: &Clustering, want: &reference::Clusters) -> Option<String> {
+    for (i, &head) in want.head_of.iter().enumerate() {
+        let id = VehicleId(i as u32);
+        if got.head_of(id) != head {
+            return Some(format!("head_of({i}): {:?} != {head:?}", got.head_of(id)));
+        }
+        if !want.members.contains_key(&id) && !got.members(id).is_empty() {
+            return Some(format!("non-head {i} has members {:?}", got.members(id)));
+        }
+    }
+    let heads: Vec<VehicleId> = got.heads().collect();
+    if heads != want.members.keys().copied().collect::<Vec<_>>() {
+        return Some(format!("heads {heads:?} != {:?}", want.members.keys()));
+    }
+    for (&head, members) in &want.members {
+        if got.members(head) != members.as_slice() {
+            return Some(format!("members({head:?}): {:?} != {members:?}", got.members(head)));
+        }
+    }
+    if got.cluster_count() != want.members.len() {
+        return Some(format!("cluster_count {} != {}", got.cluster_count(), want.members.len()));
+    }
+    None
 }
 
 /// Fingerprint of a full instrumented sharded run: statistics (latencies as
@@ -111,10 +359,10 @@ prop! {
         let range = 300.0;
         let table = NeighborTable::build(&w.positions, &w.online, range);
         let mut reused = NeighborTable::new();
-        // Deliberately mismatched cell size and pre-polluted buckets: the
-        // result may not depend on either.
+        // Deliberately mismatched cell size and a grid still holding an
+        // earlier rebuild: the result may not depend on either.
         let mut grid = vc_sim::geom::SpatialGrid::new(145.0);
-        grid.insert(9999, Point::new(0.0, 0.0));
+        grid.rebuild([(9999, Point::new(0.0, 0.0))]);
         reused.rebuild(&mut grid, &w.positions, &w.online, range);
         let n = w.positions.len();
         prop_assert_eq!(table.len(), n);
@@ -197,7 +445,7 @@ prop! {
             online: &after.online,
             neighbors: &table_after,
         };
-        let next = vc_net::cluster::maintain_clusters(&previous, &world_after, &cfg, 0.5);
+        let next = maintain_clusters(&previous, &world_after, &cfg, 0.5);
         for i in 0..after.positions.len() {
             let id = VehicleId(i as u32);
             match next.head_of(id) {
@@ -219,6 +467,67 @@ prop! {
             .collect();
         online_ids.sort();
         prop_assert_eq!(assigned, online_ids);
+    }
+
+    // The stamp-BFS formation and maintenance against the code they
+    // replaced: the same heads, the same members, in the same order, for
+    // both configurations, through two maintenance rounds, with about half
+    // the fleet offline.
+    #[test]
+    fn clustering_matches_reference((before, after) in platoon_world_pair(), hops in 0u32..4) {
+        let range = 300.0;
+        let table_before = NeighborTable::build(&before.positions, &before.online, range);
+        let world_before = WorldView {
+            positions: &before.positions,
+            velocities: &before.velocities,
+            online: &before.online,
+            neighbors: &table_before,
+        };
+        let table_after = NeighborTable::build(&after.positions, &after.online, range);
+        let world_after = WorldView {
+            positions: &after.positions,
+            velocities: &after.velocities,
+            online: &after.online,
+            neighbors: &table_after,
+        };
+        for mut cfg in [ClusterConfig::multi_hop(), ClusterConfig::moving_zone()] {
+            cfg.max_hops = hops;
+            let formed = form_clusters(&world_before, &cfg);
+            let want_formed = reference::form(&world_before, &cfg);
+            prop_assert_eq!(mismatch(&formed, &want_formed), None, "form");
+            for quorum in [0.0, 0.5, 1.0] {
+                let kept = maintain_clusters(&formed, &world_after, &cfg, quorum);
+                let want_kept = reference::maintain(&want_formed, &world_after, &cfg, quorum);
+                prop_assert_eq!(mismatch(&kept, &want_kept), None, "maintain at quorum {}", quorum);
+                // And back again, from a maintained (not formed) clustering.
+                let back = maintain_clusters(&kept, &world_before, &cfg, quorum);
+                let want_back = reference::maintain(&want_kept, &world_before, &cfg, quorum);
+                prop_assert_eq!(mismatch(&back, &want_back), None, "second maintain at quorum {}", quorum);
+            }
+        }
+    }
+
+    // Re-forming in place (what the routing protocols do every round) over
+    // a different world leaves nothing of the previous round behind.
+    #[test]
+    fn in_place_reform_matches_fresh_formation((first, second) in platoon_world_pair()) {
+        let mut cluster = ClusterRouting::new();
+        let mut mozo = MozoRouting::new();
+        for w in [&first, &second, &first] {
+            let table = NeighborTable::build(&w.positions, &w.online, 300.0);
+            let world = WorldView {
+                positions: &w.positions,
+                velocities: &w.velocities,
+                online: &w.online,
+                neighbors: &table,
+            };
+            cluster.begin_round(&world);
+            mozo.begin_round(&world);
+            let want = reference::form(&world, &ClusterConfig::multi_hop());
+            prop_assert_eq!(mismatch(cluster.clustering(), &want), None, "cluster routing");
+            let want = reference::form(&world, &ClusterConfig::moving_zone());
+            prop_assert_eq!(mismatch(mozo.zones(), &want), None, "mozo routing");
+        }
     }
 
     // Routing safety: protocols only ever forward to actual neighbors that

@@ -224,16 +224,39 @@ impl Rect {
     }
 }
 
-/// A uniform spatial hash grid for neighbor queries.
+/// A uniform cell list for neighbor queries.
 ///
 /// VANET protocols repeatedly ask "who is within radio range of me?"; a
 /// linear scan is O(n^2) per round. This grid buckets positions by cell of
 /// side `cell_size` (pick the radio range) so range queries touch at most 9
 /// cells.
+///
+/// The cells are a dense row-major array over the bounding box of the
+/// stored positions, filled by a counting sort: [`SpatialGrid::rebuild`]
+/// is three linear sweeps (bounding box, count, stable scatter) into flat
+/// buffers that are reused across rebuilds, and a query reads one
+/// contiguous slice of the item slab per cell row. Cell coordinates are
+/// clamped into a grid of at most `n + 64` cells for `n` positions, so one
+/// far-away position cannot blow up memory; clamping never moves two cells
+/// further apart, and every hit still passes the exact distance test, so
+/// results do not depend on it.
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
     cell_size: f64,
-    cells: std::collections::HashMap<(i64, i64), Vec<(usize, Point)>>,
+    /// Cell coordinates (in units of `cell_size`) of grid cell `(0, 0)`.
+    origin: (f64, f64),
+    /// Grid dimensions in cells; `(0, 0)` while the grid is empty.
+    dims: (usize, usize),
+    /// `starts[c]..starts[c + 1]` bounds cell `c`'s run of `items`, cells
+    /// numbered row-major (`c = y * dims.0 + x`). One spare slot at the end
+    /// lets the counting sort run in place.
+    starts: Vec<u32>,
+    /// Every stored `(index, position)`, grouped by cell; within a cell in
+    /// rebuild order.
+    items: Vec<(usize, Point)>,
+    /// Rebuild scratch: the cell of each position, in rebuild order (the
+    /// two divisions per position are worth not doing twice).
+    cell_of: Vec<u32>,
 }
 
 impl SpatialGrid {
@@ -244,7 +267,14 @@ impl SpatialGrid {
     /// Panics if `cell_size` is not strictly positive.
     pub fn new(cell_size: f64) -> Self {
         assert!(cell_size > 0.0, "cell size must be positive");
-        SpatialGrid { cell_size, cells: std::collections::HashMap::new() }
+        SpatialGrid {
+            cell_size,
+            origin: (0.0, 0.0),
+            dims: (0, 0),
+            starts: Vec::new(),
+            items: Vec::new(),
+            cell_of: Vec::new(),
+        }
     }
 
     /// Cell side length in meters, as passed to [`SpatialGrid::new`].
@@ -252,85 +282,142 @@ impl SpatialGrid {
         self.cell_size
     }
 
-    /// Deep heap bytes: hash-table slots (one `(key, bucket)` pair plus a
-    /// control byte per slot of capacity, the SwissTable layout) plus each
-    /// cell bucket's capacity. Iteration order is randomized but the sum
-    /// is order-independent, so the figure is deterministic.
+    /// Deep heap bytes of the three flat buffers, by capacity (the reserved
+    /// memory, which rebuilds keep): linear in the largest item count seen,
+    /// whatever the coordinate spread.
     pub fn heap_bytes(&self) -> u64 {
-        let slot = std::mem::size_of::<((i64, i64), Vec<(usize, Point)>)>() as u64 + 1;
-        let buckets: usize =
-            self.cells.values().map(|v| v.capacity() * std::mem::size_of::<(usize, Point)>()).sum();
-        self.cells.capacity() as u64 * slot + buckets as u64
+        (self.starts.capacity() * std::mem::size_of::<u32>()
+            + self.items.capacity() * std::mem::size_of::<(usize, Point)>()
+            + self.cell_of.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
-    fn key(&self, p: Point) -> (i64, i64) {
-        ((p.x / self.cell_size).floor() as i64, (p.y / self.cell_size).floor() as i64)
+    /// Unclamped cell coordinate of a world coordinate, as a float so that
+    /// far-away and non-finite inputs saturate instead of overflowing.
+    fn cell_coord(&self, v: f64) -> f64 {
+        (v / self.cell_size).floor()
     }
 
-    /// Inserts an item with an opaque index at a position.
-    pub fn insert(&mut self, index: usize, pos: Point) {
-        self.cells.entry(self.key(pos)).or_default().push((index, pos));
+    /// Clamps unclamped cell coordinates into the grid. `NaN` lands in
+    /// column/row 0 (a `NaN` position never passes a distance test, so
+    /// where it is stored does not matter).
+    fn clamp_cell(&self, cx: f64, cy: f64) -> (usize, usize) {
+        // Float-to-int `as` saturates and maps NaN to 0.
+        let x = ((cx - self.origin.0) as usize).min(self.dims.0 - 1);
+        let y = ((cy - self.origin.1) as usize).min(self.dims.1 - 1);
+        (x, y)
     }
 
-    /// Clears all entries, keeping allocated buckets for reuse.
-    pub fn clear(&mut self) {
-        for bucket in self.cells.values_mut() {
-            bucket.clear();
-        }
-    }
-
-    /// Rebuilds the grid from an iterator of positions (index = iteration
-    /// order), reusing previously allocated buckets.
-    pub fn rebuild<I: IntoIterator<Item = Point>>(&mut self, positions: I) {
-        self.clear();
-        for (i, p) in positions.into_iter().enumerate() {
-            self.insert(i, p);
-        }
-    }
-
-    /// Calls `visit(index, pos)` for every item strictly within `radius` of
-    /// `center`, in deterministic (cell-scan, then insertion) order. This is
-    /// the allocation-free core of [`SpatialGrid::within`]; hot per-round
-    /// loops should prefer it (or [`SpatialGrid::within_into`]).
+    /// Replaces the grid's contents with `items` — `(index, position)`
+    /// pairs, the index opaque to the grid — reusing the buffers of earlier
+    /// rebuilds: once they have grown to the largest item count seen, a
+    /// rebuild allocates nothing, wherever the positions moved.
     ///
-    /// A non-finite or non-positive `radius` visits nothing: a negative or
-    /// NaN radius is a caller bug, and an infinite one would otherwise
-    /// degenerate into scanning unbounded cell ranges.
-    pub fn for_each_within(&self, center: Point, radius: f64, mut visit: impl FnMut(usize, Point)) {
-        if !radius.is_finite() || radius <= 0.0 {
+    /// The iterator is walked three times (bounding box, count, scatter).
+    pub fn rebuild<I>(&mut self, items: I)
+    where
+        I: IntoIterator<Item = (usize, Point)>,
+        I::IntoIter: Clone,
+    {
+        let items = items.into_iter();
+        let (mut n, mut lo, mut hi) =
+            (0usize, (f64::INFINITY, f64::INFINITY), (f64::NEG_INFINITY, f64::NEG_INFINITY));
+        for (_, p) in items.clone() {
+            n += 1;
+            // `f64::min`/`max` skip NaN operands.
+            lo = (lo.0.min(p.x), lo.1.min(p.y));
+            hi = (hi.0.max(p.x), hi.1.max(p.y));
+        }
+        // Sized here, filled by the scatter below (which writes every slot).
+        self.items.resize(n, (0, ORIGIN));
+        self.cell_of.clear();
+        self.starts.clear();
+        if n == 0 {
+            self.dims = (0, 0);
             return;
         }
-        let r_cells = (radius / self.cell_size).ceil() as i64;
-        let (cx, cy) = self.key(center);
-        let r_sq = radius * radius;
-        for dx in -r_cells..=r_cells {
-            for dy in -r_cells..=r_cells {
-                if let Some(bucket) = self.cells.get(&(cx + dx, cy + dy)) {
-                    for &(idx, pos) in bucket {
-                        if pos.distance_sq(center) < r_sq {
-                            visit(idx, pos);
-                        }
-                    }
-                }
-            }
+        assert!(n <= u32::MAX as usize, "more positions than a u32 offset can address");
+        self.origin = (self.cell_coord(lo.0), self.cell_coord(lo.1));
+        // An all-NaN axis leaves `hi < lo` (one cell); float-to-int `as`
+        // saturates, so an infinite extent is just "very wide".
+        let want_x = ((self.cell_coord(hi.0) - self.origin.0) as usize).saturating_add(1);
+        let want_y = ((self.cell_coord(hi.1) - self.origin.1) as usize).saturating_add(1);
+        // At most `cap` cells: fit each axis into the square first, then
+        // hand the axis that needs it whatever the other left over.
+        let cap = n + 64;
+        let side = (cap as f64).sqrt() as usize;
+        let nx = want_x.min(cap / want_y.min(side));
+        let ny = want_y.min(cap / nx);
+        self.dims = (nx, ny);
+
+        // Counting sort by cell, in place: counts go two slots up, so after
+        // the prefix sum `starts[c + 1]` is cell `c`'s write cursor and,
+        // once every item is written, the start of cell `c + 1`. Reserving
+        // for `cap` makes the capacity a function of `n` alone, so a moving
+        // bounding box never reallocates.
+        self.starts.reserve(cap + 2);
+        self.starts.resize(nx * ny + 2, 0);
+        for (_, p) in items.clone() {
+            let (x, y) = self.clamp_cell(self.cell_coord(p.x), self.cell_coord(p.y));
+            let cell = y * nx + x;
+            self.cell_of.push(cell as u32);
+            self.starts[cell + 2] += 1;
+        }
+        let mut sum = 0;
+        for s in &mut self.starts {
+            sum += *s;
+            *s = sum;
+        }
+        for (item, &cell) in items.zip(&self.cell_of) {
+            let cursor = &mut self.starts[cell as usize + 1];
+            self.items[*cursor as usize] = item;
+            *cursor += 1;
         }
     }
 
-    /// Appends the indices of every item strictly within `radius` of
-    /// `center` to `out` without clearing it — callers own the buffer so a
-    /// per-round query loop reuses one allocation.
-    pub fn within_into(&self, center: Point, radius: f64, out: &mut Vec<usize>) {
-        self.for_each_within(center, radius, |idx, _| out.push(idx));
+    /// The runs of stored `(index, position)` pairs that can hold anything
+    /// within `radius` of `center`: one contiguous slice per cell row, rows
+    /// ascending, each slice in (cell column, then rebuild) order. A
+    /// superset — callers apply the exact distance test themselves, which
+    /// lets a hot loop do it without a branch per candidate;
+    /// [`SpatialGrid::within`] is the filtered form.
+    ///
+    /// A non-finite or non-positive `radius` yields nothing: a negative or
+    /// NaN radius is a caller bug, and an infinite one would otherwise
+    /// degenerate into scanning every cell.
+    pub fn candidate_rows(
+        &self,
+        center: Point,
+        radius: f64,
+    ) -> impl Iterator<Item = &[(usize, Point)]> + '_ {
+        let (x0, x1, rows) = if radius.is_finite() && radius > 0.0 && !self.items.is_empty() {
+            let r_cells = (radius / self.cell_size).ceil();
+            let (cx, cy) = (self.cell_coord(center.x), self.cell_coord(center.y));
+            // Clamping is monotone, so the clamped corners bracket the
+            // clamped cell of every item within `r_cells` of the
+            // center's cell.
+            let (x0, y0) = self.clamp_cell(cx - r_cells, cy - r_cells);
+            let (x1, y1) = self.clamp_cell(cx + r_cells, cy + r_cells);
+            (x0, x1, y0..y1 + 1)
+        } else {
+            (0, 0, 0..0)
+        };
+        rows.map(move |y| {
+            let row = y * self.dims.0;
+            &self.items[self.starts[row + x0] as usize..self.starts[row + x1 + 1] as usize]
+        })
     }
 
     /// All item indices strictly within `radius` of `center` (excluding
-    /// entries at distance exactly ≥ radius). Allocates a fresh `Vec`; see
-    /// [`SpatialGrid::within_into`] / [`SpatialGrid::for_each_within`] for
-    /// the reusable forms.
+    /// entries at distance exactly ≥ radius), in
+    /// [`SpatialGrid::candidate_rows`] order. Allocates a fresh `Vec`;
+    /// per-round loops should filter the candidate rows in place.
     pub fn within(&self, center: Point, radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.within_into(center, radius, &mut out);
-        out
+        let r_sq = radius * radius;
+        self.candidate_rows(center, radius)
+            .flatten()
+            .filter(|(_, pos)| pos.distance_sq(center) < r_sq)
+            .map(|&(idx, _)| idx)
+            .collect()
     }
 }
 
@@ -414,7 +501,7 @@ mod tests {
             .map(|_| Point::new(rng.range_f64(0.0, 1000.0), rng.range_f64(0.0, 1000.0)))
             .collect();
         let mut grid = SpatialGrid::new(100.0);
-        grid.rebuild(pts.iter().copied());
+        grid.rebuild(pts.iter().copied().enumerate());
         for probe in 0..20 {
             let center = pts[probe * 7];
             let radius = 150.0;
@@ -432,55 +519,29 @@ mod tests {
     }
 
     #[test]
-    fn spatial_grid_visitor_and_buffer_forms_match_within() {
-        use crate::rng::SimRng;
-        let mut rng = SimRng::seed_from(23);
-        let pts: Vec<Point> = (0..200)
-            .map(|_| Point::new(rng.range_f64(0.0, 500.0), rng.range_f64(0.0, 500.0)))
-            .collect();
-        let mut grid = SpatialGrid::new(60.0);
-        grid.rebuild(pts.iter().copied());
-        let center = Point::new(250.0, 250.0);
-        let expected = grid.within(center, 120.0);
-        let mut buffered = Vec::new();
-        grid.within_into(center, 120.0, &mut buffered);
-        assert_eq!(buffered, expected);
-        let mut visited = Vec::new();
-        grid.for_each_within(center, 120.0, |idx, pos| {
-            assert_eq!(pos, pts[idx]);
-            visited.push(idx);
-        });
-        assert_eq!(visited, expected);
-        // within_into appends without clearing: the caller owns the buffer.
-        grid.within_into(center, 120.0, &mut buffered);
-        assert_eq!(buffered.len(), expected.len() * 2);
-    }
-
-    #[test]
     fn spatial_grid_rejects_pathological_radii() {
         let mut grid = SpatialGrid::new(10.0);
-        grid.insert(0, Point::new(1.0, 1.0));
+        grid.rebuild([(0, Point::new(1.0, 1.0))]);
         let center = Point::new(0.0, 0.0);
         // A negative radius used to probe the center cell with a positive
         // r² (bogus hits); NaN and ±inf produced nonsense cell ranges.
         for bad in [-5.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(grid.within(center, bad).is_empty(), "radius {bad} must match nothing");
-            let mut visited = 0;
-            grid.for_each_within(center, bad, |_, _| visited += 1);
-            assert_eq!(visited, 0, "radius {bad} must visit nothing");
+            assert_eq!(grid.candidate_rows(center, bad).count(), 0, "radius {bad}: no rows");
         }
         // Sanity: a real radius still works.
         assert_eq!(grid.within(center, 5.0), vec![0]);
     }
 
     #[test]
-    fn spatial_grid_clear_keeps_working() {
+    fn spatial_grid_rebuild_replaces_contents() {
         let mut grid = SpatialGrid::new(10.0);
-        grid.insert(0, Point::new(1.0, 1.0));
+        assert!(grid.within(Point::new(0.0, 0.0), 5.0).is_empty(), "never built");
+        grid.rebuild([(0, Point::new(1.0, 1.0))]);
         assert_eq!(grid.within(Point::new(0.0, 0.0), 5.0), vec![0]);
-        grid.clear();
+        grid.rebuild([]);
         assert!(grid.within(Point::new(0.0, 0.0), 5.0).is_empty());
-        grid.insert(3, Point::new(2.0, 2.0));
+        grid.rebuild([(3, Point::new(2.0, 2.0))]);
         assert_eq!(grid.within(Point::new(0.0, 0.0), 5.0), vec![3]);
     }
 }

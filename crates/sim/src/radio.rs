@@ -339,7 +339,7 @@ impl NeighborTable {
     }
 
     /// Rebuilds this table in place, reusing its flat storage and `grid`'s
-    /// buckets (the grid is cleared first, so it may carry entries from a
+    /// buffers (the grid is rebuilt first, so it may carry entries from a
     /// previous round). Produces exactly what [`NeighborTable::build`] does —
     /// each slice is sorted, so the result is independent of the grid's cell
     /// size and scan order.
@@ -355,23 +355,28 @@ impl NeighborTable {
         range_m: f64,
     ) {
         assert_eq!(positions.len(), online.len());
-        grid.clear();
-        for (i, &p) in positions.iter().enumerate() {
-            if online[i] {
-                grid.insert(i, p);
-            }
-        }
+        grid.rebuild(positions.iter().copied().enumerate().filter(|&(i, _)| online[i]));
         self.offsets.clear();
         self.offsets.push(0);
         self.flat.clear();
+        let r_sq = range_m * range_m;
         for (i, &p) in positions.iter().enumerate() {
             if online[i] {
                 let start = self.flat.len();
-                grid.for_each_within(p, range_m, |j, _| {
-                    if j != i {
-                        self.flat.push(VehicleId(j as u32));
+                for run in grid.candidate_rows(p, range_m) {
+                    // About four candidates in ten are in range, which no
+                    // branch predictor learns: write every candidate and
+                    // advance the cursor only past the hits.
+                    let base = self.flat.len();
+                    self.flat.resize(base + run.len(), VehicleId(0));
+                    let out = &mut self.flat[base..];
+                    let mut hits = 0;
+                    for &(j, q) in run {
+                        out[hits] = VehicleId(j as u32);
+                        hits += usize::from((q.distance_sq(p) < r_sq) & (j != i));
                     }
-                });
+                    self.flat.truncate(base + hits);
+                }
                 self.flat[start..].sort_unstable();
             }
             self.offsets.push(self.flat.len() as u32);
@@ -594,7 +599,7 @@ mod tests {
         let mut table = NeighborTable::new();
         assert!(table.is_empty());
         let mut grid = SpatialGrid::new(300.0);
-        // Rebuild over successive random worlds: stale grid buckets and
+        // Rebuild over successive random worlds: stale grid contents and
         // stale flat storage must not leak into the next round's table.
         for round in 0..5 {
             let n = 30 + round * 17;

@@ -329,7 +329,7 @@ impl Scenario {
     }
 
     /// [`Scenario::neighbor_table`] into caller-owned buffers: `table`'s CSR
-    /// storage and `grid`'s buckets are reused, so per-round callers stop
+    /// storage and `grid`'s buffers are reused, so per-round callers stop
     /// reallocating both. Produces exactly what [`Scenario::neighbor_table`]
     /// returns.
     pub fn neighbor_table_into(&self, table: &mut NeighborTable, grid: &mut SpatialGrid) {

@@ -1,8 +1,7 @@
 //! Shard planning for the parallel per-tick hot loops.
 //!
-//! The simulator's tick-rate work (vehicle kinematics, radio delivery,
-//! cluster scoring) fans out over worker threads in contiguous index-range
-//! shards. Determinism is preserved by construction: every item owns its RNG
+//! The simulator's tick-rate work (vehicle kinematics, radio delivery) fans
+//! out over worker threads in contiguous index-range shards. Determinism is preserved by construction: every item owns its RNG
 //! stream (a persistent per-vehicle fork or a [`SimRng::stream`] derived from
 //! a per-round key and the item's canonical index), threads are pure workers,
 //! and shard results are merged back in canonical index order. The shard

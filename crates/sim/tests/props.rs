@@ -4,6 +4,8 @@ use vc_sim::event::EventQueue;
 use vc_sim::geom::{Point, Rect, Segment, SpatialGrid};
 use vc_sim::metrics::Summary;
 use vc_sim::mobility::Fleet;
+use vc_sim::node::VehicleId;
+use vc_sim::radio::NeighborTable;
 use vc_sim::rng::SimRng;
 use vc_sim::roadnet::{NodeId, RoadNetwork};
 use vc_sim::time::{SimDuration, SimTime};
@@ -36,6 +38,54 @@ fn roadnet() -> FromFn<impl Fn(&mut SimRng) -> RoadNetwork> {
             }
         }
         net
+    })
+}
+
+/// A fleet snapshot for the neighbor-table differential test, drawn from
+/// the layouts a cell list gets wrong first; the grid's cell is 100 m.
+#[derive(Debug, Clone)]
+struct Snapshot {
+    positions: Vec<Point>,
+    online: Vec<bool>,
+    range_m: f64,
+}
+
+fn snapshot() -> FromFn<impl Fn(&mut SimRng) -> Snapshot> {
+    from_fn(|rng| {
+        // Empty and single-vehicle fleets come up one time in four.
+        let n = match rng.index(8) {
+            0 => 0,
+            1 => 1,
+            _ => rng.range_u64(2, 60) as usize,
+        };
+        let layout = rng.index(4);
+        let mut positions: Vec<Point> = (0..n)
+            .map(|_| match layout {
+                // Everyone inside one cell.
+                0 => Point::new(rng.range_f64(10.0, 90.0), rng.range_f64(10.0, 90.0)),
+                // Exactly on cell corners, either side of the origin.
+                1 => Point::new(
+                    100.0 * rng.range_u64(0, 8) as f64 - 400.0,
+                    100.0 * rng.range_u64(0, 8) as f64 - 400.0,
+                ),
+                // All-negative coordinates.
+                2 => Point::new(rng.range_f64(-900.0, -100.0), rng.range_f64(-900.0, -100.0)),
+                _ => Point::new(rng.range_f64(-500.0, 500.0), rng.range_f64(-500.0, 500.0)),
+            })
+            .collect();
+        if n > 0 {
+            // One vehicle 10⁹ m away on either side, and one with no fix.
+            match rng.index(6) {
+                0 => positions[rng.index(n)].x = 1e9,
+                1 => positions[rng.index(n)].y = -1e9,
+                2 => positions[rng.index(n)].x = f64::NAN,
+                _ => {}
+            }
+        }
+        let online = (0..n).map(|_| rng.chance(0.8)).collect();
+        // Far below, just below, exactly, and far above the cell size.
+        let range_m = [3.0, 99.0, 100.0, 250.0, 1200.0][rng.index(5)];
+        Snapshot { positions, online, range_m }
     })
 }
 
@@ -99,7 +149,7 @@ prop! {
     fn grid_matches_brute_force(points in vec(pt(), 1..80),
                                 center in pt(), radius in 1.0f64..500.0) {
         let mut grid = SpatialGrid::new(100.0);
-        grid.rebuild(points.iter().copied());
+        grid.rebuild(points.iter().copied().enumerate());
         let mut got = grid.within(center, radius);
         got.sort();
         let mut expect: Vec<usize> = points
@@ -110,6 +160,38 @@ prop! {
             .collect();
         expect.sort();
         prop_assert_eq!(got, expect);
+    }
+
+    // The cell list under `NeighborTable::rebuild` must be invisible: per
+    // vehicle the ascending ids of the online others strictly within range,
+    // exactly what the O(n²) scan finds. A NaN position fails every
+    // distance test, so it is never a neighbor and has none; an outlier
+    // 10⁹ m away must not cost memory.
+    #[test]
+    fn neighbor_table_rebuild_matches_quadratic_scan(s in snapshot()) {
+        let n = s.positions.len();
+        let mut grid = SpatialGrid::new(100.0);
+        let mut table = NeighborTable::new();
+        // A grid and table still holding another world.
+        table.rebuild(&mut grid, &[Point::new(7.0, 7.0), Point::new(8.0, 8.0)], &[true, true], 50.0);
+        table.rebuild(&mut grid, &s.positions, &s.online, s.range_m);
+        prop_assert_eq!(table.len(), n);
+        for i in 0..n {
+            let expect: Vec<VehicleId> = (0..n)
+                .filter(|&j| {
+                    j != i
+                        && s.online[i]
+                        && s.online[j]
+                        && s.positions[j].distance_sq(s.positions[i]) < s.range_m * s.range_m
+                })
+                .map(|j| VehicleId(j as u32))
+                .collect();
+            prop_assert_eq!(table.of(VehicleId(i as u32)), expect.as_slice());
+        }
+        prop_assert!(
+            grid.heap_bytes() <= 64 * n as u64 + 1024,
+            "{} grid bytes for {} vehicles", grid.heap_bytes(), n
+        );
     }
 
     // ---- road index vs linear scan ----
@@ -128,22 +210,6 @@ prop! {
         let fast = net.distance_to_nearest_road(p);
         let slow = net.distance_to_nearest_road_linear(p);
         prop_assert_eq!(fast.to_bits(), slow.to_bits());
-    }
-
-    // The three SpatialGrid query forms are one implementation: identical
-    // hits in identical order.
-    #[test]
-    fn grid_query_forms_agree(points in vec(pt(), 1..80),
-                              center in pt(), radius in 1.0f64..500.0) {
-        let mut grid = SpatialGrid::new(100.0);
-        grid.rebuild(points.iter().copied());
-        let direct = grid.within(center, radius);
-        let mut buffered = Vec::new();
-        grid.within_into(center, radius, &mut buffered);
-        prop_assert_eq!(&buffered, &direct);
-        let mut visited = Vec::new();
-        grid.for_each_within(center, radius, |i, _| visited.push(i));
-        prop_assert_eq!(&visited, &direct);
     }
 
     // ---- rng ----
