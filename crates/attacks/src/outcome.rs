@@ -23,23 +23,6 @@ impl AttackOutcome {
         }
     }
 
-    /// Records one attempt and emits an `attacks`/`attempt` event with the
-    /// outcome, so traces show injected vs. successful attacks over time.
-    pub fn record_obs(
-        &mut self,
-        success: bool,
-        at: vc_sim::time::SimTime,
-        rec: Option<&mut vc_obs::Recorder>,
-    ) {
-        self.record(success);
-        if let Some(r) = rec {
-            r.event(at, "attacks", "attempt", vec![("success", success.into())]);
-            if success {
-                r.hub_mut().counter_add("attacks.success", 1);
-            }
-        }
-    }
-
     /// Success rate in `[0, 1]` (0 when no attempts).
     pub fn rate(&self) -> f64 {
         if self.attempts == 0 {
@@ -68,20 +51,6 @@ pub enum Defense {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_obs_counts_and_emits() {
-        let mut o = AttackOutcome::new();
-        let mut rec = vc_obs::Recorder::new();
-        let at = vc_sim::time::SimTime::from_secs(1);
-        o.record_obs(true, at, Some(&mut rec));
-        o.record_obs(false, at, Some(&mut rec));
-        o.record_obs(true, at, None);
-        assert_eq!(o.attempts, 3);
-        assert_eq!(o.successes, 2);
-        assert_eq!(rec.hub().counter("attacks.attempt"), 2);
-        assert_eq!(rec.hub().counter("attacks.success"), 1);
-    }
 
     #[test]
     fn rate_computation() {

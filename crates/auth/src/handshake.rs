@@ -343,16 +343,6 @@ impl SessionCache {
             !crl.iter().any(|seed| seed.linkage_value(e.cert_id) == e.linkage_value)
         });
     }
-
-    /// Drops sessions past their TTL or their certificate expiry.
-    pub fn purge_expired(&mut self, now: SimTime) {
-        let ttl = self.ttl;
-        self.entries.retain(|_, e| {
-            now >= e.established_at
-                && now.saturating_since(e.established_at) <= ttl
-                && now <= e.cert_valid_until
-        });
-    }
 }
 
 impl vc_obs::MemSize for SessionCache {
@@ -732,7 +722,7 @@ mod tests {
     }
 
     #[test]
-    fn session_cache_respects_cert_expiry_and_purge() {
+    fn session_cache_respects_cert_expiry() {
         let net = setup();
         let mut cache = SessionCache::new(4, SimDuration::from_secs(1_000_000));
         let cert = net.alice.current_cert().clone();
@@ -741,9 +731,6 @@ mod tests {
         // even though the TTL is enormous.
         assert!(cache.lookup(&cert.key.to_bytes(), SimTime::from_secs(10_001)).is_none());
         assert_eq!(cache.len(), 0, "expired entry dropped on sight");
-        cache.insert(&cert, SessionKey([1u8; 32]), SimTime::from_secs(1));
-        cache.purge_expired(SimTime::from_secs(10_001));
-        assert!(cache.is_empty());
     }
 
     #[test]

@@ -119,12 +119,6 @@ impl TrustedAuthority {
         self.revoked_vehicles.contains(identity)
     }
 
-    /// Audit: all registered identities (only for the management experiments;
-    /// a real TA would gate this behind legal process).
-    pub fn audit_registered(&self) -> impl Iterator<Item = (&RealIdentity, &VehicleId)> {
-        self.registered.iter()
-    }
-
     /// Number of registered vehicles.
     pub fn registered_count(&self) -> usize {
         self.registered.len()

@@ -289,17 +289,13 @@ impl PseudonymRegistry {
     }
 }
 
-/// Verifier-side check. This is what every receiving vehicle runs per
-/// message; its cost (two signature verifications plus a linear CRL scan) is
-/// the protocol's verify-side price.
-///
-/// # Errors
-///
-/// Returns the specific [`AuthError`] that failed.
-pub fn verify(
+/// The five verifier-side checks shared by [`verify`] and
+/// [`verify_with_front`], which differ only in how step 3 answers "does this
+/// certificate match a revoked seed?". Check order is the error precedence.
+fn verify_checks(
     message: &PseudonymMessage,
     ta_key: &VerifyingKey,
-    crl: &[LinkageSeed],
+    is_revoked: impl FnOnce(&PseudonymCert) -> bool,
     now: SimTime,
     replay_window: vc_sim::time::SimDuration,
 ) -> Result<(), AuthError> {
@@ -311,13 +307,9 @@ pub fn verify(
     if message.sent_at > now || now.saturating_since(message.sent_at) > replay_window {
         return Err(AuthError::Replayed);
     }
-    // 3. CRL scan — one keyed hash per revoked vehicle, as in deployed
-    //    linkage-value CRLs. This is the linear cost the paper calls
-    //    "time-consuming" for huge revocation pools.
-    for seed in crl {
-        if seed.linkage_value(message.cert.id) == message.cert.linkage_value {
-            return Err(AuthError::Revoked);
-        }
+    // 3. Revocation.
+    if is_revoked(&message.cert) {
+        return Err(AuthError::Revoked);
     }
     // 4. TA signature over the certificate.
     let body = PseudonymCert::signed_bytes(
@@ -339,20 +331,32 @@ pub fn verify(
     Ok(())
 }
 
-/// SplitMix64 finalizer — a deterministic, std-only bit mixer used to derive
-/// Bloom-filter probe positions from linkage-seed bytes. Not cryptographic;
-/// the filter is a performance front, never the verdict.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// Verifier-side check. This is what every receiving vehicle runs per
+/// message; its cost (two signature verifications plus a linear CRL scan) is
+/// the protocol's verify-side price.
+///
+/// # Errors
+///
+/// Returns the specific [`AuthError`] that failed.
+pub fn verify(
+    message: &PseudonymMessage,
+    ta_key: &VerifyingKey,
+    crl: &[LinkageSeed],
+    now: SimTime,
+    replay_window: vc_sim::time::SimDuration,
+) -> Result<(), AuthError> {
+    // CRL scan — one keyed hash per revoked vehicle, as in deployed
+    // linkage-value CRLs. This is the linear cost the paper calls
+    // "time-consuming" for huge revocation pools.
+    let scan = |cert: &PseudonymCert| {
+        crl.iter().any(|seed| seed.linkage_value(cert.id) == cert.linkage_value)
+    };
+    verify_checks(message, ta_key, scan, now, replay_window)
 }
 
-/// A verifier-side front for the CRL: a Bloom filter plus a sorted seed set
-/// for O(log n) seed membership, and a bounded memo of per-certificate
-/// revocation verdicts so each *distinct* certificate pays the linear
-/// linkage-value scan at most once.
+/// A verifier-side front for the CRL: a sorted, deduped seed snapshot and a
+/// bounded memo of per-certificate revocation verdicts, so each *distinct*
+/// certificate pays the linear linkage-value scan at most once.
 ///
 /// The front is a pure cache: [`verify_with_front`] returns exactly what
 /// [`verify`] returns against `CrlFront::seeds()`. The linkage-value CRL
@@ -363,10 +367,6 @@ fn splitmix64(mut x: u64) -> u64 {
 pub struct CrlFront {
     /// Sorted, deduped snapshot of the CRL seeds.
     seeds: Vec<LinkageSeed>,
-    /// Bloom bit array (power-of-two length, in 64-bit words).
-    bloom: Vec<u64>,
-    /// Bit-index mask (`bloom.len() * 64 - 1`).
-    bloom_mask: u64,
     /// Memoized per-certificate scan verdicts.
     memo: BTreeMap<(PseudonymId, [u8; 8]), bool>,
     /// Memo capacity; the memo is cleared (deterministically) when full.
@@ -383,29 +383,7 @@ impl CrlFront {
         let mut seeds = crl.to_vec();
         seeds.sort_unstable();
         seeds.dedup();
-        // ~16 bits per entry, two probes: false-positive rate well under 2%,
-        // and a negative membership probe costs two cache lines at most.
-        let bits = (seeds.len().max(4) * 16).next_power_of_two();
-        let mut bloom = vec![0u64; bits / 64];
-        let bloom_mask = (bits - 1) as u64;
-        for seed in &seeds {
-            for bit in Self::probes(seed, bloom_mask) {
-                bloom[(bit / 64) as usize] |= 1 << (bit % 64);
-            }
-        }
-        CrlFront {
-            seeds,
-            bloom,
-            bloom_mask,
-            memo: BTreeMap::new(),
-            memo_cap: Self::DEFAULT_MEMO_CAP,
-        }
-    }
-
-    fn probes(seed: &LinkageSeed, mask: u64) -> [u64; 2] {
-        let lo = u64::from_be_bytes(seed.0[..8].try_into().expect("8 bytes"));
-        let hi = u64::from_be_bytes(seed.0[8..].try_into().expect("8 bytes"));
-        [splitmix64(lo ^ hi.rotate_left(32)) & mask, splitmix64(hi.wrapping_add(lo)) & mask]
+        CrlFront { seeds, memo: BTreeMap::new(), memo_cap: Self::DEFAULT_MEMO_CAP }
     }
 
     /// The sorted, deduped seed snapshot this front answers for.
@@ -423,20 +401,9 @@ impl CrlFront {
         self.seeds.is_empty()
     }
 
-    /// Seed membership: Bloom filter rejects most non-members in O(1); a
-    /// binary search confirms the rest. Never wrong in either direction.
-    pub fn contains_seed(&self, seed: &LinkageSeed) -> bool {
-        for bit in Self::probes(seed, self.bloom_mask) {
-            if self.bloom[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
-                return false;
-            }
-        }
-        self.seeds.binary_search(seed).is_ok()
-    }
-
     /// Whether a certificate `(id, linkage_value)` matches any revoked seed.
     /// First sighting of a certificate pays the full linear scan (same keyed
-    /// hash per entry as [`verify`] step 3); repeats are one BTreeMap lookup.
+    /// hash per entry as [`verify`]'s CRL scan); repeats are one BTreeMap lookup.
     pub fn is_revoked_cert(&mut self, id: PseudonymId, linkage_value: [u8; 8]) -> bool {
         if let Some(&hit) = self.memo.get(&(id, linkage_value)) {
             return hit;
@@ -460,7 +427,6 @@ impl CrlFront {
 impl vc_obs::MemSize for CrlFront {
     fn mem_bytes(&self) -> u64 {
         (self.seeds.capacity() * std::mem::size_of::<LinkageSeed>()
-            + self.bloom.capacity() * 8
             + self.memo.len() * (std::mem::size_of::<(PseudonymId, [u8; 8])>() + 1)) as u64
     }
 }
@@ -480,36 +446,9 @@ pub fn verify_with_front(
     now: SimTime,
     replay_window: vc_sim::time::SimDuration,
 ) -> Result<(), AuthError> {
-    // 1. Validity window.
-    if now < message.cert.valid_from || now > message.cert.valid_until {
-        return Err(AuthError::Expired);
-    }
-    // 2. Replay window on the claimed timestamp.
-    if message.sent_at > now || now.saturating_since(message.sent_at) > replay_window {
-        return Err(AuthError::Replayed);
-    }
-    // 3. Memoized CRL verdict (first sighting pays the same linear scan).
-    if front.is_revoked_cert(message.cert.id, message.cert.linkage_value) {
-        return Err(AuthError::Revoked);
-    }
-    // 4. TA signature over the certificate.
-    let body = PseudonymCert::signed_bytes(
-        message.cert.id,
-        &message.cert.key,
-        &message.cert.linkage_value,
-        message.cert.valid_from,
-        message.cert.valid_until,
-    );
-    if !ta_key.verify(&body, &message.cert.ta_signature) {
-        return Err(AuthError::BadCredential);
-    }
-    // 5. Message signature under the pseudonym key.
-    let mut to_check = message.payload.clone();
-    to_check.extend_from_slice(&message.sent_at.as_micros().to_be_bytes());
-    if !message.cert.key.verify(&to_check, &message.signature) {
-        return Err(AuthError::BadSignature);
-    }
-    Ok(())
+    // Memoized CRL verdict (first sighting pays the same linear scan).
+    let memoized = |cert: &PseudonymCert| front.is_revoked_cert(cert.id, cert.linkage_value);
+    verify_checks(message, ta_key, memoized, now, replay_window)
 }
 
 impl vc_obs::MemSize for PseudonymId {
@@ -764,26 +703,6 @@ mod tests {
         let crl = reg.crl();
         assert_eq!(crl.len(), 5, "dedup across injections");
         assert!(crl.windows(2).all(|w| w[0] < w[1]), "sorted order maintained");
-    }
-
-    #[test]
-    fn front_membership_matches_exact_set() {
-        let mut seeds = Vec::new();
-        for i in 0..200u64 {
-            let mut s = [0u8; 16];
-            s[..8].copy_from_slice(&i.to_be_bytes());
-            seeds.push(LinkageSeed(s));
-        }
-        let front = CrlFront::new(&seeds);
-        assert_eq!(front.len(), 200);
-        for seed in &seeds {
-            assert!(front.contains_seed(seed), "no false negatives");
-        }
-        for i in 200..400u64 {
-            let mut s = [0u8; 16];
-            s[..8].copy_from_slice(&i.to_be_bytes());
-            assert!(!front.contains_seed(&LinkageSeed(s)), "binary search confirms");
-        }
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! supersession checks — at the neighbor densities E5's contact-window
 //! clusters produce. The "before" column is the in-tree reference path
 //! (`verify_beacon_scalar`): square-and-multiply over the division-based
-//! `U256::mul_mod` oracle, i.e. exactly what `VC_CRYPTO_SCALAR=1` degrades
-//! the whole stack to. Since the Montgomery core (docs/CRYPTO.md) the two
+//! `U256::mul_mod` oracle. Since the Montgomery core (docs/CRYPTO.md) the two
 //! "after" columns also differ from it in the cost of every multiply, not
 //! only in how many they do.
 

@@ -19,6 +19,30 @@ fn deterministic_experiments_reproduce_exactly() {
     }
 }
 
+/// Experiments whose committed `results/<id>.json` is a pure function of the
+/// default seed (no wall-clock, host or footprint column).
+const GOLDEN: &[&str] = &["e1", "e2", "e3", "e6", "e7", "e8", "e10", "e12", "e13", "e14", "e15"];
+
+#[test]
+fn committed_results_regenerate_byte_identical() {
+    // The committed files were produced and re-verified under the
+    // division-based crypto oracle and the linear road scan when the
+    // Montgomery core and the road index landed, so this pins both fast
+    // paths end to end (e1 + e8 the crypto core, e14 the road index)
+    // without a runtime switch between two implementations.
+    let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+    for exp in registry() {
+        if !GOLDEN.contains(&exp.id) {
+            continue;
+        }
+        let path = format!("{results}/{}.json", exp.id);
+        let committed =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        let regenerated = (exp.run)(false, 42, None).to_json().to_string_pretty() + "\n";
+        assert_eq!(regenerated, committed, "{path} would change");
+    }
+}
+
 #[test]
 fn different_seeds_change_something() {
     // E7 (replication churn) is seed-sensitive in its measured column.

@@ -23,8 +23,8 @@
 //! The fast paths (Montgomery multiplication for `p` and `q`, fixed-base
 //! window table, windowed Straus exponentiation, batch Schnorr verification)
 //! are result-identical to the retained division-based square-and-multiply
-//! references; `VC_CRYPTO_SCALAR=1` forces the reference paths process-wide
-//! (see docs/CRYPTO.md).
+//! references, which the property suite and the committed `results/` tables
+//! hold them to (see docs/CRYPTO.md).
 //!
 //! ## Example
 //!

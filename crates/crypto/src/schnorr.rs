@@ -70,11 +70,6 @@ impl SigningKey {
         let response = k.add(self.secret.mul(challenge));
         Signature { commitment, response }
     }
-
-    /// Raw scalar access for protocol constructions (e.g. blinded keys).
-    pub fn secret_scalar(&self) -> Scalar {
-        self.secret
-    }
 }
 
 impl VerifyingKey {
@@ -91,9 +86,8 @@ impl VerifyingKey {
     /// reference paths ([`Element::base_pow_scalar`] and plain `pow_mod`) —
     /// the exact work a verifier did before the fixed-base table and windowed
     /// exponentiation landed. This is the "before" cost basis experiment E20
-    /// measures batch verification against, and what [`verify`](Self::verify)
-    /// degrades to under `VC_CRYPTO_SCALAR=1`. Identical accept/reject
-    /// decisions to `verify` on every input.
+    /// measures batch verification against. Identical accept/reject
+    /// decisions to [`verify`](Self::verify) on every input.
     pub fn verify_scalar(&self, message: &[u8], signature: &Signature) -> bool {
         let params = crate::group::group();
         let challenge = challenge_scalar(&signature.commitment, self, message);
@@ -116,11 +110,6 @@ impl VerifyingKey {
     /// Decodes and validates a key (must be a genuine subgroup member).
     pub fn from_bytes(bytes: &[u8; 32]) -> Option<VerifyingKey> {
         Element::from_bytes(bytes).map(|point| VerifyingKey { point })
-    }
-
-    /// Creates from an existing element (e.g. a blinded public key).
-    pub fn from_element(point: Element) -> VerifyingKey {
-        VerifyingKey { point }
     }
 }
 

@@ -397,31 +397,6 @@ pub fn maintain_clusters(
     next
 }
 
-/// [`maintain_clusters`] with instrumentation: emits one
-/// `net`/`cluster.maintain` event at sim-time `at` carrying the resulting
-/// cluster count and the head-churn fraction versus `previous`. The
-/// maintenance itself is identical.
-pub fn maintain_clusters_obs(
-    previous: &Clustering,
-    world: &WorldView<'_>,
-    cfg: &ClusterConfig,
-    retention_quorum: f64,
-    at: SimTime,
-    rec: Option<&mut Recorder>,
-) -> Clustering {
-    let next = maintain_clusters(previous, world, cfg, retention_quorum);
-    if let Some(rec) = rec {
-        let churn = head_churn(previous, &next, world.len());
-        rec.event(
-            at,
-            "net",
-            "cluster.maintain",
-            vec![("clusters", next.cluster_count().into()), ("head_churn", churn.into())],
-        );
-    }
-    next
-}
-
 /// Measures head-churn between two consecutive clusterings: the fraction of
 /// vehicles whose head changed (a stability metric for the E8 ablation).
 pub fn head_churn(before: &Clustering, after: &Clustering, n_vehicles: usize) -> f64 {
@@ -715,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn obs_variants_cluster_identically_and_emit() {
+    fn obs_variant_clusters_identically_and_emits() {
         let positions: Vec<Point> =
             (0..12).map(|i| Point::new((i * 41 % 300) as f64, (i * 59 % 300) as f64)).collect();
         let f = Fixture::new(positions, still(12), 150.0);
@@ -726,17 +701,7 @@ mod tests {
         for i in 0..12 {
             assert_eq!(plain.head_of(VehicleId(i)), probed.head_of(VehicleId(i)));
         }
-        let maintained = maintain_clusters_obs(
-            &probed,
-            &f.world(),
-            &cfg,
-            0.5,
-            SimTime::from_secs(2),
-            Some(&mut rec),
-        );
-        assert_eq!(maintained.cluster_count(), plain.cluster_count());
         assert_eq!(rec.hub().counter("net.cluster.elect"), 1);
-        assert_eq!(rec.hub().counter("net.cluster.maintain"), 1);
         let elect = rec.events().next().unwrap();
         assert!(elect.fields.iter().any(|(k, _)| *k == "clusters"));
         // Passing None changes nothing and emits nothing.

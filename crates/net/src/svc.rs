@@ -23,10 +23,6 @@ use crate::bytebuf::{ByteReader, ByteWriter};
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Protocol version carried nowhere on the wire yet; bump on breaking
-/// changes together with the frame kinds.
-pub const SVC_VERSION: u8 = 1;
-
 /// Hard cap on a single frame's payload length. Larger declared lengths
 /// are rejected before any allocation.
 pub const MAX_FRAME_LEN: usize = 1 << 20;

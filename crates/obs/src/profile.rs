@@ -313,11 +313,6 @@ pub fn take() -> Option<Profiler> {
     CURRENT.with(|c| c.borrow_mut().take()).map(|(_, p)| p)
 }
 
-/// True when a profiler is installed on this thread.
-pub fn is_active() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
 /// A scoped profiling frame; closes (and records) when dropped. Obtain via
 /// [`frame`] or [`timed_frame`].
 #[derive(Debug)]
@@ -460,7 +455,6 @@ mod tests {
 
     #[test]
     fn uninstalled_frames_are_inert_and_timed_frames_still_measure() {
-        assert!(!is_active());
         let f = frame("nobody-listening");
         assert_eq!(f.finish(), Duration::ZERO);
         let t = timed_frame("still-timed");

@@ -26,6 +26,23 @@ pub const MEM_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
 /// the heap footprint against [`MEM_BUDGET_BYTES`].
 const CHECK_EVERY_ROUNDS: u32 = 16;
 
+/// The [`ScenarioBuilder`] preset a catalog entry runs on.
+#[derive(Debug, Clone, Copy)]
+enum Map {
+    UrbanWithRsus,
+    HighwayNoInfra,
+    UrbanCanyon,
+}
+
+/// The routing protocol a catalog entry drives.
+#[derive(Debug, Clone, Copy)]
+enum Protocol {
+    Epidemic,
+    GreedyGeo,
+    Cluster,
+    Mozo,
+}
+
 /// One entry in the scenario catalog.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioEntry {
@@ -37,6 +54,8 @@ pub struct ScenarioEntry {
     pub vehicles: usize,
     /// Random source/destination packet pairs injected before the run.
     pub packets: usize,
+    map: Map,
+    protocol: Protocol,
 }
 
 /// The jobs `vcloudd` will run. Ticks and seed come from the client; the
@@ -48,36 +67,48 @@ pub const SCENARIOS: &[ScenarioEntry] = &[
         desc: "urban grid with RSUs, epidemic flooding",
         vehicles: 40,
         packets: 24,
+        map: Map::UrbanWithRsus,
+        protocol: Protocol::Epidemic,
     },
     ScenarioEntry {
         id: "urban-greedy",
         desc: "urban grid with RSUs, greedy geographic forwarding",
         vehicles: 40,
         packets: 24,
+        map: Map::UrbanWithRsus,
+        protocol: Protocol::GreedyGeo,
     },
     ScenarioEntry {
         id: "urban-cluster",
         desc: "urban grid with RSUs, cluster-backbone routing",
         vehicles: 40,
         packets: 24,
+        map: Map::UrbanWithRsus,
+        protocol: Protocol::Cluster,
     },
     ScenarioEntry {
         id: "highway-epidemic",
         desc: "highway without infrastructure, epidemic flooding",
         vehicles: 48,
         packets: 24,
+        map: Map::HighwayNoInfra,
+        protocol: Protocol::Epidemic,
     },
     ScenarioEntry {
         id: "highway-mozo",
         desc: "highway without infrastructure, moving-zone routing",
         vehicles: 48,
         packets: 24,
+        map: Map::HighwayNoInfra,
+        protocol: Protocol::Mozo,
     },
     ScenarioEntry {
         id: "canyon-greedy",
         desc: "urban canyon (harsh LOS), greedy geographic forwarding",
         vehicles: 36,
         packets: 16,
+        map: Map::UrbanCanyon,
+        protocol: Protocol::GreedyGeo,
     },
 ];
 
@@ -168,10 +199,10 @@ impl std::error::Error for JobError {}
 fn build_scenario(entry: &ScenarioEntry, seed: u64) -> Scenario {
     let mut builder = ScenarioBuilder::new();
     builder.seed(seed).vehicles(entry.vehicles);
-    match entry.id {
-        "highway-epidemic" | "highway-mozo" => builder.highway_no_infra(),
-        "canyon-greedy" => builder.urban_canyon(),
-        _ => builder.urban_with_rsus(),
+    match entry.map {
+        Map::UrbanWithRsus => builder.urban_with_rsus(),
+        Map::HighwayNoInfra => builder.highway_no_infra(),
+        Map::UrbanCanyon => builder.urban_canyon(),
     }
 }
 
@@ -187,20 +218,12 @@ pub fn run_job(spec: &JobSpec, cancel: Option<&AtomicBool>) -> Result<JobOutput,
     let entry = find_scenario(&spec.scenario).expect("validated above");
     let mut scenario = build_scenario(entry, spec.seed);
     let mut recorder = spec.wants_trace().then(Recorder::new);
-    let stats_json = match entry.id {
-        "urban-epidemic" | "highway-epidemic" => {
-            drive(spec, entry, &mut scenario, Epidemic, cancel, recorder.as_mut())
-        }
-        "urban-greedy" | "canyon-greedy" => {
-            drive(spec, entry, &mut scenario, GreedyGeo, cancel, recorder.as_mut())
-        }
-        "urban-cluster" => {
-            drive(spec, entry, &mut scenario, ClusterRouting::new(), cancel, recorder.as_mut())
-        }
-        "highway-mozo" => {
-            drive(spec, entry, &mut scenario, MozoRouting::new(), cancel, recorder.as_mut())
-        }
-        other => unreachable!("catalog id {other} has no protocol mapping"),
+    let rec = recorder.as_mut();
+    let stats_json = match entry.protocol {
+        Protocol::Epidemic => drive(spec, entry, &mut scenario, Epidemic, cancel, rec),
+        Protocol::GreedyGeo => drive(spec, entry, &mut scenario, GreedyGeo, cancel, rec),
+        Protocol::Cluster => drive(spec, entry, &mut scenario, ClusterRouting::new(), cancel, rec),
+        Protocol::Mozo => drive(spec, entry, &mut scenario, MozoRouting::new(), cancel, rec),
     }?;
     Ok(finish(stats_json, recorder))
 }

@@ -74,11 +74,6 @@ impl Point {
         self.y.atan2(self.x)
     }
 
-    /// Unit vector pointing along `heading` radians.
-    pub fn from_heading(heading: f64) -> Point {
-        Point::new(heading.cos(), heading.sin())
-    }
-
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
     pub fn lerp(self, other: Point, t: f64) -> Point {
         self + (other - self) * t
@@ -208,14 +203,6 @@ impl Rect {
     /// Center point.
     pub fn center(&self) -> Point {
         self.min.midpoint(self.max)
-    }
-
-    /// Grows the rectangle by `margin` meters on every side.
-    pub fn inflate(&self, margin: f64) -> Rect {
-        Rect {
-            min: self.min - Point::new(margin, margin),
-            max: self.max + Point::new(margin, margin),
-        }
     }
 
     /// Clamps `p` into the rectangle.
@@ -447,8 +434,8 @@ mod tests {
 
     #[test]
     fn heading_roundtrip() {
-        for &h in &[0.0, 0.5, 1.0, -2.0, 3.0] {
-            let v = Point::from_heading(h);
+        for &h in &[0.0_f64, 0.5, 1.0, -2.0, 3.0] {
+            let v = Point::new(h.cos(), h.sin());
             assert!((v.heading() - h).abs() < 1e-12, "heading {h}");
             assert!((v.norm() - 1.0).abs() < 1e-12);
         }
@@ -490,7 +477,6 @@ mod tests {
         assert!(!r.contains(Point::new(-0.1, 5.0)));
         assert_eq!(r.clamp(Point::new(20.0, -5.0)), Point::new(10.0, 0.0));
         assert_eq!(r.center(), Point::new(5.0, 5.0));
-        assert_eq!(r.inflate(1.0).width(), 12.0);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! # vc-sim — discrete-event VANET simulation substrate
+//! # vc-sim — tick-driven VANET simulation substrate
 //!
-//! The simulation substrate for the `vcloud` workspace: a deterministic
-//! discrete-event kernel, planar geometry, synthetic road networks, mobility
-//! models for the three vehicular-cloud regimes (parked, urban, highway), a
-//! probabilistic V2V radio with roadside units and a cellular uplink, and
-//! measurement instruments.
+//! The simulation substrate for the `vcloud` workspace: a virtual clock
+//! advanced in fixed ticks ([`scenario::Scenario::tick`]), planar geometry,
+//! synthetic road networks, mobility models for the three vehicular-cloud
+//! regimes (parked, urban, highway), and a probabilistic V2V radio with
+//! roadside units and a cellular uplink.
 //!
-//! Everything is deterministic given a seed: the kernel orders simultaneous
-//! events FIFO, the RNG is a self-contained xoshiro256**, and mobility uses
-//! fixed integer-microsecond time.
+//! Everything is deterministic given a seed: the RNG is a self-contained
+//! xoshiro256**, and mobility uses fixed integer-microsecond time.
 //!
 //! ## Example
 //!
@@ -27,7 +26,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod event;
 pub mod geom;
 pub mod metrics;
 pub mod mobility;
@@ -39,13 +37,11 @@ pub mod roadnet;
 pub mod scenario;
 pub mod shard;
 pub mod time;
-pub mod trace;
 
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
-    pub use crate::event::{EventQueue, Flow, QueueStats, Simulation};
     pub use crate::geom::{Point, Rect, Segment, SpatialGrid};
-    pub use crate::metrics::{Counter, Metrics, Ratio, Summary};
+    pub use crate::metrics::Summary;
     pub use crate::mobility::{idm_acceleration, Fleet, IdmParams, Mobility, Vehicle};
     pub use crate::node::{
         Kinematics, Resources, SaeLevel, SensorSuite, VehicleId, VehicleProfile,
@@ -57,5 +53,4 @@ pub mod prelude {
     pub use crate::scenario::{CanyonModel, Regime, Scenario, ScenarioBuilder};
     pub use crate::shard::{map_shards, shard_count, ShardPlan};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{Trace, TraceMeta, TraceSample};
 }

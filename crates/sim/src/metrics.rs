@@ -1,37 +1,8 @@
-//! Lightweight measurement instruments for experiments.
-//!
-//! Every experiment in the benchmark harness reports through these types so
-//! tables are produced uniformly: counters for totals, [`Summary`] for
-//! latency/size distributions (mean and percentiles), and a keyed registry.
+//! [`Summary`]: an exact-percentile distribution summary for bounded
+//! experiment outputs. Counters, gauges and fixed-bucket histograms for
+//! everything on a hot path live in `vc_obs::metrics`.
 
-use std::collections::BTreeMap;
 use std::fmt;
-
-/// A monotonically increasing count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub const fn value(self) -> u64 {
-        self.0
-    }
-}
 
 /// An online distribution summary over `f64` samples.
 ///
@@ -194,126 +165,9 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A rate expressed as successes over trials; avoids 0/0 surprises.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Ratio {
-    /// Number of successful trials.
-    pub hits: u64,
-    /// Number of trials.
-    pub total: u64,
-}
-
-impl Ratio {
-    /// Creates a zero ratio.
-    pub const fn new() -> Self {
-        Ratio { hits: 0, total: 0 }
-    }
-
-    /// Records one trial with outcome `hit`.
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// Fraction of hits in `[0, 1]`; 0 when no trials were recorded.
-    pub fn value(self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-}
-
-impl fmt::Display for Ratio {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{} ({:.1}%)", self.hits, self.total, self.value() * 100.0)
-    }
-}
-
-/// A keyed collection of counters and summaries for an experiment run.
-#[derive(Debug, Clone, Default)]
-pub struct Metrics {
-    counters: BTreeMap<String, Counter>,
-    summaries: BTreeMap<String, Summary>,
-    ratios: BTreeMap<String, Ratio>,
-}
-
-impl Metrics {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Metrics::default()
-    }
-
-    /// Increments the named counter by `n` (creating it at zero).
-    pub fn count(&mut self, key: &str, n: u64) {
-        self.counters.entry(key.to_owned()).or_default().add(n);
-    }
-
-    /// Records a sample in the named summary (creating it).
-    pub fn observe(&mut self, key: &str, x: f64) {
-        self.summaries.entry(key.to_owned()).or_default().record(x);
-    }
-
-    /// Records a trial outcome in the named ratio (creating it).
-    pub fn trial(&mut self, key: &str, hit: bool) {
-        self.ratios.entry(key.to_owned()).or_default().record(hit);
-    }
-
-    /// Value of a counter (0 when absent).
-    pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).map_or(0, |c| c.value())
-    }
-
-    /// The named summary, if any samples were recorded.
-    pub fn summary(&self, key: &str) -> Option<&Summary> {
-        self.summaries.get(key)
-    }
-
-    /// Mutable access to the named summary (for percentiles), if present.
-    pub fn summary_mut(&mut self, key: &str) -> Option<&mut Summary> {
-        self.summaries.get_mut(key)
-    }
-
-    /// The named ratio (zero when absent).
-    pub fn ratio(&self, key: &str) -> Ratio {
-        self.ratios.get(key).copied().unwrap_or_default()
-    }
-
-    /// Iterates counter entries in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, c)| (k.as_str(), c.value()))
-    }
-
-    /// Merges all instruments from `other`.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (k, c) in &other.counters {
-            self.counters.entry(k.clone()).or_default().add(c.value());
-        }
-        for (k, s) in &other.summaries {
-            self.summaries.entry(k.clone()).or_default().merge(s);
-        }
-        for (k, r) in &other.ratios {
-            let e = self.ratios.entry(k.clone()).or_default();
-            e.hits += r.hits;
-            e.total += r.total;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-    }
 
     #[test]
     fn summary_statistics() {
@@ -383,51 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn ratio_handles_zero_trials() {
-        assert_eq!(Ratio::new().value(), 0.0);
-        let mut r = Ratio::new();
-        r.record(true);
-        r.record(false);
-        r.record(true);
-        assert!((r.value() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metrics_registry_roundtrip() {
-        let mut m = Metrics::new();
-        m.count("msgs", 3);
-        m.count("msgs", 2);
-        m.observe("latency", 1.5);
-        m.observe("latency", 2.5);
-        m.trial("delivered", true);
-        assert_eq!(m.counter("msgs"), 5);
-        assert_eq!(m.counter("absent"), 0);
-        assert_eq!(m.summary("latency").unwrap().mean(), 2.0);
-        assert_eq!(m.ratio("delivered").value(), 1.0);
-    }
-
-    #[test]
-    fn metrics_merge() {
-        let mut a = Metrics::new();
-        a.count("x", 1);
-        a.trial("ok", true);
-        let mut b = Metrics::new();
-        b.count("x", 2);
-        b.trial("ok", false);
-        b.observe("y", 7.0);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.ratio("ok").value(), 0.5);
-        assert_eq!(a.summary("y").unwrap().count(), 1);
-    }
-
-    #[test]
     fn display_formats() {
         let mut s = Summary::new();
         s.record(1.0);
         assert!(s.to_string().contains("n=1"));
-        let mut r = Ratio::new();
-        r.record(true);
-        assert_eq!(r.to_string(), "1/1 (100.0%)");
     }
 }

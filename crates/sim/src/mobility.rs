@@ -210,15 +210,6 @@ impl Fleet {
         &self.vehicles[id.0 as usize]
     }
 
-    /// Mutable access to a vehicle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn vehicle_mut(&mut self, id: VehicleId) -> &mut Vehicle {
-        &mut self.vehicles[id.0 as usize]
-    }
-
     /// Positions of all vehicles in id order (offline vehicles included).
     pub fn positions(&self) -> &[Point] {
         &self.pos

@@ -10,9 +10,8 @@
 
 use crate::geom::{Point, SpatialGrid};
 use crate::node::VehicleId;
-use crate::probe::Probe;
 use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// V2V channel parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,17 +37,6 @@ impl Channel {
             bitrate_bps: 6_000_000.0,
             contention_per_neighbor_s: 0.000_3,
             base_loss: 0.02,
-        }
-    }
-
-    /// A short-range, high-bandwidth channel (mmWave-like) for contrast.
-    pub fn short_range() -> Self {
-        Channel {
-            range_m: 120.0,
-            reliable_fraction: 0.7,
-            bitrate_bps: 100_000_000.0,
-            contention_per_neighbor_s: 0.000_05,
-            base_loss: 0.01,
         }
     }
 
@@ -83,37 +71,6 @@ impl Channel {
             return None;
         }
         Some(self.latency(contenders, bytes, rng))
-    }
-
-    /// [`Channel::try_deliver`] with instrumentation: emits `sim` events
-    /// `radio.tx` for the attempt and then `radio.rx` (with `latency_us`)
-    /// or `radio.drop` for the outcome. Consumes the RNG identically to the
-    /// unprobed path, so a run's random stream is unchanged by tracing.
-    pub fn try_deliver_probed(
-        &self,
-        at: SimTime,
-        dist: f64,
-        contenders: usize,
-        bytes: usize,
-        rng: &mut SimRng,
-        probe: Option<&mut dyn Probe>,
-    ) -> Option<SimDuration> {
-        let outcome = self.try_deliver(dist, contenders, bytes, rng);
-        if let Some(probe) = probe {
-            probe.emit(
-                at,
-                "sim",
-                "radio.tx",
-                &[("bytes", bytes.into()), ("contenders", contenders.into())],
-            );
-            match outcome {
-                Some(latency) => {
-                    probe.emit(at, "sim", "radio.rx", &[("latency_us", latency.as_micros().into())])
-                }
-                None => probe.emit(at, "sim", "radio.drop", &[("dist_m", dist.into())]),
-            }
-        }
-        outcome
     }
 
     /// One-hop latency assuming successful reception: serialization plus
@@ -193,15 +150,6 @@ impl RsuNetwork {
     /// `true` when no RSUs are deployed.
     pub fn is_empty(&self) -> bool {
         self.rsus.is_empty()
-    }
-
-    /// Mutable access to an RSU (e.g. to fail it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn rsu_mut(&mut self, id: RsuId) -> &mut Rsu {
-        &mut self.rsus[id.0 as usize]
     }
 
     /// The nearest online RSU covering `pos`, if any (ties go to the lowest
@@ -477,61 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn probed_delivery_matches_unprobed_stream() {
-        use crate::probe::{Probe, Value};
-
-        struct Kinds(Vec<&'static str>);
-        impl Probe for Kinds {
-            fn emit(
-                &mut self,
-                _at: SimTime,
-                _component: &'static str,
-                kind: &'static str,
-                _fields: &[(&'static str, Value)],
-            ) {
-                self.0.push(kind);
-            }
-        }
-
-        let ch = Channel::dsrc();
-        let mut plain_rng = SimRng::seed_from(11);
-        let mut probed_rng = SimRng::seed_from(11);
-        let mut kinds = Kinds(Vec::new());
-        for i in 0..50 {
-            // Mix of in-range and out-of-range attempts.
-            let dist = if i % 3 == 0 { 400.0 } else { 50.0 };
-            let plain = ch.try_deliver(dist, 2, 100, &mut plain_rng);
-            let probed = ch.try_deliver_probed(
-                SimTime::ZERO,
-                dist,
-                2,
-                100,
-                &mut probed_rng,
-                Some(&mut kinds),
-            );
-            assert_eq!(plain, probed, "attempt {i}");
-        }
-        let tx = kinds.0.iter().filter(|k| **k == "radio.tx").count();
-        let rx = kinds.0.iter().filter(|k| **k == "radio.rx").count();
-        let drop = kinds.0.iter().filter(|k| **k == "radio.drop").count();
-        assert_eq!(tx, 50);
-        assert_eq!(rx + drop, 50);
-        assert!(rx > 0 && drop > 0);
-        // Passing no probe emits nothing and still matches.
-        let mut silent_rng = SimRng::seed_from(11);
-        let again = ch.try_deliver_probed(SimTime::ZERO, 50.0, 2, 100, &mut silent_rng, None);
-        let mut check_rng = SimRng::seed_from(11);
-        assert_eq!(again, ch.try_deliver(50.0, 2, 100, &mut check_rng));
-    }
-
-    #[test]
     fn rsu_coverage_and_failure() {
         let mut net = RsuNetwork::new();
         let a = net.add(Point::new(0.0, 0.0), 500.0);
         let _b = net.add(Point::new(2000.0, 0.0), 500.0);
         assert_eq!(net.covering(Point::new(100.0, 0.0)).unwrap().id, a);
         assert!(net.covering(Point::new(1000.0, 0.0)).is_none());
-        net.rsu_mut(a).online = false;
+        net.rsus[a.0 as usize].online = false;
         assert!(net.covering(Point::new(100.0, 0.0)).is_none());
         assert_eq!(net.online_fraction(), 0.5);
     }

@@ -10,15 +10,6 @@ use crate::rng::SimRng;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
-/// `VC_ROADNET_LINEAR=1` forces the linear-scan reference paths for
-/// [`RoadNetwork::nearest_node`] / [`RoadNetwork::distance_to_nearest_road`]
-/// — the escape hatch the CI determinism spot-check uses to prove the
-/// spatial index changes no output byte. Read once per process.
-fn linear_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var("VC_ROADNET_LINEAR").map(|v| v == "1").unwrap_or(false))
-}
-
 /// Identifier of an intersection in a [`RoadNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
@@ -173,29 +164,6 @@ impl RoadNetwork {
         if self.intersections.is_empty() {
             return None;
         }
-        if linear_forced() {
-            return self.nearest_node_linear(p);
-        }
-        self.nearest_node_indexed(p)
-    }
-
-    /// Linear-scan reference for [`Self::nearest_node`]. Kept as the
-    /// equivalence oracle for property tests and the `VC_ROADNET_LINEAR`
-    /// escape hatch.
-    pub fn nearest_node_linear(&self, p: Point) -> Option<NodeId> {
-        self.intersections
-            .iter()
-            .min_by(|a, b| a.pos.distance_sq(p).partial_cmp(&b.pos.distance_sq(p)).expect("finite"))
-            .map(|i| i.id)
-    }
-
-    /// The lazily built spatial index (field and method share the name; Rust
-    /// keeps fields and methods in separate namespaces).
-    fn index(&self) -> &RoadIndex {
-        self.index.get_or_init(|| RoadIndex::build(&self.intersections, &self.roads))
-    }
-
-    fn nearest_node_indexed(&self, p: Point) -> Option<NodeId> {
         let idx = self.index();
         let (qx, qy) = idx.cell_of(p);
         let (k0, kmax) = idx.ring_bounds(qx, qy);
@@ -228,33 +196,19 @@ impl RoadNetwork {
         best.map(|(_, id)| id)
     }
 
-    fn nearest_road_dist_indexed(&self, p: Point) -> f64 {
-        let idx = self.index();
-        let (qx, qy) = idx.cell_of(p);
-        let (k0, kmax) = idx.ring_bounds(qx, qy);
-        let mut best = f64::INFINITY;
-        for k in k0..=kmax {
-            if best.is_finite() {
-                // A segment first registered in a ring-k cell lies entirely in
-                // cells at ring >= k, hence at least (k-1) cell widths away;
-                // (k-2) leaves a full cell of fp slack. Segments already seen
-                // in nearer rings contributed their exact global distance.
-                let lb = ((k - 2).max(0)) as f64 * idx.cell_size;
-                if lb > best {
-                    break;
-                }
-            }
-            idx.for_each_ring_bucket(qx, qy, k, |bucket| {
-                for &ri in &idx.road_cells[bucket] {
-                    let r = &self.roads[ri as usize];
-                    let d = Segment::new(self.pos(r.from), self.pos(r.to)).distance_to(p);
-                    if d < best {
-                        best = d;
-                    }
-                }
-            });
-        }
-        best
+    /// Linear-scan reference for [`Self::nearest_node`]. Kept as the
+    /// equivalence oracle for property tests.
+    pub fn nearest_node_linear(&self, p: Point) -> Option<NodeId> {
+        self.intersections
+            .iter()
+            .min_by(|a, b| a.pos.distance_sq(p).partial_cmp(&b.pos.distance_sq(p)).expect("finite"))
+            .map(|i| i.id)
+    }
+
+    /// The lazily built spatial index (field and method share the name; Rust
+    /// keeps fields and methods in separate namespaces).
+    fn index(&self) -> &RoadIndex {
+        self.index.get_or_init(|| RoadIndex::build(&self.intersections, &self.roads))
     }
 
     /// A uniformly random intersection (None for an empty network).
@@ -381,11 +335,6 @@ impl RoadNetwork {
         net
     }
 
-    /// Total length of all road segments (each direction counted once).
-    pub fn total_road_length(&self) -> f64 {
-        self.roads.iter().map(|r| self.road_length(r.id)).sum()
-    }
-
     /// Distance from `p` to the nearest road centerline, meters
     /// (`f64::INFINITY` for an empty network). Drives the urban-canyon
     /// radio obstruction model: points far from every street are "inside a
@@ -394,14 +343,36 @@ impl RoadNetwork {
         if self.roads.is_empty() {
             return f64::INFINITY;
         }
-        if linear_forced() {
-            return self.distance_to_nearest_road_linear(p);
+        let idx = self.index();
+        let (qx, qy) = idx.cell_of(p);
+        let (k0, kmax) = idx.ring_bounds(qx, qy);
+        let mut best = f64::INFINITY;
+        for k in k0..=kmax {
+            if best.is_finite() {
+                // A segment first registered in a ring-k cell lies entirely in
+                // cells at ring >= k, hence at least (k-1) cell widths away;
+                // (k-2) leaves a full cell of fp slack. Segments already seen
+                // in nearer rings contributed their exact global distance.
+                let lb = ((k - 2).max(0)) as f64 * idx.cell_size;
+                if lb > best {
+                    break;
+                }
+            }
+            idx.for_each_ring_bucket(qx, qy, k, |bucket| {
+                for &ri in &idx.road_cells[bucket] {
+                    let r = &self.roads[ri as usize];
+                    let d = Segment::new(self.pos(r.from), self.pos(r.to)).distance_to(p);
+                    if d < best {
+                        best = d;
+                    }
+                }
+            });
         }
-        self.nearest_road_dist_indexed(p)
+        best
     }
 
     /// Linear-scan reference for [`Self::distance_to_nearest_road`]. Kept as
-    /// the equivalence oracle for property tests and `VC_ROADNET_LINEAR`.
+    /// the equivalence oracle for property tests.
     pub fn distance_to_nearest_road_linear(&self, p: Point) -> f64 {
         self.roads
             .iter()
@@ -657,7 +628,8 @@ mod tests {
     #[test]
     fn road_lengths_sum() {
         let net = RoadNetwork::grid(2, 1, 100.0, 10.0);
-        assert!((net.total_road_length() - 200.0).abs() < 1e-9);
+        let total: f64 = net.roads().iter().map(|r| net.road_length(r.id)).sum();
+        assert!((total - 200.0).abs() < 1e-9);
     }
 
     #[test]

@@ -289,37 +289,6 @@ impl Scenario {
         Some(self.channel.latency(contenders, bytes, &mut self.rng))
     }
 
-    /// [`Scenario::try_deliver_between`] with instrumentation: emits
-    /// `sim` events `radio.tx` plus `radio.rx`/`radio.drop` through the
-    /// probe, mirroring [`Channel::try_deliver_probed`]. The RNG stream is
-    /// identical to the unprobed path.
-    pub fn try_deliver_between_probed(
-        &mut self,
-        at: SimTime,
-        a: Point,
-        b: Point,
-        contenders: usize,
-        bytes: usize,
-        probe: Option<&mut dyn Probe>,
-    ) -> Option<crate::time::SimDuration> {
-        let outcome = self.try_deliver_between(a, b, contenders, bytes);
-        if let Some(probe) = probe {
-            probe.emit(
-                at,
-                "sim",
-                "radio.tx",
-                &[("bytes", bytes.into()), ("contenders", contenders.into())],
-            );
-            match outcome {
-                Some(latency) => {
-                    probe.emit(at, "sim", "radio.rx", &[("latency_us", latency.as_micros().into())])
-                }
-                None => probe.emit(at, "sim", "radio.drop", &[("dist_m", a.distance(b).into())]),
-            }
-        }
-        outcome
-    }
-
     /// Builds the current neighbor table from positions and channel range.
     pub fn neighbor_table(&self) -> NeighborTable {
         let mut table = NeighborTable::new();
@@ -510,19 +479,12 @@ mod tests {
             let at = SimTime::from_millis(i * 500);
             probed.tick_probed(at, Some(&mut probe));
             let p = plain.try_deliver_between(Point::new(0.0, 0.0), Point::new(80.0, 0.0), 1, 64);
-            let q = probed.try_deliver_between_probed(
-                at,
-                Point::new(0.0, 0.0),
-                Point::new(80.0, 0.0),
-                1,
-                64,
-                Some(&mut probe),
-            );
+            let q = probed.try_deliver_between(Point::new(0.0, 0.0), Point::new(80.0, 0.0), 1, 64);
             assert_eq!(p, q, "tick {i}");
         }
         assert_eq!(plain.fleet.positions(), probed.fleet.positions());
-        // 20 ticks + 20 tx + 20 rx/drop events.
-        assert_eq!(probe.0, 60);
+        // One `tick` event per tick.
+        assert_eq!(probe.0, 20);
     }
 
     #[test]

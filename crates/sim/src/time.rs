@@ -139,16 +139,6 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Multiplies by a float factor, rounding to the nearest microsecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(factor.is_finite() && factor >= 0.0, "factor must be finite and non-negative");
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
-
     /// Saturating subtraction: returns [`SimDuration::ZERO`] on underflow.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
@@ -279,7 +269,6 @@ mod tests {
         let d = SimDuration::from_secs(2);
         assert_eq!(d * 3, SimDuration::from_secs(6));
         assert_eq!(d / 4, SimDuration::from_millis(500));
-        assert_eq!(d.mul_f64(0.25), SimDuration::from_millis(500));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`sim`] | discrete-event kernel, road networks, mobility, radio |
+//! | [`sim`] | tick kernel (virtual clock, deterministic RNG), road networks, mobility, radio |
 //! | [`net`] | beaconing, clustering, moving zones, routing protocols |
 //! | [`crypto`] | SHA-256, HMAC, U256, Schnorr, DH, ChaCha20, Merkle |
 //! | [`auth`] | pseudonym / group / hybrid authentication, tokens, replay |
