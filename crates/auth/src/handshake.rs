@@ -19,7 +19,7 @@
 
 use crate::identity::AuthError;
 use crate::pseudonym::{
-    LinkageSeed, PseudonymCert, PseudonymId, PseudonymMessage, PseudonymWallet,
+    crl_matches, LinkageSeed, PseudonymCert, PseudonymId, PseudonymMessage, PseudonymWallet,
 };
 use std::collections::BTreeMap;
 use vc_crypto::dh::{EphemeralSecret, PublicShare, SessionKey};
@@ -337,11 +337,10 @@ impl SessionCache {
 
     /// Drops every cached session whose peer certificate matches a revoked
     /// linkage seed. Callers invoke this on each CRL update so a revoked
-    /// peer can never ride a cached key past its revocation.
+    /// peer can never ride a cached key past its revocation. Costs one
+    /// [`crl_matches`] scan per cached session.
     pub fn invalidate_revoked(&mut self, crl: &[LinkageSeed]) {
-        self.entries.retain(|_, e| {
-            !crl.iter().any(|seed| seed.linkage_value(e.cert_id) == e.linkage_value)
-        });
+        self.entries.retain(|_, e| !crl_matches(crl, e.cert_id, e.linkage_value));
     }
 }
 

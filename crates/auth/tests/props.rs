@@ -3,7 +3,7 @@
 use vc_auth::groupsig::{GroupCoordinator, GroupId};
 use vc_auth::handshake::{run_handshake_cached, HandshakeObsParams, SessionCache};
 use vc_auth::identity::{AuthError, RealIdentity, TrustedAuthority};
-use vc_auth::pseudonym::{CrlFront, LinkageSeed, PseudonymRegistry};
+use vc_auth::pseudonym::{crl_matches, CrlFront, LinkageSeed, PseudonymId, PseudonymRegistry};
 use vc_auth::replay::{ReplayGuard, ReplayVerdict};
 use vc_crypto::sha256::sha256;
 use vc_sim::node::VehicleId;
@@ -343,6 +343,50 @@ prop! {
         }
     }
 
+    // The lane-parallel CRL scan against the one-hash-at-a-time scan it
+    // replaced, around every group boundary: empty, a lone tail, one short
+    // of / exactly / one past a group, two groups minus one, two groups plus
+    // a tail, and the benchmark's 10 000. For each length: a miss; the
+    // matching seed first, last in the last full group, and in the tail
+    // only; a value one bit away from a listed entry's in its first or last
+    // byte (no match); and the list doubled (duplicates change no verdict).
+    #[test]
+    fn crl_matches_equals_scalar_scan(salt in any_bytes::<8>(), id in any_u64()) {
+        let id = PseudonymId(id);
+        // Both scans' verdicts, which must agree with each other and with
+        // what the construction of the list implies.
+        let both = |seeds: &[LinkageSeed], lv: [u8; 8]| {
+            (crl_matches(seeds, id, lv), seeds.iter().any(|seed| seed.linkage_value(id) == lv))
+        };
+        for len in [0usize, 1, 15, 16, 17, 31, 33, 10_000] {
+            let seeds: Vec<LinkageSeed> = (0..len as u64)
+                .map(|i| {
+                    let mut s = [0u8; 16];
+                    s[..8].copy_from_slice(&salt);
+                    s[8..].copy_from_slice(&i.to_be_bytes());
+                    LinkageSeed(s)
+                })
+                .collect();
+            let doubled = [seeds.as_slice(), seeds.as_slice()].concat();
+            let absent = LinkageSeed([0xEE; 16]).linkage_value(id);
+            prop_assert_eq!(both(&seeds, absent), (false, false), "miss, len {}", len);
+            prop_assert_eq!(both(&doubled, absent), (false, false), "miss, doubled {}", len);
+            let full = len - len % 16;
+            let planted =
+                [(len > 0).then_some(0), full.checked_sub(1), (full < len).then(|| len - 1)];
+            for at in planted.into_iter().flatten() {
+                let lv = seeds[at].linkage_value(id);
+                prop_assert_eq!(both(&seeds, lv), (true, true), "hit at {} of {}", at, len);
+                prop_assert_eq!(both(&doubled, lv), (true, true), "hit at {}, doubled", at);
+                for byte in [0, 7] {
+                    let mut near = lv;
+                    near[byte] ^= 1;
+                    prop_assert_eq!(both(&seeds, near), (false, false), "near hit at {}", at);
+                }
+            }
+        }
+    }
+
     // Linkage values are deterministic per (seed, cert) and collide across
     // certs only negligibly (distinct ids in a small sample never collide).
     #[test]
@@ -350,7 +394,7 @@ prop! {
         let seed = LinkageSeed(seed_bytes);
         let mut values = std::collections::HashSet::new();
         for i in 0..16u64 {
-            let v = seed.linkage_value(vc_auth::pseudonym::PseudonymId(base as u64 + i));
+            let v = seed.linkage_value(PseudonymId(base as u64 + i));
             prop_assert!(values.insert(v), "linkage collision");
         }
     }

@@ -5,7 +5,7 @@ use vc_auth::groupsig::{GroupCoordinator, GroupId};
 use vc_auth::handshake::{run_handshake_cached, HandshakeObsParams, SessionCache};
 use vc_auth::hybrid::{RegionalIssuer, TaOpening};
 use vc_auth::identity::{RealIdentity, TrustedAuthority};
-use vc_auth::pseudonym::{CrlFront, LinkageSeed, PseudonymRegistry};
+use vc_auth::pseudonym::{crl_matches, CrlFront, LinkageSeed, PseudonymRegistry};
 use vc_auth::token::{ServiceId, TokenGateway};
 use vc_sim::node::VehicleId;
 use vc_sim::time::{SimDuration, SimTime};
@@ -39,6 +39,13 @@ fn main() {
             let mut s = [0u8; 16];
             s[..8].copy_from_slice(&i.to_be_bytes());
             reg2.inject_revoked_seed(LinkageSeed(s));
+        }
+        if crl_size > 0 {
+            // The scan alone, miss case (the wallet is not on this CRL):
+            // every entry is hashed, none matches.
+            suite.bench_elems(&format!("crl/scan/{crl_size}"), crl_size as u64, || {
+                crl_matches(black_box(reg2.crl()), msg.cert.id, black_box(msg.cert.linkage_value))
+            });
         }
         suite.bench(&format!("pseudonym/verify_vs_crl/{crl_size}"), || {
             vc_auth::pseudonym::verify(black_box(&msg), &ta.public_key(), reg2.crl(), now, window())

@@ -1,6 +1,7 @@
 //! Micro-benches for the cryptographic substrate: the raw cost basis
 //! behind every protocol number in EXPERIMENTS.md.
 
+use vc_auth::pseudonym::{LinkageSeed, PseudonymId};
 use vc_crypto::chacha20::{encrypt, seal};
 use vc_crypto::dh::EphemeralSecret;
 use vc_crypto::group::{Element, Scalar};
@@ -24,6 +25,12 @@ fn main() {
         let data = vec![0xA5u8; size];
         suite.bench_bytes(&format!("sha256/{size}"), size as u64, || sha256(black_box(&data)));
     }
+    // One CRL entry's keyed hash through the streaming hasher: what the
+    // lane kernel under `auth/crl/scan/*` is measured against.
+    let seed = LinkageSeed([0x5A; 16]);
+    suite.bench("sha256/linkage_scalar", || {
+        black_box(&seed).linkage_value(black_box(PseudonymId(0x0123_4567_89AB_CDEF)))
+    });
     let data = vec![0u8; 256];
     suite.bench("hmac_sha256/256B", || hmac_sha256(black_box(b"key"), black_box(&data)));
 

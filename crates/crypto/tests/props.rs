@@ -6,7 +6,7 @@ use vc_crypto::hex;
 use vc_crypto::hmac::{hkdf_expand, hkdf_extract, hmac_sha256};
 use vc_crypto::merkle::MerkleTree;
 use vc_crypto::schnorr::{Signature, SigningKey};
-use vc_crypto::sha256::sha256;
+use vc_crypto::sha256::{compress_lanes, sha256};
 use vc_crypto::u256::{Mont, U256};
 use vc_testkit::prop::strategy::{any_bytes, any_u16, any_u64, any_u8, any_words, vec};
 use vc_testkit::{prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume};
@@ -222,6 +222,32 @@ prop! {
             let idx = flip as usize % tampered.len();
             tampered[idx] ^= 1;
             prop_assert_ne!(d1, sha256(&tampered));
+        }
+    }
+
+    // The lane kernel against the streaming hasher: sixteen random
+    // messages of random single-block lengths, padded by hand, every lane,
+    // all eight digest words.
+    #[test]
+    fn compress_lanes_matches_sha256_per_lane(
+        messages in vec(vec(any_u8(), 0..56), 16..17),
+    ) {
+        let mut blocks = [[0u32; 16]; 16];
+        for (lane, message) in messages.iter().enumerate() {
+            let mut block = [0u8; 64];
+            block[..message.len()].copy_from_slice(message);
+            block[message.len()] = 0x80;
+            block[56..].copy_from_slice(&(8 * message.len() as u64).to_be_bytes());
+            for (word, bytes) in blocks.iter_mut().zip(block.chunks_exact(4)) {
+                word[lane] = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            }
+        }
+        let words = compress_lanes(&blocks);
+        for (lane, message) in messages.iter().enumerate() {
+            let digest = sha256(message);
+            for (word, bytes) in words.iter().zip(digest.chunks_exact(4)) {
+                prop_assert_eq!(&word[lane].to_be_bytes()[..], bytes, "lane {}", lane);
+            }
         }
     }
 
