@@ -80,6 +80,19 @@ fn main() {
         });
     }
 
+    // The dynamic cloud's fleet: 1 000 vehicles on 1 km², mean degree about
+    // 216, where rows are dense in the id space and ordered by bitmap.
+    {
+        let pos = positions(1_000, 1_000.0, 7);
+        let online = vec![true; pos.len()];
+        let mut table = NeighborTable::new();
+        let mut grid = SpatialGrid::new(300.0);
+        suite.bench_elems("neighbor_table/rebuild/1000-dense", pos.len() as u64, || {
+            table.rebuild(&mut grid, black_box(&pos), &online, 300.0);
+            table.len()
+        });
+    }
+
     // ---- canyon LOS link (distance_to_nearest_road per sample) ----
     let mut builder = ScenarioBuilder::new();
     builder.seed(11).vehicles(10);

@@ -1,6 +1,9 @@
-//! Micro-benches for clustering and routing rounds — the per-round cost
-//! basis of experiment E8.
+//! Micro-benches for clustering, routing rounds and the dynamic cloud's
+//! tick — the per-round cost basis of experiments E8 and E2.
 
+use vc_cloud::arch::{ArchitectureKind, CloudSim};
+use vc_cloud::scheduler::SchedulerConfig;
+use vc_cloud::stay::Kinematic;
 use vc_net::cluster::{form_clusters, maintain_clusters, ClusterConfig};
 use vc_net::netsim::NetSim;
 use vc_net::routing::{ClusterRouting, Epidemic, GreedyGeo, MozoRouting, RoutingProtocol};
@@ -82,6 +85,29 @@ fn main() {
                 maintain_clusters(&previous, black_box(&world), &ClusterConfig::multi_hop(), 0.5)
             });
         }
+    }
+
+    // ---- one tick of the Fig. 4(c) dynamic cloud ----
+    // `cloud-pipeline`'s fleet: 1 000 vehicles on the 1 km² urban grid, 25
+    // tasks every fourth tick, so the scheduler has work in steady state.
+    {
+        let mut scenario = ScenarioBuilder::new().seed(42).vehicles(1_000).urban_with_rsus();
+        scenario.shards = 1;
+        let mut cloud = CloudSim::new(
+            scenario,
+            ArchitectureKind::Dynamic,
+            SchedulerConfig::default(),
+            Kinematic,
+        );
+        let mut tick = 0u64;
+        suite.bench("cloud/tick/dynamic/1000", || {
+            if tick.is_multiple_of(4) {
+                cloud.submit_batch(25, 400.0, None);
+            }
+            tick += 1;
+            cloud.tick();
+            cloud.scheduler().stats().completed
+        });
     }
 
     // ---- full routing rounds (20 rounds, 60 vehicles) ----

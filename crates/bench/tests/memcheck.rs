@@ -6,9 +6,10 @@
 //! * the allocator's own counters behave: counts rise on allocation, live
 //!   bytes fall on drop, `reset_peak` re-baselines the high-water mark;
 //! * the simulator's per-tick hot loops — `Fleet::step_sharded`,
-//!   `NetSim::round`, and the neighbor-table rebuild + cluster re-formation
-//!   inside it — allocate **nothing** once their scratch buffers are warm
-//!   and the single-shard plan collapses to an inline loop.
+//!   `NetSim::round`, the neighbor-table rebuild + cluster re-formation
+//!   inside it, and the dynamic `CloudSim::tick` built on the same two —
+//!   allocate **nothing** once their scratch buffers are warm and the
+//!   single-shard plan collapses to an inline loop.
 //!
 //! Zero-alloc assertions use [`AllocScope`], which reads *thread-local*
 //! counters, so they are immune to allocation by concurrent test threads.
@@ -17,6 +18,9 @@
 
 use std::sync::Mutex;
 
+use vc_cloud::arch::{ArchitectureKind, CloudSim};
+use vc_cloud::scheduler::SchedulerConfig;
+use vc_cloud::stay::Kinematic;
 use vc_net::netsim::NetSim;
 use vc_net::routing::{ClusterRouting, GreedyGeo, MozoRouting, RoutingProtocol};
 use vc_net::world::WorldView;
@@ -166,6 +170,31 @@ fn neighbor_rebuild_and_cluster_reform_steady_state_allocate_nothing() {
         (delta.allocs, delta.bytes),
         (0, 0),
         "rebuild + re-formation must be allocation-free after warm-up"
+    );
+}
+
+#[test]
+fn dynamic_cloud_tick_with_idle_scheduler_allocates_nothing() {
+    // The Fig. 4(c) cloud over dense traffic: every tick rebuilds the
+    // neighbor table (rows ordered by bitmap), re-forms the clustering,
+    // picks the broker's cluster and refills the host list. A highway,
+    // because urban waypoint mobility plans a fresh path (which allocates)
+    // whenever a vehicle arrives, and that is not the cloud's doing.
+    let mut scenario = ScenarioBuilder::new().seed(9).vehicles(1_000).highway_no_infra();
+    scenario.shards = 1;
+    let mut cloud =
+        CloudSim::new(scenario, ArchitectureKind::Dynamic, SchedulerConfig::default(), Kinematic);
+    // Warm-up: the table's flat storage and the member and host buffers
+    // find their high-water marks as the fleet mixes.
+    cloud.run_ticks(60);
+    let scope = AllocScope::start();
+    cloud.run_ticks(60);
+    let delta = scope.finish();
+    assert!(cloud.membership().members.len() > 100, "the cloud must have formed");
+    assert_eq!(
+        (delta.allocs, delta.bytes),
+        (0, 0),
+        "a dynamic cloud tick with nothing to schedule must be allocation-free after warm-up"
     );
 }
 

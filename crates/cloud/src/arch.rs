@@ -14,9 +14,10 @@
 use crate::scheduler::{HostInfo, Scheduler, SchedulerConfig};
 use crate::stay::{HostDynamics, StayEstimator};
 use crate::task::{TaskId, TaskSpec};
-use vc_net::cluster::{form_clusters, ClusterConfig};
+use vc_net::cluster::{ClusterConfig, Clustering};
 use vc_net::world::WorldView;
 use vc_sim::geom::{Point, SpatialGrid};
+use vc_sim::mobility::Mobility;
 use vc_sim::node::VehicleId;
 use vc_sim::radio::NeighborTable;
 use vc_sim::scenario::Scenario;
@@ -57,79 +58,100 @@ pub struct Membership {
     pub radius: f64,
 }
 
-/// Computes the current membership for an architecture over a scenario.
-pub fn membership(kind: ArchitectureKind, scenario: &Scenario) -> Membership {
-    let mut neighbors = NeighborTable::new();
-    let mut grid = SpatialGrid::new(scenario.channel.range_m.max(1.0));
-    membership_with(kind, scenario, &mut neighbors, &mut grid)
+/// The buffers behind the dynamic architecture's membership: the neighbor
+/// table, its grid and the clustering, all rebuilt in place, so a per-tick
+/// caller stops allocating once they have grown to the fleet.
+struct DynamicScratch {
+    neighbors: NeighborTable,
+    grid: SpatialGrid,
+    clustering: Clustering,
 }
 
-/// [`membership`] with the dynamic architecture's neighbor table built into
-/// caller-owned buffers, so a per-tick caller stops reallocating them.
-fn membership_with(
-    kind: ArchitectureKind,
-    scenario: &Scenario,
-    neighbors: &mut NeighborTable,
-    grid: &mut SpatialGrid,
-) -> Membership {
-    match kind {
-        ArchitectureKind::Stationary => {
-            let members: Vec<VehicleId> = scenario
-                .fleet
-                .vehicles()
-                .iter()
-                .filter(|v| {
-                    scenario.fleet.is_online(v.id())
-                        && matches!(v.mobility, vc_sim::mobility::Mobility::Parked { .. })
-                })
-                .map(|v| v.id())
-                .collect();
-            let center = centroid(scenario, &members);
-            Membership { broker: members.first().copied(), members, center, radius: 1_000.0 }
-        }
-        ArchitectureKind::InfrastructureBased => {
-            let members: Vec<VehicleId> = scenario
-                .fleet
-                .vehicles()
-                .iter()
-                .filter(|v| {
-                    scenario.fleet.is_online(v.id())
-                        && scenario.rsus.covering(scenario.fleet.pos(v.id())).is_some()
-                })
-                .map(|v| v.id())
-                .collect();
-            let center = centroid(scenario, &members);
-            Membership { broker: None, members, center, radius: 350.0 }
-        }
-        ArchitectureKind::Dynamic => {
-            scenario.neighbor_table_into(neighbors, grid);
-            let world = WorldView {
-                positions: scenario.fleet.positions(),
-                velocities: scenario.fleet.velocities(),
-                online: scenario.fleet.online_flags(),
-                neighbors,
-            };
-            let clustering = form_clusters(&world, &ClusterConfig::multi_hop());
-            // The cloud is the largest cluster; its head is the broker.
-            let best = clustering
-                .heads()
-                .max_by_key(|&h| (clustering.members(h).len(), std::cmp::Reverse(h)));
-            match best {
-                Some(head) => {
-                    let members = clustering.members(head).to_vec();
-                    let center = centroid(scenario, &members);
-                    Membership {
-                        broker: Some(head),
-                        members,
-                        center,
-                        radius: scenario.channel.range_m
-                            * ClusterConfig::multi_hop().max_hops as f64,
-                    }
-                }
-                None => Membership::default(),
-            }
+impl DynamicScratch {
+    fn new(scenario: &Scenario) -> Self {
+        DynamicScratch {
+            neighbors: NeighborTable::new(),
+            grid: SpatialGrid::new(scenario.channel.range_m.max(1.0)),
+            clustering: Clustering::default(),
         }
     }
+}
+
+/// Computes the current membership for an architecture over a scenario.
+pub fn membership(kind: ArchitectureKind, scenario: &Scenario) -> Membership {
+    let mut out = Membership::default();
+    membership_into(kind, scenario, &mut DynamicScratch::new(scenario), &mut out);
+    out
+}
+
+/// [`membership`] into caller-owned buffers.
+fn membership_into(
+    kind: ArchitectureKind,
+    scenario: &Scenario,
+    scratch: &mut DynamicScratch,
+    out: &mut Membership,
+) {
+    let fleet = &scenario.fleet;
+    out.members.clear();
+    // Sized for the fleet, not for this tick's cloud, so a growing cloud
+    // never reallocates.
+    out.members.reserve(fleet.len());
+    match kind {
+        ArchitectureKind::Stationary => {
+            out.members.extend(
+                fleet
+                    .vehicles()
+                    .iter()
+                    .filter(|v| {
+                        fleet.is_online(v.id()) && matches!(v.mobility, Mobility::Parked { .. })
+                    })
+                    .map(|v| v.id()),
+            );
+            out.broker = out.members.first().copied();
+            out.radius = 1_000.0;
+        }
+        ArchitectureKind::InfrastructureBased => {
+            out.members.extend(
+                fleet
+                    .vehicles()
+                    .iter()
+                    .filter(|v| {
+                        fleet.is_online(v.id())
+                            && scenario.rsus.covering(fleet.pos(v.id())).is_some()
+                    })
+                    .map(|v| v.id()),
+            );
+            out.broker = None;
+            out.radius = 350.0;
+        }
+        ArchitectureKind::Dynamic => {
+            let DynamicScratch { neighbors, grid, clustering } = scratch;
+            {
+                let _grid = vc_obs::profile::frame("grid.query");
+                scenario.neighbor_table_into(neighbors, grid);
+            }
+            let world = WorldView {
+                positions: fleet.positions(),
+                velocities: fleet.velocities(),
+                online: fleet.online_flags(),
+                neighbors,
+            };
+            let cfg = ClusterConfig::multi_hop();
+            clustering.reform(&world, &cfg);
+            // The cloud is the largest cluster; its head is the broker.
+            out.broker = clustering
+                .heads()
+                .max_by_key(|&h| (clustering.members(h).len(), std::cmp::Reverse(h)));
+            out.radius = match out.broker {
+                Some(head) => {
+                    out.members.extend_from_slice(clustering.members(head));
+                    scenario.channel.range_m * cfg.max_hops as f64
+                }
+                None => 0.0,
+            };
+        }
+    }
+    out.center = centroid(scenario, &out.members);
 }
 
 fn centroid(scenario: &Scenario, members: &[VehicleId]) -> Point {
@@ -147,27 +169,36 @@ pub fn hosts_of(
     membership: &Membership,
     estimator: &dyn StayEstimator,
 ) -> Vec<HostInfo> {
-    membership
-        .members
-        .iter()
-        .map(|&id| {
-            let v = scenario.fleet.vehicle(id);
-            let parked = matches!(v.mobility, vc_sim::mobility::Mobility::Parked { .. });
-            let dynamics = HostDynamics {
-                pos: scenario.fleet.pos(id),
-                vel: scenario.fleet.velocity(id),
-                group_center: membership.center,
-                group_radius: membership.radius,
-                parked,
-            };
-            HostInfo {
-                id,
-                cpu_gflops: v.profile.resources.cpu_gflops,
-                automation: v.profile.automation,
-                stay_estimate_s: estimator.estimate(&dynamics),
-            }
-        })
-        .collect()
+    let mut hosts = Vec::new();
+    hosts_into(scenario, membership, estimator, &mut hosts);
+    hosts
+}
+
+/// [`hosts_of`] into a caller-owned buffer.
+fn hosts_into(
+    scenario: &Scenario,
+    membership: &Membership,
+    estimator: &dyn StayEstimator,
+    out: &mut Vec<HostInfo>,
+) {
+    out.clear();
+    out.reserve(scenario.fleet.len());
+    out.extend(membership.members.iter().map(|&id| {
+        let v = scenario.fleet.vehicle(id);
+        let dynamics = HostDynamics {
+            pos: scenario.fleet.pos(id),
+            vel: scenario.fleet.velocity(id),
+            group_center: membership.center,
+            group_radius: membership.radius,
+            parked: matches!(v.mobility, Mobility::Parked { .. }),
+        };
+        HostInfo {
+            id,
+            cpu_gflops: v.profile.resources.cpu_gflops,
+            automation: v.profile.automation,
+            stay_estimate_s: estimator.estimate(&dynamics),
+        }
+    }));
 }
 
 /// A full cloud simulation: scenario + architecture + scheduler.
@@ -179,10 +210,10 @@ pub struct CloudSim<E: StayEstimator> {
     estimator: E,
     now: SimTime,
     next_task: u64,
-    /// Neighbor table and spatial grid behind the dynamic architecture's
-    /// per-tick membership, rebuilt in place each tick.
-    neighbors: NeighborTable,
-    grid: SpatialGrid,
+    scratch: DynamicScratch,
+    /// This tick's membership and the hosts made from it, refilled in place.
+    membership: Membership,
+    hosts: Vec<HostInfo>,
 }
 
 impl<E: StayEstimator> CloudSim<E> {
@@ -193,16 +224,16 @@ impl<E: StayEstimator> CloudSim<E> {
         config: SchedulerConfig,
         estimator: E,
     ) -> Self {
-        let grid = SpatialGrid::new(scenario.channel.range_m.max(1.0));
         CloudSim {
+            scratch: DynamicScratch::new(&scenario),
             scenario,
             kind,
             scheduler: Scheduler::new(config),
             estimator,
             now: SimTime::ZERO,
             next_task: 0,
-            neighbors: NeighborTable::new(),
-            grid,
+            membership: Membership::default(),
+            hosts: Vec::new(),
         }
     }
 
@@ -254,9 +285,15 @@ impl<E: StayEstimator> CloudSim<E> {
             self.scenario.tick_probed(self.now, vc_obs::as_probe(&mut rec));
         }
         self.now += SimDuration::from_secs_f64(self.scenario.dt);
-        let membership =
-            membership_with(self.kind, &self.scenario, &mut self.neighbors, &mut self.grid);
-        let hosts = hosts_of(&self.scenario, &membership, &self.estimator);
+        {
+            let _membership = vc_obs::profile::frame("cloud.membership");
+            membership_into(self.kind, &self.scenario, &mut self.scratch, &mut self.membership);
+        }
+        {
+            let _hosts = vc_obs::profile::frame("cloud.hosts");
+            hosts_into(&self.scenario, &self.membership, &self.estimator, &mut self.hosts);
+        }
+        let membership = &self.membership;
         if let Some(r) = vc_obs::reborrow(&mut rec) {
             r.event(
                 self.now,
@@ -269,7 +306,7 @@ impl<E: StayEstimator> CloudSim<E> {
             );
             r.hub_mut().gauge_set("cloud.membership.size", membership.members.len() as f64);
         }
-        self.scheduler.tick_obs(self.now, self.scenario.dt, &hosts, rec);
+        self.scheduler.tick_obs(self.now, self.scenario.dt, &self.hosts, rec);
     }
 
     /// Runs `n` ticks.

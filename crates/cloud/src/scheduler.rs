@@ -8,7 +8,7 @@
 //! or handing the checkpoint over to another host.
 
 use crate::task::{TaskId, TaskRecord, TaskSpec, TaskStatus};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use vc_sim::node::{SaeLevel, VehicleId};
 use vc_sim::time::SimTime;
 
@@ -111,13 +111,24 @@ impl SchedulerStats {
 }
 
 /// The scheduler.
+///
+/// Every record ever submitted stays readable in `tasks`; a tick walks only
+/// the live ones, which are exactly the ids in `queued` plus the values of
+/// `assignments`.
 #[derive(Debug)]
 pub struct Scheduler {
     config: SchedulerConfig,
     tasks: BTreeMap<TaskId, TaskRecord>,
+    /// Tasks waiting for a host, in the order placement serves them.
+    queued: BTreeSet<TaskId>,
     /// host → task running on it.
     assignments: BTreeMap<VehicleId, TaskId>,
     stats: SchedulerStats,
+    /// Assignments the latest tick made, by placement or handover, that
+    /// were still in place when it ended.
+    placed: usize,
+    /// This tick's unassigned hosts (reused buffer).
+    free: Vec<HostInfo>,
 }
 
 impl Scheduler {
@@ -126,14 +137,24 @@ impl Scheduler {
         Scheduler {
             config,
             tasks: BTreeMap::new(),
+            queued: BTreeSet::new(),
             assignments: BTreeMap::new(),
             stats: SchedulerStats::default(),
+            placed: 0,
+            free: Vec::new(),
         }
     }
 
-    /// Submits a task.
+    /// Submits a task. Submitting an id again replaces its record; a host
+    /// that was running the old one is freed.
     pub fn submit(&mut self, spec: TaskSpec, now: SimTime) {
-        self.tasks.insert(spec.id, TaskRecord::new(spec, now));
+        let id = spec.id;
+        if let Some(old) = self.tasks.insert(id, TaskRecord::new(spec, now)) {
+            if let TaskStatus::Running { host, .. } = old.status {
+                self.assignments.remove(&host);
+            }
+        }
+        self.queued.insert(id);
     }
 
     /// All task records (inspection).
@@ -153,7 +174,7 @@ impl Scheduler {
 
     /// Number of live (queued or running) tasks.
     pub fn live_tasks(&self) -> usize {
-        self.tasks.values().filter(|t| t.is_live()).count()
+        self.queued.len() + self.assignments.len()
     }
 
     /// Advances like [`Scheduler::tick`] and emits `cloud` scheduler events
@@ -173,16 +194,10 @@ impl Scheduler {
             self.tick(now, dt, hosts);
             return;
         };
-        let assignments_before = self.assignments.clone();
         let before = self.stats.clone();
         self.tick(now, dt, hosts);
-        let placed = self
-            .assignments
-            .iter()
-            .filter(|(host, task)| assignments_before.get(host) != Some(task))
-            .count();
-        if placed > 0 {
-            rec.event(now, "cloud", "sched.place", vec![("tasks", placed.into())]);
+        if self.placed > 0 {
+            rec.event(now, "cloud", "sched.place", vec![("tasks", self.placed.into())]);
         }
         let completed = self.stats.completed - before.completed;
         if completed > 0 {
@@ -205,159 +220,207 @@ impl Scheduler {
     }
 
     /// Advances the scheduler by `dt` seconds given this tick's host set.
-    /// Hosts absent from `hosts` are treated as departed.
+    /// Hosts absent from `hosts` are treated as departed; of two entries
+    /// with one id the later counts. Costs O(hosts + live tasks), however
+    /// many tasks have finished.
     pub fn tick(&mut self, now: SimTime, dt: f64, hosts: &[HostInfo]) {
-        let host_map: BTreeMap<VehicleId, HostInfo> = hosts.iter().map(|h| (h.id, *h)).collect();
         self.stats.offered_gflop += hosts.iter().map(|h| h.cpu_gflops).sum::<f64>() * dt;
 
-        self.handle_departures(&host_map);
-        self.progress_running(now, dt, &host_map);
+        // Every phase looks hosts up by id, in id order. A membership comes
+        // in that order already; anything else is sorted into a copy.
+        let sorted;
+        let hosts = if hosts.windows(2).all(|w| w[0].id < w[1].id) {
+            hosts
+        } else {
+            sorted = by_id(hosts);
+            &sorted
+        };
+        let moved = self.handle_departures(hosts);
+        self.progress_running(now, dt, hosts);
         self.expire_overdue(now);
-        self.place_queued(&host_map);
+        self.placed = self.place_queued(hosts);
+        // A handed-over task that also finished this tick left no assignment.
+        self.placed += moved
+            .iter()
+            .filter(|&&(host, task)| self.assignments.get(&host) == Some(&task))
+            .count();
     }
 
-    fn handle_departures(&mut self, host_map: &BTreeMap<VehicleId, HostInfo>) {
-        let departed: Vec<(VehicleId, TaskId)> = self
-            .assignments
-            .iter()
-            .filter(|(host, _)| !host_map.contains_key(host))
-            .map(|(h, t)| (*h, *t))
-            .collect();
-        for (host, task_id) in departed {
-            self.assignments.remove(&host);
-            let config = self.config;
-            let free = self.free_hosts(host_map);
+    /// Takes every task off a host that left and hands it over or requeues
+    /// it; returns the handovers made as `(new host, task)`.
+    fn handle_departures(&mut self, hosts: &[HostInfo]) -> Vec<(VehicleId, TaskId)> {
+        let mut departed: Vec<TaskId> = Vec::new();
+        self.assignments.retain(|&host, &mut task| {
+            let present = find(hosts, host).is_some();
+            if !present {
+                departed.push(task);
+            }
+            present
+        });
+        let mut moved = Vec::new();
+        if departed.is_empty() {
+            return moved;
+        }
+        let config = self.config;
+        if config.handover == HandoverPolicy::Handover {
+            self.fill_free(hosts);
+        }
+        for task_id in departed {
             let record = self.tasks.get_mut(&task_id).expect("assigned task exists");
             let done = match record.status {
                 TaskStatus::Running { done_gflop, .. } => done_gflop,
                 _ => 0.0,
             };
-            match config.handover {
-                HandoverPolicy::Drop => {
+            // Find a free eligible host to receive the checkpoint.
+            let spec = &record.spec;
+            let target = match config.handover {
+                HandoverPolicy::Drop => None,
+                HandoverPolicy::Handover => self
+                    .free
+                    .iter()
+                    .position(|h| eligible(h, spec, spec.work_gflop - done, config.stay_safety)),
+            };
+            match target {
+                Some(idx) => {
+                    let host = self.free.remove(idx).id;
+                    // Checkpoint = remaining input + progress state
+                    // (modeled as half the input size).
+                    self.stats.network_mb += spec.input_mb * 0.5 + spec.input_mb;
+                    record.status = TaskStatus::Running { host, done_gflop: done };
+                    record.handovers += 1;
+                    self.stats.handovers += 1;
+                    self.assignments.insert(host, task_id);
+                    moved.push((host, task_id));
+                }
+                None => {
+                    // Dropped, or nobody to hand to: progress dies with the
+                    // host and the input is re-shipped on the next placement.
                     record.recomputed_gflop += done;
                     self.stats.recomputed_gflop += done;
                     record.status = TaskStatus::Queued;
-                    // Input must be re-shipped on the next placement.
-                }
-                HandoverPolicy::Handover => {
-                    // Find a free eligible host to receive the checkpoint.
-                    let spec = record.spec.clone();
-                    let target = free
-                        .into_iter()
-                        .find(|h| eligible(h, &spec, spec.work_gflop - done, config.stay_safety));
-                    match target {
-                        Some(h) => {
-                            // Checkpoint = remaining input + progress state
-                            // (modeled as half the input size).
-                            self.stats.network_mb += spec.input_mb * 0.5 + spec.input_mb;
-                            record.status = TaskStatus::Running { host: h.id, done_gflop: done };
-                            record.handovers += 1;
-                            self.stats.handovers += 1;
-                            self.assignments.insert(h.id, task_id);
-                        }
-                        None => {
-                            // Nobody to hand to: progress dies with the host.
-                            record.recomputed_gflop += done;
-                            self.stats.recomputed_gflop += done;
-                            record.status = TaskStatus::Queued;
-                        }
-                    }
+                    self.queued.insert(task_id);
                 }
             }
         }
+        moved
     }
 
-    fn progress_running(
-        &mut self,
-        now: SimTime,
-        dt: f64,
-        host_map: &BTreeMap<VehicleId, HostInfo>,
-    ) {
-        let running: Vec<TaskId> = self.assignments.values().copied().collect();
-        for task_id in running {
-            let record = self.tasks.get_mut(&task_id).expect("assigned task exists");
-            if let TaskStatus::Running { host, done_gflop } = record.status {
-                let cpu = host_map.get(&host).map_or(0.0, |h| h.cpu_gflops);
-                let advance = (cpu * dt).min(record.spec.work_gflop - done_gflop);
-                self.stats.executed_gflop += advance;
-                let new_done = done_gflop + advance;
-                if new_done >= record.spec.work_gflop - 1e-9 {
-                    record.status = TaskStatus::Completed { at: now };
-                    self.stats.completed += 1;
-                    self.stats.network_mb += record.spec.output_mb;
-                    self.stats.turnaround_sum_s +=
-                        now.saturating_since(record.submitted_at).as_secs_f64();
-                    self.assignments.remove(&host);
-                } else {
-                    record.status = TaskStatus::Running { host, done_gflop: new_done };
-                }
+    fn progress_running(&mut self, now: SimTime, dt: f64, hosts: &[HostInfo]) {
+        let Scheduler { tasks, assignments, stats, .. } = self;
+        // In host order: the f64 sums below depend on it.
+        assignments.retain(|&host, task_id| {
+            let record = tasks.get_mut(task_id).expect("assigned task exists");
+            let TaskStatus::Running { done_gflop, .. } = record.status else {
+                return true;
+            };
+            let cpu = find(hosts, host).map_or(0.0, |h| h.cpu_gflops);
+            let advance = (cpu * dt).min(record.spec.work_gflop - done_gflop);
+            stats.executed_gflop += advance;
+            let new_done = done_gflop + advance;
+            let finished = new_done >= record.spec.work_gflop - 1e-9;
+            if finished {
+                record.status = TaskStatus::Completed { at: now };
+                stats.completed += 1;
+                stats.network_mb += record.spec.output_mb;
+                stats.turnaround_sum_s += now.saturating_since(record.submitted_at).as_secs_f64();
+            } else {
+                record.status = TaskStatus::Running { host, done_gflop: new_done };
             }
-        }
+            !finished
+        });
     }
 
     fn expire_overdue(&mut self, now: SimTime) {
-        let mut freed: Vec<VehicleId> = Vec::new();
-        for record in self.tasks.values_mut() {
-            if !record.is_live() {
-                continue;
+        let Scheduler { tasks, queued, assignments, stats, .. } = self;
+        let mut overdue = |id: &TaskId| {
+            let record = tasks.get_mut(id).expect("live task exists");
+            let late = record.spec.deadline.is_some_and(|deadline| now > deadline);
+            if late {
+                record.status = TaskStatus::Expired;
+                stats.expired += 1;
             }
-            if let Some(deadline) = record.spec.deadline {
-                if now > deadline {
-                    if let TaskStatus::Running { host, .. } = record.status {
-                        freed.push(host);
-                    }
-                    record.status = TaskStatus::Expired;
-                    self.stats.expired += 1;
-                }
-            }
-        }
-        for host in freed {
-            self.assignments.remove(&host);
-        }
+            late
+        };
+        queued.retain(|id| !overdue(id));
+        assignments.retain(|_, id| !overdue(id));
     }
 
-    fn place_queued(&mut self, host_map: &BTreeMap<VehicleId, HostInfo>) {
+    /// Places queued tasks, lowest id first, each on the first eligible
+    /// free host in policy order; returns how many it placed.
+    fn place_queued(&mut self, hosts: &[HostInfo]) -> usize {
         let _place = vc_obs::profile::frame("sched.place");
-        let mut free = self.free_hosts(host_map);
+        if self.queued.is_empty() {
+            return 0;
+        }
+        self.fill_free(hosts);
+        // Ids are distinct, so each order is total and the unstable sort
+        // (which, unlike the stable one, allocates nothing) is deterministic.
         match self.config.placement {
-            PlacementPolicy::FirstFit => free.sort_by_key(|h| h.id),
-            PlacementPolicy::MostStable => free.sort_by(|a, b| {
+            PlacementPolicy::FirstFit => {}
+            PlacementPolicy::MostStable => self.free.sort_unstable_by(|a, b| {
                 b.stay_estimate_s
                     .partial_cmp(&a.stay_estimate_s)
                     .expect("finite stays")
                     .then(a.id.cmp(&b.id))
             }),
-            PlacementPolicy::FastestCpu => free.sort_by(|a, b| {
+            PlacementPolicy::FastestCpu => self.free.sort_unstable_by(|a, b| {
                 b.cpu_gflops.partial_cmp(&a.cpu_gflops).expect("finite").then(a.id.cmp(&b.id))
             }),
         }
-        let queued: Vec<TaskId> = self
-            .tasks
-            .values()
-            .filter(|t| matches!(t.status, TaskStatus::Queued))
-            .map(|t| t.spec.id)
-            .collect();
-        let safety = self.config.stay_safety;
-        for task_id in queued {
-            let record = self.tasks.get_mut(&task_id).expect("queued task exists");
+        let Scheduler { tasks, queued, assignments, stats, free, config, .. } = self;
+        let mut placed = 0;
+        queued.retain(|task_id| {
+            if free.is_empty() {
+                return true;
+            }
+            let record = tasks.get_mut(task_id).expect("queued task exists");
             let remaining = record.remaining_gflop();
-            let Some(idx) = free.iter().position(|h| eligible(h, &record.spec, remaining, safety))
+            let Some(idx) =
+                free.iter().position(|h| eligible(h, &record.spec, remaining, config.stay_safety))
             else {
-                continue;
+                return true;
             };
-            let host = free.remove(idx);
-            record.status = TaskStatus::Running {
-                host: host.id,
-                done_gflop: record.spec.work_gflop - remaining,
-            };
-            self.stats.network_mb += record.spec.input_mb;
-            self.assignments.insert(host.id, task_id);
-        }
+            let host = free.remove(idx).id;
+            record.status =
+                TaskStatus::Running { host, done_gflop: record.spec.work_gflop - remaining };
+            stats.network_mb += record.spec.input_mb;
+            assignments.insert(host, *task_id);
+            placed += 1;
+            false
+        });
+        placed
     }
 
-    fn free_hosts(&self, host_map: &BTreeMap<VehicleId, HostInfo>) -> Vec<HostInfo> {
-        host_map.values().filter(|h| !self.assignments.contains_key(&h.id)).copied().collect()
+    /// Refills `free` with the hosts nothing runs on, ascending by id.
+    fn fill_free(&mut self, hosts: &[HostInfo]) {
+        self.free.clear();
+        let mut busy = self.assignments.keys().peekable();
+        for host in hosts {
+            while busy.next_if(|&&b| b < host.id).is_some() {}
+            if busy.peek() != Some(&&host.id) {
+                self.free.push(*host);
+            }
+        }
     }
+}
+
+/// `hosts` ascending by id; of two entries with one id the later survives.
+fn by_id(hosts: &[HostInfo]) -> Vec<HostInfo> {
+    let mut sorted = hosts.to_vec();
+    sorted.sort_by_key(|h| h.id);
+    sorted.dedup_by(|later, kept| {
+        let same = later.id == kept.id;
+        if same {
+            *kept = *later;
+        }
+        same
+    });
+    sorted
+}
+
+/// The entry for `id` in `hosts`, which ascend by id.
+fn find(hosts: &[HostInfo], id: VehicleId) -> Option<&HostInfo> {
+    hosts.binary_search_by_key(&id, |h| h.id).ok().map(|i| &hosts[i])
 }
 
 /// Is this host allowed to take this task, per automation floor and stay
@@ -551,6 +614,21 @@ mod tests {
         s.tick(SimTime::from_secs(1), 1.0, &[host(0, 10.0, 10_000.0)]);
         let running = s.tasks().filter(|t| matches!(t.status, TaskStatus::Running { .. })).count();
         assert_eq!(running, 1, "a host runs one task at a time");
+    }
+
+    #[test]
+    fn resubmitting_a_running_id_frees_its_host() {
+        let mut s = Scheduler::new(SchedulerConfig::default());
+        s.submit(spec(1, 1000.0), SimTime::ZERO);
+        let hosts = [host(0, 10.0, 10_000.0)];
+        run(&mut s, &hosts, 2, 1.0);
+        assert!(matches!(s.task(TaskId(1)).unwrap().status, TaskStatus::Running { .. }));
+        s.submit(spec(1, 20.0), SimTime::from_secs(2));
+        assert_eq!(s.task(TaskId(1)).unwrap().status, TaskStatus::Queued);
+        assert_eq!(s.live_tasks(), 1, "one record, queued, and no assignment left behind");
+        run(&mut s, &hosts, 4, 1.0);
+        assert_eq!(s.stats().completed, 1);
+        assert_eq!(s.live_tasks(), 0);
     }
 
     #[test]

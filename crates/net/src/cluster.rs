@@ -129,7 +129,7 @@ impl Clustering {
     }
 
     /// [`form_clusters`] into this value, reusing its buffers.
-    pub(crate) fn reform(&mut self, world: &WorldView<'_>, cfg: &ClusterConfig) {
+    pub fn reform(&mut self, world: &WorldView<'_>, cfg: &ClusterConfig) {
         let _form = vc_obs::profile::frame("cluster.form");
         self.head_of.clear();
         self.head_of.resize(world.len(), None);

@@ -252,6 +252,8 @@ pub struct NeighborTable {
     /// `offsets[i]..offsets[i + 1]` bounds vehicle `i`'s slice of `flat`.
     offsets: Vec<u32>,
     flat: Vec<VehicleId>,
+    /// Row-ordering scratch: one bit per vehicle id, all zero between rows.
+    marks: Vec<u64>,
 }
 
 impl Default for NeighborTable {
@@ -264,16 +266,18 @@ impl NeighborTable {
     /// An empty table over zero vehicles; fill it with
     /// [`NeighborTable::rebuild`].
     pub fn new() -> Self {
-        NeighborTable { offsets: vec![0], flat: Vec::new() }
+        NeighborTable { offsets: vec![0], flat: Vec::new(), marks: Vec::new() }
     }
 
-    /// Deep heap bytes of the CSR arrays, by capacity (the reserved
-    /// memory, which in-place rebuilds keep across rounds). Deterministic
-    /// and shard-count invariant, so the `mem.net.bytes` gauge built on it
-    /// can ride in byte-compared time-series output.
+    /// Deep heap bytes of the CSR arrays and the row-ordering bitmap, by
+    /// capacity (the reserved memory, which in-place rebuilds keep across
+    /// rounds). Deterministic and shard-count invariant, so the
+    /// `mem.net.bytes` gauge built on it can ride in byte-compared
+    /// time-series output.
     pub fn heap_bytes(&self) -> u64 {
         (self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.flat.capacity() * std::mem::size_of::<VehicleId>()) as u64
+            + self.flat.capacity() * std::mem::size_of::<VehicleId>()
+            + self.marks.capacity() * std::mem::size_of::<u64>()) as u64
     }
 
     /// Builds the table from vehicle positions (id = index) and a channel
@@ -292,6 +296,12 @@ impl NeighborTable {
     /// each slice is sorted, so the result is independent of the grid's cell
     /// size and scan order.
     ///
+    /// A row is ordered without comparisons when it is dense in the id
+    /// space: one bit per hit goes into a bitmap of `n / 64` words, and the
+    /// row is read back in ascending order with `trailing_zeros`. That
+    /// costs a pass over the whole bitmap, so rows shorter than its word
+    /// count keep the comparison sort.
+    ///
     /// # Panics
     ///
     /// Panics if `positions` and `online` differ in length.
@@ -307,6 +317,7 @@ impl NeighborTable {
         self.offsets.clear();
         self.offsets.push(0);
         self.flat.clear();
+        self.marks.resize(positions.len().div_ceil(64), 0);
         let r_sq = range_m * range_m;
         for (i, &p) in positions.iter().enumerate() {
             if online[i] {
@@ -325,7 +336,23 @@ impl NeighborTable {
                     }
                     self.flat.truncate(base + hits);
                 }
-                self.flat[start..].sort_unstable();
+                let row = &mut self.flat[start..];
+                if self.marks.len() <= row.len() {
+                    for id in row.iter() {
+                        self.marks[(id.0 >> 6) as usize] |= 1 << (id.0 & 63);
+                    }
+                    let mut out = row.iter_mut();
+                    for (w, word) in self.marks.iter_mut().enumerate() {
+                        let mut bits = std::mem::take(word);
+                        while bits != 0 {
+                            let slot = out.next().expect("one bit per distinct hit");
+                            *slot = VehicleId((w as u32) << 6 | bits.trailing_zeros());
+                            bits &= bits - 1;
+                        }
+                    }
+                } else {
+                    row.sort_unstable();
+                }
             }
             self.offsets.push(self.flat.len() as u32);
         }
@@ -514,6 +541,28 @@ mod tests {
                 assert_eq!(table.of(VehicleId(i as u32)), fresh.of(VehicleId(i as u32)));
             }
             assert_eq!(table.mean_degree(), fresh.mean_degree());
+        }
+    }
+
+    #[test]
+    fn ordering_bitmap_is_clear_after_every_rebuild() {
+        let mut rng = SimRng::seed_from(17);
+        let mut table = NeighborTable::new();
+        let mut grid = SpatialGrid::new(300.0);
+        // Fleets that grow and shrink across word counts, dense enough that
+        // most rows go through the bitmap and some (the offline ones, and
+        // the stragglers 5 km out) do not.
+        for n in [200usize, 64, 130, 1, 0, 257, 65] {
+            let positions: Vec<Point> = (0..n)
+                .map(|i| {
+                    let far = if i % 50 == 49 { 5_000.0 } else { 0.0 };
+                    Point::new(far + rng.range_f64(0.0, 400.0), rng.range_f64(0.0, 400.0))
+                })
+                .collect();
+            let online: Vec<bool> = (0..n).map(|i| i % 9 != 0).collect();
+            table.rebuild(&mut grid, &positions, &online, 300.0);
+            assert_eq!(table.marks.len(), n.div_ceil(64));
+            assert!(table.marks.iter().all(|&word| word == 0), "stale bits after n = {n}");
         }
     }
 

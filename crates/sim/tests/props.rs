@@ -51,15 +51,31 @@ struct Snapshot {
 
 fn snapshot() -> FromFn<impl Fn(&mut SimRng) -> Snapshot> {
     from_fn(|rng| {
-        // Empty and single-vehicle fleets come up one time in four.
-        let n = match rng.index(8) {
+        // Empty and single-vehicle fleets come up one time in four. Up to 64
+        // vehicles the ordering bitmap is one word and every non-empty row
+        // goes through it; the larger fleets put ids on both sides of a word
+        // boundary, and whether a row is long enough for the bitmap or is
+        // sorted by comparison depends on the layout and the range.
+        let n = match rng.index(10) {
             0 => 0,
             1 => 1,
+            2 | 3 => [64, 65, 127, 128, 129, 192, 257][rng.index(7)],
+            4 => rng.range_u64(2_000, 2_400) as usize,
             _ => rng.range_u64(2, 60) as usize,
         };
-        let layout = rng.index(4);
+        // A fleet of thousands is laid out sparse: four or five vehicles
+        // within 10 m of each of n / 4 sites 300 m apart, so nobody has
+        // more than four neighbors and no row reaches the bitmap.
+        let layout = if n >= 2_000 { 4 } else { rng.index(4) };
         let mut positions: Vec<Point> = (0..n)
-            .map(|_| match layout {
+            .map(|i| match layout {
+                4 => {
+                    let site = i % (n / 4);
+                    Point::new(
+                        300.0 * (site % 40) as f64 + rng.range_f64(0.0, 7.0),
+                        300.0 * (site / 40) as f64 + rng.range_f64(0.0, 7.0),
+                    )
+                }
                 // Everyone inside one cell.
                 0 => Point::new(rng.range_f64(10.0, 90.0), rng.range_f64(10.0, 90.0)),
                 // Exactly on cell corners, either side of the origin.
@@ -83,7 +99,12 @@ fn snapshot() -> FromFn<impl Fn(&mut SimRng) -> Snapshot> {
         }
         let online = (0..n).map(|_| rng.chance(0.8)).collect();
         // Far below, just below, exactly, and far above the cell size.
-        let range_m = [3.0, 99.0, 100.0, 250.0, 1200.0][rng.index(5)];
+        let ranges = if layout == 4 {
+            &[99.0, 100.0, 250.0][..]
+        } else {
+            &[3.0, 99.0, 100.0, 250.0, 1200.0]
+        };
+        let range_m = ranges[rng.index(ranges.len())];
         Snapshot { positions, online, range_m }
     })
 }
