@@ -91,8 +91,7 @@ fn main() {
     // `cloud-pipeline`'s fleet: 1 000 vehicles on the 1 km² urban grid, 25
     // tasks every fourth tick, so the scheduler has work in steady state.
     {
-        let mut scenario = ScenarioBuilder::new().seed(42).vehicles(1_000).urban_with_rsus();
-        scenario.shards = 1;
+        let scenario = ScenarioBuilder::new().seed(42).vehicles(1_000).urban_with_rsus();
         let mut cloud = CloudSim::new(
             scenario,
             ArchitectureKind::Dynamic,

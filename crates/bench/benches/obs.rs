@@ -1,6 +1,6 @@
 //! Micro-benches for the PR 7 observability surfaces: the causal sampling
 //! decision (on every `NetSim::send`, so it must stay branch-cheap), the
-//! shard-local `EventBuf` fill + coordinator absorb path, the per-tick
+//! per-copy `EventBuf` fill + canonical-order absorb path, the per-tick
 //! time-series diff, and a fully traced routing run at each sample rate
 //! (the E17 overhead, as a gated benchdiff entry).
 
@@ -35,7 +35,7 @@ fn main() {
         });
     }
 
-    // ---- shard-local buffer fill + canonical-order absorb ----
+    // ---- per-copy buffer fill + canonical-order absorb ----
     suite.bench_elems("recorder/buf_fill_absorb/256", 256, || {
         let mut rec = Recorder::new();
         let mut buf = EventBuf::new();

@@ -1,14 +1,13 @@
-//! `benchdiff` — compares `BENCH_*.json` artifacts and gates regressions.
+//! `benchdiff` — compares `BENCH_*.json` micro-bench artifacts.
 //!
 //! ```text
 //! # delta table: first file is the baseline, the rest merge into "current"
-//! benchdiff results/BENCH_pr1.json results/BENCH_pr3.json
-//! benchdiff results/BENCH_pr3.json /tmp/bench-out/BENCH_*.json --gate 25
+//! benchdiff results/BENCH_pr16.json /tmp/bench-out/BENCH_*.json
 //!
 //! # merge per-suite artifacts into one committed baseline (a suite named
 //! # again by a later file replaces the earlier one, so regenerated suites
 //! # can be merged over the previous baseline)
-//! benchdiff --merge BENCH_pr3 --out results/BENCH_pr3.json /tmp/out/BENCH_*.json
+//! benchdiff --merge BENCH_x --out /tmp/BENCH_x.json /tmp/out/BENCH_*.json
 //! ```
 //!
 //! Accepts both artifact shapes the workspace produces: the per-suite
@@ -16,18 +15,17 @@
 //! and the committed merged `{"id","mode","suites":[...]}` baselines.
 //! Suites align by name, benchmarks by name within the suite.
 //!
-//! `--gate PCT` exits nonzero when any *gateable* benchmark's median
-//! regressed by more than PCT percent. A benchmark is gateable only when
-//! both sides were actually measured (more than one batch); 1-iteration
-//! smoke entries (`--quick` / `VC_BENCH_QUICK=1`) are displayed but never
-//! gated — a single sample is noise, and failing CI on it would teach
-//! everyone to ignore the gate.
+//! The table is a drill-down tool, not an alarm: it always exits 0 on
+//! well-formed input (`vcbench` and the same-process `lane_guard` ratio are
+//! the regression alarms). A delta counts as *measured* only when both
+//! sides ran more than one batch; 1-iteration smoke entries (`--quick` /
+//! `VC_BENCH_QUICK=1`) are displayed and marked — a single sample is noise.
 //!
 //! When both sides of a benchmark carry the optional `allocs_per_iter` /
 //! `alloc_bytes_per_iter` columns (suites run by a binary with a counting
 //! allocator — see `vc_obs::mem`), an informational `alloc/iter` delta line
-//! is printed under the timing row. Allocation deltas are never gated, and
-//! suites without alloc data align and gate exactly as before.
+//! is printed under the timing row; suites without alloc data align and
+//! print exactly as before.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -47,7 +45,8 @@ struct Entry {
 }
 
 impl Entry {
-    /// A 1-batch entry is a smoke sample: display-only, never gated.
+    /// A 1-batch entry is a smoke sample: displayed, marked, not counted
+    /// as measured.
     fn reliable(self) -> bool {
         self.batches >= 2
     }
@@ -63,7 +62,7 @@ fn fail(msg: String) -> ! {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: benchdiff BASE.json CURRENT.json [MORE.json ...] [--gate PCT]\n\
+        "usage: benchdiff BASE.json CURRENT.json [MORE.json ...]\n\
 \x20      benchdiff --merge ID --out FILE [--note TEXT] SUITE.json [...]"
     );
     std::process::exit(2);
@@ -146,7 +145,7 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-fn run_diff(paths: &[String], gate: Option<f64>) -> ExitCode {
+fn run_diff(paths: &[String]) -> ExitCode {
     let base = load_side(&paths[..1]);
     let current = load_side(&paths[1..]);
 
@@ -163,8 +162,7 @@ fn run_diff(paths: &[String], gate: Option<f64>) -> ExitCode {
         .max(9);
 
     let mut compared = 0u32;
-    let mut gated = 0u32;
-    let mut regressions: Vec<(String, f64)> = Vec::new();
+    let mut measured = 0u32;
 
     println!(
         "{:<name_width$}  {:>12}  {:>12}  {:>9}  note",
@@ -188,8 +186,8 @@ fn run_diff(paths: &[String], gate: Option<f64>) -> ExitCode {
                     } else {
                         0.0
                     };
-                    let gateable = b.reliable() && c.reliable();
-                    let note = if gateable { "" } else { "smoke — not gated" };
+                    let both_measured = b.reliable() && c.reliable();
+                    let note = if both_measured { "" } else { "smoke — one sample" };
                     println!(
                         "{label:<width$}  {:>12}  {:>12}  {:>+8.1}%  {note}",
                         fmt_ns(b.median_ns),
@@ -197,18 +195,11 @@ fn run_diff(paths: &[String], gate: Option<f64>) -> ExitCode {
                         delta_pct,
                         width = name_width + 2,
                     );
-                    if gateable {
-                        gated += 1;
-                        if let Some(pct) = gate {
-                            if delta_pct > pct {
-                                regressions.push((format!("{suite}/{name}"), delta_pct));
-                            }
-                        }
-                    }
-                    // Allocation deltas are informational only — printed when
-                    // both sides were measured with a counting allocator,
-                    // never gated. Suites without alloc columns produce
-                    // exactly the output they did before those existed.
+                    measured += u32::from(both_measured);
+                    // Allocation deltas are printed when both sides were
+                    // measured with a counting allocator. Suites without
+                    // alloc columns produce exactly the output they did
+                    // before those existed.
                     if let (Some(ba), Some(bb), Some(ca), Some(cb)) = (
                         b.allocs_per_iter,
                         b.alloc_bytes_per_iter,
@@ -246,21 +237,8 @@ fn run_diff(paths: &[String], gate: Option<f64>) -> ExitCode {
         }
     }
 
-    println!("\n{compared} benchmarks compared, {gated} measured on both sides");
-    match gate {
-        None => ExitCode::SUCCESS,
-        Some(pct) if regressions.is_empty() => {
-            println!("gate: no median regressed beyond {pct}%");
-            ExitCode::SUCCESS
-        }
-        Some(pct) => {
-            println!("gate FAILED: {} median(s) regressed beyond {pct}%:", regressions.len());
-            for (name, delta) in &regressions {
-                println!("  {name}  {delta:+.1}%");
-            }
-            ExitCode::FAILURE
-        }
-    }
+    println!("\n{compared} benchmarks compared, {measured} measured on both sides");
+    ExitCode::SUCCESS
 }
 
 fn run_merge(id: &str, note: Option<&str>, out: &str, paths: &[String]) -> ExitCode {
@@ -292,7 +270,6 @@ fn run_merge(id: &str, note: Option<&str>, out: &str, paths: &[String]) -> ExitC
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut gate: Option<f64> = None;
     let mut merge_id: Option<String> = None;
     let mut note: Option<String> = None;
     let mut out: Option<String> = None;
@@ -308,13 +285,6 @@ fn main() -> ExitCode {
     };
     while i < args.len() {
         match args[i].as_str() {
-            "--gate" => {
-                let raw = flag_value(&args, &mut i, "--gate");
-                gate = Some(raw.parse().unwrap_or_else(|_| {
-                    eprintln!("benchdiff: --gate needs a percentage, got `{raw}`");
-                    std::process::exit(2);
-                }));
-            }
             "--merge" => merge_id = Some(flag_value(&args, &mut i, "--merge")),
             "--note" => note = Some(flag_value(&args, &mut i, "--note")),
             "--out" => out = Some(flag_value(&args, &mut i, "--out")),
@@ -342,7 +312,7 @@ fn main() -> ExitCode {
             if files.len() < 2 {
                 usage();
             }
-            run_diff(&files, gate)
+            run_diff(&files)
         }
     }
 }

@@ -1,4 +1,5 @@
-//! The experiment table generator: prints E1..E19 (see DESIGN.md §4).
+//! The experiment table generator: prints the registry's tables (see
+//! DESIGN.md §4).
 
 use std::io::Write;
 use vc_bench::experiments::registry;
@@ -7,9 +8,16 @@ use vc_bench::experiments::registry;
 // per-frame alloc counts under --profile) read these process-wide counters.
 vc_obs::counting_allocator!();
 
-const USAGE: &str = "usage: experiments [--quick] [--seed N] [--json DIR] [--trace FILE] \
-     [--timeseries FILE] [--profile FILE] [--folded FILE] [--metrics] [--list] [e1..e19 ...]\n\
-       experiments --job SCENARIO [--seed N] [--ticks N] [--job-trace] [--job-out DIR]";
+/// The usage text, with the experiment ids read from the registry.
+fn usage() -> String {
+    let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
+    format!(
+        "usage: experiments [--quick] [--seed N] [--json DIR] [--trace FILE] \
+         [--timeseries FILE] [--profile FILE] [--folded FILE] [--metrics] [--list] [{} ...]\n\
+         \x20      experiments --job SCENARIO [--seed N] [--ticks N] [--job-trace] [--job-out DIR]",
+        ids.join("|")
+    )
+}
 
 /// Prints the experiment list (used on unknown names/flags so the error
 /// message always shows what *would* have worked).
@@ -100,7 +108,7 @@ fn main() {
             "--seed" => {
                 i += 1;
                 seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs a number\n{USAGE}");
+                    eprintln!("--seed needs a number\n{}", usage());
                     print_available(std::io::stderr());
                     std::process::exit(2);
                 });
@@ -141,7 +149,7 @@ fn main() {
                 }));
             }
             flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}\n{USAGE}");
+                eprintln!("unknown flag {flag}\n{}", usage());
                 print_available(std::io::stderr());
                 std::process::exit(2);
             }

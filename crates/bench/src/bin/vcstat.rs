@@ -1009,8 +1009,8 @@ fn memory_from_timeseries(path: &str, top: usize, json_out: bool) {
 
     if series.is_empty() {
         println!(
-            "memory — {path}: no mem.* gauges in {} ticks (run with VC_MEM unset/1 and \
---timeseries to record deep footprints)",
+            "memory — {path}: no mem.* gauges in {} ticks (run an instrumented experiment \
+with --timeseries to record deep footprints)",
             ticks.len()
         );
         return;

@@ -13,9 +13,9 @@
 //!   byte-identical to a run with no sampler configured at all, and zero
 //!   `causal.*` events exist: rate 0 is provably free of causal residue.
 //!
-//! Wall-clock columns are host measurements and excluded from the
-//! byte-compare determinism matrix (like E16); the stats fingerprint is
-//! deterministic and asserted identical across every rate.
+//! Wall-clock columns are host measurements and excluded from every
+//! byte-compare; the stats fingerprint is deterministic and asserted
+//! identical across every rate.
 
 use crate::table::{f1, f3, Table};
 use std::time::Instant;
@@ -51,7 +51,7 @@ fn city(seed: u64, n: usize) -> Scenario {
         seed,
         rng,
         dt: 0.5,
-        shards: shard_count(),
+        shards: 1,
     }
 }
 
@@ -167,8 +167,8 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut Recorder>) -> Table {
         }
     }
     table.note(
-        "wall-clock and overhead columns are host measurements (excluded from the determinism \
-         byte-compare, like E16); the stats fingerprint is asserted bitwise-identical across \
+        "wall-clock and overhead columns are host measurements (excluded from every \
+         byte-compare); the stats fingerprint is asserted bitwise-identical across \
          every rate, and the rate-0 serialized trace is asserted byte-identical to a run with \
          no sampler configured — causal tracing off is provably inert",
     );

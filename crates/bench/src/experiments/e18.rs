@@ -9,14 +9,12 @@
 //! fleet + road network, network simulation state, and the observability
 //! recorder — normalised to bytes per vehicle. Footprints come from
 //! [`MemSize`]/`heap_bytes` (lengths and capacities only, never allocator
-//! state), so every number is deterministic and shard-count-invariant;
-//! that invariance is asserted in-experiment by re-running each row at a
-//! second shard count and comparing bitwise.
+//! state), so every number is deterministic.
 //!
 //! The `live MB` / `peak MB` columns read the process-wide counting
 //! allocator (zero when the binary does not install one). They are host
 //! measurements — concurrent allocation interleaving makes the peak
-//! timing-dependent — and are excluded from any byte-compare, like E16/E17
+//! timing-dependent — and are excluded from any byte-compare, like E17's
 //! wall-clock columns. Steady-state allocation-freedom of the inner loops
 //! is enforced separately by the `memcheck` integration tests.
 
@@ -45,7 +43,7 @@ fn highway(seed: u64, n: usize) -> Scenario {
         seed,
         rng,
         dt: 0.5,
-        shards: shard_count(),
+        shards: 1,
     }
 }
 
@@ -68,28 +66,25 @@ fn city(seed: u64, n: usize) -> Scenario {
         seed,
         rng,
         dt: 0.5,
-        shards: shard_count(),
+        shards: 1,
     }
 }
 
 /// Deep per-layer footprint after a short instrumented routing run:
 /// `(fleet + roadnet, net sim state, recorder)` in bytes. Derived from
-/// capacities only, so the triple is bitwise shard-count-invariant.
-fn footprint(base: &Scenario, shards: usize, rounds: usize) -> (u64, u64, u64) {
+/// capacities only, so the triple is deterministic.
+fn footprint(base: &Scenario, rounds: usize) -> (u64, u64, u64) {
     let packets = (base.fleet.len() / 100).max(10);
     let mut scenario = base.clone();
-    scenario.shards = shards;
     let mut sim = NetSim::new(&mut scenario, GreedyGeo);
     let mut rec = Recorder::ring(4096);
     sim.send_random_pairs_obs(packets, 128, Some(&mut rec));
     sim.run_rounds_obs(rounds, Some(&mut rec));
     let fleet = sim.scenario_mut().fleet.heap_bytes() + sim.scenario_mut().roadnet.heap_bytes();
     let net = sim.heap_bytes();
-    // Normalise the hub before measuring the recorder: the in-run footprint
-    // gauges exist only when `VC_MEM` enables them, so set the same three
-    // keys unconditionally — the measured bytes (key strings + map entries)
-    // are then identical whether memory observability was on or off, which
-    // keeps this table byte-identical under `VC_MEM=0` (inertness).
+    // Measure the recorder as a `--timeseries` run leaves it: with the
+    // three footprint gauges in its hub. Their key strings and map entries
+    // are part of what the `obs KB` column reports.
     let hub = rec.hub_mut();
     hub.gauge_set("mem.fleet.bytes", fleet as f64);
     hub.gauge_set("mem.net.bytes", net as f64);
@@ -111,7 +106,7 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut Recorder>) -> Table {
     let mut table = Table::new(
         "E18",
         "memory footprint scaling: bytes per vehicle by layer",
-        "§IV-A (resource management at fleet scale) / VC_MEM",
+        "§IV-A (resource management at fleet scale)",
         &[
             "scenario",
             "vehicles",
@@ -133,14 +128,7 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut Recorder>) -> Table {
     for (kind, base) in &scenarios {
         let n = base.fleet.len();
         vc_obs::mem::reset_peak();
-        let (fleet, net, obs) = footprint(base, 1, rounds);
-        // Shard-count invariance: the same scenario measured under a
-        // multi-worker plan must report bitwise-identical footprints.
-        assert_eq!(
-            footprint(base, 4, rounds),
-            (fleet, net, obs),
-            "footprint diverged across shard counts at {n} {kind} vehicles"
-        );
+        let (fleet, net, obs) = footprint(base, rounds);
         let stats = vc_obs::mem::stats();
         table.row(vec![
             (*kind).into(),
@@ -156,11 +144,10 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut Recorder>) -> Table {
 
     table.note(
         "fleet/net/obs columns are deep footprints from MemSize (capacities only, never \
-         allocator state): deterministic, shard-count-invariant (asserted in-experiment by \
-         re-measuring at a second shard count), and byte-identical under VC_MEM=0. live/peak MB \
-         read the process-wide counting allocator — zero without one installed, and a host \
-         measurement excluded from byte-compares like E16/E17 wall clocks. steady-state \
-         zero-alloc guarantees for the round loops are enforced by the memcheck tests",
+         allocator state) and deterministic. live/peak MB read the process-wide counting \
+         allocator — zero without one installed, and a host measurement excluded from \
+         byte-compares like E17's wall clocks. steady-state zero-alloc guarantees for the round \
+         loops are enforced by the memcheck tests",
     );
     table
 }

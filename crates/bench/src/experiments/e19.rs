@@ -8,7 +8,7 @@
 //! across worker-pool sizes and two job mixes.
 //!
 //! Wall-clock columns: E19 must stay **out** of the CI determinism
-//! byte-compare list (like E4/E5/E9/E11/E16–E18) — the determinism the
+//! byte-compare list (like E4/E5/E9/E11/E17/E18) — the determinism the
 //! service guarantees is in result *payloads*, which
 //! `crates/service/tests/determinism.rs` and the CI `service-smoke` job
 //! byte-compare instead.

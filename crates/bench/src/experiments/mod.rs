@@ -1,4 +1,5 @@
 //! The per-experiment modules E1..E20 (see DESIGN.md §4 for the index).
+//! There is no E16: ids are not reused.
 
 pub mod e1;
 pub mod e10;
@@ -7,7 +8,6 @@ pub mod e12;
 pub mod e13;
 pub mod e14;
 pub mod e15;
-pub mod e16;
 pub mod e17;
 pub mod e18;
 pub mod e19;
@@ -141,12 +141,6 @@ pub fn registry() -> Vec<Experiment> {
             run: e15::run,
         },
         Experiment {
-            id: "e16",
-            desc: "sharded simulation-core throughput (VC_SHARDS sweep)",
-            flags: PROFILE_ONLY,
-            run: e16::run,
-        },
-        Experiment {
             id: "e17",
             desc: "causal tracing overhead by sample rate (VC_TRACE_SAMPLE sweep)",
             flags: PROFILE_ONLY,
@@ -154,7 +148,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "e18",
-            desc: "memory footprint scaling: bytes per vehicle by layer (VC_MEM)",
+            desc: "memory footprint scaling: bytes per vehicle by layer",
             flags: PROFILE_ONLY,
             run: e18::run,
         },
@@ -184,7 +178,7 @@ mod tests {
             ids,
             vec![
                 "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-                "e14", "e15", "e16", "e17", "e18", "e19", "e20"
+                "e14", "e15", "e17", "e18", "e19", "e20"
             ]
         );
         for exp in registry() {

@@ -1,6 +1,5 @@
-//! End-to-end checks for `benchdiff`: suite alignment, the regression
-//! gate's measured-on-both-sides rule, merge mode, and the committed
-//! baseline pair the CI perf-gate job runs against.
+//! End-to-end checks for `benchdiff`: suite alignment, the
+//! measured-on-both-sides rule that marks smoke entries, and merge mode.
 
 use std::process::Command;
 
@@ -37,8 +36,8 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn gate_fails_on_measured_regression_but_ignores_smoke_entries() {
-    let dir = temp_dir("gate");
+fn delta_table_reports_a_regression_and_marks_smoke_entries() {
+    let dir = temp_dir("delta");
     let base = write(
         &dir,
         "base.json",
@@ -51,19 +50,11 @@ fn gate_fails_on_measured_regression_but_ignores_smoke_entries() {
         &suite_json("crypto", &[("sign", 1000.0, 30), ("verify", 3000.0, 30), ("hash", 100.0, 1)]),
     );
 
-    let (ok, text) =
-        benchdiff(&[base.as_os_str(), cur.as_os_str(), "--gate".as_ref(), "20".as_ref()]);
-    assert!(!ok, "50% measured regression must fail a 20% gate:\n{text}");
-    assert!(text.contains("crypto/verify"), "{text}");
-    assert!(!text.contains("crypto/hash  "), "smoke entry must not be gated:\n{text}");
-    assert!(text.contains("smoke — not gated"), "{text}");
-
-    // A generous gate passes, and so does no gate at all.
-    let (ok, _) = benchdiff(&[base.as_os_str(), cur.as_os_str(), "--gate".as_ref(), "60".as_ref()]);
-    assert!(ok);
     let (ok, text) = benchdiff(&[base.as_os_str(), cur.as_os_str()]);
-    assert!(ok);
+    assert!(ok, "the table is a drill-down tool, not a gate:\n{text}");
     assert!(text.contains("+50.0%"), "{text}");
+    assert_eq!(text.matches("smoke — one sample").count(), 1, "only `hash` is smoke:\n{text}");
+    assert!(text.contains("3 benchmarks compared, 2 measured on both sides"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -85,7 +76,7 @@ fn aligns_suites_and_reports_missing_and_new_benchmarks() {
 }
 
 #[test]
-fn merge_combines_per_suite_files_into_one_gateable_baseline() {
+fn merge_combines_per_suite_files_into_one_baseline() {
     let dir = temp_dir("merge");
     let a = write(&dir, "BENCH_crypto.json", &suite_json("crypto", &[("sign", 1000.0, 30)]));
     let b = write(&dir, "BENCH_auth.json", &suite_json("auth", &[("token", 500.0, 30)]));
@@ -111,10 +102,9 @@ fn merge_combines_per_suite_files_into_one_gateable_baseline() {
     let names: Vec<&str> = suites.iter().filter_map(|s| s["suite"].as_str()).collect();
     assert_eq!(names, ["auth", "crypto"], "suites sort by name regardless of input order");
 
-    // The merged file diffs cleanly against itself and gates at 0%.
-    let (ok, text) =
-        benchdiff(&[merged.as_os_str(), merged.as_os_str(), "--gate".as_ref(), "0".as_ref()]);
-    assert!(ok, "self-diff must pass a 0% gate:\n{text}");
+    // The merged file diffs cleanly against itself.
+    let (ok, text) = benchdiff(&[merged.as_os_str(), merged.as_os_str()]);
+    assert!(ok, "self-diff must succeed:\n{text}");
     assert!(text.contains("2 benchmarks compared, 2 measured on both sides"), "{text}");
 
     // Merging a regenerated suite over the merged file replaces that suite
@@ -134,18 +124,6 @@ fn merge_combines_per_suite_files_into_one_gateable_baseline() {
     assert_eq!(text.matches(r#""suite": "crypto""#).count(), 1, "{text}");
     assert!(text.contains("mont") && !text.contains("sign") && text.contains("token"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn committed_baseline_pair_passes_the_ci_gate() {
-    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let pr1 = repo.join("results/BENCH_pr1.json");
-    let pr3 = repo.join("results/BENCH_pr3.json");
-    let (ok, text) =
-        benchdiff(&[pr1.as_os_str(), pr3.as_os_str(), "--gate".as_ref(), "20".as_ref()]);
-    assert!(ok, "the committed pr1/pr3 pair must pass the 20% gate:\n{text}");
-    assert!(text.contains("[crypto]"), "{text}");
-    assert!(text.contains("gate: no median regressed"), "{text}");
 }
 
 #[test]

@@ -37,11 +37,14 @@ fn unknown_id_mixed_with_known_ids_still_fails() {
 
 #[test]
 fn malformed_flags_list_available_and_fail() {
+    let ids: Vec<&str> = vc_bench::experiments::registry().iter().map(|e| e.id).collect();
+    let usage_ids = format!("[{} ...]", ids.join("|"));
     for args in [vec!["--frobnicate"], vec!["--seed", "not-a-number"], vec!["--seed"]] {
         let out = experiments().args(&args).output().expect("experiments runs");
         assert!(!out.status.success(), "{args:?} must exit non-zero");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("available experiments:"), "{args:?} stderr: {err}");
+        assert!(err.contains(&usage_ids), "usage must list the registry's ids: {err}");
     }
 }
 

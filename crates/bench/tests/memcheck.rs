@@ -104,7 +104,6 @@ fn fleet_step_sharded_steady_state_allocates_nothing() {
 #[test]
 fn netsim_round_steady_state_allocates_nothing() {
     let mut scenario = ScenarioBuilder::new().seed(7).vehicles(64).parking_lot();
-    scenario.shards = 1;
     let mut sim = NetSim::new(&mut scenario, GreedyGeo);
     sim.send_random_pairs(8, 128);
     // Warm-up: the dense lot delivers everything within a few rounds, and
@@ -115,11 +114,7 @@ fn netsim_round_steady_state_allocates_nothing() {
     let scope = AllocScope::start();
     sim.run_rounds(8);
     let delta = scope.finish();
-    assert_eq!(
-        (delta.allocs, delta.bytes),
-        (0, 0),
-        "single-shard steady-state rounds must be allocation-free"
-    );
+    assert_eq!((delta.allocs, delta.bytes), (0, 0), "steady-state rounds must be allocation-free");
 }
 
 #[test]
@@ -180,8 +175,7 @@ fn dynamic_cloud_tick_with_idle_scheduler_allocates_nothing() {
     // picks the broker's cluster and refills the host list. A highway,
     // because urban waypoint mobility plans a fresh path (which allocates)
     // whenever a vehicle arrives, and that is not the cloud's doing.
-    let mut scenario = ScenarioBuilder::new().seed(9).vehicles(1_000).highway_no_infra();
-    scenario.shards = 1;
+    let scenario = ScenarioBuilder::new().seed(9).vehicles(1_000).highway_no_infra();
     let mut cloud =
         CloudSim::new(scenario, ArchitectureKind::Dynamic, SchedulerConfig::default(), Kinematic);
     // Warm-up: the table's flat storage and the member and host buffers

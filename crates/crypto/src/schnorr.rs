@@ -192,8 +192,7 @@ pub fn batch_verify(items: &[(&[u8], VerifyingKey, Signature)], weight_seed: &[u
 /// 2^-128 soundness gap runs the other way — see docs/CRYPTO.md.)
 ///
 /// Weights are derived by pure hashing of the batch transcript and
-/// `weight_seed` — never an RNG draw — so results are deterministic and
-/// shard-count-invariant.
+/// `weight_seed` — never an RNG draw — so results are deterministic.
 ///
 /// # Errors
 ///

@@ -5,25 +5,23 @@
 //! table is rebuilt, and every live packet copy gets one forwarding
 //! opportunity over the lossy channel.
 //!
-//! ## Parallel rounds
+//! ## Snapshot rounds
 //!
-//! The radio-bound hot loop fans out over worker threads in contiguous
-//! copy-index shards ([`map_shards`]). Each copy draws from its own RNG
-//! stream ([`SimRng::stream`] keyed by a per-round nonce and the copy's
-//! canonical index), workers compute pure [`CopyOutcome`]s against the
-//! start-of-round snapshot, and the coordinator merges outcomes back in
-//! canonical index order — emitting events, updating statistics, and
-//! deduplicating same-round deliveries/forwards deterministically. The
-//! shard count (`VC_SHARDS`) therefore changes wall-clock only: results
-//! are bitwise identical for every value, including 1.
+//! A round has two phases. First every copy is evaluated, in canonical
+//! index order, against the start-of-round snapshot: it draws from its own
+//! RNG stream ([`SimRng::stream`] keyed by a per-round nonce and the copy's
+//! index) and yields a pure [`CopyOutcome`]. Then the merge replays the
+//! outcomes in the same order — emitting events, updating statistics, and
+//! deduplicating same-round deliveries/forwards. No copy sees another
+//! copy's same-round effect, so the result does not depend on evaluation
+//! order (DESIGN.md, "Deterministic by construction").
 //!
-//! ## Shard-local recorders and causal traces
+//! ## Per-copy event buffers and causal traces
 //!
-//! When a [`Recorder`] is attached, each worker buffers its copy's radio
-//! events in the [`CopyOutcome`]'s shard-local [`EventBuf`]; the
-//! coordinator absorbs the buffers in canonical copy order before replaying
-//! the copy's routing/causal events, so the merged stream byte-compares at
-//! every shard count. Packets selected by the deterministic
+//! When a [`Recorder`] is attached, each copy's radio events are buffered
+//! in its [`CopyOutcome`]'s [`EventBuf`]; the merge absorbs the buffers in
+//! canonical copy order before replaying the copy's routing/causal events.
+//! Packets selected by the deterministic
 //! [`Sampler`](vc_obs::Sampler) additionally carry a trace id and emit a
 //! `causal.origin` → `causal.hop`* → `causal.deliver`/`causal.drop` chain
 //! (see `vc_obs::causal`).
@@ -38,7 +36,6 @@ use vc_sim::node::VehicleId;
 use vc_sim::radio::NeighborTable;
 use vc_sim::rng::SimRng;
 use vc_sim::scenario::Scenario;
-use vc_sim::shard::map_shards;
 use vc_sim::time::{SimDuration, SimTime};
 
 /// One live copy of a packet.
@@ -59,8 +56,8 @@ struct PacketState {
     delivered: bool,
 }
 
-/// One transmission attempt computed by a shard worker, replayed (events +
-/// statistics) by the coordinator during the merge.
+/// One transmission attempt computed in the evaluation phase, replayed
+/// (events + statistics) during the merge.
 #[derive(Debug)]
 struct Attempt {
     target: VehicleId,
@@ -71,7 +68,7 @@ struct Attempt {
     latency: Option<SimDuration>,
 }
 
-/// What happened to one copy this round, as seen by its shard worker.
+/// What happened to one copy this round, as seen from the round snapshot.
 #[derive(Debug)]
 enum Fate {
     /// Copy died before acting (packet already delivered, holder offline).
@@ -84,13 +81,13 @@ enum Fate {
     Forwarded { keeps: bool },
 }
 
-/// A shard worker's full report for one copy.
+/// The evaluation phase's full report for one copy.
 #[derive(Debug)]
 struct CopyOutcome {
     attempts: Vec<Attempt>,
     fate: Fate,
-    /// Shard-local radio events (empty unless a recorder is attached),
-    /// absorbed by the coordinator in canonical copy order.
+    /// The copy's radio events (empty unless a recorder is attached),
+    /// absorbed by the merge in canonical copy order.
     events: EventBuf,
 }
 
@@ -108,7 +105,7 @@ pub struct NetSim<'a, P: RoutingProtocol> {
     table: NeighborTable,
     grid: SpatialGrid,
     /// Decides which packets carry a causal trace. Keyed by the scenario
-    /// seed, so the traced set is reproducible and shard-count-invariant.
+    /// seed, so the traced set is reproducible.
     sampler: Sampler,
     /// Start-of-round delivery snapshot, reused across rounds so the
     /// steady-state round loop stays allocation-free.
@@ -135,10 +132,9 @@ fn attempt_link(
     Attempt { target: to, bytes, contenders, dist_m: a.distance(b), latency }
 }
 
-/// Pure per-copy round logic, run by shard workers. Reads only the
-/// start-of-round snapshot (`delivered_before`, the world view, packet
-/// states) and the copy's private RNG stream, so the result is independent
-/// of scheduling and shard count.
+/// Pure per-copy round logic. Reads only the start-of-round snapshot
+/// (`delivered_before`, the world view, packet states) and the copy's
+/// private RNG stream, so the result is independent of evaluation order.
 #[allow(clippy::too_many_arguments)]
 fn copy_outcome<P: RoutingProtocol>(
     index: usize,
@@ -318,7 +314,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
 
     /// [`NetSim::run_rounds`] with instrumentation: each round emits `sim`
     /// radio tx/rx/drop events for every transmission attempt (buffered
-    /// shard-locally by the workers, merged in canonical order) plus `net`
+    /// per copy, merged in canonical order) plus `net`
     /// events `routing.forward` (relay accepted a copy) and
     /// `routing.deliver` (destination reached, with hop count and
     /// end-to-end latency). Packets selected by the sampler additionally
@@ -339,8 +335,8 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
             self.scenario.tick();
         }
         self.now += SimDuration::from_secs_f64(self.scenario.dt);
-        // One nonce per round seeds every copy's private stream; drawing it
-        // on the coordinator keeps `scenario.rng` shard-count independent.
+        // One nonce per round seeds every copy's private stream, so the
+        // copies draw nothing from `scenario.rng` themselves.
         let round_key = self.scenario.rng.next_u64();
         let scenario: &Scenario = self.scenario;
         {
@@ -360,8 +356,8 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         };
         self.protocol.begin_round(&world);
 
-        // Snapshot delivery flags so every worker (and every shard count)
-        // sees the same start-of-round state. The buffer is a reused field
+        // Snapshot delivery flags so every copy is evaluated against the
+        // same start-of-round state. The buffer is a reused field
         // (taken for the duration of the round to keep the merge loop's
         // mutable packet borrows legal), so steady-state rounds allocate
         // nothing here.
@@ -373,35 +369,30 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         let now = self.now;
         let outcomes: Vec<CopyOutcome> = {
             let _delivery = vc_obs::profile::frame("radio.delivery");
-            let (packets, protocol) = (&self.packets, &self.protocol);
-            map_shards(copies.len(), scenario.shards, |range| {
-                range
-                    .map(|i| {
-                        let copy = &copies[i];
-                        copy_outcome(
-                            i,
-                            copy,
-                            &packets[copy.packet_idx],
-                            delivered_snap[copy.packet_idx],
-                            scenario,
-                            &world,
-                            protocol,
-                            round_key,
-                            now,
-                            record,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+            copies
+                .iter()
+                .enumerate()
+                .map(|(i, copy)| {
+                    copy_outcome(
+                        i,
+                        copy,
+                        &self.packets[copy.packet_idx],
+                        delivered_snap[copy.packet_idx],
+                        scenario,
+                        &world,
+                        &self.protocol,
+                        round_key,
+                        now,
+                        record,
+                    )
+                })
+                .collect()
         };
 
-        // Sequential merge in canonical copy order: absorb each worker's
-        // shard-local event buffer, replay routing/causal events and
-        // statistics, dedupe same-round deliveries (first in canonical
-        // order wins) and duplicate forwards to an already-carried target.
+        // Merge in canonical copy order: absorb each copy's event buffer,
+        // replay routing/causal events and statistics, dedupe same-round
+        // deliveries (first in canonical order wins) and duplicate forwards
+        // to an already-carried target.
         let _merge = vc_obs::profile::frame("shard.merge");
         let mut surviving: Vec<Copy> = Vec::with_capacity(copies.len());
         let mut new_copies: Vec<Copy> = Vec::new();
@@ -536,16 +527,15 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         self.copies = surviving;
         self.delivered_snap = delivered_snap;
         // One time-series sample per round (no-op unless the recorder's
-        // windowed mode is enabled). When memory observability is on
-        // (`VC_MEM` unset or non-zero), deep-footprint gauges ride the
-        // tick; they are derived from lengths and capacities only — never
-        // allocator state — so the exported series stays byte-identical
-        // at every shard count. The gauges only ever surface through the
-        // time series, so they are computed only when it is armed —
-        // `rec.mem_bytes()` walks the retained events, and paying that
-        // every round on a plain traced run would be pure overhead.
+        // windowed mode is enabled). Deep-footprint gauges ride the tick;
+        // they are derived from lengths and capacities only — never
+        // allocator state — so the exported series is deterministic. The
+        // gauges only ever surface through the time series, so they are
+        // computed only when it is armed — `rec.mem_bytes()` walks the
+        // retained events, and paying that every round on a plain traced
+        // run would be pure overhead.
         if let Some(rec) = reborrow(&mut rec) {
-            if vc_obs::mem::enabled() && rec.timeseries().is_some() {
+            if rec.timeseries().is_some() {
                 use vc_obs::MemSize;
                 let fleet = self.scenario.fleet.heap_bytes() + self.scenario.roadnet.heap_bytes();
                 let net = self.heap_bytes();
@@ -585,7 +575,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
     /// statistics, the neighbor table, and the spatial grid — in bytes.
     ///
     /// Derived from lengths and capacities only, never from allocator
-    /// state, so the value is identical at every shard count.
+    /// state, so the value is a deterministic function of the run.
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
         let packets = (self.packets.capacity() * size_of::<PacketState>()) as u64
@@ -602,10 +592,9 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
     }
 }
 
-/// Buffers one transmission attempt's event pair into a worker's
-/// shard-local buffer: `radio.tx` for the attempt, then `radio.rx` (with
-/// latency) or `radio.drop` — byte-identical to the sequential probe path
-/// once the coordinator absorbs the buffers in canonical order.
+/// Buffers one transmission attempt's event pair into its copy's buffer:
+/// `radio.tx` for the attempt, then `radio.rx` (with latency) or
+/// `radio.drop`.
 fn buf_attempt(buf: &mut EventBuf, now: SimTime, attempt: &Attempt) {
     buf.event(
         now,
@@ -755,35 +744,6 @@ mod tests {
         assert_eq!(run(7), run(7));
     }
 
-    #[test]
-    fn sharded_rounds_match_sequential_bitwise() {
-        // Enough copies in flight (epidemic over a big fleet) to exceed
-        // MIN_ITEMS_PER_SHARD and genuinely exercise the threaded path.
-        let run = |shards: usize| {
-            let mut scenario = dense_urban(11, 150);
-            scenario.shards = shards;
-            let mut sim = NetSim::new(&mut scenario, Epidemic);
-            sim.send_random_pairs(30, 128);
-            let mut peak_copies = 0;
-            for _ in 0..30 {
-                sim.run_rounds(1);
-                peak_copies = peak_copies.max(sim.live_copies());
-            }
-            let s = sim.into_stats();
-            let lat_bits: Vec<u64> = s.latencies_s.iter().map(|l| l.to_bits()).collect();
-            (s.sent, s.delivered, s.transmissions, s.hops, lat_bits, peak_copies)
-        };
-        let sequential = run(1);
-        assert!(sequential.5 > MIN_COPIES_FOR_FANOUT, "test must exercise the parallel path");
-        for shards in [2usize, 4, 8] {
-            assert_eq!(run(shards), sequential, "diverged at {shards} shards");
-        }
-    }
-
-    /// The determinism test above is only meaningful if the copy population
-    /// outgrows the planner's collapse threshold.
-    const MIN_COPIES_FOR_FANOUT: usize = vc_sim::shard::MIN_ITEMS_PER_SHARD;
-
     use vc_obs::SampleRate;
 
     #[test]
@@ -839,54 +799,23 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_and_mem_gauges_are_shard_count_invariant() {
-        // Deep-footprint numbers come from lengths/capacities, so every
-        // shard count must report bit-identical gauges and totals.
-        let run = |shards: usize| {
-            let mut scenario = dense_urban(11, 150);
-            scenario.shards = shards;
+    fn mem_gauges_ride_only_an_armed_timeseries() {
+        let run = |armed: bool| {
+            let mut scenario = dense_urban(11, 60);
             let mut sim = NetSim::new(&mut scenario, Epidemic);
             let mut rec = Recorder::new();
-            rec.enable_timeseries(64);
-            sim.send_random_pairs_obs(30, 128, Some(&mut rec));
-            sim.run_rounds_obs(30, Some(&mut rec));
-            let gauges: Vec<(String, u64)> =
-                rec.hub().gauges().map(|(k, v)| (k.to_owned(), v.to_bits())).collect();
-            (sim.heap_bytes(), gauges)
-        };
-        let (bytes, gauges) = run(1);
-        assert!(bytes > 0, "a live sim owns heap");
-        if vc_obs::mem::enabled() {
-            for name in ["mem.fleet.bytes", "mem.net.bytes", "mem.obs.bytes"] {
-                assert!(gauges.iter().any(|(k, _)| k == name), "missing gauge {name}");
+            if armed {
+                rec.enable_timeseries(64);
             }
-        }
-        for shards in [2usize, 4] {
-            assert_eq!(run(shards), (bytes, gauges.clone()), "diverged at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn traced_event_stream_is_shard_count_invariant() {
-        let run = |shards: usize| {
-            let mut scenario = dense_urban(11, 150);
-            scenario.shards = shards;
-            let mut sim = NetSim::new(&mut scenario, Epidemic);
-            sim.set_sampler(Sampler::new(11, SampleRate::one_in(3)));
-            let mut rec = Recorder::new();
-            sim.send_random_pairs_obs(30, 128, Some(&mut rec));
-            sim.run_rounds_obs(30, Some(&mut rec));
-            let mut out = Vec::new();
-            rec.write_jsonl(&mut out).unwrap();
-            (out, sim.live_copies())
+            sim.send_random_pairs_obs(10, 128, Some(&mut rec));
+            sim.run_rounds_obs(10, Some(&mut rec));
+            assert!(sim.heap_bytes() > 0, "a live sim owns heap");
+            rec.hub().gauges().map(|(k, _)| k.to_owned()).collect::<Vec<_>>()
         };
-        let (sequential, _) = run(1);
-        assert!(
-            String::from_utf8_lossy(&sequential).contains("causal.origin"),
-            "sampling 1/3 must trace something here"
-        );
-        for shards in [2usize, 4, 8] {
-            assert_eq!(run(shards).0, sequential, "trace bytes diverged at {shards} shards");
+        let armed = run(true);
+        for name in ["mem.fleet.bytes", "mem.net.bytes", "mem.obs.bytes"] {
+            assert!(armed.iter().any(|k| k == name), "missing gauge {name}");
         }
+        assert!(!run(false).iter().any(|k| k.starts_with("mem.")), "gauges without a series");
     }
 }

@@ -12,11 +12,7 @@ use crate::world::WorldView;
 use vc_sim::node::VehicleId;
 
 /// A routing protocol's per-round forwarding logic.
-///
-/// `Sync` is a supertrait: [`NetSim`](crate::netsim::NetSim) consults
-/// `next_hops` from shard worker threads in parallel (the `&self` receiver
-/// already keeps the round read-only; `Sync` lets workers share it).
-pub trait RoutingProtocol: Sync {
+pub trait RoutingProtocol {
     /// Short name for tables.
     fn name(&self) -> &'static str;
 

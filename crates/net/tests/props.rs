@@ -298,38 +298,24 @@ fn mismatch(got: &Clustering, want: &reference::Clusters) -> Option<String> {
     None
 }
 
-/// Fingerprint of a full instrumented sharded run: statistics (latencies as
-/// raw bits), the serialized event stream, and the end-state fleet
-/// kinematics. Equal fingerprints mean bitwise-equal runs.
+/// Fingerprint of a full instrumented run: statistics (latencies as raw
+/// bits), the serialized event stream, and the end-state fleet kinematics.
+/// Equal fingerprints mean bitwise-equal runs.
 type RunFingerprint = (u64, u64, u64, Vec<u32>, Vec<u64>, Vec<u8>, Vec<(u64, u64)>);
 
-fn sharded_run_fingerprint<P: RoutingProtocol>(
-    seed: u64,
-    vehicles: usize,
-    packets: usize,
-    rounds: usize,
-    shard_count: usize,
-    protocol: P,
-) -> RunFingerprint {
-    traced_run_fingerprint(seed, vehicles, packets, rounds, shard_count, protocol, SampleRate::OFF)
-}
-
-/// [`sharded_run_fingerprint`] with causal tracing at an explicit sample
-/// rate (the sampler is seeded from the run seed, like the default).
-#[allow(clippy::too_many_arguments)]
+/// One run with causal tracing at an explicit sample rate (the sampler is
+/// seeded from the run seed, like the default).
 fn traced_run_fingerprint<P: RoutingProtocol>(
     seed: u64,
     vehicles: usize,
     packets: usize,
     rounds: usize,
-    shard_count: usize,
     protocol: P,
     rate: SampleRate,
 ) -> RunFingerprint {
     let mut b = vc_sim::scenario::ScenarioBuilder::new();
     b.seed(seed).vehicles(vehicles);
     let mut scenario = b.urban_with_rsus();
-    scenario.shards = shard_count;
     let mut rec = vc_obs::Recorder::new();
     let (stats, events) = {
         let mut sim = NetSim::new(&mut scenario, protocol);
@@ -345,6 +331,19 @@ fn traced_run_fingerprint<P: RoutingProtocol>(
     let pos_bits: Vec<(u64, u64)> =
         scenario.fleet.positions().iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect();
     (stats.sent, stats.delivered, stats.transmissions, stats.hops, lat_bits, events, pos_bits)
+}
+
+/// The same run at `rate`, at `rate` again, and untraced.
+fn traced_twice_and_untraced<P: RoutingProtocol>(
+    make: impl Fn() -> P,
+    seed: u64,
+    vehicles: usize,
+    packets: usize,
+    rounds: usize,
+    rate: SampleRate,
+) -> [RunFingerprint; 3] {
+    [rate, rate, SampleRate::OFF]
+        .map(|r| traced_run_fingerprint(seed, vehicles, packets, rounds, make(), r))
 }
 
 prop! {
@@ -600,64 +599,40 @@ prop! {
         }
     }
 
-    // ---- sharded round determinism ----
+    // ---- instrumented-run determinism ----
 
+    // A full instrumented run — the merged event stream (every radio
+    // tx/rx/drop, routing forward/deliver and causal.* chain event, in
+    // order), the final statistics (latencies bit for bit) and the
+    // end-state fleet kinematics — repeats exactly for the same seed at any
+    // sample rate, and the rate changes the event stream only: the
+    // sampling decision is a pure function of (seed, packet id) and draws
+    // nothing from the run's RNG.
     #[test]
-    fn sharded_netsim_run_is_bitwise_equal_to_sequential(
+    fn traced_run_repeats_bitwise_and_sampling_never_perturbs_it(
         seed in any_u64(),
-        shards in 2usize..9,
+        rate_pick in 0u8..3,
         vehicles in 30usize..70,
         packets in 5usize..20,
         rounds in 5usize..20,
         protocol in 0u8..3,
     ) {
-        // A full instrumented run: the merged event stream (every radio
-        // tx/rx/drop and routing forward/deliver, in order), the final
-        // statistics (latencies compared bit for bit), and the end-state
-        // fleet kinematics must all be identical at any shard count.
-        let (sequential, sharded) = match protocol {
-            0 => (
-                sharded_run_fingerprint(seed, vehicles, packets, rounds, 1, Epidemic),
-                sharded_run_fingerprint(seed, vehicles, packets, rounds, shards, Epidemic),
-            ),
-            1 => (
-                sharded_run_fingerprint(seed, vehicles, packets, rounds, 1, GreedyGeo),
-                sharded_run_fingerprint(seed, vehicles, packets, rounds, shards, GreedyGeo),
-            ),
-            _ => (
-                sharded_run_fingerprint(seed, vehicles, packets, rounds, 1, MozoRouting::new()),
-                sharded_run_fingerprint(
-                    seed, vehicles, packets, rounds, shards, MozoRouting::new(),
-                ),
-            ),
-        };
-        prop_assert_eq!(sequential, sharded);
-    }
-
-    // Causal tracing composes with sharding: at any sample rate (off, all,
-    // or one-in-N) the traced event stream — causal.origin/hop/deliver/drop
-    // included — byte-compares between the sequential and sharded runs,
-    // because the sampling decision is a pure function of (seed, packet id)
-    // and worker event buffers merge in canonical order.
-    #[test]
-    fn traced_sharded_run_is_bitwise_equal_at_any_sample_rate(
-        seed in any_u64(),
-        shards in 2usize..9,
-        rate_pick in 0u8..4,
-        vehicles in 30usize..70,
-        packets in 5usize..20,
-        rounds in 5usize..20,
-    ) {
         let rate = match rate_pick {
-            0 => SampleRate::OFF,
-            1 => SampleRate::ALL,
-            2 => SampleRate::one_in(2),
+            0 => SampleRate::ALL,
+            1 => SampleRate::one_in(2),
             _ => SampleRate::one_in(7),
         };
-        let sequential = traced_run_fingerprint(seed, vehicles, packets, rounds, 1, Epidemic, rate);
-        let sharded =
-            traced_run_fingerprint(seed, vehicles, packets, rounds, shards, Epidemic, rate);
-        prop_assert_eq!(sequential, sharded);
+        let [first, second, untraced] = match protocol {
+            0 => traced_twice_and_untraced(|| Epidemic, seed, vehicles, packets, rounds, rate),
+            1 => traced_twice_and_untraced(|| GreedyGeo, seed, vehicles, packets, rounds, rate),
+            _ => traced_twice_and_untraced(MozoRouting::new, seed, vehicles, packets, rounds, rate),
+        };
+        prop_assert_eq!(&first, &second);
+        let without_events = |mut run: RunFingerprint| {
+            run.5.clear();
+            run
+        };
+        prop_assert_eq!(without_events(first), without_events(untraced));
     }
 }
 

@@ -19,15 +19,14 @@
 //! al.: per-message overheads are *the* cost of secure VANETs), so traces
 //! are **sampled**: the [`Sampler`] hashes the scenario seed with the
 //! message's canonical id and keeps one in `N`. Because the decision is a
-//! pure function of `(seed, id)` — never of wall-clock, thread, or shard —
-//! the sampled set is reproducible across runs and invariant under
-//! `VC_SHARDS`, so sampled traces byte-compare in the determinism matrix
+//! pure function of `(seed, id)` — never of wall-clock or thread — the
+//! sampled set is reproducible across runs, so sampled traces byte-compare
 //! exactly like unsampled ones.
 //!
 //! The rate comes from `VC_TRACE_SAMPLE` (`0` = off, the default; `1` =
-//! every message; `1/N` = one in N), read once per process like
-//! `VC_SHARDS`, or programmatically via [`SampleRate`] for in-process
-//! sweeps (E17 measures the overhead at each rate).
+//! every message; `1/N` = one in N), read once per process, or
+//! programmatically via [`SampleRate`] for in-process sweeps (E17 measures
+//! the overhead at each rate).
 
 use std::sync::OnceLock;
 
@@ -39,7 +38,7 @@ use std::sync::OnceLock;
 pub struct TraceId(u64);
 
 impl TraceId {
-    /// The raw id (stable across runs and shard counts; fits in 52 bits so
+    /// The raw id (stable across runs; fits in 52 bits so
     /// it round-trips losslessly through the f64-backed JSON writer).
     pub fn as_u64(self) -> u64 {
         self.0
@@ -125,7 +124,7 @@ impl std::fmt::Display for SampleRate {
 }
 
 /// The deterministic sampling decision: seeded from the scenario seed so
-/// the set of traced messages is reproducible and shard-count-invariant.
+/// the set of traced messages is reproducible.
 #[derive(Debug, Clone, Copy)]
 pub struct Sampler {
     seed: u64,

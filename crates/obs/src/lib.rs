@@ -27,8 +27,8 @@
 //!   `#[global_allocator]` wrapper (binaries opt in via
 //!   `counting_allocator!`), per-frame alloc accounting through the
 //!   profiler, and the [`MemSize`] deep-footprint trait feeding
-//!   deterministic `mem.*` gauges (`VC_MEM=0` turns all reporting off,
-//!   provably inert like `VC_TRACE_SAMPLE=0`).
+//!   deterministic `mem.*` gauges (written whenever the time series is
+//!   armed).
 //! * [`TimeSeries`] — the windowed per-tick mode of [`MetricsHub`]:
 //!   snapshot diffs pushed into a fixed-capacity ring, exported as JSONL
 //!   (`experiments --timeseries`, `vcstat --timeline`).

@@ -17,20 +17,13 @@
 //!   the workspace's big resident structures (`Fleet` slabs, the CSR
 //!   neighbor table, recorder rings, metrics hub). Deep-bytes gauges are
 //!   derived from capacities and lengths only — never from allocator
-//!   state — so they are bitwise shard-count-invariant and feed the
-//!   deterministic time-series (`mem.fleet.bytes` and friends).
-//!
-//! Reporting is gated by `VC_MEM` (unset/`1` = on, `0` = off) via
-//! [`enabled`]. The gate lives at the *reporting* layer only: the
-//! allocator itself always counts (a handful of relaxed atomics), because
-//! reading the environment from inside `alloc` could recurse. With
-//! `VC_MEM=0` no gauge is ever written and no experiment output changes —
-//! the inertness twin of `VC_TRACE_SAMPLE=0`.
+//!   state — so they are deterministic and feed the byte-compared
+//!   time-series (`mem.fleet.bytes` and friends), which carries them
+//!   whenever it is armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::OnceLock;
 
 /// Process-wide live heap bytes (allocated minus freed).
 static LIVE: AtomicU64 = AtomicU64::new(0);
@@ -161,14 +154,6 @@ pub fn thread_counters() -> (u64, u64) {
     (allocs, bytes)
 }
 
-/// Whether memory *reporting* is enabled: `VC_MEM` unset or any value but
-/// `0`. Gates only the reporting layer (gauges, tables) — the allocator
-/// itself always counts.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("VC_MEM").map(|v| v != "0").unwrap_or(true))
-}
-
 /// Registers the counting allocator as `vc_testkit::bench`'s allocation
 /// probe, so bench suites report allocs/iter and alloc bytes/iter columns.
 /// Call once from a bench binary's `main` (after [`counting_allocator!`]).
@@ -221,7 +206,7 @@ impl AllocScope {
 /// excluding `size_of::<Self>()` itself (the inline part is the owner's
 /// problem). Derived purely from lengths and capacities, so two
 /// structurally identical values report identical bytes regardless of
-/// shard count, thread, or allocator — which is what lets the `mem.*`
+/// thread or allocator — which is what lets the `mem.*`
 /// gauges ride in the byte-compared deterministic time-series.
 ///
 /// Node-based containers (`BTreeMap`, `HashMap`) use documented
@@ -378,13 +363,5 @@ mod tests {
         assert_eq!(delta, AllocDelta { allocs: 0, bytes: 0 });
         let s = stats();
         assert_eq!((s.live_bytes, s.allocs), (0, 0));
-    }
-
-    #[test]
-    fn enabled_defaults_on() {
-        // CI never sets VC_MEM for unit tests; the default must be on.
-        if std::env::var("VC_MEM").is_err() {
-            assert!(enabled());
-        }
     }
 }

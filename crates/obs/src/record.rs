@@ -262,10 +262,9 @@ impl Recorder {
         }
     }
 
-    /// Merges a shard-local [`EventBuf`] into the log, preserving the
-    /// buffer's order. Call in canonical shard order on the coordinator —
-    /// the merged stream is then identical at every shard count (the
-    /// PR 6 contract; see docs/PARALLELISM.md).
+    /// Merges an [`EventBuf`] into the log, preserving the buffer's order.
+    /// Call in canonical item order — the merged stream is then the one
+    /// direct emission in that order would have produced.
     pub fn absorb(&mut self, buf: EventBuf) {
         for event in buf.events {
             self.push(event);
@@ -306,15 +305,12 @@ impl Recorder {
     }
 }
 
-/// A shard-local event buffer.
+/// A per-item event buffer.
 ///
-/// Worker threads cannot share the coordinator's [`Recorder`], so each
-/// shard (or each work item) fills one of these — same `event` signature,
-/// no locking — and the coordinator [`Recorder::absorb`]s the buffers in
-/// canonical index order during the merge. Building the field vectors is
-/// the expensive part of emission, so this moves that cost into the
-/// parallel phase while keeping the merged stream byte-identical at every
-/// shard count.
+/// A phase that evaluates work items against a snapshot (a `NetSim`
+/// round's copies) cannot hold the [`Recorder`] mutably, so each item
+/// fills one of these — same `event` signature — and the merge
+/// [`Recorder::absorb`]s the buffers in canonical index order.
 #[derive(Debug, Default)]
 pub struct EventBuf {
     events: Vec<Event>,

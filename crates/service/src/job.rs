@@ -211,8 +211,8 @@ fn build_scenario(entry: &ScenarioEntry, seed: u64) -> Scenario {
 /// deterministic heap footprint against [`MEM_BUDGET_BYTES`], so a
 /// cancelled or over-budget job stops within a bounded number of rounds.
 ///
-/// The returned bytes depend only on the spec — not on `VC_SHARDS`, the
-/// worker thread, wall-clock time, or anything else the daemon is doing.
+/// The returned bytes depend only on the spec — not on the worker
+/// thread, wall-clock time, or anything else the daemon is doing.
 pub fn run_job(spec: &JobSpec, cancel: Option<&AtomicBool>) -> Result<JobOutput, JobError> {
     spec.validate()?;
     let entry = find_scenario(&spec.scenario).expect("validated above");

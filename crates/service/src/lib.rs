@@ -24,8 +24,8 @@
 //! A job's RESULT payload — stats JSON, trace bytes (when requested), and
 //! the FNV-1a checksum over both — is **byte-identical** to running the
 //! same `(scenario, seed, ticks, flags)` in-process via [`job::run_job`],
-//! regardless of concurrent load, worker-pool size, submission order, or
-//! `VC_SHARDS`. Tenants never share observability state: each job gets its
+//! regardless of concurrent load, worker-pool size, or submission order.
+//! Tenants never share observability state: each job gets its
 //! own [`vc_obs::Recorder`]; only wall-clock [`vc_net::svc::JobTimes`]
 //! (never part of the checksum) reflect what else the daemon was doing.
 //!

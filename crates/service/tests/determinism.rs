@@ -1,12 +1,7 @@
 //! The service determinism contract, enforced against the real `vcloudd`
 //! binary: N identical jobs submitted concurrently from separate client
 //! threads return byte-identical RESULT payloads — identical to each
-//! other, to the in-process [`run_job`] reference, and across daemon
-//! shard counts (`VC_SHARDS=1` vs `VC_SHARDS=8`).
-//!
-//! `VC_SHARDS` is read once per process, so each shard count needs its
-//! own daemon subprocess; the in-process reference runs in this test
-//! process with whatever sharding the harness has.
+//! other and to the in-process [`run_job`] reference.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -21,16 +16,14 @@ struct Daemon {
     addr: String,
 }
 
-/// Spawns `vcloudd` with the given env, parses the announced address.
-fn spawn_daemon(workers: usize, envs: &[(&str, &str)]) -> Daemon {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_vcloudd"));
-    cmd.args(["--addr", "127.0.0.1:0", "--workers", &workers.to_string()])
+/// Spawns `vcloudd`, parses the announced address.
+fn spawn_daemon(workers: usize) -> Daemon {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vcloudd"))
+        .args(["--addr", "127.0.0.1:0", "--workers", &workers.to_string()])
         .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let mut child = cmd.spawn().expect("spawn vcloudd");
+        .stderr(Stdio::inherit())
+        .spawn()
+        .expect("spawn vcloudd");
     let stdout = child.stdout.take().expect("piped stdout");
     let mut lines = BufReader::new(stdout).lines();
     let banner = lines.next().expect("vcloudd announces its address").unwrap();
@@ -72,29 +65,21 @@ fn submit_burst(addr: &str, spec: &JobSpec, n: usize) -> Vec<(Vec<u8>, Vec<u8>, 
 }
 
 #[test]
-fn concurrent_results_are_byte_identical_across_shard_counts() {
+fn concurrent_results_are_byte_identical_to_the_in_process_run() {
     let spec =
         JobSpec { scenario: "urban-epidemic".into(), seed: 1234, ticks: 48, flags: FLAG_TRACE };
     let reference = run_job(&spec, None).unwrap();
     assert!(!reference.trace.is_empty());
 
-    for shards in ["1", "8"] {
-        let daemon = spawn_daemon(4, &[("VC_SHARDS", shards)]);
-        let results = submit_burst(&daemon.addr, &spec, 8);
-        assert_eq!(results.len(), 8);
-        for (stats, trace, checksum) in &results {
-            assert_eq!(
-                stats, &reference.stats,
-                "VC_SHARDS={shards}: daemon stats differ from in-process run"
-            );
-            assert_eq!(
-                trace, &reference.trace,
-                "VC_SHARDS={shards}: daemon trace differs from in-process run"
-            );
-            assert_eq!(*checksum, reference.checksum);
-        }
-        daemon.stop();
+    let daemon = spawn_daemon(4);
+    let results = submit_burst(&daemon.addr, &spec, 8);
+    assert_eq!(results.len(), 8);
+    for (stats, trace, checksum) in &results {
+        assert_eq!(stats, &reference.stats, "daemon stats differ from in-process run");
+        assert_eq!(trace, &reference.trace, "daemon trace differs from in-process run");
+        assert_eq!(*checksum, reference.checksum);
     }
+    daemon.stop();
 }
 
 #[test]
@@ -108,7 +93,7 @@ fn interleaved_mixed_jobs_stay_independent_under_contention() {
     let ref_a = run_job(&spec_a, None).unwrap();
     let ref_b = run_job(&spec_b, None).unwrap();
 
-    let daemon = spawn_daemon(2, &[]);
+    let daemon = spawn_daemon(2);
     let handles: Vec<_> = (0..8)
         .map(|i| {
             let addr = daemon.addr.clone();

@@ -51,6 +51,6 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::roadnet::{NodeId, RoadId, RoadNetwork};
     pub use crate::scenario::{CanyonModel, Regime, Scenario, ScenarioBuilder};
-    pub use crate::shard::{map_shards, shard_count, ShardPlan};
+    pub use crate::shard::ShardPlan;
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -8,10 +8,10 @@
 //!
 //! Per-vehicle state is stored struct-of-arrays in [`Fleet`] (positions,
 //! velocities, online flags, and RNG streams in parallel vectors) so the
-//! per-tick hot loop batches cache-friendly and shards across worker threads
-//! (see [`crate::shard`]). Every vehicle owns a persistent RNG stream forked
-//! from the construction seed, so the tick results are independent of the
-//! shard count by construction.
+//! per-tick hot loop batches cache-friendly. Every vehicle owns a persistent
+//! RNG stream forked from the construction seed and writes only its own
+//! slots, so a step's result does not depend on the order — or, in
+//! [`Fleet::step_sharded`], the thread — in which vehicles are advanced.
 
 use crate::geom::Point;
 use crate::node::{Kinematics, VehicleId, VehicleProfile};
@@ -284,9 +284,8 @@ impl Fleet {
     /// the memory actually reserved), per-vehicle waypoint paths, and the
     /// reused stepping scratch. Derived purely from capacities and
     /// lengths, so structurally identical fleets report identical bytes
-    /// regardless of shard count or allocator — which lets the
-    /// `mem.fleet.bytes` gauge ride in the byte-compared deterministic
-    /// time-series (`vc_obs::mem`).
+    /// regardless of allocator — which lets the `mem.fleet.bytes` gauge
+    /// ride in the byte-compared deterministic time-series (`vc_obs::mem`).
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
         let paths: usize = self
@@ -307,12 +306,11 @@ impl Fleet {
             + self.leaders.capacity() * size_of::<Option<(f64, f64)>>()) as u64
     }
 
-    /// Advances every online vehicle by `dt` seconds using the configured
-    /// shard count ([`crate::shard::shard_count`], i.e. `VC_SHARDS`).
-    /// Cruising vehicles follow IDM car-following against the leader in
-    /// their lane.
+    /// Advances every online vehicle by `dt` seconds on the calling
+    /// thread. Cruising vehicles follow IDM car-following against the
+    /// leader in their lane.
     pub fn step(&mut self, dt: f64, net: &RoadNetwork) {
-        self.step_sharded(dt, net, crate::shard::shard_count());
+        self.step_sharded(dt, net, 1);
     }
 
     /// [`Fleet::step`] with an explicit shard count. Results are bitwise
@@ -852,9 +850,11 @@ mod tests {
     #[test]
     fn heap_bytes_is_deterministic_and_shard_invariant() {
         let hwy = RoadNetwork::highway(2000.0, 3, 33.3);
+        let n = 1200;
+        assert!(ShardPlan::effective(n, 4) > 1, "test must exercise the fan-out");
         let build = || {
             let mut rng = SimRng::seed_from(9);
-            Fleet::highway(2000.0, 500, &hwy, &mut rng)
+            Fleet::highway(2000.0, n, &hwy, &mut rng)
         };
         let mut a = build();
         let mut b = build();

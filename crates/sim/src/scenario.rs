@@ -77,10 +77,9 @@ pub struct Scenario {
     pub rng: SimRng,
     /// Step size used by [`Scenario::tick`], seconds.
     pub dt: f64,
-    /// Worker-thread shards for the per-tick hot loops (mobility step,
-    /// radio delivery). Defaults to [`crate::shard::shard_count`] (the
-    /// `VC_SHARDS` knob); results are bitwise identical for every value —
-    /// only wall-clock changes. Override programmatically for sweeps.
+    /// Worker threads [`Scenario::tick`] hands to
+    /// [`Fleet::step_sharded`]. Every preset says 1 (sequential); results
+    /// are bitwise identical for every value — only wall-clock changes.
     pub shards: usize,
 }
 
@@ -146,7 +145,7 @@ impl ScenarioBuilder {
             seed: self.seed,
             rng,
             dt: self.dt,
-            shards: crate::shard::shard_count(),
+            shards: 1,
         }
     }
 
@@ -167,7 +166,7 @@ impl ScenarioBuilder {
             seed: self.seed,
             rng,
             dt: self.dt,
-            shards: crate::shard::shard_count(),
+            shards: 1,
         }
     }
 
@@ -199,7 +198,7 @@ impl ScenarioBuilder {
             seed: self.seed,
             rng,
             dt: self.dt,
-            shards: crate::shard::shard_count(),
+            shards: 1,
         }
     }
 
@@ -266,8 +265,7 @@ impl Scenario {
 
     /// Reception probability for a single-hop transmission from `a` to `b`:
     /// the channel's distance curve times the canyon obstruction factor.
-    /// Read-only, so the sharded radio phase can evaluate links in parallel
-    /// (each worker drawing from its own per-copy RNG stream).
+    /// Read-only: the caller draws loss and latency from its own RNG stream.
     pub fn delivery_probability(&self, a: Point, b: Point) -> f64 {
         self.channel.reception_probability(a.distance(b)) * self.los_factor(a, b)
     }
@@ -372,6 +370,22 @@ mod tests {
         assert_eq!(highway.regime, Regime::Dynamic);
         assert!(highway.rsus.is_empty());
         assert!(!highway.cellular.available);
+    }
+
+    #[test]
+    fn every_preset_is_sequential() {
+        // Nothing reads the environment: a caller that wants the threaded
+        // mobility step assigns `shards` itself.
+        let b = ScenarioBuilder::new();
+        for s in [
+            b.parking_lot(),
+            b.urban_with_rsus(),
+            b.urban_canyon(),
+            b.highway_no_infra(),
+            b.disaster(0.5),
+        ] {
+            assert_eq!(s.shards, 1, "{:?}", s.regime);
+        }
     }
 
     #[test]

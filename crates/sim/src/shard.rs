@@ -1,36 +1,19 @@
-//! Shard planning for the parallel per-tick hot loops.
+//! Shard planning for [`Fleet::step_sharded`], the one kernel that can
+//! fan out over worker threads.
 //!
-//! The simulator's tick-rate work (vehicle kinematics, radio delivery) fans
-//! out over worker threads in contiguous index-range shards. Determinism is preserved by construction: every item owns its RNG
-//! stream (a persistent per-vehicle fork or a [`SimRng::stream`] derived from
-//! a per-round key and the item's canonical index), threads are pure workers,
-//! and shard results are merged back in canonical index order. The shard
-//! count therefore changes wall-clock only, never results — the CI
-//! determinism matrix compares `VC_SHARDS=1/2/8` byte-for-byte.
+//! A caller that passes a shard count above 1 gets the mobility step split
+//! into contiguous index ranges, one scoped thread each. Every vehicle owns
+//! its RNG stream and writes only its own slots, so the partition is
+//! invisible: the shard count changes wall-clock only, never results.
+//! Everything else in the simulator — and every preset — is sequential.
 //!
-//! `VC_SHARDS=N` overrides the default (available parallelism); `VC_SHARDS=1`
-//! is the sequential escape hatch.
-//!
-//! [`SimRng::stream`]: crate::rng::SimRng::stream
+//! [`Fleet::step_sharded`]: crate::mobility::Fleet::step_sharded
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Below this many items per shard, fanning out costs more than it saves:
 /// the planner collapses to fewer shards (possibly one, which runs inline).
 pub const MIN_ITEMS_PER_SHARD: usize = 512;
-
-/// The configured shard count: `VC_SHARDS` when set (parse failures and 0
-/// fall back to 1), otherwise [`std::thread::available_parallelism`].
-///
-/// Read once per process; set the environment variable before first use.
-pub fn shard_count() -> usize {
-    static SHARDS: OnceLock<usize> = OnceLock::new();
-    *SHARDS.get_or_init(|| match std::env::var("VC_SHARDS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    })
-}
 
 /// A partition of `0..items` into contiguous, near-equal index ranges.
 #[derive(Debug, Clone)]
@@ -88,30 +71,6 @@ impl ShardPlan {
     }
 }
 
-/// Evaluates `f` over each planned range of `0..items`, fanning out across
-/// threads when the plan has more than one shard, and returns the per-shard
-/// results in canonical range order.
-///
-/// `f` must be a pure function of its range (plus captured shared state):
-/// the caller's results must not depend on which thread ran which range.
-pub fn map_shards<T, F>(items: usize, shards: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
-{
-    if items == 0 {
-        return Vec::new();
-    }
-    if ShardPlan::effective(items, shards) <= 1 {
-        return vec![f(0..items)];
-    }
-    let plan = ShardPlan::new(items, shards);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = plan.ranges().iter().map(|r| scope.spawn(|| f(r.clone()))).collect();
-        handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,24 +98,5 @@ mod tests {
         assert_eq!(ShardPlan::new(MIN_ITEMS_PER_SHARD, 8).len(), 1);
         assert!(ShardPlan::new(MIN_ITEMS_PER_SHARD * 4, 8).len() > 1);
         assert!(ShardPlan::new(0, 8).is_empty());
-    }
-
-    #[test]
-    fn map_shards_preserves_canonical_order() {
-        // Results concatenate to the identity regardless of shard count.
-        let items = 3000;
-        let sequential: Vec<usize> = (0..items).collect();
-        for shards in [1usize, 2, 3, 8] {
-            let mapped: Vec<usize> = map_shards(items, shards, |r| r.collect::<Vec<_>>())
-                .into_iter()
-                .flatten()
-                .collect();
-            assert_eq!(mapped, sequential, "order broke at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn shard_count_is_at_least_one() {
-        assert!(shard_count() >= 1);
     }
 }
