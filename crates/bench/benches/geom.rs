@@ -93,6 +93,31 @@ fn main() {
         });
     }
 
+    // The fleets `vcloudd` runs: an id space of at most 64 is one bit row
+    // per vehicle and never reaches the grid. `64-padded` is the same 64
+    // vehicles with one offline 65th id, which sends them through the cell
+    // list — the pair `rebuild_guard.rs` holds to a ratio.
+    {
+        let mut table = NeighborTable::new();
+        let mut grid = SpatialGrid::new(300.0);
+        for n in [40usize, 64] {
+            let pos = positions(n, 1_000.0, 7);
+            let online = vec![true; n];
+            suite.bench_elems(&format!("neighbor_table/rebuild/{n}"), n as u64, || {
+                table.rebuild(&mut grid, black_box(&pos), &online, 300.0);
+                table.len()
+            });
+        }
+        let mut pos = positions(64, 1_000.0, 7);
+        pos.push(Point::new(0.0, 0.0));
+        let mut online = vec![true; 64];
+        online.push(false);
+        suite.bench_elems("neighbor_table/rebuild/64-padded", 64, || {
+            table.rebuild(&mut grid, black_box(&pos), &online, 300.0);
+            table.len()
+        });
+    }
+
     // ---- canyon LOS link (distance_to_nearest_road per sample) ----
     let mut builder = ScenarioBuilder::new();
     builder.seed(11).vehicles(10);

@@ -1,8 +1,8 @@
 //! Micro-benches for the PR 7 observability surfaces: the causal sampling
 //! decision (on every `NetSim::send`, so it must stay branch-cheap), the
 //! per-copy `EventBuf` fill + canonical-order absorb path, the per-tick
-//! time-series diff, and a fully traced routing run at each sample rate
-//! (the E17 overhead, as a gated benchdiff entry).
+//! time-series diff, a fully traced routing run at each sample rate (the
+//! E17 overhead), and the JSONL export of a traced service job.
 
 use vc_net::netsim::NetSim;
 use vc_net::routing::Epidemic;
@@ -75,6 +75,32 @@ fn main() {
             sim.run_rounds_obs(10, Some(&mut rec));
             black_box(rec.len());
             sim.stats().delivered
+        });
+    }
+
+    // ---- JSONL export of a traced `vcloudd` job ----
+    // 3 000 events in the mix the catalogue's `urban-epidemic` job records
+    // (40 vehicles, 24 packets; repeated from the start if the run is
+    // shorter): radio and routing events with two to four fields each,
+    // about 100 bytes a line.
+    {
+        let mut b = ScenarioBuilder::new();
+        b.seed(11).vehicles(40);
+        let mut scenario = b.urban_with_rsus();
+        let mut sim = NetSim::new(&mut scenario, Epidemic);
+        let mut traced = Recorder::new();
+        sim.send_random_pairs_obs(24, 256, Some(&mut traced));
+        sim.run_rounds_obs(256, Some(&mut traced));
+        let mut rec = Recorder::new();
+        let events: Vec<_> = traced.events().collect();
+        for e in events.iter().cycle().take(3_000) {
+            rec.event(e.at, e.component, e.kind, e.fields.clone());
+        }
+        let mut out = Vec::with_capacity(512 * 1024);
+        suite.bench_elems("recorder/write_jsonl/3000_events", 3_000, || {
+            out.clear();
+            rec.write_jsonl(&mut out).expect("Vec<u8> write cannot fail");
+            out.len()
         });
     }
 

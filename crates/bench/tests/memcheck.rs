@@ -1,7 +1,7 @@
 //! Steady-state allocation checks.
 //!
 //! This test binary installs the counting allocator (`vc_obs::mem`) and
-//! enforces two classes of guarantee:
+//! enforces three classes of guarantee:
 //!
 //! * the allocator's own counters behave: counts rise on allocation, live
 //!   bytes fall on drop, `reset_peak` re-baselines the high-water mark;
@@ -9,7 +9,8 @@
 //!   `NetSim::round`, the neighbor-table rebuild + cluster re-formation
 //!   inside it, and the dynamic `CloudSim::tick` built on the same two —
 //!   allocate **nothing** once their scratch buffers are warm and the
-//!   single-shard plan collapses to an inline loop.
+//!   single-shard plan collapses to an inline loop;
+//! * the JSONL export allocates per call, not per event.
 //!
 //! Zero-alloc assertions use [`AllocScope`], which reads *thread-local*
 //! counters, so they are immune to allocation by concurrent test threads.
@@ -22,9 +23,10 @@ use vc_cloud::arch::{ArchitectureKind, CloudSim};
 use vc_cloud::scheduler::SchedulerConfig;
 use vc_cloud::stay::Kinematic;
 use vc_net::netsim::NetSim;
-use vc_net::routing::{ClusterRouting, GreedyGeo, MozoRouting, RoutingProtocol};
+use vc_net::routing::{ClusterRouting, Epidemic, GreedyGeo, MozoRouting, RoutingProtocol};
 use vc_net::world::WorldView;
 use vc_obs::mem::{self, AllocScope};
+use vc_obs::Recorder;
 use vc_sim::prelude::*;
 
 vc_obs::counting_allocator!();
@@ -123,49 +125,75 @@ fn neighbor_rebuild_and_cluster_reform_steady_state_allocate_nothing() {
     // 300 m cell away from its base each iteration: vehicles change cells,
     // the bounding box moves, cells that were empty fill up, and the number
     // of clusters drifts. (The hash grid this replaced allocated a bucket on
-    // every first visit to a cell.)
-    let mut rng = SimRng::seed_from(13);
-    let n = 2_000;
-    let extent = 5_000.0;
-    let base: Vec<Point> = (0..n)
-        .map(|_| Point::new(rng.range_f64(0.0, extent), rng.range_f64(0.0, extent)))
-        .collect();
-    let velocities: Vec<Point> =
-        (0..n).map(|_| Point::new(rng.range_f64(-6.0, 6.0), rng.range_f64(-6.0, 6.0))).collect();
-    let online: Vec<bool> = (0..n).map(|i| i % 11 != 0).collect();
-    let mut positions = base.clone();
-    let mut table = NeighborTable::new();
-    let mut grid = SpatialGrid::new(300.0);
-    let (mut cluster, mut mozo) = (ClusterRouting::new(), MozoRouting::new());
-    let mut iterate = |rounds: usize| {
-        for _ in 0..rounds {
-            for (p, b) in positions.iter_mut().zip(&base) {
-                *p = *b + Point::new(rng.range_f64(-300.0, 300.0), rng.range_f64(-300.0, 300.0));
+    // every first visit to a cell.) Then the same with the 40 vehicles of a
+    // `vcloudd` job, whose rows are bit rows on the stack and whose grid is
+    // never built.
+    for (n, extent) in [(2_000, 5_000.0), (40, 1_500.0)] {
+        let mut rng = SimRng::seed_from(13);
+        let base: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.range_f64(0.0, extent), rng.range_f64(0.0, extent)))
+            .collect();
+        let velocities: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.range_f64(-6.0, 6.0), rng.range_f64(-6.0, 6.0)))
+            .collect();
+        let online: Vec<bool> = (0..n).map(|i| i % 11 != 0).collect();
+        let mut positions = base.clone();
+        let mut table = NeighborTable::new();
+        let mut grid = SpatialGrid::new(300.0);
+        let (mut cluster, mut mozo) = (ClusterRouting::new(), MozoRouting::new());
+        let mut iterate = |rounds: usize| {
+            for _ in 0..rounds {
+                for (p, b) in positions.iter_mut().zip(&base) {
+                    *p =
+                        *b + Point::new(rng.range_f64(-300.0, 300.0), rng.range_f64(-300.0, 300.0));
+                }
+                table.rebuild(&mut grid, &positions, &online, 300.0);
+                let world = WorldView {
+                    positions: &positions,
+                    velocities: &velocities,
+                    online: &online,
+                    neighbors: &table,
+                };
+                // `begin_round` is the in-place re-formation `NetSim::round`
+                // runs.
+                cluster.begin_round(&world);
+                mozo.begin_round(&world);
             }
-            table.rebuild(&mut grid, &positions, &online, 300.0);
-            let world = WorldView {
-                positions: &positions,
-                velocities: &velocities,
-                online: &online,
-                neighbors: &table,
-            };
-            // `begin_round` is the in-place re-formation `NetSim::round` runs.
-            cluster.begin_round(&world);
-            mozo.begin_round(&world);
-        }
-    };
-    // Warm-up: the neighbor table's flat storage finds its high-water mark;
-    // everything else is sized by the fleet on the first round.
-    iterate(12);
+        };
+        // Warm-up: the neighbor table's flat storage finds its high-water
+        // mark; everything else is sized by the fleet on the first round.
+        iterate(12);
+        let scope = AllocScope::start();
+        iterate(12);
+        let delta = scope.finish();
+        assert!(cluster.clustering().cluster_count() > 1 && mozo.zones().cluster_count() > 1);
+        assert_eq!(
+            (delta.allocs, delta.bytes),
+            (0, 0),
+            "rebuild + re-formation of {n} vehicles must be allocation-free after warm-up"
+        );
+    }
+}
+
+#[test]
+fn jsonl_export_allocates_per_call_not_per_event() {
+    // A traced `urban-epidemic` job's last 1 000 events, written into a
+    // buffer that already has the room: what is left is the one line
+    // buffer and its few doublings. (Building a `Json` tree per event made
+    // more than ten allocations for each of them.)
+    let mut scenario = ScenarioBuilder::new().seed(11).vehicles(40).urban_with_rsus();
+    let mut sim = NetSim::new(&mut scenario, Epidemic);
+    let mut rec = Recorder::ring(1_000);
+    sim.send_random_pairs_obs(24, 256, Some(&mut rec));
+    sim.run_rounds_obs(256, Some(&mut rec));
+    assert_eq!(rec.len(), 1_000);
+    let mut out = Vec::with_capacity(1 << 20);
     let scope = AllocScope::start();
-    iterate(12);
+    rec.write_jsonl(&mut out).expect("Vec<u8> write cannot fail");
     let delta = scope.finish();
-    assert!(cluster.clustering().cluster_count() > 1 && mozo.zones().cluster_count() > 1);
-    assert_eq!(
-        (delta.allocs, delta.bytes),
-        (0, 0),
-        "rebuild + re-formation must be allocation-free after warm-up"
-    );
+    assert_eq!(out.iter().filter(|&&b| b == b'\n').count(), 1_001, "events and the trailer");
+    assert!(out.len() < 1 << 20, "the sink must not have grown");
+    assert!(delta.allocs <= 8, "{} allocations for 1 000 events", delta.allocs);
 }
 
 #[test]

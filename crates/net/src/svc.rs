@@ -336,6 +336,15 @@ fn put_bytes(w: &mut ByteWriter, bytes: &[u8]) {
     w.put_slice(bytes);
 }
 
+/// Everything of a CHUNK payload but the data itself, whose length prefix
+/// comes last: shared by [`Frame::encode`] and [`write_chunk`].
+fn put_chunk_head(w: &mut ByteWriter, job: u64, channel: Channel, data_len: usize) {
+    w.put_u8(K_CHUNK);
+    w.put_u64(job);
+    w.put_u8(channel.as_u8());
+    w.put_u32(data_len as u32);
+}
+
 fn put_times(w: &mut ByteWriter, t: &JobTimes) {
     w.put_u64(t.accepted_ns);
     w.put_u64(t.started_ns);
@@ -418,10 +427,8 @@ impl Frame {
                 put_times(&mut w, times);
             }
             Frame::Chunk { job, channel, data } => {
-                w.put_u8(K_CHUNK);
-                w.put_u64(*job);
-                w.put_u8(channel.as_u8());
-                put_bytes(&mut w, data);
+                put_chunk_head(&mut w, *job, *channel, data.len());
+                w.put_slice(data);
             }
             Frame::ResultEnd { job } => {
                 w.put_u8(K_RESULT_END);
@@ -504,6 +511,25 @@ pub fn write_frame<W: Write>(out: &mut W, frame: &Frame) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN, "encoded frame exceeds MAX_FRAME_LEN");
     out.write_all(&(payload.len() as u32).to_be_bytes())?;
     out.write_all(&payload)
+}
+
+/// Writes the frame `Frame::Chunk { job, channel, data }` straight from the
+/// borrowed slice — the bytes [`write_frame`] would send, without copying
+/// `data` into a frame and again into its encoding.
+pub fn write_chunk<W: Write>(
+    out: &mut W,
+    job: u64,
+    channel: Channel,
+    data: &[u8],
+) -> io::Result<()> {
+    let mut head = ByteWriter::with_capacity(16);
+    put_chunk_head(&mut head, job, channel, data.len());
+    let head = head.into_vec();
+    let len = head.len() + data.len();
+    debug_assert!(len <= MAX_FRAME_LEN, "chunk frame exceeds MAX_FRAME_LEN");
+    out.write_all(&(len as u32).to_be_bytes())?;
+    out.write_all(&head)?;
+    out.write_all(data)
 }
 
 /// Reads one frame payload from a byte stream.
@@ -618,6 +644,25 @@ mod tests {
             decoded.push(f);
         }
         assert_eq!(decoded, frames);
+    }
+
+    #[test]
+    fn write_chunk_sends_the_bytes_of_a_chunk_frame() {
+        for (job, channel, len) in [
+            (0u64, Channel::Stats, 0usize),
+            (9, Channel::Trace, 3),
+            (u64::MAX, Channel::Stats, 291),
+            (0x0102_0304_0506_0708, Channel::Trace, CHUNK_LEN),
+        ] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let mut borrowed = Vec::new();
+            write_chunk(&mut borrowed, job, channel, &data).unwrap();
+            let mut owned = Vec::new();
+            write_frame(&mut owned, &Frame::Chunk { job, channel, data: data.clone() }).unwrap();
+            assert_eq!(borrowed, owned, "job {job:#x}, {len} bytes");
+            let decoded = read_decode(&mut io::Cursor::new(borrowed)).unwrap();
+            assert_eq!(decoded, Some(Frame::Chunk { job, channel, data }));
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::io::{self, Write};
 
 use vc_sim::probe::{Probe, Value};
 use vc_sim::time::{SimDuration, SimTime};
-use vc_testkit::json::Json;
+use vc_testkit::json::{write_escaped, write_number, Json};
 
 use crate::metrics::{MetricsHub, TimeSeries};
 
@@ -35,6 +35,15 @@ pub enum SpanPhase {
     End,
 }
 
+impl SpanPhase {
+    fn name(self) -> &'static str {
+        match self {
+            SpanPhase::Begin => "begin",
+            SpanPhase::End => "end",
+        }
+    }
+}
+
 /// One structured instrumentation record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
@@ -53,7 +62,10 @@ pub struct Event {
 }
 
 impl Event {
-    /// Renders this event as one compact, insertion-ordered JSON object.
+    /// Builds this event as one insertion-ordered JSON object. Nothing on a
+    /// hot path calls it: it is the reference for
+    /// [`Event::write_compact`], which must emit exactly
+    /// `self.to_json().to_string_compact()`.
     pub fn to_json(&self) -> Json {
         let mut pairs: Vec<(String, Json)> = vec![
             ("at_us".into(), Json::from(self.at.as_micros())),
@@ -62,11 +74,7 @@ impl Event {
         ];
         if let Some((id, phase)) = self.span {
             pairs.push(("span".into(), Json::from(id.as_u64())));
-            let phase = match phase {
-                SpanPhase::Begin => "begin",
-                SpanPhase::End => "end",
-            };
-            pairs.push(("phase".into(), Json::from(phase)));
+            pairs.push(("phase".into(), Json::from(phase.name())));
         }
         if let Some(elapsed) = self.elapsed {
             pairs.push(("elapsed_us".into(), Json::from(elapsed.as_micros())));
@@ -77,6 +85,50 @@ impl Event {
             pairs.push(("fields".into(), Json::Obj(fields)));
         }
         Json::Obj(pairs)
+    }
+
+    /// Appends this event's compact JSON object to `out` — the bytes of
+    /// `self.to_json().to_string_compact()`, written without building the
+    /// tree: every number takes the same `as f64` →
+    /// [`vc_testkit::json::write_number`] route [`Json::from`] gives it (so
+    /// an id above 2⁵³ prints as it always has), every key and string goes
+    /// through [`vc_testkit::json::write_escaped`].
+    pub fn write_compact(&self, out: &mut String) {
+        out.push_str("{\"at_us\":");
+        write_number(out, self.at.as_micros() as f64);
+        out.push_str(",\"component\":");
+        write_escaped(out, self.component);
+        out.push_str(",\"kind\":");
+        write_escaped(out, self.kind);
+        if let Some((id, phase)) = self.span {
+            out.push_str(",\"span\":");
+            write_number(out, id.as_u64() as f64);
+            out.push_str(",\"phase\":");
+            write_escaped(out, phase.name());
+        }
+        if let Some(elapsed) = self.elapsed {
+            out.push_str(",\"elapsed_us\":");
+            write_number(out, elapsed.as_micros() as f64);
+        }
+        if !self.fields.is_empty() {
+            out.push_str(",\"fields\":{");
+            for (i, (key, value)) in self.fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_escaped(out, key);
+                out.push(':');
+                match value {
+                    Value::U64(n) => write_number(out, *n as f64),
+                    Value::I64(n) => write_number(out, *n as f64),
+                    Value::F64(n) => write_number(out, *n),
+                    Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                    Value::Str(s) => write_escaped(out, s),
+                }
+            }
+            out.push('}');
+        }
+        out.push('}');
     }
 }
 
@@ -281,13 +333,21 @@ impl Recorder {
     /// counts. Unbounded recorders (which never drop) emit no trailer and
     /// their output is byte-identical to earlier releases.
     pub fn write_jsonl<W: Write>(&self, out: &mut W) -> io::Result<()> {
+        // One line buffer for the whole log: no `Json` tree, no per-event
+        // `String`.
+        let mut line = String::new();
+        let mut write_line = |event: &Event| {
+            line.clear();
+            event.write_compact(&mut line);
+            line.push('\n');
+            out.write_all(line.as_bytes())
+        };
         for event in &self.events {
-            out.write_all(event.to_json().to_string_compact().as_bytes())?;
-            out.write_all(b"\n")?;
+            write_line(event)?;
         }
         if self.cap.is_some() {
             let at = self.events.back().map_or(SimTime::ZERO, |e| e.at);
-            let trailer = Event {
+            write_line(&Event {
                 at,
                 component: "obs",
                 kind: "trace.end",
@@ -297,9 +357,7 @@ impl Recorder {
                     ("retained", Value::U64(self.events.len() as u64)),
                     ("dropped", Value::U64(self.dropped)),
                 ],
-            };
-            out.write_all(trailer.to_json().to_string_compact().as_bytes())?;
-            out.write_all(b"\n")?;
+            })?;
         }
         Ok(())
     }
@@ -470,6 +528,71 @@ mod tests {
             lines[2],
             r#"{"at_us":3000,"component":"cloud","kind":"place","span":0,"phase":"end","elapsed_us":3000}"#
         );
+    }
+
+    #[test]
+    fn jsonl_lines_equal_the_json_tree_for_every_event_shape() {
+        // `write_jsonl` renders without a `Json` tree; `Event::to_json` is
+        // the reference it must match byte for byte. A ring recorder, so
+        // the trailer goes through the comparison too.
+        let mut rec = Recorder::ring(64);
+        rec.event(t(0), "sim", "plain", Vec::new());
+        let outer = rec.span_begin(t(1), "auth", "handshake");
+        let inner = rec.span_begin(t(2), "auth", "verify");
+        rec.span_end(t(5), inner);
+        rec.span_end(SimTime::from_micros(u64::MAX), outer);
+        rec.event(
+            t(6),
+            "net",
+            "every.variant",
+            vec![
+                ("small", Value::U64(7)),
+                ("past_2_53", Value::U64((1 << 53) + 1)),
+                ("max", Value::U64(u64::MAX)),
+                ("negative", Value::I64(-42)),
+                ("min", Value::I64(i64::MIN)),
+                ("integral", Value::F64(3.0)),
+                ("fractional", Value::F64(-0.125)),
+                ("tiny", Value::F64(1e-300)),
+                ("huge", Value::F64(1e300)),
+                ("nan", Value::F64(f64::NAN)),
+                ("inf", Value::F64(f64::INFINITY)),
+                ("neg_inf", Value::F64(f64::NEG_INFINITY)),
+                ("yes", Value::Bool(true)),
+                ("no", Value::Bool(false)),
+                (
+                    "text",
+                    Value::Str("quote \" backslash \\ newline \n tab \t bell \u{7} é 車 🚗".into()),
+                ),
+                ("empty", Value::Str(String::new())),
+                ("key \"needing\" \\ escapes\n", Value::U64(1)),
+            ],
+        );
+        let mut out = Vec::new();
+        rec.write_jsonl(&mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.ends_with('\n'));
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), rec.len() + 1, "one line per event plus the trailer");
+        for (line, event) in lines.iter().zip(rec.events()) {
+            assert_eq!(*line, event.to_json().to_string_compact());
+            Json::parse(line).expect("every line is a JSON document");
+        }
+        assert_eq!(
+            lines[6],
+            r#"{"at_us":6000,"component":"obs","kind":"trace.end","fields":{"retained":6,"dropped":0}}"#
+        );
+        // What a consumer reads back is what was recorded.
+        let doc = Json::parse(lines[5]).unwrap();
+        assert_eq!(doc["fields"]["negative"], Json::from(-42i64));
+        assert_eq!(doc["fields"]["fractional"], Json::from(-0.125));
+        assert_eq!(doc["fields"]["nan"], Json::Null);
+        assert_eq!(doc["fields"]["no"], Json::from(false));
+        assert_eq!(
+            doc["fields"]["text"],
+            "quote \" backslash \\ newline \n tab \t bell \u{7} é 車 🚗"
+        );
+        assert_eq!(doc["fields"]["key \"needing\" \\ escapes\n"], Json::from(1u64));
     }
 
     #[test]

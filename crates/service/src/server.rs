@@ -11,7 +11,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use vc_net::svc::{read_decode, write_frame, Channel, Frame, JobPhase, CHUNK_LEN};
+use vc_net::svc::{read_decode, write_chunk, write_frame, Channel, Frame, JobPhase, CHUNK_LEN};
 
 use crate::job::JobSpec;
 use crate::supervisor::{Finished, Supervisor, SupervisorConfig, SupervisorHandle};
@@ -188,7 +188,7 @@ fn stream_result<W: Write>(writer: &mut W, job: u64, fin: &Finished) -> io::Resu
         [(Channel::Stats, &fin.output.stats), (Channel::Trace, &fin.output.trace)]
     {
         for data in bytes.chunks(CHUNK_LEN) {
-            write_frame(writer, &Frame::Chunk { job, channel, data: data.to_vec() })?;
+            write_chunk(writer, job, channel, data)?;
         }
     }
     if fin.phase == JobPhase::Failed && !fin.detail.is_empty() {

@@ -38,8 +38,9 @@ impl Default for SupervisorConfig {
 /// A finished job's payload as held by the supervisor.
 #[derive(Debug, Clone)]
 pub enum Outcome {
-    /// The job ran to completion.
-    Done(JobOutput),
+    /// The job ran to completion. Shared, so that handing the payload to a
+    /// RESULT stream under the state lock copies a pointer, not the trace.
+    Done(Arc<JobOutput>),
     /// The job failed (budget, internal error); human-readable detail.
     Failed(String),
     /// The job was cancelled before or during execution.
@@ -51,8 +52,9 @@ pub enum Outcome {
 pub struct Finished {
     /// Terminal phase ([`JobPhase::Done`] / Failed / Cancelled).
     pub phase: JobPhase,
-    /// The deterministic payload (empty stats/trace unless `Done`).
-    pub output: JobOutput,
+    /// The deterministic payload (empty stats/trace unless `Done`), shared
+    /// with the supervisor's job table.
+    pub output: Arc<JobOutput>,
     /// Failure detail when `phase` is `Failed` (empty otherwise).
     pub detail: String,
     /// Lifecycle timestamps.
@@ -276,10 +278,14 @@ impl SupervisorHandle {
     }
 }
 
-fn empty_output() -> JobOutput {
+fn empty_output() -> Arc<JobOutput> {
     // Checksum of the (empty) payload, so clients can verify every
     // result stream the same way regardless of terminal phase.
-    JobOutput { stats: Vec::new(), trace: Vec::new(), checksum: vc_net::svc::fnv1a64(&[]) }
+    Arc::new(JobOutput {
+        stats: Vec::new(),
+        trace: Vec::new(),
+        checksum: vc_net::svc::fnv1a64(&[]),
+    })
 }
 
 fn worker_loop(inner: &Inner) {
@@ -309,7 +315,7 @@ fn worker_loop(inner: &Inner) {
         };
 
         // Run without the lock; the job sees only its spec + cancel flag.
-        let result = run_job(&spec, Some(&cancel));
+        let result = run_job(&spec, Some(&cancel)).map(Arc::new);
 
         let mut st = inner.state.lock().unwrap();
         let now = inner.epoch.elapsed().as_nanos() as u64;
@@ -349,7 +355,9 @@ mod tests {
         let fin = h.wait_result(id).unwrap();
         assert_eq!(fin.phase, JobPhase::Done);
         let reference = run_job(&s, None).unwrap();
-        assert_eq!(fin.output, reference);
+        assert_eq!(*fin.output, reference);
+        // Every RESULT reads the one stored payload; none copies it.
+        assert!(Arc::ptr_eq(&fin.output, &h.wait_result(id).unwrap().output));
         assert!(fin.times.accepted_ns <= fin.times.started_ns);
         assert!(fin.times.started_ns <= fin.times.finished_ns);
         sup.drain();

@@ -246,15 +246,24 @@ impl Cellular {
 /// plus per-vehicle offsets, so rebuilding touches two growable buffers
 /// instead of allocating one `Vec` per vehicle per round. Each vehicle's
 /// slice is sorted ascending, so the layout choice is invisible through
-/// [`NeighborTable::of`].
+/// [`NeighborTable::of`] — and so is the way a rebuild found the rows: a
+/// fleet whose id space fits one machine word is tested pair by pair into
+/// bit rows, a larger one goes through the caller's [`SpatialGrid`].
 #[derive(Debug, Clone)]
 pub struct NeighborTable {
     /// `offsets[i]..offsets[i + 1]` bounds vehicle `i`'s slice of `flat`.
     offsets: Vec<u32>,
     flat: Vec<VehicleId>,
-    /// Row-ordering scratch: one bit per vehicle id, all zero between rows.
+    /// Row-ordering scratch of the cell-list path: one bit per vehicle id,
+    /// all zero between rows.
     marks: Vec<u64>,
 }
+
+/// Width of a bit row. While the id space fits one `u64`, a vehicle's
+/// whole neighbor set is a single word and the n(n − 1)/2 exact distance
+/// tests cost less than building the cell list would; that is what 64
+/// means here — the width of the word, not a tuned crossover.
+const ROW_BITS: usize = u64::BITS as usize;
 
 impl Default for NeighborTable {
     fn default() -> Self {
@@ -296,11 +305,20 @@ impl NeighborTable {
     /// each slice is sorted, so the result is independent of the grid's cell
     /// size and scan order.
     ///
-    /// A row is ordered without comparisons when it is dense in the id
-    /// space: one bit per hit goes into a bitmap of `n / 64` words, and the
-    /// row is read back in ascending order with `trailing_zeros`. That
-    /// costs a pass over the whole bitmap, so rows shorter than its word
-    /// count keep the comparison sort.
+    /// A fleet of at most 64 ids (online or not) never reaches the grid: its
+    /// rows are bit rows filled by the same strict `distance_sq < range²`
+    /// test over all pairs, read back ascending. `grid` is then left exactly
+    /// as it was — stale, which nothing observes, since every use of it
+    /// starts with a rebuild.
+    ///
+    /// On the cell-list path a row is ordered without comparisons when it
+    /// is dense in the id space: one bit per hit goes into a bitmap of
+    /// `n / 64` words, and the row is read back in ascending order with
+    /// `trailing_zeros`. That costs a pass over the whole bitmap, so rows
+    /// shorter than its word count keep the comparison sort.
+    ///
+    /// A `range_m` that is not finite and positive gives every vehicle an
+    /// empty row, whatever the fleet size.
     ///
     /// # Panics
     ///
@@ -313,10 +331,14 @@ impl NeighborTable {
         range_m: f64,
     ) {
         assert_eq!(positions.len(), online.len());
-        grid.rebuild(positions.iter().copied().enumerate().filter(|&(i, _)| online[i]));
         self.offsets.clear();
         self.offsets.push(0);
         self.flat.clear();
+        if positions.len() <= ROW_BITS {
+            self.fill_from_bit_rows(positions, online, range_m);
+            return;
+        }
+        grid.rebuild(positions.iter().copied().enumerate().filter(|&(i, _)| online[i]));
         self.marks.resize(positions.len().div_ceil(64), 0);
         let r_sq = range_m * range_m;
         for (i, &p) in positions.iter().enumerate() {
@@ -353,6 +375,44 @@ impl NeighborTable {
                 } else {
                     row.sort_unstable();
                 }
+            }
+            self.offsets.push(self.flat.len() as u32);
+        }
+    }
+
+    /// The rows of a fleet of at most [`ROW_BITS`] ids, appended to the
+    /// cleared CSR arrays. Bit `j` of row `i` is the cell-list path's test
+    /// on the same operands; only `j < i` is evaluated and mirrored, which
+    /// is exact because `(a − b)²` and `(b − a)²` are the same float. The
+    /// strict triangle leaves a vehicle out of its own row, the online word
+    /// masks offline ids out of every row, and `trailing_zeros` reads each
+    /// row back ascending.
+    fn fill_from_bit_rows(&mut self, positions: &[Point], online: &[bool], range_m: f64) {
+        let n = positions.len();
+        let mut rows = [0u64; ROW_BITS];
+        // `r²` alone would let −5 m through and make +∞ admit everyone;
+        // `SpatialGrid::candidate_rows` refuses both for the larger fleets.
+        if range_m.is_finite() && range_m > 0.0 {
+            let r_sq = range_m * range_m;
+            for i in 1..n {
+                let p = positions[i];
+                let mut below = 0u64;
+                for (j, q) in positions[..i].iter().enumerate() {
+                    below |= u64::from(q.distance_sq(p) < r_sq) << j;
+                }
+                rows[i] = below;
+                while below != 0 {
+                    rows[below.trailing_zeros() as usize] |= 1 << i;
+                    below &= below - 1;
+                }
+            }
+        }
+        let live = online.iter().enumerate().fold(0u64, |w, (i, &on)| w | u64::from(on) << i);
+        for (i, row) in rows[..n].iter().enumerate() {
+            let mut bits = if online[i] { row & live } else { 0 };
+            while bits != 0 {
+                self.flat.push(VehicleId(bits.trailing_zeros()));
+                bits &= bits - 1;
             }
             self.offsets.push(self.flat.len() as u32);
         }
@@ -551,7 +611,8 @@ mod tests {
         let mut grid = SpatialGrid::new(300.0);
         // Fleets that grow and shrink across word counts, dense enough that
         // most rows go through the bitmap and some (the offline ones, and
-        // the stragglers 5 km out) do not.
+        // the stragglers 5 km out) do not. The fleets of 64, 1 and 0 take
+        // the bit-row path, which must leave the bitmap alone.
         for n in [200usize, 64, 130, 1, 0, 257, 65] {
             let positions: Vec<Point> = (0..n)
                 .map(|i| {
@@ -561,7 +622,9 @@ mod tests {
                 .collect();
             let online: Vec<bool> = (0..n).map(|i| i % 9 != 0).collect();
             table.rebuild(&mut grid, &positions, &online, 300.0);
-            assert_eq!(table.marks.len(), n.div_ceil(64));
+            if n > ROW_BITS {
+                assert_eq!(table.marks.len(), n.div_ceil(64));
+            }
             assert!(table.marks.iter().all(|&word| word == 0), "stale bits after n = {n}");
         }
     }

@@ -52,21 +52,33 @@ struct Snapshot {
 fn snapshot() -> FromFn<impl Fn(&mut SimRng) -> Snapshot> {
     from_fn(|rng| {
         // Empty and single-vehicle fleets come up one time in four. Up to 64
-        // vehicles the ordering bitmap is one word and every non-empty row
-        // goes through it; the larger fleets put ids on both sides of a word
-        // boundary, and whether a row is long enough for the bitmap or is
-        // sorted by comparison depends on the layout and the range.
-        let n = match rng.index(10) {
+        // ids a rebuild tests all pairs into one-word bit rows and never
+        // touches the grid; from 65 it goes through the cell list, where ids
+        // sit on both sides of a word boundary and whether a row is long
+        // enough for the ordering bitmap or is sorted by comparison depends
+        // on the layout and the range. One draw in ten is a crowd: 2, 63 or
+        // 64 vehicles, all online and all in range of each other, so every
+        // row is full and the last one sets bit 63.
+        let pick = rng.index(10);
+        let crowd = pick == 5;
+        let n = match pick {
             0 => 0,
             1 => 1,
             2 | 3 => [64, 65, 127, 128, 129, 192, 257][rng.index(7)],
             4 => rng.range_u64(2_000, 2_400) as usize,
+            5 => [2, 63, 64][rng.index(3)],
             _ => rng.range_u64(2, 60) as usize,
         };
         // A fleet of thousands is laid out sparse: four or five vehicles
         // within 10 m of each of n / 4 sites 300 m apart, so nobody has
         // more than four neighbors and no row reaches the bitmap.
-        let layout = if n >= 2_000 { 4 } else { rng.index(4) };
+        let layout = if n >= 2_000 {
+            4
+        } else if crowd {
+            0
+        } else {
+            rng.index(4)
+        };
         let mut positions: Vec<Point> = (0..n)
             .map(|i| match layout {
                 4 => {
@@ -88,6 +100,9 @@ fn snapshot() -> FromFn<impl Fn(&mut SimRng) -> Snapshot> {
                 _ => Point::new(rng.range_f64(-500.0, 500.0), rng.range_f64(-500.0, 500.0)),
             })
             .collect();
+        if crowd {
+            return Snapshot { positions, online: vec![true; n], range_m: 250.0 };
+        }
         if n > 0 {
             // One vehicle 10⁹ m away on either side, and one with no fix.
             match rng.index(6) {
@@ -98,13 +113,19 @@ fn snapshot() -> FromFn<impl Fn(&mut SimRng) -> Snapshot> {
             }
         }
         let online = (0..n).map(|_| rng.chance(0.8)).collect();
-        // Far below, just below, exactly, and far above the cell size.
+        // Far below, just below, exactly, and far above the cell size; one
+        // draw in eight is a radius no channel should have, for which every
+        // row is empty at every fleet size.
         let ranges = if layout == 4 {
             &[99.0, 100.0, 250.0][..]
         } else {
             &[3.0, 99.0, 100.0, 250.0, 1200.0]
         };
-        let range_m = ranges[rng.index(ranges.len())];
+        let range_m = if rng.index(8) == 0 {
+            [0.0, -5.0, f64::NAN, f64::INFINITY][rng.index(4)]
+        } else {
+            ranges[rng.index(ranges.len())]
+        };
         Snapshot { positions, online, range_m }
     })
 }
@@ -182,11 +203,13 @@ prop! {
         prop_assert_eq!(got, expect);
     }
 
-    // The cell list under `NeighborTable::rebuild` must be invisible: per
+    // How `NeighborTable::rebuild` finds the rows must be invisible: per
     // vehicle the ascending ids of the online others strictly within range,
-    // exactly what the O(n²) scan finds. A NaN position fails every
+    // exactly what the O(n²) scan finds, whether the fleet took the bit rows
+    // (at most 64 ids) or the cell list. A NaN position fails every
     // distance test, so it is never a neighbor and has none; an outlier
-    // 10⁹ m away must not cost memory.
+    // 10⁹ m away must not cost memory; a radius that is not finite and
+    // positive reaches nobody.
     #[test]
     fn neighbor_table_rebuild_matches_quadratic_scan(s in snapshot()) {
         let n = s.positions.len();
@@ -196,10 +219,12 @@ prop! {
         table.rebuild(&mut grid, &[Point::new(7.0, 7.0), Point::new(8.0, 8.0)], &[true, true], 50.0);
         table.rebuild(&mut grid, &s.positions, &s.online, s.range_m);
         prop_assert_eq!(table.len(), n);
+        let reaches = s.range_m.is_finite() && s.range_m > 0.0;
         for i in 0..n {
             let expect: Vec<VehicleId> = (0..n)
                 .filter(|&j| {
                     j != i
+                        && reaches
                         && s.online[i]
                         && s.online[j]
                         && s.positions[j].distance_sq(s.positions[i]) < s.range_m * s.range_m
@@ -212,6 +237,22 @@ prop! {
             grid.heap_bytes() <= 64 * n as u64 + 1024,
             "{} grid bytes for {} vehicles", grid.heap_bytes(), n
         );
+        if n <= 64 {
+            // The same vehicles in a 65-id space (the added ids offline) go
+            // through the cell list: the two paths, row against row.
+            let mut positions = s.positions.clone();
+            positions.resize(65, Point::new(50.0, 50.0));
+            let mut online = s.online.clone();
+            online.resize(65, false);
+            let mut padded = NeighborTable::new();
+            padded.rebuild(&mut grid, &positions, &online, s.range_m);
+            for i in 0..n {
+                prop_assert_eq!(table.of(VehicleId(i as u32)), padded.of(VehicleId(i as u32)));
+            }
+            for i in n..65 {
+                prop_assert!(padded.of(VehicleId(i as u32)).is_empty());
+            }
+        }
     }
 
     // ---- road index vs linear scan ----

@@ -16,6 +16,7 @@
 //! assert_eq!(doc["rows"][1], Json::from(2u64));
 //! ```
 
+use std::fmt::Write;
 use std::ops::Index;
 
 /// A JSON document tree.
@@ -319,33 +320,48 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_number(out: &mut String, n: f64) {
+/// Appends `n` the way every number in a [`Json`] tree is rendered:
+/// integral values below 2⁵³ without a fraction, anything else through
+/// `f64`'s `Display`, and `null` for NaN and ±∞ (JSON has neither). Public
+/// so that a writer with no tree to build — `vc_obs`'s JSONL export —
+/// produces the same bytes as [`Json::to_string_compact`].
+pub fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Infinity; degrade to null like serde_json's
         // arbitrary-precision-off behaviour degrades to error.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-        out.push_str(&format!("{}", n as i64));
+        write!(out, "{}", n as i64).expect("writing to a String cannot fail");
     } else {
-        out.push_str(&format!("{n}"));
+        write!(out, "{n}").expect("writing to a String cannot fail");
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string: `"` and `\` backslash-escaped,
+/// `\n` `\r` `\t` by name, other control characters as `\u00XX`, everything
+/// else (non-ASCII included) verbatim. Public for the same reason as
+/// [`write_number`].
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so cutting the string
+    // around those bytes never splits a multi-byte character.
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
         }
     }
+    out.push_str(&s[clean..]);
     out.push('"');
 }
 
