@@ -17,6 +17,7 @@
 use crate::world::WorldView;
 use vc_obs::Recorder;
 use vc_sim::node::VehicleId;
+use vc_sim::radio::NeighborTable;
 use vc_sim::time::SimTime;
 
 /// Parameters for cluster formation.
@@ -76,8 +77,10 @@ pub struct Clustering {
     /// Every clustered vehicle, grouped by head and ascending within a
     /// cluster (heads include themselves).
     members: Vec<VehicleId>,
-    /// Election scratch: `(score, vehicle)` for every candidate head.
-    candidates: Vec<(f64, VehicleId)>,
+    /// Election scratch: `(rank(score), vehicle)` for every candidate head.
+    candidates: Vec<(u64, VehicleId)>,
+    /// Moving-zone mode's links, refilled each round; unused otherwise.
+    band: BandLinks,
     bfs: Bfs,
 }
 
@@ -134,37 +137,11 @@ impl Clustering {
         self.head_of.clear();
         self.head_of.resize(world.len(), None);
         self.candidates.clear();
-        self.candidates.extend(world.online_ids().map(|id| (head_score(world, id, cfg), id)));
-        self.elect(world, cfg, true);
+        let links = Links::of_round(&mut self.band, world, cfg);
+        self.candidates
+            .extend(world.online_ids().map(|id| (rank(links.head_score(world, id, cfg)), id)));
+        elect(&mut self.head_of, &mut self.candidates, &mut self.bfs, &links, cfg.max_hops, true);
         self.index_members();
-    }
-
-    /// Runs the election over `self.candidates`: in rank order — score
-    /// descending, ties to the lower vehicle id — each candidate nobody has
-    /// claimed yet becomes a head and claims the unclaimed vehicles within
-    /// `max_hops`. The search runs on through vehicles another head already
-    /// claimed only when `through_claimed` is set.
-    fn elect(&mut self, world: &WorldView<'_>, cfg: &ClusterConfig, through_claimed: bool) {
-        // Ids are distinct, so the order is total and the unstable sort
-        // (which, unlike the stable one, allocates nothing) is deterministic.
-        self.candidates.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0).expect("finite scores").then(a.1.cmp(&b.1))
-        });
-        let Clustering { head_of, candidates, bfs, .. } = self;
-        for &(_, candidate) in candidates.iter() {
-            if head_of[candidate.0 as usize].is_some() {
-                continue;
-            }
-            head_of[candidate.0 as usize] = Some(candidate);
-            bfs.search(world, cfg, [candidate], |_, next| {
-                let head = &mut head_of[next.0 as usize];
-                let free = head.is_none();
-                if free {
-                    *head = Some(candidate);
-                }
-                free || through_claimed
-            });
-        }
     }
 
     /// Rebuilds the `heads`/`members` view from `head_of` by a counting
@@ -209,30 +186,176 @@ impl Clustering {
     }
 }
 
-/// Does the link from `a` to its neighbor `b` count for clustering: `b`
-/// online and, in moving-zone mode, inside `a`'s velocity band?
-fn eligible(world: &WorldView<'_>, cfg: &ClusterConfig, a: VehicleId, b: VehicleId) -> bool {
-    world.is_online(b)
-        && cfg.velocity_similarity.is_none_or(|band| (world.vel(a) - world.vel(b)).norm() < band)
+/// Runs the election over `candidates`: in rank order — score descending,
+/// ties to the lower vehicle id — each candidate nobody has claimed yet
+/// becomes a head and claims the unclaimed vehicles within `max_hops`. The
+/// search runs on through vehicles another head already claimed only when
+/// `through_claimed` is set.
+fn elect(
+    head_of: &mut [Option<VehicleId>],
+    candidates: &mut [(u64, VehicleId)],
+    bfs: &mut Bfs,
+    links: &Links<'_>,
+    max_hops: u32,
+    through_claimed: bool,
+) {
+    // Ids are distinct, so the order is total and the unstable sort
+    // (which, unlike the stable one, allocates nothing) is deterministic.
+    candidates.sort_unstable();
+    for &(_, candidate) in candidates.iter() {
+        if head_of[candidate.0 as usize].is_some() {
+            continue;
+        }
+        head_of[candidate.0 as usize] = Some(candidate);
+        bfs.search(links, head_of.len(), max_hops, [candidate], |_, next| {
+            let head = &mut head_of[next.0 as usize];
+            let free = head.is_none();
+            if free {
+                *head = Some(candidate);
+            }
+            free || through_claimed
+        });
+    }
 }
 
-/// Election score for one vehicle: well-connected and kinematically calm
-/// vehicles make good heads.
-fn head_score(world: &WorldView<'_>, id: VehicleId, cfg: &ClusterConfig) -> f64 {
-    let (mut degree, mut rel_speed) = (0usize, 0.0);
-    for &n in world.neighbors.of(id) {
-        if eligible(world, cfg, id, n) {
-            degree += 1;
-            rel_speed += (world.vel(id) - world.vel(n)).norm();
+/// A score as an integer whose *ascending* order is the scores' descending
+/// numeric order, so the election ranks by comparing `(rank, id)` pairs of
+/// integers — a third off the sort of a 40-vehicle fleet against
+/// `partial_cmp` in a closure. The sign bit is flipped for positive floats
+/// and every bit for negative ones (the usual order-preserving map of
+/// IEEE 754 onto unsigned integers), then the whole is inverted; `+ 0.0`
+/// folds −0.0 into +0.0 first, which compare equal as numbers.
+///
+/// # Panics
+///
+/// Panics on NaN: scores are finite for finite velocities and weights.
+fn rank(score: f64) -> u64 {
+    assert!(!score.is_nan(), "finite scores");
+    let bits = (score + 0.0).to_bits();
+    let ascending = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+    !ascending
+}
+
+/// The links clustering walks this round. A link from `a` to its neighbor
+/// `b` counts when `b` is online and, in moving-zone mode, inside `a`'s
+/// velocity band. Every row of a [`NeighborTable`] already holds online
+/// vehicles only — the cell-list rebuild indexes none but the online, the
+/// bit-row rebuild masks each row with the online word, and both leave an
+/// offline vehicle's own row empty — so without a band the table *is* the
+/// link set and is walked where it lies. With one, the band is tested once
+/// per link per round into [`BandLinks`] instead of once per visit of every
+/// head's search.
+enum Links<'a> {
+    Table(&'a NeighborTable),
+    Band(&'a BandLinks),
+}
+
+impl<'a> Links<'a> {
+    /// The round's links under `cfg`, refilling `band` when it has a
+    /// velocity band.
+    fn of_round(band: &'a mut BandLinks, world: &WorldView<'a>, cfg: &ClusterConfig) -> Self {
+        match cfg.velocity_similarity {
+            None => Links::Table(world.neighbors),
+            Some(width) => {
+                band.refill(world, width);
+                Links::Band(band)
+            }
         }
     }
-    if degree > 0 {
-        rel_speed /= degree as f64;
+
+    /// Eligible neighbors of `id`, ascending.
+    fn of(&self, id: VehicleId) -> &[VehicleId] {
+        match self {
+            Links::Table(table) => table.of(id),
+            Links::Band(band) => band.of(id),
+        }
     }
-    cfg.weight_degree * degree as f64 - cfg.weight_stability * rel_speed
+
+    /// Election score for one vehicle: well-connected and kinematically calm
+    /// vehicles make good heads.
+    fn head_score(&self, world: &WorldView<'_>, id: VehicleId, cfg: &ClusterConfig) -> f64 {
+        let degree = self.of(id).len();
+        let mut rel_speed = match self {
+            Links::Table(table) => {
+                let mut sum = 0.0;
+                for &n in table.of(id) {
+                    sum += (world.vel(id) - world.vel(n)).norm();
+                }
+                sum
+            }
+            Links::Band(band) => band.rel_speed[id.0 as usize],
+        };
+        if degree > 0 {
+            rel_speed /= degree as f64;
+        }
+        cfg.weight_degree * degree as f64 - cfg.weight_stability * rel_speed
+    }
 }
 
-/// Bounded-hop breadth-first search over eligible links, the one traversal
+/// The neighbor table filtered by a velocity band, in the table's own CSR
+/// shape and neighbor order, with each vehicle's summed relative speed over
+/// the links that passed (the same additions in the same order as scoring
+/// them one by one).
+#[derive(Debug, Clone, Default)]
+struct BandLinks {
+    starts: Vec<u32>,
+    flat: Vec<VehicleId>,
+    rel_speed: Vec<f64>,
+}
+
+impl BandLinks {
+    /// Keeps the links with `(vel(a) − vel(b)).norm() < width`, in two
+    /// passes per row. On a highway 55 links in 100 join opposing traffic
+    /// and which ones is no pattern a branch predictor learns, so the first
+    /// pass is branch-free (write every neighbor, advance past the hits, as
+    /// the neighbor table's own filter does) and needs no `sqrt`: it drops a
+    /// link only when its squared norm is at least `width² × (1 + 10⁻¹²)`,
+    /// which — `sqrt` being monotone and correctly rounded, and the margin
+    /// thousands of ulps — the exact test would drop too (a `width²` that
+    /// is not a normal number carries no such margin and drops nothing). The
+    /// second pass puts the exact test to the rest.
+    fn refill(&mut self, world: &WorldView<'_>, width: f64) {
+        self.starts.clear();
+        self.starts.push(0);
+        self.flat.clear();
+        self.rel_speed.clear();
+        let squared = width * width;
+        let surely_outside =
+            if squared.is_normal() { squared * (1.0 + 1e-12) } else { f64::INFINITY };
+        for a in (0..world.len() as u32).map(VehicleId) {
+            let row = world.neighbors.of(a);
+            let start = self.flat.len();
+            self.flat.resize(start + row.len(), VehicleId(0));
+            let out = &mut self.flat[start..];
+            let mut near = 0;
+            for &b in row {
+                let apart = world.vel(a) - world.vel(b);
+                out[near] = b;
+                near += usize::from(apart.dot(apart) < surely_outside);
+            }
+            let (mut kept, mut sum) = (0, 0.0);
+            for at in 0..near {
+                let b = out[at];
+                let apart = (world.vel(a) - world.vel(b)).norm();
+                if apart < width {
+                    out[kept] = b;
+                    kept += 1;
+                    sum += apart;
+                }
+            }
+            self.flat.truncate(start + kept);
+            self.starts.push(self.flat.len() as u32);
+            self.rel_speed.push(sum);
+        }
+    }
+
+    fn of(&self, id: VehicleId) -> &[VehicleId] {
+        let i = id.0 as usize;
+        &self.flat[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+}
+
+/// Bounded-hop breadth-first search over the round's links, the one traversal
 /// under formation and maintenance. Visits are epoch-stamped, so starting a
 /// search forgets the previous one in O(1) instead of clearing a flag per
 /// vehicle, and the queue is a reused flat buffer.
@@ -246,25 +369,26 @@ struct Bfs {
 }
 
 impl Bfs {
-    /// Searches outwards from `roots` (hop 0) for at most `cfg.max_hops`
-    /// hops, walking `world.neighbors` in place. `reach(from, to)` is called
-    /// once for each vehicle other than a root when the search first
-    /// arrives at it, in breadth-first order; the search continues through
-    /// `to` only when it returns `true`.
+    /// Searches outwards from `roots` (hop 0) for at most `max_hops` hops
+    /// over the `links` of an `n`-vehicle world, walking them in place.
+    /// `reach(from, to)` is called once for each vehicle other than a root
+    /// when the search first arrives at it, in breadth-first order; the
+    /// search continues through `to` only when it returns `true`.
     fn search(
         &mut self,
-        world: &WorldView<'_>,
-        cfg: &ClusterConfig,
+        links: &Links<'_>,
+        n: usize,
+        max_hops: u32,
         roots: impl IntoIterator<Item = VehicleId>,
         mut reach: impl FnMut(VehicleId, VehicleId) -> bool,
     ) {
         self.queue.clear();
-        if self.stamp.len() != world.len() || self.epoch == u32::MAX {
+        if self.stamp.len() != n || self.epoch == u32::MAX {
             self.stamp.clear();
-            self.stamp.resize(world.len(), 0);
+            self.stamp.resize(n, 0);
             self.epoch = 0;
             // A vehicle is queued at most once per search.
-            self.queue.reserve(world.len());
+            self.queue.reserve(n);
         }
         self.epoch += 1;
         for root in roots {
@@ -272,12 +396,12 @@ impl Bfs {
             self.queue.push(root);
         }
         let mut level = 0..self.queue.len();
-        for _ in 0..cfg.max_hops {
+        for _ in 0..max_hops {
             for at in level.clone() {
                 let cur = self.queue[at];
-                for &next in world.neighbors.of(cur) {
+                for &next in links.of(cur) {
                     let seen = &mut self.stamp[next.0 as usize];
-                    if *seen == self.epoch || !eligible(world, cfg, cur, next) {
+                    if *seen == self.epoch {
                         continue;
                     }
                     *seen = self.epoch;
@@ -348,6 +472,9 @@ pub fn maintain_clusters(
 ) -> Clustering {
     let mut next = Clustering::default();
     next.head_of.resize(world.len(), None);
+    let Clustering { head_of, candidates, band, bfs, .. } = &mut next;
+    let links = Links::of_round(band, world, cfg);
+    let n = world.len();
 
     // 1. Retain adequate heads: one search per old head, then count the old
     //    members it still reaches.
@@ -358,26 +485,22 @@ pub fn maintain_clusters(
         }
         let others = previous.members(head).len() - 1;
         if others > 0 {
-            next.bfs.search(world, cfg, [head], |_, _| true);
-            let reachable = previous
-                .members(head)
-                .iter()
-                .filter(|&&m| m != head && next.bfs.visited(m))
-                .count();
+            bfs.search(&links, n, cfg.max_hops, [head], |_, _| true);
+            let reachable =
+                previous.members(head).iter().filter(|&&m| m != head && bfs.visited(m)).count();
             let quorum = (others as f64 * retention_quorum).ceil() as usize;
             if reachable < quorum.max(1).min(others) {
                 continue;
             }
         }
-        next.head_of[head.0 as usize] = Some(head);
+        head_of[head.0 as usize] = Some(head);
         surviving_heads.push(head);
     }
 
     // 2. Re-attach everyone to the nearest surviving head (one search from
     //    all of them at once, nearest-first, deterministic by head id:
     //    `heads()` is ascending).
-    let Clustering { head_of, bfs, .. } = &mut next;
-    bfs.search(world, cfg, surviving_heads, |from, to| {
+    bfs.search(&links, n, cfg.max_hops, surviving_heads, |from, to| {
         let free = head_of[to.0 as usize].is_none();
         if free {
             head_of[to.0 as usize] = head_of[from.0 as usize];
@@ -386,13 +509,13 @@ pub fn maintain_clusters(
     });
 
     // 3. Fresh election among uncovered vehicles (splits / newcomers).
-    next.candidates.extend(
+    candidates.extend(
         world
             .online_ids()
-            .filter(|id| next.head_of[id.0 as usize].is_none())
-            .map(|id| (head_score(world, id, cfg), id)),
+            .filter(|id| head_of[id.0 as usize].is_none())
+            .map(|id| (rank(links.head_score(world, id, cfg)), id)),
     );
-    next.elect(world, cfg, false);
+    elect(head_of, candidates, bfs, &links, cfg.max_hops, false);
     next.index_members();
     next
 }
@@ -441,6 +564,60 @@ mod tests {
 
     fn still(n: usize) -> Vec<Point> {
         vec![Point::new(0.0, 0.0); n]
+    }
+
+    #[test]
+    fn rank_orders_scores_as_partial_cmp_does_descending() {
+        let scores = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1.0,
+            1.0 + f64::EPSILON,
+            7.25,
+            f64::INFINITY,
+        ];
+        for a in scores {
+            for b in scores {
+                assert_eq!(
+                    rank(a).cmp(&rank(b)),
+                    b.partial_cmp(&a).unwrap(),
+                    "{a:e} against {b:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn band_filter_is_the_exact_test_at_the_edge_of_the_band() {
+        // Relative speeds an ulp either side of the 5 m/s band, and well
+        // clear of it: the squared-norm pass must never decide a case the
+        // exact test would decide the other way.
+        let edge = 5.0_f64;
+        let speeds =
+            [0.0, 1.0, edge - 1e-9, edge.next_down(), edge, edge.next_up(), edge + 1e-9, 60.0];
+        let positions: Vec<Point> = (0..=speeds.len()).map(|i| Point::new(i as f64, 0.0)).collect();
+        let mut velocities = vec![Point::new(0.0, 0.0)];
+        velocities.extend(speeds.iter().map(|&s| Point::new(s, 0.0)));
+        let f = Fixture::new(positions, velocities, 300.0);
+        let mut band = BandLinks::default();
+        band.refill(&f.world(), edge);
+        let expect: Vec<VehicleId> = speeds
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s < edge)
+            .map(|(i, _)| VehicleId(i as u32 + 1))
+            .collect();
+        assert_eq!(band.of(VehicleId(0)), expect);
+        assert_eq!(band.rel_speed[0], speeds.iter().filter(|&&s| s < edge).sum::<f64>());
+        // A band whose square underflows still admits equal velocities.
+        band.refill(&f.world(), 1e-200);
+        assert_eq!(band.of(VehicleId(0)), [VehicleId(1)]);
     }
 
     #[test]

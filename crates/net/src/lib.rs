@@ -31,6 +31,7 @@
 pub mod beacon;
 pub mod bytebuf;
 pub mod cluster;
+pub mod holders;
 pub mod message;
 pub mod netsim;
 pub mod routing;

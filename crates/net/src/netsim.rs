@@ -26,10 +26,11 @@
 //! `causal.origin` → `causal.hop`* → `causal.deliver`/`causal.drop` chain
 //! (see `vc_obs::causal`).
 
+use crate::holders::HolderSet;
 use crate::message::{Packet, PacketId, RoutingStats};
 use crate::routing::RoutingProtocol;
 use crate::world::WorldView;
-use std::collections::HashSet;
+use std::ops::Range;
 use vc_obs::{reborrow, EventBuf, Recorder, Sampler};
 use vc_sim::geom::SpatialGrid;
 use vc_sim::node::VehicleId;
@@ -52,7 +53,7 @@ struct Copy {
 #[derive(Debug)]
 struct PacketState {
     packet: Packet,
-    carried: HashSet<VehicleId>,
+    carried: HolderSet,
     delivered: bool,
 }
 
@@ -84,7 +85,8 @@ enum Fate {
 /// The evaluation phase's full report for one copy.
 #[derive(Debug)]
 struct CopyOutcome {
-    attempts: Vec<Attempt>,
+    /// The copy's run of the round's flat attempt buffer.
+    attempts: Range<usize>,
     fate: Fate,
     /// The copy's radio events (empty unless a recorder is attached),
     /// absorbed by the merge in canonical copy order.
@@ -107,9 +109,37 @@ pub struct NetSim<'a, P: RoutingProtocol> {
     /// Decides which packets carry a causal trace. Keyed by the scenario
     /// seed, so the traced set is reproducible.
     sampler: Sampler,
-    /// Start-of-round delivery snapshot, reused across rounds so the
-    /// steady-state round loop stays allocation-free.
+    /// The round's working buffers, kept across rounds so the steady-state
+    /// round loop stays allocation-free (and taken for the duration of a
+    /// round, which keeps the merge loop's mutable packet borrows legal).
+    scratch: RoundScratch,
+}
+
+/// What a round fills and empties again: the start-of-round delivery
+/// snapshot, one outcome per copy, every copy's attempts end to end, the
+/// protocol's answer for the copy at hand, and the two halves of the next
+/// round's copy list (`survivors` swaps places with `NetSim::copies` each
+/// round).
+#[derive(Debug, Default)]
+struct RoundScratch {
     delivered_snap: Vec<bool>,
+    outcomes: Vec<CopyOutcome>,
+    attempts: Vec<Attempt>,
+    hops: Vec<VehicleId>,
+    survivors: Vec<Copy>,
+    new_copies: Vec<Copy>,
+}
+
+impl RoundScratch {
+    fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.delivered_snap.capacity()
+            + self.outcomes.capacity() * size_of::<CopyOutcome>()
+            + self.attempts.capacity() * size_of::<Attempt>()
+            + self.hops.capacity() * size_of::<VehicleId>()
+            + (self.survivors.capacity() + self.new_copies.capacity()) * size_of::<Copy>())
+            as u64
+    }
 }
 
 /// Evaluates one link attempt from `from` to `to` against the read-only
@@ -135,6 +165,8 @@ fn attempt_link(
 /// Pure per-copy round logic. Reads only the start-of-round snapshot
 /// (`delivered_before`, the world view, packet states) and the copy's
 /// private RNG stream, so the result is independent of evaluation order.
+/// The copy's attempts are appended to `attempts`; `hops` is the buffer the
+/// protocol answers into.
 #[allow(clippy::too_many_arguments)]
 fn copy_outcome<P: RoutingProtocol>(
     index: usize,
@@ -147,12 +179,15 @@ fn copy_outcome<P: RoutingProtocol>(
     round_key: u64,
     now: SimTime,
     record: bool,
+    attempts: &mut Vec<Attempt>,
+    hops: &mut Vec<VehicleId>,
 ) -> CopyOutcome {
     let mut events = EventBuf::new();
+    let first = attempts.len();
     // A copy dies when its packet was delivered (as of the round snapshot)
     // or its holder went offline (offline vehicles keep nothing running).
     if delivered_before || !world.is_online(copy.holder) {
-        return CopyOutcome { attempts: Vec::new(), fate: Fate::Dead, events };
+        return CopyOutcome { attempts: first..first, fate: Fate::Dead, events };
     }
     let mut rng = SimRng::stream(round_key, index as u64);
     let dst = state.packet.dst;
@@ -167,19 +202,19 @@ fn copy_outcome<P: RoutingProtocol>(
             Some(lat) => Fate::Delivered(lat),
             None => Fate::Held,
         };
-        return CopyOutcome { attempts: vec![attempt], fate, events };
+        attempts.push(attempt);
+        return CopyOutcome { attempts: first..first + 1, fate, events };
     }
     // Out of hop budget: the copy may still deliver directly later, but may
     // not be relayed further.
     if copy.hops >= state.packet.ttl_hops {
-        return CopyOutcome { attempts: Vec::new(), fate: Fate::Held, events };
+        return CopyOutcome { attempts: first..first, fate: Fate::Held, events };
     }
     // Ask the protocol for relays.
-    let hops =
-        protocol.next_hops(copy.holder, &state.packet, world, &|v| state.carried.contains(&v));
-    let mut attempts = Vec::with_capacity(hops.len());
+    hops.clear();
+    protocol.next_hops(copy.holder, &state.packet, world, &|v| state.carried.contains(v), hops);
     let mut forwarded = false;
-    for target in hops {
+    for &target in hops.iter() {
         debug_assert!(target != copy.holder);
         let attempt =
             attempt_link(scenario, world, copy.holder, target, state.packet.size_bytes, &mut rng);
@@ -193,7 +228,7 @@ fn copy_outcome<P: RoutingProtocol>(
     // handed it off (single-copy protocols move, epidemic replicates and
     // also keeps).
     let keeps = !forwarded || protocol.name() == "epidemic";
-    CopyOutcome { attempts, fate: Fate::Forwarded { keeps }, events }
+    CopyOutcome { attempts: first..attempts.len(), fate: Fate::Forwarded { keeps }, events }
 }
 
 impl<'a, P: RoutingProtocol> NetSim<'a, P> {
@@ -215,7 +250,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
             table: NeighborTable::new(),
             grid,
             sampler,
-            delivered_snap: Vec::new(),
+            scratch: RoundScratch::default(),
         }
     }
 
@@ -241,7 +276,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         // state is consumed, so traced and untraced runs stay identical.
         packet.trace = self.sampler.decide(id.0);
         let idx = self.packets.len();
-        let mut carried = HashSet::new();
+        let mut carried = HolderSet::new();
         carried.insert(src);
         self.packets.push(PacketState { packet, carried, delivered: false });
         self.copies.push(Copy { packet_idx: idx, holder: src, hops: 0, radio_latency_s: 0.0 });
@@ -356,47 +391,48 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         };
         self.protocol.begin_round(&world);
 
+        let RoundScratch {
+            mut delivered_snap,
+            mut outcomes,
+            mut attempts,
+            mut hops,
+            mut survivors,
+            mut new_copies,
+        } = std::mem::take(&mut self.scratch);
         // Snapshot delivery flags so every copy is evaluated against the
-        // same start-of-round state. The buffer is a reused field
-        // (taken for the duration of the round to keep the merge loop's
-        // mutable packet borrows legal), so steady-state rounds allocate
-        // nothing here.
-        let mut delivered_snap = std::mem::take(&mut self.delivered_snap);
+        // same start-of-round state.
         delivered_snap.clear();
         delivered_snap.extend(self.packets.iter().map(|s| s.delivered));
         let copies = std::mem::take(&mut self.copies);
         let record = rec.is_some();
         let now = self.now;
-        let outcomes: Vec<CopyOutcome> = {
+        {
             let _delivery = vc_obs::profile::frame("radio.delivery");
-            copies
-                .iter()
-                .enumerate()
-                .map(|(i, copy)| {
-                    copy_outcome(
-                        i,
-                        copy,
-                        &self.packets[copy.packet_idx],
-                        delivered_snap[copy.packet_idx],
-                        scenario,
-                        &world,
-                        &self.protocol,
-                        round_key,
-                        now,
-                        record,
-                    )
-                })
-                .collect()
-        };
+            attempts.clear();
+            outcomes.extend(copies.iter().enumerate().map(|(i, copy)| {
+                copy_outcome(
+                    i,
+                    copy,
+                    &self.packets[copy.packet_idx],
+                    delivered_snap[copy.packet_idx],
+                    scenario,
+                    &world,
+                    &self.protocol,
+                    round_key,
+                    now,
+                    record,
+                    &mut attempts,
+                    &mut hops,
+                )
+            }));
+        }
 
         // Merge in canonical copy order: absorb each copy's event buffer,
         // replay routing/causal events and statistics, dedupe same-round
         // deliveries (first in canonical order wins) and duplicate forwards
         // to an already-carried target.
         let _merge = vc_obs::profile::frame("shard.merge");
-        let mut surviving: Vec<Copy> = Vec::with_capacity(copies.len());
-        let mut new_copies: Vec<Copy> = Vec::new();
-        for (copy, outcome) in copies.into_iter().zip(outcomes) {
+        for (copy, outcome) in copies.iter().zip(outcomes.drain(..)) {
             if let Some(rec) = reborrow(&mut rec) {
                 rec.absorb(outcome.events);
             }
@@ -422,7 +458,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
                 }
                 Fate::Held => {
                     self.stats.transmissions += outcome.attempts.len() as u64;
-                    surviving.push(copy);
+                    survivors.push(copy.clone());
                 }
                 Fate::Delivered(lat) => {
                     self.stats.transmissions += 1;
@@ -468,7 +504,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
                     // the packet this round: this one dies silently.
                 }
                 Fate::Forwarded { keeps } => {
-                    for attempt in &outcome.attempts {
+                    for attempt in &attempts[outcome.attempts] {
                         self.stats.transmissions += 1;
                         if attempt.latency.is_none() {
                             continue;
@@ -518,14 +554,17 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
                         }
                     }
                     if keeps {
-                        surviving.push(copy);
+                        survivors.push(copy.clone());
                     }
                 }
             }
         }
-        surviving.extend(new_copies);
-        self.copies = surviving;
-        self.delivered_snap = delivered_snap;
+        survivors.append(&mut new_copies);
+        self.copies = survivors;
+        let mut survivors = copies;
+        survivors.clear();
+        self.scratch =
+            RoundScratch { delivered_snap, outcomes, attempts, hops, survivors, new_copies };
         // One time-series sample per round (no-op unless the recorder's
         // windowed mode is enabled). Deep-footprint gauges ride the tick;
         // they are derived from lengths and capacities only — never
@@ -572,23 +611,24 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
 
     /// Deep heap footprint of the network layer's own state — packet
     /// states (including carried-by sets), live copies, per-delivery
-    /// statistics, the neighbor table, and the spatial grid — in bytes.
+    /// statistics, the round's working buffers, the neighbor table, and the
+    /// spatial grid — in bytes.
     ///
     /// Derived from lengths and capacities only, never from allocator
     /// state, so the value is a deterministic function of the run.
     pub fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
         let packets = (self.packets.capacity() * size_of::<PacketState>()) as u64
-            + self
-                .packets
-                .iter()
-                .map(|s| s.carried.capacity() as u64 * (size_of::<VehicleId>() as u64 + 1))
-                .sum::<u64>();
+            + self.packets.iter().map(|s| s.carried.heap_bytes()).sum::<u64>();
         let copies = (self.copies.capacity() * size_of::<Copy>()) as u64;
         let stats = (self.stats.latencies_s.capacity() * size_of::<f64>()) as u64
             + (self.stats.hops.capacity() * size_of::<u32>()) as u64;
-        let snap = self.delivered_snap.capacity() as u64;
-        packets + copies + stats + snap + self.table.heap_bytes() + self.grid.heap_bytes()
+        packets
+            + copies
+            + stats
+            + self.scratch.heap_bytes()
+            + self.table.heap_bytes()
+            + self.grid.heap_bytes()
     }
 }
 
@@ -779,7 +819,7 @@ mod tests {
         assert_eq!(rec.hub().counter("net.causal.origin"), stats.sent);
         assert_eq!(rec.hub().counter("net.causal.deliver"), stats.delivered);
         // Every causal event's trace id refers back to an emitted origin.
-        let origins: HashSet<u64> = rec
+        let origins: std::collections::HashSet<u64> = rec
             .events()
             .filter(|e| e.kind == "causal.origin")
             .filter_map(|e| e.fields.iter().find(|(k, _)| *k == "trace"))

@@ -20,18 +20,20 @@ pub trait RoutingProtocol {
     /// world snapshot (protocols rebuild clusters/zones here).
     fn begin_round(&mut self, world: &WorldView<'_>);
 
-    /// Next hops for the copy of `packet` held at `holder`. `carried`
-    /// reports whether a vehicle already holds (or held) a copy — protocols
-    /// use it to avoid loops. Direct delivery to the destination is handled
-    /// by the driver; this is only consulted when the destination is not a
-    /// neighbor.
+    /// Appends to `out` the next hops for the copy of `packet` held at
+    /// `holder` (the driver asks once per live copy per round, so the buffer
+    /// is the caller's to reuse). `carried` reports whether a vehicle
+    /// already holds (or held) a copy — protocols use it to avoid loops.
+    /// Direct delivery to the destination is handled by the driver; this is
+    /// only consulted when the destination is not a neighbor.
     fn next_hops(
         &self,
         holder: VehicleId,
         packet: &Packet,
         world: &WorldView<'_>,
         carried: &dyn Fn(VehicleId) -> bool,
-    ) -> Vec<VehicleId>;
+        out: &mut Vec<VehicleId>,
+    );
 }
 
 /// Epidemic flooding: hand a copy to every neighbor that has not carried the
@@ -52,8 +54,9 @@ impl RoutingProtocol for Epidemic {
         _packet: &Packet,
         world: &WorldView<'_>,
         carried: &dyn Fn(VehicleId) -> bool,
-    ) -> Vec<VehicleId> {
-        world.neighbors.of(holder).iter().copied().filter(|&n| !carried(n)).collect()
+        out: &mut Vec<VehicleId>,
+    ) {
+        out.extend(world.neighbors.of(holder).iter().copied().filter(|&n| !carried(n)));
     }
 }
 
@@ -77,10 +80,11 @@ impl RoutingProtocol for GreedyGeo {
         packet: &Packet,
         world: &WorldView<'_>,
         carried: &dyn Fn(VehicleId) -> bool,
-    ) -> Vec<VehicleId> {
+        out: &mut Vec<VehicleId>,
+    ) {
         let dest_pos = world.pos(packet.dst);
         let my_dist = world.pos(holder).distance(dest_pos);
-        world
+        let best = world
             .neighbors
             .of(holder)
             .iter()
@@ -88,9 +92,8 @@ impl RoutingProtocol for GreedyGeo {
             .filter(|&n| !carried(n))
             .map(|n| (world.pos(n).distance(dest_pos), n))
             .filter(|&(d, _)| d < my_dist)
-            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)))
-            .map(|(_, n)| vec![n])
-            .unwrap_or_default()
+            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
+        out.extend(best.map(|(_, n)| n));
     }
 }
 
@@ -142,7 +145,8 @@ impl RoutingProtocol for ClusterRouting {
         packet: &Packet,
         world: &WorldView<'_>,
         carried: &dyn Fn(VehicleId) -> bool,
-    ) -> Vec<VehicleId> {
+        out: &mut Vec<VehicleId>,
+    ) {
         let dest_pos = world.pos(packet.dst);
         let my_dist = world.pos(holder).distance(dest_pos);
         let neighbors = world.neighbors.of(holder);
@@ -150,7 +154,8 @@ impl RoutingProtocol for ClusterRouting {
         // If the destination's head is a neighbor, go there.
         if let Some(dest_head) = self.clustering.head_of(packet.dst) {
             if neighbors.contains(&dest_head) && !carried(dest_head) {
-                return vec![dest_head];
+                out.push(dest_head);
+                return;
             }
         }
 
@@ -159,7 +164,8 @@ impl RoutingProtocol for ClusterRouting {
             // closer (the backbone handles direction).
             if let Some(head) = self.clustering.head_of(holder) {
                 if head != holder && neighbors.contains(&head) && !carried(head) {
-                    return vec![head];
+                    out.push(head);
+                    return;
                 }
             }
         }
@@ -191,7 +197,7 @@ impl RoutingProtocol for ClusterRouting {
                 }
             };
         }
-        best.map(|(_, _, n)| vec![n]).unwrap_or_default()
+        out.extend(best.map(|(_, _, n)| n));
     }
 }
 
@@ -244,7 +250,8 @@ impl RoutingProtocol for MozoRouting {
         packet: &Packet,
         world: &WorldView<'_>,
         carried: &dyn Fn(VehicleId) -> bool,
-    ) -> Vec<VehicleId> {
+        out: &mut Vec<VehicleId>,
+    ) {
         let h = self.horizon_s;
         let dest_future = world.predicted_pos(packet.dst, h);
         let my_future_dist = world.predicted_pos(holder, h).distance(dest_future);
@@ -268,7 +275,7 @@ impl RoutingProtocol for MozoRouting {
                 best = Some((d, captain, n));
             }
         }
-        best.map(|(_, _, n)| vec![n]).unwrap_or_default()
+        out.extend(best.map(|(_, _, n)| n));
     }
 }
 
@@ -305,7 +312,8 @@ impl RoutingProtocol for StreetAware {
         packet: &Packet,
         world: &WorldView<'_>,
         carried: &dyn Fn(VehicleId) -> bool,
-    ) -> Vec<VehicleId> {
+        out: &mut Vec<VehicleId>,
+    ) {
         let my_pos = world.pos(holder);
         let dest_pos = world.pos(packet.dst);
         // Waypoint: the next intersection along the road path toward the
@@ -356,7 +364,7 @@ impl RoutingProtocol for StreetAware {
                 best = Some((toward_target, n));
             }
         }
-        best.map(|(_, n)| vec![n]).unwrap_or_default()
+        out.extend(best.map(|(_, n)| n));
     }
 }
 
@@ -396,6 +404,19 @@ mod tests {
         Fixture::new(positions, vec![Point::new(0.0, 0.0); n], spacing * 1.5)
     }
 
+    /// One protocol answer, in a fresh buffer.
+    fn hops_of(
+        proto: &dyn RoutingProtocol,
+        holder: VehicleId,
+        packet: &Packet,
+        world: &WorldView<'_>,
+        carried: &dyn Fn(VehicleId) -> bool,
+    ) -> Vec<VehicleId> {
+        let mut out = Vec::new();
+        proto.next_hops(holder, packet, world, carried, &mut out);
+        out
+    }
+
     fn pkt(src: u32, dst: u32) -> Packet {
         Packet::new(crate::message::PacketId(1), VehicleId(src), VehicleId(dst), 256, SimTime::ZERO)
     }
@@ -406,7 +427,7 @@ mod tests {
         let w = f.world();
         let p = pkt(0, 3);
         let proto = Epidemic;
-        let hops = proto.next_hops(VehicleId(1), &p, &w, &|v| v == VehicleId(0));
+        let hops = hops_of(&proto, VehicleId(1), &p, &w, &|v| v == VehicleId(0));
         // Neighbors of 1 are 0 and 2; 0 already carried.
         assert_eq!(hops, vec![VehicleId(2)]);
     }
@@ -417,7 +438,7 @@ mod tests {
         let w = f.world();
         let p = pkt(0, 4);
         let proto = GreedyGeo;
-        let hops = proto.next_hops(VehicleId(1), &p, &w, &|_| false);
+        let hops = hops_of(&proto, VehicleId(1), &p, &w, &|_| false);
         assert_eq!(hops, vec![VehicleId(2)], "must pick the forward neighbor");
     }
 
@@ -432,7 +453,7 @@ mod tests {
         let f = Fixture::new(positions, vec![Point::new(0.0, 0.0); 3], 150.0);
         let w = f.world();
         let p = pkt(0, 2);
-        assert!(GreedyGeo.next_hops(VehicleId(0), &p, &w, &|_| false).is_empty());
+        assert!(hops_of(&GreedyGeo, VehicleId(0), &p, &w, &|_| false).is_empty());
     }
 
     #[test]
@@ -448,7 +469,7 @@ mod tests {
             .find(|&v| !proto.clustering().is_head(v))
             .expect("has a non-head member");
         let p = pkt(member.0, if head.0 == 2 { 0 } else { 2 });
-        let hops = proto.next_hops(member, &p, &w, &|_| false);
+        let hops = hops_of(&proto, member, &p, &w, &|_| false);
         // Either the head directly or the destination's head (same here).
         assert_eq!(hops.len(), 1);
     }
@@ -464,7 +485,7 @@ mod tests {
         let p = pkt(0, 2);
         let head = proto.clustering().head_of(VehicleId(0)).unwrap();
         let hops =
-            proto.next_hops(head, &p, &w, &|v| v != head && !w.neighbors.of(head).contains(&v));
+            hops_of(&proto, head, &p, &w, &|v| v != head && !w.neighbors.of(head).contains(&v));
         // All candidates are behind; nothing closer exists.
         assert!(hops.len() <= 1);
         if let Some(&h) = hops.first() {
@@ -495,7 +516,7 @@ mod tests {
         let mut proto = MozoRouting::new();
         proto.begin_round(&w);
         let p = pkt(0, 3);
-        let hops = proto.next_hops(VehicleId(0), &p, &w, &|_| false);
+        let hops = hops_of(&proto, VehicleId(0), &p, &w, &|_| false);
         assert_eq!(hops, vec![VehicleId(2)]);
     }
 
@@ -512,7 +533,7 @@ mod tests {
         let protos: Vec<&dyn RoutingProtocol> = vec![&Epidemic, &GreedyGeo, &cluster, &mozo];
         for proto in protos {
             for holder in 0..6 {
-                for hop in proto.next_hops(VehicleId(holder), &p, &w, &carried) {
+                for hop in hops_of(proto, VehicleId(holder), &p, &w, &carried) {
                     assert!(!carried(hop), "{} returned a carried node", proto.name());
                 }
             }
@@ -554,10 +575,10 @@ mod tests {
             neighbors: &table,
         };
         let p = pkt(0, 3);
-        let greedy_pick = GreedyGeo.next_hops(VehicleId(0), &p, &world, &|_| false);
+        let greedy_pick = hops_of(&GreedyGeo, VehicleId(0), &p, &world, &|_| false);
         assert_eq!(greedy_pick, vec![VehicleId(1)], "greedy cuts the corner");
         let street = StreetAware::new(net);
-        let street_pick = street.next_hops(VehicleId(0), &p, &world, &|_| false);
+        let street_pick = hops_of(&street, VehicleId(0), &p, &world, &|_| false);
         assert_eq!(street_pick, vec![VehicleId(2)], "street-aware follows the road");
     }
 
@@ -577,6 +598,6 @@ mod tests {
         };
         let p = pkt(0, 2);
         let street = StreetAware::new(net);
-        assert_eq!(street.next_hops(VehicleId(0), &p, &world, &|_| false), vec![VehicleId(1)]);
+        assert_eq!(hops_of(&street, VehicleId(0), &p, &world, &|_| false), vec![VehicleId(1)]);
     }
 }

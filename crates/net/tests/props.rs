@@ -1,6 +1,7 @@
 //! Property-based tests for clustering and routing invariants.
 
 use vc_net::cluster::{form_clusters, maintain_clusters, ClusterConfig, Clustering};
+use vc_net::holders::HolderSet;
 use vc_net::message::{Packet, PacketId};
 use vc_net::netsim::NetSim;
 use vc_net::routing::{ClusterRouting, Epidemic, GreedyGeo, MozoRouting, RoutingProtocol};
@@ -32,6 +33,39 @@ fn gen_world(rng: &mut SimRng, n: usize) -> World {
     let mut online: Vec<bool> = (0..n).map(|_| rng.chance(0.5)).collect();
     online[0] = true;
     World { positions, velocities, online }
+}
+
+/// One protocol answer, in a fresh buffer.
+fn hops_of(
+    proto: &dyn RoutingProtocol,
+    holder: VehicleId,
+    packet: &Packet,
+    world: &WorldView<'_>,
+    carried: &dyn Fn(VehicleId) -> bool,
+) -> Vec<VehicleId> {
+    let mut out = Vec::new();
+    proto.next_hops(holder, packet, world, carried, &mut out);
+    out
+}
+
+/// Insert/contains sequences over ids on both sides of the holder set's
+/// 64-bit word, colliding often enough to hit repeated inserts.
+fn holder_ops() -> FromFn<impl Fn(&mut SimRng) -> Vec<(bool, u32)>> {
+    from_fn(|rng| {
+        let len = rng.range_u64(1, 200) as usize;
+        (0..len)
+            .map(|_| {
+                let id = match rng.index(5) {
+                    0 => rng.index(64) as u32,
+                    1 => 62 + rng.index(5) as u32,
+                    2 => 64 + rng.index(200) as u32,
+                    3 => u32::MAX - rng.index(3) as u32,
+                    _ => rng.next_u64() as u32,
+                };
+                (rng.chance(0.5), id)
+            })
+            .collect()
+    })
 }
 
 fn world_strategy(max_n: usize) -> FromFn<impl Fn(&mut SimRng) -> World> {
@@ -556,7 +590,7 @@ prop! {
                 if !w.online[holder_idx] {
                     continue;
                 }
-                for hop in proto.next_hops(holder, &packet, &world, &carried) {
+                for hop in hops_of(proto, holder, &packet, &world, &carried) {
                     prop_assert_ne!(hop, holder, "{} forwarded to self", proto.name());
                     prop_assert!(
                         table.of(holder).contains(&hop),
@@ -565,6 +599,23 @@ prop! {
                     prop_assert!(!carried(hop), "{} forwarded to carrier", proto.name());
                 }
             }
+        }
+    }
+
+    // The carried-by set behaves as a set of ids whichever side of its word
+    // an id falls on.
+    #[test]
+    fn holder_set_matches_a_btreeset_model(ops in holder_ops()) {
+        let mut set = HolderSet::new();
+        let mut model = std::collections::BTreeSet::new();
+        for (insert, id) in ops {
+            if insert {
+                prop_assert_eq!(set.insert(VehicleId(id)), model.insert(id), "insert {}", id);
+            }
+            prop_assert_eq!(set.contains(VehicleId(id)), model.contains(&id), "contains {}", id);
+        }
+        for id in [0, 63, 64, u32::MAX] {
+            prop_assert_eq!(set.contains(VehicleId(id)), model.contains(&id), "contains {}", id);
         }
     }
 
@@ -588,10 +639,10 @@ prop! {
         mozo.begin_round(&world);
         for holder_idx in 0..n {
             let holder = VehicleId(holder_idx as u32);
-            prop_assert!(GreedyGeo.next_hops(holder, &packet, &world, &never).len() <= 1);
-            prop_assert!(cluster.next_hops(holder, &packet, &world, &never).len() <= 1);
-            prop_assert!(mozo.next_hops(holder, &packet, &world, &never).len() <= 1);
-            let epi = Epidemic.next_hops(holder, &packet, &world, &never);
+            prop_assert!(hops_of(&GreedyGeo, holder, &packet, &world, &never).len() <= 1);
+            prop_assert!(hops_of(&cluster, holder, &packet, &world, &never).len() <= 1);
+            prop_assert!(hops_of(&mozo, holder, &packet, &world, &never).len() <= 1);
+            let epi = hops_of(&Epidemic, holder, &packet, &world, &never);
             let mut dedup = epi.clone();
             dedup.sort();
             dedup.dedup();

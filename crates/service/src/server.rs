@@ -63,11 +63,31 @@ impl Server {
     pub fn run(self) -> io::Result<u64> {
         let addr = self.listener.local_addr()?;
         let mut served = 0u64;
+        let mut fatal = None;
         for stream in self.listener.incoming() {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = stream?;
+            let stream = match stream {
+                Ok(stream) => stream,
+                Err(e) if accept_error_is_fatal(e.kind()) => {
+                    fatal = Some(e);
+                    break;
+                }
+                Err(e) => {
+                    // Out of descriptors (EMFILE/ENFILE have no stable
+                    // `ErrorKind`; they arrive as uncategorised errors):
+                    // handlers ending is what frees them, so wait for that
+                    // instead of spinning on the error.
+                    if !matches!(
+                        e.kind(),
+                        io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                    ) {
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                    }
+                    continue;
+                }
+            };
             served += 1;
             self.active_conns.fetch_add(1, Ordering::SeqCst);
             let sup = self.supervisor.handle();
@@ -79,7 +99,8 @@ impl Server {
             });
         }
         // SHUTDOWN's Okay is only sent after the drain, so every admitted
-        // job is terminal here; joining the pool is now instant.
+        // job is terminal here and joining the pool is instant; after a
+        // fatal accept error this is where the admitted jobs finish.
         self.supervisor.drain();
         // Give in-flight responses on other connections a bounded window
         // to finish streaming before the process (in the binary) exits.
@@ -87,8 +108,25 @@ impl Server {
         while self.active_conns.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        Ok(served)
+        match fatal {
+            Some(e) => Err(e),
+            None => Ok(served),
+        }
     }
+}
+
+/// How long the accept loop waits after an error that will repeat until a
+/// connection closes.
+const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(50);
+
+/// Does an `accept` error mean the listener itself is unusable? Only when
+/// the socket is not listening (`EINVAL`) or cannot accept at all
+/// (`EOPNOTSUPP`): retrying those would spin. Everything else belongs to the
+/// one connection that failed to arrive (reset while it queued, refused by a
+/// firewall, the call interrupted by a signal) or to a shortage that passes
+/// (descriptors, buffers), and the daemon keeps serving.
+fn accept_error_is_fatal(kind: io::ErrorKind) -> bool {
+    matches!(kind, io::ErrorKind::InvalidInput | io::ErrorKind::Unsupported)
 }
 
 /// Serves one connection: a loop of client frames, each answered in
@@ -99,8 +137,11 @@ fn handle_conn(
     shutdown: &AtomicBool,
     server_addr: std::net::SocketAddr,
 ) -> io::Result<()> {
+    // Without this a RESULT's second segment waits for the ACK of its
+    // first, which the client — it has nothing to send — delays 40 ms.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = BufWriter::with_capacity(FRAME_BUF_LEN, stream);
     loop {
         let frame = match read_decode(&mut reader) {
             Ok(Some(frame)) => frame,
@@ -170,6 +211,15 @@ fn handle_conn(
     }
 }
 
+/// Room for the largest frame the daemon sends, a full chunk. With the
+/// socket on `TCP_NODELAY` every `write` is a segment, so a frame must reach
+/// the socket whole, not as its 18-byte head and then its data; a RESULT
+/// whose trace is one short chunk (header, stats and trace) is one `write`.
+const FRAME_BUF_LEN: usize = CHUNK_FRAME_OVERHEAD + CHUNK_LEN;
+
+/// Length prefix (4), kind (1), job (8), channel (1), data length (4).
+const CHUNK_FRAME_OVERHEAD: usize = 18;
+
 /// Streams a terminal job back: header (exact lengths + checksum), stats
 /// chunks, trace chunks, end marker.
 fn stream_result<W: Write>(writer: &mut W, job: u64, fin: &Finished) -> io::Result<()> {
@@ -205,4 +255,32 @@ pub fn bind_and_announce(config: &ServerConfig) -> io::Result<(Server, std::net:
     let server = Server::bind(config)?;
     let addr = server.local_addr()?;
     Ok((server, addr))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_frame_buffer_holds_exactly_one_full_chunk_frame() {
+        let mut frame = Vec::new();
+        write_chunk(&mut frame, u64::MAX, Channel::Trace, &vec![0; CHUNK_LEN]).unwrap();
+        assert_eq!(frame.len(), FRAME_BUF_LEN);
+    }
+
+    #[test]
+    fn only_a_dead_listener_ends_the_accept_loop() {
+        use io::ErrorKind::*;
+        // EMFILE and ENFILE have no stable kind; take them from the OS code.
+        let exhausted = [23, 24].map(|code| io::Error::from_raw_os_error(code).kind());
+        for kind in [ConnectionAborted, ConnectionReset, Interrupted, PermissionDenied, OutOfMemory]
+            .into_iter()
+            .chain(exhausted)
+        {
+            assert!(!accept_error_is_fatal(kind), "{kind:?} must not stop the daemon");
+        }
+        for kind in [InvalidInput, Unsupported] {
+            assert!(accept_error_is_fatal(kind), "{kind:?} cannot be retried");
+        }
+    }
 }

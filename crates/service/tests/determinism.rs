@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::thread;
 
-use vc_net::svc::{JobPhase, FLAG_TRACE};
+use vc_net::svc::{fnv1a64, JobPhase, FLAG_TRACE};
 use vc_service::client::Client;
 use vc_service::job::{run_job, JobSpec};
 
@@ -113,4 +113,50 @@ fn interleaved_mixed_jobs_stay_independent_under_contention() {
         assert_eq!(r.checksum, reference.checksum, "submitter {i}");
     }
     daemon.stop();
+}
+
+/// `(scenario, seed, trace length, fnv1a64(trace), fnv1a64(stats.json minus
+/// its heap_bytes line))` for every catalogue id × seeds {1, 1234} × 256
+/// ticks × `FLAG_TRACE`, recorded at PR 19 (427ed6f). `heap_bytes` is derived
+/// from buffer capacities, so it is the one value an optimisation may move;
+/// everything the simulation computes is pinned here.
+const PINNED: &[(&str, u64, usize, u64, u64)] = &[
+    ("urban-epidemic", 1, 335292, 0x887692692913f42b, 0xb6127754f732c4b3),
+    ("urban-epidemic", 1234, 345534, 0x270fa1ff78e26f09, 0x62e261a4884ef66d),
+    ("urban-greedy", 1, 45226, 0xeeb4cac95a8b6d60, 0xc087081286957157),
+    ("urban-greedy", 1234, 64061, 0xc7906188824fe319, 0xeba26ed4569c06f3),
+    ("urban-cluster", 1, 49378, 0xa3a1658c3a02c9ee, 0x5660306e267445d1),
+    ("urban-cluster", 1234, 74167, 0x059d5171a9362af5, 0xb6f1608b5ff7f8fb),
+    ("highway-epidemic", 1, 366169, 0x98158a6d484b5e92, 0x8de70cee5056541e),
+    ("highway-epidemic", 1234, 341427, 0xc6c7b0ab7ec72539, 0x2567e14e2570580a),
+    ("highway-mozo", 1, 64082, 0x735d7f2eb63aba36, 0x2f572d3af4f375a6),
+    ("highway-mozo", 1234, 62156, 0x007f8415ffe5477d, 0xb643b9c74da57027),
+    ("canyon-greedy", 1, 134731, 0x0d5bcd922b67fb5b, 0x60732f78abc62b79),
+    ("canyon-greedy", 1234, 137751, 0xe9d75a4b77a876bd, 0x7b523ee138696925),
+];
+
+#[test]
+fn catalogue_jobs_return_the_pinned_bytes() {
+    let mut seen = Vec::new();
+    for entry in vc_service::job::SCENARIOS {
+        for seed in [1, 1234] {
+            let spec = JobSpec { scenario: entry.id.into(), seed, ticks: 256, flags: FLAG_TRACE };
+            let out = run_job(&spec, None).unwrap();
+            let stats = String::from_utf8(out.stats).unwrap();
+            assert_eq!(stats.matches("\"heap_bytes\"").count(), 1, "{stats}");
+            let simulated: Vec<&[u8]> = stats
+                .split_inclusive('\n')
+                .filter(|line| !line.contains("\"heap_bytes\""))
+                .map(str::as_bytes)
+                .collect();
+            seen.push((
+                entry.id,
+                seed,
+                out.trace.len(),
+                fnv1a64(&[&out.trace]),
+                fnv1a64(&simulated),
+            ));
+        }
+    }
+    assert_eq!(seen, PINNED, "simulated bytes moved");
 }

@@ -122,6 +122,34 @@ fn mixed_concurrent_load_does_not_leak_observability_between_jobs() {
     server.join().unwrap();
 }
 
+// The delayed-ACK timer and Nagle's rule for sub-MSS writes on a 64 KiB-MTU
+// loopback are Linux's; other stacks stall differently or not at all.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_traced_result_does_not_wait_for_a_delayed_ack() {
+    // This job's 45 KB trace is one chunk, smaller than loopback's segment. Sent
+    // as a second small write after the RESULT header it waits for the
+    // header's ACK, which an idle client delays 40 ms: without TCP_NODELAY
+    // on the accepted socket five round trips in six took 40–55 ms. Median
+    // of nine, so a host that hiccups twice still passes.
+    let (addr, server) = start_server(1, 4);
+    let mut client = Client::connect(&addr).unwrap();
+    let mut walls: Vec<std::time::Duration> = (0..9)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let job = client.submit(&spec("urban-greedy", 1, 256, FLAG_TRACE)).unwrap().unwrap();
+            let result = client.fetch_result(job).unwrap();
+            assert_eq!(result.phase, JobPhase::Done);
+            assert!(result.trace.len() < vc_net::svc::CHUNK_LEN, "one short chunk");
+            t0.elapsed()
+        })
+        .collect();
+    walls.sort_unstable();
+    assert!(walls[4].as_millis() < 20, "median round trip {:?} of {walls:?}", walls[4]);
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
 #[test]
 fn status_cancel_and_metrics_over_the_wire() {
     let (addr, server) = start_server(1, 16);
