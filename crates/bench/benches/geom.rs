@@ -65,6 +65,15 @@ fn main() {
     });
 
     // ---- neighbor table at scale: fresh build vs in-place rebuild ----
+    // A rebuild over positions within 25 m of the last scan's may refilter
+    // that scan's candidates, so what a row measures is set by how the fleet
+    // moves between calls: `scan` alternates two fleets 30 m apart (a plain
+    // scan every call), `refilter` never moves (candidates gathered before
+    // the clock starts), `drift` moves every vehicle 8 m a call along its
+    // own heading, there and back — the urban tick: one skin scan, then
+    // three refilters, all four in one iteration. The 1 000-vehicle fleet's rows are dense in the id
+    // space (degree 78 against 16 words), which keeps it on the plain scan
+    // whatever it does: its three rows read the same.
     for n in [1_000usize, 10_000] {
         let extent = (n as f64).sqrt() * 60.0; // keep density roughly constant
         let pos = positions(n, extent, 7);
@@ -74,8 +83,41 @@ fn main() {
         });
         let mut table = NeighborTable::new();
         let mut grid = SpatialGrid::new(300.0);
-        suite.bench_elems(&format!("neighbor_table/rebuild/{n}"), n as u64, || {
+        let shifted: Vec<Point> = pos.iter().map(|&p| p + Point::new(30.0, 0.0)).collect();
+        let mut flip = false;
+        suite.bench_elems(&format!("neighbor_table/scan/{n}"), n as u64, || {
+            flip = !flip;
+            let pos = if flip { &shifted } else { &pos };
+            table.rebuild(&mut grid, black_box(pos), &online, 300.0);
+            table.len()
+        });
+        for _ in 0..2 {
+            table.rebuild(&mut grid, &pos, &online, 300.0);
+        }
+        suite.bench_elems(&format!("neighbor_table/refilter/{n}"), n as u64, || {
             table.rebuild(&mut grid, black_box(&pos), &online, 300.0);
+            table.len()
+        });
+        let mut rng = SimRng::seed_from(8);
+        let steps: Vec<Point> = (0..n)
+            .map(|_| {
+                let turn = rng.range_f64(0.0, std::f64::consts::TAU);
+                Point::new(turn.cos(), turn.sin()) * 8.0
+            })
+            .collect();
+        let mut moving = pos.clone();
+        let mut call = 0u32;
+        // Four calls an iteration — one whole cycle, so that a median over
+        // iterations cannot land on the refilters alone.
+        suite.bench_elems(&format!("neighbor_table/drift/{n}"), 4 * n as u64, || {
+            for _ in 0..4 {
+                let sign = if (call / 64).is_multiple_of(2) { 1.0 } else { -1.0 };
+                call += 1;
+                for (p, &step) in moving.iter_mut().zip(&steps) {
+                    *p = *p + step * sign;
+                }
+                table.rebuild(&mut grid, black_box(&moving), &online, 300.0);
+            }
             table.len()
         });
     }

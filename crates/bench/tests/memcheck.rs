@@ -176,7 +176,8 @@ fn neighbor_rebuild_and_cluster_reform_steady_state_allocate_nothing() {
     // of clusters drifts. (The hash grid this replaced allocated a bucket on
     // every first visit to a cell.) Then the same with the 40 vehicles of a
     // `vcloudd` job, whose rows are bit rows on the stack and whose grid is
-    // never built.
+    // never built. Neither fleet is ever found where the last scan saw it,
+    // so every rebuild is a scan and no candidate store is allocated.
     for (n, extent) in [(2_000, 5_000.0), (40, 1_500.0)] {
         let mut rng = SimRng::seed_from(13);
         let base: Vec<Point> = (0..n)
@@ -196,7 +197,9 @@ fn neighbor_rebuild_and_cluster_reform_steady_state_allocate_nothing() {
                     *p =
                         *b + Point::new(rng.range_f64(-300.0, 300.0), rng.range_f64(-300.0, 300.0));
                 }
+                let scans = table.scans();
                 table.rebuild(&mut grid, &positions, &online, 300.0);
+                assert_eq!(table.scans(), scans + 1, "a teleporting fleet is scanned every call");
                 let world = WorldView {
                     positions: &positions,
                     velocities: &velocities,
@@ -222,6 +225,49 @@ fn neighbor_rebuild_and_cluster_reform_steady_state_allocate_nothing() {
             "rebuild + re-formation of {n} vehicles must be allocation-free after warm-up"
         );
     }
+}
+
+#[test]
+fn drifting_fleet_rebuild_steady_state_allocates_nothing() {
+    // 3 000 vehicles at city density, each 6 m further along its own heading
+    // every call: the table scans, refilters the scan's candidates four
+    // times (6, 12, 18 and 24 m from where it saw the fleet), and gathers
+    // them afresh on the fifth. The candidate total differs from scan to
+    // scan; the store's headroom absorbs that.
+    let n = 3_000;
+    let mut rng = SimRng::seed_from(13);
+    let mut positions: Vec<Point> = (0..n)
+        .map(|_| Point::new(rng.range_f64(0.0, 6_000.0), rng.range_f64(0.0, 6_000.0)))
+        .collect();
+    let steps: Vec<Point> = (0..n)
+        .map(|_| {
+            let turn = rng.range_f64(0.0, std::f64::consts::TAU);
+            Point::new(turn.cos(), turn.sin()) * 6.0
+        })
+        .collect();
+    let online: Vec<bool> = (0..n).map(|i| i % 11 != 0).collect();
+    let mut table = NeighborTable::new();
+    let mut grid = SpatialGrid::new(300.0);
+    let mut iterate = |calls: usize| {
+        for _ in 0..calls {
+            for (p, &step) in positions.iter_mut().zip(&steps) {
+                *p = *p + step;
+            }
+            table.rebuild(&mut grid, &positions, &online, 300.0);
+        }
+        table.scans()
+    };
+    // Warm-up: the plain scan, then four cycles.
+    let warm = iterate(21);
+    let scope = AllocScope::start();
+    let scans = iterate(15) - warm;
+    let delta = scope.finish();
+    assert_eq!(scans, 3, "three scan cycles of five calls");
+    assert_eq!(
+        (delta.allocs, delta.bytes),
+        (0, 0),
+        "scans and refilters of a drifting fleet must be allocation-free after warm-up"
+    );
 }
 
 #[test]

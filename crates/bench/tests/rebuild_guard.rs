@@ -1,4 +1,4 @@
-//! Path guard for the small-fleet neighbor rebuild.
+//! Path guards for the neighbor rebuild.
 //!
 //! A fleet whose id space fits one machine word (at most 64 ids) gets its
 //! neighbor rows from an all-pairs pass into bit rows; a larger one goes
@@ -13,8 +13,20 @@
 //! Measured on rustc 1.95: 0.31 (DESIGN.md, "Row ordering in the neighbor
 //! table").
 //!
-//! A timing test, so it is ignored by default; the `bench-smoke` CI job
-//! runs it optimised:
+//! The second guard is the same idea for the large sparse fleet. A table
+//! rebuilt every tick over 10 000 vehicles that move 8 m a tick scans one
+//! tick in four and refilters that scan's candidates on the other three;
+//! an edit that broke the cadence (a limit compared the wrong way round, a
+//! candidate store invalidated every call) would give the same rows at the
+//! cost of a scan per tick. It times the bench entries
+//! `neighbor_table/drift` and `neighbor_table/scan` at city density and
+//! holds drift ÷ scan, per call, to 0.6.
+//!
+//! Measured on rustc 1.95: 0.33–0.35 (DESIGN.md, "Temporal coherence in the
+//! neighbor table").
+//!
+//! Timing tests, so they are ignored by default; the `bench-smoke` CI job
+//! runs them optimised:
 //! `cargo test --release -p vc-bench --test rebuild_guard -- --ignored`.
 
 use std::hint::black_box;
@@ -63,5 +75,58 @@ fn sixty_four_vehicles_rebuild_in_at_most_seven_tenths_of_the_cell_list_time() {
         ratio <= 0.7,
         "rebuilding 64 vehicles costs {small_ns:.0} ns against {padded_ns:.0} ns for the same \
          vehicles in a 65-id space ({ratio:.2}x): small fleets no longer take the bit-row path"
+    );
+}
+
+#[test]
+#[ignore = "timing: run with --release (bench-smoke CI step)"]
+fn a_drifting_city_rebuilds_in_at_most_six_tenths_of_the_scan_time() {
+    // 80 vehicles per km², as `city-secure`: mean degree about 22.
+    let n = 10_000;
+    let mut rng = SimRng::seed_from(7);
+    let base: Vec<Point> = (0..n)
+        .map(|_| Point::new(rng.range_f64(0.0, 11_180.0), rng.range_f64(0.0, 11_180.0)))
+        .collect();
+    let steps: Vec<Point> = (0..n)
+        .map(|_| {
+            let turn = rng.range_f64(0.0, std::f64::consts::TAU);
+            Point::new(turn.cos(), turn.sin()) * 8.0
+        })
+        .collect();
+    let shifted: Vec<Point> = base.iter().map(|&p| p + Point::new(30.0, 0.0)).collect();
+    let online = vec![true; n];
+    let mut grid = SpatialGrid::new(300.0);
+
+    // Two fleets 30 m apart, alternated: further than candidates last, so
+    // every call is a plain scan.
+    let mut table = NeighborTable::new();
+    let mut flip = false;
+    let scan_ns = best_ns(8, 8, || {
+        flip = !flip;
+        table.rebuild(&mut grid, black_box(if flip { &shifted } else { &base }), &online, 300.0);
+        black_box(table.len());
+    });
+    assert_eq!(table.scans(), 64, "the scan side must scan every call");
+
+    // 8 m a call along each vehicle's own heading, 32 calls out and 32 back.
+    let mut table = NeighborTable::new();
+    let mut moving = base.clone();
+    let mut call = 0u32;
+    let drift_ns = best_ns(8, 8, || {
+        let sign = if (call / 32).is_multiple_of(2) { 1.0 } else { -1.0 };
+        call += 1;
+        for (p, &step) in moving.iter_mut().zip(&steps) {
+            *p = *p + step * sign;
+        }
+        table.rebuild(&mut grid, black_box(&moving), &online, 300.0);
+        black_box(table.len());
+    });
+    let scans = table.scans();
+    let ratio = drift_ns / scan_ns;
+    println!("scan {scan_ns:.0} ns, drift {drift_ns:.0} ns ({scans} scans in 64 calls), ratio {ratio:.3}");
+    assert!(
+        ratio <= 0.6,
+        "a rebuild of a fleet drifting 8 m a call costs {drift_ns:.0} ns against {scan_ns:.0} ns \
+         for a scan ({ratio:.2}x, {scans} scans in 64 calls): candidates are not being reused"
     );
 }

@@ -264,9 +264,26 @@ impl SpatialGrid {
         }
     }
 
-    /// Cell side length in meters, as passed to [`SpatialGrid::new`].
+    /// Cell side length in meters: what [`SpatialGrid::new`] or the last
+    /// [`SpatialGrid::set_cell_size`] was given.
     pub fn cell_size(&self) -> f64 {
         self.cell_size
+    }
+
+    /// Changes the cell side length. The stored items were bucketed by the
+    /// old one, so the grid is emptied (its buffers are kept); cell size
+    /// decides what a query costs, never what it finds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell_size` is not strictly positive.
+    pub fn set_cell_size(&mut self, cell_size: f64) {
+        assert!(cell_size > 0.0, "cell size must be positive");
+        if cell_size != self.cell_size {
+            self.cell_size = cell_size;
+            self.dims = (0, 0);
+            self.items.clear();
+        }
     }
 
     /// Deep heap bytes of the three flat buffers, by capacity (the reserved
@@ -517,6 +534,22 @@ mod tests {
         }
         // Sanity: a real radius still works.
         assert_eq!(grid.within(center, 5.0), vec![0]);
+    }
+
+    #[test]
+    fn spatial_grid_re_celled_is_empty_until_rebuilt() {
+        let pts = [(0, Point::new(1.0, 1.0)), (1, Point::new(95.0, 1.0))];
+        let mut grid = SpatialGrid::new(10.0);
+        grid.rebuild(pts);
+        let bytes = grid.heap_bytes();
+        grid.set_cell_size(10.0);
+        assert_eq!(grid.within(Point::new(0.0, 0.0), 5.0), vec![0], "same size: untouched");
+        grid.set_cell_size(40.0);
+        assert_eq!(grid.cell_size(), 40.0);
+        assert!(grid.within(Point::new(0.0, 0.0), 500.0).is_empty(), "bucketed by the old size");
+        grid.rebuild(pts);
+        assert_eq!(grid.within(Point::new(50.0, 0.0), 60.0), vec![0, 1]);
+        assert_eq!(grid.heap_bytes(), bytes, "the buffers are kept");
     }
 
     #[test]

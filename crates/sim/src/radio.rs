@@ -248,7 +248,9 @@ impl Cellular {
 /// slice is sorted ascending, so the layout choice is invisible through
 /// [`NeighborTable::of`] — and so is the way a rebuild found the rows: a
 /// fleet whose id space fits one machine word is tested pair by pair into
-/// bit rows, a larger one goes through the caller's [`SpatialGrid`].
+/// bit rows, a larger one goes through the caller's [`SpatialGrid`], and a
+/// large sparse one that barely moved since its last scan is read off the
+/// candidate rows that scan remembered.
 #[derive(Debug, Clone)]
 pub struct NeighborTable {
     /// `offsets[i]..offsets[i + 1]` bounds vehicle `i`'s slice of `flat`.
@@ -257,6 +259,20 @@ pub struct NeighborTable {
     /// Row-ordering scratch of the cell-list path: one bit per vehicle id,
     /// all zero between rows.
     marks: Vec<u64>,
+    /// The positions the last full scan saw, kept while a later rebuild
+    /// could use them (see [`NeighborTable::rebuild`]); empty otherwise.
+    seen: Vec<Point>,
+    /// The bits of that scan's `range_m`.
+    seen_range: u64,
+    /// `cand_offsets[i]..cand_offsets[i + 1]` bounds vehicle `i`'s slice of
+    /// `cand`: the ids, ascending, of every other vehicle — online or not —
+    /// strictly within `range_m + SKIN` of it at `seen`. Empty when that
+    /// scan gathered none.
+    cand_offsets: Vec<u32>,
+    cand: Vec<u16>,
+    /// Whether `cand` has answered a rebuild since it was gathered.
+    cand_used: bool,
+    scans: u64,
 }
 
 /// Width of a bit row. While the id space fits one `u64`, a vehicle's
@@ -264,6 +280,29 @@ pub struct NeighborTable {
 /// tests cost less than building the cell list would; that is what 64
 /// means here — the width of the word, not a tuned crossover.
 const ROW_BITS: usize = u64::BITS as usize;
+
+/// How far beyond `range_m` a skin scan gathers candidates, meters. While
+/// no vehicle has moved `SKIN / 2` from where that scan saw it, a pair that
+/// was `range_m + SKIN` apart is still more than `range_m` apart (triangle
+/// inequality), so the neighbors are among the candidates. Measured, not
+/// derived: the smallest skin that lasts an urban fleet (7.99 m a tick)
+/// four ticks; the sweep is in DESIGN.md §5.
+const SKIN: f64 = 50.0;
+
+/// Candidate ids are `u16`: fleets above this many ids are scanned from
+/// nothing every time, as they always were.
+const SKIN_IDS: usize = 1 << 16;
+
+/// How far a vehicle may be from where a scan saw it while that scan's
+/// candidates still serve: `SKIN / 2` less a rounding slack of 1 mm or
+/// eight ulps of `span`, the largest magnitude in play, whichever is more.
+/// Each `distance_sq` is good to a few ulps of itself, so a millimeter
+/// covers every range a radio has; a range or a coordinate so large that
+/// eight of its ulps reach `SKIN / 2` makes the limit negative, which turns
+/// the skin off.
+fn reuse_limit(span: f64) -> f64 {
+    SKIN / 2.0 - (8.0 * f64::EPSILON * span).max(1e-3)
+}
 
 impl Default for NeighborTable {
     fn default() -> Self {
@@ -275,18 +314,38 @@ impl NeighborTable {
     /// An empty table over zero vehicles; fill it with
     /// [`NeighborTable::rebuild`].
     pub fn new() -> Self {
-        NeighborTable { offsets: vec![0], flat: Vec::new(), marks: Vec::new() }
+        NeighborTable {
+            offsets: vec![0],
+            flat: Vec::new(),
+            marks: Vec::new(),
+            seen: Vec::new(),
+            seen_range: 0,
+            cand_offsets: Vec::new(),
+            cand: Vec::new(),
+            cand_used: false,
+            scans: 0,
+        }
     }
 
-    /// Deep heap bytes of the CSR arrays and the row-ordering bitmap, by
-    /// capacity (the reserved memory, which in-place rebuilds keep across
-    /// rounds). Deterministic and shard-count invariant, so the
+    /// Deep heap bytes of the CSR arrays, the row-ordering bitmap and what
+    /// the last scan remembered, by capacity (the reserved memory, which
+    /// in-place rebuilds keep across rounds). Deterministic, so the
     /// `mem.net.bytes` gauge built on it can ride in byte-compared
     /// time-series output.
     pub fn heap_bytes(&self) -> u64 {
         (self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.flat.capacity() * std::mem::size_of::<VehicleId>()
-            + self.marks.capacity() * std::mem::size_of::<u64>()) as u64
+            + self.marks.capacity() * std::mem::size_of::<u64>()
+            + self.seen.capacity() * std::mem::size_of::<Point>()
+            + self.cand_offsets.capacity() * std::mem::size_of::<u32>()
+            + self.cand.capacity() * std::mem::size_of::<u16>()) as u64
+    }
+
+    /// How many rebuilds so far scanned the fleet from nothing — bit rows
+    /// or cell list — instead of refiltering remembered candidates. The
+    /// rows never say which happened; tests and benches need to.
+    pub fn scans(&self) -> u64 {
+        self.scans
     }
 
     /// Builds the table from vehicle positions (id = index) and a channel
@@ -317,6 +376,24 @@ impl NeighborTable {
     /// `trailing_zeros`. That costs a pass over the whole bitmap, so rows
     /// shorter than its word count keep the comparison sort.
     ///
+    /// A table that is rebuilt again and again over a fleet that barely
+    /// moves in between does not scan every time. A scan of 65 to 65 536
+    /// ids whose rows came out sparse (mean degree below those `n / 64`
+    /// words) with a range of at least twice the 50 m skin remembers the
+    /// positions it saw. If the next rebuild — same fleet size, same range
+    /// — finds every vehicle within half a skin of them, it is a *skin
+    /// scan*: `grid` is re-celled to `range_m + 50`, every vehicle's
+    /// candidates within that distance are gathered, online or not, and the
+    /// rows are filtered out of them. Rebuilds after that only *refilter*
+    /// the candidate rows with the scan's own test on the current positions
+    /// and `online` flags, and leave `grid` stale, until some vehicle has
+    /// moved half a skin from where the skin scan saw it; then the
+    /// candidates are gathered afresh if they served at least once, and
+    /// dropped if they did not (a caller that moves the fleet that far
+    /// between calls pays for a plain scan and nothing else). A NaN or
+    /// infinite coordinate counts as having moved too far.
+    /// [`NeighborTable::scans`] counts the rebuilds that were not a refilter.
+    ///
     /// A `range_m` that is not finite and positive gives every vehicle an
     /// empty row, whatever the fleet size.
     ///
@@ -331,33 +408,92 @@ impl NeighborTable {
         range_m: f64,
     ) {
         assert_eq!(positions.len(), online.len());
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.flat.clear();
-        if positions.len() <= ROW_BITS {
+        let n = positions.len();
+        if n <= ROW_BITS {
+            self.scans += 1;
+            self.offsets.clear();
+            self.offsets.push(0);
+            self.flat.clear();
             self.fill_from_bit_rows(positions, online, range_m);
             return;
         }
+        let words = n.div_ceil(64);
+        let coherent = self.seen.len() == n && self.seen_range == range_m.to_bits();
+        let near = coherent && self.within_half_skin(positions, range_m);
+        let gathered = coherent && !self.cand_offsets.is_empty();
+        if near && gathered {
+            self.cand_used = true;
+        } else if near || (gathered && self.cand_used) {
+            self.gather(grid, positions, range_m);
+        } else {
+            self.scan(grid, positions, online, range_m);
+            self.cand_offsets.clear();
+            self.seen.clear();
+            let sparse = self.flat.len() < n * words;
+            if sparse && n <= SKIN_IDS && range_m.is_finite() && range_m >= 2.0 * SKIN {
+                self.seen.extend_from_slice(positions);
+                self.seen_range = range_m.to_bits();
+            }
+            return;
+        }
+        self.refilter(positions, online, range_m);
+        if self.flat.len() >= n * words {
+            // Dense rows: the bitmap-ordered scan is the better path.
+            self.cand_offsets.clear();
+            self.seen.clear();
+        }
+    }
+
+    /// Whether every vehicle is still within [`reuse_limit`] of where `seen`
+    /// has it. A vehicle without a fix, then or now, has not: its NaN would
+    /// otherwise drop out of the running maximum at the next vehicle.
+    fn within_half_skin(&self, positions: &[Point], range_m: f64) -> bool {
+        let (mut fixed, mut worst, mut span) = (true, 0.0f64, range_m + SKIN);
+        for (p, q) in positions.iter().zip(&self.seen) {
+            let d = p.distance_sq(*q);
+            fixed &= !d.is_nan();
+            worst = worst.max(d);
+            span = span.max(p.x.abs()).max(p.y.abs());
+        }
+        let limit = reuse_limit(span);
+        fixed && limit > 0.0 && worst <= limit * limit
+    }
+
+    /// Appends to `out` the ids of `grid`'s entries strictly within
+    /// `radius` of vehicle `i` at `p`, `i` itself left out, in
+    /// [`SpatialGrid::candidate_rows`] order.
+    #[inline]
+    fn push_hits(out: &mut Vec<VehicleId>, grid: &SpatialGrid, i: usize, p: Point, radius: f64) {
+        let r_sq = radius * radius;
+        for run in grid.candidate_rows(p, radius) {
+            // About four candidates in ten are in range, which no branch
+            // predictor learns: write every candidate and advance the
+            // cursor only past the hits.
+            let base = out.len();
+            out.resize(base + run.len(), VehicleId(0));
+            let slots = &mut out[base..];
+            let mut hits = 0;
+            for &(j, q) in run {
+                slots[hits] = VehicleId(j as u32);
+                hits += usize::from((q.distance_sq(p) < r_sq) & (j != i));
+            }
+            out.truncate(base + hits);
+        }
+    }
+
+    /// The plain scan: a cell list of the online vehicles, each online
+    /// vehicle's hits ordered by bitmap or comparison sort.
+    fn scan(&mut self, grid: &mut SpatialGrid, positions: &[Point], online: &[bool], range_m: f64) {
+        self.scans += 1;
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.flat.clear();
         grid.rebuild(positions.iter().copied().enumerate().filter(|&(i, _)| online[i]));
         self.marks.resize(positions.len().div_ceil(64), 0);
-        let r_sq = range_m * range_m;
         for (i, &p) in positions.iter().enumerate() {
             if online[i] {
                 let start = self.flat.len();
-                for run in grid.candidate_rows(p, range_m) {
-                    // About four candidates in ten are in range, which no
-                    // branch predictor learns: write every candidate and
-                    // advance the cursor only past the hits.
-                    let base = self.flat.len();
-                    self.flat.resize(base + run.len(), VehicleId(0));
-                    let out = &mut self.flat[base..];
-                    let mut hits = 0;
-                    for &(j, q) in run {
-                        out[hits] = VehicleId(j as u32);
-                        hits += usize::from((q.distance_sq(p) < r_sq) & (j != i));
-                    }
-                    self.flat.truncate(base + hits);
-                }
+                Self::push_hits(&mut self.flat, grid, i, p, range_m);
                 let row = &mut self.flat[start..];
                 if self.marks.len() <= row.len() {
                     for id in row.iter() {
@@ -378,6 +514,90 @@ impl NeighborTable {
             }
             self.offsets.push(self.flat.len() as u32);
         }
+    }
+
+    /// The skin scan: every vehicle's candidates within `range_m + SKIN`,
+    /// ascending, into `cand`, and the positions into `seen`. Leaves `flat`
+    /// and `offsets` as scratch for the refilter that follows.
+    ///
+    /// No row is sorted. The hits are first written unordered, row by row,
+    /// into `flat`; the relation is exactly symmetric (`(a − b)²` and
+    /// `(b − a)²` are the same float), so row `i` of its transpose is as
+    /// long as row `i`, and walking the source rows `j` ascending while
+    /// appending `j` to every row they list fills each row of the transpose
+    /// in ascending order.
+    fn gather(&mut self, grid: &mut SpatialGrid, positions: &[Point], range_m: f64) {
+        self.scans += 1;
+        let n = positions.len();
+        debug_assert!(n <= SKIN_IDS, "candidate ids are u16");
+        let reach = range_m + SKIN;
+        // Nine cells of `reach` hold a disc of it; the caller's cells are
+        // sized for `range_m` and would take twenty-five.
+        grid.set_cell_size(reach);
+        grid.rebuild(positions.iter().copied().enumerate());
+        self.flat.clear();
+        self.cand_offsets.clear();
+        self.cand_offsets.push(0);
+        for (i, &p) in positions.iter().enumerate() {
+            Self::push_hits(&mut self.flat, grid, i, p, reach);
+            self.cand_offsets.push(self.flat.len() as u32);
+        }
+        let total = self.flat.len();
+        if total > self.cand.capacity() {
+            // An eighth of headroom: the total drifts from scan to scan,
+            // and a store sized to each one would be re-allocated by most.
+            self.cand.clear();
+            self.cand.reserve_exact(total + total / 8);
+        }
+        self.cand.resize(total, 0);
+        // `offsets` is rewritten by the refilter; until then its first `n`
+        // slots are the write cursors of the transpose.
+        self.offsets.clear();
+        self.offsets.extend_from_slice(&self.cand_offsets[..n]);
+        for j in 0..n {
+            let row = self.cand_offsets[j] as usize..self.cand_offsets[j + 1] as usize;
+            for id in &self.flat[row] {
+                let cursor = &mut self.offsets[id.0 as usize];
+                self.cand[*cursor as usize] = j as u16;
+                *cursor += 1;
+            }
+        }
+        debug_assert!(
+            self.offsets.iter().eq(&self.cand_offsets[1..]),
+            "every cursor must end on its row end"
+        );
+        self.seen.clear();
+        self.seen.extend_from_slice(positions);
+        self.seen_range = range_m.to_bits();
+        self.cand_used = false;
+    }
+
+    /// The rows out of the candidate rows: the plain scan's test on the
+    /// same operands, offline vehicles masked out at both ends. Candidate
+    /// rows are ascending, so the rows are.
+    fn refilter(&mut self, positions: &[Point], online: &[bool], range_m: f64) {
+        let r_sq = range_m * range_m;
+        self.offsets.clear();
+        self.offsets.push(0);
+        // Every candidate is written and the cursor advanced only past the
+        // hits, as in the scans; sized once for all of them.
+        self.flat.resize(self.cand.len(), VehicleId(0));
+        let mut hits = 0;
+        for (i, &p) in positions.iter().enumerate() {
+            if online[i] {
+                let row = self.cand_offsets[i] as usize..self.cand_offsets[i + 1] as usize;
+                let slots = &mut self.flat[hits..];
+                let mut row_hits = 0;
+                for &j in &self.cand[row] {
+                    slots[row_hits] = VehicleId(j.into());
+                    let j = usize::from(j);
+                    row_hits += usize::from((positions[j].distance_sq(p) < r_sq) & online[j]);
+                }
+                hits += row_hits;
+            }
+            self.offsets.push(hits as u32);
+        }
+        self.flat.truncate(hits);
     }
 
     /// The rows of a fleet of at most [`ROW_BITS`] ids, appended to the
@@ -609,23 +829,122 @@ mod tests {
         let mut rng = SimRng::seed_from(17);
         let mut table = NeighborTable::new();
         let mut grid = SpatialGrid::new(300.0);
-        // Fleets that grow and shrink across word counts, dense enough that
-        // most rows go through the bitmap and some (the offline ones, and
-        // the stragglers 5 km out) do not. The fleets of 64, 1 and 0 take
-        // the bit-row path, which must leave the bitmap alone.
-        for n in [200usize, 64, 130, 1, 0, 257, 65] {
+        // Fleets that grow and shrink across word counts. In a 400 m box
+        // they are dense enough that most rows go through the bitmap and
+        // some (the offline ones, and the stragglers 5 km out) do not, and
+        // every rebuild is a plain scan; in a 6 km box the rows are sparse,
+        // and of three rebuilds over the same positions only the first is.
+        // The fleets of 64, 1 and 0 take the bit-row path. Whatever ran,
+        // the bitmap is all zero afterwards, and a plain scan sized it.
+        for (n, extent) in [
+            (200usize, 400.0),
+            (64, 400.0),
+            (130, 400.0),
+            (200, 6_000.0),
+            (1, 400.0),
+            (0, 400.0),
+            (257, 400.0),
+            (65, 400.0),
+        ] {
             let positions: Vec<Point> = (0..n)
                 .map(|i| {
                     let far = if i % 50 == 49 { 5_000.0 } else { 0.0 };
-                    Point::new(far + rng.range_f64(0.0, 400.0), rng.range_f64(0.0, 400.0))
+                    Point::new(far + rng.range_f64(0.0, extent), rng.range_f64(0.0, extent))
                 })
                 .collect();
             let online: Vec<bool> = (0..n).map(|i| i % 9 != 0).collect();
-            table.rebuild(&mut grid, &positions, &online, 300.0);
-            if n > ROW_BITS {
-                assert_eq!(table.marks.len(), n.div_ceil(64));
+            let mut plain_scans = 0;
+            for _ in 0..3 {
+                let before = table.scans();
+                table.rebuild(&mut grid, &positions, &online, 300.0);
+                if n > ROW_BITS && table.scans() > before && table.cand_offsets.is_empty() {
+                    plain_scans += 1;
+                    assert_eq!(table.marks.len(), n.div_ceil(64));
+                }
+                assert!(table.marks.iter().all(|&word| word == 0), "stale bits after n = {n}");
             }
-            assert!(table.marks.iter().all(|&word| word == 0), "stale bits after n = {n}");
+            let expect = match (n > ROW_BITS, extent > 400.0) {
+                (false, _) => 0,
+                (true, false) => 3,
+                (true, true) => 1,
+            };
+            assert_eq!(plain_scans, expect, "n = {n}, extent = {extent}");
+        }
+    }
+
+    /// A sparse fleet of 70: vehicles 2.. parked a kilometer apart, and the
+    /// pair under test on the x axis at `a` and `b`.
+    fn pair_among_parked(a: f64, b: f64) -> Vec<Point> {
+        let mut positions: Vec<Point> =
+            (0..70).map(|i| Point::new(0.0, 1_000.0 * i as f64)).collect();
+        positions[0] = Point::new(a, 0.0);
+        positions[1] = Point::new(b, 0.0);
+        positions
+    }
+
+    #[test]
+    fn candidates_serve_up_to_the_limit_and_not_a_step_beyond() {
+        // The inequality's tight case: two vehicles exactly `range + SKIN`
+        // apart at the skin scan — the nearest a pair can be without being
+        // candidates — closing head-on.
+        let range = 300.0;
+        let reach = range + SKIN;
+        let limit = reuse_limit(69_000.0);
+        assert!(limit < SKIN / 2.0 && limit > SKIN / 2.0 - 0.002);
+        let online = vec![true; 70];
+        let mut grid = SpatialGrid::new(300.0);
+        let mut table = NeighborTable::new();
+        let at_skin_scan = pair_among_parked(0.0, reach);
+        table.rebuild(&mut grid, &at_skin_scan, &online, range);
+        table.rebuild(&mut grid, &at_skin_scan, &online, range);
+        assert_eq!(table.scans(), 2, "a plain scan, then the skin scan");
+        assert!(!table.cand_offsets.is_empty());
+        assert!(table.cand[..].is_empty(), "nobody is a candidate");
+
+        // Each has come exactly `limit` closer (one of them a hair less, so
+        // that rounding `reach − limit` cannot carry it over): the
+        // candidates still serve, and the pair is still `2 × slack` out of
+        // range.
+        let closing = pair_among_parked(limit, reach - limit * (1.0 - 1e-12));
+        table.rebuild(&mut grid, &closing, &online, range);
+        assert_eq!(table.scans(), 2, "at the limit the candidates are reused");
+        assert!(closing[0].distance_sq(closing[1]) >= range * range);
+        assert!(table.of(VehicleId(0)).is_empty() && table.of(VehicleId(1)).is_empty());
+
+        // One ulp past the limit is inside the slack — the pair is not in
+        // range yet — and already forces a scan.
+        let past = f64::from_bits(limit.to_bits() + 1);
+        table.rebuild(&mut grid, &pair_among_parked(past, reach - limit), &online, range);
+        assert_eq!(table.scans(), 3);
+        assert!(table.of(VehicleId(0)).is_empty());
+
+        // The other side of the slack: from where that scan saw them, 1 mm
+        // more each puts them in range, well inside the new candidates.
+        let touching = pair_among_parked(SKIN / 2.0 + 0.001, reach - SKIN / 2.0 - 0.001);
+        table.rebuild(&mut grid, &touching, &online, range);
+        assert_eq!(table.scans(), 3, "refiltered");
+        assert_eq!(table.of(VehicleId(0)), &[VehicleId(1)]);
+        assert_eq!(table.of(VehicleId(1)), &[VehicleId(0)]);
+    }
+
+    #[test]
+    fn the_slack_grows_with_the_coordinates_until_the_skin_is_off() {
+        assert_eq!(reuse_limit(350.0), SKIN / 2.0 - 1e-3);
+        assert_eq!(reuse_limit(1e9), SKIN / 2.0 - 1e-3, "eight ulps of 10⁹ are 1.8 µm");
+        assert!(reuse_limit(1e15) < SKIN / 2.0 - 1.0, "an ulp of 10¹⁵ is 12 cm");
+        assert!(reuse_limit(1e18) < 0.0);
+        assert!(reuse_limit(f64::INFINITY) < 0.0);
+        // A fleet out where an ulp is 128 m, standing still: a plain scan
+        // every time.
+        let positions: Vec<Point> =
+            (0..70).map(|i| Point::new(1e18, 1e18 + 1_024.0 * i as f64)).collect();
+        let online = vec![true; 70];
+        let mut grid = SpatialGrid::new(300.0);
+        let mut table = NeighborTable::new();
+        for call in 1..=3 {
+            table.rebuild(&mut grid, &positions, &online, 300.0);
+            assert_eq!(table.scans(), call);
+            assert!(table.cand_offsets.is_empty());
         }
     }
 

@@ -40,6 +40,23 @@ fn roadnet() -> FromFn<impl Fn(&mut SimRng) -> RoadNetwork> {
     })
 }
 
+/// Row `i` of the neighbor table by definition: the ascending ids of the
+/// online others strictly within a finite, positive `range_m` of an online
+/// vehicle `i` — one pass over the whole fleet, the oracle every
+/// `NeighborTable` test compares against.
+fn quadratic_row(positions: &[Point], online: &[bool], range_m: f64, i: usize) -> Vec<VehicleId> {
+    let reaches = range_m.is_finite() && range_m > 0.0 && online[i];
+    (0..positions.len())
+        .filter(|&j| {
+            j != i
+                && reaches
+                && online[j]
+                && positions[j].distance_sq(positions[i]) < range_m * range_m
+        })
+        .map(|j| VehicleId(j as u32))
+        .collect()
+}
+
 /// A fleet snapshot for the neighbor-table differential test, drawn from
 /// the layouts a cell list gets wrong first; the grid's cell is 100 m.
 #[derive(Debug, Clone)]
@@ -128,6 +145,117 @@ fn snapshot() -> FromFn<impl Fn(&mut SimRng) -> Snapshot> {
         };
         Snapshot { positions, online, range_m }
     })
+}
+
+/// What befalls a moving fleet at step `at` of a [`Journey`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Event {
+    Nothing,
+    /// Vehicle 3 jumps 5 km.
+    Teleport,
+    /// The channel range goes from 250 m to 300 m.
+    Range,
+    /// A vehicle joins the id space, 100 m from vehicle 1.
+    Grow,
+    /// The last id leaves it.
+    Shrink,
+    /// Vehicle 5 reports this — NaN or ±∞ — as its x for three steps.
+    LoseFix(f64),
+}
+
+/// One `NeighborTable` rebuilt over a fleet that moves a little between
+/// rebuilds, which is when a rebuild may refilter remembered candidates
+/// instead of scanning. Every vehicle moves in a straight line, so its
+/// distance from any earlier step is the step count times its speed, and
+/// vehicle 1 moves at exactly `speed`, the fastest.
+#[derive(Debug, Clone)]
+struct Journey {
+    seed: u64,
+    n: usize,
+    /// Everyone in one 300 m box (every row dense in the id space) instead
+    /// of pairs 1.5 km from the next pair.
+    dense: bool,
+    /// Added to every x and subtracted from every y.
+    offset: f64,
+    /// Meters per step.
+    speed: f64,
+    steps: usize,
+    flip_online: bool,
+    event: Event,
+    at: usize,
+}
+
+fn journey() -> FromFn<impl Fn(&mut SimRng) -> Journey> {
+    from_fn(|rng| {
+        let n = match rng.index(8) {
+            0 => 3_000,
+            1 | 2 => 64,
+            3 | 4 => 65,
+            _ => rng.range_u64(66, 400) as usize,
+        };
+        // The quadratic scan of 3 000 vehicles is the slow part.
+        let steps = rng.range_u64(12, if n == 3_000 { 17 } else { 41 }) as usize;
+        Journey {
+            seed: rng.next_u64(),
+            n,
+            dense: n < 3_000 && rng.index(5) == 0,
+            offset: [0.0, 0.0, 1e9, -1e9][rng.index(4)],
+            // Multiples of these stay clear of the 25 m (less 1 mm) a
+            // vehicle may move before candidates are retired: 7.99 is the
+            // urban fleet's tick, 13 lasts one refilter, 30 none.
+            speed: [0.0, 2.0, 3.3, 5.5, 7.99, 7.99, 13.0, 30.0][rng.index(8)],
+            steps,
+            flip_online: rng.chance(0.5),
+            event: match rng.index(8) {
+                0 => Event::Teleport,
+                1 => Event::Range,
+                2 => Event::Grow,
+                3 => Event::Shrink,
+                4 => Event::LoseFix([f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.index(3)]),
+                _ => Event::Nothing,
+            },
+            at: rng.range_u64(3, steps as u64) as usize,
+        }
+    })
+}
+
+impl Journey {
+    /// Where every vehicle starts and how far it moves per step.
+    fn launch(&self, rng: &mut SimRng) -> (Vec<Point>, Vec<Point>) {
+        let mut starts = Vec::with_capacity(self.n);
+        let mut moves = Vec::with_capacity(self.n);
+        for i in 0..self.n {
+            let (start, heading) = if self.dense {
+                let turn = rng.range_f64(0.0, std::f64::consts::TAU);
+                (
+                    Point::new(rng.range_f64(0.0, 300.0), rng.range_f64(0.0, 300.0)),
+                    Point::new(turn.cos(), turn.sin()),
+                )
+            } else {
+                // Pairs head-on or tail to tail along x, starting 200 to
+                // 400 m apart: across the range and across the skin beyond
+                // it, in both directions.
+                let site = i / 2;
+                let gap = if i % 2 == 0 { 0.0 } else { rng.range_f64(200.0, 400.0) };
+                (
+                    Point::new(
+                        1_500.0 * (site % 64) as f64 + gap,
+                        1_500.0 * (site / 64) as f64 + rng.range_f64(0.0, 5.0),
+                    ),
+                    Point::new(if rng.chance(0.5) { 1.0 } else { -1.0 }, 0.0),
+                )
+            };
+            let pace = if i == 1 { self.speed } else { self.speed * rng.range_f64(0.0, 1.0) };
+            starts.push(Point::new(start.x + self.offset, start.y - self.offset));
+            moves.push(heading * pace);
+        }
+        if self.offset == 0.0 {
+            // Parked a subnormal away from the origin.
+            starts[0] = Point::new(5e-324, -5e-324);
+            moves[0] = Point::new(0.0, 0.0);
+        }
+        (starts, moves)
+    }
 }
 
 prop! {
@@ -219,18 +347,8 @@ prop! {
         table.rebuild(&mut grid, &[Point::new(7.0, 7.0), Point::new(8.0, 8.0)], &[true, true], 50.0);
         table.rebuild(&mut grid, &s.positions, &s.online, s.range_m);
         prop_assert_eq!(table.len(), n);
-        let reaches = s.range_m.is_finite() && s.range_m > 0.0;
         for i in 0..n {
-            let expect: Vec<VehicleId> = (0..n)
-                .filter(|&j| {
-                    j != i
-                        && reaches
-                        && s.online[i]
-                        && s.online[j]
-                        && s.positions[j].distance_sq(s.positions[i]) < s.range_m * s.range_m
-                })
-                .map(|j| VehicleId(j as u32))
-                .collect();
+            let expect = quadratic_row(&s.positions, &s.online, s.range_m, i);
             prop_assert_eq!(table.of(VehicleId(i as u32)), expect.as_slice());
         }
         prop_assert!(
@@ -344,5 +462,158 @@ prop! {
             prop_assert_eq!(seq.velocities()[i].x.to_bits(), par.velocities()[i].x.to_bits());
             prop_assert_eq!(seq.velocities()[i].y.to_bits(), par.velocities()[i].y.to_bits());
         }
+    }
+}
+
+// ---- one table over a moving fleet vs the quadratic scan ----
+
+prop! {
+    #![cases(64)]
+
+    // After every step the reused table must hold what the O(n²) scan
+    // finds, whichever way the rebuild found it — and which way that was
+    // is asserted too, through `scans()`, against the policy in
+    // `NeighborTable::rebuild`'s documentation restated here on plain
+    // distances: a differential that only ever scanned would pass vacuously.
+    #[test]
+    fn reused_table_over_a_moving_fleet_matches_quadratic_scan(j in journey()) {
+        let mut rng = SimRng::seed_from(j.seed);
+        let (mut starts, mut moves) = j.launch(&mut rng);
+        let mut online: Vec<bool> = (0..j.n).map(|_| rng.chance(0.7)).collect();
+        let mut range_m = 250.0;
+        let mut table = NeighborTable::new();
+        let mut grid = SpatialGrid::new(100.0);
+        // The policy's state: what the last scan remembered, whether it
+        // gathered candidates, whether they have served.
+        let mut seen: Option<(Vec<Point>, f64)> = None;
+        let (mut gathered, mut used) = (false, false);
+        let mut refilters = 0;
+        for step in 0..j.steps {
+            if step == j.at {
+                match j.event {
+                    Event::Teleport => starts[3] = starts[3] + Point::new(5_000.0, 5_000.0),
+                    Event::Range => range_m = 300.0,
+                    Event::Grow => {
+                        starts.push(starts[1] + moves[1] * step as f64 + Point::new(0.0, 100.0));
+                        moves.push(Point::new(0.0, 0.0));
+                        online.push(true);
+                    }
+                    Event::Shrink => {
+                        starts.pop();
+                        moves.pop();
+                        online.pop();
+                    }
+                    Event::Nothing | Event::LoseFix(_) => {}
+                }
+            }
+            let n = starts.len();
+            let mut positions: Vec<Point> =
+                starts.iter().zip(&moves).map(|(&p, &v)| p + v * step as f64).collect();
+            if let Event::LoseFix(x) = j.event {
+                if (j.at..j.at + 3).contains(&step) {
+                    positions[5].x = x;
+                }
+            }
+            if j.flip_online {
+                for flag in online.iter_mut() {
+                    *flag ^= rng.chance(0.1);
+                }
+            }
+
+            let before = table.scans();
+            table.rebuild(&mut grid, &positions, &online, range_m);
+            let scanned = table.scans() - before;
+            prop_assert!(scanned <= 1);
+            prop_assert_eq!(table.len(), n);
+            let mut total = 0;
+            for i in 0..n {
+                let expect = quadratic_row(&positions, &online, range_m, i);
+                prop_assert_eq!(table.of(VehicleId(i as u32)), expect.as_slice(), "step {}", step);
+                total += expect.len();
+            }
+
+            let expect_scan = if n <= 64 {
+                true
+            } else {
+                let drift = match &seen {
+                    // A vehicle without a fix, then or now, is infinitely far.
+                    Some((at_scan, r)) if at_scan.len() == n && *r == range_m => Some(
+                        positions
+                            .iter()
+                            .zip(at_scan)
+                            .map(|(p, q)| p.distance(*q))
+                            .fold(0.0, |worst, d| if d.is_nan() { f64::INFINITY } else { d.max(worst) }),
+                    ),
+                    _ => None,
+                };
+                prop_assert!(
+                    !drift.is_some_and(|d| d > 24.5 && d <= 25.0),
+                    "step {}: a drift of {:?} m is too close to the limit to call", step, drift
+                );
+                let near = drift.is_some_and(|d| d <= 24.5);
+                let refilter = near && gathered;
+                if refilter {
+                    used = true;
+                } else if near || (drift.is_some() && gathered && used) {
+                    seen = Some((positions.clone(), range_m));
+                    (gathered, used) = (true, false);
+                } else {
+                    seen = None;
+                    gathered = false;
+                }
+                let dense = total >= n * n.div_ceil(64);
+                if dense {
+                    seen = None;
+                    gathered = false;
+                } else if seen.is_none() {
+                    seen = Some((positions.clone(), range_m));
+                }
+                !refilter
+            };
+            prop_assert_eq!(scanned == 1, expect_scan, "step {}", step);
+            refilters += 1 - scanned;
+        }
+        if !j.dense && j.n > 65 && j.speed <= 13.0 {
+            prop_assert!(refilters >= 3, "only {} refilters", refilters);
+        }
+        if j.dense || j.n == 64 && j.event != Event::Grow {
+            prop_assert_eq!(refilters, 0);
+        }
+    }
+}
+
+/// Candidate ids are 16 bits wide: a fleet of 65 536 ids is the largest
+/// that refilters, one of 65 537 scans every time, and both hold what a
+/// table built from nothing holds — and, for a sample of rows, what the
+/// quadratic scan finds.
+#[test]
+fn the_last_fleet_with_a_skin_and_the_first_without() {
+    let mut rng = SimRng::seed_from(65_536);
+    let start: Vec<Point> = (0..65_537)
+        .map(|i| {
+            Point::new(
+                140.0 * (i % 256) as f64 + rng.range_f64(0.0, 40.0),
+                140.0 * (i / 256) as f64 + rng.range_f64(0.0, 40.0),
+            )
+        })
+        .collect();
+    let online: Vec<bool> = (0..65_537).map(|i| i % 13 != 0).collect();
+    for (n, expect_scans) in [(65_536, 2), (65_537, 4)] {
+        let mut table = NeighborTable::new();
+        let mut grid = SpatialGrid::new(300.0);
+        for step in 0..4 {
+            let positions: Vec<Point> =
+                start[..n].iter().map(|&p| p + Point::new(5.0, -3.0) * step as f64).collect();
+            table.rebuild(&mut grid, &positions, &online[..n], 300.0);
+            let fresh = NeighborTable::build(&positions, &online[..n], 300.0);
+            for i in 0..n {
+                assert_eq!(table.of(VehicleId(i as u32)), fresh.of(VehicleId(i as u32)));
+            }
+            for i in [0, 1, 255, 256, 32_767, 32_768, 65_279, 65_534, n - 1] {
+                let expect = quadratic_row(&positions, &online[..n], 300.0, i);
+                assert_eq!(table.of(VehicleId(i as u32)), expect.as_slice(), "row {i}");
+            }
+        }
+        assert_eq!(table.scans(), expect_scans, "{n} ids");
     }
 }
