@@ -196,24 +196,6 @@ impl PseudonymWallet {
         self.current = (self.current + 1) % self.certs.len();
     }
 
-    /// [`PseudonymWallet::rotate`] with instrumentation: emits one
-    /// `auth`/`pseudonym.switch` event at sim-time `at` carrying the new
-    /// pseudonym id and the pool size. The rotation itself is identical.
-    pub fn rotate_obs(&mut self, at: SimTime, rec: Option<&mut vc_obs::Recorder>) {
-        self.rotate();
-        if let Some(rec) = rec {
-            rec.event(
-                at,
-                "auth",
-                "pseudonym.switch",
-                vec![
-                    ("pseudonym", self.current_pseudonym().0.into()),
-                    ("pool", self.pool_size().into()),
-                ],
-            );
-        }
-    }
-
     /// Signs `payload` at `now` under the current pseudonym.
     pub fn sign(&self, payload: &[u8], now: SimTime) -> PseudonymMessage {
         let cert = self.certs[self.current].clone();
@@ -557,20 +539,6 @@ mod tests {
     use super::*;
     use vc_sim::node::VehicleId;
     use vc_sim::time::SimDuration;
-
-    #[test]
-    fn rotate_obs_switches_and_emits() {
-        let (_ta, _registry, mut wallet) = setup();
-        let before = wallet.current_pseudonym();
-        let mut rec = vc_obs::Recorder::new();
-        wallet.rotate_obs(SimTime::from_secs(1), Some(&mut rec));
-        assert_ne!(wallet.current_pseudonym(), before);
-        assert_eq!(rec.hub().counter("auth.pseudonym.switch"), 1);
-        // None-probe rotation still rotates.
-        let mid = wallet.current_pseudonym();
-        wallet.rotate_obs(SimTime::from_secs(2), None);
-        assert_ne!(wallet.current_pseudonym(), mid);
-    }
 
     fn setup() -> (TrustedAuthority, PseudonymRegistry, PseudonymWallet) {
         let mut ta = TrustedAuthority::new(b"ta");

@@ -3,6 +3,7 @@
 
 use vc_access::audit::AuditLog;
 use vc_access::credential::{prove_possession, AttributeIssuer, Attributes};
+use vc_access::delegation::{grant, verify_chain, DelegationChain};
 use vc_access::package::{challenge_bytes, DataPackage, TpdEnforcer};
 use vc_access::policy::{Action, Context, Decision, Expr, Policy, Role};
 use vc_auth::pseudonym::PseudonymId;
@@ -22,7 +23,7 @@ fn deep_expr(depth: usize) -> Expr {
 }
 
 // Count every heap allocation so Suite results carry allocs/iter and
-// alloc bytes/iter columns (diffed by benchdiff when both sides have them).
+// alloc bytes/iter columns.
 vc_obs::counting_allocator!();
 
 fn main() {
@@ -141,6 +142,21 @@ fn main() {
     }
     suite
         .bench("trust/classify_50", || classify(black_box(&reports), &ClassifierConfig::default()));
+
+    // ---- delegation chains ----
+    let owner = SigningKey::from_seed(b"owner");
+    let far = SimTime::from_secs(100_000);
+    let keys: Vec<SigningKey> = (0..3u8).map(|i| SigningKey::from_seed(&[i, 3])).collect();
+    let g1 =
+        grant(&owner, 1, keys[0].verifying_key(), vec![Action::Read, Action::Delegate], 3, far);
+    let g2 =
+        grant(&keys[0], 1, keys[1].verifying_key(), vec![Action::Read, Action::Delegate], 2, far);
+    let g3 = grant(&keys[1], 1, keys[2].verifying_key(), vec![Action::Read], 1, far);
+    let chain = DelegationChain { grants: vec![g1, g2, g3] };
+    suite.bench("delegation/verify_3_links", || {
+        verify_chain(black_box(&chain), &owner.verifying_key(), 1, SimTime::from_secs(1))
+            .expect("valid")
+    });
 
     suite.finish();
 }

@@ -16,7 +16,7 @@ fn window() -> SimDuration {
 }
 
 // Count every heap allocation so Suite results carry allocs/iter and
-// alloc bytes/iter columns (diffed by benchdiff when both sides have them).
+// alloc bytes/iter columns.
 vc_obs::counting_allocator!();
 
 fn main() {

@@ -1,7 +1,7 @@
 //! Micro-benches for the geometry hot paths: road-network nearest queries
 //! (spatial index vs the retained linear scans), CSR neighbor-table
 //! construction and in-place rebuild, canyon LOS links, and a full
-//! street-aware routing round. These back the PR 5 benchdiff gate.
+//! street-aware routing round.
 
 use vc_net::netsim::NetSim;
 use vc_net::routing::StreetAware;
@@ -30,7 +30,7 @@ fn positions(n: usize, extent: f64, seed: u64) -> Vec<Point> {
 }
 
 // Count every heap allocation so Suite results carry allocs/iter and
-// alloc bytes/iter columns (diffed by benchdiff when both sides have them).
+// alloc bytes/iter columns.
 vc_obs::counting_allocator!();
 
 fn main() {
@@ -176,7 +176,7 @@ fn main() {
         let mut scenario = b.urban_canyon();
         let map = scenario.roadnet.clone();
         let mut sim = NetSim::new(&mut scenario, StreetAware::new(map));
-        sim.send_random_pairs(10, 256);
+        sim.send_random_pairs(10, 256, None);
         sim.run_rounds(20);
         sim.stats().delivered
     });

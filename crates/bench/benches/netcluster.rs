@@ -1,14 +1,22 @@
 //! Micro-benches for clustering, routing rounds and the dynamic cloud's
-//! tick — the per-round cost basis of experiments E8 and E2.
+//! tick — the per-round cost basis of experiments E8 and E2 — plus the
+//! cloud's checkpoint sealing and credit notes and the net layer's wire
+//! encoding.
 
 use vc_cloud::arch::{ArchitectureKind, CloudSim};
+use vc_cloud::handover::{open_checkpoint, seal_checkpoint, Checkpoint};
+use vc_cloud::incentive::{transfer, CreditBank};
 use vc_cloud::scheduler::SchedulerConfig;
 use vc_cloud::stay::Kinematic;
+use vc_cloud::task::TaskId;
+use vc_crypto::dh::EphemeralSecret;
+use vc_crypto::schnorr::SigningKey;
 use vc_net::cluster::{form_clusters, maintain_clusters, ClusterConfig};
 use vc_net::netsim::NetSim;
 use vc_net::routing::{ClusterRouting, Epidemic, GreedyGeo, MozoRouting, RoutingProtocol};
 use vc_net::world::WorldView;
 use vc_sim::geom::Point;
+use vc_sim::node::VehicleId;
 use vc_sim::radio::NeighborTable;
 use vc_sim::rng::SimRng;
 use vc_sim::scenario::ScenarioBuilder;
@@ -40,13 +48,13 @@ fn routing_rounds<P: RoutingProtocol>(proto: P) -> u64 {
     builder.seed(3).vehicles(60);
     let mut scenario = builder.urban_with_rsus();
     let mut sim = NetSim::new(&mut scenario, proto);
-    sim.send_random_pairs(10, 256);
+    sim.send_random_pairs(10, 256, None);
     sim.run_rounds(20);
     sim.stats().delivered
 }
 
 // Count every heap allocation so Suite results carry allocs/iter and
-// alloc bytes/iter columns (diffed by benchdiff when both sides have them).
+// alloc bytes/iter columns.
 vc_obs::counting_allocator!();
 
 fn main() {
@@ -118,6 +126,52 @@ fn main() {
     suite.bench("routing/20_rounds_60_vehicles/mozo", || {
         black_box(routing_rounds(MozoRouting::new()))
     });
+
+    // ---- checkpoint handover ----
+    let rx = EphemeralSecret::from_seed(b"rx");
+    let cp = Checkpoint { task: TaskId(1), done_gflop: 100.0, state: vec![0u8; 16_384] };
+    let mut cp_entropy = 0u64;
+    suite.bench("checkpoint/seal_16KiB", || {
+        cp_entropy += 1;
+        seal_checkpoint(black_box(&cp), VehicleId(1), VehicleId(2), &rx.public_share(), cp_entropy)
+    });
+    let sealed = seal_checkpoint(&cp, VehicleId(1), VehicleId(2), &rx.public_share(), 7);
+    suite.bench("checkpoint/open_16KiB", || {
+        open_checkpoint(black_box(&sealed), &rx).expect("opens")
+    });
+
+    // ---- credit notes ----
+    let mut bank = CreditBank::new(b"bank");
+    let earn = SigningKey::from_seed(b"earn");
+    let spend = SigningKey::from_seed(b"spend");
+    suite.bench("credit/issue", || {
+        bank.issue(earn.verifying_key(), 10, vc_auth::pseudonym::PseudonymId(1))
+    });
+    let note = bank.issue(earn.verifying_key(), 10, vc_auth::pseudonym::PseudonymId(1));
+    let moved = transfer(&note, &earn, spend.verifying_key()).unwrap();
+    suite.bench("credit/validate_1_endorsement", || {
+        bank.validate(black_box(&moved)).expect("valid")
+    });
+
+    // ---- wire encoding ----
+    {
+        use vc_net::beacon::{sign_beacon, Beacon};
+        use vc_net::wire::{decode_beacon, encode_beacon};
+        use vc_sim::time::SimTime;
+        let key = SigningKey::from_seed(b"wire-bench");
+        let sb = sign_beacon(
+            Beacon {
+                sender: VehicleId(1),
+                pos: Point::new(1.0, 2.0),
+                vel: Point::new(30.0, 0.0),
+                sent_at: SimTime::from_secs(1),
+            },
+            &key,
+        );
+        suite.bench("wire/encode_beacon", || encode_beacon(black_box(&sb)));
+        let frame = encode_beacon(&sb);
+        suite.bench("wire/decode_beacon", || decode_beacon(black_box(&frame)).expect("decodes"));
+    }
 
     suite.finish();
 }

@@ -12,7 +12,7 @@ use vc_sim::time::SimTime;
 use vc_testkit::bench::{black_box, Suite};
 
 // Count every heap allocation so Suite results carry allocs/iter and
-// alloc bytes/iter columns (diffed by benchdiff when both sides have them).
+// alloc bytes/iter columns.
 vc_obs::counting_allocator!();
 
 fn main() {
@@ -71,7 +71,7 @@ fn main() {
             let mut sim = NetSim::new(&mut scenario, Epidemic);
             sim.set_sampler(Sampler::new(11, rate));
             let mut rec = Recorder::new();
-            sim.send_random_pairs_obs(30, 128, Some(&mut rec));
+            sim.send_random_pairs(30, 128, Some(&mut rec));
             sim.run_rounds_obs(10, Some(&mut rec));
             black_box(rec.len());
             sim.stats().delivered
@@ -89,7 +89,7 @@ fn main() {
         let mut scenario = b.urban_with_rsus();
         let mut sim = NetSim::new(&mut scenario, Epidemic);
         let mut traced = Recorder::new();
-        sim.send_random_pairs_obs(24, 256, Some(&mut traced));
+        sim.send_random_pairs(24, 256, Some(&mut traced));
         sim.run_rounds_obs(256, Some(&mut traced));
         let mut rec = Recorder::new();
         let events: Vec<_> = traced.events().collect();

@@ -7,7 +7,7 @@ use vc_sim::roadnet::RoadNetwork;
 use vc_testkit::bench::{black_box, Suite};
 
 // Count every heap allocation so Suite results carry allocs/iter and
-// alloc bytes/iter columns (diffed by benchdiff when both sides have them).
+// alloc bytes/iter columns.
 vc_obs::counting_allocator!();
 
 fn main() {

@@ -8,7 +8,7 @@
 
 use crate::table::{f1, f3, Table};
 use std::time::Instant;
-use vc_crypto::schnorr::{batch_verify, Signature, SigningKey, VerifyingKey};
+use vc_crypto::schnorr::{verify_batch, Signature, SigningKey, VerifyingKey};
 
 /// Runs E11.
 pub fn run(quick: bool, _seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table {
@@ -51,7 +51,7 @@ pub fn run(quick: bool, _seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Tabl
 
         let start = Instant::now();
         for _ in 0..reps {
-            assert!(batch_verify(&slice, b"e11"));
+            assert!(verify_batch(&slice, b"e11").is_ok());
         }
         let batch_ms = start.elapsed().as_secs_f64() / reps as f64 * 1e3;
 

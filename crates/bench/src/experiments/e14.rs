@@ -20,7 +20,7 @@ fn run_protocol<P: RoutingProtocol>(
     builder.seed(seed).vehicles(vehicles);
     let mut scenario = builder.urban_canyon();
     let mut sim = NetSim::new(&mut scenario, protocol);
-    sim.send_random_pairs(packets, 256);
+    sim.send_random_pairs(packets, 256, None);
     sim.run_rounds(rounds);
     sim.into_stats()
 }

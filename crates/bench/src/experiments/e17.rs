@@ -73,7 +73,7 @@ fn run_once(
         sim.set_sampler(sampler);
     }
     let start = Instant::now();
-    sim.send_random_pairs_obs(packets, 128, reborrow(&mut rec));
+    sim.send_random_pairs(packets, 128, reborrow(&mut rec));
     sim.run_rounds_obs(rounds, rec);
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     let s = sim.into_stats();

@@ -78,7 +78,7 @@ fn footprint(base: &Scenario, rounds: usize) -> (u64, u64, u64) {
     let mut scenario = base.clone();
     let mut sim = NetSim::new(&mut scenario, GreedyGeo);
     let mut rec = Recorder::ring(4096);
-    sim.send_random_pairs_obs(packets, 128, Some(&mut rec));
+    sim.send_random_pairs(packets, 128, Some(&mut rec));
     sim.run_rounds_obs(rounds, Some(&mut rec));
     let fleet = sim.scenario_mut().fleet.heap_bytes() + sim.scenario_mut().roadnet.heap_bytes();
     let net = sim.heap_bytes();

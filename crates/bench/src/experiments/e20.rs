@@ -6,7 +6,7 @@
 //! (extension; paper §IV-D citations [21] "batch verification" and [44]
 //! "real-time digital signatures").
 //!
-//! E11 measured raw `batch_verify` on bare signatures; this experiment
+//! E11 measured raw `verify_batch` on bare signatures; this experiment
 //! measures the same win where it lands in the stack — [`vc_net::beacon`]'s
 //! `BeaconStore::ingest_batch`, which also pays the store's freshness and
 //! supersession checks — at the neighbor densities E5's contact-window

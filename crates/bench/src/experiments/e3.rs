@@ -7,15 +7,15 @@
 //! workspace's observability showcase: it emits `sim` (world ticks, radio),
 //! `net` (post-disaster re-clustering), `auth` (emergency re-join
 //! handshake spans, pseudonym switches), and `cloud` (scheduler lifecycle,
-//! membership, mode gossip) events. Every probed call delegates to its
-//! unprobed implementation, so the table is identical with or without
-//! tracing.
+//! membership, mode gossip) events. The re-clustering, gossip and pseudonym
+//! events are emitted here, around the plain calls; nothing is traced that
+//! could change a draw, so the table is identical with or without tracing.
 
 use crate::table::{f1, pct, Table};
 use vc_auth::prelude::*;
 use vc_cloud::prelude::*;
 use vc_net::world::WorldView;
-use vc_obs::{as_probe, reborrow, Recorder};
+use vc_obs::{reborrow, tick_scenario, Recorder};
 use vc_sim::prelude::*;
 
 /// Runs E3.
@@ -48,7 +48,7 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut Recorder>) -> Table {
             let mut sim = CloudSim::new(scenario, kind, SchedulerConfig::default(), Kinematic);
             sim.submit_batch(tasks / 2, 80.0, None);
             drop(setup);
-            sim.run_ticks_obs(pre_ticks, reborrow(&mut rec));
+            sim.run_ticks(pre_ticks, reborrow(&mut rec));
             let pre = sim.scheduler().stats().completed;
 
             // Disaster strikes.
@@ -65,7 +65,7 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut Recorder>) -> Table {
             }
 
             sim.submit_batch(tasks / 2, 80.0, None);
-            sim.run_ticks_obs(post_ticks, reborrow(&mut rec));
+            sim.run_ticks(post_ticks, reborrow(&mut rec));
             let total = sim.scheduler().stats().completed;
             let post = total - pre;
             let members_post = sim.membership().members.len();
@@ -93,22 +93,22 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut Recorder>) -> Table {
     let mut coverage = mode.coverage(OperatingMode::Emergency);
     while coverage < 0.95 && rounds < 400 {
         let at = SimTime::ZERO + SimDuration::from_secs_f64(rounds as f64 * scenario.dt);
-        {
-            let _sim = vc_obs::profile::frame("sim.tick");
-            scenario.tick_probed(at, as_probe(&mut rec));
-        }
+        tick_scenario(&mut scenario, at, reborrow(&mut rec));
         let table_nb = scenario.neighbor_table();
         let positions = scenario.fleet.positions();
-        mode.gossip_round_obs(
-            &table_nb,
-            positions,
-            &channel,
-            &mut scenario.rng,
-            OperatingMode::Emergency,
-            at,
-            reborrow(&mut rec),
-        );
+        let _gossip = vc_obs::profile::frame("mode.gossip");
+        let switched = mode.gossip_round(&table_nb, positions, &channel, &mut scenario.rng);
         coverage = mode.coverage(OperatingMode::Emergency);
+        if let Some(r) = reborrow(&mut rec) {
+            r.event(
+                at,
+                "cloud",
+                "mode.switch",
+                vec![("switched", switched.into()), ("coverage", coverage.into())],
+            );
+            r.hub_mut().counter_add("cloud.mode.switched", switched as u64);
+            r.hub_mut().gauge_set("cloud.mode.coverage", coverage);
+        }
         rounds += 1;
     }
     table.note(format!(
@@ -129,12 +129,19 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut Recorder>) -> Table {
         online: scenario.fleet.online_flags(),
         neighbors: &neighbors,
     };
-    let clustering = vc_net::cluster::form_clusters_obs(
-        &world,
-        &vc_net::cluster::ClusterConfig::multi_hop(),
-        gossip_end,
-        reborrow(&mut rec),
-    );
+    let clustering =
+        vc_net::cluster::form_clusters(&world, &vc_net::cluster::ClusterConfig::multi_hop());
+    if let Some(r) = reborrow(&mut rec) {
+        r.event(
+            gossip_end,
+            "net",
+            "cluster.elect",
+            vec![
+                ("clusters", clustering.cluster_count().into()),
+                ("mean_size", clustering.mean_cluster_size().into()),
+            ],
+        );
+    }
     table.note(format!(
         "post-disaster self-organization: {} clusters across {} vehicles, no infrastructure",
         clustering.heads().count(),
@@ -189,7 +196,18 @@ pub fn run(quick: bool, seed: u64, mut rec: Option<&mut Recorder>) -> Table {
             admitted += 1;
             // Fresh pseudonym on admission: the pre-disaster identifier is
             // assumed burned.
-            joiner.rotate_obs(start + SimDuration::from_millis(10), reborrow(&mut rec));
+            joiner.rotate();
+            if let Some(r) = reborrow(&mut rec) {
+                r.event(
+                    start + SimDuration::from_millis(10),
+                    "auth",
+                    "pseudonym.switch",
+                    vec![
+                        ("pseudonym", joiner.current_pseudonym().0.into()),
+                        ("pool", joiner.pool_size().into()),
+                    ],
+                );
+            }
         }
     }
     table.note(format!(

@@ -21,9 +21,9 @@ fn run_protocol<P: RoutingProtocol>(
     builder.seed(seed).vehicles(vehicles);
     let mut scenario = builder.urban_with_rsus();
     let mut sim = NetSim::new(&mut scenario, protocol);
-    // The obs send variant opens causal chains for sampled packets
-    // (VC_TRACE_SAMPLE); with sampling off it is the plain path.
-    sim.send_random_pairs_obs(packets, 256, vc_obs::reborrow(&mut rec));
+    // With a recorder attached, packets the sampler selects
+    // (VC_TRACE_SAMPLE) open causal chains.
+    sim.send_random_pairs(packets, 256, vc_obs::reborrow(&mut rec));
     sim.run_rounds_obs(rounds, rec);
     sim.into_stats()
 }

@@ -55,7 +55,7 @@ fn different_seeds_change_something() {
 #[test]
 fn tracing_does_not_perturb_results() {
     // Attaching a recorder must leave every table cell untouched: the
-    // instrumentation hooks all delegate to the unprobed code paths.
+    // hooks only emit what the plain code paths computed.
     for id in ["e2", "e3"] {
         let exp = registry().into_iter().find(|e| e.id == id).expect("known id");
         let silent = (exp.run)(true, 7, None);

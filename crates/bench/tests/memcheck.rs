@@ -107,7 +107,7 @@ fn fleet_step_sharded_steady_state_allocates_nothing() {
 fn netsim_round_steady_state_allocates_nothing() {
     let mut scenario = ScenarioBuilder::new().seed(7).vehicles(64).parking_lot();
     let mut sim = NetSim::new(&mut scenario, GreedyGeo);
-    sim.send_random_pairs(8, 128);
+    sim.send_random_pairs(8, 128, None);
     // Warm-up: the dense lot delivers everything within a few rounds, and
     // the grid / neighbor-table / snapshot buffers reach their plateau.
     // What is measured is therefore the round of an *empty* network —
@@ -279,7 +279,7 @@ fn jsonl_export_allocates_per_call_not_per_event() {
     let mut scenario = ScenarioBuilder::new().seed(11).vehicles(40).urban_with_rsus();
     let mut sim = NetSim::new(&mut scenario, Epidemic);
     let mut rec = Recorder::ring(1_000);
-    sim.send_random_pairs_obs(24, 256, Some(&mut rec));
+    sim.send_random_pairs(24, 256, Some(&mut rec));
     sim.run_rounds_obs(256, Some(&mut rec));
     assert_eq!(rec.len(), 1_000);
     let mut out = Vec::with_capacity(1 << 20);
@@ -303,9 +303,9 @@ fn dynamic_cloud_tick_with_idle_scheduler_allocates_nothing() {
         CloudSim::new(scenario, ArchitectureKind::Dynamic, SchedulerConfig::default(), Kinematic);
     // Warm-up: the table's flat storage and the member and host buffers
     // find their high-water marks as the fleet mixes.
-    cloud.run_ticks(60);
+    cloud.run_ticks(60, None);
     let scope = AllocScope::start();
-    cloud.run_ticks(60);
+    cloud.run_ticks(60, None);
     let delta = scope.finish();
     assert!(cloud.membership().members.len() > 100, "the cloud must have formed");
     assert_eq!(

@@ -1,6 +1,6 @@
 //! End-to-end checks for `experiments --profile`: profiling is strictly
 //! additive (tables and traces are byte-identical with or without it,
-//! mirroring the plain-vs-probed invariant for the recorder) and the
+//! mirroring the plain-vs-recorded invariant for the recorder) and the
 //! exported call tree is internally consistent.
 
 use std::process::Command;

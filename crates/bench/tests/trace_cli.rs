@@ -4,13 +4,36 @@
 
 use std::process::Command;
 
+/// SHA-256 of `run_trace`'s output. Every instrumented layer writes into
+/// it, so a refactor of the instrumentation must leave it unchanged; a
+/// change that alters a trace on purpose updates this and says why.
+const TRACE_SHA256: &str = "2cd582b8822513b7148dcb976e8a331bd8d98a7e60b0e5c7af26ef85ce28fecd";
+
+/// SHA-256 of the `VC_TRACE_SAMPLE=1` E8 trace (radio, routing and causal
+/// events), pinned the same way.
+const CAUSAL_TRACE_SHA256: &str =
+    "30d04bd834cc098cc6c7b36c6d44b2106357d188c667803d4def4d6a175e9689";
+
+fn sha256_hex(bytes: &[u8]) -> String {
+    vc_crypto::sha256::sha256(bytes).iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Asserts that `trace` holds at least one event of each `(component, kind)`.
+fn assert_kinds(trace: &str, kinds: &[(&str, &str)]) {
+    for (component, kind) in kinds {
+        let needle = format!("\"component\":\"{component}\",\"kind\":\"{kind}\"");
+        assert!(trace.contains(&needle), "trace lacks {component}/{kind} events");
+    }
+}
+
 /// One traced run of every experiment whose table is free of wall-clock
-/// columns (E3's re-join handshakes among them).
+/// columns (E3's re-join handshakes among them), at the default sample rate.
 fn run_trace(path: &std::path::Path) -> Vec<u8> {
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(["--quick", "--seed", "7", "--trace"])
         .arg(path)
         .args(["e2", "e3", "e7", "e13", "e15"])
+        .env_remove("VC_TRACE_SAMPLE")
         .output()
         .expect("experiments runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
@@ -25,12 +48,22 @@ fn trace_runs_are_byte_identical_and_multi_component() {
     let b = run_trace(&dir.join("b.jsonl"));
     assert!(!a.is_empty(), "trace must be non-empty");
     assert_eq!(a, b, "same seed + flags must give a byte-identical trace");
+    assert_eq!(sha256_hex(&a), TRACE_SHA256, "the trace's bytes changed");
 
     let text = String::from_utf8(a).expect("trace is UTF-8");
     for component in ["sim", "net", "auth", "cloud"] {
         let needle = format!("\"component\":\"{component}\"");
         assert!(text.contains(&needle), "trace lacks {component} events");
     }
+    assert_kinds(
+        &text,
+        &[
+            ("sim", "tick"),
+            ("net", "cluster.elect"),
+            ("cloud", "mode.switch"),
+            ("auth", "pseudonym.switch"),
+        ],
+    );
     // Every line round-trips through the workspace JSON parser.
     for line in text.lines() {
         vc_testkit::json::Json::parse(line).expect("valid JSONL line");
@@ -123,6 +156,9 @@ fn causal_timeline_and_json_modes_roundtrip() {
         .output()
         .expect("experiments runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let bytes = std::fs::read(&trace).expect("trace written");
+    assert_eq!(sha256_hex(&bytes), CAUSAL_TRACE_SHA256, "the causal trace's bytes changed");
+    assert_kinds(&String::from_utf8(bytes).expect("trace is UTF-8"), &[("net", "causal.origin")]);
 
     // --causal reconstructs chains with percentiles and hop distribution.
     let causal = Command::new(env!("CARGO_BIN_EXE_vcstat"))

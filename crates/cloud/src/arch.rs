@@ -271,19 +271,10 @@ impl<E: StayEstimator> CloudSim<E> {
         self.tick_obs(None);
     }
 
-    /// Advances like [`CloudSim::tick`], routing world ticks through the
-    /// recorder's probe and emitting a `cloud`/`membership` event with the
-    /// member count and broker presence. All probed sub-paths delegate to
-    /// their unprobed implementations, so the run is identical to [`tick`]
-    /// with the same seed.
-    ///
-    /// [`tick`]: CloudSim::tick
-    pub fn tick_obs(&mut self, mut rec: Option<&mut vc_obs::Recorder>) {
+    /// One tick, recorded when `rec` is attached (see [`CloudSim::run_ticks`]).
+    fn tick_obs(&mut self, mut rec: Option<&mut vc_obs::Recorder>) {
         let _tick = vc_obs::profile::frame("cloud.tick");
-        {
-            let _sim = vc_obs::profile::frame("sim.tick");
-            self.scenario.tick_probed(self.now, vc_obs::as_probe(&mut rec));
-        }
+        vc_obs::tick_scenario(&mut self.scenario, self.now, vc_obs::reborrow(&mut rec));
         self.now += SimDuration::from_secs_f64(self.scenario.dt);
         {
             let _membership = vc_obs::profile::frame("cloud.membership");
@@ -306,18 +297,14 @@ impl<E: StayEstimator> CloudSim<E> {
             );
             r.hub_mut().gauge_set("cloud.membership.size", membership.members.len() as f64);
         }
-        self.scheduler.tick_obs(self.now, self.scenario.dt, &self.hosts, rec);
+        self.scheduler.tick(self.now, self.scenario.dt, &self.hosts, rec);
     }
 
-    /// Runs `n` ticks.
-    pub fn run_ticks(&mut self, n: usize) {
-        for _ in 0..n {
-            self.tick();
-        }
-    }
-
-    /// Runs `n` instrumented ticks (see [`CloudSim::tick_obs`]).
-    pub fn run_ticks_obs(&mut self, n: usize, mut rec: Option<&mut vc_obs::Recorder>) {
+    /// Runs `n` ticks. With a recorder attached each tick emits the world's
+    /// `sim`/`tick` event, a `cloud`/`membership` event with the member
+    /// count and broker presence, and the scheduler's lifecycle events; the
+    /// run is the same with or without it.
+    pub fn run_ticks(&mut self, n: usize, mut rec: Option<&mut vc_obs::Recorder>) {
         for _ in 0..n {
             self.tick_obs(vc_obs::reborrow(&mut rec));
         }
@@ -386,7 +373,7 @@ mod tests {
             Kinematic,
         );
         sim.submit_batch(10, 50.0, None);
-        sim.run_ticks(100);
+        sim.run_ticks(100, None);
         assert_eq!(sim.scheduler().stats().completed, 10);
     }
 
@@ -400,7 +387,7 @@ mod tests {
             Kinematic,
         );
         sim.submit_batch(10, 30.0, None);
-        sim.run_ticks(300);
+        sim.run_ticks(300, None);
         let stats = sim.scheduler().stats();
         assert!(stats.completed >= 5, "only {} completed", stats.completed);
     }
@@ -415,12 +402,12 @@ mod tests {
             Kinematic,
         );
         sim.submit_batch(50, 2000.0, None);
-        sim.run_ticks(20);
+        sim.run_ticks(20, None);
         let mid = sim.scheduler().stats().completed;
         // Disaster: all RSUs fail.
         let mut rng = vc_sim::rng::SimRng::seed_from(7);
         sim.scenario.rsus.fail_fraction(1.0, &mut rng);
-        sim.run_ticks(50);
+        sim.run_ticks(50, None);
         // No further capacity is offered once coverage is gone: live tasks stall.
         let m = sim.membership();
         assert!(m.members.is_empty());
@@ -439,7 +426,7 @@ mod tests {
                 Kinematic,
             );
             sim.submit_batch(8, 40.0, None);
-            sim.run_ticks(150);
+            sim.run_ticks(150, None);
             sim.scheduler().stats().completed
         };
         assert_eq!(run(11), run(11));
@@ -459,12 +446,12 @@ mod tests {
             sim
         };
         let mut plain = mk();
-        plain.run_ticks(120);
-        let mut probed = mk();
+        plain.run_ticks(120, None);
+        let mut recorded = mk();
         let mut rec = vc_obs::Recorder::new();
-        probed.run_ticks_obs(120, Some(&mut rec));
+        recorded.run_ticks(120, Some(&mut rec));
         assert_eq!(
-            probed.scheduler().stats().completed,
+            recorded.scheduler().stats().completed,
             plain.scheduler().stats().completed,
             "tracing must not perturb the run"
         );

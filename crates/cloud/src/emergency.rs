@@ -92,37 +92,6 @@ impl ModeManager {
         switched
     }
 
-    /// One gossip round like [`ModeManager::gossip_round`], plus a
-    /// `cloud`/`mode.switch` event carrying how many vehicles switched and
-    /// the resulting coverage of `mode`, and a `cloud.mode.switched`
-    /// counter. Delegates to the plain round, so the RNG stream (and hence
-    /// the propagation) is identical with or without a recorder.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gossip_round_obs(
-        &mut self,
-        neighbors: &NeighborTable,
-        positions: &[vc_sim::geom::Point],
-        channel: &Channel,
-        rng: &mut SimRng,
-        mode: OperatingMode,
-        at: vc_sim::time::SimTime,
-        rec: Option<&mut vc_obs::Recorder>,
-    ) -> usize {
-        let _round = vc_obs::profile::frame("mode.gossip");
-        let switched = self.gossip_round(neighbors, positions, channel, rng);
-        if let Some(r) = rec {
-            r.event(
-                at,
-                "cloud",
-                "mode.switch",
-                vec![("switched", switched.into()), ("coverage", self.coverage(mode).into())],
-            );
-            r.hub_mut().counter_add("cloud.mode.switched", switched as u64);
-            r.hub_mut().gauge_set("cloud.mode.coverage", self.coverage(mode));
-        }
-        switched
-    }
-
     /// Number of vehicles tracked.
     pub fn len(&self) -> usize {
         self.modes.len()
@@ -201,40 +170,6 @@ mod tests {
             mgr.gossip_round(&table, &positions, &channel, &mut rng);
         }
         assert_eq!(mgr.mode(VehicleId(1)), OperatingMode::Normal);
-    }
-
-    #[test]
-    fn observed_gossip_matches_plain_stream() {
-        let (positions, table) = line_world(10, 100.0);
-        let channel = Channel::dsrc();
-        let run = |rec: &mut Option<vc_obs::Recorder>| {
-            let mut mgr = ModeManager::new(10);
-            mgr.inject(VehicleId(0), OperatingMode::Emergency);
-            let mut rng = SimRng::seed_from(1);
-            let mut rounds = 0u64;
-            while mgr.coverage(OperatingMode::Emergency) < 1.0 && rounds < 100 {
-                let at = vc_sim::time::SimTime::from_secs(rounds);
-                mgr.gossip_round_obs(
-                    &table,
-                    &positions,
-                    &channel,
-                    &mut rng,
-                    OperatingMode::Emergency,
-                    at,
-                    rec.as_mut(),
-                );
-                rounds += 1;
-            }
-            rounds
-        };
-        let plain = run(&mut None);
-        let mut rec = Some(vc_obs::Recorder::new());
-        let probed = run(&mut rec);
-        assert_eq!(plain, probed, "recorder must not change propagation");
-        let rec = rec.unwrap();
-        assert_eq!(rec.hub().counter("cloud.mode.switch"), probed);
-        assert_eq!(rec.hub().counter("cloud.mode.switched"), 9);
-        assert_eq!(rec.hub().gauge("cloud.mode.coverage"), Some(1.0));
     }
 
     #[test]

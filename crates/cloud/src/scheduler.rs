@@ -177,13 +177,17 @@ impl Scheduler {
         self.queued.len() + self.assignments.len()
     }
 
-    /// Advances like [`Scheduler::tick`] and emits `cloud` scheduler events
-    /// to the recorder: `sched.place` (new or moved assignments),
-    /// `sched.complete`, `sched.handover`, `sched.expire`, and
-    /// `sched.requeue` (progress lost to a drop), plus `cloud.sched.live`
-    /// and `cloud.sched.running` gauges. The scheduler is RNG-free, so the
-    /// probed path is behaviourally identical to the plain one.
-    pub fn tick_obs(
+    /// Advances the scheduler by `dt` seconds given this tick's host set.
+    /// Hosts absent from `hosts` are treated as departed; of two entries
+    /// with one id the later counts. Costs O(hosts + live tasks), however
+    /// many tasks have finished.
+    ///
+    /// With a recorder attached, emits `cloud` scheduler events:
+    /// `sched.place` (new or moved assignments), `sched.complete`,
+    /// `sched.handover`, `sched.expire`, and `sched.requeue` (progress lost
+    /// to a drop), plus `cloud.sched.live` and `cloud.sched.running` gauges.
+    /// The scheduler is RNG-free, so recording changes nothing else.
+    pub fn tick(
         &mut self,
         now: SimTime,
         dt: f64,
@@ -191,11 +195,11 @@ impl Scheduler {
         rec: Option<&mut vc_obs::Recorder>,
     ) {
         let Some(rec) = rec else {
-            self.tick(now, dt, hosts);
+            self.advance(now, dt, hosts);
             return;
         };
         let before = self.stats.clone();
-        self.tick(now, dt, hosts);
+        self.advance(now, dt, hosts);
         if self.placed > 0 {
             rec.event(now, "cloud", "sched.place", vec![("tasks", self.placed.into())]);
         }
@@ -219,11 +223,8 @@ impl Scheduler {
         rec.hub_mut().gauge_set("cloud.sched.running", self.assignments.len() as f64);
     }
 
-    /// Advances the scheduler by `dt` seconds given this tick's host set.
-    /// Hosts absent from `hosts` are treated as departed; of two entries
-    /// with one id the later counts. Costs O(hosts + live tasks), however
-    /// many tasks have finished.
-    pub fn tick(&mut self, now: SimTime, dt: f64, hosts: &[HostInfo]) {
+    /// The unrecorded body of [`Scheduler::tick`].
+    fn advance(&mut self, now: SimTime, dt: f64, hosts: &[HostInfo]) {
         self.stats.offered_gflop += hosts.iter().map(|h| h.cpu_gflops).sum::<f64>() * dt;
 
         // Every phase looks hosts up by id, in id order. A membership comes
@@ -457,7 +458,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..ticks {
             now += vc_sim::time::SimDuration::from_secs_f64(dt);
-            sched.tick(now, dt, hosts);
+            sched.tick(now, dt, hosts, None);
         }
         now
     }
@@ -503,7 +504,7 @@ mod tests {
         let mut s = Scheduler::new(config);
         s.submit(spec(1, 10.0), SimTime::ZERO);
         let hosts = [host(0, 100.0, 50.0), host(1, 100.0, 500.0)];
-        s.tick(SimTime::from_secs(1), 1.0, &hosts);
+        s.tick(SimTime::from_secs(1), 1.0, &hosts, None);
         match s.task(TaskId(1)).unwrap().status {
             TaskStatus::Running { host: h, .. } => assert_eq!(h, VehicleId(1)),
             ref other => panic!("expected running, got {other:?}"),
@@ -517,7 +518,7 @@ mod tests {
         let mut s = Scheduler::new(config);
         s.submit(spec(1, 10.0), SimTime::ZERO);
         let hosts = [host(0, 50.0, 1000.0), host(1, 200.0, 1000.0)];
-        s.tick(SimTime::from_secs(1), 1.0, &hosts);
+        s.tick(SimTime::from_secs(1), 1.0, &hosts, None);
         if let TaskStatus::Running { host: h, .. } = s.task(TaskId(1)).unwrap().status {
             assert_eq!(h, VehicleId(1));
         } else {
@@ -534,7 +535,7 @@ mod tests {
         // Run 5 s: ~40 GFLOP done (first tick places, 4 ticks execute).
         run(&mut s, &both, 5, 1.0);
         // Host 0 departs; nothing remains.
-        s.tick(SimTime::from_secs(6), 1.0, &[]);
+        s.tick(SimTime::from_secs(6), 1.0, &[], None);
         let rec = s.task(TaskId(1)).unwrap();
         assert_eq!(rec.status, TaskStatus::Queued);
         assert!(rec.recomputed_gflop > 0.0, "progress was lost");
@@ -551,7 +552,7 @@ mod tests {
         run(&mut s, &before, 5, 1.0);
         // Host 0 departs, host 1 remains free → checkpoint moves.
         let after = [host(1, 10.0, 1000.0)];
-        s.tick(SimTime::from_secs(6), 1.0, &after);
+        s.tick(SimTime::from_secs(6), 1.0, &after, None);
         let rec = s.task(TaskId(1)).unwrap();
         if let TaskStatus::Running { host: h, done_gflop } = rec.status {
             assert_eq!(h, VehicleId(1));
@@ -569,7 +570,7 @@ mod tests {
         let mut s = Scheduler::new(config);
         s.submit(spec(1, 100.0), SimTime::ZERO);
         run(&mut s, &[host(0, 10.0, 1000.0)], 5, 1.0);
-        s.tick(SimTime::from_secs(6), 1.0, &[]);
+        s.tick(SimTime::from_secs(6), 1.0, &[], None);
         let rec = s.task(TaskId(1)).unwrap();
         assert_eq!(rec.status, TaskStatus::Queued);
         assert!(rec.recomputed_gflop > 0.0);
@@ -589,7 +590,7 @@ mod tests {
         let mut now = SimTime::from_secs(10);
         for _ in 0..5 {
             now += vc_sim::time::SimDuration::from_secs(1);
-            s.tick(now, 1.0, &[host(0, 10.0, 10_000.0)]);
+            s.tick(now, 1.0, &[host(0, 10.0, 10_000.0)], None);
         }
         assert_eq!(s.stats().completed, 1);
     }
@@ -611,7 +612,7 @@ mod tests {
         let mut s = Scheduler::new(SchedulerConfig::default());
         s.submit(spec(1, 1000.0), SimTime::ZERO);
         s.submit(spec(2, 1000.0), SimTime::ZERO);
-        s.tick(SimTime::from_secs(1), 1.0, &[host(0, 10.0, 10_000.0)]);
+        s.tick(SimTime::from_secs(1), 1.0, &[host(0, 10.0, 10_000.0)], None);
         let running = s.tasks().filter(|t| matches!(t.status, TaskStatus::Running { .. })).count();
         assert_eq!(running, 1, "a host runs one task at a time");
     }
@@ -632,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn tick_obs_matches_plain_and_emits_lifecycle_events() {
+    fn recorded_tick_matches_plain_and_emits_lifecycle_events() {
         let mk = || {
             let mut s = Scheduler::new(SchedulerConfig::default());
             s.submit(spec(1, 50.0), SimTime::ZERO);
@@ -642,25 +643,17 @@ mod tests {
         let mut plain = mk();
         run(&mut plain, &hosts, 10, 1.0);
 
-        let mut probed = mk();
+        let mut recorded = mk();
         let mut rec = vc_obs::Recorder::new();
         let mut now = SimTime::ZERO;
         for _ in 0..10 {
             now += vc_sim::time::SimDuration::from_secs(1);
-            probed.tick_obs(now, 1.0, &hosts, Some(&mut rec));
+            recorded.tick(now, 1.0, &hosts, Some(&mut rec));
         }
-        assert_eq!(probed.stats().completed, plain.stats().completed);
+        assert_eq!(recorded.stats().completed, plain.stats().completed);
         assert_eq!(rec.hub().counter("cloud.sched.place"), 1);
         assert_eq!(rec.hub().counter("cloud.sched.complete"), 1);
         assert_eq!(rec.hub().gauge("cloud.sched.live"), Some(0.0));
-        // `None` recorder delegates straight to `tick`.
-        let mut silent = mk();
-        let mut now = SimTime::ZERO;
-        for _ in 0..10 {
-            now += vc_sim::time::SimDuration::from_secs(1);
-            silent.tick_obs(now, 1.0, &hosts, None);
-        }
-        assert_eq!(silent.stats().completed, plain.stats().completed);
     }
 
     #[test]

@@ -403,7 +403,7 @@ prop! {
             // Random churn: each host present with 80% probability.
             let present: Vec<HostInfo> =
                 hosts.iter().filter(|_| rng.chance(0.8)).copied().collect();
-            sched.tick(now, 1.0, &present);
+            sched.tick(now, 1.0, &present, None);
         }
         let mut queued = 0u64;
         let mut running = 0u64;
@@ -454,10 +454,10 @@ prop! {
                     }
                     now += SimDuration::from_secs(1);
                     let hosts: Vec<HostInfo> = present.iter().map(|&i| run.pool[i]).collect();
-                    // Probed and plain ticks alternate; both must agree.
-                    let probed = t % 3 != 0;
-                    sched.tick_obs(now, 1.0, &hosts, probed.then_some(&mut rec));
-                    want.tick_obs(now, 1.0, &hosts, probed.then_some(&mut want_rec));
+                    // Recorded and plain ticks alternate; both must agree.
+                    let recorded = t % 3 != 0;
+                    sched.tick(now, 1.0, &hosts, recorded.then_some(&mut rec));
+                    want.tick_obs(now, 1.0, &hosts, recorded.then_some(&mut want_rec));
 
                     let (got, exp) = (sched.stats(), want.stats());
                     prop_assert_eq!(
@@ -502,7 +502,7 @@ prop! {
         let mut now = SimTime::ZERO;
         for _ in 0..ticks {
             now += SimDuration::from_secs(1);
-            sched.tick(now, 1.0, &hosts);
+            sched.tick(now, 1.0, &hosts, None);
             let mut seen = std::collections::BTreeSet::new();
             for t in sched.tasks() {
                 if let TaskStatus::Running { host, .. } = t.status {

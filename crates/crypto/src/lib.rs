@@ -55,7 +55,7 @@ pub mod prelude {
     pub use crate::group::{multi_exp, Element, Scalar};
     pub use crate::hmac::{hkdf, hmac_sha256};
     pub use crate::merkle::{MerkleProof, MerkleTree};
-    pub use crate::schnorr::{batch_verify, verify_batch, Signature, SigningKey, VerifyingKey};
+    pub use crate::schnorr::{verify_batch, Signature, SigningKey, VerifyingKey};
     pub use crate::sha256::{sha256, Digest};
     pub use crate::u256::U256;
 }

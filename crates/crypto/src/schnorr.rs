@@ -148,10 +148,10 @@ impl Signature {
 /// hashing the whole batch with `weight_seed`, so a forger cannot pick
 /// signatures after seeing them). An empty batch verifies trivially.
 ///
-/// Note: a failed batch says *some* signature is bad but not which; callers
-/// needing attribution use [`verify_batch`], which falls back to
-/// per-signature verification to pinpoint culprits.
-pub fn batch_verify(items: &[(&[u8], VerifyingKey, Signature)], weight_seed: &[u8]) -> bool {
+/// A failed batch says *some* signature is bad but not which; the one
+/// public entry, [`verify_batch`], falls back to per-signature verification
+/// to pinpoint culprits.
+fn batch_verify(items: &[(&[u8], VerifyingKey, Signature)], weight_seed: &[u8]) -> bool {
     if items.is_empty() {
         return true;
     }
@@ -181,7 +181,7 @@ pub fn batch_verify(items: &[(&[u8], VerifyingKey, Signature)], weight_seed: &[u
 
 /// Batch verification with culprit attribution: semantically equivalent to
 /// verifying every triple individually, but a batch of valid signatures
-/// costs one random-linear-combination check ([`batch_verify`]).
+/// costs one random-linear-combination check.
 ///
 /// On success returns `Ok(())`. When the combined check fails, falls back
 /// to per-signature [`VerifyingKey::verify`] and returns the indices that

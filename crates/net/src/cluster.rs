@@ -15,10 +15,8 @@
 //! group of vehicles", §IV-A.1).
 
 use crate::world::WorldView;
-use vc_obs::Recorder;
 use vc_sim::node::VehicleId;
 use vc_sim::radio::NeighborTable;
-use vc_sim::time::SimTime;
 
 /// Parameters for cluster formation.
 #[derive(Debug, Clone)]
@@ -426,30 +424,6 @@ impl Bfs {
 pub fn form_clusters(world: &WorldView<'_>, cfg: &ClusterConfig) -> Clustering {
     let mut clustering = Clustering::default();
     clustering.reform(world, cfg);
-    clustering
-}
-
-/// [`form_clusters`] with instrumentation: emits one `net`/`cluster.elect`
-/// event at sim-time `at` carrying the cluster count, mean size, and how
-/// many heads were elected. The clustering itself is identical.
-pub fn form_clusters_obs(
-    world: &WorldView<'_>,
-    cfg: &ClusterConfig,
-    at: SimTime,
-    rec: Option<&mut Recorder>,
-) -> Clustering {
-    let clustering = form_clusters(world, cfg);
-    if let Some(rec) = rec {
-        rec.event(
-            at,
-            "net",
-            "cluster.elect",
-            vec![
-                ("clusters", clustering.cluster_count().into()),
-                ("mean_size", clustering.mean_cluster_size().into()),
-            ],
-        );
-    }
     clustering
 }
 
@@ -864,26 +838,6 @@ mod tests {
             "maintenance churn {churn_maintained} must not exceed re-election churn {churn_reelected}"
         );
         assert_eq!(churn_maintained, 0.0, "no partition ever happens here");
-    }
-
-    #[test]
-    fn obs_variant_clusters_identically_and_emits() {
-        let positions: Vec<Point> =
-            (0..12).map(|i| Point::new((i * 41 % 300) as f64, (i * 59 % 300) as f64)).collect();
-        let f = Fixture::new(positions, still(12), 150.0);
-        let cfg = ClusterConfig::multi_hop();
-        let mut rec = Recorder::new();
-        let plain = form_clusters(&f.world(), &cfg);
-        let probed = form_clusters_obs(&f.world(), &cfg, SimTime::from_secs(1), Some(&mut rec));
-        for i in 0..12 {
-            assert_eq!(plain.head_of(VehicleId(i)), probed.head_of(VehicleId(i)));
-        }
-        assert_eq!(rec.hub().counter("net.cluster.elect"), 1);
-        let elect = rec.events().next().unwrap();
-        assert!(elect.fields.iter().any(|(k, _)| *k == "clusters"));
-        // Passing None changes nothing and emits nothing.
-        let silent = form_clusters_obs(&f.world(), &cfg, SimTime::ZERO, None);
-        assert_eq!(silent.cluster_count(), plain.cluster_count());
     }
 
     #[test]

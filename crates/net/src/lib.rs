@@ -20,7 +20,7 @@
 //! builder.seed(1).vehicles(30);
 //! let mut scenario = builder.urban_with_rsus();
 //! let mut sim = NetSim::new(&mut scenario, Epidemic);
-//! sim.send_random_pairs(5, 256);
+//! sim.send_random_pairs(5, 256, None);
 //! sim.run_rounds(60);
 //! assert!(sim.stats().sent == 5);
 //! ```

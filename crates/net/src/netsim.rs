@@ -284,18 +284,18 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         id
     }
 
-    /// [`NetSim::send`] with instrumentation: when the sampler selected the
-    /// packet, emits `causal.origin` opening its trace chain.
-    pub fn send_obs(
+    /// [`NetSim::send`], then `causal.origin` opening the packet's trace
+    /// chain when the sampler selected it and a recorder is attached.
+    fn send_obs(
         &mut self,
         src: VehicleId,
         dst: VehicleId,
         size_bytes: usize,
-        mut rec: Option<&mut Recorder>,
-    ) -> PacketId {
+        rec: Option<&mut Recorder>,
+    ) {
         let id = self.send(src, dst, size_bytes);
         let trace = self.packets.last().and_then(|s| s.packet.trace);
-        if let (Some(trace), Some(rec)) = (trace, reborrow(&mut rec)) {
+        if let (Some(trace), Some(rec)) = (trace, rec) {
             rec.event(
                 self.now,
                 "net",
@@ -308,18 +308,12 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
                 ],
             );
         }
-        id
     }
 
     /// Injects `n` packets between random distinct online vehicle pairs.
-    pub fn send_random_pairs(&mut self, n: usize, size_bytes: usize) {
-        self.send_random_pairs_obs(n, size_bytes, None);
-    }
-
-    /// [`NetSim::send_random_pairs`] with instrumentation: emits
-    /// `causal.origin` for every sampled packet. RNG draws are identical to
-    /// the plain path.
-    pub fn send_random_pairs_obs(
+    /// With a recorder attached, every packet the sampler selects emits
+    /// `causal.origin`; the RNG draws are the same either way.
+    pub fn send_random_pairs(
         &mut self,
         n: usize,
         size_bytes: usize,
@@ -356,7 +350,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
     /// emit `causal.hop` / `causal.deliver` / `causal.drop` chain events,
     /// and each round ends with a [`Recorder::timeseries_tick`]. The
     /// simulation — including the RNG streams — is identical to the
-    /// unprobed path.
+    /// unrecorded path.
     pub fn run_rounds_obs(&mut self, rounds: usize, mut rec: Option<&mut Recorder>) {
         for _ in 0..rounds {
             self.round(reborrow(&mut rec));
@@ -666,7 +660,7 @@ mod tests {
     fn epidemic_delivers_in_connected_network() {
         let mut scenario = dense_urban(1, 60);
         let mut sim = NetSim::new(&mut scenario, Epidemic);
-        sim.send_random_pairs(20, 256);
+        sim.send_random_pairs(20, 256, None);
         sim.run_rounds(120);
         let stats = sim.stats();
         assert!(stats.delivery_ratio() > 0.8, "epidemic ratio {}", stats.delivery_ratio());
@@ -677,13 +671,13 @@ mod tests {
     fn greedy_delivers_some_with_less_overhead_than_epidemic() {
         let mut s1 = dense_urban(2, 60);
         let mut epi = NetSim::new(&mut s1, Epidemic);
-        epi.send_random_pairs(20, 256);
+        epi.send_random_pairs(20, 256, None);
         epi.run_rounds(120);
         let e = epi.into_stats();
 
         let mut s2 = dense_urban(2, 60);
         let mut gre = NetSim::new(&mut s2, GreedyGeo);
-        gre.send_random_pairs(20, 256);
+        gre.send_random_pairs(20, 256, None);
         gre.run_rounds(120);
         let g = gre.into_stats();
 
@@ -700,7 +694,7 @@ mod tests {
     fn cluster_delivers() {
         let mut s = dense_urban(3, 60);
         let mut sim = NetSim::new(&mut s, ClusterRouting::new());
-        sim.send_random_pairs(20, 256);
+        sim.send_random_pairs(20, 256, None);
         sim.run_rounds(120);
         let stats = sim.into_stats();
         assert!(stats.delivered > 5, "cluster delivered only {}", stats.delivered);
@@ -710,7 +704,7 @@ mod tests {
     fn mozo_delivers() {
         let mut s = dense_urban(3, 60);
         let mut sim = NetSim::new(&mut s, MozoRouting::new());
-        sim.send_random_pairs(20, 256);
+        sim.send_random_pairs(20, 256, None);
         sim.run_rounds(120);
         let stats = sim.into_stats();
         assert!(stats.delivered > 5, "mozo delivered only {}", stats.delivered);
@@ -748,7 +742,7 @@ mod tests {
         let run_plain = || {
             let mut scenario = dense_urban(8, 40);
             let mut sim = NetSim::new(&mut scenario, Epidemic);
-            sim.send_random_pairs(10, 128);
+            sim.send_random_pairs(10, 128, None);
             sim.run_rounds(40);
             let s = sim.into_stats();
             (s.sent, s.delivered, s.transmissions)
@@ -757,7 +751,7 @@ mod tests {
         let run_probed = {
             let mut scenario = dense_urban(8, 40);
             let mut sim = NetSim::new(&mut scenario, Epidemic);
-            sim.send_random_pairs(10, 128);
+            sim.send_random_pairs(10, 128, None);
             sim.run_rounds_obs(40, Some(&mut rec));
             let s = sim.into_stats();
             (s.sent, s.delivered, s.transmissions)
@@ -776,7 +770,7 @@ mod tests {
         let run = |seed| {
             let mut scenario = dense_urban(seed, 40);
             let mut sim = NetSim::new(&mut scenario, Epidemic);
-            sim.send_random_pairs(10, 128);
+            sim.send_random_pairs(10, 128, None);
             sim.run_rounds(60);
             let s = sim.into_stats();
             (s.delivered, s.transmissions)
@@ -793,7 +787,7 @@ mod tests {
             let mut sim = NetSim::new(&mut scenario, Epidemic);
             sim.set_sampler(Sampler::new(9, rate));
             let mut rec = rec;
-            sim.send_random_pairs_obs(10, 128, reborrow(&mut rec));
+            sim.send_random_pairs(10, 128, reborrow(&mut rec));
             sim.run_rounds_obs(40, rec);
             let s = sim.into_stats();
             let lat_bits: Vec<u64> = s.latencies_s.iter().map(|l| l.to_bits()).collect();
@@ -812,7 +806,7 @@ mod tests {
         let mut sim = NetSim::new(&mut scenario, Epidemic);
         sim.set_sampler(Sampler::new(12, SampleRate::ALL));
         let mut rec = Recorder::new();
-        sim.send_random_pairs_obs(20, 128, Some(&mut rec));
+        sim.send_random_pairs(20, 128, Some(&mut rec));
         sim.run_rounds_obs(80, Some(&mut rec));
         let stats = sim.into_stats();
         // At rate 1 every packet opens a chain and every delivery closes one.
@@ -847,7 +841,7 @@ mod tests {
             if armed {
                 rec.enable_timeseries(64);
             }
-            sim.send_random_pairs_obs(10, 128, Some(&mut rec));
+            sim.send_random_pairs(10, 128, Some(&mut rec));
             sim.run_rounds_obs(10, Some(&mut rec));
             assert!(sim.heap_bytes() > 0, "a live sim owns heap");
             rec.hub().gauges().map(|(k, _)| k.to_owned()).collect::<Vec<_>>()

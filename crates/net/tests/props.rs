@@ -354,7 +354,7 @@ fn traced_run_fingerprint<P: RoutingProtocol>(
     let (stats, events) = {
         let mut sim = NetSim::new(&mut scenario, protocol);
         sim.set_sampler(Sampler::new(seed, rate));
-        sim.send_random_pairs_obs(packets, 128, Some(&mut rec));
+        sim.send_random_pairs(packets, 128, Some(&mut rec));
         sim.run_rounds_obs(rounds, Some(&mut rec));
         let stats = sim.into_stats();
         let mut events = Vec::new();

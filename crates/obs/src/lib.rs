@@ -35,9 +35,8 @@
 //!
 //! Instrumentation hooks throughout the workspace take
 //! `Option<&mut Recorder>`: passing `None` reduces every hook to a branch,
-//! so uninstrumented runs pay near zero. Code in `vc-sim` (which cannot
-//! depend on this crate) emits through the [`vc_sim::probe::Probe`] trait,
-//! which [`Recorder`] implements.
+//! so uninstrumented runs pay near zero. `vc-sim` sits below this crate and
+//! carries no hooks; [`tick_scenario`] is where its world step is traced.
 //!
 //! ```
 //! use vc_obs::Recorder;
@@ -68,8 +67,10 @@ pub use mem::{AllocDelta, AllocScope, CountingAlloc, MemSize};
 pub use metrics::{
     Histogram, MetricsHub, Quantiles, Snapshot, SnapshotDiff, TickSample, TimeSeries,
 };
-pub use record::{Event, EventBuf, Recorder, SpanId, SpanPhase};
-pub use vc_sim::probe::{Probe, Value};
+pub use record::{Event, EventBuf, Recorder, SpanId, SpanPhase, Value};
+
+use vc_sim::scenario::Scenario;
+use vc_sim::time::SimTime;
 
 /// Reborrows an optional recorder so it can be passed down a call chain
 /// without consuming the caller's `Option<&mut Recorder>`.
@@ -86,8 +87,20 @@ pub fn reborrow<'a>(rec: &'a mut Option<&mut Recorder>) -> Option<&'a mut Record
     rec.as_mut().map(|r| &mut **r)
 }
 
-/// Converts an optional recorder into the `Option<&mut dyn Probe>` that
-/// `vc-sim`'s probed code paths accept.
-pub fn as_probe<'a>(rec: &'a mut Option<&mut Recorder>) -> Option<&'a mut dyn Probe> {
-    rec.as_mut().map(|r| &mut **r as &mut dyn Probe)
+/// Advances `scenario` one [`Scenario::tick`] inside a `sim.tick` profiler
+/// frame and, with a recorder attached, emits one `sim`/`tick` event at `at`
+/// carrying the fleet size and online count. The world evolves exactly as
+/// the bare `tick` moves it.
+pub fn tick_scenario(scenario: &mut Scenario, at: SimTime, rec: Option<&mut Recorder>) {
+    let _sim = profile::frame("sim.tick");
+    scenario.tick();
+    if let Some(rec) = rec {
+        let fleet = &scenario.fleet;
+        rec.event(
+            at,
+            "sim",
+            "tick",
+            vec![("vehicles", fleet.len().into()), ("online", fleet.online_count().into())],
+        );
+    }
 }

@@ -237,7 +237,7 @@ fn drive<P: RoutingProtocol>(
     mut rec: Option<&mut Recorder>,
 ) -> Result<Json, JobError> {
     let mut sim = NetSim::new(scenario, protocol);
-    sim.send_random_pairs_obs(entry.packets, 256, reborrow(&mut rec));
+    sim.send_random_pairs(entry.packets, 256, reborrow(&mut rec));
     let mut remaining = spec.ticks;
     while remaining > 0 {
         let step = remaining.min(CHECK_EVERY_ROUNDS);

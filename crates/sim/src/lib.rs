@@ -9,6 +9,10 @@
 //! Everything is deterministic given a seed: the RNG is a self-contained
 //! xoshiro256**, and mobility uses fixed integer-microsecond time.
 //!
+//! The crate carries no instrumentation: it sits below `vc-obs`, whose
+//! `tick_scenario` wraps [`scenario::Scenario::tick`] in the `sim.tick`
+//! profiler frame and the `sim`/`tick` trace event.
+//!
 //! ## Example
 //!
 //! ```
@@ -30,7 +34,6 @@ pub mod geom;
 pub mod metrics;
 pub mod mobility;
 pub mod node;
-pub mod probe;
 pub mod radio;
 pub mod rng;
 pub mod roadnet;
@@ -46,7 +49,6 @@ pub mod prelude {
     pub use crate::node::{
         Kinematics, Resources, SaeLevel, SensorSuite, VehicleId, VehicleProfile,
     };
-    pub use crate::probe::{Probe, Value};
     pub use crate::radio::{Cellular, Channel, NeighborTable, Rsu, RsuId, RsuNetwork};
     pub use crate::rng::SimRng;
     pub use crate::roadnet::{NodeId, RoadId, RoadNetwork};

@@ -3,11 +3,9 @@
 
 use crate::geom::{Point, SpatialGrid};
 use crate::mobility::Fleet;
-use crate::probe::Probe;
 use crate::radio::{Cellular, Channel, NeighborTable, RsuNetwork};
 use crate::rng::SimRng;
 use crate::roadnet::RoadNetwork;
-use crate::time::SimTime;
 
 /// Which of the paper's three v-cloud regimes a scenario models (Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -229,23 +227,6 @@ impl Scenario {
         }
     }
 
-    /// [`Scenario::tick`] with instrumentation: emits one `sim`/`tick`
-    /// event at sim-time `at` carrying the fleet size and online count.
-    /// World evolution (and the RNG stream) is identical to the unprobed
-    /// path.
-    pub fn tick_probed(&mut self, at: SimTime, probe: Option<&mut dyn Probe>) {
-        self.tick();
-        if let Some(probe) = probe {
-            let online = self.fleet.online_count();
-            probe.emit(
-                at,
-                "sim",
-                "tick",
-                &[("vehicles", self.fleet.len().into()), ("online", online.into())],
-            );
-        }
-    }
-
     /// Line-of-sight factor for a link from `a` to `b` under the canyon
     /// model: 1.0 for open-field scenarios or street-following links, the
     /// model's attenuation when any sample along the link is inside a block.
@@ -461,44 +442,6 @@ mod tests {
         }
         assert!(street_ok > 250, "street link healthy: {street_ok}/300");
         assert!(block_ok < street_ok / 3, "block link suppressed: {block_ok} vs {street_ok}");
-    }
-
-    #[test]
-    fn probed_paths_preserve_world_evolution() {
-        use crate::probe::{Probe, Value};
-
-        struct Count(usize);
-        impl Probe for Count {
-            fn emit(
-                &mut self,
-                _at: SimTime,
-                _component: &'static str,
-                _kind: &'static str,
-                _fields: &[(&'static str, Value)],
-            ) {
-                self.0 += 1;
-            }
-        }
-
-        let make = || {
-            let mut b = ScenarioBuilder::new();
-            b.seed(12).vehicles(15);
-            b.urban_with_rsus()
-        };
-        let mut plain = make();
-        let mut probed = make();
-        let mut probe = Count(0);
-        for i in 0..20 {
-            plain.tick();
-            let at = SimTime::from_millis(i * 500);
-            probed.tick_probed(at, Some(&mut probe));
-            let p = plain.try_deliver_between(Point::new(0.0, 0.0), Point::new(80.0, 0.0), 1, 64);
-            let q = probed.try_deliver_between(Point::new(0.0, 0.0), Point::new(80.0, 0.0), 1, 64);
-            assert_eq!(p, q, "tick {i}");
-        }
-        assert_eq!(plain.fleet.positions(), probed.fleet.positions());
-        // One `tick` event per tick.
-        assert_eq!(probe.0, 20);
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn main() {
         Kinematic,
     );
     infra.submit_batch(20, 300.0, None);
-    infra.run_ticks(200);
+    infra.run_ticks(200, None);
     println!(
         "phase 1 (normal): infrastructure cloud completed {}/20 tasks with {} members",
         infra.scheduler().stats().completed,
@@ -36,7 +36,7 @@ fn main() {
     infra.scenario.rsus.fail_fraction(1.0, &mut rng);
     infra.scenario.cellular = Cellular::unavailable();
     infra.submit_batch(20, 300.0, None);
-    infra.run_ticks(300);
+    infra.run_ticks(300, None);
     let after = infra.scheduler().stats().completed;
     println!(
         "phase 2 (disaster): infrastructure cloud has {} members; total completed stuck at {}",
@@ -57,7 +57,7 @@ fn main() {
         Kinematic,
     );
     dynamic.submit_batch(20, 300.0, None);
-    dynamic.run_ticks(300);
+    dynamic.run_ticks(300, None);
     println!(
         "phase 3 (dynamic v-cloud): {} members self-organized, completed {}/20 tasks with {} handovers",
         dynamic.membership().members.len(),

@@ -32,12 +32,12 @@ fn street_aware_beats_greedy_on_overhead_under_canyon() {
         let roadnet = scenario.roadnet.clone();
         if street {
             let mut sim = NetSim::new(&mut scenario, StreetAware::new(roadnet));
-            sim.send_random_pairs(20, 256);
+            sim.send_random_pairs(20, 256, None);
             sim.run_rounds(200);
             sim.into_stats()
         } else {
             let mut sim = NetSim::new(&mut scenario, GreedyGeo);
-            sim.send_random_pairs(20, 256);
+            sim.send_random_pairs(20, 256, None);
             sim.run_rounds(200);
             sim.into_stats()
         }
@@ -63,7 +63,7 @@ fn dynamic_cloud_still_works_in_canyon() {
         Kinematic,
     );
     sim.submit_batch(10, 100.0, None);
-    sim.run_ticks(400);
+    sim.run_ticks(400, None);
     assert!(
         sim.scheduler().stats().completed >= 8,
         "canyon cloud completed only {}",
@@ -75,7 +75,7 @@ fn dynamic_cloud_still_works_in_canyon() {
 fn epidemic_remains_the_delivery_upper_bound_in_canyon() {
     let mut scenario = builder(4, 60).urban_canyon();
     let mut sim = NetSim::new(&mut scenario, Epidemic);
-    sim.send_random_pairs(15, 256);
+    sim.send_random_pairs(15, 256, None);
     sim.run_rounds(200);
     assert!(sim.stats().delivery_ratio() > 0.85, "epidemic ratio {}", sim.stats().delivery_ratio());
 }

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use vcloud::cloud::handover::{open_checkpoint, seal_checkpoint, Checkpoint};
 use vcloud::cloud::verify::{adjudicate, honest_digest, Adjudication, ResultReceipt};
 use vcloud::crypto::dh::EphemeralSecret;
-use vcloud::crypto::schnorr::{batch_verify, Signature, SigningKey, VerifyingKey};
+use vcloud::crypto::schnorr::{verify_batch, Signature, SigningKey, VerifyingKey};
 use vcloud::net::beacon::{sign_beacon, Beacon, BeaconStore};
 use vcloud::prelude::*;
 
@@ -41,7 +41,7 @@ fn signed_beacon_flood_batch_verifies() {
         .iter()
         .map(|sb| {
             // The beacon byte encoding is private; sign an equal payload to
-            // exercise batch_verify itself at flood scale.
+            // exercise verify_batch at flood scale.
             sb.beacon.sender.0.to_be_bytes().to_vec()
         })
         .collect();
@@ -52,7 +52,7 @@ fn signed_beacon_flood_batch_verifies() {
         .collect();
     let refs: Vec<(&[u8], VerifyingKey, Signature)> =
         items.iter().map(|(m, k, s)| (m.as_slice(), *k, *s)).collect();
-    assert!(batch_verify(&refs, b"flood"));
+    assert_eq!(verify_batch(&refs, b"flood"), Ok(()));
 
     // Store ingestion gives the verified neighbor view.
     let mut store = BeaconStore::new(SimDuration::from_secs(1));
@@ -115,7 +115,7 @@ fn directory_feeds_scheduler_hosts() {
     let mut now = SimTime::ZERO;
     for _ in 0..5 {
         now += SimDuration::from_secs(1);
-        sched.tick(now, 1.0, &hosts);
+        sched.tick(now, 1.0, &hosts, None);
     }
     assert_eq!(sched.stats().completed, 3);
 }

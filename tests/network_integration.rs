@@ -16,13 +16,13 @@ fn epidemic_dominates_delivery_cluster_cuts_overhead() {
         match proto {
             "epidemic" => {
                 let mut sim = NetSim::new(&mut scenario, Epidemic);
-                sim.send_random_pairs(25, 256);
+                sim.send_random_pairs(25, 256, None);
                 sim.run_rounds(150);
                 sim.into_stats()
             }
             "cluster" => {
                 let mut sim = NetSim::new(&mut scenario, ClusterRouting::new());
-                sim.send_random_pairs(25, 256);
+                sim.send_random_pairs(25, 256, None);
                 sim.run_rounds(150);
                 sim.into_stats()
             }
@@ -44,13 +44,13 @@ fn epidemic_dominates_delivery_cluster_cuts_overhead() {
 fn all_protocols_deliver_on_dense_urban() {
     let mut scenario = builder(12, 80).urban_with_rsus();
     let mut sim = NetSim::new(&mut scenario, MozoRouting::new());
-    sim.send_random_pairs(20, 256);
+    sim.send_random_pairs(20, 256, None);
     sim.run_rounds(150);
     assert!(sim.stats().delivery_ratio() > 0.7, "mozo ratio {}", sim.stats().delivery_ratio());
 
     let mut scenario = builder(12, 80).urban_with_rsus();
     let mut sim = NetSim::new(&mut scenario, GreedyGeo);
-    sim.send_random_pairs(20, 256);
+    sim.send_random_pairs(20, 256, None);
     sim.run_rounds(150);
     assert!(sim.stats().delivery_ratio() > 0.5, "greedy ratio {}", sim.stats().delivery_ratio());
 }
@@ -126,7 +126,7 @@ fn packets_survive_holder_churn() {
     // surviving copies (epidemic) still deliver.
     let mut scenario = builder(15, 60).urban_with_rsus();
     let mut sim = NetSim::new(&mut scenario, Epidemic);
-    sim.send_random_pairs(15, 256);
+    sim.send_random_pairs(15, 256, None);
     sim.run_rounds(30);
     // Knock 10 vehicles offline mid-flight.
     for v in 0..10u32 {

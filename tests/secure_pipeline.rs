@@ -192,7 +192,7 @@ fn cloud_tasks_complete_under_secure_admission() {
     let mut t = now;
     for _ in 0..10 {
         t += vcloud::prelude::SimDuration::from_secs(1);
-        sched.tick(t, 1.0, &hosts);
+        sched.tick(t, 1.0, &hosts, None);
     }
     assert_eq!(sched.stats().completed, 12);
 }
