@@ -71,9 +71,11 @@ fn main() {
     // scan every call), `refilter` never moves (candidates gathered before
     // the clock starts), `drift` moves every vehicle 8 m a call along its
     // own heading, there and back — the urban tick: one skin scan, then
-    // three refilters, all four in one iteration. The 1 000-vehicle fleet's rows are dense in the id
-    // space (degree 78 against 16 words), which keeps it on the plain scan
-    // whatever it does: its three rows read the same.
+    // three refilters, all four in one iteration. The 1 000-vehicle fleet's
+    // rows are dense in the id space (degree 78 against 16 words), so every
+    // rebuild after its first is a matrix scan whatever it does: its three
+    // rows read the same, and `build/1000` (a fresh table, the plain scan)
+    // is the one to set beside them.
     for n in [1_000usize, 10_000] {
         let extent = (n as f64).sqrt() * 60.0; // keep density roughly constant
         let pos = positions(n, extent, 7);
@@ -123,10 +125,16 @@ fn main() {
     }
 
     // The dynamic cloud's fleet: 1 000 vehicles on 1 km², mean degree about
-    // 216, where rows are dense in the id space and ordered by bitmap.
+    // 216, where rows are dense in the id space. `build` is a fresh table
+    // each call — the plain scan, rows ordered by bitmap; `rebuild` reuses
+    // one, so every call after the first is a matrix scan. `rebuild_guard.rs`
+    // holds the pair to a ratio.
     {
         let pos = positions(1_000, 1_000.0, 7);
         let online = vec![true; pos.len()];
+        suite.bench_elems("neighbor_table/build/1000-dense", pos.len() as u64, || {
+            NeighborTable::build(black_box(&pos), &online, 300.0)
+        });
         let mut table = NeighborTable::new();
         let mut grid = SpatialGrid::new(300.0);
         suite.bench_elems("neighbor_table/rebuild/1000-dense", pos.len() as u64, || {
@@ -138,7 +146,9 @@ fn main() {
     // The fleets `vcloudd` runs: an id space of at most 64 is one bit row
     // per vehicle and never reaches the grid. `64-padded` is the same 64
     // vehicles with one offline 65th id, which sends them through the cell
-    // list — the pair `rebuild_guard.rs` holds to a ratio.
+    // list (their rows are dense, so after the first call the matrix scan).
+    // `rebuild_guard.rs` holds the same pair to a ratio, each rebuilt into a
+    // new table so the padded side is the per-row scan.
     {
         let mut table = NeighborTable::new();
         let mut grid = SpatialGrid::new(300.0);

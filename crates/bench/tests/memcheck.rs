@@ -271,6 +271,48 @@ fn drifting_fleet_rebuild_steady_state_allocates_nothing() {
 }
 
 #[test]
+fn dense_fleet_matrix_rebuild_steady_state_allocates_nothing() {
+    // The dynamic cloud's density: 1 000 vehicles on 1 km², mean degree
+    // about 210, each 7 m further along its own heading every call. The
+    // first rebuild is a plain scan; every one after it is a matrix scan,
+    // and the second grows the matrix, which the rest reuse.
+    let n = 1_000;
+    let mut rng = SimRng::seed_from(29);
+    let mut positions: Vec<Point> = (0..n)
+        .map(|_| Point::new(rng.range_f64(0.0, 1_000.0), rng.range_f64(0.0, 1_000.0)))
+        .collect();
+    let steps: Vec<Point> = (0..n)
+        .map(|_| {
+            let turn = rng.range_f64(0.0, std::f64::consts::TAU);
+            Point::new(turn.cos(), turn.sin()) * 7.0
+        })
+        .collect();
+    let online: Vec<bool> = (0..n).map(|i| i % 11 != 0).collect();
+    let mut table = NeighborTable::new();
+    let mut grid = SpatialGrid::new(300.0);
+    let mut iterate = |calls: usize| {
+        for _ in 0..calls {
+            for (p, &step) in positions.iter_mut().zip(&steps) {
+                *p = *p + step;
+            }
+            table.rebuild(&mut grid, &positions, &online, 300.0);
+        }
+        table.scans()
+    };
+    assert_eq!(iterate(2), 2);
+    let scope = AllocScope::start();
+    let scans = iterate(20);
+    let delta = scope.finish();
+    assert_eq!(scans, 22, "a dense table is scanned every call");
+    assert!(table.mean_degree() > 100.0, "mean degree {}", table.mean_degree());
+    assert_eq!(
+        (delta.allocs, delta.bytes),
+        (0, 0),
+        "matrix scans of a dense fleet must be allocation-free after the first two rebuilds"
+    );
+}
+
+#[test]
 fn jsonl_export_allocates_per_call_not_per_event() {
     // A traced `urban-epidemic` job's last 1 000 events, written into a
     // buffer that already has the room: what is left is the one line

@@ -5,13 +5,18 @@
 //! through the cell list. Both give the same table, so an edit that quietly
 //! sent small fleets back through the grid would pass every functional test
 //! while costing every `vcloudd` job a third of its run. This test times
-//! the two bench entries `neighbor_table/rebuild/64` and
+//! the fleets of the bench entries `neighbor_table/rebuild/64` and
 //! `neighbor_table/rebuild/64-padded` — the same 64 vehicles, the second
 //! with one offline 65th id, which is all it takes to select the cell list —
 //! in one process and compares them as a ratio, which no host speed enters.
+//! Each call rebuilds into a new table: a reused one over the dense 65-id
+//! fleet would take the matrix scan from its second call on, while the
+//! first rebuild of a table is the per-row scan on either side of 64 ids
+//! had the bit rows gone, so the ratio would read about 1.
 //!
-//! Measured on rustc 1.95: 0.31 (DESIGN.md, "Row ordering in the neighbor
-//! table").
+//! Measured on rustc 1.95: 0.40–0.49, the new table's allocations on both
+//! sides; 0.98–1.03 with the bit rows switched off (DESIGN.md, "Row
+//! ordering in the neighbor table").
 //!
 //! The second guard is the same idea for the large sparse fleet. A table
 //! rebuilt every tick over 10 000 vehicles that move 8 m a tick scans one
@@ -23,6 +28,19 @@
 //! holds drift ÷ scan, per call, to 0.6.
 //!
 //! Measured on rustc 1.95: 0.33–0.35 (DESIGN.md, "Temporal coherence in the
+//! neighbor table").
+//!
+//! The third is the dense fleet's. A table whose last rebuild came out dense
+//! rebuilds through a bit matrix, every pair tested once, where a fresh
+//! table tests every pair from both ends and orders each row on its own; an
+//! edit that sent dense tables back to the per-row scan (a density test
+//! compared the wrong way round, a `flat` cleared before it is read) would
+//! give the same rows at the old cost. It times the bench entries
+//! `neighbor_table/rebuild/1000-dense` and `neighbor_table/build/1000-dense`
+//! — the dynamic cloud's 1 000 vehicles on 1 km² — and holds rebuild ÷
+//! build to 0.75.
+//!
+//! Measured on rustc 1.95: 0.50–0.55 (DESIGN.md, "Row ordering in the
 //! neighbor table").
 //!
 //! Timing tests, so they are ignored by default; the `bench-smoke` CI job
@@ -57,10 +75,10 @@ fn sixty_four_vehicles_rebuild_in_at_most_seven_tenths_of_the_cell_list_time() {
         .map(|_| Point::new(rng.range_f64(0.0, 1_000.0), rng.range_f64(0.0, 1_000.0)))
         .collect();
     let mut online = vec![true; 64];
-    let mut table = NeighborTable::new();
     let mut grid = SpatialGrid::new(300.0);
     let mut time = |positions: &[Point], online: &[bool]| {
         best_ns(30, 2_000, || {
+            let mut table = NeighborTable::new();
             table.rebuild(&mut grid, black_box(positions), online, 300.0);
             black_box(table.len());
         })
@@ -128,5 +146,32 @@ fn a_drifting_city_rebuilds_in_at_most_six_tenths_of_the_scan_time() {
         ratio <= 0.6,
         "a rebuild of a fleet drifting 8 m a call costs {drift_ns:.0} ns against {scan_ns:.0} ns \
          for a scan ({ratio:.2}x, {scans} scans in 64 calls): candidates are not being reused"
+    );
+}
+
+#[test]
+#[ignore = "timing: run with --release (bench-smoke CI step)"]
+fn a_dense_fleet_rebuilds_in_at_most_three_quarters_of_a_fresh_build() {
+    let mut rng = SimRng::seed_from(7);
+    let positions: Vec<Point> = (0..1_000)
+        .map(|_| Point::new(rng.range_f64(0.0, 1_000.0), rng.range_f64(0.0, 1_000.0)))
+        .collect();
+    let online = vec![true; positions.len()];
+    let build_ns = best_ns(10, 40, || {
+        black_box(NeighborTable::build(black_box(&positions), &online, 300.0));
+    });
+    let mut table = NeighborTable::new();
+    let mut grid = SpatialGrid::new(300.0);
+    let rebuild_ns = best_ns(10, 40, || {
+        table.rebuild(&mut grid, black_box(&positions), &online, 300.0);
+        black_box(table.len());
+    });
+    assert!(table.mean_degree() > 150.0, "mean degree {}", table.mean_degree());
+    let ratio = rebuild_ns / build_ns;
+    println!("build {build_ns:.0} ns, rebuild {rebuild_ns:.0} ns, ratio {ratio:.3}");
+    assert!(
+        ratio <= 0.75,
+        "rebuilding 1 000 dense vehicles costs {rebuild_ns:.0} ns against {build_ns:.0} ns for a \
+         fresh table ({ratio:.2}x): dense tables no longer take the matrix scan"
     );
 }

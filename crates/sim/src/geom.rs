@@ -411,6 +411,45 @@ impl SpatialGrid {
         })
     }
 
+    /// Every unordered pair of stored items whose cells are at most
+    /// `⌈radius / cell_size⌉` cells apart on both axes, each exactly once,
+    /// as runs: one item and a contiguous slice of the items it is paired
+    /// with. An item's runs are the rest of its cell row out to that reach
+    /// (its own cell after it, then the cells to its right), then the same
+    /// span of columns either side of it in each row above. Holds every
+    /// pair strictly within `radius` — a superset of what
+    /// [`SpatialGrid::candidate_rows`] offers either item — and refuses the
+    /// same radii, so an exact test over the runs finds each such pair once.
+    pub(crate) fn half_shell(
+        &self,
+        radius: f64,
+    ) -> impl Iterator<Item = (&(usize, Point), &[(usize, Point)])> + '_ {
+        let (nx, ny) = self.dims;
+        let cells = if radius.is_finite() && radius > 0.0 && !self.items.is_empty() {
+            0..nx * ny
+        } else {
+            0..0
+        };
+        // Float-to-int `as` saturates: a radius of more cells than the grid
+        // has reaches all of them.
+        let reach = (radius / self.cell_size).ceil() as usize;
+        let span = move |row: usize, x0: usize, x1: usize| {
+            &self.items[self.starts[row + x0] as usize..self.starts[row + x1 + 1] as usize]
+        };
+        cells.flat_map(move |c| {
+            let (x, y) = (c % nx, c / nx);
+            let (x0, x1) = (x.saturating_sub(reach), x.saturating_add(reach).min(nx - 1));
+            let above = y + 1..y.saturating_add(reach).min(ny - 1) + 1;
+            let row_end = self.starts[y * nx + x1 + 1] as usize;
+            (self.starts[c] as usize..self.starts[c + 1] as usize).flat_map(move |k| {
+                let rows = above.clone().map(move |y| span(y * nx, x0, x1));
+                std::iter::once(&self.items[k + 1..row_end])
+                    .chain(rows)
+                    .map(move |run| (&self.items[k], run))
+            })
+        })
+    }
+
     /// All item indices strictly within `radius` of `center` (excluding
     /// entries at distance exactly ≥ radius), in
     /// [`SpatialGrid::candidate_rows`] order. Allocates a fresh `Vec`;
@@ -519,6 +558,43 @@ mod tests {
             got.sort();
             assert_eq!(got, expected);
         }
+    }
+
+    #[test]
+    fn half_shell_pairs_every_pair_within_reach_once() {
+        use crate::rng::SimRng;
+        let mut rng = SimRng::seed_from(23);
+        let mut pts: Vec<Point> = (0..200)
+            .map(|_| Point::new(rng.range_f64(-450.0, 450.0), rng.range_f64(0.0, 900.0)))
+            .collect();
+        pts[7] = Point::new(f64::NAN, 3.0);
+        pts[9] = Point::new(1e9, 3.0);
+        let mut grid = SpatialGrid::new(100.0);
+        grid.rebuild(pts.iter().copied().enumerate().filter(|&(i, _)| i % 5 != 0));
+        for radius in [40.0, 100.0, 250.0] {
+            let mut seen = vec![0u8; pts.len() * pts.len()];
+            for (&(i, _), run) in grid.half_shell(radius) {
+                for &(j, _) in run {
+                    assert_ne!(i, j);
+                    seen[i.min(j) * pts.len() + i.max(j)] += 1;
+                }
+            }
+            assert!(seen.iter().all(|&count| count <= 1), "a pair came twice");
+            for (i, p) in pts.iter().enumerate() {
+                for (j, q) in pts.iter().enumerate().skip(i + 1) {
+                    if i % 5 != 0 && j % 5 != 0 && p.distance_sq(*q) < radius * radius {
+                        assert_eq!(seen[i * pts.len() + j], 1, "pair {i}-{j} at radius {radius}");
+                    } else if i % 5 == 0 || j % 5 == 0 {
+                        assert_eq!(seen[i * pts.len() + j], 0, "{i}-{j} was never stored");
+                    }
+                }
+            }
+        }
+        for bad in [-5.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(grid.half_shell(bad).count(), 0, "radius {bad}: no runs");
+        }
+        grid.rebuild([]);
+        assert_eq!(grid.half_shell(100.0).count(), 0);
     }
 
     #[test]

@@ -248,16 +248,18 @@ impl Cellular {
 /// slice is sorted ascending, so the layout choice is invisible through
 /// [`NeighborTable::of`] — and so is the way a rebuild found the rows: a
 /// fleet whose id space fits one machine word is tested pair by pair into
-/// bit rows, a larger one goes through the caller's [`SpatialGrid`], and a
-/// large sparse one that barely moved since its last scan is read off the
-/// candidate rows that scan remembered.
+/// bit rows, a larger one goes through the caller's [`SpatialGrid`] — into
+/// a bit matrix once its rows have come out dense — and a large sparse one
+/// that barely moved since its last scan is read off the candidate rows
+/// that scan remembered.
 #[derive(Debug, Clone)]
 pub struct NeighborTable {
     /// `offsets[i]..offsets[i + 1]` bounds vehicle `i`'s slice of `flat`.
     offsets: Vec<u32>,
     flat: Vec<VehicleId>,
     /// Row-ordering scratch of the cell-list path: one bit per vehicle id,
-    /// all zero between rows.
+    /// all zero between rows; a matrix scan grows it to one such row per
+    /// vehicle and leaves all of it zero.
     marks: Vec<u64>,
     /// The positions the last full scan saw, kept while a later rebuild
     /// could use them (see [`NeighborTable::rebuild`]); empty otherwise.
@@ -304,6 +306,60 @@ fn reuse_limit(span: f64) -> f64 {
     SKIN / 2.0 - (8.0 * f64::EPSILON * span).max(1e-3)
 }
 
+/// Transposes a 64 × 64 bit block in place: bit `c` of word `r` trades
+/// places with bit `r` of word `c`. Six rounds, each swapping the
+/// off-diagonal halves of every block half the previous round's size.
+fn transpose_block(block: &mut [u64; 64]) {
+    let (mut half, mut low) = (32, 0x0000_0000_ffff_ffff_u64);
+    while half != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((block[k] >> half) ^ block[k + half]) & low;
+            block[k] ^= t << half;
+            block[k + half] ^= t;
+            // The next row with bit `half` clear.
+            k = (k + half + 1) & !half;
+        }
+        half >>= 1;
+        low ^= low << half;
+    }
+}
+
+/// ORs the bit matrix `m` — `n` rows of `words` words, bit `j` of a row
+/// being column `j` — with its transpose, block pair by block pair (a
+/// diagonal block is its own pair). Rows past `n` in the last block row
+/// read as zero, and so do the columns past `n`, so the two overhangs
+/// mirror onto each other as nothing.
+fn or_transpose(m: &mut [u64], n: usize, words: usize) {
+    let rows = |b: usize| (b * 64..n.min(b * 64 + 64)).map(move |r| r * words);
+    let load = |m: &[u64], bi: usize, bj: usize| {
+        let mut block = [0u64; 64];
+        for (word, at) in block.iter_mut().zip(rows(bi)) {
+            *word = m[at + bj];
+        }
+        block
+    };
+    let store = |m: &mut [u64], bi: usize, bj: usize, block: &[u64; 64]| {
+        for (word, at) in block.iter().zip(rows(bi)) {
+            m[at + bj] = *word;
+        }
+    };
+    for bi in 0..words {
+        for bj in bi..words {
+            let (mut a, mut b) = (load(m, bi, bj), load(m, bj, bi));
+            let (mut a_t, mut b_t) = (a, b);
+            transpose_block(&mut a_t);
+            transpose_block(&mut b_t);
+            for k in 0..64 {
+                a[k] |= b_t[k];
+                b[k] |= a_t[k];
+            }
+            store(m, bj, bi, &b);
+            store(m, bi, bj, &a);
+        }
+    }
+}
+
 impl Default for NeighborTable {
     fn default() -> Self {
         NeighborTable::new()
@@ -341,9 +397,10 @@ impl NeighborTable {
             + self.cand.capacity() * std::mem::size_of::<u16>()) as u64
     }
 
-    /// How many rebuilds so far scanned the fleet from nothing — bit rows
-    /// or cell list — instead of refiltering remembered candidates. The
-    /// rows never say which happened; tests and benches need to.
+    /// How many rebuilds so far scanned the fleet from nothing — bit rows,
+    /// cell list or bit matrix — instead of refiltering remembered
+    /// candidates. The rows never say which happened; tests and benches
+    /// need to.
     pub fn scans(&self) -> u64 {
         self.scans
     }
@@ -375,6 +432,13 @@ impl NeighborTable {
     /// `n / 64` words, and the row is read back in ascending order with
     /// `trailing_zeros`. That costs a pass over the whole bitmap, so rows
     /// shorter than its word count keep the comparison sort.
+    ///
+    /// A table whose last rebuild came out dense — a mean degree of at least
+    /// those `n / 64` words — is rebuilt by a *matrix scan* instead: every
+    /// pair of online vehicles in neighboring cells is tested once, into an
+    /// `n × n / 64`-word bit matrix that is OR-ed with its transpose and
+    /// read back row by row in ascending order. The matrix takes `n² / 8`
+    /// bytes, at most twice what the dense rows before it took.
     ///
     /// A table that is rebuilt again and again over a fleet that barely
     /// moves in between does not scan every time. A scan of 65 to 65 536
@@ -426,7 +490,11 @@ impl NeighborTable {
         } else if near || (gathered && self.cand_used) {
             self.gather(grid, positions, range_m);
         } else {
-            self.scan(grid, positions, online, range_m);
+            if self.flat.len() >= n * words {
+                self.scan_matrix(grid, positions, online, range_m);
+            } else {
+                self.scan(grid, positions, online, range_m);
+            }
             self.cand_offsets.clear();
             self.seen.clear();
             let sparse = self.flat.len() < n * words;
@@ -514,6 +582,62 @@ impl NeighborTable {
             }
             self.offsets.push(self.flat.len() as u32);
         }
+    }
+
+    /// The matrix scan: each pair of online vehicles that
+    /// [`SpatialGrid::half_shell`] offers gets the plain scan's test once,
+    /// and a hit sets bit `j` of row `i` only — `marks`, grown to `n` rows
+    /// of `n / 64` words. The test is exactly symmetric (`(a − b)²` and
+    /// `(b − a)²` are the same float), so OR-ing the matrix with its
+    /// transpose completes every row; the rows are then read back ascending
+    /// with `trailing_zeros` into a `flat` sized once by popcount, each word
+    /// cleared as it is read. Offline vehicles never enter the grid, so
+    /// their rows and columns stay empty.
+    fn scan_matrix(
+        &mut self,
+        grid: &mut SpatialGrid,
+        positions: &[Point],
+        online: &[bool],
+        range_m: f64,
+    ) {
+        self.scans += 1;
+        let n = positions.len();
+        let words = n.div_ceil(64);
+        grid.rebuild(positions.iter().copied().enumerate().filter(|&(i, _)| online[i]));
+        self.marks.resize(n * words, 0);
+        let r_sq = range_m * range_m;
+        for (&(i, p), run) in grid.half_shell(range_m) {
+            let row = &mut self.marks[i * words..(i + 1) * words];
+            for &(j, q) in run {
+                row[j >> 6] |= u64::from(q.distance_sq(p) < r_sq) << (j & 63);
+            }
+        }
+        or_transpose(&mut self.marks, n, words);
+        let total = self.marks.iter().map(|w| w.count_ones() as usize).sum();
+        self.offsets.clear();
+        self.offsets.push(0);
+        // A word is read out eight slots at a time, whatever it holds: one
+        // loop exit per eight ids instead of one unpredictable branch per
+        // id. Slots past a word's ids are overwritten by the next word's,
+        // and the last word's overhang is cut off below. Every slot under
+        // `total` is written, so stale rows need no clearing first.
+        self.flat.resize(total + 8, VehicleId(0));
+        let mut at = 0;
+        for row in self.marks.chunks_exact_mut(words) {
+            for (w, word) in row.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                let count = bits.count_ones() as usize;
+                for slots in self.flat[at..at + count.next_multiple_of(8)].chunks_exact_mut(8) {
+                    for slot in slots {
+                        *slot = VehicleId((w as u32) << 6 | bits.trailing_zeros());
+                        bits &= bits.wrapping_sub(1);
+                    }
+                }
+                at += count;
+            }
+            self.offsets.push(at as u32);
+        }
+        self.flat.truncate(total);
     }
 
     /// The skin scan: every vehicle's candidates within `range_m + SKIN`,
@@ -830,21 +954,24 @@ mod tests {
         let mut table = NeighborTable::new();
         let mut grid = SpatialGrid::new(300.0);
         // Fleets that grow and shrink across word counts. In a 400 m box
-        // they are dense enough that most rows go through the bitmap and
-        // some (the offline ones, and the stragglers 5 km out) do not, and
-        // every rebuild is a plain scan; in a 6 km box the rows are sparse,
-        // and of three rebuilds over the same positions only the first is.
+        // they are dense: a first rebuild after a sparse table (or none) is
+        // a plain scan, where most rows go through the bitmap and some (the
+        // offline ones, and the stragglers 5 km out) do not, and every
+        // rebuild after a dense one is a matrix scan. In a 6 km box the
+        // rows are sparse, and of three rebuilds over the same positions
+        // only the first scans plain or by matrix, as the last table was.
         // The fleets of 64, 1 and 0 take the bit-row path. Whatever ran,
-        // the bitmap is all zero afterwards, and a plain scan sized it.
-        for (n, extent) in [
-            (200usize, 400.0),
-            (64, 400.0),
-            (130, 400.0),
-            (200, 6_000.0),
-            (1, 400.0),
-            (0, 400.0),
-            (257, 400.0),
-            (65, 400.0),
+        // the bitmap is all zero afterwards, a plain scan sized it to one
+        // row and a matrix scan to one row per vehicle.
+        for (n, extent, expect) in [
+            (200usize, 400.0, (1, 2)),
+            (64, 400.0, (0, 0)),
+            (130, 400.0, (0, 3)),
+            (200, 6_000.0, (0, 1)),
+            (1, 400.0, (0, 0)),
+            (0, 400.0, (0, 0)),
+            (257, 400.0, (1, 2)),
+            (65, 400.0, (0, 3)),
         ] {
             let positions: Vec<Point> = (0..n)
                 .map(|i| {
@@ -853,23 +980,54 @@ mod tests {
                 })
                 .collect();
             let online: Vec<bool> = (0..n).map(|i| i % 9 != 0).collect();
-            let mut plain_scans = 0;
-            for _ in 0..3 {
+            let words = n.div_ceil(64);
+            let (mut plain, mut matrix) = (0, 0);
+            for call in 0..3 {
                 let before = table.scans();
+                let dense = table.flat.len() >= n * words;
                 table.rebuild(&mut grid, &positions, &online, 300.0);
                 if n > ROW_BITS && table.scans() > before && table.cand_offsets.is_empty() {
-                    plain_scans += 1;
-                    assert_eq!(table.marks.len(), n.div_ceil(64));
+                    if dense {
+                        matrix += 1;
+                        assert_eq!(table.marks.len(), n * words);
+                    } else {
+                        plain += 1;
+                        assert_eq!(table.marks.len(), words);
+                    }
+                    assert!(call == 0 || dense && extent == 400.0, "n = {n}, call {call}");
                 }
                 assert!(table.marks.iter().all(|&word| word == 0), "stale bits after n = {n}");
             }
-            let expect = match (n > ROW_BITS, extent > 400.0) {
-                (false, _) => 0,
-                (true, false) => 3,
-                (true, true) => 1,
-            };
-            assert_eq!(plain_scans, expect, "n = {n}, extent = {extent}");
+            assert_eq!((plain, matrix), expect, "n = {n}, extent = {extent}");
         }
+    }
+
+    #[test]
+    fn block_transpose_matches_the_naive_one() {
+        let naive = |block: &[u64; 64]| {
+            let mut out = [0u64; 64];
+            for (r, word) in block.iter().enumerate() {
+                for (c, col) in out.iter_mut().enumerate() {
+                    *col |= (word >> c & 1) << r;
+                }
+            }
+            out
+        };
+        let mut rng = SimRng::seed_from(64);
+        let mut corner = [0u64; 64];
+        corner[0] = 1 << 63;
+        let mut other_corner = [0u64; 64];
+        other_corner[63] = 1;
+        let mut cases = vec![[0u64; 64], [u64::MAX; 64], corner, other_corner];
+        cases.extend((0..8).map(|_| std::array::from_fn(|_| rng.next_u64())));
+        for block in cases {
+            let mut fast = block;
+            transpose_block(&mut fast);
+            assert_eq!(fast, naive(&block));
+            transpose_block(&mut fast);
+            assert_eq!(fast, block, "a transpose is its own inverse");
+        }
+        assert_eq!(naive(&corner), other_corner, "(0, 63) and (63, 0) trade places");
     }
 
     /// A sparse fleet of 70: vehicles 2.. parked a kilometer apart, and the

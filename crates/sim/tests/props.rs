@@ -258,6 +258,42 @@ impl Journey {
     }
 }
 
+/// One `NeighborTable` over a fleet packed into a 300 m box (dense rows),
+/// then spread over a 400 m lattice (no neighbors), then packed again: a
+/// rebuild after a dense one is a matrix scan, so the matrix path is
+/// entered, left and re-entered. Id counts sit on and either side of the
+/// 64-id word edges.
+#[derive(Debug, Clone)]
+struct Regrouping {
+    seed: u64,
+    n: usize,
+    /// Steps packed, spread, then packed again.
+    phases: [usize; 3],
+    flip_online: bool,
+    /// What vehicle 5 reports as its x for the second step of each phase.
+    lost_fix: f64,
+    /// A range no channel has, for the second step of the last phase.
+    bad_range: f64,
+    /// The grid's cell: the 250 m range reaches one cell or three.
+    cell_m: f64,
+}
+
+fn regrouping() -> FromFn<impl Fn(&mut SimRng) -> Regrouping> {
+    from_fn(|rng| Regrouping {
+        seed: rng.next_u64(),
+        n: [65, 127, 128, 129, 1_000][rng.index(5)],
+        phases: [
+            rng.range_u64(2, 5) as usize,
+            rng.range_u64(1, 4) as usize,
+            rng.range_u64(4, 7) as usize,
+        ],
+        flip_online: rng.chance(0.5),
+        lost_fix: [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.index(3)],
+        bad_range: [0.0, -5.0, f64::NAN, f64::INFINITY][rng.index(4)],
+        cell_m: [100.0, 250.0][rng.index(2)],
+    })
+}
+
 prop! {
     #![cases(128)]
 
@@ -579,6 +615,71 @@ prop! {
         if j.dense || j.n == 64 && j.event != Event::Grow {
             prop_assert_eq!(refilters, 0);
         }
+    }
+
+    // The same differential through the matrix path. Which rebuilds took it
+    // follows from the rows before them, restated on the oracle's totals: a
+    // rebuild after a dense one is a matrix scan. Packed, that is every
+    // step but the first; the first spread step is one too (it finds no
+    // neighbors, so the next is not); packed again, every step but the
+    // first and the one after the bad range, which empties every row.
+    #[test]
+    fn matrix_scan_entered_left_and_reentered_matches_quadratic_scan(g in regrouping()) {
+        let mut rng = SimRng::seed_from(g.seed);
+        let n = g.n;
+        let side = (n as f64).sqrt().ceil() as usize;
+        let packed: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.range_f64(0.0, 300.0), rng.range_f64(0.0, 300.0)))
+            .collect();
+        let spread: Vec<Point> = (0..n)
+            .map(|i| {
+                Point::new(
+                    400.0 * (i % side) as f64 + rng.range_f64(0.0, 5.0),
+                    400.0 * (i / side) as f64 + rng.range_f64(0.0, 5.0),
+                )
+            })
+            .collect();
+        let mut online: Vec<bool> = (0..n).map(|_| rng.chance(0.8)).collect();
+        let mut table = NeighborTable::new();
+        let mut grid = SpatialGrid::new(g.cell_m);
+        let mut dense_before = false;
+        let mut matrix_scans = [0; 3];
+        for (phase, &steps) in g.phases.iter().enumerate() {
+            let base = if phase == 1 { &spread } else { &packed };
+            for step in 0..steps {
+                let mut positions: Vec<Point> = base
+                    .iter()
+                    .map(|&p| p + Point::new(rng.range_f64(-3.0, 3.0), rng.range_f64(-3.0, 3.0)))
+                    .collect();
+                if step == 1 {
+                    positions[5].x = g.lost_fix;
+                }
+                if g.flip_online {
+                    for flag in online.iter_mut() {
+                        *flag ^= rng.chance(0.1);
+                    }
+                }
+                let range_m = if phase == 2 && step == 1 { g.bad_range } else { 250.0 };
+                let before = table.scans();
+                table.rebuild(&mut grid, &positions, &online, range_m);
+                let mut total = 0;
+                for i in 0..n {
+                    let expect = quadratic_row(&positions, &online, range_m, i);
+                    prop_assert_eq!(
+                        table.of(VehicleId(i as u32)),
+                        expect.as_slice(),
+                        "phase {} step {}", phase, step
+                    );
+                    total += expect.len();
+                }
+                if dense_before {
+                    prop_assert_eq!(table.scans(), before + 1, "a dense table is always scanned");
+                    matrix_scans[phase] += 1;
+                }
+                dense_before = total >= n * n.div_ceil(64);
+            }
+        }
+        prop_assert_eq!(matrix_scans, [g.phases[0] - 1, 1, g.phases[2] - 2]);
     }
 }
 
