@@ -51,7 +51,7 @@ pub fn replay_attack(defense: Defense, trials: usize, rng: &mut SimRng) -> Attac
             Defense::Off => {
                 // Baseline victim checks only the signature: replays of valid
                 // messages always pass.
-                vc_auth::pseudonym::verify(
+                vc_auth::pseudonym::verify_with_front(
                     &msg,
                     &ta.public_key(),
                     reg.crl(),
@@ -61,9 +61,14 @@ pub fn replay_attack(defense: Defense, trials: usize, rng: &mut SimRng) -> Attac
                 .is_ok()
             }
             Defense::On => {
-                let sig_ok =
-                    vc_auth::pseudonym::verify(&msg, &ta.public_key(), reg.crl(), later, window)
-                        .is_ok();
+                let sig_ok = vc_auth::pseudonym::verify_with_front(
+                    &msg,
+                    &ta.public_key(),
+                    reg.crl(),
+                    later,
+                    window,
+                )
+                .is_ok();
                 sig_ok && guard.check(digest, msg.sent_at, later) == ReplayVerdict::Fresh
             }
         };
@@ -89,7 +94,7 @@ pub fn impersonation_attack(defense: Defense, trials: usize) -> AttackOutcome {
         let success = match defense {
             // Baseline victim trusts any well-formed frame.
             Defense::Off => true,
-            Defense::On => vc_auth::pseudonym::verify(
+            Defense::On => vc_auth::pseudonym::verify_with_front(
                 &forged,
                 &ta.public_key(),
                 reg.crl(),
@@ -116,7 +121,7 @@ pub fn mitm_tamper_attack(defense: Defense, trials: usize, rng: &mut SimRng) -> 
         msg.payload[idx] ^= 0x40;
         let success = match defense {
             Defense::Off => true,
-            Defense::On => vc_auth::pseudonym::verify(
+            Defense::On => vc_auth::pseudonym::verify_with_front(
                 &msg,
                 &ta.public_key(),
                 reg.crl(),
@@ -254,7 +259,7 @@ pub fn dos_flood_attack(defense: Defense, trials: usize, rng: &mut SimRng) -> At
             Defense::Off => {
                 // Naive verifier: signature check first — always burns the
                 // expensive operation.
-                let _ = vc_auth::pseudonym::verify(
+                let _ = vc_auth::pseudonym::verify_with_front(
                     &junk,
                     &ta.public_key(),
                     reg.crl(),
@@ -270,7 +275,7 @@ pub fn dos_flood_attack(defense: Defense, trials: usize, rng: &mut SimRng) -> At
                     && now.saturating_since(junk.sent_at) <= SimDuration::from_secs(5);
                 let valid_window = now >= junk.cert.valid_from && now <= junk.cert.valid_until;
                 if fresh && valid_window {
-                    let _ = vc_auth::pseudonym::verify(
+                    let _ = vc_auth::pseudonym::verify_with_front(
                         &junk,
                         &ta.public_key(),
                         reg.crl(),

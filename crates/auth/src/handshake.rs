@@ -19,7 +19,7 @@
 
 use crate::identity::AuthError;
 use crate::pseudonym::{
-    crl_matches, LinkageSeed, PseudonymCert, PseudonymId, PseudonymMessage, PseudonymWallet,
+    verify_with_front, CrlFront, PseudonymCert, PseudonymId, PseudonymMessage, PseudonymWallet,
 };
 use std::collections::BTreeMap;
 use vc_crypto::dh::{EphemeralSecret, PublicShare, SessionKey};
@@ -95,11 +95,11 @@ impl Initiator {
         self,
         accept: &HandshakeMessage,
         ta_key: &VerifyingKey,
-        crl: &[LinkageSeed],
+        crl: &CrlFront,
         now: SimTime,
         window: SimDuration,
     ) -> Result<SessionKey, AuthError> {
-        crate::pseudonym::verify(&accept.envelope, ta_key, crl, now, window)?;
+        verify_with_front(&accept.envelope, ta_key, crl, now, window)?;
         let payload = &accept.envelope.payload;
         let responder_share =
             extract_share(payload, b"vc-handshake-accept").ok_or(AuthError::Malformed)?;
@@ -121,12 +121,12 @@ pub fn respond(
     hello: &HandshakeMessage,
     wallet: &PseudonymWallet,
     ta_key: &VerifyingKey,
-    crl: &[LinkageSeed],
+    crl: &CrlFront,
     now: SimTime,
     window: SimDuration,
     entropy: u64,
 ) -> Result<(SessionKey, HandshakeMessage), AuthError> {
-    crate::pseudonym::verify(&hello.envelope, ta_key, crl, now, window)?;
+    verify_with_front(&hello.envelope, ta_key, crl, now, window)?;
     let initiator_share = extract_share(&hello.envelope.payload, b"vc-handshake-hello")
         .ok_or(AuthError::Malformed)?;
     let mut seed = b"handshake-resp".to_vec();
@@ -148,8 +148,8 @@ pub fn respond(
 pub struct HandshakeObsParams<'a> {
     /// The trusted authority's verification key.
     pub ta_key: &'a VerifyingKey,
-    /// The current revocation list.
-    pub crl: &'a [LinkageSeed],
+    /// The current revocation list; both sides check through its memo.
+    pub crl: &'a CrlFront,
     /// Freshness window for message timestamps.
     pub window: SimDuration,
     /// Modeled one-hop V2V latency each handshake message costs. All
@@ -157,6 +157,15 @@ pub struct HandshakeObsParams<'a> {
     /// so traces stay deterministic.
     pub hop: SimDuration,
 }
+
+// The CRL's memo is shared state; a registry and the parameters borrowing
+// its CRL must still cross and be shared between threads.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<CrlFront>();
+    send_sync::<crate::pseudonym::PseudonymRegistry>();
+    send_sync::<HandshakeObsParams<'static>>();
+};
 
 /// Runs a complete initiator↔responder handshake with instrumentation:
 /// an `auth`/`handshake` span covering the exchange plus one event per
@@ -338,9 +347,10 @@ impl SessionCache {
     /// Drops every cached session whose peer certificate matches a revoked
     /// linkage seed. Callers invoke this on each CRL update so a revoked
     /// peer can never ride a cached key past its revocation. Costs one
-    /// [`crl_matches`] scan per cached session.
-    pub fn invalidate_revoked(&mut self, crl: &[LinkageSeed]) {
-        self.entries.retain(|_, e| !crl_matches(crl, e.cert_id, e.linkage_value));
+    /// [`CrlFront::is_revoked_cert`] per cached session: a scan for each
+    /// certificate the front's memo does not yet hold.
+    pub fn invalidate_revoked(&mut self, crl: &CrlFront) {
+        self.entries.retain(|_, e| !crl.is_revoked_cert(e.cert_id, e.linkage_value));
     }
 }
 
@@ -511,6 +521,57 @@ mod tests {
             respond(&hello, &net.bob, &net.ta.public_key(), net.registry.crl(), now, window(), 2)
                 .unwrap_err();
         assert_eq!(err, AuthError::Revoked);
+    }
+
+    #[test]
+    fn revocation_lands_on_both_sides_through_a_warm_memo() {
+        for inject in [false, true] {
+            let mut net = setup();
+            let now = SimTime::from_secs(10);
+            let ta_key = net.ta.public_key();
+            let (init, hello) = Initiator::hello(&net.alice, now, 1);
+            let (_, accept) =
+                respond(&hello, &net.bob, &ta_key, net.registry.crl(), now, window(), 2).unwrap();
+            init.finish(&accept, &ta_key, net.registry.crl(), now, window()).unwrap();
+            assert_eq!(net.registry.crl().memo_len(), 2, "both certificates memoized unrevoked");
+            for identity in [net.alice.real_identity(), net.bob.real_identity()] {
+                if inject {
+                    let seed = net.registry.seed_of(identity);
+                    net.registry.inject_revoked_seed(seed);
+                } else {
+                    net.registry.revoke_identity(identity);
+                }
+            }
+            let err = respond(&hello, &net.bob, &ta_key, net.registry.crl(), now, window(), 2)
+                .unwrap_err();
+            assert_eq!(err, AuthError::Revoked, "responder, inject = {inject}");
+            // `hello` is deterministic in its inputs: the same initiator
+            // state, so the same ACCEPT still binds to it.
+            let (init, _) = Initiator::hello(&net.alice, now, 1);
+            let err = init.finish(&accept, &ta_key, net.registry.crl(), now, window()).unwrap_err();
+            assert_eq!(err, AuthError::Revoked, "initiator, inject = {inject}");
+        }
+    }
+
+    #[test]
+    fn full_handshakes_scan_each_certificate_once() {
+        let net = setup();
+        let params = HandshakeObsParams {
+            ta_key: &net.ta.public_key(),
+            crl: net.registry.crl(),
+            window: window(),
+            hop: SimDuration::from_millis(3),
+        };
+        assert_eq!(net.registry.crl().memo_len(), 0);
+        run_handshake_obs(&net.alice, &net.bob, &params, SimTime::from_secs(10), 7, None).unwrap();
+        assert_eq!(net.registry.crl().memo_len(), 2, "one verdict per side's certificate");
+        let (mut ca, mut cb) = caches();
+        let t1 = SimTime::from_secs(20);
+        let (_, resumed) =
+            run_handshake_cached(&net.alice, &net.bob, &mut ca, &mut cb, &params, t1, 8, None)
+                .unwrap();
+        assert!(!resumed, "empty caches run the full handshake");
+        assert_eq!(net.registry.crl().memo_len(), 2, "both sides hit the memo");
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!     .unwrap();
 //! let now = SimTime::from_secs(5);
 //! let message = wallet.sign(b"road clear", now);
-//! assert!(vc_auth::pseudonym::verify(
+//! assert!(vc_auth::pseudonym::verify_with_front(
 //!     &message, &ta.public_key(), registry.crl(), now, SimDuration::from_secs(5)
 //! ).is_ok());
 //! ```

@@ -15,6 +15,8 @@
 
 use crate::identity::{AuthError, RealIdentity, TrustedAuthority};
 use std::collections::BTreeMap;
+use std::ops::Deref;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use vc_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
 use vc_crypto::sha256::{compress_lanes, sha256_parts};
 use vc_sim::time::SimTime;
@@ -231,8 +233,9 @@ pub struct PseudonymRegistry {
     escrow: BTreeMap<PseudonymId, RealIdentity>,
     /// Per-identity linkage seeds (published to the CRL on revocation).
     seeds: BTreeMap<RealIdentity, LinkageSeed>,
-    /// The certificate revocation list, as distributed to vehicles.
-    crl: Vec<LinkageSeed>,
+    /// The certificate revocation list, as distributed to vehicles, with
+    /// the verdict memo every verifier reading it shares.
+    crl: CrlFront,
     next_id: u64,
 }
 
@@ -299,31 +302,36 @@ impl PseudonymRegistry {
     }
 
     /// Revokes an identity by publishing its linkage seed: one CRL entry
-    /// kills the vehicle's entire pseudonym pool, but every verifier now
-    /// pays one keyed hash *per CRL entry per message* — the cost E4
-    /// measures. The list is kept sorted and deduped so membership is a
-    /// binary search, not the linear `contains` scan it used to be.
+    /// kills the vehicle's entire pseudonym pool, but a check now pays one
+    /// keyed hash *per CRL entry* — the cost E4 measures. The seed lands in
+    /// the sorted, deduped list, and a new seed clears the CRL's verdict
+    /// memo, so no verdict memoized before the revocation survives it.
     pub fn revoke_identity(&mut self, identity: &RealIdentity) {
-        if let Some(seed) = self.seeds.get(identity) {
-            if let Err(pos) = self.crl.binary_search(seed) {
-                self.crl.insert(pos, *seed);
-            }
+        if let Some(&seed) = self.seeds.get(identity) {
+            self.crl.insert(seed);
         }
     }
 
-    /// The CRL as currently distributed (sorted by seed bytes; the scan
-    /// outcome is order-independent, so sorting changes no verdict).
-    pub fn crl(&self) -> &[LinkageSeed] {
+    /// The CRL as currently distributed, sorted by seed bytes (the scan
+    /// outcome is order-independent, so sorting changes no verdict). It
+    /// derefs to the seed slice; [`verify_with_front`] and
+    /// [`CrlFront::is_revoked_cert`] answer through its shared memo.
+    pub fn crl(&self) -> &CrlFront {
         &self.crl
     }
 
     /// Load-testing hook: injects a synthetic revoked seed without issuing
     /// wallets (used by the CRL-scaling benchmarks; not part of the
-    /// protocol). Maintains the sorted-dedup invariant.
+    /// protocol). Same path as [`PseudonymRegistry::revoke_identity`].
     pub fn inject_revoked_seed(&mut self, seed: LinkageSeed) {
-        if let Err(pos) = self.crl.binary_search(&seed) {
-            self.crl.insert(pos, seed);
-        }
+        self.crl.insert(seed);
+    }
+
+    /// The linkage seed issued to `identity`, for tests that revoke it by
+    /// injection.
+    #[cfg(test)]
+    pub(crate) fn seed_of(&self, identity: &RealIdentity) -> LinkageSeed {
+        self.seeds[identity]
     }
 
     /// Audit interface: opens a pseudonym to the real identity (dispute
@@ -402,21 +410,34 @@ pub fn verify(
     verify_checks(message, ta_key, scan, now, replay_window)
 }
 
-/// A verifier-side front for the CRL: a sorted, deduped seed snapshot and a
-/// bounded memo of per-certificate revocation verdicts, so each *distinct*
+/// Memoized scan verdicts, keyed by certificate `(id, linkage_value)`.
+type VerdictMemo = BTreeMap<(PseudonymId, [u8; 8]), bool>;
+
+/// The CRL with a memo in front: a sorted, deduped seed list and a bounded
+/// memo of per-certificate revocation verdicts, so each *distinct*
 /// certificate pays the linear linkage-value scan at most once.
+/// [`PseudonymRegistry::crl`] hands one out, so every verifier reading the
+/// registry — both sides of every handshake included — shares its memo.
 ///
 /// The front is a pure cache: [`verify_with_front`] returns exactly what
 /// [`verify`] returns against `CrlFront::seeds()`. The linkage-value CRL
 /// match is a keyed hash per entry (≈ 90 ns each through [`crl_matches`])
 /// — sorting alone cannot answer "is this cert revoked?", so the front
 /// memoizes scan verdicts keyed by `(PseudonymId, linkage_value)` instead.
-#[derive(Debug, Clone)]
+///
+/// Readers take `&CrlFront`: the memo sits behind a [`Mutex`], and a
+/// poisoned lock is recovered rather than propagated (every memo entry is a
+/// finished scan verdict, so a panic elsewhere cannot leave a wrong one).
+/// Seeds change only through `&mut self`, which clears the memo whenever a
+/// seed is new, so no reader ever sees a verdict older than the seeds. The
+/// front derefs to its seed slice, for the linear [`verify`] and
+/// [`crl_matches`].
+#[derive(Debug)]
 pub struct CrlFront {
-    /// Sorted, deduped snapshot of the CRL seeds.
+    /// Sorted, deduped CRL seeds.
     seeds: Vec<LinkageSeed>,
     /// Memoized per-certificate scan verdicts.
-    memo: BTreeMap<(PseudonymId, [u8; 8]), bool>,
+    memo: Mutex<VerdictMemo>,
     /// Memo capacity; the memo is cleared (deterministically) when full.
     memo_cap: usize,
 }
@@ -431,51 +452,83 @@ impl CrlFront {
         let mut seeds = crl.to_vec();
         seeds.sort_unstable();
         seeds.dedup();
-        CrlFront { seeds, memo: BTreeMap::new(), memo_cap: Self::DEFAULT_MEMO_CAP }
+        CrlFront { seeds, memo: Mutex::default(), memo_cap: Self::DEFAULT_MEMO_CAP }
     }
 
-    /// The sorted, deduped seed snapshot this front answers for.
+    /// The sorted, deduped seeds this front answers for.
     pub fn seeds(&self) -> &[LinkageSeed] {
         &self.seeds
     }
 
-    /// Number of distinct revoked seeds.
-    pub fn len(&self) -> usize {
-        self.seeds.len()
+    /// Adds a revoked seed, keeping the list sorted and deduped. A seed
+    /// that is new clears the memo: a certificate memoized as unrevoked may
+    /// match it.
+    fn insert(&mut self, seed: LinkageSeed) {
+        if let Err(pos) = self.seeds.binary_search(&seed) {
+            self.seeds.insert(pos, seed);
+            self.memo.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
+        }
     }
 
-    /// True when the CRL snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.seeds.is_empty()
+    fn memo(&self) -> MutexGuard<'_, VerdictMemo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether a certificate `(id, linkage_value)` matches any revoked seed.
     /// First sighting of a certificate pays the full linear scan (the same
-    /// [`crl_matches`] as [`verify`]); repeats are one BTreeMap lookup.
-    pub fn is_revoked_cert(&mut self, id: PseudonymId, linkage_value: [u8; 8]) -> bool {
-        if let Some(&hit) = self.memo.get(&(id, linkage_value)) {
+    /// [`crl_matches`] as [`verify`]), outside the lock; repeats are one
+    /// BTreeMap lookup.
+    pub fn is_revoked_cert(&self, id: PseudonymId, linkage_value: [u8; 8]) -> bool {
+        if let Some(&hit) = self.memo().get(&(id, linkage_value)) {
             return hit;
         }
         let hit = crl_matches(&self.seeds, id, linkage_value);
-        if self.memo.len() >= self.memo_cap {
+        let mut memo = self.memo();
+        if memo.len() >= self.memo_cap {
             // Bounded and deterministic: drop the whole memo rather than
             // tracking recency. Refill cost is one scan per live cert.
-            self.memo.clear();
+            memo.clear();
         }
-        self.memo.insert((id, linkage_value), hit);
+        memo.insert((id, linkage_value), hit);
         hit
     }
 
     /// Number of memoized certificate verdicts (observability hook).
     pub fn memo_len(&self) -> usize {
-        self.memo.len()
+        self.memo().len()
+    }
+}
+
+impl Default for CrlFront {
+    fn default() -> Self {
+        CrlFront::new(&[])
+    }
+}
+
+/// A clone carries the memo as it stands; later fills of either copy stay
+/// in that copy.
+impl Clone for CrlFront {
+    fn clone(&self) -> Self {
+        CrlFront {
+            seeds: self.seeds.clone(),
+            memo: Mutex::new(self.memo().clone()),
+            memo_cap: self.memo_cap,
+        }
+    }
+}
+
+impl Deref for CrlFront {
+    type Target = [LinkageSeed];
+
+    fn deref(&self) -> &[LinkageSeed] {
+        &self.seeds
     }
 }
 
 impl vc_obs::MemSize for CrlFront {
     fn mem_bytes(&self) -> u64 {
         (self.seeds.capacity() * std::mem::size_of::<LinkageSeed>()
-            + self.memo.len() * (std::mem::size_of::<(PseudonymId, [u8; 8])>() + 1)) as u64
+            + self.memo_len() * (std::mem::size_of::<(PseudonymId, [u8; 8])>() + 1)) as u64
     }
 }
 
@@ -490,7 +543,7 @@ impl vc_obs::MemSize for CrlFront {
 pub fn verify_with_front(
     message: &PseudonymMessage,
     ta_key: &VerifyingKey,
-    front: &mut CrlFront,
+    front: &CrlFront,
     now: SimTime,
     replay_window: vc_sim::time::SimDuration,
 ) -> Result<(), AuthError> {
@@ -528,9 +581,7 @@ impl vc_obs::MemSize for PseudonymWallet {
 
 impl vc_obs::MemSize for PseudonymRegistry {
     fn mem_bytes(&self) -> u64 {
-        self.escrow.mem_bytes()
-            + self.seeds.mem_bytes()
-            + (self.crl.capacity() * std::mem::size_of::<LinkageSeed>()) as u64
+        self.escrow.mem_bytes() + self.seeds.mem_bytes() + self.crl.mem_bytes()
     }
 }
 
@@ -762,7 +813,7 @@ mod tests {
         let expired = wallet.sign(b"late", SimTime::from_secs(4000));
         let replayed = wallet.sign(b"old", SimTime::from_secs(1));
 
-        let mut front = CrlFront::new(reg.crl());
+        let front = CrlFront::new(reg.crl());
         let cases: Vec<(&PseudonymMessage, SimTime)> = vec![
             (&good, now),
             (&revoked, now),
@@ -775,11 +826,62 @@ mod tests {
             let slow = verify(msg, &ta.public_key(), front.seeds(), at, window());
             // Twice: first pass fills the memo, second exercises the hit path.
             for _ in 0..2 {
-                let fast = verify_with_front(msg, &ta.public_key(), &mut front, at, window());
+                let fast = verify_with_front(msg, &ta.public_key(), &front, at, window());
                 assert_eq!(fast, slow);
             }
         }
         assert!(front.memo_len() > 0, "verdicts were memoized");
+    }
+
+    #[test]
+    fn revocation_lands_through_a_warm_memo() {
+        let (ta, mut reg, wallet) = setup();
+        let now = SimTime::from_secs(10);
+        let msg = wallet.sign(b"beacon", now);
+        assert_eq!(verify_with_front(&msg, &ta.public_key(), reg.crl(), now, window()), Ok(()));
+        assert_eq!(reg.crl().memo_len(), 1, "the memo holds the certificate as unrevoked");
+        reg.revoke_identity(wallet.real_identity());
+        assert_eq!(reg.crl().memo_len(), 0, "a new seed clears the memo");
+        assert_eq!(
+            verify_with_front(&msg, &ta.public_key(), reg.crl(), now, window()),
+            Err(AuthError::Revoked)
+        );
+    }
+
+    #[test]
+    fn injected_seed_lands_through_a_warm_memo() {
+        let (ta, mut reg, wallet) = setup();
+        let now = SimTime::from_secs(10);
+        let msg = wallet.sign(b"beacon", now);
+        assert_eq!(verify_with_front(&msg, &ta.public_key(), reg.crl(), now, window()), Ok(()));
+        let seed = reg.seed_of(wallet.real_identity());
+        reg.inject_revoked_seed(seed);
+        assert_eq!(
+            verify_with_front(&msg, &ta.public_key(), reg.crl(), now, window()),
+            Err(AuthError::Revoked)
+        );
+        // Re-injecting a listed seed keeps the memo; a new one empties it.
+        assert_eq!(reg.crl().memo_len(), 1);
+        reg.inject_revoked_seed(seed);
+        reg.revoke_identity(wallet.real_identity());
+        assert_eq!(reg.crl().memo_len(), 1, "a duplicate seed leaves the memo alone");
+        reg.inject_revoked_seed(LinkageSeed([0xAB; 16]));
+        assert_eq!(reg.crl().memo_len(), 0, "a new seed empties the memo");
+        assert_eq!(reg.crl().len(), 2);
+    }
+
+    #[test]
+    fn front_clone_carries_the_memo_but_fills_stay_apart() {
+        let seeds = [LinkageSeed([7u8; 16])];
+        let front = CrlFront::new(&seeds);
+        assert!(!front.is_revoked_cert(PseudonymId(1), [0u8; 8]));
+        let copy = front.clone();
+        assert_eq!(copy.memo_len(), 1, "the clone carries the memo");
+        assert!(!copy.is_revoked_cert(PseudonymId(2), [0u8; 8]));
+        assert_eq!((front.memo_len(), copy.memo_len()), (1, 2));
+        assert!(!front.is_revoked_cert(PseudonymId(3), [0u8; 8]));
+        assert!(!front.is_revoked_cert(PseudonymId(4), [0u8; 8]));
+        assert_eq!((front.memo_len(), copy.memo_len()), (3, 2));
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Property-based tests for the authentication protocols.
 
 use vc_auth::groupsig::{GroupCoordinator, GroupId};
-use vc_auth::handshake::{run_handshake_cached, HandshakeObsParams, SessionCache};
+use vc_auth::handshake::{
+    respond, run_handshake_cached, HandshakeObsParams, Initiator, SessionCache,
+};
 use vc_auth::identity::{AuthError, RealIdentity, TrustedAuthority};
-use vc_auth::pseudonym::{crl_matches, CrlFront, LinkageSeed, PseudonymId, PseudonymRegistry};
+use vc_auth::pseudonym::{
+    crl_matches, verify, verify_with_front, CrlFront, LinkageSeed, PseudonymId, PseudonymRegistry,
+};
 use vc_auth::replay::{ReplayGuard, ReplayVerdict};
 use vc_crypto::sha256::sha256;
 use vc_sim::node::VehicleId;
@@ -152,14 +156,78 @@ prop! {
             tampered.cert.valid_until = SimTime::from_secs(999_999);
         }
         messages.push(tampered);
-        let mut front = CrlFront::new(reg.crl());
+        let front = CrlFront::new(reg.crl());
         for msg in &messages {
             let slow = vc_auth::pseudonym::verify(msg, &ta.public_key(), front.seeds(), now, window);
             for _ in 0..2 {
                 let fast = vc_auth::pseudonym::verify_with_front(
-                    msg, &ta.public_key(), &mut front, now, window,
+                    msg, &ta.public_key(), &front, now, window,
                 );
                 prop_assert_eq!(fast, slow);
+            }
+        }
+    }
+
+    // The registry's CRL memo never answers from before a revocation: on one
+    // registry, over any interleaving of verifies and full handshakes
+    // through `reg.crl()`, revocations, and injected seeds (new and already
+    // listed), every verdict equals linear `verify` against the seeds at
+    // that moment. A listed seed keeps the memo; a new one empties it.
+    #[test]
+    fn registry_memo_follows_every_revocation(ops in vec(any_u8(), 1..48)) {
+        const VEHICLES: usize = 6;
+        let mut ta = TrustedAuthority::new(b"prop-memo");
+        let mut reg = PseudonymRegistry::new();
+        let ids: Vec<RealIdentity> =
+            (0..VEHICLES as u32).map(|v| RealIdentity::for_vehicle(VehicleId(v))).collect();
+        let wallets: Vec<_> = ids
+            .iter()
+            .zip(0u8..)
+            .map(|(id, v)| {
+                ta.register(id.clone(), VehicleId(v as u32));
+                reg.issue_wallet(&ta, id, 2, SimTime::ZERO, SimTime::from_secs(10_000), &[v])
+                    .unwrap()
+            })
+            .collect();
+        let ta_key = ta.public_key();
+        let now = SimTime::from_secs(50);
+        let window = SimDuration::from_secs(5);
+        for (step, &op) in ops.iter().enumerate() {
+            let a = (op >> 3) as usize % VEHICLES;
+            match op % 8 {
+                0..=3 => {
+                    let msg = wallets[a].sign(&[op], now);
+                    let linear = verify(&msg, &ta_key, reg.crl().seeds(), now, window);
+                    prop_assert_eq!(verify_with_front(&msg, &ta_key, reg.crl(), now, window), linear);
+                }
+                4 | 5 => {
+                    let b = (a + 1 + op as usize % (VEHICLES - 1)) % VEHICLES;
+                    let (init, hello) = Initiator::hello(&wallets[a], now, step as u64);
+                    let linear = verify(&hello.envelope, &ta_key, reg.crl().seeds(), now, window);
+                    match respond(&hello, &wallets[b], &ta_key, reg.crl(), now, window, 1) {
+                        Err(e) => prop_assert_eq!(Err(e), linear),
+                        Ok((_, accept)) => {
+                            prop_assert_eq!(linear, Ok(()));
+                            let linear =
+                                verify(&accept.envelope, &ta_key, reg.crl().seeds(), now, window);
+                            let fast = init.finish(&accept, &ta_key, reg.crl(), now, window);
+                            prop_assert_eq!(fast.map(|_| ()), linear);
+                        }
+                    }
+                }
+                6 => reg.revoke_identity(&ids[a]),
+                _ if op & 0x80 != 0 || reg.crl().is_empty() => {
+                    let mut seed = [0xC5u8; 16];
+                    seed[..8].copy_from_slice(&(step as u64).to_be_bytes());
+                    reg.inject_revoked_seed(LinkageSeed(seed));
+                    prop_assert_eq!(reg.crl().memo_len(), 0, "a new seed empties the memo");
+                }
+                _ => {
+                    let listed = reg.crl()[op as usize % reg.crl().len()];
+                    let memo = reg.crl().memo_len();
+                    reg.inject_revoked_seed(listed);
+                    prop_assert_eq!(reg.crl().memo_len(), memo, "a listed seed keeps the memo");
+                }
             }
         }
     }
@@ -332,12 +400,12 @@ prop! {
         let msg = revoked.sign(b"still signs", now);
         let bytes = [msg.payload.as_slice(), &msg.sent_at.as_micros().to_be_bytes()].concat();
         prop_assert!(msg.cert.key.verify_scalar(&bytes, &msg.signature));
-        let mut front = CrlFront::new(reg.crl());
+        let front = CrlFront::new(reg.crl());
         let linear = vc_auth::pseudonym::verify(&msg, &ta.public_key(), reg.crl(), now, window);
         prop_assert_eq!(linear.clone(), Err(AuthError::Revoked));
         for _ in 0..2 {
             let fast = vc_auth::pseudonym::verify_with_front(
-                &msg, &ta.public_key(), &mut front, now, window,
+                &msg, &ta.public_key(), &front, now, window,
             );
             prop_assert_eq!(fast, linear.clone());
         }

@@ -33,12 +33,17 @@ fn main() {
     let now = SimTime::from_secs(10);
     suite.bench("pseudonym/sign", || wallet.sign(black_box(b"beacon"), now));
     let msg = wallet.sign(b"beacon", now);
+    // The 10 000-seed CRL before any verdict is memoized.
+    let mut pristine_crl = CrlFront::default();
     for crl_size in [0usize, 1_000, 10_000, 50_000] {
         let mut reg2 = PseudonymRegistry::new();
         for i in 0..crl_size as u64 {
             let mut s = [0u8; 16];
             s[..8].copy_from_slice(&i.to_be_bytes());
             reg2.inject_revoked_seed(LinkageSeed(s));
+        }
+        if crl_size == 10_000 {
+            pristine_crl = reg2.crl().clone();
         }
         if crl_size > 0 {
             // The scan alone, miss case (the wallet is not on this CRL):
@@ -52,19 +57,14 @@ fn main() {
         });
         // The CrlFront memoizes the scan verdict per cert: warm verifies pay
         // a map lookup instead of the linear keyed-hash scan above.
-        let mut front = CrlFront::new(reg2.crl());
-        let _ = vc_auth::pseudonym::verify_with_front(
-            &msg,
-            &ta.public_key(),
-            &mut front,
-            now,
-            window(),
-        );
+        let front = CrlFront::new(reg2.crl());
+        let _ =
+            vc_auth::pseudonym::verify_with_front(&msg, &ta.public_key(), &front, now, window());
         suite.bench(&format!("pseudonym/verify_with_front/{crl_size}"), || {
             vc_auth::pseudonym::verify_with_front(
                 black_box(&msg),
                 &ta.public_key(),
-                &mut front,
+                &front,
                 now,
                 window(),
             )
@@ -84,10 +84,21 @@ fn main() {
         hop: SimDuration::from_millis(3),
     };
     let ttl = SimDuration::from_secs(600);
+    // Fresh session caches, but the registry's CRL memo holds both
+    // certificates from the first iteration on: neither side scans.
     suite.bench("handshake/full", || {
         let mut ca = SessionCache::new(4, ttl);
         let mut cb = SessionCache::new(4, ttl);
         run_handshake_cached(&wallet, &peer, &mut ca, &mut cb, &params, now, 7, None).unwrap()
+    });
+    // A fresh copy of the unmemoized 10 000-seed CRL each iteration: both
+    // sides pay the full scan, as on a first encounter.
+    suite.bench("handshake/full/cold_crl/10000", || {
+        let crl = pristine_crl.clone();
+        let cold = HandshakeObsParams { crl: &crl, ..params };
+        let mut ca = SessionCache::new(4, ttl);
+        let mut cb = SessionCache::new(4, ttl);
+        run_handshake_cached(&wallet, &peer, &mut ca, &mut cb, &cold, now, 7, None).unwrap()
     });
     let mut ca = SessionCache::new(4, ttl);
     let mut cb = SessionCache::new(4, ttl);

@@ -150,7 +150,7 @@ impl SecurePipeline {
         service: ServiceId,
         now: SimTime,
     ) -> Result<ServiceToken, PipelineError> {
-        vc_auth::pseudonym::verify(
+        vc_auth::pseudonym::verify_with_front(
             hello,
             &self.ta.public_key(),
             self.registry.crl(),
