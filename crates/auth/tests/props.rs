@@ -354,10 +354,11 @@ prop! {
     }
 
     // The fast arithmetic core opens no bypass: with exactly one forged
-    // message in a window, batch verification names the same culprit the
-    // division-based `verify_scalar` oracle does; and a revoked wallet —
-    // whose signatures are themselves valid under the oracle — is still
-    // `Revoked` through the CRL front, cold and warm, as in linear `verify`.
+    // message in a window, batch verification names the same culprit
+    // single-signature `verify` does (which vc-crypto's suite holds equal to
+    // its division-based oracle); and a revoked wallet — whose signatures
+    // are themselves valid — is still `Revoked` through the CRL front, cold
+    // and warm, as in linear `verify`.
     #[test]
     fn fast_core_opens_no_bypass(count in 2usize..8, culprit in any_u8(), crl_size in 0usize..20) {
         let mut ta = TrustedAuthority::new(b"prop-ta");
@@ -387,7 +388,7 @@ prop! {
             .collect();
         prop_assert_eq!(vc_crypto::schnorr::verify_batch(&items, b"prop"), Err(vec![idx]));
         for (i, (bytes, key, sig)) in items.iter().enumerate() {
-            prop_assert_eq!(key.verify_scalar(bytes, sig), i != idx);
+            prop_assert_eq!(key.verify(bytes, sig), i != idx);
         }
 
         let revoked = &wallets[(idx + 1) % count];
@@ -399,7 +400,7 @@ prop! {
         }
         let msg = revoked.sign(b"still signs", now);
         let bytes = [msg.payload.as_slice(), &msg.sent_at.as_micros().to_be_bytes()].concat();
-        prop_assert!(msg.cert.key.verify_scalar(&bytes, &msg.signature));
+        prop_assert!(msg.cert.key.verify(&bytes, &msg.signature));
         let front = CrlFront::new(reg.crl());
         let linear = vc_auth::pseudonym::verify(&msg, &ta.public_key(), reg.crl(), now, window);
         prop_assert_eq!(linear.clone(), Err(AuthError::Revoked));

@@ -92,7 +92,6 @@ fn main() {
     // short one touches only its own nonzero nibbles of the fixed-base table.
     let e = Scalar::hash_to_scalar(&[b"bench-exponent"]);
     suite.bench("group/base_pow", || Element::base_pow(black_box(e)));
-    suite.bench("group/base_pow_scalar", || Element::base_pow_scalar(black_box(e)));
 
     // ---- key agreement ----
     let alice = EphemeralSecret::from_seed(b"alice");

@@ -1,5 +1,5 @@
 //! Micro-benches for the geometry hot paths: road-network nearest queries
-//! (spatial index vs the retained linear scans), CSR neighbor-table
+//! through the spatial index, CSR neighbor-table
 //! construction and in-place rebuild, canyon LOS links, and a full
 //! street-aware routing round.
 
@@ -37,7 +37,7 @@ fn main() {
     vc_obs::mem::register_bench_probe();
     let mut suite = Suite::new("geom");
 
-    // ---- nearest-road / nearest-node: index vs linear scan ----
+    // ---- nearest-road / nearest-node through the road index ----
     // 24x24 urban grid: 576 intersections, 2208 directed segments.
     let grid_map = RoadNetwork::grid(24, 24, 100.0, 13.9);
     // 20 km highway corridor: degenerate (collinear) bounding box.
@@ -48,20 +48,11 @@ fn main() {
     suite.bench_elems("nearest_road/grid24/indexed", grid_probes.len() as u64, || {
         grid_probes.iter().map(|&p| grid_map.distance_to_nearest_road(p)).sum::<f64>()
     });
-    suite.bench_elems("nearest_road/grid24/linear", grid_probes.len() as u64, || {
-        grid_probes.iter().map(|&p| grid_map.distance_to_nearest_road_linear(p)).sum::<f64>()
-    });
     suite.bench_elems("nearest_road/highway/indexed", hw_probes.len() as u64, || {
         hw_probes.iter().map(|&p| highway_map.distance_to_nearest_road(p)).sum::<f64>()
     });
-    suite.bench_elems("nearest_road/highway/linear", hw_probes.len() as u64, || {
-        hw_probes.iter().map(|&p| highway_map.distance_to_nearest_road_linear(p)).sum::<f64>()
-    });
     suite.bench_elems("nearest_node/grid24/indexed", grid_probes.len() as u64, || {
         grid_probes.iter().filter_map(|&p| grid_map.nearest_node(p)).count()
-    });
-    suite.bench_elems("nearest_node/grid24/linear", grid_probes.len() as u64, || {
-        grid_probes.iter().filter_map(|&p| grid_map.nearest_node_linear(p)).count()
     });
 
     // ---- neighbor table at scale: fresh build vs in-place rebuild ----

@@ -1,8 +1,8 @@
 //! Micro-benches for the PR 7 observability surfaces: the causal sampling
 //! decision (on every `NetSim::send`, so it must stay branch-cheap), the
 //! per-copy `EventBuf` fill + canonical-order absorb path, the per-tick
-//! time-series diff, a fully traced routing run at each sample rate (the
-//! E17 overhead), and the JSONL export of a traced service job.
+//! time-series diff, a fully traced routing run at each sample rate, and
+//! the JSONL export of a traced service job.
 
 use vc_net::netsim::NetSim;
 use vc_net::routing::Epidemic;
@@ -60,7 +60,7 @@ fn main() {
         rec.timeseries().map(|ts| ts.len()).unwrap_or(0)
     });
 
-    // ---- traced routing rounds by sample rate (the E17 overhead) ----
+    // ---- traced routing rounds by sample rate ----
     for (label, rate) in
         [("off", SampleRate::OFF), ("1_in_10", SampleRate::one_in(10)), ("all", SampleRate::ALL)]
     {

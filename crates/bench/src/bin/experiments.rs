@@ -277,9 +277,7 @@ fn main() {
     // sensitive experiments (E4, E5, E9, E11 measure wall-clock per op; E18
     // reads the process-wide allocator peak) are run alone afterwards so
     // contention does not distort their numbers.
-    // E19 additionally saturates the host with its own worker pool, so it
-    // must not share the machine with concurrent experiments.
-    let timed = ["e4", "e5", "e9", "e11", "e18", "e19"];
+    let timed = ["e4", "e5", "e9", "e11", "e18"];
     let (concurrent, sequential): (Vec<_>, Vec<_>) =
         selected.into_iter().partition(|e| !timed.contains(&e.id));
 

@@ -14,9 +14,11 @@
 //! The `live MB` / `peak MB` columns read the process-wide counting
 //! allocator (zero when the binary does not install one). They are host
 //! measurements — concurrent allocation interleaving makes the peak
-//! timing-dependent — and are excluded from any byte-compare, like E17's
-//! wall-clock columns. Steady-state allocation-freedom of the inner loops
-//! is enforced separately by the `memcheck` integration tests.
+//! timing-dependent — and are excluded from any byte-compare. (The table
+//! note still cites the retired E17's wall clocks: rewording it would
+//! change the committed `results/e18.json`.) Steady-state allocation-freedom
+//! of the inner loops is enforced separately by the `memcheck` integration
+//! tests.
 
 use crate::table::{f1, Table};
 use vc_net::netsim::NetSim;
@@ -47,8 +49,10 @@ fn highway(seed: u64, n: usize) -> Scenario {
     }
 }
 
-/// A city sized to the fleet (~120 vehicles/km², 64×64-capped grid) — the
-/// same shape E17 uses, so urban rows here extend that baseline.
+/// A city sized to the fleet (~120 vehicles/km²). The road graph is capped
+/// at 64×64 intersections, blocks widened to cover the same area, because
+/// waypoint pathfinding is O(graph) per vehicle and an uncapped graph would
+/// make scenario construction quadratic in the fleet size.
 fn city(seed: u64, n: usize) -> Scenario {
     let mut rng = SimRng::seed_from(seed);
     let side_m = (n as f64 / 120.0).sqrt().max(0.5) * 1000.0;

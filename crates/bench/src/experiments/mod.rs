@@ -1,5 +1,5 @@
-//! The per-experiment modules E1..E20 (see DESIGN.md §4 for the index).
-//! There is no E16: ids are not reused.
+//! The per-experiment modules E1..E18 (see DESIGN.md §4 for the index).
+//! There is no E16, E17, E19 or E20: ids are not reused.
 
 pub mod e1;
 pub mod e10;
@@ -8,11 +8,8 @@ pub mod e12;
 pub mod e13;
 pub mod e14;
 pub mod e15;
-pub mod e17;
 pub mod e18;
-pub mod e19;
 pub mod e2;
-pub mod e20;
 pub mod e3;
 pub mod e4;
 pub mod e5;
@@ -27,7 +24,7 @@ use vc_obs::Recorder;
 /// An experiment's id, one-line description, supported instrumentation
 /// flags, and runner.
 pub struct Experiment {
-    /// "e1" … "e20".
+    /// "e1" … "e18".
     pub id: &'static str,
     /// One-line description (shown by `experiments --list`).
     pub desc: &'static str,
@@ -141,28 +138,10 @@ pub fn registry() -> Vec<Experiment> {
             run: e15::run,
         },
         Experiment {
-            id: "e17",
-            desc: "causal tracing overhead by sample rate (VC_TRACE_SAMPLE sweep)",
-            flags: PROFILE_ONLY,
-            run: e17::run,
-        },
-        Experiment {
             id: "e18",
             desc: "memory footprint scaling: bytes per vehicle by layer",
             flags: PROFILE_ONLY,
             run: e18::run,
-        },
-        Experiment {
-            id: "e19",
-            desc: "scenario-service throughput under load (vcloudd + vcload)",
-            flags: PROFILE_ONLY,
-            run: e19::run,
-        },
-        Experiment {
-            id: "e20",
-            desc: "crypto fast path: batched vs sequential beacon verification",
-            flags: PROFILE_ONLY,
-            run: e20::run,
         },
     ]
 }
@@ -178,7 +157,7 @@ mod tests {
             ids,
             vec![
                 "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-                "e14", "e15", "e17", "e18", "e19", "e20"
+                "e14", "e15", "e18"
             ]
         );
         for exp in registry() {

@@ -121,6 +121,19 @@ fn vcstat_rejects_a_corrupt_trace_with_the_line_number() {
     assert!(err.contains("corrupt_trace.jsonl:6"), "error must name the line: {err}");
     assert!(err.contains("bad JSON"), "err: {err}");
 
+    // A line nested past the parser's depth cap is bad JSON too: a clean
+    // exit 1 naming the line, not a stack overflow.
+    let dir = std::env::temp_dir().join(format!("vc_vcstat_deep_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let deep = dir.join("deep.jsonl");
+    std::fs::write(&deep, "[".repeat(100_000) + "\n").expect("write fixture");
+    let out = Command::new(env!("CARGO_BIN_EXE_vcstat")).arg(&deep).output().expect("runs");
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.contains("deep.jsonl:1: bad JSON"), "err: {err}");
+    assert!(err.contains("nesting deeper than"), "err: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+
     // Structurally valid JSON that is not a trace event also fails loudly.
     let dir = std::env::temp_dir().join(format!("vc_vcstat_bad_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");

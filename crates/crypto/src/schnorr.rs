@@ -82,21 +82,6 @@ impl VerifyingKey {
         lhs == rhs
     }
 
-    /// Verifies `signature` over `message` using only the square-and-multiply
-    /// reference paths ([`Element::base_pow_scalar`] and plain `pow_mod`) —
-    /// the exact work a verifier did before the fixed-base table and windowed
-    /// exponentiation landed. This is the "before" cost basis experiment E20
-    /// measures batch verification against. Identical accept/reject
-    /// decisions to [`verify`](Self::verify) on every input.
-    pub fn verify_scalar(&self, message: &[u8], signature: &Signature) -> bool {
-        let params = crate::group::group();
-        let challenge = challenge_scalar(&signature.commitment, self, message);
-        let lhs = Element::base_pow_scalar(signature.response);
-        let y_to_e = self.point.as_u256().pow_mod(challenge.as_u256(), params.p);
-        let rhs = signature.commitment.as_u256().mul_mod(y_to_e, params.p);
-        lhs.as_u256() == rhs
-    }
-
     /// The public group element.
     pub fn element(&self) -> Element {
         self.point
@@ -252,6 +237,41 @@ fn challenge_scalar(commitment: &Element, key: &VerifyingKey, message: &[u8]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vc_testkit::prop::strategy::{any_u8, vec};
+    use vc_testkit::{prop, prop_assert};
+
+    /// The verifier over division-based square-and-multiply only (`pow_mod`,
+    /// `mul_mod`): the oracle [`VerifyingKey::verify`]'s Montgomery table
+    /// and windows are held to.
+    fn verify_scalar(key: &VerifyingKey, message: &[u8], signature: &Signature) -> bool {
+        let params = crate::group::group();
+        let challenge = challenge_scalar(&signature.commitment, key, message);
+        let lhs = params.g.pow_mod(signature.response.as_u256(), params.p);
+        let y_to_e = key.point.as_u256().pow_mod(challenge.as_u256(), params.p);
+        lhs == signature.commitment.as_u256().mul_mod(y_to_e, params.p)
+    }
+
+    prop! {
+        #![cases(64)]
+
+        #[test]
+        fn schnorr_roundtrip_and_tamper(seed in vec(any_u8(), 1..32),
+                                        msg in vec(any_u8(), 0..128),
+                                        flip in any_u8()) {
+            let sk = SigningKey::from_seed(&seed);
+            let vk = sk.verifying_key();
+            let sig = sk.sign(&msg);
+            prop_assert!(vk.verify(&msg, &sig));
+            prop_assert!(verify_scalar(&vk, &msg, &sig));
+            let mut bytes = sig.to_bytes();
+            // Flip a bit in the response half (commitment flips may fail to parse).
+            bytes[32 + (flip as usize % 32)] ^= 1;
+            if let Some(bad) = Signature::from_bytes(&bytes) {
+                prop_assert!(!vk.verify(&msg, &bad));
+                prop_assert!(!verify_scalar(&vk, &msg, &bad));
+            }
+        }
+    }
 
     #[test]
     fn sign_verify_roundtrip() {
@@ -415,11 +435,11 @@ mod tests {
         let sk = SigningKey::from_seed(b"scalar-ref");
         let vk = sk.verifying_key();
         let sig = sk.sign(b"beacon");
-        assert!(vk.verify_scalar(b"beacon", &sig));
-        assert!(!vk.verify_scalar(b"tampered", &sig));
+        assert!(verify_scalar(&vk, b"beacon", &sig));
+        assert!(!verify_scalar(&vk, b"tampered", &sig));
         let bumped =
             Signature { commitment: sig.commitment, response: sig.response.add(Scalar::one()) };
-        assert!(!vk.verify_scalar(b"beacon", &bumped));
+        assert!(!verify_scalar(&vk, b"beacon", &bumped));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use vc_crypto::group::{Element, Scalar};
 use vc_crypto::hex;
 use vc_crypto::hmac::{hkdf_expand, hkdf_extract, hmac_sha256};
 use vc_crypto::merkle::MerkleTree;
-use vc_crypto::schnorr::{Signature, SigningKey};
+use vc_crypto::schnorr::SigningKey;
 use vc_crypto::sha256::{compress_lanes, sha256};
 use vc_crypto::u256::{Mont, U256};
 use vc_testkit::prop::strategy::{any_bytes, any_u16, any_u64, any_u8, any_words, vec};
@@ -15,6 +15,53 @@ use vc_testkit::{prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume}
 fn mont_moduli() -> [U256; 3] {
     let params = vc_crypto::group::group();
     [params.p, params.q, U256::from(1_000_000_007u128)]
+}
+
+/// `g^e` by division-based square-and-multiply: the oracle for the
+/// fixed-base table.
+fn base_pow_reference(e: Scalar) -> U256 {
+    let params = vc_crypto::group::group();
+    params.g.pow_mod(e.as_u256(), params.p)
+}
+
+/// Binary (bit-at-a-time) division-based Straus interleaving: the oracle
+/// for the windowed Montgomery `multi_exp`.
+fn multi_exp_binary(bases: &[Element], exps: &[Scalar]) -> U256 {
+    assert_eq!(bases.len(), exps.len(), "bases and exponents must pair up");
+    let p = vc_crypto::group::group().p;
+    let max_bits = exps.iter().map(|e| e.as_u256().bits()).max().unwrap_or(0);
+    let mut acc = U256::ONE;
+    for bit in (0..max_bits).rev() {
+        acc = acc.mul_mod(acc, p);
+        for (base, exp) in bases.iter().zip(exps) {
+            if exp.as_u256().bit(bit) {
+                acc = acc.mul_mod(base.as_u256(), p);
+            }
+        }
+    }
+    acc
+}
+
+#[test]
+fn multi_exp_windowed_matches_binary_on_short_and_edge_exponents() {
+    // Mixed lengths (batch weights are 128-bit, products 256-bit) plus
+    // zero/one edges, all against the binary reference.
+    let bases: Vec<Element> =
+        (1..8u64).map(|i| Element::base_pow(Scalar::from_u64(i * 104_729))).collect();
+    let exps: Vec<Scalar> = vec![
+        Scalar::zero(),
+        Scalar::one(),
+        Scalar::from_u64(u64::MAX),
+        Scalar::from_u256(U256::from(u128::MAX)),
+        Scalar::hash_to_scalar(&[b"full-width", b"a"]),
+        Scalar::hash_to_scalar(&[b"full-width", b"b"]),
+        Scalar::from_u64(0x8000_0000_0000_0000),
+    ];
+    assert_eq!(
+        vc_crypto::group::multi_exp(&bases, &exps).as_u256(),
+        multi_exp_binary(&bases, &exps)
+    );
+    assert_eq!(multi_exp_binary(&[], &[]), U256::ONE);
 }
 
 prop! {
@@ -166,7 +213,8 @@ prop! {
         let (sa, sb) = (Scalar::hash_to_scalar(&[b"a", &a]), Scalar::hash_to_scalar(&[b"b", &b]));
         prop_assert_eq!(sa.mul(sb).as_u256(), sa.as_u256().mul_mod(sb.as_u256(), params.q));
         prop_assert_eq!(sa.invert().map(|s| s.as_u256()), sa.as_u256().inv_mod_prime(params.q));
-        let (ea, eb) = (Element::base_pow_scalar(sa), Element::base_pow_scalar(sb));
+        let (ea, eb) = (Element::base_pow(sa), Element::base_pow(sb));
+        prop_assert_eq!(ea.as_u256(), base_pow_reference(sa));
         prop_assert_eq!(ea.mul(eb).as_u256(), ea.as_u256().mul_mod(eb.as_u256(), params.p));
         prop_assert_eq!(ea.pow(sb).as_u256(), ea.as_u256().pow_mod(sb.as_u256(), params.p));
         prop_assert_eq!(Some(ea.invert().as_u256()), ea.as_u256().inv_mod_prime(params.p));
@@ -175,7 +223,7 @@ prop! {
     #[test]
     fn base_pow_table_matches_reference(seed in any_bytes::<16>()) {
         let e = Scalar::hash_to_scalar(&[b"prop-basepow", &seed]);
-        prop_assert_eq!(Element::base_pow(e), Element::base_pow_scalar(e));
+        prop_assert_eq!(Element::base_pow(e).as_u256(), base_pow_reference(e));
     }
 
     #[test]
@@ -190,8 +238,8 @@ prop! {
         // Mix in a short exponent (batch weights are 128-bit).
         exps[0] = Scalar::from_u64(short);
         prop_assert_eq!(
-            vc_crypto::group::multi_exp(&bases, &exps),
-            vc_crypto::group::multi_exp_binary(&bases, &exps)
+            vc_crypto::group::multi_exp(&bases, &exps).as_u256(),
+            multi_exp_binary(&bases, &exps)
         );
     }
 
@@ -292,25 +340,8 @@ prop! {
         prop_assert_eq!(open(&key, &nonce, &sealed).unwrap(), msg);
     }
 
-    // ---- signatures ----
-
-    #[test]
-    fn schnorr_roundtrip_and_tamper(seed in vec(any_u8(), 1..32),
-                                    msg in vec(any_u8(), 0..128),
-                                    flip in any_u8()) {
-        let sk = SigningKey::from_seed(&seed);
-        let sig = sk.sign(&msg);
-        prop_assert!(sk.verifying_key().verify(&msg, &sig));
-        // The square-and-multiply reference path decides identically.
-        prop_assert!(sk.verifying_key().verify_scalar(&msg, &sig));
-        let mut bytes = sig.to_bytes();
-        // Flip a bit in the response half (commitment flips may fail to parse).
-        bytes[32 + (flip as usize % 32)] ^= 1;
-        if let Some(bad) = Signature::from_bytes(&bytes) {
-            prop_assert!(!sk.verifying_key().verify(&msg, &bad));
-            prop_assert!(!sk.verifying_key().verify_scalar(&msg, &bad));
-        }
-    }
+    // ---- signatures (the single-signature tamper property sits beside
+    // the division-based verifier it checks, in `schnorr.rs`) ----
 
     // Batch verification is equivalent to sequential verification: an
     // all-valid batch passes, and with exactly one forged signature the

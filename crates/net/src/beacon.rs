@@ -69,15 +69,6 @@ pub fn verify_beacon(signed: &SignedBeacon, key: &VerifyingKey) -> bool {
     key.verify(&signed.beacon.bytes(), &signed.signature)
 }
 
-/// Verifies a beacon's signature via the square-and-multiply reference
-/// path ([`VerifyingKey::verify_scalar`]) — what every verifier paid before
-/// the fixed-base table and windowed exponentiation landed. Experiment E20
-/// reports this as its "before" cost basis; accept/reject decisions are
-/// identical to [`verify_beacon`].
-pub fn verify_beacon_scalar(signed: &SignedBeacon, key: &VerifyingKey) -> bool {
-    key.verify_scalar(&signed.beacon.bytes(), &signed.signature)
-}
-
 /// Why a beacon was rejected by the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BeaconReject {
@@ -227,17 +218,6 @@ mod tests {
         let sb = sign_beacon(beacon(1, 10), &k);
         assert!(verify_beacon(&sb, &k.verifying_key()));
         assert!(!verify_beacon(&sb, &key(2).verifying_key()));
-    }
-
-    #[test]
-    fn scalar_reference_verify_agrees() {
-        let k = key(1);
-        let sb = sign_beacon(beacon(1, 10), &k);
-        assert!(verify_beacon_scalar(&sb, &k.verifying_key()));
-        assert!(!verify_beacon_scalar(&sb, &key(2).verifying_key()));
-        let mut forged = sb.clone();
-        forged.beacon.pos = Point::new(999.0, 999.0);
-        assert!(!verify_beacon_scalar(&forged, &k.verifying_key()));
     }
 
     #[test]

@@ -254,9 +254,9 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         }
     }
 
-    /// Replaces the causal-trace sampler (in-process rate sweeps — see E17 —
-    /// and tests; the default samples at the process-wide `VC_TRACE_SAMPLE`
-    /// rate keyed by the scenario seed). Affects only packets sent after
+    /// Replaces the causal-trace sampler (in-process rate sweeps such as
+    /// `benches/obs.rs`, and tests; the default samples at the process-wide
+    /// `VC_TRACE_SAMPLE` rate keyed by the scenario seed). Affects only packets sent after
     /// the call.
     pub fn set_sampler(&mut self, sampler: Sampler) {
         self.sampler = sampler;
@@ -782,10 +782,13 @@ mod tests {
 
     #[test]
     fn causal_tracing_does_not_perturb_the_run() {
-        let run = |rate: SampleRate, rec: Option<&mut Recorder>| {
+        // `None` keeps the sampler `NetSim::new` reads from `VC_TRACE_SAMPLE`.
+        let run = |rate: Option<SampleRate>, rec: Option<&mut Recorder>| {
             let mut scenario = dense_urban(9, 40);
             let mut sim = NetSim::new(&mut scenario, Epidemic);
-            sim.set_sampler(Sampler::new(9, rate));
+            if let Some(rate) = rate {
+                sim.set_sampler(Sampler::new(9, rate));
+            }
             let mut rec = rec;
             sim.send_random_pairs(10, 128, reborrow(&mut rec));
             sim.run_rounds_obs(40, rec);
@@ -793,11 +796,32 @@ mod tests {
             let lat_bits: Vec<u64> = s.latencies_s.iter().map(|l| l.to_bits()).collect();
             (s.sent, s.delivered, s.transmissions, s.hops, lat_bits)
         };
-        let plain = run(SampleRate::OFF, None);
+        let plain = run(Some(SampleRate::OFF), None);
         let mut rec = Recorder::new();
-        let traced = run(SampleRate::ALL, Some(&mut rec));
+        let traced = run(Some(SampleRate::ALL), Some(&mut rec));
         assert_eq!(plain, traced, "causal tracing must not perturb the run");
         assert!(rec.hub().counter("net.causal.origin") > 0);
+
+        // Rate 0 is inert: a recorder-attached run at an explicit rate 0 and
+        // one that never calls `set_sampler` (off while `VC_TRACE_SAMPLE` is
+        // unset) write the same JSONL bytes and no causal event.
+        let recorded = |rate: Option<SampleRate>| {
+            let mut rec = Recorder::new();
+            assert_eq!(run(rate, Some(&mut rec)), plain, "recording must not perturb the run");
+            let mut jsonl = Vec::new();
+            rec.write_jsonl(&mut jsonl).expect("serialize trace");
+            let causal: u64 = ["origin", "hop", "deliver", "drop"]
+                .iter()
+                .map(|k| rec.hub().counter(&format!("net.causal.{k}")))
+                .sum();
+            (jsonl, causal)
+        };
+        let off = recorded(Some(SampleRate::OFF));
+        assert!(!off.0.is_empty());
+        assert_eq!(off.1, 0, "rate 0 must emit no causal event");
+        if SampleRate::from_env().is_off() {
+            assert_eq!(recorded(None), off, "rate 0 must leave no trace of the sampler");
+        }
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //!
 //! The rate comes from `VC_TRACE_SAMPLE` (`0` = off, the default; `1` =
 //! every message; `1/N` = one in N), read once per process, or
-//! programmatically via [`SampleRate`] for in-process sweeps (E17 measures
-//! the overhead at each rate).
+//! programmatically via [`SampleRate`] for in-process sweeps (the
+//! `netsim/10_rounds_150v_traced/*` rows of `benches/obs.rs` time a traced
+//! routing run at each rate).
 
 use std::sync::OnceLock;
 

@@ -120,8 +120,8 @@ impl Histogram {
     /// when empty.
     ///
     /// One call instead of three [`Histogram::approx_percentile`]s:
-    /// `vcstat --histograms`, `vcload`, and the E19 service experiment all
-    /// report the same three percentiles, so the extraction lives here.
+    /// `vcstat --histograms` and `vcload` both report the same three
+    /// percentiles, so the extraction lives here.
     pub fn quantiles(&self) -> Option<Quantiles> {
         Some(Quantiles {
             p50: self.approx_percentile(0.50)?,

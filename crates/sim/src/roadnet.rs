@@ -156,10 +156,10 @@ impl RoadNetwork {
 
     /// The intersection nearest to `p` (None for an empty network).
     ///
-    /// Served by the lazily built [`RoadIndex`]; bit-for-bit equal to
-    /// [`Self::nearest_node_linear`] (same `distance_sq` comparisons, ties
-    /// broken toward the lowest id exactly as `Iterator::min_by` keeps the
-    /// first minimal element).
+    /// Served by the lazily built [`RoadIndex`]; bit-for-bit equal to a
+    /// linear `min_by` over [`Self::intersections`] (same `distance_sq`
+    /// comparisons, ties broken toward the lowest id exactly as `min_by`
+    /// keeps the first minimal element).
     pub fn nearest_node(&self, p: Point) -> Option<NodeId> {
         if self.intersections.is_empty() {
             return None;
@@ -194,15 +194,6 @@ impl RoadNetwork {
             });
         }
         best.map(|(_, id)| id)
-    }
-
-    /// Linear-scan reference for [`Self::nearest_node`]. Kept as the
-    /// equivalence oracle for property tests.
-    pub fn nearest_node_linear(&self, p: Point) -> Option<NodeId> {
-        self.intersections
-            .iter()
-            .min_by(|a, b| a.pos.distance_sq(p).partial_cmp(&b.pos.distance_sq(p)).expect("finite"))
-            .map(|i| i.id)
     }
 
     /// The lazily built spatial index (field and method share the name; Rust
@@ -370,15 +361,6 @@ impl RoadNetwork {
         }
         best
     }
-
-    /// Linear-scan reference for [`Self::distance_to_nearest_road`]. Kept as
-    /// the equivalence oracle for property tests.
-    pub fn distance_to_nearest_road_linear(&self, p: Point) -> f64 {
-        self.roads
-            .iter()
-            .map(|r| Segment::new(self.pos(r.from), self.pos(r.to)).distance_to(p))
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 /// Uniform spatial grid over a road network's intersections and segments.
@@ -387,7 +369,8 @@ impl RoadNetwork {
 /// run an expanding ring search outward from the query cell; the
 /// floating-point comparisons are the same ones the linear scans make, and
 /// the ring lower bound keeps a full cell of slack, so results are
-/// bit-for-bit identical to the retained `*_linear` references.
+/// bit-for-bit identical to linear scans over every intersection and road
+/// (`crates/sim/tests/props.rs` holds the index to them).
 #[derive(Debug, Clone)]
 struct RoadIndex {
     cell_size: f64,
@@ -633,40 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn index_matches_linear_on_grid() {
-        let net = RoadNetwork::grid(6, 6, 100.0, 13.9);
-        let mut rng = SimRng::seed_from(11);
-        let mut probes: Vec<Point> = (0..200)
-            .map(|_| Point::new(rng.range_f64(-400.0, 900.0), rng.range_f64(-400.0, 900.0)))
-            .collect();
-        // On-node, block-center, and far-away probes stress exact ties and
-        // the out-of-grid ring start.
-        probes.push(net.pos(NodeId(0)));
-        probes.push(net.pos(NodeId(35)));
-        probes.push(Point::new(250.0, 250.0));
-        probes.push(Point::new(1e6, -1e6));
-        for p in probes {
-            assert_eq!(net.nearest_node(p), net.nearest_node_linear(p), "node @ {p:?}");
-            let fast = net.distance_to_nearest_road(p);
-            let slow = net.distance_to_nearest_road_linear(p);
-            assert_eq!(fast.to_bits(), slow.to_bits(), "road dist @ {p:?}");
-        }
-    }
-
-    #[test]
-    fn index_matches_linear_on_highway() {
-        let net = RoadNetwork::highway(3000.0, 8, 33.3);
-        let mut rng = SimRng::seed_from(12);
-        for _ in 0..200 {
-            let p = Point::new(rng.range_f64(-500.0, 3500.0), rng.range_f64(-200.0, 200.0));
-            assert_eq!(net.nearest_node(p), net.nearest_node_linear(p));
-            let fast = net.distance_to_nearest_road(p);
-            let slow = net.distance_to_nearest_road_linear(p);
-            assert_eq!(fast.to_bits(), slow.to_bits());
-        }
-    }
-
-    #[test]
     fn index_invalidated_by_mutation() {
         let mut net = RoadNetwork::grid(3, 3, 100.0, 10.0);
         let probe = Point::new(149.0, 149.0);
@@ -688,11 +637,7 @@ mod tests {
         // Collinear (zero-height bounding box) network with one road.
         let b = net.add_intersection(Point::new(107.0, -3.0));
         net.add_road(a, b, 10.0, 1);
-        let p = Point::new(57.0, 40.0);
-        assert_eq!(
-            net.distance_to_nearest_road(p).to_bits(),
-            net.distance_to_nearest_road_linear(p).to_bits()
-        );
+        assert!((net.distance_to_nearest_road(Point::new(57.0, 40.0)) - 43.0).abs() < 1e-9);
     }
 
     #[test]

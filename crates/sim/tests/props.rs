@@ -40,6 +40,68 @@ fn roadnet() -> FromFn<impl Fn(&mut SimRng) -> RoadNetwork> {
     })
 }
 
+/// Linear-scan reference for `RoadNetwork::nearest_node`: the first
+/// intersection at the least `distance_sq`, the lowest id on a tie.
+fn nearest_node_linear(net: &RoadNetwork, p: Point) -> Option<NodeId> {
+    net.intersections()
+        .iter()
+        .min_by(|a, b| a.pos.distance_sq(p).partial_cmp(&b.pos.distance_sq(p)).expect("finite"))
+        .map(|i| i.id)
+}
+
+/// Linear-scan reference for `RoadNetwork::distance_to_nearest_road`.
+fn distance_to_nearest_road_linear(net: &RoadNetwork, p: Point) -> f64 {
+    net.roads()
+        .iter()
+        .map(|r| Segment::new(net.pos(r.from), net.pos(r.to)).distance_to(p))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The road index against the linear scans on fixed networks: a 6×6 grid
+/// probed at random, on its corner nodes, at a block centre and far
+/// outside (exact ties and the out-of-grid ring start); an 8-interchange
+/// highway; a lone node; a collinear network with a zero-height bounding
+/// box.
+#[test]
+fn road_index_matches_linear_on_fixed_networks() {
+    let grid = RoadNetwork::grid(6, 6, 100.0, 13.9);
+    let highway = RoadNetwork::highway(3000.0, 8, 33.3);
+    let mut lone = RoadNetwork::new();
+    let a = lone.add_intersection(Point::new(7.0, -3.0));
+    let mut collinear = lone.clone();
+    let b = collinear.add_intersection(Point::new(107.0, -3.0));
+    collinear.add_road(a, b, 10.0, 1);
+
+    let mut rng = SimRng::seed_from(11);
+    let mut cases: Vec<(&RoadNetwork, Point)> = (0..200)
+        .map(|_| (&grid, Point::new(rng.range_f64(-400.0, 900.0), rng.range_f64(-400.0, 900.0))))
+        .collect();
+    for p in
+        [grid.pos(NodeId(0)), grid.pos(NodeId(35)), Point::new(250.0, 250.0), Point::new(1e6, -1e6)]
+    {
+        cases.push((&grid, p));
+    }
+    let mut rng = SimRng::seed_from(12);
+    for _ in 0..200 {
+        cases.push((
+            &highway,
+            Point::new(rng.range_f64(-500.0, 3500.0), rng.range_f64(-200.0, 200.0)),
+        ));
+    }
+    cases.push((&lone, Point::new(1e5, 1e5)));
+    cases.push((&lone, Point::new(0.0, 0.0)));
+    cases.push((&collinear, Point::new(57.0, 40.0)));
+
+    for (net, p) in cases {
+        assert_eq!(net.nearest_node(p), nearest_node_linear(net, p), "node @ {p:?}");
+        assert_eq!(
+            net.distance_to_nearest_road(p).to_bits(),
+            distance_to_nearest_road_linear(net, p).to_bits(),
+            "road dist @ {p:?}"
+        );
+    }
+}
+
 /// Row `i` of the neighbor table by definition: the ascending ids of the
 /// online others strictly within a finite, positive `range_m` of an online
 /// vehicle `i` — one pass over the whole fleet, the oracle every
@@ -412,18 +474,18 @@ prop! {
     // ---- road index vs linear scan ----
 
     // The spatial index must be invisible: same nearest node (ties included)
-    // and bit-identical nearest-road distances as the retained linear scans.
+    // and bit-identical nearest-road distances as the linear scans above.
     // Query points range far beyond the network bounding box to stress the
     // expanding-ring start and termination.
     #[test]
     fn road_index_nearest_node_matches_linear(net in roadnet(), p in pt()) {
-        prop_assert_eq!(net.nearest_node(p), net.nearest_node_linear(p));
+        prop_assert_eq!(net.nearest_node(p), nearest_node_linear(&net, p));
     }
 
     #[test]
     fn road_index_nearest_road_matches_linear_bitwise(net in roadnet(), p in pt()) {
         let fast = net.distance_to_nearest_road(p);
-        let slow = net.distance_to_nearest_road_linear(p);
+        let slow = distance_to_nearest_road_linear(&net, p);
         prop_assert_eq!(fast.to_bits(), slow.to_bits());
     }
 

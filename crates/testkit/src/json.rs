@@ -92,12 +92,12 @@ impl Json {
     ///
     /// Supports the full value grammar this writer emits: objects, arrays,
     /// strings with `\uXXXX` escapes, numbers, booleans, and `null`. Returns
-    /// a human-readable error with a byte offset on malformed input or
-    /// trailing garbage.
+    /// a human-readable error with a byte offset on malformed input,
+    /// trailing garbage, or arrays/objects nested more than 256 deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -167,8 +167,19 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// How deeply [`Json::parse`] lets arrays and objects nest. The parser
+/// recurses once per level, so without a cap a line of `[`s overflows the
+/// stack. The deepest documents written here are profile trees, two levels
+/// per frame (the frame object and its `children` array), a few dozen in
+/// all.
+const MAX_DEPTH: usize = 256;
+
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -184,7 +195,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -209,7 +220,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -508,6 +519,13 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("1 2").is_err(), "trailing garbage");
         assert!(Json::parse("nulL").is_err());
+        // Nesting is capped before the recursion can exhaust the stack.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 256"), "{err}");
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]
