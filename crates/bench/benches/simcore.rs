@@ -31,6 +31,17 @@ fn main() {
     let to = net.intersections()[399].id;
     suite
         .bench("roadnet/shortest_path_20x20", || net.shortest_path(black_box(from), black_box(to)));
+    // The `city-secure` grid, corner to corner, and the fleet it sets up:
+    // one route per vehicle.
+    let city = RoadNetwork::grid(57, 57, 200.0, 13.9);
+    let from = city.intersections()[0].id;
+    let to = city.intersections()[57 * 57 - 1].id;
+    suite.bench("roadnet/shortest_path_57x57", || {
+        city.shortest_path(black_box(from), black_box(to))
+    });
+    suite.bench_elems("fleet/urban/10000", 10_000, || {
+        black_box(Fleet::urban(&city, 10_000, &mut SimRng::seed_from(42)).len())
+    });
 
     // ---- rng ----
     let mut rng = SimRng::seed_from(3);

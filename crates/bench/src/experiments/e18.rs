@@ -14,11 +14,9 @@
 //! The `live MB` / `peak MB` columns read the process-wide counting
 //! allocator (zero when the binary does not install one). They are host
 //! measurements — concurrent allocation interleaving makes the peak
-//! timing-dependent — and are excluded from any byte-compare. (The table
-//! note still cites the retired E17's wall clocks: rewording it would
-//! change the committed `results/e18.json`.) Steady-state allocation-freedom
-//! of the inner loops is enforced separately by the `memcheck` integration
-//! tests.
+//! timing-dependent — and are excluded from any byte-compare.
+//! Steady-state allocation-freedom of the inner loops is enforced
+//! separately by the `memcheck` integration tests.
 
 use crate::table::{f1, Table};
 use vc_net::netsim::NetSim;
@@ -51,7 +49,9 @@ fn highway(seed: u64, n: usize) -> Scenario {
 
 /// A city sized to the fleet (~120 vehicles/km²). The road graph is capped
 /// at 64×64 intersections, blocks widened to cover the same area, because
-/// waypoint pathfinding is O(graph) per vehicle and an uncapped graph would
+/// every vehicle's route is a Dijkstra over the whole graph: ≈ 48 µs a
+/// vehicle for `Fleet::urban` on the 57×57 grid (`benches/simcore.rs`,
+/// `fleet/urban/10000`, 2-core Xeon). A graph grown with the fleet would
 /// make scenario construction quadratic in the fleet size.
 fn city(seed: u64, n: usize) -> Scenario {
     let mut rng = SimRng::seed_from(seed);
@@ -150,8 +150,8 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut Recorder>) -> Table {
         "fleet/net/obs columns are deep footprints from MemSize (capacities only, never \
          allocator state) and deterministic. live/peak MB read the process-wide counting \
          allocator — zero without one installed, and a host measurement excluded from \
-         byte-compares like E17's wall clocks. steady-state zero-alloc guarantees for the round \
-         loops are enforced by the memcheck tests",
+         byte-compares. steady-state zero-alloc guarantees for the round loops are enforced by \
+         the memcheck tests",
     );
     table
 }

@@ -7,6 +7,7 @@
 
 use crate::geom::{Point, Segment};
 use crate::rng::SimRng;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
@@ -57,6 +58,9 @@ pub struct RoadNetwork {
     roads: Vec<Road>,
     /// adjacency[node] = outgoing road ids.
     adjacency: Vec<Vec<RoadId>>,
+    /// travel[road] = free-flow travel time in seconds, the Dijkstra edge
+    /// weight, computed once by `add_road`.
+    travel: Vec<f64>,
     /// Lazily built spatial index over intersections and segments;
     /// invalidated by any mutation.
     index: OnceLock<RoadIndex>,
@@ -80,12 +84,18 @@ impl RoadNetwork {
                 .sum::<usize>();
         (self.intersections.capacity() * std::mem::size_of::<Intersection>()
             + self.roads.capacity() * std::mem::size_of::<Road>()
+            + self.travel.capacity() * std::mem::size_of::<f64>()
             + adjacency) as u64
             + self.index.get().map_or(0, RoadIndex::heap_bytes)
     }
 
     /// Adds an intersection at `pos` and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either coordinate is NaN or infinite.
     pub fn add_intersection(&mut self, pos: Point) -> NodeId {
+        assert!(pos.x.is_finite() && pos.y.is_finite(), "intersection position must be finite");
         self.index.take();
         let id = NodeId(self.intersections.len());
         self.intersections.push(Intersection { id, pos });
@@ -109,6 +119,7 @@ impl RoadNetwork {
         let id = RoadId(self.roads.len());
         self.roads.push(Road { id, from, to, speed_limit, lanes });
         self.adjacency[from.0].push(id);
+        self.travel.push(self.road_length(id) / speed_limit);
         id
     }
 
@@ -212,47 +223,41 @@ impl RoadNetwork {
     }
 
     /// Shortest path by travel time (Dijkstra). Returns the node sequence
-    /// including both endpoints, or `None` when unreachable.
+    /// including both endpoints, or `None` when unreachable. Nodes are
+    /// settled cheapest first, the lower id on a cost tie, so of several
+    /// equally fast routes the same one always comes out.
     pub fn shortest_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
         if from == to {
             return Some(vec![from]);
         }
+        const NO_PREV: usize = usize::MAX;
         let n = self.intersections.len();
         let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<NodeId>> = vec![None; n];
+        let mut prev = vec![NO_PREV; n];
         dist[from.0] = 0.0;
-        // Max-heap on Reverse ordering via negated cost encoded as ordered bits.
-        #[derive(PartialEq)]
-        struct Entry(f64, NodeId);
-        impl Eq for Entry {}
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(o))
-            }
-        }
-        impl Ord for Entry {
-            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-                // reversed: smallest cost = greatest priority
-                o.0.partial_cmp(&self.0).expect("finite cost").then(o.1.cmp(&self.1))
-            }
-        }
+        // One integer per heap entry: the cost's bits above the node id.
+        // Every cost pushed passed `nd < dist`, so it is finite, and it sums
+        // non-negative travel times, so its sign bit is clear; on such
+        // floats `to_bits` orders like the value.
+        let key = |cost: f64, node: usize| Reverse(u128::from(cost.to_bits()) << 64 | node as u128);
         let mut heap = BinaryHeap::new();
-        heap.push(Entry(0.0, from));
-        while let Some(Entry(d, u)) = heap.pop() {
-            if d > dist[u.0] {
+        heap.push(key(0.0, from.0));
+        while let Some(Reverse(k)) = heap.pop() {
+            let d = f64::from_bits((k >> 64) as u64);
+            let u = k as u64 as usize;
+            if d > dist[u] {
                 continue;
             }
-            if u == to {
+            if u == to.0 {
                 break;
             }
-            for &rid in self.outgoing(u) {
-                let road = self.road(rid);
-                let cost = self.road_length(rid) / road.speed_limit;
-                let nd = d + cost;
-                if nd < dist[road.to.0] {
-                    dist[road.to.0] = nd;
-                    prev[road.to.0] = Some(u);
-                    heap.push(Entry(nd, road.to));
+            for &rid in &self.adjacency[u] {
+                let v = self.roads[rid.0].to.0;
+                let nd = d + self.travel[rid.0];
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    prev[v] = u;
+                    heap.push(key(nd, v));
                 }
             }
         }
@@ -260,10 +265,10 @@ impl RoadNetwork {
             return None;
         }
         let mut path = vec![to];
-        let mut cur = to;
-        while let Some(p) = prev[cur.0] {
-            path.push(p);
-            cur = p;
+        let mut cur = to.0;
+        while prev[cur] != NO_PREV {
+            cur = prev[cur];
+            path.push(NodeId(cur));
         }
         path.reverse();
         debug_assert_eq!(path[0], from);
@@ -606,6 +611,12 @@ mod tests {
         let mut net = RoadNetwork::new();
         let a = net.add_intersection(Point::new(0.0, 0.0));
         net.add_road(a, a, 10.0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "intersection position must be finite")]
+    fn non_finite_intersection_rejected() {
+        RoadNetwork::new().add_intersection(Point::new(0.0, f64::NAN));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests for the simulation substrate.
 
+use std::collections::BinaryHeap;
 use vc_sim::geom::{Point, Rect, Segment, SpatialGrid};
 use vc_sim::metrics::Summary;
 use vc_sim::mobility::Fleet;
@@ -55,6 +56,137 @@ fn distance_to_nearest_road_linear(net: &RoadNetwork, p: Point) -> f64 {
         .iter()
         .map(|r| Segment::new(net.pos(r.from), net.pos(r.to)).distance_to(p))
         .fold(f64::INFINITY, f64::min)
+}
+
+/// Reference for `RoadNetwork::shortest_path`: Dijkstra over a heap of
+/// `(cost, node)` entries compared as floats, the travel time of each road
+/// recomputed at every relaxation. Cheapest first, the lower id on a tie.
+fn shortest_path_reference(net: &RoadNetwork, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
+    if from == to {
+        return Some(vec![from]);
+    }
+    let n = net.intersections().len();
+    let mut dist = vec![f64::INFINITY; n];
+    let mut prev: Vec<Option<NodeId>> = vec![None; n];
+    dist[from.0] = 0.0;
+    #[derive(PartialEq)]
+    struct Entry(f64, NodeId);
+    impl Eq for Entry {}
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(o))
+        }
+    }
+    impl Ord for Entry {
+        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+            // reversed: smallest cost = greatest priority
+            o.0.partial_cmp(&self.0).expect("finite cost").then(o.1.cmp(&self.1))
+        }
+    }
+    let mut heap = BinaryHeap::new();
+    heap.push(Entry(0.0, from));
+    while let Some(Entry(d, u)) = heap.pop() {
+        if d > dist[u.0] {
+            continue;
+        }
+        if u == to {
+            break;
+        }
+        for &rid in net.outgoing(u) {
+            let road = net.road(rid);
+            let cost = net.road_length(rid) / road.speed_limit;
+            let nd = d + cost;
+            if nd < dist[road.to.0] {
+                dist[road.to.0] = nd;
+                prev[road.to.0] = Some(u);
+                heap.push(Entry(nd, road.to));
+            }
+        }
+    }
+    if dist[to.0].is_infinite() {
+        return None;
+    }
+    let mut path = vec![to];
+    let mut cur = to;
+    while let Some(p) = prev[cur.0] {
+        path.push(p);
+        cur = p;
+    }
+    path.reverse();
+    Some(path)
+}
+
+/// A road network to route on.
+#[derive(Debug, Clone)]
+struct Routing {
+    /// A highway with `cols` interchanges instead of a grid.
+    highway: bool,
+    cols: usize,
+    rows: usize,
+    /// A two-node road 10 km away that nothing reaches or leaves.
+    island: bool,
+    /// Intersections added on top of grid ones, joined to them by a
+    /// zero-length road and to a neighbour of theirs.
+    twins: usize,
+    /// Draws every road's speed limit, the twins' places and the pairs.
+    seed: u64,
+}
+
+fn routing() -> FromFn<impl Fn(&mut SimRng) -> Routing> {
+    from_fn(|rng| {
+        let highway = rng.index(6) == 0;
+        Routing {
+            highway,
+            cols: rng.range_u64(2, 21) as usize,
+            rows: rng.range_u64(2, 21) as usize,
+            island: !highway && rng.chance(0.25),
+            twins: if highway { 0 } else { [0, 0, 1, 3][rng.index(4)] },
+            seed: rng.next_u64(),
+        }
+    })
+}
+
+impl Routing {
+    /// The network; the grid's roads each get one of three limits, two of
+    /// which make every block an exact float so equal-cost routes abound.
+    fn build(&self, rng: &mut SimRng) -> RoadNetwork {
+        if self.highway {
+            return RoadNetwork::highway(100.0 * self.cols as f64, self.cols, 33.3);
+        }
+        let limits = [10.0, 13.9, 20.0];
+        let mut net = RoadNetwork::new();
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                net.add_intersection(Point::new(c as f64 * 100.0, r as f64 * 100.0));
+            }
+        }
+        let id = |c: usize, r: usize| NodeId(r * self.cols + c);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                for (dc, dr) in [(1, 0), (0, 1)] {
+                    if c + dc < self.cols && r + dr < self.rows {
+                        let (a, b) = (id(c, r), id(c + dc, r + dr));
+                        net.add_road(a, b, limits[rng.index(3)], 1);
+                        net.add_road(b, a, limits[rng.index(3)], 1);
+                    }
+                }
+            }
+        }
+        let grid = self.cols * self.rows;
+        for _ in 0..self.twins {
+            let under = NodeId(rng.index(grid));
+            let twin = net.add_intersection(net.pos(under));
+            net.add_two_way(under, twin, limits[rng.index(3)], 1);
+            let onward = net.road(net.outgoing(under)[0]).to;
+            net.add_two_way(twin, onward, limits[rng.index(3)], 1);
+        }
+        if self.island {
+            let a = net.add_intersection(Point::new(1e4, 1e4));
+            let b = net.add_intersection(Point::new(1e4 + 100.0, 1e4));
+            net.add_two_way(a, b, 13.9, 1);
+        }
+        net
+    }
 }
 
 /// The road index against the linear scans on fixed networks: a 6×6 grid
@@ -487,6 +619,39 @@ prop! {
         let fast = net.distance_to_nearest_road(p);
         let slow = distance_to_nearest_road_linear(&net, p);
         prop_assert_eq!(fast.to_bits(), slow.to_bits());
+    }
+
+    // ---- shortest path vs the float-keyed reference ----
+
+    // The same route or the same `None`, in a vector of the same capacity
+    // (the fleet's `heap_bytes` counts it), for random pairs, one in eight
+    // from a node to itself: on grids with tied and untied costs, highways,
+    // zero-length roads and an island no route reaches or leaves.
+    #[test]
+    fn shortest_path_matches_reference(case in routing()) {
+        let mut rng = SimRng::seed_from(case.seed);
+        let net = case.build(&mut rng);
+        let n = net.intersections().len();
+        let mut pairs: Vec<(NodeId, NodeId)> = (0..24)
+            .map(|_| {
+                let from = NodeId(rng.index(n));
+                (from, if rng.index(8) == 0 { from } else { NodeId(rng.index(n)) })
+            })
+            .collect();
+        if case.island {
+            pairs.extend([(NodeId(0), NodeId(n - 1)), (NodeId(n - 1), NodeId(0))]);
+            prop_assert!(shortest_path_reference(&net, NodeId(0), NodeId(n - 1)).is_none());
+        }
+        for (from, to) in pairs {
+            let got = net.shortest_path(from, to);
+            let expect = shortest_path_reference(&net, from, to);
+            prop_assert_eq!(
+                got.as_ref().map(Vec::capacity),
+                expect.as_ref().map(Vec::capacity),
+                "{:?} → {:?}", from, to
+            );
+            prop_assert_eq!(got, expect, "{:?} → {:?}", from, to);
+        }
     }
 
     // ---- rng ----
