@@ -1,5 +1,6 @@
 //! Micro-benches for the authentication protocols — per-message costs
-//! and the CRL-scaling curve (the quantitative core of experiment E4).
+//! and the CRL-scaling curve (the wall-clock side of Fig. 5; experiment E4
+//! counts the same scan in CRL entries hashed).
 
 use vc_auth::groupsig::{GroupCoordinator, GroupId};
 use vc_auth::handshake::{run_handshake_cached, HandshakeObsParams, SessionCache};

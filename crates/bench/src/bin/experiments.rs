@@ -4,8 +4,8 @@
 use std::io::Write;
 use vc_bench::experiments::registry;
 
-// Count every allocation the harness makes: E18's live/peak columns (and
-// per-frame alloc counts under --profile) read these process-wide counters.
+// Count every allocation the harness makes: the per-frame alloc counts
+// under --profile read these per-thread counters.
 vc_obs::counting_allocator!();
 
 /// The usage text, with the experiment ids read from the registry.
@@ -272,28 +272,19 @@ fn main() {
         return;
     }
 
-    // Experiments are independent (each builds its own seeded scenarios), so
-    // run them concurrently and print in order as results land. Timing-
-    // sensitive experiments (E4, E5, E9, E11 measure wall-clock per op; E18
-    // reads the process-wide allocator peak) are run alone afterwards so
-    // contention does not distort their numbers.
-    let timed = ["e4", "e5", "e9", "e11", "e18"];
-    let (concurrent, sequential): (Vec<_>, Vec<_>) =
-        selected.into_iter().partition(|e| !timed.contains(&e.id));
-
-    let results: std::sync::Mutex<Vec<(usize, &'static str, vc_bench::Table, f64)>> =
+    // Experiments are independent (each builds its own seeded scenarios) and
+    // read no clock, so run them concurrently and print in order.
+    let results: std::sync::Mutex<Vec<(usize, vc_bench::Table, f64)>> =
         std::sync::Mutex::new(Vec::new());
     std::thread::scope(|scope| {
-        for (order, exp) in concurrent.iter().enumerate() {
+        for (order, exp) in selected.iter().enumerate() {
             let results = &results;
             let run = exp.run;
-            let id = exp.id;
             scope.spawn(move || {
                 let start = std::time::Instant::now();
                 let table = run(quick, seed, None);
                 results.lock().expect("no experiment panicked while publishing").push((
                     order,
-                    id,
                     table,
                     start.elapsed().as_secs_f64(),
                 ));
@@ -302,14 +293,9 @@ fn main() {
     });
 
     let mut done = results.into_inner().expect("no experiment panicked");
-    done.sort_by_key(|(order, _, _, _)| *order);
-    for (_, id, table, secs) in &done {
-        emit(id, table, *secs);
-    }
-    for exp in sequential {
-        let start = std::time::Instant::now();
-        let table = (exp.run)(quick, seed, None);
-        emit(exp.id, &table, start.elapsed().as_secs_f64());
+    done.sort_by_key(|(order, _, _)| *order);
+    for (order, table, secs) in &done {
+        emit(selected[*order].id, table, *secs);
     }
 }
 

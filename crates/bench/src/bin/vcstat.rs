@@ -31,10 +31,6 @@ use std::collections::{BTreeMap, HashMap};
 use vc_obs::Histogram;
 use vc_testkit::json::Json;
 
-// Install the counting allocator so this binary's own memory behaviour is
-// observable too (`vc_obs::mem::stats` works out of the box in a debugger).
-vc_obs::counting_allocator!();
-
 /// One end-to-end causal chain reassembled from its `causal.*` events.
 #[derive(Default)]
 struct TraceChain {

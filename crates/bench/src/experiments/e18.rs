@@ -9,12 +9,7 @@
 //! fleet + road network, network simulation state, and the observability
 //! recorder — normalised to bytes per vehicle. Footprints come from
 //! [`MemSize`]/`heap_bytes` (lengths and capacities only, never allocator
-//! state), so every number is deterministic.
-//!
-//! The `live MB` / `peak MB` columns read the process-wide counting
-//! allocator (zero when the binary does not install one). They are host
-//! measurements — concurrent allocation interleaving makes the peak
-//! timing-dependent — and are excluded from any byte-compare.
+//! state), so every number is a pure function of build and seed.
 //! Steady-state allocation-freedom of the inner loops is enforced
 //! separately by the `memcheck` integration tests.
 
@@ -111,16 +106,7 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut Recorder>) -> Table {
         "E18",
         "memory footprint scaling: bytes per vehicle by layer",
         "§IV-A (resource management at fleet scale)",
-        &[
-            "scenario",
-            "vehicles",
-            "fleet B/veh",
-            "net B/veh",
-            "obs KB",
-            "total MB",
-            "live MB",
-            "peak MB",
-        ],
+        &["scenario", "vehicles", "fleet B/veh", "net B/veh", "obs KB", "total MB"],
     );
 
     let scenarios: Vec<(&str, Scenario)> = highway_sizes
@@ -131,9 +117,7 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut Recorder>) -> Table {
 
     for (kind, base) in &scenarios {
         let n = base.fleet.len();
-        vc_obs::mem::reset_peak();
         let (fleet, net, obs) = footprint(base, rounds);
-        let stats = vc_obs::mem::stats();
         table.row(vec![
             (*kind).into(),
             n.to_string(),
@@ -141,17 +125,13 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut Recorder>) -> Table {
             f1(net as f64 / n as f64),
             f1(obs as f64 / 1024.0),
             f1((fleet + net + obs) as f64 / MB),
-            f1(stats.live_bytes as f64 / MB),
-            f1(stats.peak_bytes as f64 / MB),
         ]);
     }
 
     table.note(
         "fleet/net/obs columns are deep footprints from MemSize (capacities only, never \
-         allocator state) and deterministic. live/peak MB read the process-wide counting \
-         allocator — zero without one installed, and a host measurement excluded from \
-         byte-compares. steady-state zero-alloc guarantees for the round loops are enforced by \
-         the memcheck tests",
+         allocator state) and deterministic. steady-state zero-alloc guarantees for the round \
+         loops are enforced by the memcheck tests",
     );
     table
 }

@@ -1,26 +1,18 @@
 //! E4 — the authentication-protocol comparison of Fig. 5, measured.
 //!
-//! Pseudonym vs group vs hybrid on the axes the paper argues about:
-//! per-message cost, wire overhead, revocation-cost scaling (the CRL scan),
-//! and eavesdropper linkability.
+//! Pseudonym vs group vs hybrid on the axes the paper argues about: wire
+//! overhead, revocation-cost scaling (CRL entries a first-sighting verify
+//! hashes), and eavesdropper linkability. Every cell is counted, so the
+//! table is a pure function of the seed; the per-message times live in
+//! `benches/auth.rs` and `vcbench`'s `auth.pseudonym.verify_cold_us`.
 
-use crate::table::{f1, f3, pct, Table};
-use std::time::Instant;
+use crate::table::{pct, Table};
 use vc_attacks::prelude::{tracking_accuracy, IdScheme};
 use vc_auth::prelude::*;
 use vc_sim::prelude::*;
 
-fn bench<F: FnMut()>(iters: usize, mut f: F) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_secs_f64() / iters as f64 * 1_000.0 // ms/op
-}
-
 /// Runs E4.
 pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table {
-    let iters = if quick { 20 } else { 100 };
     let window = SimDuration::from_secs(5);
     let now = SimTime::from_secs(10);
     let track_vehicles = if quick { 30 } else { 60 };
@@ -31,10 +23,8 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
         "Fig. 5 / §IV-B (pseudonym vs group vs hybrid)",
         &[
             "protocol",
-            "sign ms",
-            "verify ms",
             "overhead B",
-            "verify ms @CRL",
+            "CRL hashes / first verify",
             "revocation cost",
             "tracking accuracy",
             "who learns identity",
@@ -49,14 +39,7 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
     let wallet = registry
         .issue_wallet(&ta, &identity, 8, SimTime::ZERO, SimTime::from_secs(100_000), b"w")
         .expect("wallet");
-    let sign_ms = bench(iters, || {
-        let _ = wallet.sign(b"beacon payload 0123456789", now);
-    });
     let msg = wallet.sign(b"beacon payload 0123456789", now);
-    let verify_ms = bench(iters, || {
-        vc_auth::pseudonym::verify(&msg, &ta.public_key(), registry.crl(), now, window)
-            .expect("ok");
-    });
     // Grow the CRL to a deployment-scale revocation pool (one linkage seed
     // per revoked vehicle; each costs the verifier a keyed hash per message).
     let revoked = if quick { 20_000u64 } else { 100_000 };
@@ -65,11 +48,10 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
         s[..8].copy_from_slice(&i.to_be_bytes());
         registry.inject_revoked_seed(LinkageSeed(s));
     }
+    // A first sighting misses the memo and hashes every entry once.
     let crl_len = registry.crl().len();
-    let verify_crl_ms = bench(iters, || {
-        vc_auth::pseudonym::verify(&msg, &ta.public_key(), registry.crl(), now, window)
-            .expect("ok");
-    });
+    vc_auth::pseudonym::verify_with_front(&msg, &ta.public_key(), registry.crl(), now, window)
+        .expect("ok");
     let rot_period = 4;
     let mut rng = SimRng::seed_from(seed);
     let pseudo_tracking = tracking_accuracy(
@@ -80,10 +62,8 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
     );
     table.row(vec![
         "pseudonym".into(),
-        f3(sign_ms),
-        f3(verify_ms),
         msg.auth_overhead_bytes().to_string(),
-        format!("{} (CRL={})", f3(verify_crl_ms), crl_len),
+        crl_len.to_string(),
         "CRL grows per pseudonym".into(),
         pct(pseudo_tracking),
         "TA (escrow map)".into(),
@@ -92,22 +72,15 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
     // ---- group ----
     let mut coord = GroupCoordinator::new(GroupId(1), b"grp");
     let member = coord.admit(RealIdentity::for_vehicle(VehicleId(2)));
-    let g_sign_ms = bench(iters, || {
-        let _ = member.sign(b"beacon payload 0123456789", now, 7);
-    });
     let gmsg = member.sign(b"beacon payload 0123456789", now, 7);
-    let g_verify_ms = bench(iters, || {
-        vc_auth::groupsig::verify(&gmsg, &coord.group_public_key(), coord.epoch(), now, window)
-            .expect("ok");
-    });
+    vc_auth::groupsig::verify(&gmsg, &coord.group_public_key(), coord.epoch(), now, window)
+        .expect("ok");
     let mut rng = SimRng::seed_from(seed + 1);
     let group_tracking = tracking_accuracy(IdScheme::GroupAnonymous, track_vehicles, 20, &mut rng);
     table.row(vec![
         "group".into(),
-        f3(g_sign_ms),
-        f3(g_verify_ms),
         gmsg.auth_overhead_bytes().to_string(),
-        format!("{} (no CRL)", f3(g_verify_ms)),
+        "0".into(),
         "O(group) rekey".into(),
         pct(group_tracking),
         "group coordinator".into(),
@@ -118,32 +91,23 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
     let opening = TaOpening::for_ta(&ta2);
     let mut issuer = RegionalIssuer::new(b"region", &opening, SimDuration::from_secs(60));
     let cred = issuer.issue(&RealIdentity::for_vehicle(VehicleId(3)), now).expect("issue");
-    let h_sign_ms = bench(iters, || {
-        let _ = cred.sign(b"beacon payload 0123456789", now);
-    });
     let hmsg = cred.sign(b"beacon payload 0123456789", now);
-    let h_verify_ms = bench(iters, || {
-        vc_auth::hybrid::verify(&hmsg, &issuer.public_key(), now, window).expect("ok");
-    });
+    vc_auth::hybrid::verify(&hmsg, &issuer.public_key(), now, window).expect("ok");
     let mut rng = SimRng::seed_from(seed + 2);
     let hybrid_tracking =
         tracking_accuracy(IdScheme::RotatingPseudonym { period: 2 }, track_vehicles, 20, &mut rng);
     table.row(vec![
         "hybrid".into(),
-        f3(h_sign_ms),
-        f3(h_verify_ms),
         hmsg.auth_overhead_bytes().to_string(),
-        format!("{} (no CRL)", f3(h_verify_ms)),
+        "0".into(),
         "cert expiry (no list)".into(),
         pct(hybrid_tracking),
         "TA only (trapdoor)".into(),
     ]);
 
     table.note(format!(
-        "pseudonym verify slows {}x with a {}-entry CRL — Fig. 5's 'checking process of the huge pool of revoked certificates is time-consuming'",
-        f1(verify_crl_ms / verify_ms.max(1e-9)),
-        crl_len
+        "a first-sighting pseudonym verify hashes all {crl_len} CRL entries, one keyed hash per revoked seed — Fig. 5's 'checking process of the huge pool of revoked certificates is time-consuming'; the time it takes is vcbench's auth.pseudonym.verify_cold_us and benches/auth.rs pseudonym/verify_vs_crl/{{0,1000,10000,50000}}"
     ));
-    table.note("expected shape: pseudonym = heaviest wire+CRL cost, linkable between rotations; group = constant verify, anonymity except to coordinator; hybrid = no CRL and TA-only identity knowledge");
+    table.note("expected shape: pseudonym = heaviest wire+CRL cost, linkable between rotations; group = no list to scan, anonymity except to coordinator; hybrid = no CRL and TA-only identity knowledge");
     table
 }

@@ -4,9 +4,11 @@
 //! rights verification between those two vehicles must be done in seconds
 //! … additional permissions … granted … in milliseconds."
 //!
-//! Measures the full admit+authorize pipeline latency (compute), the
-//! communication-inclusive budget against the closing-speed contact window,
-//! and the emergency-escalation grant time.
+//! Counts how many of N requests each step of the admit+authorize pipeline
+//! grants (the emergency escalation included), and checks the radio
+//! exchange against the closing-speed contact window. The compute each step
+//! adds is measured where it runs: `vcbench` `cloud-pipeline`'s
+//! `auth.admit_ms` and `access.authorize_ms`.
 
 use crate::table::{f1, f3, pct, Table};
 use vc_access::prelude::*;
@@ -21,12 +23,12 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
 
     let mut table = Table::new(
         "E5",
-        "authorization latency vs contact windows",
+        "authorization grants vs contact windows",
         "§III-C (stringent time constraints; ms-grade emergency grants)",
-        &["metric", "p50", "p95", "p99", "unit"],
+        &["metric", "value", "unit"],
     );
 
-    // --- full pipeline compute latency ---
+    // --- full pipeline: how many requests each step grants ---
     let mut pipeline = SecurePipeline::new(&seed.to_be_bytes());
     let now = SimTime::from_secs(10);
     let attrs = Attributes {
@@ -41,20 +43,16 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
         .allow(Action::Read, Expr::HasRole(Role::Storage))
         .allow_in_emergency(Action::Read, Expr::True);
 
-    let mut admit_ms = Vec::with_capacity(requests);
-    let mut authorize_ms = Vec::with_capacity(requests);
-    let mut emergency_ms = Vec::with_capacity(requests);
+    let mut admitted = 0;
+    let mut authorized = 0;
+    let mut emergency_granted = 0;
     for i in 0..requests {
         let t = now + SimDuration::from_secs(i as u64 + 1);
         let hello = creds.wallet.sign(format!("hello {i}").as_bytes(), t);
-        // Wall-clock measurement goes through the profiler's timed frames
-        // (not ad-hoc `Instant` blocks) so that under `experiments
-        // --profile` these crypto paths land in the same profile.json tree
-        // as the rest of the stack; `finish()` returns the elapsed time
-        // whether or not a profiler is installed.
-        let frame = vc_obs::profile::timed_frame("admit");
-        let token = pipeline.admit(&hello, ServiceId(1), t).expect("admit");
-        admit_ms.push(frame.finish().as_secs_f64() * 1e3);
+        let Ok(token) = pipeline.admit(&hello, ServiceId(1), t) else {
+            continue;
+        };
+        admitted += 1;
 
         let mut package = DataPackage::seal_new(
             i as u64,
@@ -66,14 +64,14 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
         );
         let ctx = Context::member_at(Point::new(0.0, 0.0), t);
         let proof = SecurePipeline::make_proof(&creds, i as u64, t);
-        let frame = vc_obs::profile::timed_frame("authorize");
-        pipeline
+        if pipeline
             .authorize(&mut package, Action::Read, &token, ServiceId(1), &proof, &ctx)
-            .expect("authorize");
-        authorize_ms.push(frame.finish().as_secs_f64() * 1e3);
+            .is_ok()
+        {
+            authorized += 1;
+        }
 
-        // Emergency escalation: context flips, the deny becomes a grant —
-        // measure just the re-decision (policy evaluation + unseal path).
+        // Emergency escalation: context flips, the deny becomes a grant.
         let mut package2 = DataPackage::seal_new(
             100_000 + i as u64,
             b"crash telemetry",
@@ -85,49 +83,41 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
         let mut crisis = ctx.clone();
         crisis.emergency = true;
         let proof2 = SecurePipeline::make_proof(&creds, 100_000 + i as u64, t);
-        let frame = vc_obs::profile::timed_frame("emergency.grant");
-        pipeline
+        if pipeline
             .authorize(&mut package2, Action::Read, &token, ServiceId(1), &proof2, &crisis)
-            .expect("emergency grant");
-        emergency_ms.push(frame.finish().as_secs_f64() * 1e3);
-    }
-
-    let mut push = |name: &str, xs: &mut Vec<f64>, unit: &str| {
-        let mut s = Summary::new();
-        for &x in xs.iter() {
-            s.record(x);
+            .is_ok()
+        {
+            emergency_granted += 1;
         }
-        table.row(vec![name.to_owned(), f3(s.p50()), f3(s.p95()), f3(s.p99()), unit.to_owned()]);
-    };
-    push("admission (auth + token)", &mut admit_ms, "ms compute");
-    push("authorization (proof + policy + unseal)", &mut authorize_ms, "ms compute");
-    push("emergency escalation grant", &mut emergency_ms, "ms compute");
+    }
+    for (name, granted) in [
+        ("admission (auth + token)", admitted),
+        ("authorization (proof + policy + unseal)", authorized),
+        ("emergency escalation grant", emergency_granted),
+    ] {
+        table.row(vec![
+            name.to_owned(),
+            format!("{granted}/{requests}"),
+            "requests granted".into(),
+        ]);
+    }
 
     // --- contact-window analysis ---
     // Two vehicles closing at relative speed v share ~2*range/v seconds of
     // contact. The exchange needs ≈ 3 radio round trips (hello, token,
-    // authorize) plus the compute above.
+    // authorize); the compute between them is `vcbench`'s to measure.
     let _window = vc_obs::profile::frame("contact.window");
     let channel = Channel::dsrc();
     let mut rng = SimRng::seed_from(seed);
-    let compute_s = {
-        let mut s = Summary::new();
-        for &x in admit_ms.iter().chain(authorize_ms.iter()) {
-            s.record(x);
-        }
-        s.mean() / 1e3 * 2.0
-    };
-    let mut window_table_rows = Vec::new();
     // High-volume radio samples go into a fixed-size log-scale histogram
-    // (64 buckets) instead of a `Summary`, which would keep every one of
-    // the ~30k samples in memory just to read two percentiles.
+    // (64 buckets) rather than a sample vector: ~30k samples, two quantiles.
     let mut radio_us = vc_obs::Histogram::new();
     for closing_speed in [10.0, 20.0, 30.0, 40.0, 60.0] {
         let window_s = 2.0 * channel.range_m / closing_speed;
         let trials = if quick { 200 } else { 1000 };
         let mut ok = 0;
         for _ in 0..trials {
-            let mut total = compute_s;
+            let mut total = 0.0;
             for _ in 0..6 {
                 // 3 round trips = 6 one-way messages, retry-free model
                 let latency = channel.latency(8, 300, &mut rng).as_secs_f64();
@@ -138,7 +128,11 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
                 ok += 1;
             }
         }
-        window_table_rows.push((closing_speed, window_s, ok as f64 / trials as f64));
+        table.row(vec![
+            format!("handshake fits contact window @ {closing_speed} m/s closing"),
+            f3(window_s),
+            format!("window s; success {}", pct(ok as f64 / trials as f64)),
+        ]);
     }
     table.note(format!(
         "radio latency across {} one-way messages: p95 ≤ {} µs, max {} µs (bounded 64-bucket log-scale histogram)",
@@ -146,15 +140,6 @@ pub fn run(quick: bool, seed: u64, _rec: Option<&mut vc_obs::Recorder>) -> Table
         f1(radio_us.approx_percentile(0.95).unwrap_or(0.0)),
         f1(radio_us.max().unwrap_or(0.0)),
     ));
-    for (v, w, frac) in window_table_rows {
-        table.row(vec![
-            format!("handshake fits contact window @ {v} m/s closing"),
-            f3(w),
-            String::new(),
-            String::new(),
-            format!("window s; success {}", pct(frac)),
-        ]);
-    }
-    table.note("expected shape: all compute latencies are milliseconds (emergency grants included); contact-window success stays ~100% up to highway closing speeds because radio latency, not crypto, dominates");
+    table.note("expected shape: every admission, authorization and emergency grant succeeds; contact-window success stays ~100% up to highway closing speeds; the compute each exchange adds is vcbench cloud-pipeline's auth.admit_ms + access.authorize_ms");
     table
 }

@@ -1,9 +1,8 @@
 //! The per-experiment modules E1..E18 (see DESIGN.md §4 for the index).
-//! There is no E16, E17, E19 or E20: ids are not reused.
+//! There is no E11, E16, E17, E19 or E20: ids are not reused.
 
 pub mod e1;
 pub mod e10;
-pub mod e11;
 pub mod e12;
 pub mod e13;
 pub mod e14;
@@ -73,7 +72,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "e5",
-            desc: "authorization latency vs contact windows (§III-C)",
+            desc: "authorization grants vs contact windows (§III-C)",
             flags: PROFILE_ONLY,
             run: e5::run,
         },
@@ -106,12 +105,6 @@ pub fn registry() -> Vec<Experiment> {
             desc: "attack success with defenses off/on (§III)",
             flags: INSTRUMENTED,
             run: e10::run,
-        },
-        Experiment {
-            id: "e11",
-            desc: "batch signature verification scaling (§IV-D)",
-            flags: PROFILE_ONLY,
-            run: e11::run,
         },
         Experiment {
             id: "e12",
@@ -156,8 +149,8 @@ mod tests {
         assert_eq!(
             ids,
             vec![
-                "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-                "e14", "e15", "e18"
+                "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e12", "e13", "e14",
+                "e15", "e18"
             ]
         );
         for exp in registry() {

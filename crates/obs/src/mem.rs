@@ -6,10 +6,10 @@
 //! This module is the measurement substrate for that second axis:
 //!
 //! * [`CountingAlloc`] — a `#[global_allocator]` wrapper over
-//!   [`std::alloc::System`] maintaining global live/peak bytes and
-//!   alloc/dealloc counts plus per-thread cumulative counters. Binaries opt
-//!   in with [`counting_allocator!`]; the libraries never install it, so
-//!   library consumers keep whatever allocator they chose.
+//!   [`std::alloc::System`] maintaining per-thread cumulative allocation
+//!   counters. Binaries opt in with [`counting_allocator!`]; the libraries
+//!   never install it, so library consumers keep whatever allocator they
+//!   chose.
 //! * [`AllocScope`] — RAII delta capture over the current thread's
 //!   counters, used by the steady-state zero-alloc assertions and by
 //!   `vc_obs::profile` to report `allocs`/`bytes` per frame.
@@ -23,16 +23,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-/// Process-wide live heap bytes (allocated minus freed).
-static LIVE: AtomicU64 = AtomicU64::new(0);
-/// High-water mark of [`LIVE`], monotone until [`reset_peak`].
-static PEAK: AtomicU64 = AtomicU64::new(0);
-/// Process-wide allocation count (allocs + growing reallocs).
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Process-wide deallocation count.
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Cumulative allocations performed by this thread.
@@ -46,26 +36,17 @@ thread_local! {
 /// and all reporting degrades to zeros.
 ///
 /// The counting path is allocation-free and never reads the environment:
-/// four relaxed atomics plus two thread-local `Cell`s (skipped without
-/// panicking during thread teardown).
+/// two thread-local `Cell`s, skipped without panicking during thread
+/// teardown. Frees are not counted.
 pub struct CountingAlloc;
 
 impl CountingAlloc {
     #[inline]
     fn on_alloc(size: u64) {
-        let live = LIVE.fetch_add(size, Relaxed) + size;
-        PEAK.fetch_max(live, Relaxed);
-        ALLOCS.fetch_add(1, Relaxed);
         // `try_with`: TLS may already be torn down while the runtime frees
-        // thread state; the global counters still see those events.
+        // thread state.
         let _ = T_ALLOCS.try_with(|c| c.set(c.get() + 1));
         let _ = T_BYTES.try_with(|c| c.set(c.get() + size));
-    }
-
-    #[inline]
-    fn on_dealloc(size: u64) {
-        LIVE.fetch_sub(size, Relaxed);
-        DEALLOCS.fetch_add(1, Relaxed);
     }
 }
 
@@ -89,13 +70,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        Self::on_dealloc(layout.size() as u64);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            Self::on_dealloc(layout.size() as u64);
             Self::on_alloc(new_size as u64);
         }
         p
@@ -113,36 +92,6 @@ macro_rules! counting_allocator {
         #[global_allocator]
         static VC_COUNTING_ALLOC: $crate::mem::CountingAlloc = $crate::mem::CountingAlloc;
     };
-}
-
-/// A snapshot of the process-wide allocator counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemStats {
-    /// Live heap bytes right now (allocated minus freed).
-    pub live_bytes: u64,
-    /// Peak live bytes since process start or the last [`reset_peak`].
-    pub peak_bytes: u64,
-    /// Total allocations (growing reallocs count as a fresh allocation).
-    pub allocs: u64,
-    /// Total deallocations.
-    pub deallocs: u64,
-}
-
-/// Reads the process-wide counters. All zeros unless the binary installed
-/// [`counting_allocator!`].
-pub fn stats() -> MemStats {
-    MemStats {
-        live_bytes: LIVE.load(Relaxed),
-        peak_bytes: PEAK.load(Relaxed),
-        allocs: ALLOCS.load(Relaxed),
-        deallocs: DEALLOCS.load(Relaxed),
-    }
-}
-
-/// Resets the peak-bytes high-water mark to the current live bytes, so a
-/// measurement phase (e.g. one E18 row) sees only its own peak.
-pub fn reset_peak() {
-    PEAK.store(LIVE.load(Relaxed), Relaxed);
 }
 
 /// `(allocations, bytes)` performed by the *current thread* so far.
@@ -361,7 +310,5 @@ mod tests {
         drop(v);
         let delta = scope.finish();
         assert_eq!(delta, AllocDelta { allocs: 0, bytes: 0 });
-        let s = stats();
-        assert_eq!((s.live_bytes, s.allocs), (0, 0));
     }
 }

@@ -1,11 +1,10 @@
 //! The shared metrics registry: counters, gauges, and fixed-bucket
 //! log-scale histograms under hierarchical `component.metric` names.
 //!
-//! [`Histogram`] exists because `vc_sim::metrics::Summary` keeps every
-//! sample — fine for a few thousand experiment data points, wrong for
-//! per-message radio telemetry. A histogram is 64 buckets of `u64` no
-//! matter how many samples it absorbs, at the price of approximate
-//! percentiles (exact to the power-of-two bucket that contains them).
+//! A [`Histogram`] keeps no samples, which is what per-message radio
+//! telemetry needs: it is 64 buckets of `u64` no matter how many samples it
+//! absorbs, at the price of approximate percentiles (exact to the
+//! power-of-two bucket that contains them).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};

@@ -14,9 +14,7 @@
 //! profiler, run the workload, [`take`] it back out. When no profiler is
 //! installed, [`frame`] is a thread-local read and a branch — no clock is
 //! read — so permanently-instrumented hot paths cost near zero in normal
-//! runs. [`timed_frame`] always reads the clock and [`Frame::finish`]
-//! returns the elapsed time, so call sites that *use* the measurement
-//! (e.g. latency tables) work identically with or without a profiler.
+//! runs.
 //!
 //! Profiling is strictly additive: frames never touch RNG streams, sim
 //! time, or any result; plain-vs-profiled tests in `vc-bench` hold traces
@@ -53,7 +51,7 @@
 //!   self heap bytes.
 
 use std::cell::RefCell;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vc_testkit::json::Json;
 
@@ -314,63 +312,30 @@ pub fn take() -> Option<Profiler> {
 }
 
 /// A scoped profiling frame; closes (and records) when dropped. Obtain via
-/// [`frame`] or [`timed_frame`].
+/// [`frame`].
 #[derive(Debug)]
 #[must_use = "a frame measures the scope it lives in; bind it to a variable"]
 pub struct Frame {
-    start: Option<Instant>,
-    armed: Option<u64>,
-    /// Thread alloc counters `(allocs, bytes)` at open; only snapshotted
-    /// when a profiler is armed, so unprofiled frames stay two TLS reads.
-    alloc_start: Option<(u64, u64)>,
-}
-
-impl Frame {
-    fn open(label: &'static str, always_time: bool) -> Frame {
-        let armed = CURRENT.with(|c| {
-            let mut cur = c.borrow_mut();
-            cur.as_mut().map(|(id, p)| {
-                p.enter(label);
-                *id
-            })
-        });
-        let start = if armed.is_some() || always_time { Some(Instant::now()) } else { None };
-        let alloc_start = armed.is_some().then(crate::mem::thread_counters);
-        Frame { start, armed, alloc_start }
-    }
-
-    fn close(&mut self) -> Duration {
-        let elapsed = self.start.take().map(|s| s.elapsed()).unwrap_or_default();
-        if let Some(id) = self.armed.take() {
-            let (allocs, bytes) = match self.alloc_start.take() {
-                Some((a0, b0)) => {
-                    let (a1, b1) = crate::mem::thread_counters();
-                    (a1 - a0, b1 - b0)
-                }
-                None => (0, 0),
-            };
-            CURRENT.with(|c| {
-                if let Some((cur, p)) = c.borrow_mut().as_mut() {
-                    if *cur == id {
-                        p.exit_with(elapsed.as_nanos() as u64, allocs, bytes);
-                    }
-                }
-            });
-        }
-        elapsed
-    }
-
-    /// Closes the frame now and returns its elapsed wall-clock time. For
-    /// frames from [`frame`] without a profiler installed this is
-    /// [`Duration::ZERO`]; frames from [`timed_frame`] always measure.
-    pub fn finish(mut self) -> Duration {
-        self.close()
-    }
+    /// `(profiler id, start, thread alloc counters (allocs, bytes) at open)`;
+    /// `None` when no profiler was installed, so an unprofiled frame never
+    /// reads the clock.
+    armed: Option<(u64, Instant, (u64, u64))>,
 }
 
 impl Drop for Frame {
     fn drop(&mut self) {
-        let _ = self.close();
+        let Some((id, start, (a0, b0))) = self.armed.take() else {
+            return;
+        };
+        let elapsed_ns = start.elapsed().as_nanos() as u64;
+        let (a1, b1) = crate::mem::thread_counters();
+        CURRENT.with(|c| {
+            if let Some((cur, p)) = c.borrow_mut().as_mut() {
+                if *cur == id {
+                    p.exit_with(elapsed_ns, a1 - a0, b1 - b0);
+                }
+            }
+        });
     }
 }
 
@@ -378,19 +343,19 @@ impl Drop for Frame {
 /// profiler is installed this is a no-op that never reads the clock —
 /// cheap enough to leave in hot paths permanently.
 pub fn frame(label: &'static str) -> Frame {
-    Frame::open(label, false)
-}
-
-/// Like [`frame`], but the clock is read even without a profiler, so
-/// [`Frame::finish`] always returns a real measurement. Use at call sites
-/// that consume the elapsed time themselves (e.g. latency tables).
-pub fn timed_frame(label: &'static str) -> Frame {
-    Frame::open(label, true)
+    let armed = CURRENT.with(|c| {
+        c.borrow_mut().as_mut().map(|(id, p)| {
+            p.enter(label);
+            *id
+        })
+    });
+    Frame { armed: armed.map(|id| (id, Instant::now(), crate::mem::thread_counters())) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn run_scoped<T>(f: impl FnOnce() -> T) -> (T, Profiler) {
         install(Profiler::new());
@@ -454,25 +419,11 @@ mod tests {
     }
 
     #[test]
-    fn uninstalled_frames_are_inert_and_timed_frames_still_measure() {
+    fn uninstalled_frames_are_inert() {
         let f = frame("nobody-listening");
-        assert_eq!(f.finish(), Duration::ZERO);
-        let t = timed_frame("still-timed");
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(t.finish() >= Duration::from_millis(1));
+        assert!(f.armed.is_none(), "no profiler: no clock read, nothing to record");
+        drop(f);
         assert!(take().is_none());
-    }
-
-    #[test]
-    fn finish_returns_elapsed_and_records_once() {
-        let (elapsed, prof) = run_scoped(|| {
-            let f = timed_frame("work");
-            std::thread::sleep(Duration::from_millis(1));
-            f.finish()
-        });
-        assert!(elapsed >= Duration::from_millis(1));
-        assert_eq!(prof.calls(&["work"]), Some(1));
-        assert!(prof.total_ns(&["work"]).unwrap() >= 1_000_000);
     }
 
     #[test]

@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 
 pub mod geom;
-pub mod metrics;
 pub mod mobility;
 pub mod node;
 pub mod radio;
@@ -44,7 +43,6 @@ pub mod time;
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
     pub use crate::geom::{Point, Rect, Segment, SpatialGrid};
-    pub use crate::metrics::Summary;
     pub use crate::mobility::{idm_acceleration, Fleet, IdmParams, Mobility, Vehicle};
     pub use crate::node::{
         Kinematics, Resources, SaeLevel, SensorSuite, VehicleId, VehicleProfile,

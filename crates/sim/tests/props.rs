@@ -2,7 +2,6 @@
 
 use std::collections::BinaryHeap;
 use vc_sim::geom::{Point, Rect, Segment, SpatialGrid};
-use vc_sim::metrics::Summary;
 use vc_sim::mobility::Fleet;
 use vc_sim::node::VehicleId;
 use vc_sim::radio::NeighborTable;
@@ -673,22 +672,6 @@ prop! {
         let mut sorted = v.clone();
         sorted.sort();
         prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
-    }
-
-    // ---- metrics ----
-
-    #[test]
-    fn summary_percentiles_are_monotone(xs in vec(-1e6f64..1e6, 1..100)) {
-        let mut s = Summary::new();
-        for &x in &xs {
-            s.record(x);
-        }
-        let p25 = s.percentile(0.25);
-        let p50 = s.percentile(0.5);
-        let p99 = s.percentile(0.99);
-        prop_assert!(p25 <= p50 && p50 <= p99);
-        prop_assert!(s.min() <= p25 && p99 <= s.max());
-        prop_assert!(s.mean() >= s.min() - 1e-9 && s.mean() <= s.max() + 1e-9);
     }
 
     // ---- sharded mobility determinism ----

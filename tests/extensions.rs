@@ -14,7 +14,7 @@ use vcloud::prelude::*;
 #[test]
 fn signed_beacon_flood_batch_verifies() {
     // 30 vehicles beacon once; the receiver batch-verifies the whole flood,
-    // then ingests into the store — the E11 fast path end to end.
+    // then ingests into the store — the batch fast path end to end.
     let keys: Vec<SigningKey> = (0..30u8).map(|i| SigningKey::from_seed(&[i, 1])).collect();
     let now = SimTime::from_secs(10);
     let beacons: Vec<_> = keys
