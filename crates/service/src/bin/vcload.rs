@@ -32,6 +32,7 @@ OPTIONS:
                        RESULT, and print the checksum; with --out DIR also write the
                        exact stats/trace bytes for comparison with `experiments --job`
     --out DIR          output directory for --once (stats.json, trace.jsonl)
+    --metrics          print the daemon's METRICS JSON (svc.* counters, gauges) and exit
     --shutdown         send SHUTDOWN and wait for the drain acknowledgement, then exit
     --list             print the scenario catalog and exit
     --help             print this help
@@ -41,6 +42,7 @@ OPTIONS:
 enum Action {
     Load,
     Once { scenario: String, out: Option<String> },
+    Metrics,
     Shutdown,
 }
 
@@ -52,6 +54,7 @@ fn parse_args() -> Result<(LoadConfig, Option<String>, Action), String> {
     let mut once: Option<String> = None;
     let mut out: Option<String> = None;
     let mut shutdown = false;
+    let mut metrics = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} requires a value"));
@@ -86,6 +89,7 @@ fn parse_args() -> Result<(LoadConfig, Option<String>, Action), String> {
             "--json" => json_path = Some(value("--json")?),
             "--once" => once = Some(value("--once")?),
             "--out" => out = Some(value("--out")?),
+            "--metrics" => metrics = true,
             "--shutdown" => shutdown = true,
             "--list" => {
                 for e in SCENARIOS {
@@ -116,6 +120,8 @@ fn parse_args() -> Result<(LoadConfig, Option<String>, Action), String> {
     }
     let action = if shutdown {
         Action::Shutdown
+    } else if metrics {
+        Action::Metrics
     } else if let Some(scenario) = once {
         if vc_service::job::find_scenario(&scenario).is_none() {
             return Err(format!("unknown scenario {scenario:?} (see --list)"));
@@ -176,6 +182,20 @@ fn main() -> ExitCode {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
                     eprintln!("vcload: {e}");
+                    ExitCode::FAILURE
+                }
+            };
+        }
+        Action::Metrics => {
+            return match vc_service::client::Client::connect(&config.addr)
+                .and_then(|mut c| c.metrics())
+            {
+                Ok(json) => {
+                    println!("{json}");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("vcload: metrics failed: {e}");
                     ExitCode::FAILURE
                 }
             };

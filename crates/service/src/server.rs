@@ -166,25 +166,23 @@ fn handle_conn(
             }
             Frame::Status { job } => {
                 let reply = match sup.status(job) {
-                    Some((phase, queue_depth, times)) => {
+                    Ok((phase, queue_depth, times)) => {
                         Frame::JobStatus { job, phase, queue_depth, times }
                     }
-                    None => Frame::Error { detail: format!("unknown job {job}") },
+                    Err(missing) => Frame::Error { detail: missing.detail(job) },
                 };
                 write_frame(&mut writer, &reply)?;
             }
             Frame::Result { job } => match sup.wait_result(job) {
-                Some(fin) => stream_result(&mut writer, job, &fin)?,
-                None => write_frame(
-                    &mut writer,
-                    &Frame::Error { detail: format!("unknown job {job}") },
-                )?,
+                Ok(fin) => stream_result(&mut writer, job, &fin)?,
+                Err(missing) => {
+                    write_frame(&mut writer, &Frame::Error { detail: missing.detail(job) })?
+                }
             },
             Frame::Cancel { job } => {
-                let reply = if sup.cancel(job) {
-                    Frame::Okay
-                } else {
-                    Frame::Error { detail: format!("unknown job {job}") }
+                let reply = match sup.cancel(job) {
+                    Ok(()) => Frame::Okay,
+                    Err(missing) => Frame::Error { detail: missing.detail(job) },
                 };
                 write_frame(&mut writer, &reply)?;
             }

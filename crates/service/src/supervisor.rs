@@ -7,17 +7,29 @@
 //! registry. Determinism note: workers call [`crate::job::run_job`] with
 //! nothing but the spec and a cancel flag — concurrency here can reorder
 //! *when* results appear, never *what* they contain.
+//!
+//! The job table is bounded. A terminal record is handed to exactly one
+//! RESULT and dropped; records no RESULT has taken are charged against a
+//! 64 MiB cap and evicted oldest-finished-first, except while a
+//! RESULT is waiting on them. A client that loses a result resubmits its
+//! spec and gets the same bytes.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::any::Any;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use vc_net::svc::{JobPhase, JobTimes, RejectReason};
 use vc_obs::MetricsHub;
 
-use crate::job::{run_job, JobError, JobOutput, JobSpec};
+use crate::job::{run_job, JobError, JobOutput, JobSpec, MEM_BUDGET_BYTES};
+
+/// Bytes of finished results no RESULT has taken yet that the supervisor
+/// keeps before it evicts the oldest: one job's heap budget.
+const RESULTS_CAP_BYTES: u64 = MEM_BUDGET_BYTES;
 
 /// Worker-pool and admission-control knobs.
 #[derive(Debug, Clone, Copy)]
@@ -35,13 +47,34 @@ impl Default for SupervisorConfig {
     }
 }
 
+/// Why a job id names no record in the table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Missing {
+    /// The id was never issued.
+    Unknown,
+    /// The id was issued, and its result was delivered to a RESULT or
+    /// evicted under the cap.
+    Gone,
+}
+
+impl Missing {
+    /// The ERROR detail a client gets for `job`.
+    pub fn detail(self, job: u64) -> String {
+        match self {
+            Missing::Unknown => format!("unknown job {job}"),
+            Missing::Gone => {
+                format!("job {job} was delivered or evicted; resubmit its spec for the same bytes")
+            }
+        }
+    }
+}
+
 /// A finished job's payload as held by the supervisor.
-#[derive(Debug, Clone)]
-pub enum Outcome {
-    /// The job ran to completion. Shared, so that handing the payload to a
-    /// RESULT stream under the state lock copies a pointer, not the trace.
-    Done(Arc<JobOutput>),
-    /// The job failed (budget, internal error); human-readable detail.
+#[derive(Debug)]
+enum Outcome {
+    /// The job ran to completion.
+    Done(JobOutput),
+    /// The job failed (budget, panic); human-readable detail.
     Failed(String),
     /// The job was cancelled before or during execution.
     Cancelled,
@@ -52,9 +85,9 @@ pub enum Outcome {
 pub struct Finished {
     /// Terminal phase ([`JobPhase::Done`] / Failed / Cancelled).
     pub phase: JobPhase,
-    /// The deterministic payload (empty stats/trace unless `Done`), shared
-    /// with the supervisor's job table.
-    pub output: Arc<JobOutput>,
+    /// The deterministic payload (empty stats/trace unless `Done`), moved
+    /// out of the supervisor's job table.
+    pub output: JobOutput,
     /// Failure detail when `phase` is `Failed` (empty otherwise).
     pub detail: String,
     /// Lifecycle timestamps.
@@ -67,11 +100,30 @@ struct JobRecord {
     cancel: Arc<AtomicBool>,
     times: JobTimes,
     outcome: Option<Outcome>,
+    /// RESULT handlers blocked on this job; the cap never evicts it while
+    /// any are.
+    waiters: u32,
+}
+
+impl JobRecord {
+    /// What this record costs against [`RESULTS_CAP_BYTES`] once terminal.
+    fn charge(&self) -> u64 {
+        let payload = match &self.outcome {
+            Some(Outcome::Done(out)) => out.stats.capacity() + out.trace.capacity(),
+            _ => 0,
+        };
+        (payload + std::mem::size_of::<JobRecord>()) as u64
+    }
 }
 
 struct State {
     queue: VecDeque<u64>,
     jobs: BTreeMap<u64, JobRecord>,
+    /// Terminal records no RESULT has taken, as `(finished_ns, id)`: oldest
+    /// finished first.
+    undelivered: BTreeSet<(u64, u64)>,
+    /// The sum of `undelivered`'s charges.
+    results_bytes: u64,
     next_id: u64,
     queue_cap: usize,
     draining: bool,
@@ -79,11 +131,87 @@ struct State {
     hub: MetricsHub,
 }
 
+impl State {
+    /// `job`'s record, or why there is none.
+    fn record(&mut self, job: u64) -> Result<&mut JobRecord, Missing> {
+        let issued = (1..self.next_id).contains(&job);
+        self.jobs.get_mut(&job).ok_or(if issued { Missing::Gone } else { Missing::Unknown })
+    }
+
+    /// Makes `job` terminal, charges it against the cap, and evicts the
+    /// oldest unwatched records while the charge is over it.
+    fn finish(&mut self, job: u64, phase: JobPhase, outcome: Outcome, now_ns: u64) {
+        let rec = self.jobs.get_mut(&job).expect("a finishing job has a record");
+        rec.phase = phase;
+        rec.times.finished_ns = now_ns;
+        rec.outcome = Some(outcome);
+        self.results_bytes += rec.charge();
+        self.undelivered.insert((now_ns, job));
+        let mut over = self.results_bytes.saturating_sub(RESULTS_CAP_BYTES);
+        let mut victims = Vec::new();
+        for &(finished_ns, id) in &self.undelivered {
+            if over == 0 {
+                break;
+            }
+            let rec = &self.jobs[&id];
+            if rec.waiters == 0 {
+                over = over.saturating_sub(rec.charge());
+                victims.push((finished_ns, id));
+            }
+        }
+        for (finished_ns, id) in victims {
+            self.undelivered.remove(&(finished_ns, id));
+            let rec = self.jobs.remove(&id).expect("an undelivered job has a record");
+            self.results_bytes -= rec.charge();
+            self.hub.counter_add("svc.results.evicted", 1);
+        }
+        self.hub.gauge_set("svc.results.bytes", self.results_bytes as f64);
+    }
+
+    /// Takes terminal `job` out of the table for the one RESULT it gets.
+    fn deliver(&mut self, job: u64) -> Finished {
+        let rec = self.jobs.remove(&job).expect("a delivered job has a record");
+        self.undelivered.remove(&(rec.times.finished_ns, job));
+        self.results_bytes -= rec.charge();
+        self.hub.gauge_set("svc.results.bytes", self.results_bytes as f64);
+        let (output, detail) = match rec.outcome {
+            Some(Outcome::Done(out)) => (out, String::new()),
+            Some(Outcome::Failed(why)) => (empty_output(), why),
+            Some(Outcome::Cancelled) | None => (empty_output(), String::new()),
+        };
+        Finished { phase: rec.phase, output, detail, times: rec.times }
+    }
+}
+
+/// How a worker runs a job: [`run_job`] in production; tests substitute
+/// a gated or panicking one.
+type Runner = dyn Fn(&JobSpec, &AtomicBool) -> Result<JobOutput, JobError> + Send + Sync;
+
 struct Inner {
     state: Mutex<State>,
     work_cv: Condvar,
     done_cv: Condvar,
     epoch: Instant,
+    run: Box<Runner>,
+}
+
+impl Inner {
+    /// Locks the state. Jobs run outside the lock and under
+    /// `catch_unwind`, and every critical section leaves the table
+    /// consistent, so a poisoned lock is taken over rather than spread.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// [`Condvar::wait`] on the state lock, recovering from poisoning as
+    /// [`Inner::lock`] does.
+    fn wait<'a>(&self, cv: &Condvar, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        cv.wait(st).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
 }
 
 /// The bounded worker pool plus the job table. Cheap to share: handler
@@ -103,26 +231,32 @@ pub struct SupervisorHandle {
 impl Supervisor {
     /// Starts `config.workers` worker threads over an empty queue.
     pub fn start(config: SupervisorConfig) -> Supervisor {
+        Supervisor::start_with(config, Box::new(|spec, cancel| run_job(spec, Some(cancel))))
+    }
+
+    fn start_with(config: SupervisorConfig, run: Box<Runner>) -> Supervisor {
         let workers_n = config.workers.max(1);
+        let mut hub = MetricsHub::new();
+        hub.gauge_set("svc.workers", workers_n as f64);
+        hub.gauge_set("svc.queue.cap", config.queue_cap as f64);
+        hub.gauge_set("svc.results.bytes", 0.0);
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 jobs: BTreeMap::new(),
+                undelivered: BTreeSet::new(),
+                results_bytes: 0,
                 next_id: 1,
                 queue_cap: config.queue_cap.max(1),
                 draining: false,
                 running: 0,
-                hub: MetricsHub::new(),
+                hub,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             epoch: Instant::now(),
+            run,
         });
-        {
-            let mut st = inner.state.lock().unwrap();
-            st.hub.gauge_set("svc.workers", workers_n as f64);
-            st.hub.gauge_set("svc.queue.cap", config.queue_cap as f64);
-        }
         let workers = (0..workers_n)
             .map(|_| {
                 let inner = Arc::clone(&inner);
@@ -148,16 +282,12 @@ impl Supervisor {
 }
 
 impl SupervisorHandle {
-    fn now_ns(&self) -> u64 {
-        self.inner.epoch.elapsed().as_nanos() as u64
-    }
-
     /// Admits a job or rejects it with backpressure. On admission the job
     /// is queued and its id returned; the `svc.submit` / `svc.accept` /
     /// `svc.reject` counters and `svc.queue.depth` gauge track the
     /// decision.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, (RejectReason, String)> {
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.lock();
         st.hub.counter_add("svc.submit", 1);
         let reject = |st: &mut State, reason: RejectReason, detail: String| {
             st.hub.counter_add("svc.reject", 1);
@@ -183,7 +313,7 @@ impl SupervisorHandle {
         }
         let id = st.next_id;
         st.next_id += 1;
-        let times = JobTimes { accepted_ns: self.now_ns(), ..JobTimes::default() };
+        let times = JobTimes { accepted_ns: self.inner.now_ns(), ..JobTimes::default() };
         st.jobs.insert(
             id,
             JobRecord {
@@ -192,6 +322,7 @@ impl SupervisorHandle {
                 cancel: Arc::new(AtomicBool::new(false)),
                 times,
                 outcome: None,
+                waiters: 0,
             },
         );
         st.queue.push_back(id);
@@ -204,59 +335,59 @@ impl SupervisorHandle {
     }
 
     /// Reports a job's phase, queue position, and timestamps.
-    pub fn status(&self, job: u64) -> Option<(JobPhase, u32, JobTimes)> {
-        let st = self.inner.state.lock().unwrap();
-        let rec = st.jobs.get(&job)?;
-        let ahead = st.queue.iter().take_while(|&&id| id != job).count() as u32;
-        let depth = if rec.phase == JobPhase::Queued { ahead } else { 0 };
-        Some((rec.phase, depth, rec.times))
+    pub fn status(&self, job: u64) -> Result<(JobPhase, u32, JobTimes), Missing> {
+        let mut st = self.inner.lock();
+        let rec = st.record(job)?;
+        let (phase, times) = (rec.phase, rec.times);
+        let depth = if phase == JobPhase::Queued {
+            st.queue.iter().take_while(|&&id| id != job).count() as u32
+        } else {
+            0
+        };
+        Ok((phase, depth, times))
     }
 
     /// Requests cancellation. A queued job is cancelled immediately; a
-    /// running job observes the flag at its next check and stops. Returns
-    /// `false` for unknown job ids.
-    pub fn cancel(&self, job: u64) -> bool {
-        let mut st = self.inner.state.lock().unwrap();
-        let now = self.now_ns();
-        let Some(rec) = st.jobs.get_mut(&job) else { return false };
+    /// running job observes the flag at its next check and stops; a
+    /// terminal one is left as it is.
+    pub fn cancel(&self, job: u64) -> Result<(), Missing> {
+        let mut st = self.inner.lock();
+        let now = self.inner.now_ns();
+        let rec = st.record(job)?;
         rec.cancel.store(true, Ordering::Relaxed);
         if rec.phase == JobPhase::Queued {
-            rec.phase = JobPhase::Cancelled;
-            rec.times.finished_ns = now;
-            rec.outcome = Some(Outcome::Cancelled);
             st.queue.retain(|&id| id != job);
             st.hub.counter_add("svc.cancel", 1);
             let depth = st.queue.len() as f64;
             st.hub.gauge_set("svc.queue.depth", depth);
+            st.finish(job, JobPhase::Cancelled, Outcome::Cancelled, now);
             drop(st);
             self.inner.done_cv.notify_all();
         }
-        true
+        Ok(())
     }
 
-    /// Blocks until the job is terminal and returns its result. `None`
-    /// for unknown job ids.
-    pub fn wait_result(&self, job: u64) -> Option<Finished> {
-        let mut st = self.inner.state.lock().unwrap();
+    /// Blocks until the job is terminal, then takes its result out of the
+    /// table: each result is delivered once. A job delivered to another
+    /// RESULT — before or while this one waited — is [`Missing::Gone`].
+    pub fn wait_result(&self, job: u64) -> Result<Finished, Missing> {
+        let mut st = self.inner.lock();
         loop {
-            let rec = st.jobs.get(&job)?;
+            let rec = st.record(job)?;
             if rec.phase.is_terminal() {
-                let (phase, times) = (rec.phase, rec.times);
-                let (output, detail) = match rec.outcome.clone() {
-                    Some(Outcome::Done(out)) => (out, String::new()),
-                    Some(Outcome::Failed(why)) => (empty_output(), why),
-                    Some(Outcome::Cancelled) | None => (empty_output(), String::new()),
-                };
-                return Some(Finished { phase, output, detail, times });
+                return Ok(st.deliver(job));
             }
-            st = self.inner.done_cv.wait(st).unwrap();
+            rec.waiters += 1;
+            st = self.inner.wait(&self.inner.done_cv, st);
+            if let Ok(rec) = st.record(job) {
+                rec.waiters -= 1;
+            }
         }
     }
 
     /// Renders the `svc.*` metrics registry as compact JSON.
     pub fn metrics_json(&self) -> String {
-        let st = self.inner.state.lock().unwrap();
-        st.hub.snapshot().to_json().to_string_compact()
+        self.inner.lock().hub.snapshot().to_json().to_string_compact()
     }
 
     /// Stops admission and blocks until the queue is empty and no job is
@@ -264,40 +395,44 @@ impl SupervisorHandle {
     /// can, since it owns the handles) — but on return every admitted job
     /// is terminal, which is the contract SHUTDOWN acknowledges.
     pub fn begin_drain(&self) {
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = self.inner.lock();
         st.draining = true;
         self.inner.work_cv.notify_all();
         while !st.queue.is_empty() || st.running > 0 {
-            st = self.inner.done_cv.wait(st).unwrap();
+            st = self.inner.wait(&self.inner.done_cv, st);
         }
     }
 
     /// Whether drain has begun.
     pub fn draining(&self) -> bool {
-        self.inner.state.lock().unwrap().draining
+        self.inner.lock().draining
     }
 }
 
-fn empty_output() -> Arc<JobOutput> {
+fn empty_output() -> JobOutput {
     // Checksum of the (empty) payload, so clients can verify every
     // result stream the same way regardless of terminal phase.
-    Arc::new(JobOutput {
-        stats: Vec::new(),
-        trace: Vec::new(),
-        checksum: vc_net::svc::fnv1a64(&[]),
-    })
+    JobOutput { stats: Vec::new(), trace: Vec::new(), checksum: vc_net::svc::fnv1a64(&[]) }
+}
+
+fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => s,
+        (_, Some(s)) => s,
+        _ => "non-string payload",
+    }
 }
 
 fn worker_loop(inner: &Inner) {
     loop {
         // Claim the next job (or exit if draining with nothing left).
         let (id, spec, cancel) = {
-            let mut st = inner.state.lock().unwrap();
+            let mut st = inner.lock();
             loop {
                 if let Some(id) = st.queue.pop_front() {
                     let depth = st.queue.len() as f64;
                     st.hub.gauge_set("svc.queue.depth", depth);
-                    let now = inner.epoch.elapsed().as_nanos() as u64;
+                    let now = inner.now_ns();
                     let rec = st.jobs.get_mut(&id).expect("queued job has a record");
                     rec.phase = JobPhase::Running;
                     rec.times.started_ns = now;
@@ -310,32 +445,38 @@ fn worker_loop(inner: &Inner) {
                 if st.draining {
                     return;
                 }
-                st = inner.work_cv.wait(st).unwrap();
+                st = inner.wait(&inner.work_cv, st);
             }
         };
 
-        // Run without the lock; the job sees only its spec + cancel flag.
-        let result = run_job(&spec, Some(&cancel)).map(Arc::new);
+        // Run without the lock; the job sees only its spec + cancel flag,
+        // so a panic leaves nothing shared half-updated and ends the job
+        // `Failed` instead of taking the worker (and `running`) with it.
+        let result = catch_unwind(AssertUnwindSafe(|| (inner.run)(&spec, &cancel)));
 
-        let mut st = inner.state.lock().unwrap();
-        let now = inner.epoch.elapsed().as_nanos() as u64;
+        let mut st = inner.lock();
+        let now = inner.now_ns();
         st.running -= 1;
-        let rec = st.jobs.get_mut(&id).expect("running job has a record");
-        rec.times.finished_ns = now;
-        let run_us = (now - rec.times.started_ns) as f64 / 1_000.0;
+        let run_us = (now - st.jobs[&id].times.started_ns) as f64 / 1_000.0;
         let (phase, outcome, counter) = match result {
-            Ok(out) => (JobPhase::Done, Outcome::Done(out), "svc.done"),
-            Err(JobError::Cancelled) => (JobPhase::Cancelled, Outcome::Cancelled, "svc.cancel"),
-            Err(e) => (JobPhase::Failed, Outcome::Failed(e.to_string()), "svc.fail"),
+            Ok(Ok(out)) => (JobPhase::Done, Outcome::Done(out), "svc.done"),
+            Ok(Err(JobError::Cancelled)) => (JobPhase::Cancelled, Outcome::Cancelled, "svc.cancel"),
+            Ok(Err(e)) => (JobPhase::Failed, Outcome::Failed(e.to_string()), "svc.fail"),
+            Err(panic) => {
+                let why = format!("job panicked: {}", panic_text(&*panic));
+                (JobPhase::Failed, Outcome::Failed(why), "svc.fail")
+            }
         };
-        rec.phase = phase;
-        rec.outcome = Some(outcome);
         st.hub.counter_add(counter, 1);
         st.hub.observe("svc.job.run_us", run_us);
+        st.finish(id, phase, outcome, now);
         drop(st);
         inner.done_cv.notify_all();
     }
 }
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {
@@ -354,12 +495,17 @@ mod tests {
         let id = h.submit(s.clone()).unwrap();
         let fin = h.wait_result(id).unwrap();
         assert_eq!(fin.phase, JobPhase::Done);
-        let reference = run_job(&s, None).unwrap();
-        assert_eq!(*fin.output, reference);
-        // Every RESULT reads the one stored payload; none copies it.
-        assert!(Arc::ptr_eq(&fin.output, &h.wait_result(id).unwrap().output));
+        assert_eq!(fin.output, run_job(&s, None).unwrap());
         assert!(fin.times.accepted_ns <= fin.times.started_ns);
         assert!(fin.times.started_ns <= fin.times.finished_ns);
+        // The result was handed out once; the table no longer holds it.
+        assert_eq!(h.wait_result(id).unwrap_err(), Missing::Gone);
+        assert_eq!(h.status(id).unwrap_err(), Missing::Gone);
+        assert_eq!(h.cancel(id).unwrap_err(), Missing::Gone);
+        for never_issued in [0, id + 1] {
+            assert_eq!(h.status(never_issued).unwrap_err(), Missing::Unknown);
+        }
+        assert_eq!(h.inner.lock().hub.gauge("svc.results.bytes"), Some(0.0));
         sup.drain();
     }
 
@@ -407,15 +553,15 @@ mod tests {
         // Occupy the single worker, then cancel a queued job behind it.
         let long = h.submit(spec("urban-epidemic", 1, 2_000, 0)).unwrap();
         let queued = h.submit(spec("urban-greedy", 2, 2_000, 0)).unwrap();
-        assert!(h.cancel(queued));
+        h.cancel(queued).unwrap();
         let fin = h.wait_result(queued).unwrap();
         assert_eq!(fin.phase, JobPhase::Cancelled);
         assert!(fin.output.stats.is_empty());
         // Cancel the running one too; it stops at a cancel check.
-        assert!(h.cancel(long));
+        h.cancel(long).unwrap();
         let fin = h.wait_result(long).unwrap();
         assert_eq!(fin.phase, JobPhase::Cancelled);
-        assert!(!h.cancel(9999), "unknown job id");
+        assert_eq!(h.cancel(9999), Err(Missing::Unknown));
         sup.drain();
     }
 
@@ -441,9 +587,61 @@ mod tests {
         let id = h.submit(spec("canyon-greedy", 3, 32, 0)).unwrap();
         h.wait_result(id).unwrap();
         let json = h.metrics_json();
-        for key in ["svc.submit", "svc.accept", "svc.done", "svc.job.queue_us", "svc.job.run_us"] {
+        for key in [
+            "svc.submit",
+            "svc.accept",
+            "svc.done",
+            "svc.job.queue_us",
+            "svc.job.run_us",
+            "svc.results.bytes",
+        ] {
             assert!(json.contains(key), "metrics JSON missing {key}: {json}");
         }
+        sup.drain();
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_drain_returns() {
+        // On a thread with a deadline: a worker killed by the panic would
+        // leave `running` raised and this test blocked forever.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let sup = Supervisor::start_with(
+                SupervisorConfig { workers: 1, queue_cap: 4 },
+                Box::new(|spec, cancel| {
+                    assert_ne!(spec.seed, 13, "seed 13 is unlucky");
+                    run_job(spec, Some(cancel))
+                }),
+            );
+            let h = sup.handle();
+            let bad = h.submit(spec("urban-greedy", 13, 16, 0)).unwrap();
+            let good = h.submit(spec("urban-greedy", 14, 16, 0)).unwrap();
+            let fin = h.wait_result(bad).unwrap();
+            assert_eq!(fin.phase, JobPhase::Failed);
+            assert!(fin.detail.starts_with("job panicked: "), "{}", fin.detail);
+            assert!(fin.detail.contains("seed 13 is unlucky"), "{}", fin.detail);
+            // The worker survived the panic and runs the next job.
+            assert_eq!(h.wait_result(good).unwrap().phase, JobPhase::Done);
+            assert_eq!(h.inner.lock().hub.counter("svc.fail"), 1);
+            sup.drain();
+            done.send(()).unwrap();
+        });
+        finished.recv_timeout(std::time::Duration::from_secs(30)).expect("drain returned");
+    }
+
+    #[test]
+    fn a_poisoned_lock_is_taken_over() {
+        let sup = Supervisor::start(SupervisorConfig { workers: 1, queue_cap: 4 });
+        let h = sup.handle();
+        let poisoner = h.clone();
+        let _ = std::thread::spawn(move || {
+            let _st = poisoner.inner.state.lock();
+            panic!("poison the state lock");
+        })
+        .join();
+        assert!(h.inner.state.is_poisoned());
+        let id = h.submit(spec("urban-greedy", 1, 16, 0)).unwrap();
+        assert_eq!(h.wait_result(id).unwrap().phase, JobPhase::Done);
         sup.drain();
     }
 }

@@ -183,6 +183,30 @@ fn status_cancel_and_metrics_over_the_wire() {
 }
 
 #[test]
+fn a_result_is_delivered_once_and_then_reported_gone() {
+    let (addr, server) = start_server(1, 4);
+    let mut client = Client::connect(&addr).unwrap();
+    let job = client.submit(&spec("urban-greedy", 3, 32, 0)).unwrap().unwrap();
+    assert_eq!(client.fetch_result(job).unwrap().phase, JobPhase::Done);
+
+    let gone = |e: std::io::Error| e.to_string();
+    for detail in [
+        client.fetch_result(job).map(|_| ()).map_err(gone),
+        client.status(job).map(|_| ()).map_err(gone),
+        client.cancel(job).map_err(gone),
+    ] {
+        let detail = detail.expect_err("a delivered job is gone");
+        assert!(detail.contains("delivered or evicted"), "detail: {detail}");
+    }
+    // An id the daemon never issued is still "unknown".
+    let detail = client.status(999).unwrap_err().to_string();
+    assert!(detail.contains("unknown job 999"), "detail: {detail}");
+
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+#[test]
 fn backpressure_rejections_reach_the_client() {
     let (addr, server) = start_server(1, 1);
     let mut client = Client::connect(&addr).unwrap();
@@ -245,6 +269,10 @@ fn loadgen_closed_and_open_loops_report_sane_numbers() {
     assert_eq!(report.submitted, 12);
     assert_eq!(report.completed, 12);
     assert_eq!(report.rejected, 0);
+    // Every result was fetched, so the daemon holds none of them.
+    let metrics = Client::connect(&addr).unwrap().metrics().unwrap();
+    let metrics = vc_testkit::json::Json::parse(&metrics).unwrap();
+    assert_eq!(metrics["gauges"]["svc.results.bytes"].as_f64(), Some(0.0), "{metrics:?}");
     assert!(report.jobs_per_sec > 0.0);
     assert!(report.e2e_us.p99 >= report.e2e_us.p50);
     // The JSON schema is fixed: every key present regardless of values.
