@@ -29,8 +29,9 @@ pub struct PseudonymId(pub u64);
 /// revoked (SCMS-style): one CRL entry revokes the vehicle's *entire*
 /// pseudonym pool, but checking a certificate against it costs one keyed
 /// hash per entry — the linear, per-message CRL cost Fig. 5 complains
-/// about. A verifier pays that hash through [`crl_matches`] (≈ 90 ns per
-/// entry, sixteen entries per kernel call); [`LinkageSeed::linkage_value`]
+/// about. A verifier pays that hash through [`crl_matches`] (sixteen
+/// entries per kernel call: ≈ 35 ns per entry on an AVX-512F CPU, ≈ 60
+/// with AVX2, ≈ 105 on baseline SSE2); [`LinkageSeed::linkage_value`]
 /// is the one-at-a-time form (≈ 300 ns) that issuance uses and the scan is
 /// tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,9 +52,10 @@ impl LinkageSeed {
     }
 }
 
-/// CRL entries hashed per kernel call. Measured, not tunable: 4 and 8 lanes
-/// leave the 4-wide SSE2 units waiting on the round's dependency chain, and
-/// 32 are no stable win for twice the stack (table in docs/CRYPTO.md).
+/// CRL entries hashed per kernel call. Measured per CPU tier, not tunable:
+/// fewer lanes leave the SSE2 build waiting on the round's dependency chain;
+/// under AVX-512F 16, 32 and 64 lanes cost the same, and AVX2 is flat from
+/// 8 to 16 and slower past it (table in docs/CRYPTO.md).
 const SCAN_LANES: usize = 16;
 
 /// The CRL scan: whether the certificate `(id, linkage_value)` belongs to
@@ -61,8 +63,8 @@ const SCAN_LANES: usize = 16;
 /// `seed.linkage_value(id) == linkage_value` for some entry. Still one
 /// keyed hash per entry, in list order — the linear cost Fig. 5 charges
 /// pseudonym authentication with — but sixteen entries at a time through
-/// [`compress_lanes`], at ≈ 90 ns per entry instead of the streaming
-/// hasher's ≈ 300.
+/// [`compress_lanes`], at ≈ 35 ns per entry on an AVX-512F CPU (≈ 60 with
+/// AVX2, ≈ 105 on baseline SSE2) instead of the streaming hasher's ≈ 300.
 ///
 /// The 34-byte message `"vc-linkage" ‖ seed ‖ id` pads into a single
 /// SHA-256 block in which only the seed's bytes 10..26 (words 2..=6) differ
@@ -390,8 +392,9 @@ fn verify_checks(
 
 /// Verifier-side check. This is what every receiving vehicle runs per
 /// message; its cost (two signature verifications, ≈ 21 µs, plus a linear
-/// CRL scan through [`crl_matches`], ≈ 90 ns per revoked vehicle — 0.95 ms
-/// at 10 000) is the protocol's verify-side price.
+/// CRL scan through [`crl_matches`], ≈ 35 ns per revoked vehicle on an
+/// AVX-512F CPU — ≈ 0.35 ms at 10 000, ≈ 1 ms on baseline SSE2) is the
+/// protocol's verify-side price.
 ///
 /// # Errors
 ///
@@ -421,9 +424,10 @@ type VerdictMemo = BTreeMap<(PseudonymId, [u8; 8]), bool>;
 ///
 /// The front is a pure cache: [`verify_with_front`] returns exactly what
 /// [`verify`] returns against `CrlFront::seeds()`. The linkage-value CRL
-/// match is a keyed hash per entry (≈ 90 ns each through [`crl_matches`])
-/// — sorting alone cannot answer "is this cert revoked?", so the front
-/// memoizes scan verdicts keyed by `(PseudonymId, linkage_value)` instead.
+/// match is a keyed hash per entry (35–105 ns each through [`crl_matches`],
+/// by CPU tier) — sorting alone cannot answer "is this cert revoked?", so
+/// the front memoizes scan verdicts keyed by `(PseudonymId, linkage_value)`
+/// instead.
 ///
 /// Readers take `&CrlFront`: the memo sits behind a [`Mutex`], and a
 /// poisoned lock is recovered rather than propagated (every memo entry is a

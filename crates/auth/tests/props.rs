@@ -456,6 +456,42 @@ prop! {
         }
     }
 
+    // Near misses at every position the scan treats differently: each of
+    // the 16 lanes of a full group and each entry of the `len % 16` tail.
+    // A linkage value that agrees with a listed entry's in 7 of its 8 bytes,
+    // once for each byte that differs, matches nothing; the exact value
+    // matches. The lane kernel compares two digest words per lane, so a
+    // near miss in either word, in any lane, must not leak a hit from its
+    // neighbours.
+    #[test]
+    fn crl_matches_rejects_every_near_miss(
+        salt in any_bytes::<8>(),
+        id in any_u64(),
+        flip in 1u8..=255,
+    ) {
+        let id = PseudonymId(id);
+        let seeds: Vec<LinkageSeed> = (0..16 + 7u64)
+            .map(|i| {
+                let mut s = [0u8; 16];
+                s[..8].copy_from_slice(&salt);
+                s[8..].copy_from_slice(&i.to_be_bytes());
+                LinkageSeed(s)
+            })
+            .collect();
+        for (at, seed) in seeds.iter().enumerate() {
+            let lv = seed.linkage_value(id);
+            prop_assert!(crl_matches(&seeds, id, lv), "exact value at {}", at);
+            for byte in 0..8 {
+                let mut near = lv;
+                near[byte] ^= flip;
+                prop_assert!(
+                    !crl_matches(&seeds, id, near),
+                    "entry {} with byte {} flipped by {:#04x}", at, byte, flip
+                );
+            }
+        }
+    }
+
     // Linkage values are deterministic per (seed, cert) and collide across
     // certs only negligibly (distinct ids in a small sample never collide).
     #[test]

@@ -111,20 +111,33 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     *state = lanes.map(|[word]| word);
 }
 
+/// A value on its own 64-byte cache line.
+#[repr(align(64))]
+struct CacheLine<T>(T);
+
 /// The SHA-256 compression function on `N` independent lanes: lane `l`
 /// advances the chaining value `state[..][l]` by the block `block[..][l]`
 /// (sixteen big-endian message words). The crate's only round loop.
 ///
 /// Every working variable and schedule word is a `[u32; N]`, and each round
 /// is **one** `for lane in 0..N` loop over all eight variables: that shape
-/// is what LLVM turns into 4-wide SSE2 on baseline x86-64. Per-operation
-/// helpers with a lane loop each (`rotr(x)`, `xor(x, y)`, ...) measure
-/// twice the cost per hash (docs/CRYPTO.md, "Linkage-scan kernel"). With
-/// `N = 1` the loops vanish and this is the textbook scalar function.
-#[inline]
+/// is what LLVM turns into the target's vectors (4-wide SSE2 on baseline
+/// x86-64, wider under the tiers [`compress_lanes`] dispatches to).
+/// Per-operation helpers with a lane loop each (`rotr(x)`, `xor(x, y)`, ...)
+/// measure twice the cost per hash (docs/CRYPTO.md, "Linkage-scan kernel").
+/// With `N = 1` the loops vanish and this is the textbook scalar function.
+///
+/// `inline(always)`, not `inline`: each tier's wrapper must compile this
+/// body with its own features. An out-of-line copy is built for the
+/// baseline target and runs SSE2 code under every tier.
+#[inline(always)]
 fn compress_from<const N: usize>(state: &mut [[u32; N]; 8], block: &[[u32; N]; 16]) {
     // A rolling 16-word window of the message schedule: w[i & 15] is W_i.
-    let mut w = *block;
+    // Cache-line aligned: the AVX2 build reads it and spills beside it in
+    // 32-byte halves, which split cache lines on a 16-byte-aligned stack
+    // (≈ 120 ns per CRL entry instead of ≈ 60, depending on the caller).
+    let mut w = CacheLine(*block);
+    let w = &mut w.0;
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
     for i in 0..64 {
         if i >= 16 {
@@ -169,11 +182,14 @@ fn compress_from<const N: usize>(state: &mut [[u32; N]; 8], block: &[[u32; N]; 1
 /// one block.
 ///
 /// The words are lane-minor (structure of arrays) so that one vector load
-/// fetches the same word of adjacent lanes. Safe, portable Rust: no
-/// intrinsics, no CPU-feature dispatch; the speed comes from the loop shape
-/// documented on the private round function. Callers with a fixed message
-/// shape and many messages (the CRL linkage scan in `vc_auth::pseudonym`)
-/// use this; everything else wants [`sha256`].
+/// fetches the same word of adjacent lanes. Safe Rust with no intrinsics:
+/// the speed comes from the loop shape documented on the private round
+/// function. On x86 that one round loop is built three times — for
+/// AVX-512F, for AVX2, and for the baseline target — and each call runs the
+/// best build the CPU reports; the digests are the same bytes whichever
+/// runs. Callers with a fixed message shape and many messages (the CRL
+/// linkage scan in `vc_auth::pseudonym`) use this; everything else wants
+/// [`sha256`].
 ///
 /// ```
 /// use vc_crypto::sha256::{compress_lanes, sha256};
@@ -192,9 +208,64 @@ fn compress_from<const N: usize>(state: &mut [[u32; N]; 8], block: &[[u32; N]; 1
 /// }
 /// ```
 pub fn compress_lanes<const N: usize>(blocks: &[[u32; N]; 16]) -> [[u32; N]; 8] {
+    TIERS
+        .into_iter()
+        .find_map(|tier| compress_on(tier, blocks))
+        .expect("the portable build runs on every CPU")
+}
+
+/// A build of the round loop: which target features its wrapper enables.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    Avx512,
+    Avx2,
+    Portable,
+}
+
+/// Every build, best first: [`compress_lanes`] runs the first this CPU has.
+const TIERS: [Tier; 3] = [Tier::Avx512, Tier::Avx2, Tier::Portable];
+
+/// [`compress_lanes`] as `tier`'s build computes it, or `None` when this CPU
+/// lacks the tier's feature.
+#[allow(unsafe_code)] // the two calls into a tier wrapper, each behind its feature check
+fn compress_on<const N: usize>(tier: Tier, blocks: &[[u32; N]; 16]) -> Option<[[u32; N]; 8]> {
+    match tier {
+        // SAFETY: avx512f was just detected, and the body is safe Rust with no intrinsics.
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        Tier::Avx512 if is_x86_feature_detected!("avx512f") => {
+            Some(unsafe { lanes_avx512(blocks) })
+        }
+        // SAFETY: avx2 was just detected, and the body is safe Rust with no intrinsics.
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        Tier::Avx2 if is_x86_feature_detected!("avx2") => Some(unsafe { lanes_avx2(blocks) }),
+        Tier::Portable => Some(lanes(blocks)),
+        _ => None,
+    }
+}
+
+/// The one body every tier builds: [`compress_from`] from the initial hash
+/// value, inlined into the caller so that it compiles with the caller's
+/// target features.
+#[inline(always)]
+fn lanes<const N: usize>(blocks: &[[u32; N]; 16]) -> [[u32; N]; 8] {
     let mut state = H0.map(|word| [word; N]);
     compress_from(&mut state, blocks);
     state
+}
+
+/// [`lanes`] compiled for AVX2: eight `u32` lanes per register.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn lanes_avx2<const N: usize>(blocks: &[[u32; N]; 16]) -> [[u32; N]; 8] {
+    lanes(blocks)
+}
+
+/// [`lanes`] compiled for AVX-512F: sixteen `u32` lanes per register and a
+/// rotate instruction.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f")]
+fn lanes_avx512<const N: usize>(blocks: &[[u32; N]; 16]) -> [[u32; N]; 8] {
+    lanes(blocks)
 }
 
 /// One-shot SHA-256 of `data`.
@@ -217,6 +288,8 @@ pub fn sha256_parts(parts: &[&[u8]]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vc_testkit::prop;
+    use vc_testkit::prop::strategy::{any_u8, vec};
 
     fn hex(d: &Digest) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
@@ -283,6 +356,44 @@ mod tests {
             h.update(&data[..len / 2]);
             h.update(&data[len / 2..]);
             assert_eq!(h.finalize(), d1, "len {len}");
+        }
+    }
+
+    /// Every build this CPU has, the portable one always, against the
+    /// streaming hasher: lane `l` of `compress_on` must be `sha256` of the
+    /// `l`-th message. Tests each tier, not only the one dispatched to.
+    fn every_tier_matches_sha256<const N: usize>(messages: &[Vec<u8>]) {
+        let mut blocks = [[0u32; N]; 16];
+        for (lane, message) in messages[..N].iter().enumerate() {
+            let mut block = [0u8; 64];
+            block[..message.len()].copy_from_slice(message);
+            block[message.len()] = 0x80;
+            block[56..].copy_from_slice(&(8 * message.len() as u64).to_be_bytes());
+            for (word, bytes) in blocks.iter_mut().zip(block.chunks_exact(4)) {
+                word[lane] = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            }
+        }
+        for tier in TIERS {
+            let Some(words) = compress_on(tier, &blocks) else { continue };
+            for (lane, message) in messages[..N].iter().enumerate() {
+                let digest = sha256(message);
+                for (word, bytes) in words.iter().zip(digest.chunks_exact(4)) {
+                    assert_eq!(word[lane].to_be_bytes(), bytes, "{tier:?}, {N} lanes, lane {lane}");
+                }
+            }
+        }
+    }
+
+    prop! {
+        #![cases(32)]
+
+        #[test]
+        fn every_tier_matches_the_streaming_hasher(
+            messages in vec(vec(any_u8(), 0..56), 16..17),
+        ) {
+            every_tier_matches_sha256::<1>(&messages);
+            every_tier_matches_sha256::<8>(&messages);
+            every_tier_matches_sha256::<16>(&messages);
         }
     }
 
