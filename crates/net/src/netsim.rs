@@ -598,7 +598,11 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         self.stats
     }
 
-    /// Number of live copies (diagnostic).
+    /// Number of live copies. Statistics and recorder events come only
+    /// from live copies, so once this is 0 and nothing more is sent, no
+    /// later round changes [`NetSim::stats`] or records an event (an armed
+    /// time series still takes its per-round sample).
+    /// `vc_service::job::run_job` ends a job there.
     pub fn live_copies(&self) -> usize {
         self.copies.len()
     }

@@ -7,6 +7,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use vc_net::message::RoutingStats;
 use vc_net::netsim::NetSim;
 use vc_net::routing::{ClusterRouting, Epidemic, GreedyGeo, MozoRouting, RoutingProtocol};
 use vc_net::svc::fnv1a64;
@@ -14,7 +15,8 @@ use vc_obs::{reborrow, MemSize, Recorder};
 use vc_sim::scenario::{Scenario, ScenarioBuilder};
 use vc_testkit::json::Json;
 
-/// Upper bound on `ticks` accepted for a single job.
+/// Upper bound on `ticks` accepted for a single job: the most rounds a job
+/// may simulate. A job whose last packet copy dies sooner stops there.
 pub const MAX_TICKS: u32 = 50_000;
 
 /// Per-job deterministic heap budget (bytes): fleet + network-layer state,
@@ -124,7 +126,10 @@ pub struct JobSpec {
     pub scenario: String,
     /// Deterministic seed.
     pub seed: u64,
-    /// Simulation rounds.
+    /// The most simulation rounds the job runs. Every packet is injected
+    /// before the first round, so the job ends after the first round that
+    /// leaves no packet copy alive: later rounds cannot change a result
+    /// byte but `heap_bytes`.
     pub ticks: u32,
     /// [`vc_net::svc::FLAG_TRACE`] and future flags.
     pub flags: u32,
@@ -161,6 +166,9 @@ pub struct JobOutput {
     pub trace: Vec<u8>,
     /// `fnv1a64` over stats bytes then trace bytes.
     pub checksum: u64,
+    /// Rounds the job simulated: `ticks`, or fewer when its last packet
+    /// copy died sooner. Not part of the payload or the checksum.
+    pub(crate) rounds: u32,
 }
 
 /// Why a job failed to run.
@@ -206,10 +214,13 @@ fn build_scenario(entry: &ScenarioEntry, seed: u64) -> Scenario {
     }
 }
 
-/// Runs a validated job to completion. `cancel` (when given) is polled
-/// every [`CHECK_EVERY_ROUNDS`] rounds; the same cadence re-measures the
-/// deterministic heap footprint against [`MEM_BUDGET_BYTES`], so a
-/// cancelled or over-budget job stops within a bounded number of rounds.
+/// Runs a validated job to completion: at most `spec.ticks` rounds, and no
+/// round after the first that leaves no packet copy alive. `cancel` (when
+/// given) is polled every [`CHECK_EVERY_ROUNDS`] rounds and after the
+/// job's last round; the same polls re-measure the deterministic heap
+/// footprint against [`MEM_BUDGET_BYTES`], so a cancelled or over-budget
+/// job stops within a bounded number of rounds. The stats report
+/// `heap_bytes` as measured when the job stopped.
 ///
 /// The returned bytes depend only on the spec — not on the worker
 /// thread, wall-clock time, or anything else the daemon is doing.
@@ -219,13 +230,13 @@ pub fn run_job(spec: &JobSpec, cancel: Option<&AtomicBool>) -> Result<JobOutput,
     let mut scenario = build_scenario(entry, spec.seed);
     let mut recorder = spec.wants_trace().then(Recorder::new);
     let rec = recorder.as_mut();
-    let stats_json = match entry.protocol {
+    let (stats_json, rounds) = match entry.protocol {
         Protocol::Epidemic => drive(spec, entry, &mut scenario, Epidemic, cancel, rec),
         Protocol::GreedyGeo => drive(spec, entry, &mut scenario, GreedyGeo, cancel, rec),
         Protocol::Cluster => drive(spec, entry, &mut scenario, ClusterRouting::new(), cancel, rec),
         Protocol::Mozo => drive(spec, entry, &mut scenario, MozoRouting::new(), cancel, rec),
     }?;
-    Ok(finish(stats_json, recorder))
+    Ok(finish(stats_json, recorder, rounds))
 }
 
 fn drive<P: RoutingProtocol>(
@@ -235,25 +246,37 @@ fn drive<P: RoutingProtocol>(
     protocol: P,
     cancel: Option<&AtomicBool>,
     mut rec: Option<&mut Recorder>,
-) -> Result<Json, JobError> {
+) -> Result<(Json, u32), JobError> {
     let mut sim = NetSim::new(scenario, protocol);
     sim.send_random_pairs(entry.packets, 256, reborrow(&mut rec));
-    let mut remaining = spec.ticks;
-    while remaining > 0 {
-        let step = remaining.min(CHECK_EVERY_ROUNDS);
-        sim.run_rounds_obs(step as usize, reborrow(&mut rec));
-        remaining -= step;
-        let used = sim.heap_bytes() + sim.scenario_mut().fleet.mem_bytes();
-        if used > MEM_BUDGET_BYTES {
-            return Err(JobError::BudgetExceeded { used, budget: MEM_BUDGET_BYTES });
-        }
-        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-            return Err(JobError::Cancelled);
+    // Statistics and trace events come only from live copies, and no packet
+    // is sent after this point: once the last copy dies, no later round can
+    // change a result byte but `heap_bytes`.
+    let mut rounds = 0;
+    while rounds < spec.ticks {
+        sim.run_rounds_obs(1, reborrow(&mut rec));
+        rounds += 1;
+        let quiet = sim.live_copies() == 0;
+        if quiet || rounds.is_multiple_of(CHECK_EVERY_ROUNDS) || rounds == spec.ticks {
+            let used = sim.heap_bytes() + sim.scenario_mut().fleet.mem_bytes();
+            if used > MEM_BUDGET_BYTES {
+                return Err(JobError::BudgetExceeded { used, budget: MEM_BUDGET_BYTES });
+            }
+            if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                return Err(JobError::Cancelled);
+            }
+            if quiet {
+                break;
+            }
         }
     }
     let heap = sim.heap_bytes() + sim.scenario_mut().fleet.mem_bytes();
-    let stats = sim.into_stats();
-    Ok(Json::object::<&str>(vec![
+    Ok((stats_json(spec, sim.into_stats(), heap), rounds))
+}
+
+/// The stats object a job returns.
+fn stats_json(spec: &JobSpec, stats: RoutingStats, heap: u64) -> Json {
+    Json::object::<&str>(vec![
         ("scenario", Json::from(spec.scenario.as_str())),
         ("seed", Json::from(spec.seed)),
         ("ticks", Json::from(spec.ticks)),
@@ -266,10 +289,10 @@ fn drive<P: RoutingProtocol>(
         ("mean_hops", Json::from(stats.mean_hops())),
         ("overhead_per_delivery", Json::from(stats.overhead_per_delivery())),
         ("heap_bytes", Json::from(heap)),
-    ]))
+    ])
 }
 
-fn finish(stats_json: Json, recorder: Option<Recorder>) -> JobOutput {
+fn finish(stats_json: Json, recorder: Option<Recorder>, rounds: u32) -> JobOutput {
     let mut stats = stats_json.to_string_pretty().into_bytes();
     stats.push(b'\n');
     let mut trace = Vec::new();
@@ -277,5 +300,109 @@ fn finish(stats_json: Json, recorder: Option<Recorder>) -> JobOutput {
         rec.write_jsonl(&mut trace).expect("Vec<u8> write cannot fail");
     }
     let checksum = fnv1a64(&[&stats, &trace]);
-    JobOutput { stats, trace, checksum }
+    JobOutput { stats, trace, checksum, rounds }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vc_net::svc::FLAG_TRACE;
+
+    /// The round loop without the early exit: all `spec.ticks` rounds.
+    fn every_round<P: RoutingProtocol>(
+        spec: &JobSpec,
+        entry: &ScenarioEntry,
+        scenario: &mut Scenario,
+        protocol: P,
+        mut rec: Option<&mut Recorder>,
+    ) -> Json {
+        let mut sim = NetSim::new(scenario, protocol);
+        sim.send_random_pairs(entry.packets, 256, reborrow(&mut rec));
+        sim.run_rounds_obs(spec.ticks as usize, reborrow(&mut rec));
+        let heap = sim.heap_bytes() + sim.scenario_mut().fleet.mem_bytes();
+        stats_json(spec, sim.into_stats(), heap)
+    }
+
+    /// [`run_job`] on [`every_round`]: the reference the early exit must
+    /// match.
+    fn reference(spec: &JobSpec) -> JobOutput {
+        let entry = find_scenario(&spec.scenario).unwrap();
+        let mut scenario = build_scenario(entry, spec.seed);
+        let mut recorder = spec.wants_trace().then(Recorder::new);
+        let (s, rec) = (&mut scenario, recorder.as_mut());
+        let stats = match entry.protocol {
+            Protocol::Epidemic => every_round(spec, entry, s, Epidemic, rec),
+            Protocol::GreedyGeo => every_round(spec, entry, s, GreedyGeo, rec),
+            Protocol::Cluster => every_round(spec, entry, s, ClusterRouting::new(), rec),
+            Protocol::Mozo => every_round(spec, entry, s, MozoRouting::new(), rec),
+        };
+        finish(stats, recorder, spec.ticks)
+    }
+
+    /// The stats lines of `out` that name none of `keys`.
+    fn lines_without<'a>(out: &'a JobOutput, keys: &[&str]) -> Vec<&'a str> {
+        let text = std::str::from_utf8(&out.stats).unwrap();
+        text.lines().filter(|line| !keys.iter().any(|k| line.contains(&format!("{k:?}")))).collect()
+    }
+
+    #[test]
+    fn the_early_exit_returns_the_every_round_bytes() {
+        // Ends before, at and after a cancel-poll boundary, and far past
+        // the round the last copy of any catalogue job dies.
+        const TICKS: [u32; 9] = [1, 5, 15, 16, 17, 33, 64, 256, 2_000];
+        let (mut early, mut between_polls) = (0, 0);
+        for entry in SCENARIOS {
+            for seed in 1..=20 {
+                for flags in [0, FLAG_TRACE] {
+                    let mut quiet: Option<JobOutput> = None;
+                    for ticks in TICKS {
+                        let spec = JobSpec { scenario: entry.id.into(), seed, ticks, flags };
+                        let got = run_job(&spec, None).unwrap();
+                        let want = reference(&spec);
+                        let id = format!("{} seed {seed} ticks {ticks} flags {flags}", entry.id);
+                        let simulated = ["heap_bytes"];
+                        assert_eq!(
+                            lines_without(&got, &simulated),
+                            lines_without(&want, &simulated),
+                            "{id}"
+                        );
+                        assert_eq!(got.trace, want.trace, "{id}");
+                        assert!(got.rounds <= ticks, "{id}: {} rounds", got.rounds);
+                        if got.rounds == ticks {
+                            continue;
+                        }
+                        early += 1;
+                        between_polls +=
+                            usize::from(!got.rounds.is_multiple_of(CHECK_EVERY_ROUNDS));
+                        // Past the quiescent round, only the tick count the
+                        // spec names moves.
+                        let first = quiet.get_or_insert_with(|| got.clone());
+                        let spec_only = ["ticks", "heap_bytes"];
+                        assert_eq!(
+                            lines_without(&got, &spec_only),
+                            lines_without(first, &spec_only),
+                            "{id}"
+                        );
+                        assert_eq!((got.rounds, &got.trace), (first.rounds, &first.trace), "{id}");
+                    }
+                    assert!(
+                        quiet.is_some(),
+                        "{} seed {seed}: a copy outlived 2 000 rounds",
+                        entry.id
+                    );
+                }
+            }
+        }
+        assert!(early > 0 && between_polls > 0, "{early} early exits, {between_polls} off a poll");
+    }
+
+    #[test]
+    fn a_preset_cancel_wins_over_an_exit_before_the_first_poll() {
+        let spec = (1..=20)
+            .map(|seed| JobSpec { scenario: "urban-epidemic".into(), seed, ticks: 2_000, flags: 0 })
+            .find(|spec| run_job(spec, None).unwrap().rounds < CHECK_EVERY_ROUNDS)
+            .expect("an urban-epidemic job that goes quiet within one poll interval");
+        let cancel = AtomicBool::new(true);
+        assert_eq!(run_job(&spec, Some(&cancel)), Err(JobError::Cancelled));
+    }
 }

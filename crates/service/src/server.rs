@@ -43,10 +43,19 @@ pub struct Server {
 impl Server {
     /// Binds the listener and starts the worker pool.
     pub fn bind(config: &ServerConfig) -> io::Result<Server> {
+        Server::bind_with(config, Supervisor::start)
+    }
+
+    /// [`Server::bind`] with the pool `start` builds once the listener is
+    /// bound.
+    fn bind_with(
+        config: &ServerConfig,
+        start: impl FnOnce(SupervisorConfig) -> Supervisor,
+    ) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         Ok(Server {
             listener,
-            supervisor: Supervisor::start(config.pool),
+            supervisor: start(config.pool),
             shutdown: Arc::new(AtomicBool::new(false)),
             active_conns: Arc::new(AtomicU64::new(0)),
         })
@@ -258,6 +267,93 @@ pub fn bind_and_announce(config: &ServerConfig) -> io::Result<(Server, std::net:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use crate::supervisor::model::{gated_run_job, Gate};
+
+    /// Starts a daemon on an ephemeral loopback port whose workers hold
+    /// every job at `gate`; returns its address and the accept-loop thread.
+    fn start_gated_server(
+        workers: usize,
+        queue_cap: usize,
+        gate: &Arc<Gate>,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            pool: SupervisorConfig { workers, queue_cap },
+        };
+        let run = gated_run_job(gate);
+        let server = Server::bind_with(&config, |pool| Supervisor::start_with(pool, run))
+            .expect("bind ephemeral loopback");
+        let addr = server.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            server.run().expect("server run");
+        });
+        (addr, handle)
+    }
+
+    fn spec(scenario: &str, seed: u64, ticks: u32) -> JobSpec {
+        JobSpec { scenario: scenario.into(), seed, ticks, flags: 0 }
+    }
+
+    #[test]
+    fn status_cancel_and_metrics_over_the_wire() {
+        let gate = Arc::new(Gate::default());
+        let (addr, server) = start_gated_server(1, 16, &gate);
+        let mut client = Client::connect(&addr).unwrap();
+
+        // Hold the single worker, then watch a queued job behind it.
+        let long = client.submit(&spec("urban-epidemic", 1, 2_000)).unwrap().unwrap();
+        let queued = client.submit(&spec("urban-greedy", 2, 2_000)).unwrap().unwrap();
+        gate.wait_started(1);
+        let (_, depth, times) = client.status(queued).unwrap();
+        assert!(depth <= 1, "at most the long job is ahead");
+        assert!(times.accepted_ns > 0);
+
+        client.cancel(queued).unwrap();
+        let result = client.fetch_result(queued).unwrap();
+        assert_eq!(result.phase, JobPhase::Cancelled);
+        assert!(result.stats.is_empty());
+
+        client.cancel(long).unwrap();
+        gate.open();
+        let result = client.fetch_result(long).unwrap();
+        assert_eq!(result.phase, JobPhase::Cancelled);
+
+        let metrics = client.metrics().unwrap();
+        assert!(metrics.contains("svc.submit"), "metrics JSON: {metrics}");
+        assert!(metrics.contains("svc.cancel"), "metrics JSON: {metrics}");
+
+        assert!(client.status(999).is_err(), "unknown job must error");
+        assert!(client.cancel(999).is_err(), "unknown job must error");
+
+        client.shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn backpressure_rejections_reach_the_client() {
+        let gate = Arc::new(Gate::default());
+        let (addr, server) = start_gated_server(1, 1, &gate);
+        let mut client = Client::connect(&addr).unwrap();
+        let mut accepted = Vec::new();
+        let mut rejected = 0;
+        for i in 0..16 {
+            match client.submit(&spec("urban-epidemic", i, 400)).unwrap() {
+                Ok(id) => accepted.push(id),
+                Err((reason, _)) => {
+                    assert_eq!(reason, vc_net::svc::RejectReason::QueueFull);
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(rejected > 0, "a 1-slot queue must reject under a 16-job burst");
+        gate.open();
+        for id in accepted {
+            assert_eq!(client.fetch_result(id).unwrap().phase, JobPhase::Done);
+        }
+        client.shutdown().unwrap();
+        server.join().unwrap();
+    }
 
     #[test]
     fn the_frame_buffer_holds_exactly_one_full_chunk_frame() {

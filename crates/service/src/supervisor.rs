@@ -185,7 +185,7 @@ impl State {
 
 /// How a worker runs a job: [`run_job`] in production; tests substitute
 /// a gated or panicking one.
-type Runner = dyn Fn(&JobSpec, &AtomicBool) -> Result<JobOutput, JobError> + Send + Sync;
+pub(crate) type Runner = dyn Fn(&JobSpec, &AtomicBool) -> Result<JobOutput, JobError> + Send + Sync;
 
 struct Inner {
     state: Mutex<State>,
@@ -234,7 +234,7 @@ impl Supervisor {
         Supervisor::start_with(config, Box::new(|spec, cancel| run_job(spec, Some(cancel))))
     }
 
-    fn start_with(config: SupervisorConfig, run: Box<Runner>) -> Supervisor {
+    pub(crate) fn start_with(config: SupervisorConfig, run: Box<Runner>) -> Supervisor {
         let workers_n = config.workers.max(1);
         let mut hub = MetricsHub::new();
         hub.gauge_set("svc.workers", workers_n as f64);
@@ -412,7 +412,12 @@ impl SupervisorHandle {
 fn empty_output() -> JobOutput {
     // Checksum of the (empty) payload, so clients can verify every
     // result stream the same way regardless of terminal phase.
-    JobOutput { stats: Vec::new(), trace: Vec::new(), checksum: vc_net::svc::fnv1a64(&[]) }
+    JobOutput {
+        stats: Vec::new(),
+        trace: Vec::new(),
+        checksum: vc_net::svc::fnv1a64(&[]),
+        rounds: 0,
+    }
 }
 
 fn panic_text(payload: &(dyn Any + Send)) -> &str {
@@ -458,6 +463,10 @@ fn worker_loop(inner: &Inner) {
         let now = inner.now_ns();
         st.running -= 1;
         let run_us = (now - st.jobs[&id].times.started_ns) as f64 / 1_000.0;
+        st.hub.observe("svc.job.run_us", run_us);
+        if let Ok(Ok(out)) = &result {
+            st.hub.observe("svc.job.rounds", f64::from(out.rounds));
+        }
         let (phase, outcome, counter) = match result {
             Ok(Ok(out)) => (JobPhase::Done, Outcome::Done(out), "svc.done"),
             Ok(Err(JobError::Cancelled)) => (JobPhase::Cancelled, Outcome::Cancelled, "svc.cancel"),
@@ -468,7 +477,6 @@ fn worker_loop(inner: &Inner) {
             }
         };
         st.hub.counter_add(counter, 1);
-        st.hub.observe("svc.job.run_us", run_us);
         st.finish(id, phase, outcome, now);
         drop(st);
         inner.done_cv.notify_all();
@@ -476,7 +484,7 @@ fn worker_loop(inner: &Inner) {
 }
 
 #[cfg(test)]
-mod model;
+pub(crate) mod model;
 
 #[cfg(test)]
 mod tests {
@@ -524,9 +532,12 @@ mod tests {
 
     #[test]
     fn queue_overflow_rejects_with_queue_full() {
-        let sup = Supervisor::start(SupervisorConfig { workers: 1, queue_cap: 2 });
+        // Every job is held at the gate, so the queue stays occupied while
+        // we overflow it.
+        let gate = Arc::new(model::Gate::default());
+        let config = SupervisorConfig { workers: 1, queue_cap: 2 };
+        let sup = Supervisor::start_with(config, model::gated_run_job(&gate));
         let h = sup.handle();
-        // Long jobs so the queue stays occupied while we overflow it.
         let mut accepted = Vec::new();
         let mut saw_full = false;
         for i in 0..24 {
@@ -538,7 +549,8 @@ mod tests {
                 }
             }
         }
-        assert!(saw_full, "24 fast submits into a 2-slot queue must overflow");
+        assert!(saw_full, "24 submits into a 2-slot queue must overflow");
+        gate.open();
         for id in accepted {
             let fin = h.wait_result(id).unwrap();
             assert_eq!(fin.phase, JobPhase::Done);
@@ -548,17 +560,22 @@ mod tests {
 
     #[test]
     fn cancel_queued_and_running_jobs() {
-        let sup = Supervisor::start(SupervisorConfig { workers: 1, queue_cap: 8 });
+        let gate = Arc::new(model::Gate::default());
+        let config = SupervisorConfig { workers: 1, queue_cap: 8 };
+        let sup = Supervisor::start_with(config, model::gated_run_job(&gate));
         let h = sup.handle();
-        // Occupy the single worker, then cancel a queued job behind it.
+        // Hold the single worker, then cancel a queued job behind it.
         let long = h.submit(spec("urban-epidemic", 1, 2_000, 0)).unwrap();
         let queued = h.submit(spec("urban-greedy", 2, 2_000, 0)).unwrap();
+        gate.wait_started(1);
         h.cancel(queued).unwrap();
         let fin = h.wait_result(queued).unwrap();
         assert_eq!(fin.phase, JobPhase::Cancelled);
         assert!(fin.output.stats.is_empty());
-        // Cancel the running one too; it stops at a cancel check.
+        // Cancel the running one too; released, it stops at a cancel check.
         h.cancel(long).unwrap();
+        assert_eq!(h.status(long).unwrap().0, JobPhase::Running);
+        gate.open();
         let fin = h.wait_result(long).unwrap();
         assert_eq!(fin.phase, JobPhase::Cancelled);
         assert_eq!(h.cancel(9999), Err(Missing::Unknown));
@@ -593,6 +610,7 @@ mod tests {
             "svc.done",
             "svc.job.queue_us",
             "svc.job.run_us",
+            "svc.job.rounds",
             "svc.results.bytes",
         ] {
             assert!(json.contains(key), "metrics JSON missing {key}: {json}");

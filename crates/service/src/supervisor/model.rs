@@ -10,6 +10,10 @@
 //! undelivered `Big` jobs, or one `Huge` one, cross the real
 //! [`RESULTS_CAP_BYTES`] at no cost. Every op is followed by a STATUS of
 //! every id.
+//!
+//! The supervisor and server tests that need a job still running hold it
+//! with the same [`Gate`], through [`gated_run_job`]: a catalogue job ends
+//! when its last packet copy dies, so no spec keeps a worker busy.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::mpsc::{self, Receiver};
@@ -243,9 +247,11 @@ impl Model {
     }
 }
 
-/// The gate the real pool's runner waits at.
+/// The gate a gated runner waits at: each job, named by its seed, starts
+/// and then blocks until it is released or the gate opens, so a test fixes
+/// when every job ends.
 #[derive(Default)]
-struct Gate {
+pub(crate) struct Gate {
     state: Mutex<GateState>,
     cv: Condvar,
 }
@@ -257,19 +263,50 @@ struct GateState {
     open: bool,
 }
 
+/// A runner that holds each job at `gate`, then runs it with [`run_job`].
+pub(crate) fn gated_run_job(gate: &Arc<Gate>) -> Box<Runner> {
+    let gate = Arc::clone(gate);
+    Box::new(move |spec, cancel| {
+        gate.hold(spec.seed);
+        run_job(spec, Some(cancel))
+    })
+}
+
 impl Gate {
     fn lock(&self) -> MutexGuard<'_, GateState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The runner: the job's `seed` is its id, its `ticks` its [`Kind`].
-    fn run(&self, spec: &JobSpec, cancel: &AtomicBool) -> Result<JobOutput, JobError> {
+    /// Marks job `id` started, then blocks until it is released or the
+    /// gate opens.
+    fn hold(&self, id: u64) {
         let mut g = self.lock();
-        g.started.insert(spec.seed);
-        while !g.open && !g.released.contains(&spec.seed) {
+        g.started.insert(id);
+        self.cv.notify_all();
+        while !g.open && !g.released.contains(&id) {
             g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
-        drop(g);
+    }
+
+    /// Blocks until job `id` has started, so a worker is holding it.
+    pub(crate) fn wait_started(&self, id: u64) {
+        let g = self.lock();
+        let (_g, wait) = self
+            .cv
+            .wait_timeout_while(g, DEADLINE, |g| !g.started.contains(&id))
+            .unwrap_or_else(PoisonError::into_inner);
+        assert!(!wait.timed_out(), "job {id} {WEDGED} before it started");
+    }
+
+    /// Lets every held job, and every later one, run.
+    pub(crate) fn open(&self) {
+        self.lock().open = true;
+        self.cv.notify_all();
+    }
+
+    /// The runner: the job's `seed` is its id, its `ticks` its [`Kind`].
+    fn run(&self, spec: &JobSpec, cancel: &AtomicBool) -> Result<JobOutput, JobError> {
+        self.hold(spec.seed);
         if cancel.load(Ordering::Relaxed) {
             return Err(JobError::Cancelled);
         }
@@ -278,7 +315,7 @@ impl Gate {
             Kind::Small | Kind::Big | Kind::Huge => {
                 let (stats, trace) = kind.capacities();
                 let (stats, trace) = (Vec::with_capacity(stats), Vec::with_capacity(trace));
-                Ok(JobOutput { checksum: vc_net::svc::fnv1a64(&[]), stats, trace })
+                Ok(JobOutput { checksum: vc_net::svc::fnv1a64(&[]), stats, trace, rounds: 0 })
             }
             Kind::Fails => Err(JobError::BudgetExceeded { used: 1, budget: 0 }),
             Kind::Panics => panic!("job {} was built to panic", spec.seed),
@@ -388,8 +425,7 @@ fn run_case(
             break;
         }
     }
-    gate.lock().open = true;
-    gate.cv.notify_all();
+    gate.open();
     // A pool wedged by a bug fails the case instead of hanging the test.
     let (done_tx, done_rx) = mpsc::channel();
     std::thread::spawn(move || {
