@@ -95,6 +95,39 @@ fn main() {
         }
     }
 
+    // ---- both ends of the lazy election ----
+    // `cloud-pipeline`'s fleet, where a tenth of the candidates are scored,
+    // and the 40-vehicle urban and 48-vehicle highway catalogue fleets of
+    // `svc-mix`, which take one bucket and score everyone. Each after 30
+    // ticks of its own scenario.
+    for (name, mut scenario, cfg) in [
+        (
+            "multi_hop/1000-dense",
+            ScenarioBuilder::new().seed(42).vehicles(1_000).urban_with_rsus(),
+            ClusterConfig::multi_hop(),
+        ),
+        (
+            "multi_hop/40-urban",
+            ScenarioBuilder::new().seed(42).vehicles(40).urban_with_rsus(),
+            ClusterConfig::multi_hop(),
+        ),
+        (
+            "moving_zone/48-highway",
+            ScenarioBuilder::new().seed(42).vehicles(48).highway_no_infra(),
+            ClusterConfig::moving_zone(),
+        ),
+    ] {
+        scenario.run_ticks(30);
+        let table = scenario.neighbor_table();
+        let world = WorldView {
+            positions: scenario.fleet.positions(),
+            velocities: scenario.fleet.velocities(),
+            online: scenario.fleet.online_flags(),
+            neighbors: &table,
+        };
+        suite.bench(&format!("clustering/form/{name}"), || form_clusters(black_box(&world), &cfg));
+    }
+
     // ---- one tick of the Fig. 4(c) dynamic cloud ----
     // `cloud-pipeline`'s fleet: 1 000 vehicles on the 1 km² urban grid, 25
     // tasks every fourth tick, so the scheduler has work in steady state.

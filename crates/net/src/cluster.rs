@@ -75,8 +75,8 @@ pub struct Clustering {
     /// Every clustered vehicle, grouped by head and ascending within a
     /// cluster (heads include themselves).
     members: Vec<VehicleId>,
-    /// Election scratch: `(rank(score), vehicle)` for every candidate head.
-    candidates: Vec<(u64, VehicleId)>,
+    /// Election scratch, reused across rounds.
+    election: Election,
     /// Moving-zone mode's links, refilled each round; unused otherwise.
     band: BandLinks,
     bfs: Bfs,
@@ -129,17 +129,30 @@ impl Clustering {
         }
     }
 
-    /// [`form_clusters`] into this value, reusing its buffers.
+    /// [`form_clusters`] into this value, reusing its buffers: the same
+    /// lazy election, which allocates nothing once they have grown to the
+    /// fleet.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the election scores a vehicle whose score is NaN (see
+    /// [`form_clusters`]).
     pub fn reform(&mut self, world: &WorldView<'_>, cfg: &ClusterConfig) {
         let _form = vc_obs::profile::frame("cluster.form");
         self.head_of.clear();
         self.head_of.resize(world.len(), None);
-        self.candidates.clear();
         let links = Links::of_round(&mut self.band, world, cfg);
-        self.candidates
-            .extend(world.online_ids().map(|id| (rank(links.head_score(world, id, cfg)), id)));
-        elect(&mut self.head_of, &mut self.candidates, &mut self.bfs, &links, cfg.max_hops, true);
+        self.election.run(&mut self.head_of, &mut self.bfs, &links, world, cfg, true);
         self.index_members();
+    }
+
+    /// Candidates the election has scored over this value's life: a
+    /// candidate is scored only when its degree bound reaches the front of
+    /// the queue while nobody has claimed it. Tests hold the laziness with
+    /// it; no row reports it.
+    #[cfg(test)]
+    pub(crate) fn scored(&self) -> u64 {
+        self.election.scored
     }
 
     /// Rebuilds the `heads`/`members` view from `head_of` by a counting
@@ -184,35 +197,272 @@ impl Clustering {
     }
 }
 
-/// Runs the election over `candidates`: in rank order — score descending,
-/// ties to the lower vehicle id — each candidate nobody has claimed yet
-/// becomes a head and claims the unclaimed vehicles within `max_hops`. The
-/// search runs on through vehicles another head already claimed only when
-/// `through_claimed` is set.
-fn elect(
-    head_of: &mut [Option<VehicleId>],
-    candidates: &mut [(u64, VehicleId)],
-    bfs: &mut Bfs,
-    links: &Links<'_>,
-    max_hops: u32,
-    through_claimed: bool,
-) {
-    // Ids are distinct, so the order is total and the unstable sort
-    // (which, unlike the stable one, allocates nothing) is deterministic.
-    candidates.sort_unstable();
-    for &(_, candidate) in candidates.iter() {
-        if head_of[candidate.0 as usize].is_some() {
-            continue;
-        }
-        head_of[candidate.0 as usize] = Some(candidate);
-        bfs.search(links, head_of.len(), max_hops, [candidate], |_, next| {
-            let head = &mut head_of[next.0 as usize];
-            let free = head.is_none();
-            if free {
-                *head = Some(candidate);
+/// Fleets of at most this many vehicles take one bucket. At 40–100 vehicles
+/// the bound is looser than the spread of degrees, so nearly every candidate
+/// is scored anyway, and the counting sort and spill lists cost more than the
+/// scores they skip (DESIGN.md §5, "Lazy head election").
+const SMALL_FLEET: usize = 128;
+
+/// No spill entry: the end of a bucket's spill list.
+const NONE: u32 = u32::MAX;
+
+/// The lazy head election and its scratch, reused across rounds so that a
+/// value re-formed every round stops allocating once the buffers have grown
+/// to the fleet (each holds at most one entry per vehicle or per degree).
+///
+/// Candidates are ranked by `(rank(score), id)` — score descending, ties to
+/// the lower id — and each one nobody has claimed when its turn comes
+/// becomes a head. A score is `fl(w_d·deg) − fl(w_s·rel/deg)`; with
+/// `w_s ≥ 0` the subtracted term is never negative and rounding is
+/// monotone, so the score is at most its degree bound `U = fl(w_d·deg)` and
+/// its key at least `(rank(U), id)`. Candidates wait in buckets of equal
+/// `rank(U)`, in bound order, ids ascending within a bucket, and one is
+/// scored only when its bound key is the smallest key left while nobody has
+/// claimed it (a claimed one would be passed over at its turn anyway). Its
+/// exact key is never below that bound key: equal, it is the minimum and
+/// wins at once; larger, it is filed on the spill of the last bucket whose
+/// bound does not exceed it. A bucket's spill is taken when the bucket is
+/// reached: keys tied with the bound interleave with the bucket's
+/// candidates by id, the rest follow them, sorted once.
+///
+/// A fleet of at most [`SMALL_FLEET`] vehicles, a moving-zone round (whose
+/// band has summed every relative speed already, so a score costs nothing
+/// to skip) and a negative or NaN `w_s` (which breaks the bound) take one
+/// bucket under the bound `+∞`: every candidate is scored up front.
+#[derive(Debug, Clone, Default)]
+struct Election {
+    /// Per degree: how many candidates have it, then its bucket.
+    by_degree: Vec<u32>,
+    /// Per bucket: `rank(U)`, strictly ascending.
+    bound: Vec<u64>,
+    /// Per bucket: one past its last slot in `order` (its first slot while
+    /// candidates are being placed).
+    end: Vec<u32>,
+    /// Per bucket: its latest spill entry, or [`NONE`].
+    spill_head: Vec<u32>,
+    /// Unscored candidates in bound order.
+    order: Vec<VehicleId>,
+    /// Every scored key not elected at once, with the next entry of its
+    /// bucket's list.
+    spill: Vec<(u64, u32)>,
+    /// The current bucket's scored keys.
+    run: Vec<u64>,
+    /// Per vehicle: the rank of its score, once scored.
+    rank_of: Vec<u64>,
+    /// Candidates scored so far.
+    scored: u64,
+}
+
+impl Election {
+    /// Elects heads among the online vehicles `head_of` leaves unclaimed:
+    /// in rank order, each candidate nobody has claimed yet becomes a head
+    /// and claims the unclaimed vehicles within `cfg.max_hops`. The search
+    /// runs on through vehicles another head already claimed only when
+    /// `through_claimed` is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a candidate it scores has a NaN score; one claimed
+    /// before its bound comes up is never scored.
+    fn run(
+        &mut self,
+        head_of: &mut [Option<VehicleId>],
+        bfs: &mut Bfs,
+        links: &Links<'_>,
+        world: &WorldView<'_>,
+        cfg: &ClusterConfig,
+        through_claimed: bool,
+    ) {
+        let n = world.len();
+        let key = Key::for_fleet(n);
+        // Every buffer is reserved for the fleet, not for this round's
+        // degrees and spills, so a round that drifts never reallocates.
+        self.rank_of.resize(n, 0);
+        self.by_degree.clear();
+        self.bound.clear();
+        self.end.clear();
+        self.spill_head.clear();
+        self.order.clear();
+        self.spill.clear();
+        self.run.clear();
+        self.by_degree.reserve(n);
+        self.bound.reserve(n);
+        self.end.reserve(n);
+        self.spill_head.reserve(n);
+        self.order.reserve(n);
+        self.spill.reserve(n);
+        self.run.reserve(n);
+        let candidates = || {
+            let head_of = &*head_of;
+            world.online_ids().filter(move |id| head_of[id.0 as usize].is_none())
+        };
+        let Election { by_degree, bound, end, spill_head, order, spill, run, rank_of, scored } =
+            self;
+        let bucketed =
+            matches!(links, Links::Table(_)) && n > SMALL_FLEET && cfg.weight_stability >= 0.0;
+        if !bucketed {
+            // Under the bound +∞ every candidate is scored at once, into
+            // the run of one bucket that holds nobody else.
+            for id in candidates() {
+                let rank = rank(links.head_score(world, id, cfg));
+                rank_of[id.0 as usize] = rank;
+                run.push(key.pack(rank, id));
             }
-            free || through_claimed
-        });
+            *scored += run.len() as u64;
+            bound.push(rank(f64::INFINITY));
+            end.push(0);
+        } else {
+            // Counting sort by bucket: count degrees, walk them in bound
+            // order to number the buckets, then place candidates in
+            // ascending id order.
+            for id in candidates() {
+                let degree = links.of(id).len();
+                if degree >= by_degree.len() {
+                    by_degree.resize(degree + 1, 0);
+                }
+                by_degree[degree] += 1;
+            }
+            let degrees = by_degree.len();
+            let mut placed = 0;
+            for step in 0..degrees {
+                let degree = if cfg.weight_degree < 0.0 { step } else { degrees - 1 - step };
+                let count = by_degree[degree];
+                if count == 0 {
+                    continue;
+                }
+                let rank = rank(cfg.weight_degree * degree as f64);
+                if bound.last() != Some(&rank) {
+                    bound.push(rank);
+                    end.push(placed);
+                }
+                by_degree[degree] = bound.len() as u32 - 1;
+                placed += count;
+            }
+            order.resize(placed as usize, VehicleId(0));
+            for id in candidates() {
+                let cursor = &mut end[by_degree[links.of(id).len()] as usize];
+                order[*cursor as usize] = id;
+                *cursor += 1;
+            }
+        }
+
+        spill_head.resize(bound.len(), NONE);
+        // Makes an unclaimed candidate a head and claims its reach.
+        let mut elect = move |head_of: &mut [Option<VehicleId>], candidate: VehicleId| {
+            head_of[candidate.0 as usize] = Some(candidate);
+            bfs.search(links, n, cfg.max_hops, [candidate], |_, next| {
+                let head = &mut head_of[next.0 as usize];
+                let free = head.is_none();
+                if free {
+                    *head = Some(candidate);
+                }
+                free || through_claimed
+            });
+        };
+        let mut from = 0;
+        for k in 0..bound.len() {
+            // This bucket's spill. Keys tied with its bound (a score equal
+            // to a lower degree's bound) go to the front, sorted, to
+            // interleave with the bucket's candidates by id.
+            let mut ties = 0;
+            let mut at = spill_head[k];
+            while at != NONE {
+                let (packed, next) = spill[at as usize];
+                if rank_of[key.id(packed).0 as usize] == bound[k] {
+                    run.insert(ties, packed);
+                    ties += 1;
+                } else {
+                    run.push(packed);
+                }
+                at = next;
+            }
+            run[..ties].sort_unstable();
+            let mut taken = 0;
+            for &id in &order[from..end[k] as usize] {
+                while taken < ties && key.id(run[taken]) < id {
+                    let tied = key.id(run[taken]);
+                    if head_of[tied.0 as usize].is_none() {
+                        elect(head_of, tied);
+                    }
+                    taken += 1;
+                }
+                if head_of[id.0 as usize].is_some() {
+                    continue;
+                }
+                *scored += 1;
+                let rank = rank(links.head_score(world, id, cfg));
+                rank_of[id.0 as usize] = rank;
+                if rank == bound[k] {
+                    elect(head_of, id);
+                } else {
+                    let last = k + bound[k + 1..].partition_point(|&b| b <= rank);
+                    if last == k {
+                        run.push(key.pack(rank, id));
+                    } else {
+                        spill.push((key.pack(rank, id), spill_head[last]));
+                        spill_head[last] = spill.len() as u32 - 1;
+                    }
+                }
+            }
+            // The rest — later ties, then keys above the bound — follow
+            // the bucket's candidates.
+            let rest = &mut run[taken..];
+            key.sort(rest, rank_of);
+            for &packed in rest.iter() {
+                let id = key.id(packed);
+                if head_of[id.0 as usize].is_none() {
+                    elect(head_of, id);
+                }
+            }
+            run.clear();
+            from = end[k] as usize;
+        }
+    }
+}
+
+/// A `(rank, id)` pair packed into one `u64`: the id in the low bits a
+/// fleet's ids need, the rank's remaining high bits above it. Keys sort in
+/// `(rank, id)` order except within a group whose ranks agree in those high
+/// bits but not below (scores a few ulps apart), which [`Key::sort`]
+/// re-sorts by the full rank. 8-byte keys take the standard library's
+/// branch-free small sorts, about twice as fast as sorting the pairs.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    /// The id bits.
+    mask: u64,
+}
+
+impl Key {
+    /// Keys for ids below `n`.
+    fn for_fleet(n: usize) -> Self {
+        let bits = u64::BITS - (n.max(2) as u64 - 1).leading_zeros();
+        Key { mask: (1 << bits) - 1 }
+    }
+
+    fn pack(self, rank: u64, id: VehicleId) -> u64 {
+        rank & !self.mask | u64::from(id.0)
+    }
+
+    fn id(self, packed: u64) -> VehicleId {
+        VehicleId((packed & self.mask) as u32)
+    }
+
+    /// Sorts `keys` into `(rank, id)` order, reading full ranks from
+    /// `rank_of`.
+    fn sort(self, keys: &mut [u64], rank_of: &[u64]) {
+        keys.sort_unstable();
+        let high = !self.mask;
+        let mut start = 0;
+        while let Some(at) =
+            keys[start..].windows(2).position(|pair| (pair[0] ^ pair[1]) & high == 0)
+        {
+            let first = start + at;
+            let len = keys[first..].iter().take_while(|&&k| (k ^ keys[first]) & high == 0).count();
+            start = first + len;
+            keys[first..start].sort_unstable_by_key(|&packed| {
+                (rank_of[(packed & self.mask) as usize], packed & self.mask)
+            });
+        }
     }
 }
 
@@ -227,6 +477,7 @@ fn elect(
 /// # Panics
 ///
 /// Panics on NaN: scores are finite for finite velocities and weights.
+/// Only degree bounds and the candidates the election scores reach it.
 fn rank(score: f64) -> u64 {
     assert!(!score.is_nan(), "finite scores");
     let bits = (score + 0.0).to_bits();
@@ -418,9 +669,21 @@ impl Bfs {
     }
 }
 
-/// Forms clusters over the current world snapshot.
+/// Forms clusters over the current world snapshot: in order of election
+/// score, highest first, each vehicle no head has claimed yet becomes a head
+/// and claims the unclaimed vehicles within `max_hops`.
 ///
-/// Deterministic: score ties break by lower vehicle id.
+/// Deterministic: score ties break by lower vehicle id. The election is
+/// lazy: a vehicle is scored only when the bound its degree puts on its
+/// score could still win while nobody has claimed it, so most of a dense
+/// fleet is never scored (DESIGN.md §5, "Lazy head election"). The heads
+/// and members are those of scoring everyone.
+///
+/// # Panics
+///
+/// Panics when the election scores a vehicle whose score is NaN — one with
+/// a NaN velocity, or a link to one, or a NaN weight. A vehicle claimed
+/// before its bound comes up is never scored, so it does not panic.
 pub fn form_clusters(world: &WorldView<'_>, cfg: &ClusterConfig) -> Clustering {
     let mut clustering = Clustering::default();
     clustering.reform(world, cfg);
@@ -437,7 +700,14 @@ pub fn form_clusters(world: &WorldView<'_>, cfg: &ClusterConfig) -> Clustering {
 /// nearest surviving head within `max_hops`; only uncovered vehicles run a
 /// fresh election among themselves. Heads therefore change when clusters
 /// genuinely split or merge, not on score jitter — the continuity the cloud
-/// layer's brokers need.
+/// layer's brokers need. The fresh election is [`form_clusters`]'s lazy one,
+/// among the uncovered vehicles only, and its searches stop at vehicles a
+/// kept head holds.
+///
+/// # Panics
+///
+/// Panics when that election scores a vehicle whose score is NaN (see
+/// [`form_clusters`]); kept heads and re-attached members are never scored.
 pub fn maintain_clusters(
     previous: &Clustering,
     world: &WorldView<'_>,
@@ -446,7 +716,7 @@ pub fn maintain_clusters(
 ) -> Clustering {
     let mut next = Clustering::default();
     next.head_of.resize(world.len(), None);
-    let Clustering { head_of, candidates, band, bfs, .. } = &mut next;
+    let Clustering { head_of, election, band, bfs, .. } = &mut next;
     let links = Links::of_round(band, world, cfg);
     let n = world.len();
 
@@ -483,13 +753,7 @@ pub fn maintain_clusters(
     });
 
     // 3. Fresh election among uncovered vehicles (splits / newcomers).
-    candidates.extend(
-        world
-            .online_ids()
-            .filter(|id| head_of[id.0 as usize].is_none())
-            .map(|id| (rank(links.head_score(world, id, cfg)), id)),
-    );
-    elect(head_of, candidates, bfs, &links, cfg.max_hops, false);
+    election.run(head_of, bfs, &links, world, cfg, false);
     next.index_members();
     next
 }
@@ -510,7 +774,10 @@ pub fn head_churn(before: &Clustering, after: &Clustering, n_vehicles: usize) ->
 mod tests {
     use super::*;
     use vc_sim::geom::Point;
-    use vc_sim::radio::NeighborTable;
+    use vc_sim::mobility::Fleet;
+    use vc_sim::radio::{Channel, NeighborTable};
+    use vc_sim::roadnet::RoadNetwork;
+    use vc_sim::scenario::{Scenario, ScenarioBuilder};
 
     struct Fixture {
         positions: Vec<Point>,
@@ -564,6 +831,34 @@ mod tests {
                     "{a:e} against {b:e}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn packed_keys_sort_as_the_pairs_do() {
+        // Ranks drawn from a few values that differ only in their lowest
+        // bits, so most keys collide above the id bits: equal ranks must
+        // go by id and near-equal ones by the full rank.
+        use vc_sim::rng::SimRng;
+        let mut rng = SimRng::seed_from(5);
+        for n in [1usize, 2, 3, 40, 1_000, 70_000] {
+            let key = Key::for_fleet(n);
+            let mut rank_of = vec![0; n];
+            let mut pairs: Vec<(u64, VehicleId)> = Vec::new();
+            for id in (0..n as u32).map(VehicleId) {
+                if pairs.len() == 300 || !rng.chance(0.6) {
+                    continue;
+                }
+                let rank = [7 << 40, 9 << 40, u64::MAX - 5][rng.index(3)] + rng.index(4) as u64;
+                rank_of[id.0 as usize] = rank;
+                pairs.push((rank, id));
+            }
+            let mut keys: Vec<u64> = pairs.iter().map(|&(rank, id)| key.pack(rank, id)).collect();
+            key.sort(&mut keys, &rank_of);
+            pairs.sort_unstable();
+            let ids: Vec<VehicleId> = keys.iter().map(|&packed| key.id(packed)).collect();
+            let want: Vec<VehicleId> = pairs.iter().map(|&(_, id)| id).collect();
+            assert_eq!(ids, want, "{n} vehicles");
         }
     }
 
@@ -838,6 +1133,103 @@ mod tests {
             "maintenance churn {churn_maintained} must not exceed re-election churn {churn_reelected}"
         );
         assert_eq!(churn_maintained, 0.0, "no partition ever happens here");
+    }
+
+    /// Candidates one `reform` of `scenario`'s current round scores, and
+    /// the online vehicles it elects among.
+    fn scored_of(scenario: &Scenario) -> (u64, u64) {
+        let table = scenario.neighbor_table();
+        let world = WorldView {
+            positions: scenario.fleet.positions(),
+            velocities: scenario.fleet.velocities(),
+            online: scenario.fleet.online_flags(),
+            neighbors: &table,
+        };
+        let mut clustering = Clustering::default();
+        clustering.reform(&world, &ClusterConfig::multi_hop());
+        (clustering.scored(), world.online_ids().count() as u64)
+    }
+
+    #[test]
+    fn the_cloud_election_scores_few_candidates() {
+        // `cloud-pipeline`'s fleet: four heads among 1 000 vehicles of
+        // degree ≈ 240, so nearly every bound loses before it is reached.
+        let mut cloud = ScenarioBuilder::new().seed(42).vehicles(1_000).urban_with_rsus();
+        cloud.run_ticks(30);
+        let (scored, online) = scored_of(&cloud);
+        assert!(scored * 5 <= online, "scored {scored} of {online} candidates");
+    }
+
+    #[test]
+    fn the_city_election_leaves_candidates_unscored() {
+        // `city-secure`'s 57 × 57 grid at 78 vehicles per km²: degrees near
+        // 22, so the bound is looser and most candidates are scored.
+        let mut city = ScenarioBuilder::new().seed(42).dt(0.5).urban_with_rsus();
+        city.roadnet = RoadNetwork::grid(57, 57, 200.0, 13.9);
+        city.fleet = Fleet::urban(&city.roadnet, 10_000, &mut city.rng);
+        city.channel = Channel::dsrc();
+        city.run_ticks(8);
+        let (scored, online) = scored_of(&city);
+        eprintln!("city scored {scored} of {online}");
+        assert!(scored * 10 <= online * 7, "scored {scored} of {online} candidates");
+    }
+
+    #[test]
+    fn a_score_tied_with_a_lower_bound_goes_by_id() {
+        // 0 hears 1 and 2; 0 and 1 stand still, 2 drives at 2 m/s, so
+        // vehicle 0 scores 2 − 2/2 = 1 (its bound is 2) and 1 scores
+        // 1 − 0 = 1, its own bound. Equal keys go to the lower id: 0 must
+        // win, although 1's bound comes up first in 1's bucket. A still
+        // clique of 130 far off takes the fleet past SMALL_FLEET.
+        let mut positions =
+            vec![Point::new(200.0, 0.0), Point::new(0.0, 0.0), Point::new(400.0, 0.0)];
+        positions.extend((0..130).map(|i| Point::new(10_000.0 + i as f64, 0.0)));
+        let mut velocities = still(133);
+        velocities[2] = Point::new(2.0, 0.0);
+        let f = Fixture::new(positions, velocities, 300.0);
+        let c = form_clusters(&f.world(), &ClusterConfig::multi_hop());
+        for i in 0..3 {
+            assert_eq!(c.head_of(VehicleId(i)), Some(VehicleId(0)));
+        }
+    }
+
+    /// A still blob of 150 vehicles within one range, a bridge `x` 280 m
+    /// east that hears about half of it, and vehicle 151 another 250 m on,
+    /// which hears only `x` and has a NaN velocity — so its score and
+    /// `x`'s are NaN. Past [`SMALL_FLEET`], so the election is bucketed.
+    fn blob_with_nan_tail() -> Fixture {
+        let mut positions: Vec<Point> = (0..150)
+            .map(|i| Point::new((i % 10) as f64 * 10.0 - 45.0, (i / 10) as f64 * 6.0 - 45.0))
+            .collect();
+        positions.push(Point::new(280.0, 0.0));
+        positions.push(Point::new(530.0, 0.0));
+        let mut velocities = still(152);
+        velocities[151] = Point::new(f64::NAN, 0.0);
+        Fixture::new(positions, velocities, 300.0)
+    }
+
+    #[test]
+    fn a_nan_vehicle_claimed_before_its_turn_is_never_scored() {
+        // The head comes from the blob with a score equal to its bound and
+        // claims the bridge at one hop and the NaN vehicle at two, before
+        // either one's lower bound comes up.
+        let f = blob_with_nan_tail();
+        let c = form_clusters(&f.world(), &ClusterConfig::multi_hop());
+        let head = c.head_of(VehicleId(151)).expect("claimed");
+        assert!(head.0 < 150);
+        assert_eq!(c.head_of(VehicleId(150)), Some(head));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite scores")]
+    fn a_nan_vehicle_the_election_scores_panics() {
+        // Out of everyone's reach, a NaN vehicle and its one neighbor are
+        // still unclaimed when their bound comes up.
+        let mut f = blob_with_nan_tail();
+        f.positions[150] = Point::new(5_000.0, 0.0);
+        f.positions[151] = Point::new(5_100.0, 0.0);
+        f.neighbors = NeighborTable::build(&f.positions, &f.online, 300.0);
+        form_clusters(&f.world(), &ClusterConfig::multi_hop());
     }
 
     #[test]

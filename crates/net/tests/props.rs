@@ -687,6 +687,123 @@ prop! {
     }
 }
 
+/// A world past the election's single-bucket size: a blob of 200–240
+/// vehicles inside one 300 m range (a 200 m square, a clique) or spread
+/// over a 400 m square (degrees from about 100 to 200), up to 60 more over
+/// 2 km around it and up to four isolated ones 20 km out. Velocities are
+/// random, all zero (every score then equals its degree bound), whole
+/// numbers of m/s along one axis (scores tie with other degrees' bounds) or
+/// three platoons; about one vehicle in ten is offline.
+fn election_world(rng: &mut SimRng) -> World {
+    let blob = rng.range_u64(200, 240) as usize;
+    let around = rng.range_u64(0, 60) as usize;
+    let isolated = rng.range_u64(0, 4) as usize;
+    let side = if rng.chance(0.5) { 200.0 } else { 400.0 };
+    let mut positions: Vec<Point> =
+        (0..blob).map(|_| Point::new(rng.range_f64(0.0, side), rng.range_f64(0.0, side))).collect();
+    positions.extend(
+        (0..around)
+            .map(|_| Point::new(rng.range_f64(-800.0, 1200.0), rng.range_f64(-800.0, 1200.0))),
+    );
+    positions.extend((0..isolated).map(|i| Point::new(20_000.0 * (i + 1) as f64, 0.0)));
+    // Shuffle, so the blob's ids interleave with everyone else's.
+    for i in (1..positions.len()).rev() {
+        positions.swap(i, rng.index(i + 1));
+    }
+    let n = positions.len();
+    let kind = rng.index(4);
+    let velocities = (0..n)
+        .map(|_| match kind {
+            0 => Point::new(rng.range_f64(-15.0, 15.0), rng.range_f64(-15.0, 15.0)),
+            1 => Point::new(0.0, 0.0),
+            // Whole relative speeds: scores land on lower degrees' bounds.
+            2 => Point::new(rng.index(3) as f64, 0.0),
+            _ => {
+                let base = [Point::new(14.0, 0.0), Point::new(-14.0, 0.0), Point::new(0.0, 14.0)];
+                base[rng.index(3)] + Point::new(rng.range_f64(-2.0, 2.0), 0.0)
+            }
+        })
+        .collect();
+    let online = (0..n).map(|_| rng.chance(0.9)).collect();
+    World { positions, velocities, online }
+}
+
+fn election_world_pair() -> FromFn<impl Fn(&mut SimRng) -> (World, World)> {
+    from_fn(|rng| {
+        let first = election_world(rng);
+        // The second round moves everyone a little and takes some offline.
+        let mut second = first.clone();
+        for (p, v) in second.positions.iter_mut().zip(&first.velocities) {
+            *p = *p + *v * 2.0 + Point::new(rng.range_f64(-20.0, 20.0), rng.range_f64(-20.0, 20.0));
+        }
+        for on in &mut second.online {
+            *on = *on && rng.chance(0.9);
+        }
+        (first, second)
+    })
+}
+
+prop! {
+    #![cases(24)]
+
+    // The lazy election scores a candidate only when its degree bound can
+    // still win; it must elect exactly what scoring everyone elects. Worlds
+    // past the single-bucket size under E8's three weightings — where
+    // (0, 2) puts every degree in one bucket, ordered by id — and the
+    // standard and moving-zone ones, a negative stability weight (no
+    // bound: every candidate scored) and a negative degree weight (bounds
+    // rising with degree).
+    #[test]
+    fn lazy_election_matches_reference((before, after) in election_world_pair(), hops in 0u32..3, pick in any_u32()) {
+        let range = 300.0;
+        let table_before = NeighborTable::build(&before.positions, &before.online, range);
+        let world_before = WorldView {
+            positions: &before.positions,
+            velocities: &before.velocities,
+            online: &before.online,
+            neighbors: &table_before,
+        };
+        let table_after = NeighborTable::build(&after.positions, &after.online, range);
+        let world_after = WorldView {
+            positions: &after.positions,
+            velocities: &after.velocities,
+            online: &after.online,
+            neighbors: &table_after,
+        };
+        let weighted = |weight_degree, weight_stability| ClusterConfig {
+            max_hops: hops,
+            weight_degree,
+            weight_stability,
+            velocity_similarity: None,
+        };
+        let mut moving_zone = ClusterConfig::moving_zone();
+        moving_zone.max_hops = hops;
+        let configs = [
+            weighted(1.0, 0.0),
+            weighted(0.0, 2.0),
+            weighted(1.0, 1.0),
+            weighted(1.0, 2.0),
+            weighted(1.0, -1.0),
+            weighted(-1.0, 1.0),
+            moving_zone,
+        ];
+        for cfg in &configs {
+            let formed = form_clusters(&world_before, cfg);
+            let want = reference::form(&world_before, cfg);
+            prop_assert_eq!(mismatch(&formed, &want), None, "form under {:?}", cfg);
+        }
+        // Maintenance elects among the vehicles no kept head reaches; the
+        // reference's quorum check is slow at this size, so one weighting a
+        // case.
+        let cfg = &configs[pick as usize % configs.len()];
+        let formed = form_clusters(&world_before, cfg);
+        let want_formed = reference::form(&world_before, cfg);
+        let kept = maintain_clusters(&formed, &world_after, cfg, 0.5);
+        let want_kept = reference::maintain(&want_formed, &world_after, cfg, 0.5);
+        prop_assert_eq!(mismatch(&kept, &want_kept), None, "maintain under {:?}", cfg);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // `vc_net::svc` wire-frame properties: the daemon's length-prefixed protocol
 // must round-trip arbitrary frames, survive arbitrarily fragmented reads,
