@@ -1,12 +1,11 @@
 //! Micro-benches for the PR 7 observability surfaces: the causal sampling
 //! decision (on every `NetSim::send`, so it must stay branch-cheap), the
-//! per-copy `EventBuf` fill + canonical-order absorb path, the per-tick
-//! time-series diff, a fully traced routing run at each sample rate, and
+//! per-tick time-series diff, a fully traced routing run at each sample rate, and
 //! the JSONL export of a traced service job.
 
 use vc_net::netsim::NetSim;
 use vc_net::routing::Epidemic;
-use vc_obs::{EventBuf, Recorder, SampleRate, Sampler};
+use vc_obs::{Recorder, SampleRate, Sampler};
 use vc_sim::scenario::ScenarioBuilder;
 use vc_sim::time::SimTime;
 use vc_testkit::bench::{black_box, Suite};
@@ -34,18 +33,6 @@ fn main() {
             black_box(hits)
         });
     }
-
-    // ---- per-copy buffer fill + canonical-order absorb ----
-    suite.bench_elems("recorder/buf_fill_absorb/256", 256, || {
-        let mut rec = Recorder::new();
-        let mut buf = EventBuf::new();
-        let t = SimTime::from_secs(1);
-        for i in 0..256u64 {
-            buf.event(t, "net", "radio.rx", vec![("latency_us", i.into())]);
-        }
-        rec.absorb(buf);
-        black_box(rec.len())
-    });
 
     // ---- per-tick time-series diff against a busy hub ----
     suite.bench("timeseries/tick_128_counters", || {

@@ -79,6 +79,33 @@ fn job_mode_writes_the_exact_service_bytes() {
 }
 
 #[test]
+fn a_traced_job_ignores_the_trace_sample_rate_of_the_environment() {
+    // A RESULT depends only on its spec: `VC_TRACE_SAMPLE` (E8's opt-in)
+    // must not add causal events to a job's trace.
+    let dir = std::env::temp_dir().join(format!("vc_job_env_{}", std::process::id()));
+    let run = |rate: Option<&str>| {
+        let out_dir = dir.join(rate.unwrap_or("unset"));
+        let mut cmd = experiments();
+        cmd.args(["--job", "urban-epidemic", "--seed", "99", "--ticks", "48", "--job-trace"])
+            .args(["--job-out", out_dir.to_str().unwrap()]);
+        match rate {
+            Some(rate) => cmd.env("VC_TRACE_SAMPLE", rate),
+            None => cmd.env_remove("VC_TRACE_SAMPLE"),
+        };
+        let out = cmd.output().expect("experiments runs");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let read = |name| std::fs::read(out_dir.join(name)).expect("job output written");
+        (read("stats.json"), read("trace.jsonl"))
+    };
+    let unset = run(None);
+    let sampled = run(Some("1"));
+    assert_eq!(unset.0, sampled.0, "stats must not depend on VC_TRACE_SAMPLE");
+    assert!(unset.1 == sampled.1, "the trace must not depend on VC_TRACE_SAMPLE");
+    assert!(!String::from_utf8_lossy(&sampled.1).contains("causal."), "no causal event");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn job_mode_rejects_unknown_scenarios_with_the_catalog() {
     let out = experiments().args(["--job", "no-such-scenario"]).output().expect("experiments runs");
     assert!(!out.status.success());

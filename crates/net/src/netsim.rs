@@ -16,11 +16,11 @@
 //! copy's same-round effect, so the result does not depend on evaluation
 //! order (DESIGN.md, "Deterministic by construction").
 //!
-//! ## Per-copy event buffers and causal traces
+//! ## Events and causal traces
 //!
-//! When a [`Recorder`] is attached, each copy's radio events are buffered
-//! in its [`CopyOutcome`]'s [`EventBuf`]; the merge absorbs the buffers in
-//! canonical copy order before replaying the copy's routing/causal events.
+//! When a [`Recorder`] is attached, the merge emits each copy's radio
+//! events from the attempts its evaluation recorded, in canonical copy
+//! order, before that copy's routing/causal events.
 //! Packets selected by the deterministic
 //! [`Sampler`](vc_obs::Sampler) additionally carry a trace id and emit a
 //! `causal.origin` → `causal.hop`* → `causal.deliver`/`causal.drop` chain
@@ -31,7 +31,7 @@ use crate::message::{Packet, PacketId, RoutingStats};
 use crate::routing::RoutingProtocol;
 use crate::world::WorldView;
 use std::ops::Range;
-use vc_obs::{reborrow, EventBuf, Recorder, Sampler};
+use vc_obs::{reborrow, Recorder, SampleRate, Sampler};
 use vc_sim::geom::SpatialGrid;
 use vc_sim::node::VehicleId;
 use vc_sim::radio::NeighborTable;
@@ -72,8 +72,11 @@ struct Attempt {
 /// What happened to one copy this round, as seen from the round snapshot.
 #[derive(Debug)]
 enum Fate {
-    /// Copy died before acting (packet already delivered, holder offline).
+    /// The packet was delivered before this round: the copy dies silently.
     Dead,
+    /// The holder went offline: the copy dies, and a traced one ends its
+    /// chain with `causal.drop`.
+    Dropped,
     /// Copy made no progress (failed direct attempt, TTL-frozen): it stays.
     Held,
     /// Direct delivery to the destination succeeded with this hop latency.
@@ -88,9 +91,6 @@ struct CopyOutcome {
     /// The copy's run of the round's flat attempt buffer.
     attempts: Range<usize>,
     fate: Fate,
-    /// The copy's radio events (empty unless a recorder is attached),
-    /// absorbed by the merge in canonical copy order.
-    events: EventBuf,
 }
 
 /// The network simulation: inject packets, run rounds, read statistics.
@@ -106,8 +106,9 @@ pub struct NetSim<'a, P: RoutingProtocol> {
     /// grid cells are rebuilt in place each round instead of reallocated).
     table: NeighborTable,
     grid: SpatialGrid,
-    /// Decides which packets carry a causal trace. Keyed by the scenario
-    /// seed, so the traced set is reproducible.
+    /// Decides which packets carry a causal trace. Off unless
+    /// [`NetSim::set_sampler`] says otherwise, so no environment variable
+    /// reaches a run that does not ask for one.
     sampler: Sampler,
     /// The round's working buffers, kept across rounds so the steady-state
     /// round loop stays allocation-free (and taken for the duration of a
@@ -115,14 +116,12 @@ pub struct NetSim<'a, P: RoutingProtocol> {
     scratch: RoundScratch,
 }
 
-/// What a round fills and empties again: the start-of-round delivery
-/// snapshot, one outcome per copy, every copy's attempts end to end, the
-/// protocol's answer for the copy at hand, and the two halves of the next
-/// round's copy list (`survivors` swaps places with `NetSim::copies` each
-/// round).
+/// What a round fills and empties again: one outcome per copy, every
+/// copy's attempts end to end, the protocol's answer for the copy at hand,
+/// and the two halves of the next round's copy list (`survivors` swaps
+/// places with `NetSim::copies` each round).
 #[derive(Debug, Default)]
 struct RoundScratch {
-    delivered_snap: Vec<bool>,
     outcomes: Vec<CopyOutcome>,
     attempts: Vec<Attempt>,
     hops: Vec<VehicleId>,
@@ -133,8 +132,7 @@ struct RoundScratch {
 impl RoundScratch {
     fn heap_bytes(&self) -> u64 {
         use std::mem::size_of;
-        (self.delivered_snap.capacity()
-            + self.outcomes.capacity() * size_of::<CopyOutcome>()
+        (self.outcomes.capacity() * size_of::<CopyOutcome>()
             + self.attempts.capacity() * size_of::<Attempt>()
             + self.hops.capacity() * size_of::<VehicleId>()
             + (self.survivors.capacity() + self.new_copies.capacity()) * size_of::<Copy>())
@@ -162,9 +160,10 @@ fn attempt_link(
     Attempt { target: to, bytes, contenders, dist_m: a.distance(b), latency }
 }
 
-/// Pure per-copy round logic. Reads only the start-of-round snapshot
-/// (`delivered_before`, the world view, packet states) and the copy's
-/// private RNG stream, so the result is independent of evaluation order.
+/// Pure per-copy round logic. Reads only the start-of-round snapshot (the
+/// world view and packet states, which only the merge writes) and the
+/// copy's private RNG stream, so the result is independent of evaluation
+/// order.
 /// The copy's attempts are appended to `attempts`; `hops` is the buffer the
 /// protocol answers into.
 #[allow(clippy::too_many_arguments)]
@@ -172,22 +171,21 @@ fn copy_outcome<P: RoutingProtocol>(
     index: usize,
     copy: &Copy,
     state: &PacketState,
-    delivered_before: bool,
     scenario: &Scenario,
     world: &WorldView<'_>,
     protocol: &P,
     round_key: u64,
-    now: SimTime,
-    record: bool,
     attempts: &mut Vec<Attempt>,
     hops: &mut Vec<VehicleId>,
 ) -> CopyOutcome {
-    let mut events = EventBuf::new();
     let first = attempts.len();
     // A copy dies when its packet was delivered (as of the round snapshot)
     // or its holder went offline (offline vehicles keep nothing running).
-    if delivered_before || !world.is_online(copy.holder) {
-        return CopyOutcome { attempts: first..first, fate: Fate::Dead, events };
+    if state.delivered {
+        return CopyOutcome { attempts: first..first, fate: Fate::Dead };
+    }
+    if !world.is_online(copy.holder) {
+        return CopyOutcome { attempts: first..first, fate: Fate::Dropped };
     }
     let mut rng = SimRng::stream(round_key, index as u64);
     let dst = state.packet.dst;
@@ -195,20 +193,17 @@ fn copy_outcome<P: RoutingProtocol>(
     if world.is_online(dst) && world.neighbors.of(copy.holder).contains(&dst) {
         let attempt =
             attempt_link(scenario, world, copy.holder, dst, state.packet.size_bytes, &mut rng);
-        if record {
-            buf_attempt(&mut events, now, &attempt);
-        }
         let fate = match attempt.latency {
             Some(lat) => Fate::Delivered(lat),
             None => Fate::Held,
         };
         attempts.push(attempt);
-        return CopyOutcome { attempts: first..first + 1, fate, events };
+        return CopyOutcome { attempts: first..first + 1, fate };
     }
     // Out of hop budget: the copy may still deliver directly later, but may
     // not be relayed further.
     if copy.hops >= state.packet.ttl_hops {
-        return CopyOutcome { attempts: first..first, fate: Fate::Held, events };
+        return CopyOutcome { attempts: first..first, fate: Fate::Held };
     }
     // Ask the protocol for relays.
     hops.clear();
@@ -219,16 +214,13 @@ fn copy_outcome<P: RoutingProtocol>(
         let attempt =
             attempt_link(scenario, world, copy.holder, target, state.packet.size_bytes, &mut rng);
         forwarded |= attempt.latency.is_some();
-        if record {
-            buf_attempt(&mut events, now, &attempt);
-        }
         attempts.push(attempt);
     }
     // Store-carry-forward: the holder keeps its copy unless the protocol
     // handed it off (single-copy protocols move, epidemic replicates and
     // also keeps).
     let keeps = !forwarded || protocol.name() == "epidemic";
-    CopyOutcome { attempts: first..attempts.len(), fate: Fate::Forwarded { keeps }, events }
+    CopyOutcome { attempts: first..attempts.len(), fate: Fate::Forwarded { keeps } }
 }
 
 impl<'a, P: RoutingProtocol> NetSim<'a, P> {
@@ -238,7 +230,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         // once from the current channel range is safe even if the range is
         // later mutated between rounds.
         let grid = SpatialGrid::new(scenario.channel.range_m.max(1.0));
-        let sampler = Sampler::from_env(scenario.seed);
+        let sampler = Sampler::new(scenario.seed, SampleRate::OFF);
         NetSim {
             scenario,
             protocol,
@@ -254,17 +246,11 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         }
     }
 
-    /// Replaces the causal-trace sampler (in-process rate sweeps such as
-    /// `benches/obs.rs`, and tests; the default samples at the process-wide
-    /// `VC_TRACE_SAMPLE` rate keyed by the scenario seed). Affects only packets sent after
-    /// the call.
+    /// Replaces the causal-trace sampler, which is off by default (E8 opts
+    /// in at the `VC_TRACE_SAMPLE` rate; `benches/obs.rs` sweeps rates).
+    /// Affects only packets sent after the call.
     pub fn set_sampler(&mut self, sampler: Sampler) {
         self.sampler = sampler;
-    }
-
-    /// The active causal-trace sampler.
-    pub fn sampler(&self) -> &Sampler {
-        &self.sampler
     }
 
     /// Injects a packet from `src` to `dst` with the given payload size.
@@ -342,8 +328,8 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
     }
 
     /// [`NetSim::run_rounds`] with instrumentation: each round emits `sim`
-    /// radio tx/rx/drop events for every transmission attempt (buffered
-    /// per copy, merged in canonical order) plus `net`
+    /// radio tx/rx/drop events for every transmission attempt (in
+    /// canonical copy order) plus `net`
     /// events `routing.forward` (relay accepted a copy) and
     /// `routing.deliver` (destination reached, with hop count and
     /// end-to-end latency). Packets selected by the sampler additionally
@@ -385,20 +371,9 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         };
         self.protocol.begin_round(&world);
 
-        let RoundScratch {
-            mut delivered_snap,
-            mut outcomes,
-            mut attempts,
-            mut hops,
-            mut survivors,
-            mut new_copies,
-        } = std::mem::take(&mut self.scratch);
-        // Snapshot delivery flags so every copy is evaluated against the
-        // same start-of-round state.
-        delivered_snap.clear();
-        delivered_snap.extend(self.packets.iter().map(|s| s.delivered));
+        let RoundScratch { mut outcomes, mut attempts, mut hops, mut survivors, mut new_copies } =
+            std::mem::take(&mut self.scratch);
         let copies = std::mem::take(&mut self.copies);
-        let record = rec.is_some();
         let now = self.now;
         {
             let _delivery = vc_obs::profile::frame("radio.delivery");
@@ -408,46 +383,42 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
                     i,
                     copy,
                     &self.packets[copy.packet_idx],
-                    delivered_snap[copy.packet_idx],
                     scenario,
                     &world,
                     &self.protocol,
                     round_key,
-                    now,
-                    record,
                     &mut attempts,
                     &mut hops,
                 )
             }));
         }
 
-        // Merge in canonical copy order: absorb each copy's event buffer,
-        // replay routing/causal events and statistics, dedupe same-round
+        // Merge in canonical copy order: emit each copy's radio events, then
+        // replay its routing/causal events and statistics, dedupe same-round
         // deliveries (first in canonical order wins) and duplicate forwards
         // to an already-carried target.
         let _merge = vc_obs::profile::frame("shard.merge");
         for (copy, outcome) in copies.iter().zip(outcomes.drain(..)) {
             if let Some(rec) = reborrow(&mut rec) {
-                rec.absorb(outcome.events);
+                for attempt in &attempts[outcome.attempts.clone()] {
+                    record_attempt(rec, now, attempt);
+                }
             }
             let trace = self.packets[copy.packet_idx].packet.trace;
             match outcome.fate {
-                Fate::Dead => {
-                    // Delivered-elsewhere deaths are silent; a holder going
-                    // offline ends a traced chain with a visible drop.
-                    if !delivered_snap[copy.packet_idx] {
-                        if let (Some(trace), Some(rec)) = (trace, reborrow(&mut rec)) {
-                            rec.event(
-                                now,
-                                "net",
-                                "causal.drop",
-                                vec![
-                                    ("trace", trace.as_u64().into()),
-                                    ("hop", copy.hops.into()),
-                                    ("holder", copy.holder.0.into()),
-                                ],
-                            );
-                        }
+                Fate::Dead => {}
+                Fate::Dropped => {
+                    if let (Some(trace), Some(rec)) = (trace, reborrow(&mut rec)) {
+                        rec.event(
+                            now,
+                            "net",
+                            "causal.drop",
+                            vec![
+                                ("trace", trace.as_u64().into()),
+                                ("hop", copy.hops.into()),
+                                ("holder", copy.holder.0.into()),
+                            ],
+                        );
                     }
                 }
                 Fate::Held => {
@@ -557,8 +528,7 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         self.copies = survivors;
         let mut survivors = copies;
         survivors.clear();
-        self.scratch =
-            RoundScratch { delivered_snap, outcomes, attempts, hops, survivors, new_copies };
+        self.scratch = RoundScratch { outcomes, attempts, hops, survivors, new_copies };
         // One time-series sample per round (no-op unless the recorder's
         // windowed mode is enabled). Deep-footprint gauges ride the tick;
         // they are derived from lengths and capacities only — never
@@ -630,11 +600,10 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
     }
 }
 
-/// Buffers one transmission attempt's event pair into its copy's buffer:
-/// `radio.tx` for the attempt, then `radio.rx` (with latency) or
-/// `radio.drop`.
-fn buf_attempt(buf: &mut EventBuf, now: SimTime, attempt: &Attempt) {
-    buf.event(
+/// Records one transmission attempt's event pair: `radio.tx` for the
+/// attempt, then `radio.rx` (with latency) or `radio.drop`.
+fn record_attempt(rec: &mut Recorder, now: SimTime, attempt: &Attempt) {
+    rec.event(
         now,
         "sim",
         "radio.tx",
@@ -642,9 +611,9 @@ fn buf_attempt(buf: &mut EventBuf, now: SimTime, attempt: &Attempt) {
     );
     match attempt.latency {
         Some(latency) => {
-            buf.event(now, "sim", "radio.rx", vec![("latency_us", latency.as_micros().into())]);
+            rec.event(now, "sim", "radio.rx", vec![("latency_us", latency.as_micros().into())]);
         }
-        None => buf.event(now, "sim", "radio.drop", vec![("dist_m", attempt.dist_m.into())]),
+        None => rec.event(now, "sim", "radio.drop", vec![("dist_m", attempt.dist_m.into())]),
     }
 }
 
@@ -782,11 +751,9 @@ mod tests {
         assert_eq!(run(7), run(7));
     }
 
-    use vc_obs::SampleRate;
-
     #[test]
     fn causal_tracing_does_not_perturb_the_run() {
-        // `None` keeps the sampler `NetSim::new` reads from `VC_TRACE_SAMPLE`.
+        // `None` keeps the sampler `NetSim::new` starts with.
         let run = |rate: Option<SampleRate>, rec: Option<&mut Recorder>| {
             let mut scenario = dense_urban(9, 40);
             let mut sim = NetSim::new(&mut scenario, Epidemic);
@@ -807,8 +774,8 @@ mod tests {
         assert!(rec.hub().counter("net.causal.origin") > 0);
 
         // Rate 0 is inert: a recorder-attached run at an explicit rate 0 and
-        // one that never calls `set_sampler` (off while `VC_TRACE_SAMPLE` is
-        // unset) write the same JSONL bytes and no causal event.
+        // one that never calls `set_sampler` write the same JSONL bytes and
+        // no causal event.
         let recorded = |rate: Option<SampleRate>| {
             let mut rec = Recorder::new();
             assert_eq!(run(rate, Some(&mut rec)), plain, "recording must not perturb the run");
@@ -823,9 +790,7 @@ mod tests {
         let off = recorded(Some(SampleRate::OFF));
         assert!(!off.0.is_empty());
         assert_eq!(off.1, 0, "rate 0 must emit no causal event");
-        if SampleRate::from_env().is_off() {
-            assert_eq!(recorded(None), off, "rate 0 must leave no trace of the sampler");
-        }
+        assert_eq!(recorded(None), off, "rate 0 must leave no trace of the sampler");
     }
 
     #[test]
@@ -858,6 +823,64 @@ mod tests {
             };
             assert!(origins.contains(trace), "{} orphaned trace {trace}", event.kind);
         }
+    }
+
+    /// SHA-256 of the JSONL trace of
+    /// `offline_holders_drop_traced_copies_and_delivered_copies_die_silently`.
+    const DROP_TRACE_SHA256: &str =
+        "2e953d6129f314a0d234e6963ee23a657012859f17679afb1b992eaaf7318c81";
+
+    #[test]
+    fn offline_holders_drop_traced_copies_and_delivered_copies_die_silently() {
+        let mut scenario = dense_urban(21, 60);
+        let mut sim = NetSim::new(&mut scenario, Epidemic);
+        sim.set_sampler(Sampler::new(21, SampleRate::ALL));
+        let mut rec = Recorder::new();
+        sim.send_random_pairs(20, 128, Some(&mut rec));
+        sim.run_rounds_obs(4, Some(&mut rec));
+        let u64_field = |e: &vc_obs::Event, key: &str| {
+            e.fields.iter().find_map(|(k, v)| match v {
+                vc_obs::Value::U64(x) if *k == key => Some(*x),
+                _ => None,
+            })
+        };
+        let (mut dropped, mut silent) = (0, 0);
+        for _ in 0..6 {
+            // Take the holders of every fifth live copy offline between rounds.
+            let victims: Vec<VehicleId> = sim.copies.iter().step_by(5).map(|c| c.holder).collect();
+            for &v in &victims {
+                sim.scenario_mut().fleet.set_online(v, false);
+            }
+            let mut expected = Vec::new();
+            for copy in sim.copies.iter().filter(|c| victims.contains(&c.holder)) {
+                let state = &sim.packets[copy.packet_idx];
+                if state.delivered {
+                    silent += 1;
+                } else {
+                    let trace = state.packet.trace.expect("rate 1 traces every packet");
+                    expected.push((trace.as_u64(), u64::from(copy.holder.0)));
+                }
+            }
+            let seen = rec.len();
+            sim.run_rounds_obs(1, Some(&mut rec));
+            let mut drops: Vec<(u64, u64)> = rec
+                .events()
+                .skip(seen)
+                .filter(|e| e.kind == "causal.drop")
+                .map(|e| (u64_field(e, "trace").unwrap(), u64_field(e, "holder").unwrap()))
+                .collect();
+            drops.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(drops, expected, "one drop per undelivered copy on an offline holder");
+            dropped += expected.len();
+        }
+        assert!(dropped > 0 && silent > 0, "{dropped} drops, {silent} silent deaths");
+        assert_eq!(rec.hub().counter("net.causal.drop"), dropped as u64);
+        let mut jsonl = Vec::new();
+        rec.write_jsonl(&mut jsonl).expect("serialize trace");
+        let hex: String =
+            vc_crypto::sha256::sha256(&jsonl).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, DROP_TRACE_SHA256, "the trace's bytes changed");
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! sampled set is reproducible across runs, so sampled traces byte-compare
 //! exactly like unsampled ones.
 //!
-//! The rate comes from `VC_TRACE_SAMPLE` (`0` = off, the default; `1` =
-//! every message; `1/N` = one in N), read once per process, or
-//! programmatically via [`SampleRate`] for in-process sweeps (the
+//! A `NetSim` samples nothing unless given a [`Sampler`]. E8 builds one with
+//! [`Sampler::from_env`], whose rate comes from `VC_TRACE_SAMPLE` (`0` =
+//! off, the default; `1` = every message; `1/N` = one in N), read once per
+//! process; in-process sweeps pass a [`SampleRate`] (the
 //! `netsim/10_rounds_150v_traced/*` rows of `benches/obs.rs` time a traced
 //! routing run at each rate).
 

@@ -67,7 +67,7 @@ pub use mem::{AllocDelta, AllocScope, CountingAlloc, MemSize};
 pub use metrics::{
     Histogram, MetricsHub, Quantiles, Snapshot, SnapshotDiff, TickSample, TimeSeries,
 };
-pub use record::{Event, EventBuf, Recorder, SpanId, SpanPhase, Value};
+pub use record::{Event, Recorder, SpanId, SpanPhase, Value};
 
 use vc_sim::scenario::Scenario;
 use vc_sim::time::SimTime;

@@ -366,15 +366,6 @@ impl Recorder {
         }
     }
 
-    /// Merges an [`EventBuf`] into the log, preserving the buffer's order.
-    /// Call in canonical item order — the merged stream is then the one
-    /// direct emission in that order would have produced.
-    pub fn absorb(&mut self, buf: EventBuf) {
-        for event in buf.events {
-            self.push(event);
-        }
-    }
-
     /// Writes the retained events as JSON Lines: one compact object per
     /// line, insertion-ordered keys, trailing newline per line. Output is
     /// deterministic for a deterministic run.
@@ -412,45 +403,6 @@ impl Recorder {
             })?;
         }
         Ok(())
-    }
-}
-
-/// A per-item event buffer.
-///
-/// A phase that evaluates work items against a snapshot (a `NetSim`
-/// round's copies) cannot hold the [`Recorder`] mutably, so each item
-/// fills one of these — same `event` signature — and the merge
-/// [`Recorder::absorb`]s the buffers in canonical index order.
-#[derive(Debug, Default)]
-pub struct EventBuf {
-    events: Vec<Event>,
-}
-
-impl EventBuf {
-    /// An empty buffer (no allocation until the first event).
-    pub fn new() -> EventBuf {
-        EventBuf::default()
-    }
-
-    /// Buffers a plain event (counterpart of [`Recorder::event`]).
-    pub fn event(
-        &mut self,
-        at: SimTime,
-        component: &'static str,
-        kind: &'static str,
-        fields: Vec<(&'static str, Value)>,
-    ) {
-        self.events.push(Event { at, component, kind, span: None, elapsed: None, fields });
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when nothing has been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
@@ -643,49 +595,6 @@ mod tests {
             "quote \" backslash \\ newline \n tab \t bell \u{7} é 車 🚗"
         );
         assert_eq!(doc["fields"]["key \"needing\" \\ escapes\n"], Json::from(1u64));
-    }
-
-    #[test]
-    fn absorbed_shard_buffers_match_direct_emission() {
-        // Emitting through per-shard buffers merged in canonical order must
-        // produce the same log (bytes, counters) as direct emission.
-        let mut direct = Recorder::new();
-        direct.event(t(1), "sim", "radio.tx", vec![("bytes", 64u64.into())]);
-        direct.event(t(1), "sim", "radio.rx", vec![("latency_us", 250u64.into())]);
-        direct.event(t(2), "net", "routing.forward", Vec::new());
-
-        let mut sharded = Recorder::new();
-        let mut shard_a = EventBuf::new();
-        shard_a.event(t(1), "sim", "radio.tx", vec![("bytes", 64u64.into())]);
-        shard_a.event(t(1), "sim", "radio.rx", vec![("latency_us", 250u64.into())]);
-        let mut shard_b = EventBuf::new();
-        shard_b.event(t(2), "net", "routing.forward", Vec::new());
-        assert_eq!(shard_a.len(), 2);
-        assert!(!shard_a.is_empty());
-        sharded.absorb(shard_a);
-        sharded.absorb(shard_b);
-
-        let jsonl = |rec: &Recorder| {
-            let mut out = Vec::new();
-            rec.write_jsonl(&mut out).unwrap();
-            out
-        };
-        assert_eq!(jsonl(&direct), jsonl(&sharded));
-        assert_eq!(sharded.hub().counter("sim.radio.tx"), 1);
-        assert_eq!(sharded.hub().counter("net.routing.forward"), 1);
-    }
-
-    #[test]
-    fn absorb_respects_ring_capacity() {
-        let mut rec = Recorder::ring(2);
-        let mut buf = EventBuf::new();
-        for i in 0..5u64 {
-            buf.event(t(i), "sim", "tick", vec![("i", i.into())]);
-        }
-        rec.absorb(buf);
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 3);
-        assert_eq!(rec.hub().counter("sim.tick"), 5);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //!
 //! Flags (after `cargo bench -- `): `--quick` runs one iteration per bench
 //! (the CI smoke mode), `--out DIR` writes `BENCH_<suite>.json` there.
-//! `VC_BENCH_QUICK=1` and `VC_BENCH_OUT=DIR` are the env equivalents.
 //! Unknown flags (e.g. the `--bench` cargo appends) are ignored.
 
 use crate::json::Json;
@@ -122,24 +121,23 @@ pub struct Suite {
 
 impl Suite {
     /// Creates a suite, reading `--quick` / `--out DIR` from the command
-    /// line and `VC_BENCH_QUICK` / `VC_BENCH_OUT` from the environment.
+    /// line.
     pub fn new(name: &str) -> Suite {
-        let mut quick = std::env::var("VC_BENCH_QUICK").map(|v| v == "1").unwrap_or(false);
-        let mut out_dir = std::env::var("VC_BENCH_OUT").ok();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        Suite::from_args(name, std::env::args().skip(1))
+    }
+
+    /// [`Suite::new`] over an explicit argument list.
+    fn from_args(name: &str, args: impl IntoIterator<Item = String>) -> Suite {
+        let (mut quick, mut out_dir) = (false, None);
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
                 "--quick" => quick = true,
-                "--out" => {
-                    i += 1;
-                    out_dir = args.get(i).cloned();
-                }
+                "--out" => out_dir = args.next(),
                 // `cargo bench` appends `--bench`; test filters and other
                 // harness flags are irrelevant here.
                 _ => {}
             }
-            i += 1;
         }
         println!(
             "bench suite '{name}' — {} mode",
@@ -303,8 +301,9 @@ mod tests {
 
     #[test]
     fn quick_mode_runs_each_bench_once() {
-        std::env::set_var("VC_BENCH_QUICK", "1");
-        let mut suite = Suite::new("selftest");
+        let args = ["--bench", "--quick", "--out", "dir"].map(String::from);
+        let mut suite = Suite::from_args("selftest", args);
+        assert_eq!(suite.out_dir.as_deref(), Some("dir"));
         let mut calls = 0u32;
         suite.bench("counter", || {
             calls += 1;
@@ -314,7 +313,6 @@ mod tests {
         assert_eq!(calls, 1);
         assert_eq!(suite.results.len(), 1);
         assert_eq!(suite.results[0].iters_per_batch, 1);
-        std::env::remove_var("VC_BENCH_QUICK");
     }
 
     #[test]
