@@ -114,7 +114,7 @@ impl DataPackage {
 
     /// Verifies the owner's signature binding data to policy — any holder
     /// can check a package was not re-wrapped under a weaker policy.
-    pub fn verify_binding(&self) -> bool {
+    pub(crate) fn verify_binding(&self) -> bool {
         let commitment = package_commitment(self.id, &self.policy, &self.ciphertext);
         self.owner_key.verify(&commitment, &self.owner_signature)
     }

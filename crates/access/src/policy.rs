@@ -208,16 +208,6 @@ impl Policy {
         }
         Decision::Deny
     }
-
-    /// Total rule count.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len() + self.emergency_rules.len()
-    }
-
-    /// Total expression complexity (sum of node counts).
-    pub fn complexity(&self) -> usize {
-        self.rules.iter().chain(&self.emergency_rules).map(|(_, e)| e.size()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -318,14 +308,5 @@ mod tests {
         assert_eq!(p.decide(Action::Write, &c), Decision::Permit);
         c.role = Role::Member;
         assert_eq!(p.decide(Action::Write, &c), Decision::Deny, "wrong role");
-    }
-
-    #[test]
-    fn complexity_accounting() {
-        let p = Policy::new()
-            .allow(Action::Read, Expr::True.and(Expr::False))
-            .allow_in_emergency(Action::Write, Expr::True);
-        assert_eq!(p.rule_count(), 2);
-        assert_eq!(p.complexity(), 4);
     }
 }

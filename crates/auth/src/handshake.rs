@@ -302,7 +302,7 @@ impl SessionCache {
     /// Returns the cached session key for the peer pseudonym key, if one
     /// exists and is still fresh (within TTL and the peer certificate's
     /// validity). Expired entries are dropped on sight.
-    pub fn lookup(&mut self, peer_key: &[u8; 32], now: SimTime) -> Option<SessionKey> {
+    pub(crate) fn lookup(&mut self, peer_key: &[u8; 32], now: SimTime) -> Option<SessionKey> {
         if let Some(entry) = self.entries.get_mut(peer_key) {
             let fresh = now >= entry.established_at
                 && now.saturating_since(entry.established_at) <= self.ttl

@@ -103,7 +103,7 @@ impl TrustedAuthority {
     }
 
     /// Whether an identity is registered.
-    pub fn is_registered(&self, identity: &RealIdentity) -> bool {
+    pub(crate) fn is_registered(&self, identity: &RealIdentity) -> bool {
         self.registered.contains_key(identity)
     }
 
@@ -115,13 +115,8 @@ impl TrustedAuthority {
     }
 
     /// Whether a real identity is revoked.
-    pub fn is_revoked(&self, identity: &RealIdentity) -> bool {
+    pub(crate) fn is_revoked(&self, identity: &RealIdentity) -> bool {
         self.revoked_vehicles.contains(identity)
-    }
-
-    /// Number of registered vehicles.
-    pub fn registered_count(&self) -> usize {
-        self.registered.len()
     }
 }
 
@@ -136,9 +131,6 @@ mod tests {
         assert!(!ta.is_registered(&id));
         ta.register(id.clone(), VehicleId(7));
         assert!(ta.is_registered(&id));
-        assert_eq!(ta.registered_count(), 1);
-        ta.register(id.clone(), VehicleId(7));
-        assert_eq!(ta.registered_count(), 1, "idempotent");
     }
 
     #[test]

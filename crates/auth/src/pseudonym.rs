@@ -149,7 +149,7 @@ impl PseudonymCert {
     }
 
     /// Serialized size on the wire, bytes.
-    pub const WIRE_LEN: usize = 8 + 32 + 8 + 16 + 64;
+    pub(crate) const WIRE_LEN: usize = 8 + 32 + 8 + 16 + 64;
 }
 
 /// A message authenticated under a pseudonym.
@@ -222,7 +222,7 @@ impl PseudonymWallet {
 
     /// The certificate currently in use (what a peer would see on the air
     /// interface; session caches key on its pseudonym key).
-    pub fn current_cert(&self) -> &PseudonymCert {
+    pub(crate) fn current_cert(&self) -> &PseudonymCert {
         &self.certs[self.current]
     }
 }
@@ -341,11 +341,6 @@ impl PseudonymRegistry {
     pub fn audit_open(&self, pseudonym: PseudonymId) -> Option<&RealIdentity> {
         self.escrow.get(&pseudonym)
     }
-
-    /// Number of pseudonyms ever issued.
-    pub fn issued_count(&self) -> usize {
-        self.escrow.len()
-    }
 }
 
 /// The five verifier-side checks shared by [`verify`] and
@@ -448,7 +443,7 @@ pub struct CrlFront {
 
 impl CrlFront {
     /// Default bound on memoized certificate verdicts (~48 B each).
-    pub const DEFAULT_MEMO_CAP: usize = 4096;
+    pub(crate) const DEFAULT_MEMO_CAP: usize = 4096;
 
     /// Builds a front over a CRL snapshot. The input need not be sorted;
     /// the front sorts and dedupes its own copy.
@@ -482,7 +477,7 @@ impl CrlFront {
     /// First sighting of a certificate pays the full linear scan (the same
     /// [`crl_matches`] as [`verify`]), outside the lock; repeats are one
     /// BTreeMap lookup.
-    pub fn is_revoked_cert(&self, id: PseudonymId, linkage_value: [u8; 8]) -> bool {
+    pub(crate) fn is_revoked_cert(&self, id: PseudonymId, linkage_value: [u8; 8]) -> bool {
         if let Some(&hit) = self.memo().get(&(id, linkage_value)) {
             return hit;
         }

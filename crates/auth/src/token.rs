@@ -44,9 +44,6 @@ impl ServiceToken {
         out.extend_from_slice(&expires.as_micros().to_be_bytes());
         out
     }
-
-    /// Wire size in bytes.
-    pub const WIRE_LEN: usize = 8 + 4 + 8 + 8 + 64;
 }
 
 /// The token-issuing gateway (an RSU or an elected broker).
@@ -54,13 +51,12 @@ impl ServiceToken {
 pub struct TokenGateway {
     key: SigningKey,
     token_lifetime: SimDuration,
-    issued: u64,
 }
 
 impl TokenGateway {
     /// Creates a gateway whose tokens live for `token_lifetime`.
     pub fn new(seed: &[u8], token_lifetime: SimDuration) -> Self {
-        TokenGateway { key: SigningKey::from_seed(seed), token_lifetime, issued: 0 }
+        TokenGateway { key: SigningKey::from_seed(seed), token_lifetime }
     }
 
     /// The key vehicles use to verify tokens from this gateway.
@@ -69,8 +65,7 @@ impl TokenGateway {
     }
 
     /// Issues a token to an (already authenticated) pseudonym.
-    pub fn issue(&mut self, holder: PseudonymId, service: ServiceId, now: SimTime) -> ServiceToken {
-        self.issued += 1;
+    pub fn issue(&self, holder: PseudonymId, service: ServiceId, now: SimTime) -> ServiceToken {
         let expires_at = now + self.token_lifetime;
         let body = ServiceToken::signed_bytes(holder, service, now, expires_at);
         ServiceToken {
@@ -80,11 +75,6 @@ impl TokenGateway {
             expires_at,
             signature: self.key.sign(&body),
         }
-    }
-
-    /// Number of tokens issued (diagnostic).
-    pub fn issued_count(&self) -> u64 {
-        self.issued
     }
 }
 
@@ -124,16 +114,15 @@ mod tests {
 
     #[test]
     fn issue_and_verify() {
-        let mut gw = gateway();
+        let gw = gateway();
         let now = SimTime::from_secs(100);
         let token = gw.issue(PseudonymId(5), ServiceId(1), now);
         assert_eq!(verify_token(&token, &gw.public_key(), ServiceId(1), now), Ok(()));
-        assert_eq!(gw.issued_count(), 1);
     }
 
     #[test]
     fn wrong_service_rejected() {
-        let mut gw = gateway();
+        let gw = gateway();
         let now = SimTime::from_secs(100);
         let token = gw.issue(PseudonymId(5), ServiceId(1), now);
         assert_eq!(
@@ -144,7 +133,7 @@ mod tests {
 
     #[test]
     fn expired_token_rejected() {
-        let mut gw = gateway();
+        let gw = gateway();
         let token = gw.issue(PseudonymId(5), ServiceId(1), SimTime::from_secs(100));
         let late = SimTime::from_secs(500);
         assert_eq!(
@@ -160,7 +149,7 @@ mod tests {
 
     #[test]
     fn forged_token_rejected() {
-        let mut gw = gateway();
+        let gw = gateway();
         let now = SimTime::from_secs(100);
         let mut token = gw.issue(PseudonymId(5), ServiceId(1), now);
         token.expires_at = SimTime::from_secs(9_999);
@@ -172,7 +161,7 @@ mod tests {
 
     #[test]
     fn token_from_other_gateway_rejected() {
-        let mut gw1 = gateway();
+        let gw1 = gateway();
         let gw2 = TokenGateway::new(b"rogue", SimDuration::from_secs(300));
         let now = SimTime::from_secs(100);
         let token = gw1.issue(PseudonymId(5), ServiceId(1), now);

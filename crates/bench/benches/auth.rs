@@ -159,7 +159,7 @@ fn main() {
     });
 
     // ---- capability tokens ----
-    let mut gw = TokenGateway::new(b"gw", SimDuration::from_secs(300));
+    let gw = TokenGateway::new(b"gw", SimDuration::from_secs(300));
     suite.bench("token/issue", || gw.issue(vc_auth::pseudonym::PseudonymId(1), ServiceId(1), now));
     let token = gw.issue(vc_auth::pseudonym::PseudonymId(1), ServiceId(1), now);
     suite.bench("token/verify", || {

@@ -73,7 +73,7 @@ fn main() {
     let mut metrics = false;
     let mut list = false;
     let mut job: Option<String> = None;
-    let mut job_ticks: u32 = 48;
+    let mut job_ticks: Option<u32> = None;
     let mut job_trace = false;
     let mut job_out: Option<String> = None;
     let mut wanted: Vec<String> = Vec::new();
@@ -92,10 +92,10 @@ fn main() {
             }
             "--ticks" => {
                 i += 1;
-                job_ticks = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+                job_ticks = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--ticks needs a number");
                     std::process::exit(2);
-                });
+                }));
             }
             "--job-trace" => job_trace = true,
             "--job-out" => {
@@ -158,6 +158,42 @@ fn main() {
         i += 1;
     }
 
+    // The two modes read disjoint flags (only --seed is shared): a flag of
+    // the other mode would be silently ignored, so a mix is an error.
+    let table_flags: Vec<&str> = [
+        ("--quick", quick),
+        ("--json", json_dir.is_some()),
+        ("--trace", trace_path.is_some()),
+        ("--timeseries", timeseries_path.is_some()),
+        ("--profile", profile_path.is_some()),
+        ("--folded", folded_path.is_some()),
+        ("--metrics", metrics),
+        ("--list", list),
+    ]
+    .into_iter()
+    .filter_map(|(flag, set)| set.then_some(flag))
+    .chain(wanted.iter().map(String::as_str))
+    .collect();
+    let job_flags: Vec<&str> = [
+        ("--ticks", job_ticks.is_some()),
+        ("--job-trace", job_trace),
+        ("--job-out", job_out.is_some()),
+    ]
+    .into_iter()
+    .filter_map(|(flag, set)| set.then_some(flag))
+    .collect();
+    let mix = match job {
+        Some(_) if !table_flags.is_empty() => {
+            Some(format!("{} cannot be combined with --job", table_flags.join(" ")))
+        }
+        None if !job_flags.is_empty() => Some(format!("{} needs --job", job_flags.join(" "))),
+        _ => None,
+    };
+    if let Some(mix) = mix {
+        eprintln!("{mix}\n{}", usage());
+        std::process::exit(2);
+    }
+
     if list {
         for exp in registry() {
             println!("{:<4} [{:<23}] {}", exp.id, exp.flags, exp.desc);
@@ -166,7 +202,7 @@ fn main() {
     }
 
     if let Some(scenario) = job {
-        run_job_mode(&scenario, seed, job_ticks, job_trace, job_out.as_deref());
+        run_job_mode(&scenario, seed, job_ticks.unwrap_or(48), job_trace, job_out.as_deref());
     }
 
     // Every requested name must exist: a typo mixed in with valid ids

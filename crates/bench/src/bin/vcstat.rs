@@ -124,6 +124,24 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     };
+    // Each mode reads its own flags (and --json): a flag it does not read
+    // would be silently ignored, so it is an error.
+    let (mode, reads): (&str, &[&str]) = if timeline {
+        ("--timeline", &["--timeline", "--spike-mult"])
+    } else if memory {
+        ("--memory", &["--memory", "--top"])
+    } else {
+        ("a trace report", &["--top", "--by-kind", "--critical-path", "--histograms", "--causal"])
+    };
+    let stray: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| a.starts_with("--") && *a != "--json" && !reads.contains(a))
+        .collect();
+    if !stray.is_empty() {
+        eprintln!("{} cannot be used with {mode}; {USAGE}", stray.join(" "));
+        std::process::exit(2);
+    }
     if timeline {
         run_timeline(&path, json_out, spike_mult);
         return;
@@ -538,7 +556,7 @@ fn route_string(chain: &TraceChain) -> String {
 fn print_causal(chains: &BTreeMap<u64, TraceChain>, top: usize) {
     println!("\ncausal traces");
     if chains.is_empty() {
-        println!("  no causal events (sampling off? see VC_TRACE_SAMPLE)");
+        println!("  no causal events (E8's trace carries them; a --job trace does not)");
         return;
     }
     let (delivered, lats, hop_dist) = causal_rollup(chains);

@@ -21,9 +21,8 @@ fn run_protocol<P: RoutingProtocol>(
     builder.seed(seed).vehicles(vehicles);
     let mut scenario = builder.urban_with_rsus();
     let mut sim = NetSim::new(&mut scenario, protocol);
-    // With a recorder attached, packets the sampler selects at the
-    // VC_TRACE_SAMPLE rate open causal chains.
-    sim.set_sampler(vc_obs::Sampler::from_env(seed));
+    // With a recorder attached, every packet opens a causal chain.
+    sim.set_sampler(vc_obs::Sampler::new(seed, vc_obs::SampleRate::ALL));
     sim.send_random_pairs(packets, 256, vc_obs::reborrow(&mut rec));
     sim.run_rounds_obs(rounds, rec);
     sim.into_stats()

@@ -99,17 +99,17 @@ impl Table {
 }
 
 /// Formats a float with 3 significant decimals.
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
 /// Formats a float with 1 decimal.
-pub fn f1(x: f64) -> String {
+pub(crate) fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
 /// Formats a fraction as a percentage.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 

@@ -51,6 +51,25 @@ fn malformed_flags_list_available_and_fail() {
 }
 
 #[test]
+fn flags_of_the_other_mode_are_rejected_not_ignored() {
+    let dir = std::env::temp_dir().join(format!("vc_mixed_cli_{}", std::process::id()));
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let job = ["--job", "urban-epidemic", "--seed", "99", "--ticks", "48"];
+    for args in [
+        [&job[..], &["--profile", &path("profile.json")]].concat(),
+        [&job[..], &["--trace", &path("trace.jsonl"), "--json", &path("json"), "e1"]].concat(),
+        vec!["--quick", "--ticks", "5", "--job-trace", "--job-out", &path("job"), "e7"],
+    ] {
+        let out = experiments().args(&args).output().expect("experiments runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: experiments"), "{args:?} stderr: {err}");
+        assert!(String::from_utf8_lossy(&out.stdout).is_empty(), "{args:?} ran something");
+        assert!(!dir.exists(), "{args:?} wrote output");
+    }
+}
+
+#[test]
 fn job_mode_writes_the_exact_service_bytes() {
     let dir = std::env::temp_dir().join(format!("vc_job_cli_{}", std::process::id()));
     let out = experiments()
@@ -75,33 +94,6 @@ fn job_mode_writes_the_exact_service_bytes() {
     assert_eq!(trace, reference.trace, "--job trace must be the service's exact bytes");
     let expected = format!("checksum={:#018x}", reference.checksum);
     assert!(stdout.contains(&expected), "stdout must carry the checksum: {stdout}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn a_traced_job_ignores_the_trace_sample_rate_of_the_environment() {
-    // A RESULT depends only on its spec: `VC_TRACE_SAMPLE` (E8's opt-in)
-    // must not add causal events to a job's trace.
-    let dir = std::env::temp_dir().join(format!("vc_job_env_{}", std::process::id()));
-    let run = |rate: Option<&str>| {
-        let out_dir = dir.join(rate.unwrap_or("unset"));
-        let mut cmd = experiments();
-        cmd.args(["--job", "urban-epidemic", "--seed", "99", "--ticks", "48", "--job-trace"])
-            .args(["--job-out", out_dir.to_str().unwrap()]);
-        match rate {
-            Some(rate) => cmd.env("VC_TRACE_SAMPLE", rate),
-            None => cmd.env_remove("VC_TRACE_SAMPLE"),
-        };
-        let out = cmd.output().expect("experiments runs");
-        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-        let read = |name| std::fs::read(out_dir.join(name)).expect("job output written");
-        (read("stats.json"), read("trace.jsonl"))
-    };
-    let unset = run(None);
-    let sampled = run(Some("1"));
-    assert_eq!(unset.0, sampled.0, "stats must not depend on VC_TRACE_SAMPLE");
-    assert!(unset.1 == sampled.1, "the trace must not depend on VC_TRACE_SAMPLE");
-    assert!(!String::from_utf8_lossy(&sampled.1).contains("causal."), "no causal event");
     std::fs::remove_dir_all(&dir).ok();
 }
 

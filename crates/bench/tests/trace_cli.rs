@@ -9,8 +9,8 @@ use std::process::Command;
 /// change that alters a trace on purpose updates this and says why.
 const TRACE_SHA256: &str = "2cd582b8822513b7148dcb976e8a331bd8d98a7e60b0e5c7af26ef85ce28fecd";
 
-/// SHA-256 of the `VC_TRACE_SAMPLE=1` E8 trace (radio, routing and causal
-/// events), pinned the same way.
+/// SHA-256 of the E8 trace (radio, routing and causal events; E8 traces
+/// every packet), pinned the same way.
 const CAUSAL_TRACE_SHA256: &str =
     "30d04bd834cc098cc6c7b36c6d44b2106357d188c667803d4def4d6a175e9689";
 
@@ -27,13 +27,12 @@ fn assert_kinds(trace: &str, kinds: &[(&str, &str)]) {
 }
 
 /// One traced run of every experiment whose table is free of wall-clock
-/// columns (E3's re-join handshakes among them), at the default sample rate.
+/// columns (E3's re-join handshakes among them).
 fn run_trace(path: &std::path::Path) -> Vec<u8> {
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(["--quick", "--seed", "7", "--trace"])
         .arg(path)
         .args(["e2", "e3", "e7", "e13", "e15"])
-        .env_remove("VC_TRACE_SAMPLE")
         .output()
         .expect("experiments runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
@@ -165,7 +164,6 @@ fn causal_timeline_and_json_modes_roundtrip() {
         .arg("--timeseries")
         .arg(&ts)
         .arg("e8")
-        .env("VC_TRACE_SAMPLE", "1")
         .output()
         .expect("experiments runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
@@ -219,6 +217,20 @@ fn causal_timeline_and_json_modes_roundtrip() {
     let doc = vc_testkit::json::Json::parse(&String::from_utf8_lossy(&timeline_json.stdout))
         .expect("valid JSON output");
     assert!(doc["timeline"]["ticks"].as_f64().unwrap_or(0.0) > 0.0);
+
+    // A flag the chosen mode does not read is rejected, not ignored.
+    for (file, args) in [
+        (&trace, &["--spike-mult", "3"][..]),
+        (&ts, &["--timeline", "--causal", "--by-kind"]),
+        (&ts, &["--timeline", "--memory"]),
+    ] {
+        let out =
+            Command::new(env!("CARGO_BIN_EXE_vcstat")).arg(file).args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("cannot be used with") && err.contains("usage:"), "stderr: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -98,13 +98,6 @@ impl ResourceDirectory {
         self.entries.get(&host).map_or(0.0, |e| (e.resources.cpu_gflops - e.reserved_cpu).max(0.0))
     }
 
-    /// Free storage on a host, GB (0 for unknown hosts).
-    pub fn free_storage(&self, host: VehicleId) -> f64 {
-        self.entries
-            .get(&host)
-            .map_or(0.0, |e| (e.resources.storage_gb - e.reserved_storage).max(0.0))
-    }
-
     /// All hosts currently satisfying `req`, in id order.
     pub fn query(&self, req: &Requirement) -> Vec<VehicleId> {
         self.entries
@@ -149,11 +142,6 @@ impl ResourceDirectory {
                 entry.reserved_storage = (entry.reserved_storage - storage).max(0.0);
             }
         }
-    }
-
-    /// Total free compute across the cloud, GFLOPS.
-    pub fn total_free_cpu(&self) -> f64 {
-        self.entries.keys().map(|&h| self.free_cpu(h)).sum()
     }
 }
 
@@ -241,13 +229,5 @@ mod tests {
         // Re-registration starts clean.
         dir.register(VehicleId(0), Resources::modest(), SaeLevel::L3);
         assert!((dir.free_cpu(VehicleId(0)) - Resources::modest().cpu_gflops).abs() < 1e-9);
-    }
-
-    #[test]
-    fn total_free_cpu_tracks() {
-        let mut dir = dir_with(4);
-        let before = dir.total_free_cpu();
-        dir.reserve(VehicleId(0), 50.0, 0.0).unwrap();
-        assert!((dir.total_free_cpu() - (before - 50.0)).abs() < 1e-9);
     }
 }

@@ -75,7 +75,7 @@ fn original_holder(note: &CreditNote) -> VerifyingKey {
 // To keep the original holder recoverable we carry it explicitly.
 impl CreditNote {
     /// The first holder the bank issued to.
-    pub fn issued_to(&self) -> VerifyingKey {
+    pub(crate) fn issued_to(&self) -> VerifyingKey {
         original_holder(self)
     }
 }

@@ -42,16 +42,6 @@ impl TaskSpec {
             min_automation: SaeLevel::L3,
         }
     }
-
-    /// Estimated runtime on a host with the given capacity, seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu_gflops` is not strictly positive.
-    pub fn runtime_on(&self, cpu_gflops: f64) -> f64 {
-        assert!(cpu_gflops > 0.0, "host capacity must be positive");
-        self.work_gflop / cpu_gflops
-    }
 }
 
 /// Live status of a task.
@@ -133,19 +123,6 @@ impl TaskRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn runtime_scales_with_capacity() {
-        let spec = TaskSpec::compute(TaskId(1), 100.0);
-        assert_eq!(spec.runtime_on(50.0), 2.0);
-        assert_eq!(spec.runtime_on(200.0), 0.5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_capacity_panics() {
-        TaskSpec::compute(TaskId(1), 10.0).runtime_on(0.0);
-    }
 
     #[test]
     fn remaining_work_through_lifecycle() {

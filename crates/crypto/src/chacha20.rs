@@ -4,9 +4,9 @@
 //! task handover. Verified against the RFC quarter-round and block vectors.
 
 /// Key length in bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// Nonce length in bytes.
-pub const NONCE_LEN: usize = 12;
+pub(crate) const NONCE_LEN: usize = 12;
 
 /// ChaCha20 keystream generator / XOR cipher.
 #[derive(Debug, Clone)]
@@ -52,7 +52,7 @@ impl ChaCha20 {
 
     /// Produces the 64-byte keystream block for the current counter and
     /// advances the counter.
-    pub fn next_block(&mut self) -> [u8; 64] {
+    pub(crate) fn next_block(&mut self) -> [u8; 64] {
         let mut working = self.state;
         for _ in 0..10 {
             quarter_round(&mut working, 0, 4, 8, 12);

@@ -20,7 +20,7 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
 
 /// Incremental HMAC-SHA-256.
 #[derive(Debug, Clone)]
-pub struct HmacSha256 {
+pub(crate) struct HmacSha256 {
     inner: Sha256,
     opad_key: [u8; BLOCK_LEN],
 }
@@ -47,12 +47,12 @@ impl HmacSha256 {
     }
 
     /// Absorbs message bytes.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.inner.update(data);
     }
 
     /// Finishes and returns the 32-byte tag.
-    pub fn finalize(self) -> Digest {
+    pub(crate) fn finalize(self) -> Digest {
         let inner_digest = self.inner.finalize();
         let mut outer = Sha256::new();
         outer.update(&self.opad_key);
@@ -65,7 +65,7 @@ impl HmacSha256 {
 ///
 /// A timing-safe comparison matters even in simulation code: the attack
 /// framework measures exactly this kind of oracle.
-pub fn verify_tag(expected: &Digest, provided: &Digest) -> bool {
+pub(crate) fn verify_tag(expected: &Digest, provided: &Digest) -> bool {
     let mut diff = 0u8;
     for i in 0..DIGEST_LEN {
         diff |= expected[i] ^ provided[i];

@@ -12,7 +12,7 @@ const LEAF_PREFIX: &[u8] = b"\x00vc-merkle-leaf";
 const NODE_PREFIX: &[u8] = b"\x01vc-merkle-node";
 
 /// Hashes one leaf's content.
-pub fn leaf_hash(data: &[u8]) -> Digest {
+pub(crate) fn leaf_hash(data: &[u8]) -> Digest {
     sha256_parts(&[LEAF_PREFIX, data])
 }
 
@@ -88,7 +88,7 @@ impl MerkleTree {
     }
 
     /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         self.levels[0].len()
     }
 

@@ -37,7 +37,7 @@ pub struct Signature {
 }
 
 /// Serialized signature length in bytes.
-pub const SIGNATURE_LEN: usize = 64;
+pub(crate) const SIGNATURE_LEN: usize = 64;
 
 impl SigningKey {
     /// Derives a signing key from 32 bytes of seed material.
@@ -83,7 +83,7 @@ impl VerifyingKey {
     }
 
     /// The public group element.
-    pub fn element(&self) -> Element {
+    pub(crate) fn element(&self) -> Element {
         self.point
     }
 

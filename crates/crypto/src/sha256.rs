@@ -4,7 +4,7 @@
 //! the workspace. Verified against the standard test vectors.
 
 /// Digest size in bytes.
-pub const DIGEST_LEN: usize = 32;
+pub(crate) const DIGEST_LEN: usize = 32;
 
 /// A 32-byte SHA-256 digest.
 pub type Digest = [u8; DIGEST_LEN];

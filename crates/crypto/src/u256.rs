@@ -109,7 +109,7 @@ impl U256 {
     }
 
     /// `true` when the low bit is set.
-    pub fn is_odd(&self) -> bool {
+    pub(crate) fn is_odd(&self) -> bool {
         self.limbs[0] & 1 == 1
     }
 
@@ -134,7 +134,7 @@ impl U256 {
     }
 
     /// Wrapping addition (mod 2^256); also returns the carry.
-    pub fn overflowing_add(&self, rhs: U256) -> (U256, bool) {
+    pub(crate) fn overflowing_add(&self, rhs: U256) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut carry = false;
         #[allow(clippy::needless_range_loop)] // i indexes three arrays
@@ -153,7 +153,7 @@ impl U256 {
     }
 
     /// Wrapping subtraction (mod 2^256); also returns the borrow.
-    pub fn overflowing_sub(&self, rhs: U256) -> (U256, bool) {
+    pub(crate) fn overflowing_sub(&self, rhs: U256) -> (U256, bool) {
         let mut out = [0u64; 4];
         let mut borrow = false;
         #[allow(clippy::needless_range_loop)] // i indexes three arrays
@@ -265,7 +265,7 @@ impl U256 {
     /// # Panics
     ///
     /// Panics if `m` is zero (debug: or if inputs are not reduced).
-    pub fn add_mod(&self, rhs: U256, m: U256) -> U256 {
+    pub(crate) fn add_mod(&self, rhs: U256, m: U256) -> U256 {
         debug_assert!(*self < m && rhs < m, "add_mod inputs must be reduced");
         let (sum, carry) = self.overflowing_add(rhs);
         if carry || sum >= m {
@@ -276,7 +276,7 @@ impl U256 {
     }
 
     /// `(self - rhs) mod m`, assuming both inputs are already `< m`.
-    pub fn sub_mod(&self, rhs: U256, m: U256) -> U256 {
+    pub(crate) fn sub_mod(&self, rhs: U256, m: U256) -> U256 {
         debug_assert!(*self < m && rhs < m, "sub_mod inputs must be reduced");
         let (diff, borrow) = self.overflowing_sub(rhs);
         if borrow {

@@ -42,12 +42,6 @@ impl Beacon {
         out.extend_from_slice(&self.sent_at.as_micros().to_be_bytes());
         out
     }
-
-    /// Position extrapolated to `now` at the beacon's claimed velocity.
-    pub fn predicted_pos(&self, now: SimTime) -> Point {
-        let dt = now.saturating_since(self.sent_at).as_secs_f64();
-        self.pos + self.vel * dt
-    }
 }
 
 /// A beacon plus its sender signature.
@@ -331,14 +325,5 @@ mod tests {
         let got = store.ingest_batch(&batch, now);
         assert!(got.iter().all(|r| r.is_ok()));
         assert_eq!(store.len(), 8);
-    }
-
-    #[test]
-    fn prediction_extrapolates() {
-        let b = beacon(1, 10);
-        let p = b.predicted_pos(SimTime::from_secs(12));
-        assert_eq!(p, Point::new(20.0, 20.0), "2s at 5 m/s east");
-        // Prediction at (or before) send time is the claimed position.
-        assert_eq!(b.predicted_pos(SimTime::from_secs(10)), b.pos);
     }
 }

@@ -44,12 +44,12 @@ impl ByteWriter {
     }
 
     /// Appends a big-endian IEEE-754 `f64`.
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends raw bytes.
-    pub fn put_slice(&mut self, v: &[u8]) {
+    pub(crate) fn put_slice(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
@@ -90,27 +90,27 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Consumes one byte.
-    pub fn get_u8(&mut self) -> Option<u8> {
+    pub(crate) fn get_u8(&mut self) -> Option<u8> {
         self.take(1).map(|s| s[0])
     }
 
     /// Consumes a big-endian `u32`.
-    pub fn get_u32(&mut self) -> Option<u32> {
+    pub(crate) fn get_u32(&mut self) -> Option<u32> {
         self.take(4).map(|s| u32::from_be_bytes(s.try_into().expect("4 bytes")))
     }
 
     /// Consumes a big-endian `u64`.
-    pub fn get_u64(&mut self) -> Option<u64> {
+    pub(crate) fn get_u64(&mut self) -> Option<u64> {
         self.take(8).map(|s| u64::from_be_bytes(s.try_into().expect("8 bytes")))
     }
 
     /// Consumes a big-endian IEEE-754 `f64`.
-    pub fn get_f64(&mut self) -> Option<f64> {
+    pub(crate) fn get_f64(&mut self) -> Option<f64> {
         self.take(8).map(|s| f64::from_be_bytes(s.try_into().expect("8 bytes")))
     }
 
     /// Consumes `N` bytes into a fixed array.
-    pub fn get_array<const N: usize>(&mut self) -> Option<[u8; N]> {
+    pub(crate) fn get_array<const N: usize>(&mut self) -> Option<[u8; N]> {
         self.take(N).map(|s| s.try_into().expect("N bytes"))
     }
 }

@@ -89,7 +89,7 @@ impl Clustering {
     }
 
     /// `true` when `id` is itself a cluster head.
-    pub fn is_head(&self, id: VehicleId) -> bool {
+    pub(crate) fn is_head(&self, id: VehicleId) -> bool {
         self.head_of(id) == Some(id)
     }
 
@@ -119,14 +119,6 @@ impl Clustering {
             return 0.0;
         }
         self.members.len() as f64 / self.heads.len() as f64
-    }
-
-    /// `true` when the two vehicles are in the same cluster.
-    pub fn same_cluster(&self, a: VehicleId, b: VehicleId) -> bool {
-        match (self.head_of(a), self.head_of(b)) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        }
     }
 
     /// [`form_clusters`] into this value, reusing its buffers: the same
@@ -900,7 +892,7 @@ mod tests {
         assert_eq!(c.members(head).len(), 5);
         assert!(c.is_head(head));
         for i in 0..5 {
-            assert!(c.same_cluster(VehicleId(i), head));
+            assert_eq!(c.head_of(VehicleId(i)), Some(head));
         }
     }
 
@@ -911,7 +903,6 @@ mod tests {
         let c = form_clusters(&f.world(), &ClusterConfig::multi_hop());
         assert_eq!(c.cluster_count(), 3);
         assert!((c.mean_cluster_size() - 1.0).abs() < 1e-12);
-        assert!(!c.same_cluster(VehicleId(0), VehicleId(1)));
     }
 
     #[test]
@@ -949,8 +940,9 @@ mod tests {
         let f = Fixture::new(positions, velocities, 300.0);
         let zones = form_clusters(&f.world(), &ClusterConfig::moving_zone());
         assert_eq!(zones.cluster_count(), 2, "opposing platoons must form separate zones");
-        assert!(zones.same_cluster(VehicleId(0), VehicleId(2)));
-        assert!(!zones.same_cluster(VehicleId(0), VehicleId(3)));
+        let zone_of = |i| zones.head_of(VehicleId(i)).expect("every vehicle is zoned");
+        assert_eq!(zone_of(0), zone_of(2));
+        assert_ne!(zone_of(0), zone_of(3));
         // Plain clustering would merge them all:
         let plain = form_clusters(&f.world(), &ClusterConfig::multi_hop());
         assert_eq!(plain.cluster_count(), 1);

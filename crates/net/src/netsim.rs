@@ -107,8 +107,7 @@ pub struct NetSim<'a, P: RoutingProtocol> {
     table: NeighborTable,
     grid: SpatialGrid,
     /// Decides which packets carry a causal trace. Off unless
-    /// [`NetSim::set_sampler`] says otherwise, so no environment variable
-    /// reaches a run that does not ask for one.
+    /// [`NetSim::set_sampler`] says otherwise.
     sampler: Sampler,
     /// The round's working buffers, kept across rounds so the steady-state
     /// round loop stays allocation-free (and taken for the duration of a
@@ -246,8 +245,8 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         }
     }
 
-    /// Replaces the causal-trace sampler, which is off by default (E8 opts
-    /// in at the `VC_TRACE_SAMPLE` rate; `benches/obs.rs` sweeps rates).
+    /// Replaces the causal-trace sampler, which is off by default (E8
+    /// traces every packet; `benches/obs.rs` sweeps rates).
     /// Affects only packets sent after the call.
     pub fn set_sampler(&mut self, sampler: Sampler) {
         self.sampler = sampler;

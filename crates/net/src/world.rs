@@ -51,7 +51,7 @@ impl<'a> WorldView<'a> {
     }
 
     /// Predicted position of `id` after `dt` seconds at constant velocity.
-    pub fn predicted_pos(&self, id: VehicleId, dt: f64) -> Point {
+    pub(crate) fn predicted_pos(&self, id: VehicleId, dt: f64) -> Point {
         self.pos(id) + self.vel(id) * dt
     }
 }

@@ -23,14 +23,11 @@
 //! sampled set is reproducible across runs, so sampled traces byte-compare
 //! exactly like unsampled ones.
 //!
-//! A `NetSim` samples nothing unless given a [`Sampler`]. E8 builds one with
-//! [`Sampler::from_env`], whose rate comes from `VC_TRACE_SAMPLE` (`0` =
-//! off, the default; `1` = every message; `1/N` = one in N), read once per
-//! process; in-process sweeps pass a [`SampleRate`] (the
+//! A `NetSim` samples nothing unless given a [`Sampler`]. E8 traces every
+//! message ([`SampleRate::ALL`]); the events reach a trace only when a
+//! recorder is attached. In-process sweeps pass other rates (the
 //! `netsim/10_rounds_150v_traced/*` rows of `benches/obs.rs` time a traced
 //! routing run at each rate).
-
-use std::sync::OnceLock;
 
 /// Identifies one causal trace (one sampled message followed end to end).
 ///
@@ -74,55 +71,6 @@ impl SampleRate {
     pub fn one_in(n: u64) -> SampleRate {
         SampleRate { denom: n }
     }
-
-    /// `true` when no message is ever traced.
-    pub fn is_off(self) -> bool {
-        self.denom == 0
-    }
-
-    /// The denominator: 0 (off), 1 (all), or N (one in N).
-    pub fn denominator(self) -> u64 {
-        self.denom
-    }
-
-    /// Parses the `VC_TRACE_SAMPLE` syntax: `"0"` (off), `"1"` (all), or
-    /// `"1/N"` (one in N). Returns `None` for anything else.
-    pub fn parse(s: &str) -> Option<SampleRate> {
-        let s = s.trim();
-        if let Some(denom) = s.strip_prefix("1/") {
-            let n: u64 = denom.trim().parse().ok()?;
-            (n >= 1).then_some(SampleRate { denom: n })
-        } else {
-            match s.parse::<u64>().ok()? {
-                0 => Some(SampleRate::OFF),
-                1 => Some(SampleRate::ALL),
-                _ => None,
-            }
-        }
-    }
-
-    /// The process-wide rate from `VC_TRACE_SAMPLE`, read once; unset or
-    /// unparseable values mean [`SampleRate::OFF`] so an uninstrumented
-    /// environment never pays for (or emits) causal events.
-    pub fn from_env() -> SampleRate {
-        static RATE: OnceLock<SampleRate> = OnceLock::new();
-        *RATE.get_or_init(|| {
-            std::env::var("VC_TRACE_SAMPLE")
-                .ok()
-                .and_then(|v| SampleRate::parse(&v))
-                .unwrap_or(SampleRate::OFF)
-        })
-    }
-}
-
-impl std::fmt::Display for SampleRate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.denom {
-            0 => write!(f, "0"),
-            1 => write!(f, "1"),
-            n => write!(f, "1/{n}"),
-        }
-    }
 }
 
 /// The deterministic sampling decision: seeded from the scenario seed so
@@ -139,19 +87,9 @@ impl Sampler {
         Sampler { seed, rate }
     }
 
-    /// A sampler at the process-wide `VC_TRACE_SAMPLE` rate.
-    pub fn from_env(seed: u64) -> Sampler {
-        Sampler::new(seed, SampleRate::from_env())
-    }
-
     /// The configured rate.
     pub fn rate(&self) -> SampleRate {
         self.rate
-    }
-
-    /// `true` when this sampler never selects anything.
-    pub fn is_off(&self) -> bool {
-        self.rate.is_off()
     }
 
     /// Decides whether the message with canonical id `key` is traced, and
@@ -173,24 +111,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rate_parsing() {
-        assert_eq!(SampleRate::parse("0"), Some(SampleRate::OFF));
-        assert_eq!(SampleRate::parse("1"), Some(SampleRate::ALL));
-        assert_eq!(SampleRate::parse("1/10"), Some(SampleRate::one_in(10)));
-        assert_eq!(SampleRate::parse(" 1/100 "), Some(SampleRate::one_in(100)));
-        assert_eq!(SampleRate::parse("1/0"), None);
-        assert_eq!(SampleRate::parse("2"), None);
-        assert_eq!(SampleRate::parse("1/x"), None);
-        assert_eq!(SampleRate::parse(""), None);
+    fn one_in_zero_and_one_are_off_and_all() {
         assert_eq!(SampleRate::one_in(0), SampleRate::OFF);
         assert_eq!(SampleRate::one_in(1), SampleRate::ALL);
-    }
-
-    #[test]
-    fn rate_display_round_trips() {
-        for rate in [SampleRate::OFF, SampleRate::ALL, SampleRate::one_in(100)] {
-            assert_eq!(SampleRate::parse(&rate.to_string()), Some(rate));
-        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   (flamegraph) exports. Traces stay sim-time-only and byte-reproducible;
 //!   the profiler is where real nanoseconds are accounted.
 //! * [`causal`] — per-message causal tracing: a deterministic, seeded
-//!   [`Sampler`] selects messages (`VC_TRACE_SAMPLE`), each selected
+//!   [`Sampler`] selects messages (E8 selects all), each selected
 //!   message carries a [`TraceId`] across hops, and the resulting
 //!   `causal.*` event chain reconstructs the full admission → relay →
 //!   delivery path (`vcstat --causal`).

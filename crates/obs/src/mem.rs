@@ -97,7 +97,7 @@ macro_rules! counting_allocator {
 /// `(allocations, bytes)` performed by the *current thread* so far.
 /// Monotone counters: subtract two readings for a scoped delta (that is
 /// exactly what [`AllocScope`] does).
-pub fn thread_counters() -> (u64, u64) {
+pub(crate) fn thread_counters() -> (u64, u64) {
     let allocs = T_ALLOCS.try_with(Cell::get).unwrap_or(0);
     let bytes = T_BYTES.try_with(Cell::get).unwrap_or(0);
     (allocs, bytes)

@@ -12,7 +12,7 @@ use std::io::{self, Write};
 use vc_testkit::json::Json;
 
 /// Number of fixed buckets in a [`Histogram`].
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// A fixed-memory log-scale histogram for non-negative samples.
 ///
@@ -50,7 +50,7 @@ impl Histogram {
     }
 
     /// The half-open value range `[lo, hi)` bucket `i` covers.
-    pub fn bucket_bounds(i: usize) -> (f64, f64) {
+    pub(crate) fn bucket_bounds(i: usize) -> (f64, f64) {
         match i {
             0 => (0.0, 1.0),
             i => (2f64.powi(i as i32 - 1), 2f64.powi(i as i32)),

@@ -47,8 +47,6 @@
 //! * [`Profiler::collapsed`] — collapsed-stack text, one
 //!   `root;child;leaf <self_ns>` line per frame with nonzero self time,
 //!   sorted lexically: feed it straight to any flamegraph renderer.
-//!   [`Profiler::collapsed_bytes`] is the allocation twin, weighted by
-//!   self heap bytes.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -93,7 +91,7 @@ impl Profiler {
     /// Opens a frame as a child of the innermost open frame (or as a root).
     /// Frames with the same label under the same parent aggregate into one
     /// tree node.
-    pub fn enter(&mut self, label: &'static str) {
+    pub(crate) fn enter(&mut self, label: &'static str) {
         let siblings = match self.stack.last() {
             Some(&parent) => &self.nodes[parent].children,
             None => &self.roots,
@@ -131,7 +129,7 @@ impl Profiler {
     /// the frame was open: `allocs` heap allocations totalling `bytes`
     /// (cumulative with children, like `elapsed_ns`). The RAII [`Frame`]
     /// guard captures these from `vc_obs::mem`'s thread counters.
-    pub fn exit_with(&mut self, elapsed_ns: u64, allocs: u64, bytes: u64) {
+    pub(crate) fn exit_with(&mut self, elapsed_ns: u64, allocs: u64, bytes: u64) {
         if let Some(idx) = self.stack.pop() {
             self.nodes[idx].calls += 1;
             self.nodes[idx].total_ns += elapsed_ns;
@@ -181,22 +179,10 @@ impl Profiler {
         self.find(path).map(|i| self.nodes[i].allocs)
     }
 
-    /// Heap bytes allocated while the frame at `path` was open (children
-    /// included). Zero without the counting allocator installed.
-    pub fn alloc_bytes(&self, path: &[&str]) -> Option<u64> {
-        self.find(path).map(|i| self.nodes[i].bytes)
-    }
-
     fn node_self_ns(&self, idx: usize) -> u64 {
         let node = &self.nodes[idx];
         let children: u64 = node.children.iter().map(|&c| self.nodes[c].total_ns).sum();
         node.total_ns.saturating_sub(children)
-    }
-
-    fn node_self_bytes(&self, idx: usize) -> u64 {
-        let node = &self.nodes[idx];
-        let children: u64 = node.children.iter().map(|&c| self.nodes[c].bytes).sum();
-        node.bytes.saturating_sub(children)
     }
 
     fn sorted(&self, indices: &[usize]) -> Vec<usize> {
@@ -242,22 +228,10 @@ impl Profiler {
     /// with nonzero self time, sorted lexically — the input format
     /// flamegraph tools consume.
     pub fn collapsed(&self) -> String {
-        self.collapsed_by(&Profiler::node_self_ns)
-    }
-
-    /// Collapsed-stack text weighted by *self heap bytes* instead of self
-    /// nanoseconds — the same flamegraph input format, rendering where the
-    /// allocations (not the time) went. All-zero without the counting
-    /// allocator installed (`experiments --folded-alloc`).
-    pub fn collapsed_bytes(&self) -> String {
-        self.collapsed_by(&Profiler::node_self_bytes)
-    }
-
-    fn collapsed_by(&self, weight: &dyn Fn(&Profiler, usize) -> u64) -> String {
         let mut lines = Vec::new();
         let mut stack: Vec<&'static str> = Vec::new();
         for &root in &self.sorted(&self.roots) {
-            self.collect_collapsed(root, &mut stack, &mut lines, weight);
+            self.collect_collapsed(root, &mut stack, &mut lines);
         }
         lines.sort();
         let mut out = String::new();
@@ -273,15 +247,14 @@ impl Profiler {
         idx: usize,
         stack: &mut Vec<&'static str>,
         lines: &mut Vec<String>,
-        weight: &dyn Fn(&Profiler, usize) -> u64,
     ) {
         stack.push(self.nodes[idx].label);
-        let w = weight(self, idx);
+        let w = self.node_self_ns(idx);
         if w > 0 {
             lines.push(format!("{} {}", stack.join(";"), w));
         }
         for &child in &self.sorted(&self.nodes[idx].children) {
-            self.collect_collapsed(child, stack, lines, weight);
+            self.collect_collapsed(child, stack, lines);
         }
         stack.pop();
     }
@@ -469,15 +442,10 @@ mod tests {
         p.exit_with(10, 3, 96);
         p.exit_with(50, 5, 128);
         assert_eq!(p.allocs(&["round"]), Some(5));
-        assert_eq!(p.alloc_bytes(&["round"]), Some(128));
         assert_eq!(p.allocs(&["round", "shard"]), Some(3));
         let doc = p.to_json();
         assert_eq!(doc["frames"][0]["allocs"].as_f64(), Some(5.0));
         assert_eq!(doc["frames"][0]["bytes"].as_f64(), Some(128.0));
-        // Self bytes: 128 - 96 = 32 for the root, 96 for the leaf.
-        let folded = p.collapsed_bytes();
-        assert!(folded.contains("round 32"), "folded: {folded}");
-        assert!(folded.contains("round;shard 96"), "folded: {folded}");
     }
 
     #[test]
@@ -491,7 +459,6 @@ mod tests {
             drop(v);
         });
         assert_eq!(prof.allocs(&["alloc-free"]), Some(0));
-        assert_eq!(prof.alloc_bytes(&["alloc-free"]), Some(0));
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl Event {
     /// [`vc_testkit::json::write_number`] route [`Json::from`] gives it (so
     /// an id above 2⁵³ prints as it always has), every key and string goes
     /// through [`vc_testkit::json::write_escaped`].
-    pub fn write_compact(&self, out: &mut String) {
+    pub(crate) fn write_compact(&self, out: &mut String) {
         out.push_str("{\"at_us\":");
         write_number(out, self.at.as_micros() as f64);
         out.push_str(",\"component\":");

@@ -17,12 +17,12 @@ use vc_testkit::json::Json;
 
 /// Upper bound on `ticks` accepted for a single job: the most rounds a job
 /// may simulate. A job whose last packet copy dies sooner stops there.
-pub const MAX_TICKS: u32 = 50_000;
+pub(crate) const MAX_TICKS: u32 = 50_000;
 
 /// Per-job deterministic heap budget (bytes): fleet + network-layer state,
 /// measured with the [`MemSize`]/`heap_bytes` capacity accounting, so the
 /// same job hits (or clears) the budget identically on every host.
-pub const MEM_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
+pub(crate) const MEM_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
 
 /// How often (in rounds) the runner polls the cancel flag and re-measures
 /// the heap footprint against [`MEM_BUDGET_BYTES`].
@@ -152,7 +152,7 @@ impl JobSpec {
     }
 
     /// Whether the client asked for the recorder trace in the result.
-    pub fn wants_trace(&self) -> bool {
+    pub(crate) fn wants_trace(&self) -> bool {
         self.flags & vc_net::svc::FLAG_TRACE != 0
     }
 }

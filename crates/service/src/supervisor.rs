@@ -82,7 +82,7 @@ enum Outcome {
 
 /// Everything a RESULT response needs about a terminal job.
 #[derive(Debug, Clone)]
-pub struct Finished {
+pub(crate) struct Finished {
     /// Terminal phase ([`JobPhase::Done`] / Failed / Cancelled).
     pub phase: JobPhase,
     /// The deterministic payload (empty stats/trace unless `Done`), moved
@@ -370,7 +370,7 @@ impl SupervisorHandle {
     /// Blocks until the job is terminal, then takes its result out of the
     /// table: each result is delivered once. A job delivered to another
     /// RESULT — before or while this one waited — is [`Missing::Gone`].
-    pub fn wait_result(&self, job: u64) -> Result<Finished, Missing> {
+    pub(crate) fn wait_result(&self, job: u64) -> Result<Finished, Missing> {
         let mut st = self.inner.lock();
         loop {
             let rec = st.record(job)?;
@@ -394,18 +394,13 @@ impl SupervisorHandle {
     /// running. Does not join the workers (only [`Supervisor::drain`]
     /// can, since it owns the handles) — but on return every admitted job
     /// is terminal, which is the contract SHUTDOWN acknowledges.
-    pub fn begin_drain(&self) {
+    pub(crate) fn begin_drain(&self) {
         let mut st = self.inner.lock();
         st.draining = true;
         self.inner.work_cv.notify_all();
         while !st.queue.is_empty() || st.running > 0 {
             st = self.inner.wait(&self.inner.done_cv, st);
         }
-    }
-
-    /// Whether drain has begun.
-    pub fn draining(&self) -> bool {
-        self.inner.lock().draining
     }
 }
 

@@ -500,7 +500,7 @@ fn apply(
             if drainer.is_none() {
                 let h2 = h.clone();
                 *drainer = Some(std::thread::spawn(move || h2.begin_drain()));
-                wait_until(|| "drain to begin".into(), || h.draining())?;
+                wait_until(|| "drain to begin".into(), || h.inner.lock().draining)?;
             }
             m.draining = true;
         }

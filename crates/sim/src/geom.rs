@@ -23,7 +23,7 @@ pub struct Point {
 }
 
 /// The origin.
-pub const ORIGIN: Point = Point { x: 0.0, y: 0.0 };
+pub(crate) const ORIGIN: Point = Point { x: 0.0, y: 0.0 };
 
 impl Point {
     /// Creates a point from coordinates in meters.
@@ -63,11 +63,6 @@ impl Point {
         self.x * other.x + self.y * other.y
     }
 
-    /// 2D cross product magnitude (signed area of the parallelogram).
-    pub fn cross(self, other: Point) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
     /// Heading of this vector in radians, in `(-pi, pi]`, east = 0,
     /// counter-clockwise positive.
     pub fn heading(self) -> f64 {
@@ -75,12 +70,12 @@ impl Point {
     }
 
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
-    pub fn lerp(self, other: Point, t: f64) -> Point {
+    pub(crate) fn lerp(self, other: Point, t: f64) -> Point {
         self + (other - self) * t
     }
 
     /// Midpoint between `self` and `other`.
-    pub fn midpoint(self, other: Point) -> Point {
+    pub(crate) fn midpoint(self, other: Point) -> Point {
         self.lerp(other, 0.5)
     }
 }
@@ -152,7 +147,7 @@ impl Segment {
     }
 
     /// Parameter of the closest point on the segment to `p`, in `[0, 1]`.
-    pub fn project(self, p: Point) -> f64 {
+    pub(crate) fn project(self, p: Point) -> f64 {
         let d = self.b - self.a;
         let len_sq = d.dot(d);
         if len_sq == 0.0 {
@@ -193,11 +188,6 @@ impl Rect {
     /// Width in meters.
     pub fn width(&self) -> f64 {
         self.max.x - self.min.x
-    }
-
-    /// Height in meters.
-    pub fn height(&self) -> f64 {
-        self.max.y - self.min.y
     }
 
     /// Center point.
@@ -264,12 +254,6 @@ impl SpatialGrid {
         }
     }
 
-    /// Cell side length in meters: what [`SpatialGrid::new`] or the last
-    /// [`SpatialGrid::set_cell_size`] was given.
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-
     /// Changes the cell side length. The stored items were bucketed by the
     /// old one, so the grid is emptied (its buffers are kept); cell size
     /// decides what a query costs, never what it finds.
@@ -277,7 +261,7 @@ impl SpatialGrid {
     /// # Panics
     ///
     /// Panics if `cell_size` is not strictly positive.
-    pub fn set_cell_size(&mut self, cell_size: f64) {
+    pub(crate) fn set_cell_size(&mut self, cell_size: f64) {
         assert!(cell_size > 0.0, "cell size must be positive");
         if cell_size != self.cell_size {
             self.cell_size = cell_size;
@@ -388,7 +372,7 @@ impl SpatialGrid {
     /// A non-finite or non-positive `radius` yields nothing: a negative or
     /// NaN radius is a caller bug, and an infinite one would otherwise
     /// degenerate into scanning every cell.
-    pub fn candidate_rows(
+    pub(crate) fn candidate_rows(
         &self,
         center: Point,
         radius: f64,
@@ -621,7 +605,7 @@ mod tests {
         grid.set_cell_size(10.0);
         assert_eq!(grid.within(Point::new(0.0, 0.0), 5.0), vec![0], "same size: untouched");
         grid.set_cell_size(40.0);
-        assert_eq!(grid.cell_size(), 40.0);
+        assert_eq!(grid.cell_size, 40.0);
         assert!(grid.within(Point::new(0.0, 0.0), 500.0).is_empty(), "bucketed by the old size");
         grid.rebuild(pts);
         assert_eq!(grid.within(Point::new(50.0, 0.0), 60.0), vec![0, 1]);

@@ -243,15 +243,6 @@ impl Fleet {
         self.vel[id.0 as usize]
     }
 
-    /// Kinematic snapshot (position + velocity) of one vehicle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    pub fn kinematics(&self, id: VehicleId) -> Kinematics {
-        Kinematics { pos: self.pos(id), velocity: self.velocity(id) }
-    }
-
     /// Whether one vehicle is online.
     ///
     /// # Panics
@@ -503,7 +494,7 @@ fn step_one(
 }
 
 /// Draws a plausible vehicle profile: mostly L2–L4, occasional L5.
-pub fn random_profile(id: VehicleId, rng: &mut SimRng) -> VehicleProfile {
+pub(crate) fn random_profile(id: VehicleId, rng: &mut SimRng) -> VehicleProfile {
     use crate::node::{Resources, SaeLevel};
     let automation = match rng.range_u64(0, 10) {
         0..=2 => SaeLevel::L2,
@@ -685,7 +676,7 @@ mod tests {
         for _ in 0..50 {
             fleet.step(0.1, &net);
             for v in fleet.vehicles() {
-                assert!(fleet.kinematics(v.id()).speed() <= 13.9 * 1.15 + 1e-9);
+                assert!(fleet.velocity(v.id()).norm() <= 13.9 * 1.15 + 1e-9);
             }
         }
     }
@@ -699,10 +690,9 @@ mod tests {
             fleet.step(0.5, &net);
         }
         for v in fleet.vehicles() {
-            let kin = fleet.kinematics(v.id());
-            let p = kin.pos;
+            let p = fleet.pos(v.id());
             assert!(p.x >= -1.0 && p.x <= 2001.0, "left corridor: {p}");
-            let s = kin.speed();
+            let s = fleet.velocity(v.id()).norm();
             assert!((0.0..=40.0).contains(&s), "speed out of band: {s}");
         }
     }
@@ -761,7 +751,7 @@ mod tests {
             assert!(l - f > 1.0, "follower overran leader: follower {f}, leader {l}");
         }
         // The follower has settled near the leader's speed (a platoon).
-        let vf = fleet.kinematics(VehicleId(0)).speed();
+        let vf = fleet.velocity(VehicleId(0)).norm();
         assert!((vf - 18.0).abs() < 3.0, "follower platooned at {vf} m/s");
     }
 

@@ -59,12 +59,6 @@ impl SaeLevel {
             _ => None,
         }
     }
-
-    /// Whether the vehicle can accept compute tasks unattended (L3+ in our
-    /// model: conditional automation and above have spare attention/compute).
-    pub const fn supports_unattended_compute(self) -> bool {
-        self.as_u8() >= 3
-    }
 }
 
 /// Sensor complement of a vehicle (paper Fig. 1 lists optical, infrared,
@@ -89,7 +83,7 @@ impl SensorSuite {
         SensorSuite { camera: true, lidar: true, radar: true, infrared: true, gnss: true };
 
     /// A basic suite (camera + GNSS only).
-    pub const BASIC: SensorSuite =
+    pub(crate) const BASIC: SensorSuite =
         SensorSuite { camera: true, lidar: false, radar: false, infrared: false, gnss: true };
 
     /// Number of sensor classes present.
@@ -154,12 +148,6 @@ impl Kinematics {
             self.velocity.heading()
         }
     }
-
-    /// Predicted position after `dt` seconds at constant velocity — the
-    /// prediction that stay-estimation and trust validation use.
-    pub fn predict(&self, dt: f64) -> Point {
-        self.pos + self.velocity * dt
-    }
 }
 
 /// Static description of one vehicle.
@@ -199,13 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn unattended_compute_threshold() {
-        assert!(!SaeLevel::L2.supports_unattended_compute());
-        assert!(SaeLevel::L3.supports_unattended_compute());
-        assert!(SaeLevel::L5.supports_unattended_compute());
-    }
-
-    #[test]
     fn sensor_counts() {
         assert_eq!(SensorSuite::FULL.count(), 5);
         assert_eq!(SensorSuite::BASIC.count(), 2);
@@ -213,11 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn kinematics_speed_heading_predict() {
+    fn kinematics_speed_and_heading() {
         let k = Kinematics { pos: Point::new(0.0, 0.0), velocity: Point::new(3.0, 4.0) };
         assert_eq!(k.speed(), 5.0);
         assert!((k.heading() - (4.0f64 / 3.0).atan()).abs() < 1e-12);
-        assert_eq!(k.predict(2.0), Point::new(6.0, 8.0));
         let still = Kinematics::default();
         assert_eq!(still.heading(), 0.0);
     }

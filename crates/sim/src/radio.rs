@@ -42,7 +42,7 @@ impl Channel {
 
     /// Reception probability at `dist` meters: 1−`base_loss` inside the
     /// reliable zone, linearly falling to zero at `range_m`.
-    pub fn reception_probability(&self, dist: f64) -> f64 {
+    pub(crate) fn reception_probability(&self, dist: f64) -> f64 {
         if dist < 0.0 {
             return 0.0;
         }
@@ -123,7 +123,7 @@ impl RsuNetwork {
 
     /// Places RSUs on a regular grid covering `width x height` meters with
     /// the given spacing, each with `range_m` coverage.
-    pub fn grid_deployment(width: f64, height: f64, spacing: f64, range_m: f64) -> Self {
+    pub(crate) fn grid_deployment(width: f64, height: f64, spacing: f64, range_m: f64) -> Self {
         let mut net = RsuNetwork::new();
         let mut y = 0.0;
         while y <= height {
@@ -173,14 +173,6 @@ impl RsuNetwork {
             }
         }
         best.map(|(_, r)| r)
-    }
-
-    /// Fraction of RSUs currently online.
-    pub fn online_fraction(&self) -> f64 {
-        if self.rsus.is_empty() {
-            return 0.0;
-        }
-        self.rsus.iter().filter(|r| r.online).count() as f64 / self.rsus.len() as f64
     }
 
     /// Takes a random `fraction` of RSUs offline (disaster injection).
@@ -864,7 +856,6 @@ mod tests {
         assert!(net.covering(Point::new(1000.0, 0.0)).is_none());
         net.rsus[a.0 as usize].online = false;
         assert!(net.covering(Point::new(100.0, 0.0)).is_none());
-        assert_eq!(net.online_fraction(), 0.5);
     }
 
     #[test]

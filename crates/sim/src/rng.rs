@@ -142,39 +142,11 @@ impl SimRng {
         mean + std_dev * z
     }
 
-    /// Poisson-distributed draw (Knuth's method; adequate for small lambda).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is not strictly positive.
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
-        assert!(lambda > 0.0, "poisson lambda must be positive");
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Fisher–Yates shuffle in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.index(i + 1);
             items.swap(i, j);
-        }
-    }
-
-    /// Uniformly chooses one element, or `None` for an empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
         }
     }
 
@@ -303,14 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_matches() {
-        let mut rng = SimRng::seed_from(10);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| rng.poisson(4.0) as f64).sum::<f64>() / n as f64;
-        assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
     fn shuffle_is_a_permutation() {
         let mut rng = SimRng::seed_from(11);
         let mut v: Vec<u32> = (0..50).collect();
@@ -319,13 +283,6 @@ mod tests {
         sorted.sort();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, sorted, "shuffle left the slice in order (astronomically unlikely)");
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut rng = SimRng::seed_from(12);
-        assert_eq!(rng.choose::<u8>(&[]), None);
-        assert_eq!(rng.choose(&[42]), Some(&42));
     }
 
     #[test]

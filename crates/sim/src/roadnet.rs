@@ -214,7 +214,7 @@ impl RoadNetwork {
     }
 
     /// A uniformly random intersection (None for an empty network).
-    pub fn random_node(&self, rng: &mut SimRng) -> Option<NodeId> {
+    pub(crate) fn random_node(&self, rng: &mut SimRng) -> Option<NodeId> {
         if self.intersections.is_empty() {
             None
         } else {
@@ -276,7 +276,7 @@ impl RoadNetwork {
     }
 
     /// The road from `a` directly to `b`, if one exists.
-    pub fn road_between(&self, a: NodeId, b: NodeId) -> Option<RoadId> {
+    pub(crate) fn road_between(&self, a: NodeId, b: NodeId) -> Option<RoadId> {
         self.outgoing(a).iter().copied().find(|&rid| self.road(rid).to == b)
     }
 

@@ -13,7 +13,7 @@ use std::ops::Range;
 
 /// Below this many items per shard, fanning out costs more than it saves:
 /// the planner collapses to fewer shards (possibly one, which runs inline).
-pub const MIN_ITEMS_PER_SHARD: usize = 512;
+pub(crate) const MIN_ITEMS_PER_SHARD: usize = 512;
 
 /// A partition of `0..items` into contiguous, near-equal index ranges.
 #[derive(Debug, Clone)]

@@ -54,7 +54,7 @@ const WARMUP_NS: u128 = 50_000_000;
 
 /// One benchmark's measured statistics, in nanoseconds per iteration.
 #[derive(Debug, Clone)]
-pub struct BenchResult {
+pub(crate) struct BenchResult {
     /// Benchmark name, e.g. `"schnorr/sign"`.
     pub name: String,
     /// Median ns/iter across batches.
@@ -144,11 +144,6 @@ impl Suite {
             if quick { "quick (1 iteration, smoke only)" } else { "full" }
         );
         Suite { name: name.to_string(), quick, out_dir, results: Vec::new() }
-    }
-
-    /// Whether this run is in quick/smoke mode.
-    pub fn is_quick(&self) -> bool {
-        self.quick
     }
 
     /// Measures `f`, recording ns/iter statistics under `name`.
@@ -309,7 +304,7 @@ mod tests {
             calls += 1;
             calls
         });
-        assert!(suite.is_quick());
+        assert!(suite.quick);
         assert_eq!(calls, 1);
         assert_eq!(suite.results.len(), 1);
         assert_eq!(suite.results[0].iters_per_batch, 1);

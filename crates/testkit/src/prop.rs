@@ -34,7 +34,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use vc_sim::rng::SimRng;
 
 /// Default seed for property runs; override with `VC_PROP_SEED`.
-pub const DEFAULT_SEED: u64 = 0xC10D_5EED;
+pub(crate) const DEFAULT_SEED: u64 = 0xC10D_5EED;
 
 /// Outcome of checking one generated case.
 #[derive(Debug, Clone)]
@@ -282,18 +282,6 @@ pub mod strategy {
         AnyWords
     }
 
-    /// Always yields a clone of the given value (no shrinking).
-    #[derive(Debug, Clone, Copy)]
-    pub struct Just<T>(pub T);
-
-    impl<T: Clone + Debug> Strategy for Just<T> {
-        type Value = T;
-
-        fn generate(&self, _rng: &mut SimRng) -> T {
-            self.0.clone()
-        }
-    }
-
     /// Strategy defined by an arbitrary closure over the entropy stream.
     ///
     /// This is the escape hatch for domain-specific generators (recursive
@@ -319,25 +307,6 @@ pub mod strategy {
         F: Fn(&mut SimRng) -> T,
     {
         FromFn(f)
-    }
-
-    /// Uniformly picks one of the listed values.
-    pub fn one_of<T: Clone + Debug>(options: &[T]) -> OneOf<T> {
-        assert!(!options.is_empty(), "one_of needs at least one option");
-        OneOf(options.to_vec())
-    }
-
-    /// Strategy that picks uniformly from a fixed list (shrinks toward the
-    /// first entry).
-    #[derive(Debug, Clone)]
-    pub struct OneOf<T>(Vec<T>);
-
-    impl<T: Clone + Debug> Strategy for OneOf<T> {
-        type Value = T;
-
-        fn generate(&self, rng: &mut SimRng) -> T {
-            self.0[rng.index(self.0.len())].clone()
-        }
     }
 
     /// Vectors of values from `inner` with length drawn from `len`.

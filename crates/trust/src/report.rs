@@ -51,7 +51,7 @@ impl Report {
     /// Distance between the claimed event location and the reporter's own
     /// claimed position — implausibly large values are a forgery signal
     /// (vehicles sense locally).
-    pub fn observation_distance(&self) -> f64 {
+    pub(crate) fn observation_distance(&self) -> f64 {
         self.location.distance(self.reporter_pos)
     }
 }
@@ -89,7 +89,7 @@ impl EventCluster {
     }
 
     /// Fraction of positive claims.
-    pub fn positive_fraction(&self) -> f64 {
+    pub(crate) fn positive_fraction(&self) -> f64 {
         if self.reports.is_empty() {
             return 0.0;
         }

@@ -13,15 +13,12 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Default)]
 pub struct ReputationStore {
     entries: BTreeMap<u64, (f64, f64)>, // (good, bad)
-    /// Multiplicative decay applied by [`ReputationStore::decay_all`];
-    /// recent evidence outweighs stale evidence.
-    pub decay: f64,
 }
 
 impl ReputationStore {
-    /// Creates an empty store with 0.95 decay.
+    /// Creates an empty store.
     pub fn new() -> Self {
-        ReputationStore { entries: BTreeMap::new(), decay: 0.95 }
+        ReputationStore { entries: BTreeMap::new() }
     }
 
     /// Records a confirmed outcome for a reporter.
@@ -46,14 +43,6 @@ impl ReputationStore {
     /// Evidence mass behind the estimate (0 for unknown reporters).
     pub fn evidence(&self, reporter: u64) -> f64 {
         self.entries.get(&reporter).map_or(0.0, |&(g, b)| g + b)
-    }
-
-    /// Applies one decay step to all entries (call per epoch).
-    pub fn decay_all(&mut self) {
-        for e in self.entries.values_mut() {
-            e.0 *= self.decay;
-            e.1 *= self.decay;
-        }
     }
 
     /// Number of reporters tracked.
@@ -103,21 +92,6 @@ mod tests {
         store.record(3, true);
         store.record(3, false);
         assert_eq!(store.reliability(3), 0.5);
-    }
-
-    #[test]
-    fn decay_pulls_toward_prior() {
-        let mut store = ReputationStore::new();
-        for _ in 0..20 {
-            store.record(4, true);
-        }
-        let before = store.reliability(4);
-        for _ in 0..100 {
-            store.decay_all();
-        }
-        let after = store.reliability(4);
-        assert!(after < before);
-        assert!((after - 0.5).abs() < 0.1, "long decay approaches the prior, got {after}");
     }
 
     #[test]
