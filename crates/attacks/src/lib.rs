@@ -9,6 +9,9 @@
 //!   amplification against the trust layer
 //! * [`privacy`] — movement tracking / pseudonym linking and traffic-flow
 //!   analysis
+//! * [`revocation`] — the per-period linkage-value CRL: a period boundary,
+//!   a revocation after the period's expansion, a pool past `J`, and a
+//!   near-miss linkage value
 //!
 //! Experiment E10 prints the attack-vs-defense success matrix; E4 uses
 //! [`privacy::tracking_accuracy`] for Fig. 5's privacy comparison.
@@ -32,6 +35,7 @@ pub mod application;
 pub mod network;
 pub mod outcome;
 pub mod privacy;
+pub mod revocation;
 
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
@@ -42,4 +46,8 @@ pub mod prelude {
     };
     pub use crate::outcome::{AttackOutcome, Defense};
     pub use crate::privacy::{tracking_accuracy, traffic_analysis_accuracy, IdScheme};
+    pub use crate::revocation::{
+        mid_period_revocation_attack, near_miss_linkage_attack, period_boundary_attack,
+        pool_overdraw_attack,
+    };
 }

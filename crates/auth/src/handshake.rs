@@ -19,7 +19,7 @@
 
 use crate::identity::AuthError;
 use crate::pseudonym::{
-    verify_with_front, CrlFront, PseudonymCert, PseudonymId, PseudonymMessage, PseudonymWallet,
+    verify_with_front, CrlFront, LinkageIndex, PseudonymCert, PseudonymMessage, PseudonymWallet,
 };
 use std::collections::BTreeMap;
 use vc_crypto::dh::{EphemeralSecret, PublicShare, SessionKey};
@@ -246,7 +246,7 @@ struct CacheEntry {
     /// Expiry of the peer certificate the session was established under; a
     /// cached key never outlives the credential that authenticated it.
     cert_valid_until: SimTime,
-    cert_id: PseudonymId,
+    linkage: LinkageIndex,
     linkage_value: [u8; 8],
     /// Logical LRU stamp (monotone per cache; deterministic eviction order).
     last_used: u64,
@@ -337,7 +337,7 @@ impl SessionCache {
                 key,
                 established_at: now,
                 cert_valid_until: peer_cert.valid_until,
-                cert_id: peer_cert.id,
+                linkage: peer_cert.linkage_index(),
                 linkage_value: peer_cert.linkage_value,
                 last_used: self.stamp,
             },
@@ -347,10 +347,10 @@ impl SessionCache {
     /// Drops every cached session whose peer certificate matches a revoked
     /// linkage seed. Callers invoke this on each CRL update so a revoked
     /// peer can never ride a cached key past its revocation. Costs one
-    /// [`CrlFront::is_revoked_cert`] per cached session: a scan for each
+    /// [`CrlFront::is_revoked`] per cached session: a filter probe for each
     /// certificate the front's memo does not yet hold.
     pub fn invalidate_revoked(&mut self, crl: &CrlFront) {
-        self.entries.retain(|_, e| !crl.is_revoked_cert(e.cert_id, e.linkage_value));
+        self.entries.retain(|_, e| !crl.is_revoked(e.linkage, e.linkage_value));
     }
 }
 

@@ -45,6 +45,9 @@ pub enum AuthError {
     Unknown,
     /// Malformed on-the-wire data.
     Malformed,
+    /// Issuance refused: the identity would hold more than
+    /// [`crate::pseudonym::CERTS_PER_PERIOD`] certificates in one period.
+    PoolExhausted,
 }
 
 impl std::fmt::Display for AuthError {
@@ -57,6 +60,7 @@ impl std::fmt::Display for AuthError {
             AuthError::Replayed => "message replayed",
             AuthError::Unknown => "unknown sender",
             AuthError::Malformed => "malformed message",
+            AuthError::PoolExhausted => "certificate pool for the period exhausted",
         };
         f.write_str(s)
     }

@@ -3,37 +3,87 @@
 //! Each vehicle is provisioned with a **pool of pseudonym certificates** at
 //! registration. A message is signed under the *current* pseudonym's key and
 //! carries the certificate; the verifier checks the TA's signature on the
-//! certificate, the message signature, the validity window, and scans the
-//! certificate revocation list (CRL).
+//! certificate, the message signature, the validity window, and checks the
+//! certificate against the revocation list (CRL).
 //!
-//! The two drawbacks Fig. 5 calls out are deliberately reproduced so E4 can
-//! measure them: (1) per-message overhead is high (full cert + two
-//! signatures + CRL scan whose cost grows linearly with revocations), and
-//! (2) privacy is *conditional* — the TA keeps the pseudonym→identity map,
-//! and an eavesdropper can link all messages sent under one pseudonym
-//! between rotations.
+//! Revocation follows IEEE 1609.2.1's linkage values: the CRL lists one seed
+//! per revoked vehicle, and a certificate carries `lv(i, j) = PRF(seed, i, j)`
+//! for its validity period `i` and its index `j` in that period. Fig. 5's
+//! complaint — every check scans "the huge pool of revoked certificates" —
+//! is what [`crl_matches`] still computes, one keyed hash per CRL entry. A
+//! verifier instead expands the CRL once per index ([`CrlFront`]): the first
+//! certificate at `(i, j)` it sees costs every seed's value at `(i, j)`,
+//! held in a compact filter, and each later first sighting at that index
+//! costs one filter probe. Only a filter hit pays the linear scan, which
+//! confirms it exactly.
+//!
+//! The other drawback Fig. 5 calls out is reproduced as is: privacy is
+//! *conditional* — the TA keeps the pseudonym→identity map, and an
+//! eavesdropper can link all messages sent under one pseudonym between
+//! rotations.
 
 use crate::identity::{AuthError, RealIdentity, TrustedAuthority};
 use std::collections::BTreeMap;
 use std::ops::Deref;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vc_crypto::schnorr::{Signature, SigningKey, VerifyingKey};
 use vc_crypto::sha256::{compress_lanes, sha256_parts};
-use vc_sim::time::SimTime;
+use vc_sim::time::{SimDuration, SimTime};
 
-/// Identifier of a pseudonym certificate (random-looking, TA-issued).
+/// `J`: the most certificates one vehicle holds for one linkage period.
+/// [`PseudonymRegistry::issue_wallet`] refuses any request past it, so a
+/// verifier expands each revoked seed into at most this many values per
+/// period. `vc_cloud`'s pipeline issues wallets of 16, the largest pool of
+/// any caller.
+pub const CERTS_PER_PERIOD: usize = 16;
+
+/// Length of a linkage period `i` (one week, as in SCMS deployments).
+pub const LINKAGE_PERIOD: SimDuration = SimDuration::from_secs(7 * 86_400);
+
+/// Identifier of a pseudonym certificate (random-looking, TA-issued). The
+/// TA gives one vehicle's certificates for one period ids that differ mod
+/// [`CERTS_PER_PERIOD`], so `id % J` is the certificate's index `j`: the
+/// verifier derives it from signed bytes, and no byte on the wire carries
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PseudonymId(pub u64);
 
+/// Where a linkage value sits in its vehicle's issue: the validity period
+/// `i` and the index `j` within that period, the `(i, j)` of `lv(i, j)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct LinkageIndex {
+    /// The linkage period, `valid_from / LINKAGE_PERIOD`.
+    pub period: u32,
+    /// The certificate's index within the period, below [`CERTS_PER_PERIOD`].
+    pub j: u8,
+}
+
+impl LinkageIndex {
+    /// The index of certificate `id` valid from `valid_from`.
+    fn of(id: PseudonymId, valid_from: SimTime) -> LinkageIndex {
+        LinkageIndex { period: period_of(valid_from), j: (id.0 % CERTS_PER_PERIOD as u64) as u8 }
+    }
+
+    /// The 8 bytes the linkage hash takes after the seed: `i ‖ j`, each a
+    /// big-endian `u32`.
+    fn to_bytes(self) -> [u8; 8] {
+        ((u64::from(self.period) << 32) | u64::from(self.j)).to_be_bytes()
+    }
+}
+
+/// The linkage period `t` falls in.
+fn period_of(t: SimTime) -> u32 {
+    let period = t.as_micros() / LINKAGE_PERIOD.as_micros();
+    u32::try_from(period).expect("SimTime spans fewer than 2^32 weeks")
+}
+
 /// A per-vehicle linkage seed, published on the CRL when the vehicle is
 /// revoked (SCMS-style): one CRL entry revokes the vehicle's *entire*
-/// pseudonym pool, but checking a certificate against it costs one keyed
-/// hash per entry — the linear, per-message CRL cost Fig. 5 complains
-/// about. A verifier pays that hash through [`crl_matches`] (sixteen
-/// entries per kernel call: ≈ 35 ns per entry on an AVX-512F CPU, ≈ 60
-/// with AVX2, ≈ 105 on baseline SSE2); [`LinkageSeed::linkage_value`]
-/// is the one-at-a-time form (≈ 300 ns) that issuance uses and the scan is
-/// tested against.
+/// pseudonym pool. Checking a certificate against the list one entry at a
+/// time costs one keyed hash per entry ([`crl_matches`], ≈ 32 ns each on an
+/// AVX-512F CPU); [`CrlFront`] pays that once per index `(i, j)` instead.
+/// [`LinkageSeed::linkage_value`] is the one-at-a-time form (≈ 300 ns) that
+/// issuance uses and both are tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkageSeed(pub [u8; 16]);
 
@@ -41,11 +91,10 @@ pub struct LinkageSeed(pub [u8; 16]);
 const LINKAGE_DOMAIN: &[u8; 10] = b"vc-linkage";
 
 impl LinkageSeed {
-    /// Derives the (truncated) linkage value a certificate with this seed
-    /// carries: the first 8 bytes of
-    /// `SHA-256("vc-linkage" ‖ seed ‖ cert_id)`.
-    pub fn linkage_value(&self, cert: PseudonymId) -> [u8; 8] {
-        let digest = sha256_parts(&[LINKAGE_DOMAIN, &self.0, &cert.0.to_be_bytes()]);
+    /// Derives the (truncated) linkage value `lv(i, j)` of the certificate
+    /// at `at`: the first 8 bytes of `SHA-256("vc-linkage" ‖ seed ‖ i ‖ j)`.
+    pub fn linkage_value(&self, at: LinkageIndex) -> [u8; 8] {
+        let digest = sha256_parts(&[LINKAGE_DOMAIN, &self.0, &at.to_bytes()]);
         let mut out = [0u8; 8];
         out.copy_from_slice(&digest[..8]);
         out
@@ -54,63 +103,134 @@ impl LinkageSeed {
 
 /// CRL entries hashed per kernel call. Measured per CPU tier, not tunable:
 /// fewer lanes leave the SSE2 build waiting on the round's dependency chain;
-/// under AVX-512F 16, 32 and 64 lanes cost the same, and AVX2 is flat from
-/// 8 to 16 and slower past it (table in docs/CRYPTO.md).
+/// under AVX-512F 16, 32 and 64 lanes cost the same, and AVX2 is flat from 8
+/// to 16 and slower past it (table in docs/CRYPTO.md).
 const SCAN_LANES: usize = 16;
 
-/// The CRL scan: whether the certificate `(id, linkage_value)` belongs to
-/// any of the revoked `seeds`, i.e. whether
-/// `seed.linkage_value(id) == linkage_value` for some entry. Still one
-/// keyed hash per entry, in list order — the linear cost Fig. 5 charges
-/// pseudonym authentication with — but sixteen entries at a time through
-/// [`compress_lanes`], at ≈ 35 ns per entry on an AVX-512F CPU (≈ 60 with
+/// Every seed's linkage value at `at`, in list order, as the big-endian
+/// `u64` of its 8 bytes, until `stop` returns true; returns whether it did.
+/// One keyed hash per entry, sixteen entries at a time through
+/// [`compress_lanes`], at ≈ 32 ns per entry on an AVX-512F CPU (≈ 60 with
 /// AVX2, ≈ 105 on baseline SSE2) instead of the streaming hasher's ≈ 300.
 ///
-/// The 34-byte message `"vc-linkage" ‖ seed ‖ id` pads into a single
+/// The 34-byte message `"vc-linkage" ‖ seed ‖ i ‖ j` pads into a single
 /// SHA-256 block in which only the seed's bytes 10..26 (words 2..=6) differ
 /// between entries, so each group rewrites five words per lane of one
-/// prepared block, and only the first two digest words are compared. A hit
+/// prepared block, and only the first two digest words are read. `stop`
 /// ends the scan at its group; the `len % 16` tail goes through
 /// [`LinkageSeed::linkage_value`].
-pub fn crl_matches(seeds: &[LinkageSeed], id: PseudonymId, linkage_value: [u8; 8]) -> bool {
+fn linkage_values(
+    seeds: &[LinkageSeed],
+    at: LinkageIndex,
+    mut stop: impl FnMut(u64) -> bool,
+) -> bool {
     const SEED_AT: usize = LINKAGE_DOMAIN.len();
-    const ID_AT: usize = SEED_AT + 16;
-    const END: usize = ID_AT + 8;
+    const INDEX_AT: usize = SEED_AT + 16;
+    const END: usize = INDEX_AT + 8;
     // The words any seed byte falls in.
     const FIRST: usize = SEED_AT / 4;
-    const LAST: usize = (ID_AT - 1) / 4;
+    const LAST: usize = (INDEX_AT - 1) / 4;
     fn be_words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
         bytes.chunks_exact(4).map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
     }
     // The padded block every entry shares, seed bytes still zero.
     let mut message = [0u8; 64];
     message[..SEED_AT].copy_from_slice(LINKAGE_DOMAIN);
-    message[ID_AT..END].copy_from_slice(&id.0.to_be_bytes());
+    message[INDEX_AT..END].copy_from_slice(&at.to_bytes());
     message[END] = 0x80;
     message[56..].copy_from_slice(&(8 * END as u64).to_be_bytes());
     let mut blocks = [[0u32; SCAN_LANES]; 16];
     for (word, shared) in blocks.iter_mut().zip(be_words(&message)) {
         *word = [shared; SCAN_LANES];
     }
-    let want = u64::from_be_bytes(linkage_value);
-    let (want0, want1) = ((want >> 32) as u32, want as u32);
 
     let groups = seeds.chunks_exact(SCAN_LANES);
     let tail = groups.remainder();
     for group in groups {
         for (lane, seed) in group.iter().enumerate() {
-            message[SEED_AT..ID_AT].copy_from_slice(&seed.0);
+            message[SEED_AT..INDEX_AT].copy_from_slice(&seed.0);
             for (word, own) in blocks[FIRST..=LAST].iter_mut().zip(be_words(&message[4 * FIRST..]))
             {
                 word[lane] = own;
             }
         }
         let digests = compress_lanes(&blocks);
-        if (0..SCAN_LANES).any(|lane| digests[0][lane] == want0 && digests[1][lane] == want1) {
+        let value = |lane: usize| (u64::from(digests[0][lane]) << 32) | u64::from(digests[1][lane]);
+        if (0..SCAN_LANES).any(|lane| stop(value(lane))) {
             return true;
         }
     }
-    tail.iter().any(|seed| seed.linkage_value(id) == linkage_value)
+    tail.iter().any(|seed| stop(u64::from_be_bytes(seed.linkage_value(at))))
+}
+
+/// The exact CRL check: whether the certificate at `at` with
+/// `linkage_value` belongs to any of the revoked `seeds`, i.e. whether
+/// `seed.linkage_value(at) == linkage_value` for some entry. One keyed hash
+/// per entry, in list order, until a match — the linear cost Fig. 5 charges
+/// pseudonym authentication with. [`CrlFront`] runs it only to confirm a
+/// filter hit.
+pub fn crl_matches(seeds: &[LinkageSeed], at: LinkageIndex, linkage_value: [u8; 8]) -> bool {
+    let want = u64::from_be_bytes(linkage_value);
+    linkage_values(seeds, at, |value| value == want)
+}
+
+/// One index's expansion of the CRL: a blocked Bloom filter over every
+/// revoked seed's linkage value at one `(i, j)`, `FILTER_BITS` bits per
+/// value. Each value sets `FILTER_PROBES` bits of one 64-byte block, so an
+/// insert or a probe touches one cache line; ≈ 2.4 % of values not in the
+/// set are false hits. A miss is a definite "not revoked"; a hit is only a
+/// candidate, which [`crl_matches`] confirms.
+///
+/// The block and the bits are taken from the value's first seven bytes,
+/// which are already uniform hash output: a value that differs from a
+/// listed one only in its last byte is always a filter hit, so the exact
+/// confirmation is exercised by construction (E10's near-miss row).
+#[derive(Debug)]
+struct LinkageFilter {
+    blocks: Vec<FilterBlock>,
+}
+
+/// One cache line of filter bits.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(64))]
+struct FilterBlock([u64; 8]);
+
+/// Filter bits per expanded linkage value.
+const FILTER_BITS: usize = 8;
+/// Bits set per value, all in one block: the false-hit optimum for 8 bits
+/// per value is 5.5.
+const FILTER_PROBES: usize = 5;
+
+impl LinkageFilter {
+    /// Expands every seed into its value at `at`: `|CRL|` linkage hashes.
+    fn expand(seeds: &[LinkageSeed], at: LinkageIndex) -> LinkageFilter {
+        let blocks = (seeds.len() * FILTER_BITS).div_ceil(512).max(1);
+        let mut filter = LinkageFilter { blocks: vec![FilterBlock::default(); blocks] };
+        linkage_values(seeds, at, |value| {
+            let (block, bits) = filter.slot(value);
+            for bit in bits {
+                filter.blocks[block].0[bit / 64] |= 1 << (bit % 64);
+            }
+            false
+        });
+        filter
+    }
+
+    /// The block of `value` and its bits in the block: the block from the
+    /// key's top 32 bits by a multiply-shift, the bits by double hashing
+    /// over its low 18.
+    fn slot(&self, value: u64) -> (usize, impl Iterator<Item = usize>) {
+        let key = value >> 8;
+        let block = ((key >> 24) * self.blocks.len() as u64) >> 32;
+        let (h1, h2) = (key as usize & 511, (key >> 9) as usize & 511 | 1);
+        (block as usize, (0..FILTER_PROBES).map(move |p| (h1 + p * h2) & 511))
+    }
+
+    /// Whether `linkage_value` may be one of the expanded values.
+    fn may_contain(&self, linkage_value: [u8; 8]) -> bool {
+        let (block, mut bits) = self.slot(u64::from_be_bytes(linkage_value));
+        bits.all(|bit| self.blocks[block].0[bit / 64] & (1 << (bit % 64)) != 0)
+    }
 }
 
 /// A pseudonym certificate: binds a pseudonym id to a verification key under
@@ -150,6 +270,12 @@ impl PseudonymCert {
 
     /// Serialized size on the wire, bytes.
     pub(crate) const WIRE_LEN: usize = 8 + 32 + 8 + 16 + 64;
+
+    /// The `(i, j)` this certificate's linkage value is computed at: the
+    /// period of `valid_from` and the index its id carries.
+    pub fn linkage_index(&self) -> LinkageIndex {
+        LinkageIndex::of(self.id, self.valid_from)
+    }
 }
 
 /// A message authenticated under a pseudonym.
@@ -235,9 +361,13 @@ pub struct PseudonymRegistry {
     escrow: BTreeMap<PseudonymId, RealIdentity>,
     /// Per-identity linkage seeds (published to the CRL on revocation).
     seeds: BTreeMap<RealIdentity, LinkageSeed>,
+    /// Per identity and linkage period: the indices `j` (ids mod `J`) its
+    /// certificates hold, one bit each.
+    issued: BTreeMap<(RealIdentity, u32), u16>,
     /// The certificate revocation list, as distributed to vehicles, with
-    /// the verdict memo every verifier reading it shares.
+    /// the expansions and verdict memo every verifier reading it shares.
     crl: CrlFront,
+    /// The next id to consider for issuance.
     next_id: u64,
 }
 
@@ -247,12 +377,18 @@ impl PseudonymRegistry {
         PseudonymRegistry::default()
     }
 
-    /// Issues a wallet of `pool_size` pseudonyms to a registered vehicle.
+    /// Issues a wallet of `pool_size` pseudonyms to a registered vehicle,
+    /// valid from `valid_from`. Ids are handed out in order, skipping any
+    /// whose index `j = id % J` the vehicle already holds in that linkage
+    /// period (so a vehicle's first wallet of a period takes consecutive
+    /// ids).
     ///
     /// # Errors
     ///
     /// Returns [`AuthError::Unknown`] if the identity is not registered with
-    /// the TA, or [`AuthError::Revoked`] if it is revoked.
+    /// the TA, [`AuthError::Revoked`] if it is revoked, or
+    /// [`AuthError::PoolExhausted`] if the request would take the vehicle
+    /// past [`CERTS_PER_PERIOD`] certificates in the period.
     pub fn issue_wallet(
         &mut self,
         ta: &TrustedAuthority,
@@ -275,17 +411,25 @@ impl PseudonymRegistry {
             s.copy_from_slice(&digest[..16]);
             LinkageSeed(s)
         });
+        let held = self.issued.entry((identity.clone(), period_of(valid_from))).or_default();
+        if pool_size > CERTS_PER_PERIOD - held.count_ones() as usize {
+            return Err(AuthError::PoolExhausted);
+        }
         let mut certs = Vec::with_capacity(pool_size);
         let mut keys = Vec::with_capacity(pool_size);
         for i in 0..pool_size {
+            while *held & (1 << (self.next_id % CERTS_PER_PERIOD as u64)) != 0 {
+                self.next_id += 1;
+            }
             let id = PseudonymId(self.next_id);
             self.next_id += 1;
+            *held |= 1 << (id.0 % CERTS_PER_PERIOD as u64);
             let mut kseed = key_seed.to_vec();
             kseed.extend_from_slice(&i.to_be_bytes());
             kseed.extend_from_slice(&id.0.to_be_bytes());
             let sk = SigningKey::from_seed(&kseed);
             let vk = sk.verifying_key();
-            let linkage_value = seed.linkage_value(id);
+            let linkage_value = seed.linkage_value(LinkageIndex::of(id, valid_from));
             let body =
                 PseudonymCert::signed_bytes(id, &vk, &linkage_value, valid_from, valid_until);
             let ta_signature = ta.signing_key().sign(&body);
@@ -304,10 +448,12 @@ impl PseudonymRegistry {
     }
 
     /// Revokes an identity by publishing its linkage seed: one CRL entry
-    /// kills the vehicle's entire pseudonym pool, but a check now pays one
-    /// keyed hash *per CRL entry* — the cost E4 measures. The seed lands in
-    /// the sorted, deduped list, and a new seed clears the CRL's verdict
-    /// memo, so no verdict memoized before the revocation survives it.
+    /// kills the vehicle's entire pseudonym pool, in every period. A check
+    /// against the list pays one keyed hash per CRL entry ([`crl_matches`],
+    /// the cost E4's linear row counts); a [`CrlFront`] pays `J` per entry
+    /// once per period instead. The seed lands in the sorted, deduped list,
+    /// and a new seed drops the CRL's expansions and verdict memo, so no
+    /// verdict from before the revocation survives it.
     pub fn revoke_identity(&mut self, identity: &RealIdentity) {
         if let Some(&seed) = self.seeds.get(identity) {
             self.crl.insert(seed);
@@ -317,7 +463,8 @@ impl PseudonymRegistry {
     /// The CRL as currently distributed, sorted by seed bytes (the scan
     /// outcome is order-independent, so sorting changes no verdict). It
     /// derefs to the seed slice; [`verify_with_front`] and
-    /// [`CrlFront::is_revoked_cert`] answer through its shared memo.
+    /// [`CrlFront::is_revoked`] answer through its shared expansions and
+    /// memo.
     pub fn crl(&self) -> &CrlFront {
         &self.crl
     }
@@ -343,15 +490,16 @@ impl PseudonymRegistry {
     }
 }
 
-/// The five verifier-side checks shared by [`verify`] and
-/// [`verify_with_front`], which differ only in how step 3 answers "does this
-/// certificate match a revoked seed?". Check order is the error precedence.
-fn verify_checks(
+/// The five verifier-side checks, with step 3's "does this certificate
+/// match a revoked seed?" left to the caller. Check order is the error
+/// precedence. [`verify_with_front`] answers step 3 through a [`CrlFront`];
+/// the test suite's linear oracle answers it with [`crl_matches`].
+pub fn verify_checks(
     message: &PseudonymMessage,
     ta_key: &VerifyingKey,
     is_revoked: impl FnOnce(&PseudonymCert) -> bool,
     now: SimTime,
-    replay_window: vc_sim::time::SimDuration,
+    replay_window: SimDuration,
 ) -> Result<(), AuthError> {
     // 1. Validity window.
     if now < message.cert.valid_from || now > message.cert.valid_until {
@@ -385,58 +533,78 @@ fn verify_checks(
     Ok(())
 }
 
-/// Verifier-side check. This is what every receiving vehicle runs per
-/// message; its cost (two signature verifications, ≈ 21 µs, plus a linear
-/// CRL scan through [`crl_matches`], ≈ 35 ns per revoked vehicle on an
-/// AVX-512F CPU — ≈ 0.35 ms at 10 000, ≈ 1 ms on baseline SSE2) is the
-/// protocol's verify-side price.
-///
-/// # Errors
-///
-/// Returns the specific [`AuthError`] that failed.
-pub fn verify(
-    message: &PseudonymMessage,
-    ta_key: &VerifyingKey,
-    crl: &[LinkageSeed],
-    now: SimTime,
-    replay_window: vc_sim::time::SimDuration,
-) -> Result<(), AuthError> {
-    // CRL scan — one keyed hash per revoked vehicle, as in deployed
-    // linkage-value CRLs. This is the linear cost the paper calls
-    // "time-consuming" for huge revocation pools.
-    let scan = |cert: &PseudonymCert| crl_matches(crl, cert.id, cert.linkage_value);
-    verify_checks(message, ta_key, scan, now, replay_window)
+/// What a [`CrlFront`] has learned from its seeds: the expanded indices,
+/// the memoized verdicts, and how many exact scans it has run.
+#[derive(Debug, Clone, Default)]
+struct Learned {
+    /// Per-index filters, of at most [`CrlFront::HELD_PERIODS`] periods; a
+    /// clone shares them.
+    filters: BTreeMap<LinkageIndex, Arc<LinkageFilter>>,
+    /// Verdicts by certificate `(i, j, linkage_value)`.
+    memo: BTreeMap<(LinkageIndex, [u8; 8]), bool>,
+    /// Exact [`crl_matches`] scans run: filter hits, and certificates of a
+    /// period older than every held one.
+    exact_scans: u64,
 }
 
-/// Memoized scan verdicts, keyed by certificate `(id, linkage_value)`.
-type VerdictMemo = BTreeMap<(PseudonymId, [u8; 8]), bool>;
+impl Learned {
+    /// The filter for `at`, expanding it if its period is held or newer
+    /// than the oldest held one (whose filters it then replaces at the
+    /// cap). `None` for a period older than every held one: such a
+    /// certificate pays the exact scan rather than evict a newer period, so
+    /// no sequence of certificates can make a front expand an index twice.
+    fn filter(&mut self, seeds: &[LinkageSeed], at: LinkageIndex) -> Option<Arc<LinkageFilter>> {
+        if let Some(filter) = self.filters.get(&at) {
+            return Some(Arc::clone(filter));
+        }
+        let mut periods: Vec<u32> = self.filters.keys().map(|held| held.period).collect();
+        periods.dedup();
+        if !periods.contains(&at.period) && periods.len() >= CrlFront::HELD_PERIODS {
+            if at.period < periods[0] {
+                return None;
+            }
+            self.filters.retain(|held, _| held.period != periods[0]);
+        }
+        let filter = Arc::new(LinkageFilter::expand(seeds, at));
+        self.filters.insert(at, Arc::clone(&filter));
+        Some(filter)
+    }
+}
 
-/// The CRL with a memo in front: a sorted, deduped seed list and a bounded
-/// memo of per-certificate revocation verdicts, so each *distinct*
-/// certificate pays the linear linkage-value scan at most once.
+/// The CRL as a verifier holds it: a sorted, deduped seed list, expanded
+/// lazily once per linkage index `(i, j)` into a compact filter, with a
+/// bounded memo of per-certificate verdicts in front.
 /// [`PseudonymRegistry::crl`] hands one out, so every verifier reading the
-/// registry — both sides of every handshake included — shares its memo.
+/// registry — both sides of every handshake included — shares its
+/// expansions and memo.
 ///
-/// The front is a pure cache: [`verify_with_front`] returns exactly what
-/// [`verify`] returns against `CrlFront::seeds()`. The linkage-value CRL
-/// match is a keyed hash per entry (35–105 ns each through [`crl_matches`],
-/// by CPU tier) — sorting alone cannot answer "is this cert revoked?", so
-/// the front memoizes scan verdicts keyed by `(PseudonymId, linkage_value)`
-/// instead.
+/// The first certificate at an index the front sees expands every seed into
+/// its value at that index: `|CRL|` hashes through [`compress_lanes`]
+/// (≈ 0.3 ms for 10 000 seeds on an AVX-512F CPU, ≈ 1 ms on SSE2) into a
+/// Bloom filter of one byte per value (≈ 10 KB). A period costs at most `J`
+/// such expansions, `|CRL| × J` hashes and bytes. After that a first
+/// sighting at the index is one filter probe. A miss is a definite "not
+/// revoked"; a hit (≈ 2.4 % of unrevoked certificates) is confirmed by one
+/// exact [`crl_matches`] scan at the certificate's `(i, j)`, so every
+/// verdict is exactly the linear scan's: [`verify_with_front`] returns what
+/// [`verify_checks`] returns with [`crl_matches`] answering step 3. At most
+/// two periods stay expanded: a certificate of a newer one replaces the
+/// oldest period's filters, and one of an older period pays the exact scan
+/// instead of evicting a newer one.
 ///
-/// Readers take `&CrlFront`: the memo sits behind a [`Mutex`], and a
-/// poisoned lock is recovered rather than propagated (every memo entry is a
-/// finished scan verdict, so a panic elsewhere cannot leave a wrong one).
-/// Seeds change only through `&mut self`, which clears the memo whenever a
-/// seed is new, so no reader ever sees a verdict older than the seeds. The
-/// front derefs to its seed slice, for the linear [`verify`] and
-/// [`crl_matches`].
+/// Readers take `&CrlFront`: what it has learned sits behind a [`Mutex`],
+/// and a poisoned lock is recovered rather than propagated (every filter
+/// and memo entry is finished before it is stored, so a panic elsewhere
+/// cannot leave a wrong one). Seeds change only through `&mut self`, which
+/// drops the expansions and the memo whenever a seed is new, so no reader
+/// ever sees a verdict older than the seeds. The front derefs to its seed
+/// slice, for [`crl_matches`].
 #[derive(Debug)]
 pub struct CrlFront {
-    /// Sorted, deduped CRL seeds.
-    seeds: Vec<LinkageSeed>,
-    /// Memoized per-certificate scan verdicts.
-    memo: Mutex<VerdictMemo>,
+    /// Sorted, deduped CRL seeds; a clone shares them until either copy
+    /// inserts.
+    seeds: Arc<Vec<LinkageSeed>>,
+    learned: Mutex<Learned>,
     /// Memo capacity; the memo is cleared (deterministically) when full.
     memo_cap: usize,
 }
@@ -445,13 +613,22 @@ impl CrlFront {
     /// Default bound on memoized certificate verdicts (~48 B each).
     pub(crate) const DEFAULT_MEMO_CAP: usize = 4096;
 
+    /// Periods whose expansion a front keeps: the current one and the one
+    /// before it, for certificates that straddle a period boundary.
+    const HELD_PERIODS: usize = 2;
+
     /// Builds a front over a CRL snapshot. The input need not be sorted;
-    /// the front sorts and dedupes its own copy.
+    /// the front sorts and dedupes its own copy. Nothing is expanded until
+    /// the first lookup.
     pub fn new(crl: &[LinkageSeed]) -> Self {
         let mut seeds = crl.to_vec();
         seeds.sort_unstable();
         seeds.dedup();
-        CrlFront { seeds, memo: Mutex::default(), memo_cap: Self::DEFAULT_MEMO_CAP }
+        CrlFront {
+            seeds: Arc::new(seeds),
+            learned: Mutex::default(),
+            memo_cap: Self::DEFAULT_MEMO_CAP,
+        }
     }
 
     /// The sorted, deduped seeds this front answers for.
@@ -460,41 +637,58 @@ impl CrlFront {
     }
 
     /// Adds a revoked seed, keeping the list sorted and deduped. A seed
-    /// that is new clears the memo: a certificate memoized as unrevoked may
-    /// match it.
+    /// that is new drops the expansions and the memo: a certificate they
+    /// hold as unrevoked may match it.
     fn insert(&mut self, seed: LinkageSeed) {
         if let Err(pos) = self.seeds.binary_search(&seed) {
-            self.seeds.insert(pos, seed);
-            self.memo.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
+            Arc::make_mut(&mut self.seeds).insert(pos, seed);
+            let learned = self.learned.get_mut().unwrap_or_else(PoisonError::into_inner);
+            learned.filters.clear();
+            learned.memo.clear();
         }
     }
 
-    fn memo(&self) -> MutexGuard<'_, VerdictMemo> {
-        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    fn learned(&self) -> MutexGuard<'_, Learned> {
+        self.learned.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Whether a certificate `(id, linkage_value)` matches any revoked seed.
-    /// First sighting of a certificate pays the full linear scan (the same
-    /// [`crl_matches`] as [`verify`]), outside the lock; repeats are one
-    /// BTreeMap lookup.
-    pub(crate) fn is_revoked_cert(&self, id: PseudonymId, linkage_value: [u8; 8]) -> bool {
-        if let Some(&hit) = self.memo().get(&(id, linkage_value)) {
-            return hit;
-        }
-        let hit = crl_matches(&self.seeds, id, linkage_value);
-        let mut memo = self.memo();
-        if memo.len() >= self.memo_cap {
+    /// Whether the certificate at `at` with `linkage_value` matches any
+    /// revoked seed: exactly [`crl_matches`]`(self.seeds(), at,
+    /// linkage_value)`. A repeat is one memo lookup; a first sighting
+    /// probes the filter of its index (expanding the index if this is its
+    /// first) and runs the exact scan only on a filter hit, outside the
+    /// lock.
+    pub fn is_revoked(&self, at: LinkageIndex, linkage_value: [u8; 8]) -> bool {
+        let filter = {
+            let mut learned = self.learned();
+            if let Some(&hit) = learned.memo.get(&(at, linkage_value)) {
+                return hit;
+            }
+            learned.filter(&self.seeds, at)
+        };
+        let candidate = filter.is_none_or(|filter| filter.may_contain(linkage_value));
+        let hit = candidate && crl_matches(&self.seeds, at, linkage_value);
+        let mut learned = self.learned();
+        learned.exact_scans += candidate as u64;
+        if learned.memo.len() >= self.memo_cap {
             // Bounded and deterministic: drop the whole memo rather than
-            // tracking recency. Refill cost is one scan per live cert.
-            memo.clear();
+            // tracking recency. Refill cost is one probe per live cert.
+            learned.memo.clear();
         }
-        memo.insert((id, linkage_value), hit);
+        learned.memo.insert((at, linkage_value), hit);
         hit
     }
 
-    /// Number of memoized certificate verdicts (observability hook).
+    /// Number of memoized certificate verdicts: it grows by one per first
+    /// sighting (observability hook).
     pub fn memo_len(&self) -> usize {
-        self.memo().len()
+        self.learned().memo.len()
+    }
+
+    /// Exact [`crl_matches`] scans this front has run, each `|CRL|` hashes
+    /// (observability hook: E4 and E10 count them).
+    pub fn exact_scans(&self) -> u64 {
+        self.learned().exact_scans
     }
 }
 
@@ -504,13 +698,15 @@ impl Default for CrlFront {
     }
 }
 
-/// A clone carries the memo as it stands; later fills of either copy stay
-/// in that copy.
+/// A clone carries the memo as it stands and shares the seeds and the
+/// expanded filters, so it costs no more for a long CRL than for a short
+/// one; later fills, expansions and inserts of either copy stay in that
+/// copy.
 impl Clone for CrlFront {
     fn clone(&self) -> Self {
         CrlFront {
-            seeds: self.seeds.clone(),
-            memo: Mutex::new(self.memo().clone()),
+            seeds: Arc::clone(&self.seeds),
+            learned: Mutex::new(self.learned().clone()),
             memo_cap: self.memo_cap,
         }
     }
@@ -524,17 +720,22 @@ impl Deref for CrlFront {
     }
 }
 
+/// Bytes held: the seeds, the memo, and every held filter (seeds and
+/// filters shared with a clone count in each).
 impl vc_obs::MemSize for CrlFront {
     fn mem_bytes(&self) -> u64 {
-        (self.seeds.capacity() * std::mem::size_of::<LinkageSeed>()
-            + self.memo_len() * (std::mem::size_of::<(PseudonymId, [u8; 8])>() + 1)) as u64
+        let learned = self.learned();
+        let filters: usize = learned.filters.values().map(|f| f.blocks.capacity() * 64).sum();
+        let memo = learned.memo.len() * (std::mem::size_of::<(LinkageIndex, [u8; 8])>() + 1);
+        (self.seeds.capacity() * std::mem::size_of::<LinkageSeed>() + memo + filters) as u64
     }
 }
 
-/// [`verify`] with the CRL scan routed through a [`CrlFront`]. Returns
-/// exactly what `verify(message, ta_key, front.seeds(), now, replay_window)`
-/// would: same checks, same order, same error. The only difference is cost —
-/// repeat certificates skip the linear linkage scan.
+/// Verifies a pseudonym-signed message, checking revocation through a
+/// [`CrlFront`]. Returns exactly what [`verify_checks`] returns with
+/// [`crl_matches`] over `front.seeds()` answering step 3: same checks, same
+/// order, same error. Its cost is two signature verifications (≈ 21 µs)
+/// plus, for a certificate the front has not seen, one filter probe.
 ///
 /// # Errors
 ///
@@ -544,11 +745,10 @@ pub fn verify_with_front(
     ta_key: &VerifyingKey,
     front: &CrlFront,
     now: SimTime,
-    replay_window: vc_sim::time::SimDuration,
+    replay_window: SimDuration,
 ) -> Result<(), AuthError> {
-    // Memoized CRL verdict (first sighting pays the same linear scan).
-    let memoized = |cert: &PseudonymCert| front.is_revoked_cert(cert.id, cert.linkage_value);
-    verify_checks(message, ta_key, memoized, now, replay_window)
+    let revoked = |cert: &PseudonymCert| front.is_revoked(cert.linkage_index(), cert.linkage_value);
+    verify_checks(message, ta_key, revoked, now, replay_window)
 }
 
 impl vc_obs::MemSize for PseudonymId {
@@ -580,7 +780,10 @@ impl vc_obs::MemSize for PseudonymWallet {
 
 impl vc_obs::MemSize for PseudonymRegistry {
     fn mem_bytes(&self) -> u64 {
-        self.escrow.mem_bytes() + self.seeds.mem_bytes() + self.crl.mem_bytes()
+        self.escrow.mem_bytes()
+            + self.seeds.mem_bytes()
+            + self.issued.mem_bytes()
+            + self.crl.mem_bytes()
     }
 }
 
@@ -588,7 +791,23 @@ impl vc_obs::MemSize for PseudonymRegistry {
 mod tests {
     use super::*;
     use vc_sim::node::VehicleId;
-    use vc_sim::time::SimDuration;
+
+    /// The linear verifier: the five checks with every CRL entry hashed.
+    fn verify(
+        message: &PseudonymMessage,
+        ta_key: &VerifyingKey,
+        crl: &[LinkageSeed],
+        now: SimTime,
+        replay_window: SimDuration,
+    ) -> Result<(), AuthError> {
+        let scan =
+            |cert: &PseudonymCert| crl_matches(crl, cert.linkage_index(), cert.linkage_value);
+        verify_checks(message, ta_key, scan, now, replay_window)
+    }
+
+    fn at(j: u8) -> LinkageIndex {
+        LinkageIndex { period: 0, j }
+    }
 
     fn setup() -> (TrustedAuthority, PseudonymRegistry, PseudonymWallet) {
         let mut ta = TrustedAuthority::new(b"ta");
@@ -618,7 +837,7 @@ mod tests {
         let id = RealIdentity::for_vehicle(VehicleId(2));
         ta.register(id.clone(), VehicleId(2));
         let big = big_reg
-            .issue_wallet(&ta, &id, 50, SimTime::ZERO, SimTime::from_secs(3600), b"v2-seed")
+            .issue_wallet(&ta, &id, 16, SimTime::ZERO, SimTime::from_secs(3600), b"v2-seed")
             .unwrap();
         assert!(big.mem_bytes() > wallet_bytes);
         let before = big_reg.mem_bytes();
@@ -873,13 +1092,17 @@ mod tests {
     fn front_clone_carries_the_memo_but_fills_stay_apart() {
         let seeds = [LinkageSeed([7u8; 16])];
         let front = CrlFront::new(&seeds);
-        assert!(!front.is_revoked_cert(PseudonymId(1), [0u8; 8]));
+        assert!(!front.is_revoked(at(1), [0u8; 8]));
         let copy = front.clone();
         assert_eq!(copy.memo_len(), 1, "the clone carries the memo");
-        assert!(!copy.is_revoked_cert(PseudonymId(2), [0u8; 8]));
+        let shared = |a: &CrlFront, b: &CrlFront| {
+            Arc::ptr_eq(&a.learned().filters[&at(1)], &b.learned().filters[&at(1)])
+        };
+        assert!(shared(&front, &copy), "the clone shares the expansion");
+        assert!(!copy.is_revoked(at(2), [0u8; 8]));
         assert_eq!((front.memo_len(), copy.memo_len()), (1, 2));
-        assert!(!front.is_revoked_cert(PseudonymId(3), [0u8; 8]));
-        assert!(!front.is_revoked_cert(PseudonymId(4), [0u8; 8]));
+        assert!(!front.is_revoked(at(3), [0u8; 8]));
+        assert!(!front.is_revoked(at(4), [0u8; 8]));
         assert_eq!((front.memo_len(), copy.memo_len()), (3, 2));
     }
 
@@ -888,12 +1111,139 @@ mod tests {
         let seeds = vec![LinkageSeed([7u8; 16])];
         let mut front = CrlFront::new(&seeds);
         front.memo_cap = 4;
-        for i in 0..64u64 {
-            let id = PseudonymId(i);
-            let lv = seeds[0].linkage_value(id);
-            assert!(front.is_revoked_cert(id, lv), "matching linkage value is revoked");
-            assert!(!front.is_revoked_cert(id, [0u8; 8]), "mismatched value is not");
+        for i in 0..64u32 {
+            let at = LinkageIndex { period: i / 16, j: (i % 16) as u8 };
+            let lv = seeds[0].linkage_value(at);
+            assert!(front.is_revoked(at, lv), "matching linkage value is revoked");
+            assert!(!front.is_revoked(at, [0u8; 8]), "mismatched value is not");
             assert!(front.memo_len() <= 4, "memo stays bounded");
+        }
+    }
+
+    #[test]
+    fn issue_refuses_past_j_certificates_per_period() {
+        let mut ta = TrustedAuthority::new(b"ta");
+        let mut reg = PseudonymRegistry::new();
+        let (a, b) =
+            (RealIdentity::for_vehicle(VehicleId(3)), RealIdentity::for_vehicle(VehicleId(4)));
+        ta.register(a.clone(), VehicleId(3));
+        ta.register(b.clone(), VehicleId(4));
+        let week = LINKAGE_PERIOD.as_micros() / 1_000_000;
+        let (p0, p1) = (SimTime::from_secs(10), SimTime::from_secs(week + 10));
+        let until = SimTime::from_secs(3 * week);
+        let mut issue = |id: &RealIdentity, pool, from| {
+            reg.issue_wallet(&ta, id, pool, from, until, b"s")
+                .map(|w| w.certs.iter().map(|c| (c.id.0, c.linkage_index())).collect::<Vec<_>>())
+        };
+        let issued = |ids: std::ops::Range<u64>, period| -> Vec<(u64, LinkageIndex)> {
+            ids.map(|id| (id, LinkageIndex { period, j: (id % 16) as u8 })).collect()
+        };
+        assert_eq!(issue(&a, CERTS_PER_PERIOD + 1, p0), Err(AuthError::PoolExhausted));
+        assert_eq!(issue(&a, 3, p0), Ok(issued(0..3, 0)));
+        assert_eq!(issue(&b, 14, p0), Ok(issued(3..17, 0)));
+        // Ids 17 and 18 would repeat a's j = 1 and 2: they are skipped.
+        assert_eq!(issue(&a, 11, p0), Ok(issued(19..30, 0)));
+        assert_eq!(issue(&a, 3, p0), Err(AuthError::PoolExhausted), "14 + 3 > J");
+        assert_eq!(issue(&a, 2, p0), Ok(issued(30..32, 0)));
+        assert_eq!(issue(&a, 1, p0), Err(AuthError::PoolExhausted));
+        assert_eq!(issue(&a, CERTS_PER_PERIOD, p1), Ok(issued(32..48, 1)), "a new period");
+    }
+
+    #[test]
+    fn issued_linkage_values_are_the_seed_at_the_certificate_index() {
+        let (_ta, reg, mut wallet) = setup();
+        let seed = reg.seed_of(wallet.real_identity());
+        for _ in 0..wallet.pool_size() {
+            let cert = wallet.current_cert();
+            assert_eq!(cert.linkage_value, seed.linkage_value(cert.linkage_index()));
+            wallet.rotate();
+        }
+    }
+
+    #[test]
+    fn near_miss_in_the_last_byte_is_a_filter_hit_the_scan_clears() {
+        let seeds: Vec<LinkageSeed> = (0..40u8).map(|i| LinkageSeed([i; 16])).collect();
+        let front = CrlFront::new(&seeds);
+        for (k, seed) in seeds.iter().enumerate() {
+            let at = at(k as u8 % 16);
+            let lv = seed.linkage_value(at);
+            let mut near = lv;
+            near[7] ^= 1 + k as u8;
+            let scans = front.exact_scans();
+            assert!(!front.is_revoked(at, near), "a near miss is not revoked");
+            assert_eq!(front.exact_scans(), scans + 1, "the filter hit, the scan cleared it");
+            assert!(front.is_revoked(at, lv));
+        }
+    }
+
+    #[test]
+    fn filter_false_hits_stay_near_two_percent() {
+        let seeds: Vec<LinkageSeed> = (0..1_000u32)
+            .map(|i| LinkageSeed(sha256_parts(&[&i.to_be_bytes()])[..16].try_into().unwrap()))
+            .collect();
+        let at = LinkageIndex { period: 5, j: 9 };
+        let filter = LinkageFilter::expand(&seeds, at);
+        assert_eq!(
+            filter.blocks.len() * 512,
+            1_024 * FILTER_BITS,
+            "8 bits a value, in whole blocks"
+        );
+        assert!(seeds.iter().all(|seed| filter.may_contain(seed.linkage_value(at))));
+        let other = LinkageSeed([0xEE; 16]);
+        let trials = 20_000u32;
+        let hits = (0..trials)
+            .filter(|&i| {
+                let at = LinkageIndex { period: 1_000 + i / 16, j: (i % 16) as u8 };
+                filter.may_contain(other.linkage_value(at))
+            })
+            .count();
+        let rate = hits as f64 / f64::from(trials);
+        assert!((0.01..0.035).contains(&rate), "false-hit rate {rate}");
+    }
+
+    #[test]
+    fn front_holds_two_periods_and_scans_older_ones() {
+        let seeds = [LinkageSeed([9u8; 16]), LinkageSeed([4u8; 16])];
+        let front = CrlFront::new(&seeds);
+        let probe = |period: u32| {
+            let at = LinkageIndex { period, j: 3 };
+            let lv = seeds[1].linkage_value(at);
+            assert!(front.is_revoked(at, lv), "revoked in period {period}");
+            let mut periods: Vec<u32> = front.learned().filters.keys().map(|k| k.period).collect();
+            periods.dedup();
+            periods
+        };
+        assert_eq!(probe(5), [5]);
+        assert_eq!(probe(6), [5, 6]);
+        assert_eq!(probe(4), [5, 6], "an older period is scanned, not expanded");
+        assert_eq!(probe(9), [6, 9], "a newer period replaces the oldest");
+        assert_eq!(probe(5), [6, 9]);
+    }
+
+    #[test]
+    fn a_new_seed_drops_the_expansion() {
+        let (ta, mut reg, wallet) = setup();
+        let now = SimTime::from_secs(10);
+        let msg = wallet.sign(b"beacon", now);
+        reg.inject_revoked_seed(LinkageSeed([0x11; 16]));
+        assert_eq!(verify_with_front(&msg, &ta.public_key(), reg.crl(), now, window()), Ok(()));
+        assert_eq!(reg.crl().learned().filters.len(), 1, "the index is expanded");
+        reg.revoke_identity(wallet.real_identity());
+        assert!(reg.crl().learned().filters.is_empty(), "the revocation drops it");
+        wallet_rotations_all_revoked(&ta, &reg, wallet, now);
+    }
+
+    fn wallet_rotations_all_revoked(
+        ta: &TrustedAuthority,
+        reg: &PseudonymRegistry,
+        mut wallet: PseudonymWallet,
+        now: SimTime,
+    ) {
+        for _ in 0..wallet.pool_size() {
+            let msg = wallet.sign(b"beacon", now);
+            let verdict = verify_with_front(&msg, &ta.public_key(), reg.crl(), now, window());
+            assert_eq!(verdict, Err(AuthError::Revoked));
+            wallet.rotate();
         }
     }
 

@@ -6,14 +6,31 @@ use vc_auth::handshake::{
 };
 use vc_auth::identity::{AuthError, RealIdentity, TrustedAuthority};
 use vc_auth::pseudonym::{
-    crl_matches, verify, verify_with_front, CrlFront, LinkageSeed, PseudonymId, PseudonymRegistry,
+    crl_matches, verify_checks, verify_with_front, CrlFront, LinkageIndex, LinkageSeed,
+    PseudonymCert, PseudonymId, PseudonymMessage, PseudonymRegistry, CERTS_PER_PERIOD,
+    LINKAGE_PERIOD,
 };
 use vc_auth::replay::{ReplayGuard, ReplayVerdict};
+use vc_crypto::schnorr::VerifyingKey;
 use vc_crypto::sha256::sha256;
 use vc_sim::node::VehicleId;
 use vc_sim::time::{SimDuration, SimTime};
 use vc_testkit::prop::strategy::{any_bytes, any_u16, any_u32, any_u64, any_u8, vec};
 use vc_testkit::{prop, prop_assert, prop_assert_eq};
+
+/// The linear verifier, and the oracle [`verify_with_front`] is held to:
+/// the five checks, with every CRL entry hashed at the certificate's
+/// `(i, j)` on every call.
+fn verify(
+    message: &PseudonymMessage,
+    ta_key: &VerifyingKey,
+    crl: &[LinkageSeed],
+    now: SimTime,
+    replay_window: SimDuration,
+) -> Result<(), AuthError> {
+    let scan = |cert: &PseudonymCert| crl_matches(crl, cert.linkage_index(), cert.linkage_value);
+    verify_checks(message, ta_key, scan, now, replay_window)
+}
 
 prop! {
     #![cases(24)]
@@ -37,14 +54,14 @@ prop! {
         let msg = wallet.sign(&payload, now);
         let window = SimDuration::from_secs(5);
         prop_assert_eq!(
-            vc_auth::pseudonym::verify(&msg, &ta.public_key(), reg.crl(), now, window),
+            verify(&msg, &ta.public_key(), reg.crl(), now, window),
             Ok(())
         );
         let mut tampered = msg.clone();
         let idx = flip_idx as usize % tampered.payload.len();
         tampered.payload[idx] ^= 1;
         prop_assert_eq!(
-            vc_auth::pseudonym::verify(&tampered, &ta.public_key(), reg.crl(), now, window),
+            verify(&tampered, &ta.public_key(), reg.crl(), now, window),
             Err(AuthError::BadSignature)
         );
     }
@@ -74,13 +91,13 @@ prop! {
         let window = SimDuration::from_secs(5);
         let bad_msg = bad_wallet.sign(b"hi", now);
         prop_assert_eq!(
-            vc_auth::pseudonym::verify(&bad_msg, &ta.public_key(), reg.crl(), now, window),
+            verify(&bad_msg, &ta.public_key(), reg.crl(), now, window),
             Err(AuthError::Revoked),
             "revoked identity must fail under every pseudonym"
         );
         let good_msg = good_wallet.sign(b"hi", now);
         prop_assert_eq!(
-            vc_auth::pseudonym::verify(&good_msg, &ta.public_key(), reg.crl(), now, window),
+            verify(&good_msg, &ta.public_key(), reg.crl(), now, window),
             Ok(())
         );
     }
@@ -158,9 +175,9 @@ prop! {
         messages.push(tampered);
         let front = CrlFront::new(reg.crl());
         for msg in &messages {
-            let slow = vc_auth::pseudonym::verify(msg, &ta.public_key(), front.seeds(), now, window);
+            let slow = verify(msg, &ta.public_key(), front.seeds(), now, window);
             for _ in 0..2 {
-                let fast = vc_auth::pseudonym::verify_with_front(
+                let fast = verify_with_front(
                     msg, &ta.public_key(), &front, now, window,
                 );
                 prop_assert_eq!(fast, slow);
@@ -402,10 +419,10 @@ prop! {
         let bytes = [msg.payload.as_slice(), &msg.sent_at.as_micros().to_be_bytes()].concat();
         prop_assert!(msg.cert.key.verify(&bytes, &msg.signature));
         let front = CrlFront::new(reg.crl());
-        let linear = vc_auth::pseudonym::verify(&msg, &ta.public_key(), reg.crl(), now, window);
+        let linear = verify(&msg, &ta.public_key(), reg.crl(), now, window);
         prop_assert_eq!(linear.clone(), Err(AuthError::Revoked));
         for _ in 0..2 {
-            let fast = vc_auth::pseudonym::verify_with_front(
+            let fast = verify_with_front(
                 &msg, &ta.public_key(), &front, now, window,
             );
             prop_assert_eq!(fast, linear.clone());
@@ -420,8 +437,8 @@ prop! {
     // only; a value one bit away from a listed entry's in its first or last
     // byte (no match); and the list doubled (duplicates change no verdict).
     #[test]
-    fn crl_matches_equals_scalar_scan(salt in any_bytes::<8>(), id in any_u64()) {
-        let id = PseudonymId(id);
+    fn crl_matches_equals_scalar_scan(salt in any_bytes::<8>(), period in any_u32(), j in any_u8()) {
+        let id = LinkageIndex { period, j: j % CERTS_PER_PERIOD as u8 };
         // Both scans' verdicts, which must agree with each other and with
         // what the construction of the list implies.
         let both = |seeds: &[LinkageSeed], lv: [u8; 8]| {
@@ -466,10 +483,10 @@ prop! {
     #[test]
     fn crl_matches_rejects_every_near_miss(
         salt in any_bytes::<8>(),
-        id in any_u64(),
+        period in any_u32(),
         flip in 1u8..=255,
     ) {
-        let id = PseudonymId(id);
+        let id = LinkageIndex { period, j: flip % CERTS_PER_PERIOD as u8 };
         let seeds: Vec<LinkageSeed> = (0..16 + 7u64)
             .map(|i| {
                 let mut s = [0u8; 16];
@@ -492,15 +509,90 @@ prop! {
         }
     }
 
-    // Linkage values are deterministic per (seed, cert) and collide across
-    // certs only negligibly (distinct ids in a small sample never collide).
+    // Linkage values are deterministic per (seed, i, j) and collide only
+    // negligibly (the J values of two adjacent periods never collide).
     #[test]
     fn linkage_values_distinct(seed_bytes in any_bytes::<16>(), base in any_u32()) {
         let seed = LinkageSeed(seed_bytes);
         let mut values = std::collections::HashSet::new();
-        for i in 0..16u64 {
-            let v = seed.linkage_value(PseudonymId(base as u64 + i));
-            prop_assert!(values.insert(v), "linkage collision");
+        for period in [base, base.wrapping_add(1)] {
+            for j in 0..CERTS_PER_PERIOD as u8 {
+                let v = seed.linkage_value(LinkageIndex { period, j });
+                prop_assert!(values.insert(v), "linkage collision");
+            }
+        }
+    }
+
+    // The differential property of the per-period scheme: on one registry
+    // whose vehicles hold certificates in four periods, over any order of
+    // verifies (in any period, of revoked or unrevoked vehicles, with the
+    // linkage value intact or one byte off), revocations, injected seeds and
+    // snapshot clones, `verify_with_front` through the registry's front and
+    // through a snapshot returns exactly what the linear oracle returns
+    // against that front's seeds. Periods arrive out of order, so expansion,
+    // replacement of the oldest period and the scan of an older one all run;
+    // one-byte-off values in the last byte are filter hits.
+    #[test]
+    fn verify_with_front_equals_the_linear_oracle(
+        ops in vec(any_u16(), 1..40),
+        salt in any_u64(),
+    ) {
+        const VEHICLES: usize = 4;
+        const PERIODS: u64 = 4;
+        let week = LINKAGE_PERIOD.as_micros() / 1_000_000;
+        let mut ta = TrustedAuthority::new(b"prop-periods");
+        let mut reg = PseudonymRegistry::new();
+        let ids: Vec<RealIdentity> =
+            (0..VEHICLES as u32).map(|v| RealIdentity::for_vehicle(VehicleId(v))).collect();
+        let until = SimTime::from_secs(10 * week);
+        // wallets[v][p]: vehicle v's two certificates valid from period p.
+        let wallets: Vec<Vec<_>> = ids
+            .iter()
+            .zip(0u32..)
+            .map(|(id, v)| {
+                ta.register(id.clone(), VehicleId(v));
+                (0..PERIODS)
+                    .map(|p| {
+                        let from = SimTime::from_secs(p * week + 5);
+                        reg.issue_wallet(&ta, id, 2, from, until, &[v as u8, p as u8]).unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+        let ta_key = ta.public_key();
+        let now = SimTime::from_secs(PERIODS * week + 10);
+        let window = SimDuration::from_secs(5);
+        let mut snapshot = CrlFront::new(reg.crl());
+        for (step, &op) in ops.iter().enumerate() {
+            let (v, p) = ((op >> 4) as usize % VEHICLES, (op >> 6) as usize % PERIODS as usize);
+            match op % 8 {
+                0..=4 => {
+                    let mut msg = wallets[v][p].sign(&op.to_be_bytes(), now);
+                    if op & 0x100 != 0 {
+                        // Another j for the same linkage value.
+                        msg.cert.id = PseudonymId(msg.cert.id.0 ^ 1);
+                    }
+                    if op & 0x200 != 0 {
+                        let byte = if op & 0x400 != 0 { 7 } else { (op >> 11) as usize % 8 };
+                        msg.cert.linkage_value[byte] ^= 1 + (op >> 12) as u8;
+                    }
+                    for front in [reg.crl(), &snapshot] {
+                        let linear = verify(&msg, &ta_key, front.seeds(), now, window);
+                        for _ in 0..2 {
+                            let fast = verify_with_front(&msg, &ta_key, front, now, window);
+                            prop_assert_eq!(fast, linear.clone(), "step {}, op {:#x}", step, op);
+                        }
+                    }
+                }
+                5 => reg.revoke_identity(&ids[v]),
+                6 => {
+                    let mut seed = [0u8; 16];
+                    seed[..8].copy_from_slice(&salt.to_be_bytes());
+                    seed[8..].copy_from_slice(&(step as u64).to_be_bytes());
+                    reg.inject_revoked_seed(LinkageSeed(seed));
+                }
+                _ => snapshot = reg.crl().clone(),
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Micro-benches for the cryptographic substrate: the raw cost basis
 //! behind every protocol number in EXPERIMENTS.md.
 
-use vc_auth::pseudonym::{LinkageSeed, PseudonymId};
+use vc_auth::pseudonym::{LinkageIndex, LinkageSeed};
 use vc_crypto::chacha20::{encrypt, seal};
 use vc_crypto::dh::EphemeralSecret;
 use vc_crypto::group::{Element, Scalar};
@@ -29,7 +29,7 @@ fn main() {
     // lane kernel under `auth/crl/scan/*` is measured against.
     let seed = LinkageSeed([0x5A; 16]);
     suite.bench("sha256/linkage_scalar", || {
-        black_box(&seed).linkage_value(black_box(PseudonymId(0x0123_4567_89AB_CDEF)))
+        black_box(&seed).linkage_value(black_box(LinkageIndex { period: 0x0123_4567, j: 11 }))
     });
     let data = vec![0u8; 256];
     suite.bench("hmac_sha256/256B", || hmac_sha256(black_box(b"key"), black_box(&data)));

@@ -1,13 +1,14 @@
 //! Guards for the CRL linkage scan: how fast one scan is, and how seldom a
-//! handshake pays it.
+//! verifier pays it.
 //!
-//! `crl_matches` is fast only because LLVM turns the lane loops of
-//! `vc_crypto::sha256::compress_lanes` into vector code, and on x86 the CPU
-//! picks which build runs: AVX-512F, AVX2, or the baseline target's SSE2.
-//! Nothing in the type system holds any of them to that. A toolchain bump
-//! that stops vectorising the loops, or a tier wrapper that calls an
-//! out-of-line SSE2 body, passes every functional test while multiplying
-//! the cost of every cold pseudonym verify. The first test times the two
+//! `crl_matches` and the per-period expansion are fast only because LLVM
+//! turns the lane loops of `vc_crypto::sha256::compress_lanes` into vector
+//! code, and on x86 the CPU picks which build runs: AVX-512F, AVX2, or the
+//! baseline target's SSE2. Nothing in the type system holds any of them to
+//! that. A toolchain bump that stops vectorising the loops, or a tier
+//! wrapper that calls an out-of-line SSE2 body, passes every functional
+//! test while multiplying the cost of every expansion and every exact
+//! confirmation. The first test times the two
 //! bench entries `auth/crl/scan/10000` and `crypto/sha256/linkage_scalar`
 //! in one process and compares them as a ratio, which no host speed enters,
 //! against a bound for the tier this host reports. Measured on rustc 1.95:
@@ -20,7 +21,13 @@
 //! warm handshake against one 10 000-entry scan: ≈ 0.3 as built under
 //! AVX-512F (≈ 0.1 on SSE2, where the scan is three times slower), ≈ 2.2
 //! when the handshake goes back to two linear scans (docs/CRYPTO.md,
-//! "Memoizing CRL front").
+//! "CRL front").
+//!
+//! A first sighting of a certificate whose period the front has expanded
+//! is one filter probe, not a scan. The third test times such cold
+//! verifies, each of a certificate the front has never seen, against one
+//! 10 000-entry scan: ≈ 0.08 as built under AVX-512F, ≈ 1.1 when a first
+//! sighting goes back to the linear scan.
 //!
 //! Timing tests, so they are ignored by default; the `bench-smoke` CI job
 //! runs them optimised:
@@ -30,7 +37,9 @@ use std::hint::black_box;
 use std::time::Instant;
 use vc_auth::handshake::{run_handshake_obs, HandshakeObsParams};
 use vc_auth::identity::{RealIdentity, TrustedAuthority};
-use vc_auth::pseudonym::{crl_matches, LinkageSeed, PseudonymId, PseudonymRegistry};
+use vc_auth::pseudonym::{
+    crl_matches, verify_with_front, LinkageIndex, LinkageSeed, PseudonymRegistry,
+};
 use vc_sim::node::VehicleId;
 use vc_sim::time::{SimDuration, SimTime};
 
@@ -61,10 +70,41 @@ fn seeds() -> Vec<LinkageSeed> {
         .collect()
 }
 
+/// The `(i, j)` every scan in this file hashes at.
+const AT: LinkageIndex = LinkageIndex { period: 0x0123_4567, j: 11 };
+
 /// One miss scan over `seeds`: every entry is hashed.
 fn miss_scan(seeds: &[LinkageSeed]) {
-    let id = PseudonymId(0x0123_4567_89AB_CDEF);
-    assert!(!black_box(crl_matches(black_box(seeds), id, black_box([0u8; 8]))));
+    assert!(!black_box(crl_matches(black_box(seeds), AT, black_box([0u8; 8]))));
+}
+
+/// A registry whose CRL holds `seeds()`, and `vehicles` registered,
+/// unrevoked vehicles, each with a wallet of `pool` certificates.
+fn registry_with_wallets(
+    vehicles: u32,
+    pool: usize,
+) -> (TrustedAuthority, PseudonymRegistry, Vec<vc_auth::pseudonym::PseudonymWallet>) {
+    let mut ta = TrustedAuthority::new(b"lane-guard-ta");
+    let mut reg = PseudonymRegistry::new();
+    for seed in seeds() {
+        reg.inject_revoked_seed(seed);
+    }
+    let wallets = (1..=vehicles)
+        .map(|v| {
+            let id = RealIdentity::for_vehicle(VehicleId(v));
+            ta.register(id.clone(), VehicleId(v));
+            reg.issue_wallet(
+                &ta,
+                &id,
+                pool,
+                SimTime::ZERO,
+                SimTime::from_secs(100),
+                &v.to_be_bytes(),
+            )
+            .expect("a registered identity gets a wallet")
+        })
+        .collect();
+    (ta, reg, wallets)
 }
 
 /// The build of the round loop this host's `compress_lanes` runs (the same
@@ -88,13 +128,12 @@ fn tier() -> (&'static str, f64) {
 fn crl_scan_costs_at_most_six_tenths_of_a_scalar_hash_per_entry() {
     let (tier, bound) = tier();
     let seeds = seeds();
-    let id = PseudonymId(0x0123_4567_89AB_CDEF);
     let (scan_ns, scalar_ns) = best_pair_ns(
         30,
         || miss_scan(&seeds),
         || {
             for seed in &seeds {
-                black_box(black_box(seed).linkage_value(id));
+                black_box(black_box(seed).linkage_value(AT));
             }
         },
     );
@@ -115,20 +154,8 @@ fn crl_scan_costs_at_most_six_tenths_of_a_scalar_hash_per_entry() {
 #[test]
 #[ignore = "timing: run with --release (bench-smoke CI step)"]
 fn warm_full_handshake_costs_at_most_half_a_crl_scan() {
-    let mut ta = TrustedAuthority::new(b"lane-guard-ta");
-    let mut reg = PseudonymRegistry::new();
+    let (ta, reg, wallets) = registry_with_wallets(2, 1);
     let seeds = seeds();
-    for &seed in &seeds {
-        reg.inject_revoked_seed(seed);
-    }
-    let wallets: Vec<_> = (1..=2u32)
-        .map(|v| {
-            let id = RealIdentity::for_vehicle(VehicleId(v));
-            ta.register(id.clone(), VehicleId(v));
-            reg.issue_wallet(&ta, &id, 1, SimTime::ZERO, SimTime::from_secs(100), &v.to_be_bytes())
-                .expect("a registered identity gets a wallet")
-        })
-        .collect();
     let params = HandshakeObsParams {
         ta_key: &ta.public_key(),
         crl: reg.crl(),
@@ -153,5 +180,43 @@ fn warm_full_handshake_costs_at_most_half_a_crl_scan() {
         ratio <= 0.5,
         "a warm full handshake costs {ratio:.2} CRL scans: a side is scanning the CRL instead \
          of asking the registry's memo"
+    );
+}
+
+#[test]
+#[ignore = "timing: run with --release (bench-smoke CI step)"]
+fn cold_first_sighting_costs_at_most_a_fifth_of_a_crl_scan() {
+    const REPS: usize = 30;
+    let (ta, reg, mut wallets) = registry_with_wallets(3, 16);
+    let seeds = seeds();
+    let now = SimTime::from_secs(10);
+    let mut fresh = Vec::new();
+    for wallet in &mut wallets {
+        for _ in 0..wallet.pool_size() {
+            fresh.push(wallet.sign(b"beacon", now));
+            wallet.rotate();
+        }
+    }
+    let (ta_key, window) = (ta.public_key(), SimDuration::from_secs(5));
+    let mut fresh = fresh.iter();
+    let mut first_sighting = || {
+        let msg = fresh.next().expect("a certificate the front has not seen");
+        black_box(verify_with_front(black_box(msg), &ta_key, reg.crl(), now, window))
+            .expect("no vehicle is revoked");
+    };
+    // The first sighting of the period expands it.
+    first_sighting();
+    let (cold_ns, scan_ns) = best_pair_ns(REPS, first_sighting, || miss_scan(&seeds));
+    assert_eq!(reg.crl().memo_len(), 1 + REPS, "every timed verify was a first sighting");
+    let ratio = cold_ns / scan_ns;
+    println!(
+        "cold verify {:.1} us, 10 000-entry scan {:.1} us, ratio {ratio:.3}",
+        cold_ns / 1e3,
+        scan_ns / 1e3
+    );
+    assert!(
+        ratio <= 0.2,
+        "a first sighting in an expanded period costs {ratio:.2} CRL scans: the per-sighting \
+         path is scanning the CRL instead of probing the period's filter"
     );
 }

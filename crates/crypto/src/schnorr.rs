@@ -108,14 +108,17 @@ impl Signature {
     }
 
     /// Deserializes from 64 bytes; `None` when the commitment is not a valid
-    /// group element.
+    /// group element or the response is not below `q`. A response of `q` or
+    /// more would reduce to the same scalar as a canonical one, so refusing
+    /// it leaves each signature exactly one encoding.
     pub fn from_bytes(bytes: &[u8; SIGNATURE_LEN]) -> Option<Signature> {
         let mut r = [0u8; 32];
         r.copy_from_slice(&bytes[..32]);
         let mut s = [0u8; 32];
         s.copy_from_slice(&bytes[32..]);
         let commitment = Element::from_bytes(&r)?;
-        Some(Signature { commitment, response: Scalar::from_bytes(&s) })
+        let response = Scalar::from_bytes(&s);
+        (response.to_bytes() == s).then_some(Signature { commitment, response })
     }
 }
 
@@ -328,6 +331,10 @@ mod tests {
         let mut bad = sig.to_bytes();
         bad[..32].copy_from_slice(&[0u8; 32]);
         assert_eq!(Signature::from_bytes(&bad), None);
+        // A response of q or more, which would reduce to a valid scalar.
+        let mut lifted = sig.to_bytes();
+        lifted[32..].fill(0xFF);
+        assert_eq!(Signature::from_bytes(&lifted), None);
     }
 
     #[test]
