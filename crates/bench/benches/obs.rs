@@ -1,11 +1,11 @@
-//! Micro-benches for the PR 7 observability surfaces: the causal sampling
-//! decision (on every `NetSim::send`, so it must stay branch-cheap), the
-//! per-tick time-series diff, a fully traced routing run at each sample rate, and
-//! the JSONL export of a traced service job.
+//! Micro-benches for the PR 7 observability surfaces: the causal trace-id
+//! hash (on every traced `NetSim::send`, so it must stay cheap), the
+//! per-tick time-series diff, a routing run with causal tracing off and on,
+//! and the JSONL export of a traced service job.
 
 use vc_net::netsim::NetSim;
 use vc_net::routing::Epidemic;
-use vc_obs::{Recorder, SampleRate, Sampler};
+use vc_obs::{Recorder, Sampler};
 use vc_sim::scenario::ScenarioBuilder;
 use vc_sim::time::SimTime;
 use vc_testkit::bench::{black_box, Suite};
@@ -18,21 +18,17 @@ fn main() {
     vc_obs::mem::register_bench_probe();
     let mut suite = Suite::new("obs");
 
-    // ---- sampling decision: a pure hash per packet id ----
-    for (label, rate) in
-        [("off", SampleRate::OFF), ("1_in_100", SampleRate::one_in(100)), ("all", SampleRate::ALL)]
-    {
-        let sampler = Sampler::new(42, rate);
-        let mut id = 0u64;
-        suite.bench_elems(&format!("causal/decide/{label}"), 1024, || {
-            let mut hits = 0u32;
-            for _ in 0..1024 {
-                id = id.wrapping_add(1);
-                hits += sampler.decide(id).is_some() as u32;
-            }
-            black_box(hits)
-        });
-    }
+    // ---- trace id: a pure hash per packet id ----
+    let sampler = Sampler::new(42);
+    let mut id = 0u64;
+    suite.bench_elems("causal/trace_id", 1024, || {
+        let mut ids = 0u64;
+        for _ in 0..1024 {
+            id = id.wrapping_add(1);
+            ids ^= sampler.trace_id(id).as_u64();
+        }
+        black_box(ids)
+    });
 
     // ---- per-tick time-series diff against a busy hub ----
     suite.bench("timeseries/tick_128_counters", || {
@@ -47,16 +43,16 @@ fn main() {
         rec.timeseries().map(|ts| ts.len()).unwrap_or(0)
     });
 
-    // ---- traced routing rounds by sample rate ----
-    for (label, rate) in
-        [("off", SampleRate::OFF), ("1_in_10", SampleRate::one_in(10)), ("all", SampleRate::ALL)]
-    {
+    // ---- routing rounds with causal tracing off and on ----
+    for (label, traced) in [("off", false), ("all", true)] {
         suite.bench(&format!("netsim/10_rounds_150v_traced/{label}"), || {
             let mut b = ScenarioBuilder::new();
             b.seed(11).vehicles(150);
             let mut scenario = b.urban_with_rsus();
             let mut sim = NetSim::new(&mut scenario, Epidemic);
-            sim.set_sampler(Sampler::new(11, rate));
+            if traced {
+                sim.set_sampler(Sampler::new(11));
+            }
             let mut rec = Recorder::new();
             sim.send_random_pairs(30, 128, Some(&mut rec));
             sim.run_rounds_obs(10, Some(&mut rec));

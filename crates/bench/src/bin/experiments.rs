@@ -3,29 +3,47 @@
 
 use std::io::Write;
 use vc_bench::experiments::registry;
+use vc_testkit::cli::{Cli, Flag};
 
 // Count every allocation the harness makes: the per-frame alloc counts
 // under --profile read these per-thread counters.
 vc_obs::counting_allocator!();
 
-/// The usage text, with the experiment ids read from the registry.
+/// The modes: experiment tables (the default) and one in-process job.
+const TABLES: &str = "experiment tables";
+const JOB: &str = "--job";
+
+const FLAGS: &[Flag] = &[
+    Flag::switch("--quick", &[TABLES]),
+    Flag::value("--seed", &[TABLES, JOB]),
+    Flag::value("--json", &[TABLES]),
+    Flag::value("--trace", &[TABLES]),
+    Flag::value("--timeseries", &[TABLES]),
+    Flag::value("--profile", &[TABLES]),
+    Flag::value("--folded", &[TABLES]),
+    Flag::switch("--metrics", &[TABLES]),
+    Flag::switch("--list", &[TABLES]),
+    Flag::value("--job", &[JOB]).selects(),
+    Flag::value("--ticks", &[JOB]),
+    Flag::switch("--job-trace", &[JOB]),
+    Flag::value("--job-out", &[JOB]),
+];
+
+/// The usage text and the experiment list, read from the registry, so an
+/// error always shows what *would* have worked.
 fn usage() -> String {
     let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
-    format!(
+    let mut usage = format!(
         "usage: experiments [--quick] [--seed N] [--json DIR] [--trace FILE] \
          [--timeseries FILE] [--profile FILE] [--folded FILE] [--metrics] [--list] [{} ...]\n\
-         \x20      experiments --job SCENARIO [--seed N] [--ticks N] [--job-trace] [--job-out DIR]",
+         \x20      experiments --job SCENARIO [--seed N] [--ticks N] [--job-trace] [--job-out DIR]\n\
+         available experiments:",
         ids.join("|")
-    )
-}
-
-/// Prints the experiment list (used on unknown names/flags so the error
-/// message always shows what *would* have worked).
-fn print_available(mut out: impl Write) {
-    let _ = writeln!(out, "available experiments:");
+    );
     for exp in registry() {
-        let _ = writeln!(out, "  {:<4} {}", exp.id, exp.desc);
+        usage += &format!("\n  {:<4} {}", exp.id, exp.desc);
     }
+    usage
 }
 
 /// `--job` mode: run one service scenario job in-process via the same
@@ -62,169 +80,41 @@ fn run_job_mode(scenario: &str, seed: u64, ticks: u32, trace: bool, out_dir: Opt
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut seed: u64 = 42;
-    let mut json_dir: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut timeseries_path: Option<String> = None;
-    let mut profile_path: Option<String> = None;
-    let mut folded_path: Option<String> = None;
-    let mut metrics = false;
-    let mut list = false;
-    let mut job: Option<String> = None;
-    let mut job_ticks: Option<u32> = None;
-    let mut job_trace = false;
-    let mut job_out: Option<String> = None;
-    let mut wanted: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => quick = true,
-            "--metrics" => metrics = true,
-            "--list" => list = true,
-            "--job" => {
-                i += 1;
-                job = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--job needs a scenario id");
-                    std::process::exit(2);
-                }));
-            }
-            "--ticks" => {
-                i += 1;
-                job_ticks = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--ticks needs a number");
-                    std::process::exit(2);
-                }));
-            }
-            "--job-trace" => job_trace = true,
-            "--job-out" => {
-                i += 1;
-                job_out = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--job-out needs a directory");
-                    std::process::exit(2);
-                }));
-            }
-            "--seed" => {
-                i += 1;
-                seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs a number\n{}", usage());
-                    print_available(std::io::stderr());
-                    std::process::exit(2);
-                });
-            }
-            "--json" => {
-                i += 1;
-                json_dir = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--json needs a directory");
-                    std::process::exit(2);
-                }));
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--trace needs a file path");
-                    std::process::exit(2);
-                }));
-            }
-            "--timeseries" => {
-                i += 1;
-                timeseries_path = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--timeseries needs a file path");
-                    std::process::exit(2);
-                }));
-            }
-            "--profile" => {
-                i += 1;
-                profile_path = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--profile needs a file path");
-                    std::process::exit(2);
-                }));
-            }
-            "--folded" => {
-                i += 1;
-                folded_path = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--folded needs a file path");
-                    std::process::exit(2);
-                }));
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}\n{}", usage());
-                print_available(std::io::stderr());
-                std::process::exit(2);
-            }
-            id => wanted.push(id.to_lowercase()),
-        }
-        i += 1;
-    }
-
-    // The two modes read disjoint flags (only --seed is shared): a flag of
-    // the other mode would be silently ignored, so a mix is an error.
-    let table_flags: Vec<&str> = [
-        ("--quick", quick),
-        ("--json", json_dir.is_some()),
-        ("--trace", trace_path.is_some()),
-        ("--timeseries", timeseries_path.is_some()),
-        ("--profile", profile_path.is_some()),
-        ("--folded", folded_path.is_some()),
-        ("--metrics", metrics),
-        ("--list", list),
-    ]
-    .into_iter()
-    .filter_map(|(flag, set)| set.then_some(flag))
-    .chain(wanted.iter().map(String::as_str))
-    .collect();
-    let job_flags: Vec<&str> = [
-        ("--ticks", job_ticks.is_some()),
-        ("--job-trace", job_trace),
-        ("--job-out", job_out.is_some()),
-    ]
-    .into_iter()
-    .filter_map(|(flag, set)| set.then_some(flag))
-    .collect();
-    let mix = match job {
-        Some(_) if !table_flags.is_empty() => {
-            Some(format!("{} cannot be combined with --job", table_flags.join(" ")))
-        }
-        None if !job_flags.is_empty() => Some(format!("{} needs --job", job_flags.join(" "))),
-        _ => None,
+    let usage = &usage();
+    let cli = Cli {
+        name: "experiments",
+        usage,
+        default_mode: TABLES,
+        flags: FLAGS,
+        positionals: &[TABLES],
     };
-    if let Some(mix) = mix {
-        eprintln!("{mix}\n{}", usage());
-        std::process::exit(2);
+    let args = cli.parse_env();
+    let seed = args.get("--seed").unwrap_or(42);
+    if let Some(scenario) = args.value("--job") {
+        let ticks = args.get("--ticks").unwrap_or(48);
+        run_job_mode(scenario, seed, ticks, args.has("--job-trace"), args.value("--job-out"));
     }
 
-    if list {
+    if args.has("--list") {
         for exp in registry() {
             println!("{:<4} [{:<23}] {}", exp.id, exp.flags, exp.desc);
         }
         return;
     }
 
-    if let Some(scenario) = job {
-        run_job_mode(&scenario, seed, job_ticks.unwrap_or(48), job_trace, job_out.as_deref());
-    }
-
     // Every requested name must exist: a typo mixed in with valid ids
     // must fail the invocation, not silently run the subset that matched.
+    let wanted: Vec<String> = args.positionals.iter().map(|id| id.to_lowercase()).collect();
     let known: Vec<&str> = registry().iter().map(|e| e.id).collect();
     let unknown: Vec<&String> = wanted.iter().filter(|w| !known.contains(&w.as_str())).collect();
     if !unknown.is_empty() {
-        eprintln!("unknown experiment(s) {unknown:?}");
-        print_available(std::io::stderr());
-        std::process::exit(2);
+        cli.fail(format!("unknown experiment(s) {unknown:?}"));
     }
-
     let selected: Vec<_> = registry()
         .into_iter()
         .filter(|e| wanted.is_empty() || wanted.iter().any(|w| w == e.id))
         .collect();
-
-    if selected.is_empty() {
-        eprintln!("no experiments matched {wanted:?}");
-        print_available(std::io::stderr());
-        std::process::exit(2);
-    }
+    let quick = args.has("--quick");
 
     println!(
         "vcloud experiment harness — {} mode, seed {}\n",
@@ -235,7 +125,7 @@ fn main() {
     let emit = |id: &str, table: &vc_bench::Table, secs: f64| {
         println!("{}", table.render());
         println!("  [{id} completed in {secs:.1}s]\n");
-        if let Some(dir) = &json_dir {
+        if let Some(dir) = args.value("--json") {
             std::fs::create_dir_all(dir).expect("create json dir");
             let path = format!("{dir}/{id}.json");
             let mut f = std::fs::File::create(&path).expect("create json file");
@@ -248,6 +138,9 @@ fn main() {
     // coherent, deterministic stream and every profile frame lands in one
     // call tree. Profiling is wall-clock-only and never touches the
     // recorder, so the trace stays byte-identical with or without it.
+    let (trace_path, timeseries_path) = (args.value("--trace"), args.value("--timeseries"));
+    let (profile_path, folded_path) = (args.value("--profile"), args.value("--folded"));
+    let metrics = args.has("--metrics");
     let profiling = profile_path.is_some() || folded_path.is_some();
     let recording = trace_path.is_some() || metrics || timeseries_path.is_some();
     if recording || profiling {
@@ -271,7 +164,7 @@ fn main() {
             emit(exp.id, &table, start.elapsed().as_secs_f64());
         }
         if let Some(rec) = &rec {
-            if let Some(path) = &trace_path {
+            if let Some(path) = trace_path {
                 let mut f = std::io::BufWriter::new(
                     std::fs::File::create(path).expect("create trace file"),
                 );
@@ -279,7 +172,7 @@ fn main() {
                 f.flush().expect("flush trace");
                 eprintln!("trace: {} events -> {path} ({} dropped)", rec.len(), rec.dropped());
             }
-            if let Some(path) = &timeseries_path {
+            if let Some(path) = timeseries_path {
                 let ts = rec.timeseries().expect("enabled above");
                 let mut f = std::io::BufWriter::new(
                     std::fs::File::create(path).expect("create timeseries file"),
@@ -295,12 +188,12 @@ fn main() {
         if profiling {
             let prof = vc_obs::profile::take().expect("profiler was installed above");
             assert_eq!(prof.open_frames(), 0, "all profile frames must close before export");
-            if let Some(path) = &profile_path {
+            if let Some(path) = profile_path {
                 std::fs::write(path, prof.to_json().to_string_pretty() + "\n")
                     .expect("write profile json");
                 eprintln!("profile: call tree -> {path}");
             }
-            if let Some(path) = &folded_path {
+            if let Some(path) = folded_path {
                 std::fs::write(path, prof.collapsed()).expect("write folded stacks");
                 eprintln!("profile: collapsed stacks -> {path}");
             }

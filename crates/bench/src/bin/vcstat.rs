@@ -29,6 +29,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use vc_obs::Histogram;
+use vc_testkit::cli::{Cli, Flag};
 use vc_testkit::json::Json;
 
 /// One end-to-end causal chain reassembled from its `causal.*` events.
@@ -73,85 +74,40 @@ const USAGE: &str = "usage: vcstat TRACE.jsonl [--top N] [--by-kind] [--critical
 [--histograms] [--causal] [--json]\n       vcstat TIMESERIES.jsonl --timeline [--spike-mult N] \
 [--json]\n       vcstat TIMESERIES.jsonl|PROFILE.json --memory [--top N] [--json]";
 
+/// The modes: the trace report (the default), `--timeline` and `--memory`.
+const REPORT: &str = "a trace report";
+const TIMELINE: &str = "--timeline";
+const MEMORY: &str = "--memory";
+const ALL: &[&str] = &[REPORT, TIMELINE, MEMORY];
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--top", &[REPORT, MEMORY]),
+    Flag::switch("--by-kind", &[REPORT]),
+    Flag::switch("--critical-path", &[REPORT]),
+    Flag::switch("--histograms", &[REPORT]),
+    Flag::switch("--causal", &[REPORT]),
+    Flag::switch("--timeline", &[TIMELINE]).selects(),
+    Flag::value("--spike-mult", &[TIMELINE]),
+    Flag::switch("--memory", &[MEMORY]).selects(),
+    Flag::switch("--json", ALL),
+];
+const CLI: Cli =
+    Cli { name: "vcstat", usage: USAGE, default_mode: REPORT, flags: FLAGS, positionals: ALL };
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut path: Option<String> = None;
-    let mut top = 10usize;
-    let mut by_kind = false;
-    let mut critical_path = false;
-    let mut histograms = false;
-    let mut causal = false;
-    let mut timeline = false;
-    let mut memory = false;
-    let mut spike_mult = 4.0f64;
-    let mut json_out = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--top" => {
-                i += 1;
-                top = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--top needs a number");
-                    std::process::exit(2);
-                });
-            }
-            "--spike-mult" => {
-                i += 1;
-                spike_mult =
-                    args.get(i).and_then(|s| s.parse().ok()).filter(|m| *m > 0.0).unwrap_or_else(
-                        || {
-                            eprintln!("--spike-mult needs a positive number");
-                            std::process::exit(2);
-                        },
-                    );
-            }
-            "--by-kind" => by_kind = true,
-            "--critical-path" => critical_path = true,
-            "--histograms" => histograms = true,
-            "--causal" => causal = true,
-            "--timeline" => timeline = true,
-            "--memory" => memory = true,
-            "--json" => json_out = true,
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}; {USAGE}");
-                std::process::exit(2);
-            }
-            p => path = Some(p.to_owned()),
+    let args = CLI.parse_env();
+    let [path] = &args.positionals[..] else { CLI.fail("give exactly one file") };
+    let (top, json_out) = (args.get("--top").unwrap_or(10usize), args.has("--json"));
+    match args.mode {
+        TIMELINE => {
+            return run_timeline(path, json_out, args.positive("--spike-mult").unwrap_or(4.0))
         }
-        i += 1;
+        MEMORY => return run_memory(path, top, json_out),
+        _ => {}
     }
-    let Some(path) = path else {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    };
-    // Each mode reads its own flags (and --json): a flag it does not read
-    // would be silently ignored, so it is an error.
-    let (mode, reads): (&str, &[&str]) = if timeline {
-        ("--timeline", &["--timeline", "--spike-mult"])
-    } else if memory {
-        ("--memory", &["--memory", "--top"])
-    } else {
-        ("a trace report", &["--top", "--by-kind", "--critical-path", "--histograms", "--causal"])
-    };
-    let stray: Vec<&str> = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| a.starts_with("--") && *a != "--json" && !reads.contains(a))
-        .collect();
-    if !stray.is_empty() {
-        eprintln!("{} cannot be used with {mode}; {USAGE}", stray.join(" "));
-        std::process::exit(2);
-    }
-    if timeline {
-        run_timeline(&path, json_out, spike_mult);
-        return;
-    }
-    if memory {
-        run_memory(&path, top, json_out);
-        return;
-    }
+    let causal = args.has("--causal");
     let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
 
     // component -> kind -> count
     let mut by_component: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
@@ -200,7 +156,7 @@ fn main() {
             continue;
         }
         if kind.starts_with("causal.") {
-            record_causal(&mut chains, &kind, &doc, &path, lineno);
+            record_causal(&mut chains, &kind, &doc, path, lineno);
         }
         events += 1;
         first_us = first_us.min(at_us);
@@ -325,13 +281,13 @@ fn main() {
         }
     }
 
-    if by_kind {
+    if args.has("--by-kind") {
         print_by_kind(&hists);
     }
-    if histograms {
+    if args.has("--histograms") {
         print_histograms(&hists);
     }
-    if critical_path {
+    if args.has("--critical-path") {
         print_critical_path(&nodes);
     }
     if causal {

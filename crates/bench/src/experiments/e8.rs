@@ -22,7 +22,7 @@ fn run_protocol<P: RoutingProtocol>(
     let mut scenario = builder.urban_with_rsus();
     let mut sim = NetSim::new(&mut scenario, protocol);
     // With a recorder attached, every packet opens a causal chain.
-    sim.set_sampler(vc_obs::Sampler::new(seed, vc_obs::SampleRate::ALL));
+    sim.set_sampler(vc_obs::Sampler::new(seed));
     sim.send_random_pairs(packets, 256, vc_obs::reborrow(&mut rec));
     sim.run_rounds_obs(rounds, rec);
     sim.into_stats()

@@ -21,17 +21,16 @@
 //! When a [`Recorder`] is attached, the merge emits each copy's radio
 //! events from the attempts its evaluation recorded, in canonical copy
 //! order, before that copy's routing/causal events.
-//! Packets selected by the deterministic
-//! [`Sampler`](vc_obs::Sampler) additionally carry a trace id and emit a
-//! `causal.origin` → `causal.hop`* → `causal.deliver`/`causal.drop` chain
-//! (see `vc_obs::causal`).
+//! With a [`Sampler`](vc_obs::Sampler) set, packets additionally carry a
+//! trace id and emit a `causal.origin` → `causal.hop`* →
+//! `causal.deliver`/`causal.drop` chain (see `vc_obs::causal`).
 
 use crate::holders::HolderSet;
 use crate::message::{Packet, PacketId, RoutingStats};
 use crate::routing::RoutingProtocol;
 use crate::world::WorldView;
 use std::ops::Range;
-use vc_obs::{reborrow, Recorder, SampleRate, Sampler};
+use vc_obs::{reborrow, Recorder, Sampler};
 use vc_sim::geom::SpatialGrid;
 use vc_sim::node::VehicleId;
 use vc_sim::radio::NeighborTable;
@@ -106,9 +105,8 @@ pub struct NetSim<'a, P: RoutingProtocol> {
     /// grid cells are rebuilt in place each round instead of reallocated).
     table: NeighborTable,
     grid: SpatialGrid,
-    /// Decides which packets carry a causal trace. Off unless
-    /// [`NetSim::set_sampler`] says otherwise.
-    sampler: Sampler,
+    /// Causal tracing: off unless [`NetSim::set_sampler`] turns it on.
+    sampler: Option<Sampler>,
     /// The round's working buffers, kept across rounds so the steady-state
     /// round loop stays allocation-free (and taken for the duration of a
     /// round, which keeps the merge loop's mutable packet borrows legal).
@@ -229,7 +227,6 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         // once from the current channel range is safe even if the range is
         // later mutated between rounds.
         let grid = SpatialGrid::new(scenario.channel.range_m.max(1.0));
-        let sampler = Sampler::new(scenario.seed, SampleRate::OFF);
         NetSim {
             scenario,
             protocol,
@@ -240,16 +237,15 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
             now: SimTime::ZERO,
             table: NeighborTable::new(),
             grid,
-            sampler,
+            sampler: None,
             scratch: RoundScratch::default(),
         }
     }
 
-    /// Replaces the causal-trace sampler, which is off by default (E8
-    /// traces every packet; `benches/obs.rs` sweeps rates).
-    /// Affects only packets sent after the call.
+    /// Turns causal tracing on: every packet sent after the call carries a
+    /// trace id (E8 traces every packet; `benches/obs.rs` times both).
     pub fn set_sampler(&mut self, sampler: Sampler) {
-        self.sampler = sampler;
+        self.sampler = Some(sampler);
     }
 
     /// Injects a packet from `src` to `dst` with the given payload size.
@@ -257,9 +253,9 @@ impl<'a, P: RoutingProtocol> NetSim<'a, P> {
         let id = PacketId(self.next_id);
         self.next_id += 1;
         let mut packet = Packet::new(id, src, dst, size_bytes, self.now);
-        // Sampling is a pure hash of (scenario seed, packet id): no RNG
+        // A trace id is a pure hash of (scenario seed, packet id): no RNG
         // state is consumed, so traced and untraced runs stay identical.
-        packet.trace = self.sampler.decide(id.0);
+        packet.trace = self.sampler.map(|s| s.trace_id(id.0));
         let idx = self.packets.len();
         let mut carried = HolderSet::new();
         carried.insert(src);
@@ -752,12 +748,11 @@ mod tests {
 
     #[test]
     fn causal_tracing_does_not_perturb_the_run() {
-        // `None` keeps the sampler `NetSim::new` starts with.
-        let run = |rate: Option<SampleRate>, rec: Option<&mut Recorder>| {
+        let run = |traced: bool, rec: Option<&mut Recorder>| {
             let mut scenario = dense_urban(9, 40);
             let mut sim = NetSim::new(&mut scenario, Epidemic);
-            if let Some(rate) = rate {
-                sim.set_sampler(Sampler::new(9, rate));
+            if traced {
+                sim.set_sampler(Sampler::new(9));
             }
             let mut rec = rec;
             sim.send_random_pairs(10, 128, reborrow(&mut rec));
@@ -766,37 +761,28 @@ mod tests {
             let lat_bits: Vec<u64> = s.latencies_s.iter().map(|l| l.to_bits()).collect();
             (s.sent, s.delivered, s.transmissions, s.hops, lat_bits)
         };
-        let plain = run(Some(SampleRate::OFF), None);
+        let plain = run(false, None);
         let mut rec = Recorder::new();
-        let traced = run(Some(SampleRate::ALL), Some(&mut rec));
-        assert_eq!(plain, traced, "causal tracing must not perturb the run");
+        assert_eq!(run(true, Some(&mut rec)), plain, "causal tracing must not perturb the run");
         assert!(rec.hub().counter("net.causal.origin") > 0);
 
-        // Rate 0 is inert: a recorder-attached run at an explicit rate 0 and
-        // one that never calls `set_sampler` write the same JSONL bytes and
-        // no causal event.
-        let recorded = |rate: Option<SampleRate>| {
-            let mut rec = Recorder::new();
-            assert_eq!(run(rate, Some(&mut rec)), plain, "recording must not perturb the run");
-            let mut jsonl = Vec::new();
-            rec.write_jsonl(&mut jsonl).expect("serialize trace");
-            let causal: u64 = ["origin", "hop", "deliver", "drop"]
-                .iter()
-                .map(|k| rec.hub().counter(&format!("net.causal.{k}")))
-                .sum();
-            (jsonl, causal)
-        };
-        let off = recorded(Some(SampleRate::OFF));
-        assert!(!off.0.is_empty());
-        assert_eq!(off.1, 0, "rate 0 must emit no causal event");
-        assert_eq!(recorded(None), off, "rate 0 must leave no trace of the sampler");
+        // Off is inert: a recorder-attached run without a sampler records
+        // events but no causal one.
+        let mut rec = Recorder::new();
+        assert_eq!(run(false, Some(&mut rec)), plain, "recording must not perturb the run");
+        assert!(!rec.is_empty());
+        let causal: u64 = ["origin", "hop", "deliver", "drop"]
+            .iter()
+            .map(|k| rec.hub().counter(&format!("net.causal.{k}")))
+            .sum();
+        assert_eq!(causal, 0, "tracing off must emit no causal event");
     }
 
     #[test]
     fn causal_chains_cover_every_sampled_packet() {
         let mut scenario = dense_urban(12, 60);
         let mut sim = NetSim::new(&mut scenario, Epidemic);
-        sim.set_sampler(Sampler::new(12, SampleRate::ALL));
+        sim.set_sampler(Sampler::new(12));
         let mut rec = Recorder::new();
         sim.send_random_pairs(20, 128, Some(&mut rec));
         sim.run_rounds_obs(80, Some(&mut rec));
@@ -833,7 +819,7 @@ mod tests {
     fn offline_holders_drop_traced_copies_and_delivered_copies_die_silently() {
         let mut scenario = dense_urban(21, 60);
         let mut sim = NetSim::new(&mut scenario, Epidemic);
-        sim.set_sampler(Sampler::new(21, SampleRate::ALL));
+        sim.set_sampler(Sampler::new(21));
         let mut rec = Recorder::new();
         sim.send_random_pairs(20, 128, Some(&mut rec));
         sim.run_rounds_obs(4, Some(&mut rec));

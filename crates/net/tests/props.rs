@@ -6,7 +6,7 @@ use vc_net::message::{Packet, PacketId};
 use vc_net::netsim::NetSim;
 use vc_net::routing::{ClusterRouting, Epidemic, GreedyGeo, MozoRouting, RoutingProtocol};
 use vc_net::world::WorldView;
-use vc_obs::{SampleRate, Sampler};
+use vc_obs::Sampler;
 use vc_sim::geom::Point;
 use vc_sim::node::VehicleId;
 use vc_sim::radio::NeighborTable;
@@ -337,15 +337,15 @@ fn mismatch(got: &Clustering, want: &reference::Clusters) -> Option<String> {
 /// Equal fingerprints mean bitwise-equal runs.
 type RunFingerprint = (u64, u64, u64, Vec<u32>, Vec<u64>, Vec<u8>, Vec<(u64, u64)>);
 
-/// One run with causal tracing at an explicit sample rate (the sampler is
-/// seeded from the run seed, like the default).
+/// One run with causal tracing off or on (the sampler is seeded from the
+/// run seed, like the default).
 fn traced_run_fingerprint<P: RoutingProtocol>(
     seed: u64,
     vehicles: usize,
     packets: usize,
     rounds: usize,
     protocol: P,
-    rate: SampleRate,
+    traced: bool,
 ) -> RunFingerprint {
     let mut b = vc_sim::scenario::ScenarioBuilder::new();
     b.seed(seed).vehicles(vehicles);
@@ -353,7 +353,9 @@ fn traced_run_fingerprint<P: RoutingProtocol>(
     let mut rec = vc_obs::Recorder::new();
     let (stats, events) = {
         let mut sim = NetSim::new(&mut scenario, protocol);
-        sim.set_sampler(Sampler::new(seed, rate));
+        if traced {
+            sim.set_sampler(Sampler::new(seed));
+        }
         sim.send_random_pairs(packets, 128, Some(&mut rec));
         sim.run_rounds_obs(rounds, Some(&mut rec));
         let stats = sim.into_stats();
@@ -367,17 +369,16 @@ fn traced_run_fingerprint<P: RoutingProtocol>(
     (stats.sent, stats.delivered, stats.transmissions, stats.hops, lat_bits, events, pos_bits)
 }
 
-/// The same run at `rate`, at `rate` again, and untraced.
+/// The same run traced, traced again, and untraced.
 fn traced_twice_and_untraced<P: RoutingProtocol>(
     make: impl Fn() -> P,
     seed: u64,
     vehicles: usize,
     packets: usize,
     rounds: usize,
-    rate: SampleRate,
 ) -> [RunFingerprint; 3] {
-    [rate, rate, SampleRate::OFF]
-        .map(|r| traced_run_fingerprint(seed, vehicles, packets, rounds, make(), r))
+    [true, true, false]
+        .map(|traced| traced_run_fingerprint(seed, vehicles, packets, rounds, make(), traced))
 }
 
 prop! {
@@ -655,28 +656,22 @@ prop! {
     // A full instrumented run — the merged event stream (every radio
     // tx/rx/drop, routing forward/deliver and causal.* chain event, in
     // order), the final statistics (latencies bit for bit) and the
-    // end-state fleet kinematics — repeats exactly for the same seed at any
-    // sample rate, and the rate changes the event stream only: the
-    // sampling decision is a pure function of (seed, packet id) and draws
-    // nothing from the run's RNG.
+    // end-state fleet kinematics — repeats exactly for the same seed with
+    // causal tracing on, and tracing changes the event stream only: the
+    // trace id is a pure function of (seed, packet id) and draws nothing
+    // from the run's RNG.
     #[test]
     fn traced_run_repeats_bitwise_and_sampling_never_perturbs_it(
         seed in any_u64(),
-        rate_pick in 0u8..3,
         vehicles in 30usize..70,
         packets in 5usize..20,
         rounds in 5usize..20,
         protocol in 0u8..3,
     ) {
-        let rate = match rate_pick {
-            0 => SampleRate::ALL,
-            1 => SampleRate::one_in(2),
-            _ => SampleRate::one_in(7),
-        };
         let [first, second, untraced] = match protocol {
-            0 => traced_twice_and_untraced(|| Epidemic, seed, vehicles, packets, rounds, rate),
-            1 => traced_twice_and_untraced(|| GreedyGeo, seed, vehicles, packets, rounds, rate),
-            _ => traced_twice_and_untraced(MozoRouting::new, seed, vehicles, packets, rounds, rate),
+            0 => traced_twice_and_untraced(|| Epidemic, seed, vehicles, packets, rounds),
+            1 => traced_twice_and_untraced(|| GreedyGeo, seed, vehicles, packets, rounds),
+            _ => traced_twice_and_untraced(MozoRouting::new, seed, vehicles, packets, rounds),
         };
         prop_assert_eq!(&first, &second);
         let without_events = |mut run: RunFingerprint| {

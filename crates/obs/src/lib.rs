@@ -18,9 +18,9 @@
 //!   aggregated into a call tree with `profile.json` and collapsed-stack
 //!   (flamegraph) exports. Traces stay sim-time-only and byte-reproducible;
 //!   the profiler is where real nanoseconds are accounted.
-//! * [`causal`] — per-message causal tracing: a deterministic, seeded
-//!   [`Sampler`] selects messages (E8 selects all), each selected
-//!   message carries a [`TraceId`] across hops, and the resulting
+//! * [`causal`] — per-message causal tracing: a seeded [`Sampler`] turns
+//!   it on for a run (E8 does), each message then carries a [`TraceId`]
+//!   across hops, and the resulting
 //!   `causal.*` event chain reconstructs the full admission → relay →
 //!   delivery path (`vcstat --causal`).
 //! * [`mem`] — the heap half of the budget: a counting
@@ -62,7 +62,7 @@ pub mod metrics;
 pub mod profile;
 pub mod record;
 
-pub use causal::{SampleRate, Sampler, TraceId};
+pub use causal::{Sampler, TraceId};
 pub use mem::{AllocDelta, AllocScope, CountingAlloc, MemSize};
 pub use metrics::{
     Histogram, MetricsHub, Quantiles, Snapshot, SnapshotDiff, TickSample, TimeSeries,

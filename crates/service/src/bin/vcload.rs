@@ -6,10 +6,13 @@
 //! JSON report (values are wall-clock measurements; the key set and
 //! order never change).
 
+use std::io;
 use std::process::ExitCode;
 
+use vc_service::client::Client;
 use vc_service::job::SCENARIOS;
 use vc_service::loadgen::{run_load, LoadConfig, Mode};
+use vc_testkit::cli::{Args, Cli, Flag};
 
 const USAGE: &str = "\
 vcload — load generator for vcloudd
@@ -36,119 +39,85 @@ OPTIONS:
     --shutdown         send SHUTDOWN and wait for the drain acknowledgement, then exit
     --list             print the scenario catalog and exit
     --help             print this help
+
+--once, --metrics, --shutdown, --list and --help each select a mode; an
+option the mode does not read is an error (docs/SERVICE.md has the table).
 ";
 
-/// What this invocation does besides (or instead of) generating load.
-enum Action {
-    Load,
-    Once { scenario: String, out: Option<String> },
-    Metrics,
-    Shutdown,
-}
+/// The modes: a load run (the default) and five the flags below select.
+const LOAD: &str = "a load run";
+const ONCE: &str = "--once";
+const METRICS: &str = "--metrics";
+const SHUTDOWN: &str = "--shutdown";
+const LIST: &str = "--list";
+const HELP: &str = "--help";
 
-fn parse_args() -> Result<(LoadConfig, Option<String>, Action), String> {
-    let mut config = LoadConfig::default();
-    let mut json_path = None;
-    let mut scenarios: Vec<String> = Vec::new();
-    let mut addr_given = false;
-    let mut once: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut shutdown = false;
-    let mut metrics = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} requires a value"));
-        let parse_num = |flag: &str, v: String| -> Result<u64, String> {
-            v.parse().map_err(|_| format!("{flag} expects an unsigned integer"))
-        };
-        match arg.as_str() {
-            "--addr" => {
-                config.addr = value("--addr")?;
-                addr_given = true;
-            }
-            "--clients" => config.clients = parse_num("--clients", value("--clients")?)? as usize,
-            "--jobs" => config.jobs_per_client = parse_num("--jobs", value("--jobs")?)? as usize,
-            "--ticks" => config.ticks = parse_num("--ticks", value("--ticks")?)? as u32,
-            "--seed" => config.seed = parse_num("--seed", value("--seed")?)?,
-            "--trace" => config.flags |= vc_net::svc::FLAG_TRACE,
-            "--mix" => match value("--mix")?.as_str() {
-                "steady" => scenarios = vec!["urban-epidemic".into()],
-                "mixed" => scenarios = SCENARIOS.iter().map(|e| e.id.to_string()).collect(),
-                other => return Err(format!("unknown mix {other:?} (steady|mixed)")),
-            },
-            "--scenario" => scenarios.push(value("--scenario")?),
-            "--open" => {
-                let rate: f64 = value("--open")?
-                    .parse()
-                    .map_err(|_| "--open expects a rate in submits/sec".to_string())?;
-                if rate.is_nan() || rate <= 0.0 {
-                    return Err("--open rate must be positive".into());
-                }
-                config.mode = Mode::Open { rate_hz: rate };
-            }
-            "--json" => json_path = Some(value("--json")?),
-            "--once" => once = Some(value("--once")?),
-            "--out" => out = Some(value("--out")?),
-            "--metrics" => metrics = true,
-            "--shutdown" => shutdown = true,
-            "--list" => {
-                for e in SCENARIOS {
-                    println!("{:<18} {}", e.id, e.desc);
-                }
-                std::process::exit(0);
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if !addr_given {
-        return Err("--addr is required".into());
-    }
-    if !scenarios.is_empty() {
-        for s in &scenarios {
-            if vc_service::job::find_scenario(s).is_none() {
-                return Err(format!("unknown scenario {s:?} (see --list)"));
-            }
-        }
-        config.mix = scenarios;
-    }
-    if config.clients == 0 || config.jobs_per_client == 0 {
-        return Err("--clients and --jobs must be at least 1".into());
-    }
-    let action = if shutdown {
-        Action::Shutdown
-    } else if metrics {
-        Action::Metrics
-    } else if let Some(scenario) = once {
-        if vc_service::job::find_scenario(&scenario).is_none() {
-            return Err(format!("unknown scenario {scenario:?} (see --list)"));
-        }
-        Action::Once { scenario, out }
-    } else {
-        Action::Load
+const FLAGS: &[Flag] = &[
+    Flag::value("--addr", &[LOAD, ONCE, METRICS, SHUTDOWN]),
+    Flag::value("--clients", &[LOAD]),
+    Flag::value("--jobs", &[LOAD]),
+    Flag::value("--mix", &[LOAD]),
+    Flag::value("--scenario", &[LOAD]).repeated(),
+    Flag::value("--ticks", &[LOAD, ONCE]),
+    Flag::switch("--trace", &[LOAD, ONCE]),
+    Flag::value("--seed", &[LOAD, ONCE]),
+    Flag::value("--open", &[LOAD]),
+    Flag::value("--json", &[LOAD]),
+    Flag::value("--once", &[ONCE]).selects(),
+    Flag::value("--out", &[ONCE]),
+    Flag::switch("--metrics", &[METRICS]).selects(),
+    Flag::switch("--shutdown", &[SHUTDOWN]).selects(),
+    Flag::switch("--list", &[LIST]).selects(),
+    Flag::switch("--help", &[HELP]).selects(),
+    Flag::switch("-h", &[HELP]).selects(),
+];
+const CLI: Cli =
+    Cli { name: "vcload", usage: USAGE, default_mode: LOAD, flags: FLAGS, positionals: &[] };
+
+/// The load configuration the flags describe; flags the mode does not
+/// read keep their defaults.
+fn load_config(args: &Args) -> LoadConfig {
+    let mut mix: Vec<String> = match args.value("--mix") {
+        None => Vec::new(),
+        Some("steady") => vec!["urban-epidemic".into()],
+        Some("mixed") => SCENARIOS.iter().map(|e| e.id.to_string()).collect(),
+        Some(other) => CLI.fail(format!("unknown mix {other:?} (steady|mixed)")),
     };
-    Ok((config, json_path, action))
+    mix.extend(args.values("--scenario").map(String::from));
+    for s in mix.iter().map(String::as_str).chain(args.value("--once")) {
+        if vc_service::job::find_scenario(s).is_none() {
+            CLI.fail(format!("unknown scenario {s:?} (see --list)"));
+        }
+    }
+    let default = LoadConfig::default();
+    LoadConfig {
+        addr: args.value("--addr").unwrap_or_else(|| CLI.fail("--addr is required")).into(),
+        clients: args.positive("--clients").unwrap_or(default.clients),
+        jobs_per_client: args.positive("--jobs").unwrap_or(default.jobs_per_client),
+        mix: if mix.is_empty() { default.mix } else { mix },
+        ticks: args.get("--ticks").unwrap_or(default.ticks),
+        flags: if args.has("--trace") { vc_net::svc::FLAG_TRACE } else { 0 },
+        seed: args.get("--seed").unwrap_or(default.seed),
+        mode: args.positive("--open").map_or(Mode::Closed, |rate_hz| Mode::Open { rate_hz }),
+    }
 }
 
 /// `--once`: one submit + RESULT fetch, bytes out, checksum on stdout in
 /// the same line format `experiments --job` prints.
-fn run_once(config: &LoadConfig, scenario: &str, out: Option<&str>) -> std::io::Result<()> {
-    let mut client = vc_service::client::Client::connect(&config.addr)?;
+fn run_once(config: &LoadConfig, scenario: &str, out: Option<&str>) -> io::Result<()> {
+    let mut client = Client::connect(&config.addr)?;
     let spec = vc_service::job::JobSpec {
         scenario: scenario.into(),
         seed: config.seed,
         ticks: config.ticks,
         flags: config.flags,
     };
-    let job = client.submit(&spec)?.map_err(|(reason, detail)| {
-        std::io::Error::other(format!("rejected ({reason:?}): {detail}"))
-    })?;
+    let job = client
+        .submit(&spec)?
+        .map_err(|(reason, detail)| io::Error::other(format!("rejected ({reason:?}): {detail}")))?;
     let result = client.fetch_result(job)?;
     if !result.detail.is_empty() {
-        return Err(std::io::Error::other(format!("job failed: {}", result.detail)));
+        return Err(io::Error::other(format!("job failed: {}", result.detail)));
     }
     println!(
         "job {scenario} seed={} ticks={} flags={} checksum={:#018x} stats_len={} trace_len={}",
@@ -168,60 +137,42 @@ fn run_once(config: &LoadConfig, scenario: &str, out: Option<&str>) -> std::io::
 }
 
 fn main() -> ExitCode {
-    let (config, json_path, action) = match parse_args() {
-        Ok(parsed) => parsed,
-        Err(why) => {
-            eprintln!("vcload: {why}\n\n{USAGE}");
-            return ExitCode::from(2);
+    let args = CLI.parse_env();
+    let connect = || Client::connect(load_config(&args).addr);
+    let done = match args.mode {
+        LIST => {
+            for e in SCENARIOS {
+                println!("{:<18} {}", e.id, e.desc);
+            }
+            Ok(())
         }
+        HELP => {
+            print!("{USAGE}");
+            Ok(())
+        }
+        ONCE => {
+            let scenario = args.value("--once").expect("--once selects this mode");
+            run_once(&load_config(&args), scenario, args.value("--out"))
+        }
+        METRICS => connect().and_then(|mut c| c.metrics()).map(|json| println!("{json}")),
+        SHUTDOWN => connect()
+            .and_then(|mut c| c.shutdown())
+            .map(|()| println!("vcload: daemon drained and acknowledged shutdown")),
+        _ => load(&load_config(&args), args.value("--json")),
     };
-    match action {
-        Action::Load => {}
-        Action::Once { scenario, out } => {
-            return match run_once(&config, &scenario, out.as_deref()) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("vcload: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Action::Metrics => {
-            return match vc_service::client::Client::connect(&config.addr)
-                .and_then(|mut c| c.metrics())
-            {
-                Ok(json) => {
-                    println!("{json}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("vcload: metrics failed: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Action::Shutdown => {
-            return match vc_service::client::Client::connect(&config.addr)
-                .and_then(|mut c| c.shutdown())
-            {
-                Ok(()) => {
-                    println!("vcload: daemon drained and acknowledged shutdown");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("vcload: shutdown failed: {e}");
-                    ExitCode::FAILURE
-                }
-            };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("vcload: {}: {e}", args.mode);
+            ExitCode::FAILURE
         }
     }
-    let report = match run_load(&config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("vcload: load run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+}
+
+/// A load run: two summary lines, then the JSON report on stdout or in
+/// `json_path`.
+fn load(config: &LoadConfig, json_path: Option<&str>) -> io::Result<()> {
+    let report = run_load(config)?;
     println!(
         "vcload: {} submitted, {} accepted, {} rejected, {} completed ({} failed, {} cancelled)",
         report.submitted,
@@ -239,19 +190,17 @@ fn main() -> ExitCode {
         report.e2e_us.p90,
         report.e2e_us.p99
     );
-    let json = report.to_json(&config).to_string_pretty();
-    match json_path.as_deref() {
+    let json = report.to_json(config).to_string_pretty();
+    match json_path {
         None | Some("-") => println!("{json}"),
         Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("vcload: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(path, format!("{json}\n"))
+                .map_err(|e| io::Error::other(format!("cannot write {path}: {e}")))?;
             println!("vcload: report written to {path}");
         }
     }
-    if report.failed > 0 {
-        return ExitCode::FAILURE;
+    match report.failed {
+        0 => Ok(()),
+        failed => Err(io::Error::other(format!("{failed} jobs failed"))),
     }
-    ExitCode::SUCCESS
 }

@@ -8,6 +8,7 @@
 use std::process::ExitCode;
 
 use vc_service::server::{bind_and_announce, ServerConfig};
+use vc_testkit::cli::{Cli, Flag};
 
 const USAGE: &str = "\
 vcloudd — vcloud scenario-service daemon
@@ -17,8 +18,8 @@ USAGE:
 
 OPTIONS:
     --addr HOST:PORT   listen address (default 127.0.0.1:0 = ephemeral loopback)
-    --workers N        worker threads executing jobs (default 4)
-    --queue N          queued-job capacity before SUBMITs are rejected (default 64)
+    --workers N        worker threads executing jobs (default 4, at least 1)
+    --queue N          queued jobs before SUBMITs are rejected (default 64, at least 1)
     --help             print this help
 
 The daemon prints one line on startup:
@@ -27,44 +28,30 @@ and runs until a client sends a SHUTDOWN frame; it then drains (finishes
 every admitted job), acknowledges, and exits.
 ";
 
-fn parse_args() -> Result<ServerConfig, String> {
-    let mut config = ServerConfig::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} requires a value"));
-        match arg.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--workers" => {
-                config.pool.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers expects a positive integer".to_string())?;
-            }
-            "--queue" => {
-                config.pool.queue_cap = value("--queue")?
-                    .parse()
-                    .map_err(|_| "--queue expects a positive integer".to_string())?;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if config.pool.workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
-    Ok(config)
-}
+/// The modes: serving (the default) and `--help`.
+const SERVE: &str = "the daemon";
+const HELP: &str = "--help";
+
+const FLAGS: &[Flag] = &[
+    Flag::value("--addr", &[SERVE]),
+    Flag::value("--workers", &[SERVE]),
+    Flag::value("--queue", &[SERVE]),
+    Flag::switch("--help", &[HELP]).selects(),
+    Flag::switch("-h", &[HELP]).selects(),
+];
+const CLI: Cli =
+    Cli { name: "vcloudd", usage: USAGE, default_mode: SERVE, flags: FLAGS, positionals: &[] };
 
 fn main() -> ExitCode {
-    let config = match parse_args() {
-        Ok(config) => config,
-        Err(why) => {
-            eprintln!("vcloudd: {why}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = CLI.parse_env();
+    if args.mode == HELP {
+        print!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let mut config = ServerConfig::default();
+    config.addr = args.value("--addr").map_or(config.addr, String::from);
+    config.pool.workers = args.positive("--workers").unwrap_or(config.pool.workers);
+    config.pool.queue_cap = args.positive("--queue").unwrap_or(config.pool.queue_cap);
     let (server, addr) = match bind_and_announce(&config) {
         Ok(bound) => bound,
         Err(e) => {
@@ -74,8 +61,7 @@ fn main() -> ExitCode {
     };
     println!(
         "vcloudd listening on {addr} workers={} queue={}",
-        config.pool.workers.max(1),
-        config.pool.queue_cap.max(1)
+        config.pool.workers, config.pool.queue_cap
     );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();

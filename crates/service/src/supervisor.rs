@@ -236,9 +236,10 @@ impl Supervisor {
 
     pub(crate) fn start_with(config: SupervisorConfig, run: Box<Runner>) -> Supervisor {
         let workers_n = config.workers.max(1);
+        let queue_cap = config.queue_cap.max(1);
         let mut hub = MetricsHub::new();
         hub.gauge_set("svc.workers", workers_n as f64);
-        hub.gauge_set("svc.queue.cap", config.queue_cap as f64);
+        hub.gauge_set("svc.queue.cap", queue_cap as f64);
         hub.gauge_set("svc.results.bytes", 0.0);
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
@@ -247,7 +248,7 @@ impl Supervisor {
                 undelivered: BTreeSet::new(),
                 results_bytes: 0,
                 next_id: 1,
-                queue_cap: config.queue_cap.max(1),
+                queue_cap,
                 draining: false,
                 running: 0,
                 hub,
@@ -509,6 +510,18 @@ mod tests {
             assert_eq!(h.status(never_issued).unwrap_err(), Missing::Unknown);
         }
         assert_eq!(h.inner.lock().hub.gauge("svc.results.bytes"), Some(0.0));
+        sup.drain();
+    }
+
+    #[test]
+    fn gauges_report_the_pool_that_runs() {
+        // Zero workers or queue slots run as one; the gauges say so.
+        let sup = Supervisor::start(SupervisorConfig { workers: 0, queue_cap: 0 });
+        let st = sup.inner.lock();
+        assert_eq!((st.queue_cap, sup.workers.len()), (1, 1));
+        assert_eq!(st.hub.gauge("svc.queue.cap"), Some(1.0));
+        assert_eq!(st.hub.gauge("svc.workers"), Some(1.0));
+        drop(st);
         sup.drain();
     }
 

@@ -19,8 +19,9 @@
 //!
 //! Flags (after `cargo bench -- `): `--quick` runs one iteration per bench
 //! (the CI smoke mode), `--out DIR` writes `BENCH_<suite>.json` there.
-//! Unknown flags (e.g. the `--bench` cargo appends) are ignored.
+//! The `--bench` cargo appends is accepted; any other flag exits 2.
 
+use crate::cli::{Args, Cli, Flag};
 use crate::json::Json;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -111,6 +112,21 @@ impl BenchResult {
     }
 }
 
+/// The bench command line (`cargo bench` appends `--bench`).
+const SUITE: &str = "a bench suite";
+const SUITE_FLAGS: &[Flag] = &[
+    Flag::switch("--quick", &[SUITE]),
+    Flag::value("--out", &[SUITE]),
+    Flag::switch("--bench", &[SUITE]),
+];
+const SUITE_CLI: Cli = Cli {
+    name: "bench",
+    usage: "usage: cargo bench -p vc-bench [--bench SUITE] -- [--quick] [--out DIR]",
+    default_mode: SUITE,
+    flags: SUITE_FLAGS,
+    positionals: &[],
+};
+
 /// A named collection of benchmarks sharing one output artifact.
 pub struct Suite {
     name: String,
@@ -121,28 +137,19 @@ pub struct Suite {
 
 impl Suite {
     /// Creates a suite, reading `--quick` / `--out DIR` from the command
-    /// line.
+    /// line; any other flag exits 2 with the usage.
     pub fn new(name: &str) -> Suite {
-        Suite::from_args(name, std::env::args().skip(1))
+        Suite::from_args(name, &SUITE_CLI.parse_env())
     }
 
-    /// [`Suite::new`] over an explicit argument list.
-    fn from_args(name: &str, args: impl IntoIterator<Item = String>) -> Suite {
-        let (mut quick, mut out_dir) = (false, None);
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--out" => out_dir = args.next(),
-                // `cargo bench` appends `--bench`; test filters and other
-                // harness flags are irrelevant here.
-                _ => {}
-            }
-        }
+    /// [`Suite::new`] over parsed arguments.
+    fn from_args(name: &str, args: &Args) -> Suite {
+        let quick = args.has("--quick");
         println!(
             "bench suite '{name}' — {} mode",
             if quick { "quick (1 iteration, smoke only)" } else { "full" }
         );
+        let out_dir = args.value("--out").map(String::from);
         Suite { name: name.to_string(), quick, out_dir, results: Vec::new() }
     }
 
@@ -296,8 +303,8 @@ mod tests {
 
     #[test]
     fn quick_mode_runs_each_bench_once() {
-        let args = ["--bench", "--quick", "--out", "dir"].map(String::from);
-        let mut suite = Suite::from_args("selftest", args);
+        let args = SUITE_CLI.parse(["--bench", "--quick", "--out", "dir"].map(String::from));
+        let mut suite = Suite::from_args("selftest", &args.unwrap());
         assert_eq!(suite.out_dir.as_deref(), Some("dir"));
         let mut calls = 0u32;
         suite.bench("counter", || {
@@ -308,6 +315,13 @@ mod tests {
         assert_eq!(calls, 1);
         assert_eq!(suite.results.len(), 1);
         assert_eq!(suite.results[0].iters_per_batch, 1);
+    }
+
+    #[test]
+    fn a_mistyped_flag_is_an_error_not_a_full_run() {
+        let err = SUITE_CLI.parse(["--quik", "--bench"].map(String::from)).err();
+        assert_eq!(err.as_deref(), Some("unknown flag --quik"));
+        assert!(SUITE_CLI.parse(["filter".to_string()]).is_err(), "no positional filters");
     }
 
     #[test]

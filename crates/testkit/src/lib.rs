@@ -4,8 +4,8 @@
 //! dependability story of the reproduction (deterministic behaviour under
 //! adversarial conditions) is only credible when the measurement harness
 //! itself is reproducible, and a harness that depends on registry crates and
-//! network availability is neither. `vc-testkit` therefore replaces the three
-//! external tools the workspace used to lean on:
+//! network availability is neither. `vc-testkit` therefore replaces the four
+//! registry crates such a workspace leans on:
 //!
 //! - [`prop`] — a seeded property-testing harness (replaces `proptest`).
 //!   Cases are generated from the simulator's own deterministic
@@ -16,6 +16,8 @@
 //!   artifact per suite.
 //! - [`json`] — a small hand-rolled JSON writer (replaces `serde_json`) used
 //!   by the bench harness and the experiment table generator.
+//! - [`cli`] — a table-driven flag parser (replaces `clap`) for every binary
+//!   and bench target: a flag the selected mode does not read is an error.
 //!
 //! See `docs/TESTKIT.md` at the repository root for a usage tour.
 
@@ -26,5 +28,6 @@
 #![allow(clippy::test_attr_in_doctest)]
 
 pub mod bench;
+pub mod cli;
 pub mod json;
 pub mod prop;
