@@ -5,7 +5,7 @@
 //! data goes" (§III): the owner seals the payload and couples it to its
 //! policy in one package. The package key is sealed to the fleet's
 //! **tamper-proof device (TPD)** enforcement key — TPDs are the standard
-//! VANET trust anchor the paper's citations assume ([30], [21]). A TPD
+//! VANET trust anchor the paper's citations assume (\[30\], \[21\]). A TPD
 //! releases plaintext only after (1) verifying an anonymous attribute
 //! credential, (2) evaluating the policy against the certified attributes
 //! and ambient context, and (3) appending a hash-chained audit record —

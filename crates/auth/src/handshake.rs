@@ -1,5 +1,5 @@
 //! Authenticated key agreement between two vehicles (paper §IV-B.2, after
-//! Jiang et al. [13]: "integrated authentication and key agreement
+//! Jiang et al. \[13\]: "integrated authentication and key agreement
 //! framework").
 //!
 //! Two vehicles that have never met establish a session key over one round

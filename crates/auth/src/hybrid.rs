@@ -1,4 +1,4 @@
-//! Hybrid authentication (paper §IV-B.1, after Rajput et al. [31]).
+//! Hybrid authentication (paper §IV-B.1, after Rajput et al. \[31\]).
 //!
 //! Combines the two families to dodge both drawbacks of Fig. 5: a regional
 //! coordinator (cluster head / RSU) holds a group key and locally issues

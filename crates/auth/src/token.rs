@@ -1,5 +1,5 @@
 //! Service access tokens for vehicle-to-cloud access (paper §IV-B.2, after
-//! Park et al. [29]).
+//! Park et al. \[29\]).
 //!
 //! A cloud gateway (RSU or broker vehicle) issues a pseudonymous token after
 //! authenticating a vehicle once; subsequent service calls present the token

@@ -1,25 +1,26 @@
-//! `vcstat` — summarizes a JSONL trace produced by `experiments --trace`.
+//! `vcstat` — reads back what `experiments` writes, and the file picks the
+//! report:
 //!
 //! ```text
-//! vcstat out.jsonl                  # per-component tables + 10 slowest spans
-//! vcstat out.jsonl --top 25         # more spans
-//! vcstat out.jsonl --by-kind       # latency breakdown per component.kind
-//! vcstat out.jsonl --critical-path # longest nested-span chain per component
-//! vcstat out.jsonl --histograms    # p50/p90/p99 + sparkline per component.kind
-//! vcstat out.jsonl --causal        # causal chains: e2e percentiles, hops, slowest
-//! vcstat ts.jsonl --timeline       # per-tick metric evolution (timeseries file)
-//! vcstat ts.jsonl --timeline --spike-mult 8   # stricter spike threshold
-//! vcstat ts.jsonl --memory         # memory-footprint report (mem.* gauges)
-//! vcstat profile.json --memory     # top allocating frames + alloc critical path
-//! vcstat out.jsonl --causal --json # machine-readable output for any mode
+//! vcstat out.jsonl            # trace: component tables, span latency by kind,
+//!                             # histograms, critical path, causal chains, slowest spans
+//! vcstat out.jsonl --top 25   # 25 slowest spans and causal chains
+//! vcstat ts.jsonl             # time series: per-tick metric timeline, mem.* gauges
+//! vcstat profile.json         # profile: top allocating frames, alloc critical path
+//! vcstat ts.jsonl --json      # any report, machine-readable
 //! ```
 //!
-//! Reads the event stream back with `vc_testkit`'s JSON parser (the same
-//! writer produced it), so the tool needs no external dependencies. Output
-//! is deterministic: components and kinds sort lexically, span ties break
-//! on timestamp then span id.
+//! A file whose first non-blank line is a `{"timeseries":…}` header is a
+//! time series (`experiments --timeseries`); a JSON document with a
+//! `frames` array is a profile (`--profile`); anything else is read as a
+//! trace (`--trace`).
 //!
-//! Every line must be a JSON object with a numeric `at_us` and string
+//! Reads the artifacts back with `vc_testkit`'s JSON parser (the same
+//! writer produced them), so the tool needs no external dependencies.
+//! Output is deterministic: components and kinds sort lexically, span ties
+//! break on timestamp then span id.
+//!
+//! Every trace line must be a JSON object with a numeric `at_us` and string
 //! `component` / `kind`; a malformed or truncated line aborts with the
 //! offending line number and a nonzero exit, so a corrupt trace never
 //! yields silently wrong statistics. Ring-mode traces end in an
@@ -70,45 +71,46 @@ fn die(msg: String) -> ! {
     std::process::exit(1);
 }
 
-const USAGE: &str = "usage: vcstat TRACE.jsonl [--top N] [--by-kind] [--critical-path] \
-[--histograms] [--causal] [--json]\n       vcstat TIMESERIES.jsonl --timeline [--spike-mult N] \
-[--json]\n       vcstat TIMESERIES.jsonl|PROFILE.json --memory [--top N] [--json]";
+const USAGE: &str = "usage: vcstat TRACE.jsonl|TIMESERIES.jsonl|PROFILE.json [--top N] [--json]";
 
-/// The modes: the trace report (the default), `--timeline` and `--memory`.
-const REPORT: &str = "a trace report";
-const TIMELINE: &str = "--timeline";
-const MEMORY: &str = "--memory";
-const ALL: &[&str] = &[REPORT, TIMELINE, MEMORY];
+/// vcstat has one mode: the file, not a flag, picks the report.
+const REPORT: &str = "a report";
+const FLAGS: &[Flag] = &[Flag::value("--top", &[REPORT]), Flag::switch("--json", &[REPORT])];
+const CLI: Cli = Cli {
+    name: "vcstat",
+    usage: USAGE,
+    default_mode: REPORT,
+    flags: FLAGS,
+    positionals: &[REPORT],
+};
 
-const FLAGS: &[Flag] = &[
-    Flag::value("--top", &[REPORT, MEMORY]),
-    Flag::switch("--by-kind", &[REPORT]),
-    Flag::switch("--critical-path", &[REPORT]),
-    Flag::switch("--histograms", &[REPORT]),
-    Flag::switch("--causal", &[REPORT]),
-    Flag::switch("--timeline", &[TIMELINE]).selects(),
-    Flag::value("--spike-mult", &[TIMELINE]),
-    Flag::switch("--memory", &[MEMORY]).selects(),
-    Flag::switch("--json", ALL),
-];
-const CLI: Cli =
-    Cli { name: "vcstat", usage: USAGE, default_mode: REPORT, flags: FLAGS, positionals: ALL };
+/// A time-series tick spikes when its value exceeds this multiple of the
+/// metric's median over its active ticks.
+const SPIKE_MULT: f64 = 4.0;
 
 fn main() {
     let args = CLI.parse_env();
     let [path] = &args.positionals[..] else { CLI.fail("give exactly one file") };
     let (top, json_out) = (args.get("--top").unwrap_or(10usize), args.has("--json"));
-    match args.mode {
-        TIMELINE => {
-            return run_timeline(path, json_out, args.positive("--spike-mult").unwrap_or(4.0))
-        }
-        MEMORY => return run_memory(path, top, json_out),
-        _ => {}
-    }
-    let causal = args.has("--causal");
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
+    let first = text.lines().find(|l| !l.trim().is_empty());
+    if let Some(header) = first.and_then(|l| Json::parse(l).ok()) {
+        if matches!(header["timeseries"], Json::Obj(_)) {
+            return timeseries_report(path, &read_timeseries(path, &header, &text), top, json_out);
+        }
+    }
+    if let Ok(doc) = Json::parse(&text) {
+        if matches!(doc["frames"], Json::Arr(_)) {
+            return profile_report(&doc, path, top, json_out);
+        }
+    }
+    trace_report(path, &text, top, json_out);
+}
 
+/// The trace report: component tables, then every span and causal view,
+/// then the `top` slowest spans.
+fn trace_report(path: &str, text: &str, top: usize, json_out: bool) {
     // component -> kind -> count
     let mut by_component: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
     let mut spans: Vec<SpanRow> = Vec::new();
@@ -203,7 +205,6 @@ fn main() {
     }
 
     if json_out {
-        let mut root: Vec<(String, Json)> = Vec::new();
         let mut summary: Vec<(String, Json)> = vec![
             ("events".into(), Json::from(events)),
             ("components".into(), Json::from(by_component.len() as u64)),
@@ -239,11 +240,9 @@ fn main() {
                 ]),
             ));
         }
-        root.push(("summary".into(), Json::Obj(summary)));
-        if causal {
-            root.push(("causal".into(), causal_json(&chains, top)));
-        }
-        println!("{}", Json::Obj(root).to_string_pretty());
+        let root =
+            Json::object([("summary", Json::Obj(summary)), ("causal", causal_json(&chains, top))]);
+        println!("{}", root.to_string_pretty());
         return;
     }
 
@@ -281,18 +280,10 @@ fn main() {
         }
     }
 
-    if args.has("--by-kind") {
-        print_by_kind(&hists);
-    }
-    if args.has("--histograms") {
-        print_histograms(&hists);
-    }
-    if args.has("--critical-path") {
-        print_critical_path(&nodes);
-    }
-    if causal {
-        print_causal(&chains, top);
-    }
+    print_by_kind(&hists);
+    print_histograms(&hists);
+    print_critical_path(&nodes);
+    print_causal(&chains, top);
 
     if spans.is_empty() {
         println!("\nno closed spans in this trace");
@@ -507,7 +498,7 @@ fn route_string(chain: &TraceChain) -> String {
     out
 }
 
-/// The `--causal` report: delivery percentiles, the hop-count
+/// The causal section: delivery percentiles, the hop-count
 /// distribution, and the slowest end-to-end chains.
 fn print_causal(chains: &BTreeMap<u64, TraceChain>, top: usize) {
     println!("\ncausal traces");
@@ -547,7 +538,7 @@ fn print_causal(chains: &BTreeMap<u64, TraceChain>, top: usize) {
     }
 }
 
-/// The `--causal --json` document (same rollup as [`print_causal`]).
+/// The causal section's JSON (same rollup as [`print_causal`]).
 fn causal_json(chains: &BTreeMap<u64, TraceChain>, top: usize) -> Json {
     let (delivered, lats, hop_dist) = causal_rollup(chains);
     let drops: u64 = chains.values().map(|c| c.drops).sum();
@@ -611,19 +602,69 @@ fn series_sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// Per-metric rollup of a time-series file: the tick-ordered values plus
-/// spike ticks (value > `spike_mult` × the median over active ticks —
-/// `--spike-mult`, default 4 — needing at least 4 active ticks so sparse
-/// metrics don't self-flag).
-struct MetricSeries {
-    values: Vec<f64>,
+/// A time-series file (`experiments --timeseries`) read back: the
+/// header's window counts, each retained sample's tick and sim-time, and
+/// every metric's value per sample (0 where a sample lacks it).
+struct SeriesFile {
+    capacity: u64,
+    dropped: u64,
+    ticks: Vec<u64>,
+    at_us: Vec<u64>,
+    series: BTreeMap<String, Vec<f64>>,
+}
+
+/// Reads the samples after `header`, the file's first non-blank line.
+fn read_timeseries(path: &str, header: &Json, text: &str) -> SeriesFile {
+    let count = |key: &str| header["timeseries"][key].as_f64().unwrap_or(0.0) as u64;
+    let mut file = SeriesFile {
+        capacity: count("capacity"),
+        dropped: count("dropped"),
+        ticks: Vec::new(),
+        at_us: Vec::new(),
+        series: BTreeMap::new(),
+    };
+    let lines = text.lines().enumerate().map(|(n, l)| (n + 1, l));
+    for (lineno, line) in lines.filter(|(_, l)| !l.trim().is_empty()).skip(1) {
+        let doc =
+            Json::parse(line).unwrap_or_else(|e| die(format!("{path}:{lineno}: bad JSON: {e}")));
+        let Some(tick) = doc["tick"].as_f64() else {
+            die(format!("{path}:{lineno}: sample lacks numeric \"tick\""));
+        };
+        let Some(at) = doc["at_us"].as_f64() else {
+            die(format!("{path}:{lineno}: sample lacks numeric \"at_us\""));
+        };
+        let sample_idx = file.ticks.len();
+        file.ticks.push(tick as u64);
+        file.at_us.push(at as u64);
+        for section in ["counters", "gauges", "histogram_counts"] {
+            let Json::Obj(pairs) = &doc[section] else { continue };
+            for (name, value) in pairs {
+                let Some(v) = value.as_f64() else {
+                    die(format!("{path}:{lineno}: non-numeric value for \"{name}\""));
+                };
+                let values = file.series.entry(name.clone()).or_default();
+                values.resize(sample_idx, 0.0);
+                values.push(v);
+            }
+        }
+    }
+    for values in file.series.values_mut() {
+        values.resize(file.ticks.len(), 0.0);
+    }
+    file
+}
+
+/// One metric's rollup over the retained ticks: its total, its peak, and
+/// its spike ticks (value > [`SPIKE_MULT`] × the median over active ticks,
+/// needing at least 4 active ticks so sparse metrics don't self-flag).
+struct Rollup {
     total: f64,
     peak: f64,
     peak_tick: u64,
     spikes: Vec<u64>,
 }
 
-fn metric_rollup(ticks: &[u64], values: Vec<f64>, spike_mult: f64) -> MetricSeries {
+fn rollup(ticks: &[u64], values: &[f64]) -> Rollup {
     let total = values.iter().sum();
     let (mut peak, mut peak_tick) = (0.0f64, 0u64);
     for (i, &v) in values.iter().enumerate() {
@@ -639,148 +680,140 @@ fn metric_rollup(ticks: &[u64], values: Vec<f64>, spike_mult: f64) -> MetricSeri
         values
             .iter()
             .enumerate()
-            .filter(|&(_, &v)| v > spike_mult * median)
+            .filter(|&(_, &v)| v > SPIKE_MULT * median)
             .map(|(i, _)| ticks[i])
             .collect()
     } else {
         Vec::new()
     };
-    MetricSeries { values, total, peak, peak_tick, spikes }
+    Rollup { total, peak, peak_tick, spikes }
 }
 
-/// The `--timeline` mode: parses a time-series JSONL file (header line +
-/// one per-tick sample per line, as written by `experiments --timeseries`)
-/// and reports how each metric evolved tick over tick.
-fn run_timeline(path: &str, json_out: bool, spike_mult: f64) {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
-    let mut lines =
-        text.lines().enumerate().map(|(n, l)| (n + 1, l)).filter(|(_, l)| !l.trim().is_empty());
-    let Some((lineno, header_line)) = lines.next() else {
-        die(format!("{path}: empty time-series file"));
+/// The time-series report: how every metric evolved tick over tick, then
+/// the `top` `mem.*` deep-footprint gauges by peak.
+fn timeseries_report(path: &str, file: &SeriesFile, top: usize, json_out: bool) {
+    let SeriesFile { capacity, dropped, ticks, at_us, series } = file;
+    let rollups: BTreeMap<&str, Rollup> =
+        series.iter().map(|(name, values)| (name.as_str(), rollup(ticks, values))).collect();
+    let mem: Vec<&str> = rollups.keys().copied().filter(|n| n.starts_with("mem.")).collect();
+    // The `top` gauges with the highest peaks, listed by name.
+    let mut gauges = mem.clone();
+    gauges.sort_by(|a, b| rollups[b].peak.total_cmp(&rollups[a].peak).then(a.cmp(b)));
+    gauges.truncate(top);
+    gauges.sort_unstable();
+    let first_last = |name: &str| {
+        let values = &series[name];
+        (values.first().copied().unwrap_or(0.0), values.last().copied().unwrap_or(0.0))
     };
-    let header =
-        Json::parse(header_line).unwrap_or_else(|e| die(format!("{path}:{lineno}: bad JSON: {e}")));
-    let meta = &header["timeseries"];
-    if !matches!(meta, Json::Obj(_)) {
-        die(format!(
-            "{path}:{lineno}: not a time-series file (missing \"timeseries\" header; \
-did you mean vcstat without --timeline?)"
-        ));
-    }
-    let capacity = meta["capacity"].as_f64().unwrap_or(0.0) as u64;
-    let dropped = meta["dropped"].as_f64().unwrap_or(0.0) as u64;
-
-    // tick number and sim-time per retained sample, in file order.
-    let mut ticks: Vec<u64> = Vec::new();
-    let mut at_us: Vec<u64> = Vec::new();
-    // metric -> per-sample value (missing samples fill as 0).
-    let mut series: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for (lineno, line) in lines {
-        let doc =
-            Json::parse(line).unwrap_or_else(|e| die(format!("{path}:{lineno}: bad JSON: {e}")));
-        let Some(tick) = doc["tick"].as_f64() else {
-            die(format!("{path}:{lineno}: sample lacks numeric \"tick\""));
-        };
-        let Some(at) = doc["at_us"].as_f64() else {
-            die(format!("{path}:{lineno}: sample lacks numeric \"at_us\""));
-        };
-        let sample_idx = ticks.len();
-        ticks.push(tick as u64);
-        at_us.push(at as u64);
-        for section in ["counters", "gauges", "histogram_counts"] {
-            let Json::Obj(pairs) = &doc[section] else { continue };
-            for (name, value) in pairs {
-                let Some(v) = value.as_f64() else {
-                    die(format!("{path}:{lineno}: non-numeric value for \"{name}\""));
-                };
-                let values = series.entry(name.clone()).or_default();
-                values.resize(sample_idx, 0.0);
-                values.push(v);
-            }
-        }
-    }
-    for values in series.values_mut() {
-        values.resize(ticks.len(), 0.0);
-    }
-    let rollups: BTreeMap<&String, MetricSeries> = series
-        .iter()
-        .map(|(name, values)| (name, metric_rollup(&ticks, values.clone(), spike_mult)))
-        .collect();
 
     if json_out {
-        let doc = Json::object([(
-            "timeline",
-            Json::object([
-                ("ticks", Json::from(ticks.len() as u64)),
-                ("capacity", Json::from(capacity)),
-                ("dropped", Json::from(dropped)),
-                ("spike_mult", Json::from(spike_mult)),
-                (
-                    "metrics",
-                    Json::Obj(
-                        rollups
-                            .iter()
-                            .map(|(name, m)| {
-                                (
-                                    (*name).clone(),
-                                    Json::object([
-                                        ("total", Json::from(m.total)),
-                                        ("peak", Json::from(m.peak)),
-                                        ("peak_tick", Json::from(m.peak_tick)),
-                                        (
-                                            "spike_ticks",
-                                            Json::array(m.spikes.iter().map(|&t| Json::from(t))),
-                                        ),
-                                    ]),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        )]);
+        let metrics = rollups.iter().map(|(name, m)| {
+            let spikes = Json::array(m.spikes.iter().map(|&t| Json::from(t)));
+            let rollup = Json::object([
+                ("total", Json::from(m.total)),
+                ("peak", Json::from(m.peak)),
+                ("peak_tick", Json::from(m.peak_tick)),
+                ("spike_ticks", spikes),
+            ]);
+            (name.to_string(), rollup)
+        });
+        let gauges = gauges.iter().map(|&name| {
+            let ((first, last), m) = (first_last(name), &rollups[name]);
+            let gauge = Json::object([
+                ("first", Json::from(first)),
+                ("last", Json::from(last)),
+                ("peak", Json::from(m.peak)),
+                ("peak_tick", Json::from(m.peak_tick)),
+            ]);
+            (name.to_owned(), gauge)
+        });
+        let doc = Json::object([
+            (
+                "timeline",
+                Json::object([
+                    ("ticks", Json::from(ticks.len() as u64)),
+                    ("capacity", Json::from(*capacity)),
+                    ("dropped", Json::from(*dropped)),
+                    ("spike_mult", Json::from(SPIKE_MULT)),
+                    ("metrics", Json::Obj(metrics.collect())),
+                ]),
+            ),
+            (
+                "memory",
+                Json::object([
+                    ("source", Json::from("timeseries")),
+                    ("ticks", Json::from(ticks.len() as u64)),
+                    ("metrics", Json::Obj(gauges.collect())),
+                ]),
+            ),
+        ]);
         println!("{}", doc.to_string_pretty());
         return;
     }
 
     if ticks.is_empty() {
         println!("timeline — {path}: header only, no samples");
+    } else {
+        println!(
+            "timeline — {} ticks (window capacity {capacity}, dropped {dropped}), sim-time \
+{:.3}s..{:.3}s\n",
+            ticks.len(),
+            at_us[0] as f64 / 1e6,
+            at_us[at_us.len() - 1] as f64 / 1e6,
+        );
+        if *dropped > 0 {
+            println!(
+                "!!! TRUNCATED WINDOW: {dropped} older ticks fell out of the ring; totals below \
+cover only the retained window\n"
+            );
+        }
+        let name_width = rollups.keys().map(|n| n.len()).max().unwrap_or(6).max(6);
+        println!(
+            "{:<name_width$}  {:>12}  {:>10}  {:>10}  {:>6}  spikes (>{SPIKE_MULT}x median)",
+            "metric", "total", "mean/tick", "peak", "@tick"
+        );
+        for (name, m) in &rollups {
+            let spikes = if m.spikes.is_empty() {
+                "-".to_owned()
+            } else {
+                m.spikes.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(",")
+            };
+            println!(
+                "{name:<name_width$}  {:>12.0}  {:>10.2}  {:>10.0}  {:>6}  {spikes}",
+                m.total,
+                m.total / ticks.len() as f64,
+                m.peak,
+                m.peak_tick,
+            );
+            println!("{:<name_width$}  |{}|", "", series_sparkline(&series[*name]));
+        }
+    }
+
+    if mem.is_empty() {
+        println!(
+            "memory — {path}: no mem.* gauges in {} ticks (run an instrumented experiment \
+with --timeseries to record deep footprints)",
+            ticks.len()
+        );
         return;
     }
+    println!("memory — {path}: deep-footprint gauges over {} retained ticks\n", ticks.len());
+    let name_width = mem.iter().map(|n| n.len()).max().unwrap_or(6).max(6);
     println!(
-        "timeline — {} ticks (window capacity {capacity}, dropped {dropped}), sim-time \
-{:.3}s..{:.3}s\n",
-        ticks.len(),
-        at_us[0] as f64 / 1e6,
-        at_us[at_us.len() - 1] as f64 / 1e6,
+        "{:<name_width$}  {:>12}  {:>12}  {:>12}  {:>6}  evolution",
+        "gauge", "first B", "last B", "peak B", "@tick"
     );
-    if dropped > 0 {
+    for name in gauges {
+        let ((first, last), m) = (first_last(name), &rollups[name]);
         println!(
-            "!!! TRUNCATED WINDOW: {dropped} older ticks fell out of the ring; totals below \
-cover only the retained window\n"
-        );
-    }
-    let name_width = rollups.keys().map(|n| n.len()).max().unwrap_or(6).max(6);
-    println!(
-        "{:<name_width$}  {:>12}  {:>10}  {:>10}  {:>6}  spikes (>{spike_mult}x median)",
-        "metric", "total", "mean/tick", "peak", "@tick"
-    );
-    for (name, m) in &rollups {
-        let spikes = if m.spikes.is_empty() {
-            "-".to_owned()
-        } else {
-            m.spikes.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(",")
-        };
-        println!(
-            "{name:<name_width$}  {:>12.0}  {:>10.2}  {:>10.0}  {:>6}  {spikes}",
-            m.total,
-            m.total / ticks.len() as f64,
+            "{name:<name_width$}  {first:>12.0}  {last:>12.0}  {:>12.0}  {:>6}  |{}|",
             m.peak,
             m.peak_tick,
+            series_sparkline(&series[name]),
         );
-        println!("{:<name_width$}  |{}|", "", series_sparkline(&m.values));
     }
+    let last_total: f64 = mem.iter().map(|&name| first_last(name).1).sum();
+    println!("\n  total deep footprint at last tick: {:.1} KB", last_total / 1024.0);
 }
 
 /// One profile frame flattened out of a `profile.json` tree: the
@@ -841,9 +874,9 @@ fn print_alloc_critical_path(frames: &Json) {
     }
 }
 
-/// The `--memory` report over a `profile.json` file: top frames by self
-/// (children-excluded) allocated bytes, plus the allocation critical path.
-fn memory_from_profile(doc: &Json, path: &str, top: usize, json_out: bool) {
+/// The profile report: top frames by self (children-excluded) allocated
+/// bytes, plus the allocation critical path.
+fn profile_report(doc: &Json, path: &str, top: usize, json_out: bool) {
     let mut frames: Vec<AllocFrame> = Vec::new();
     if let Json::Arr(roots) = &doc["frames"] {
         for root in roots {
@@ -907,129 +940,6 @@ or an old profile.json)"
         );
     }
     print_alloc_critical_path(&doc["frames"]);
-}
-
-/// The `--memory` report over a time-series file: how each `mem.*`
-/// deep-footprint gauge evolved across the retained window.
-fn memory_from_timeseries(path: &str, top: usize, json_out: bool) {
-    // Reuse the timeline parser's shape: header + one sample per line.
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
-    let mut ticks: Vec<u64> = Vec::new();
-    let mut series: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate().map(|(n, l)| (n + 1, l)) {
-        if line.trim().is_empty() || lineno == 1 {
-            continue;
-        }
-        let doc =
-            Json::parse(line).unwrap_or_else(|e| die(format!("{path}:{lineno}: bad JSON: {e}")));
-        let Some(tick) = doc["tick"].as_f64() else {
-            die(format!("{path}:{lineno}: sample lacks numeric \"tick\""));
-        };
-        let sample_idx = ticks.len();
-        ticks.push(tick as u64);
-        let Json::Obj(pairs) = &doc["gauges"] else { continue };
-        for (name, value) in pairs {
-            if !name.starts_with("mem.") {
-                continue;
-            }
-            let Some(v) = value.as_f64() else {
-                die(format!("{path}:{lineno}: non-numeric value for \"{name}\""));
-            };
-            let values = series.entry(name.clone()).or_default();
-            values.resize(sample_idx, 0.0);
-            values.push(v);
-        }
-    }
-    for values in series.values_mut() {
-        values.resize(ticks.len(), 0.0);
-    }
-
-    if json_out {
-        let doc = Json::object([(
-            "memory",
-            Json::object([
-                ("source", Json::from("timeseries")),
-                ("ticks", Json::from(ticks.len() as u64)),
-                (
-                    "metrics",
-                    Json::Obj(
-                        series
-                            .iter()
-                            .map(|(name, values)| {
-                                let m = metric_rollup(&ticks, values.clone(), f64::INFINITY);
-                                (
-                                    name.clone(),
-                                    Json::object([
-                                        ("first", Json::from(*values.first().unwrap_or(&0.0))),
-                                        ("last", Json::from(*values.last().unwrap_or(&0.0))),
-                                        ("peak", Json::from(m.peak)),
-                                        ("peak_tick", Json::from(m.peak_tick)),
-                                    ]),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        )]);
-        println!("{}", doc.to_string_pretty());
-        return;
-    }
-
-    if series.is_empty() {
-        println!(
-            "memory — {path}: no mem.* gauges in {} ticks (run an instrumented experiment \
-with --timeseries to record deep footprints)",
-            ticks.len()
-        );
-        return;
-    }
-    println!("memory — {path}: deep-footprint gauges over {} retained ticks\n", ticks.len());
-    let name_width = series.keys().map(String::len).max().unwrap_or(6).max(6);
-    println!(
-        "{:<name_width$}  {:>12}  {:>12}  {:>12}  {:>6}  evolution",
-        "gauge", "first B", "last B", "peak B", "@tick"
-    );
-    for (name, values) in series.iter().take(top.max(series.len())) {
-        let m = metric_rollup(&ticks, values.clone(), f64::INFINITY);
-        println!(
-            "{name:<name_width$}  {:>12.0}  {:>12.0}  {:>12.0}  {:>6}  |{}|",
-            values.first().copied().unwrap_or(0.0),
-            values.last().copied().unwrap_or(0.0),
-            m.peak,
-            m.peak_tick,
-            series_sparkline(values),
-        );
-    }
-    let last_total: f64 = series.values().filter_map(|v| v.last()).sum();
-    println!("\n  total deep footprint at last tick: {:.1} KB", last_total / 1024.0);
-}
-
-/// The `--memory` mode: dispatches on file shape — a time-series JSONL
-/// (header line `{"timeseries":…}`) reports `mem.*` gauge evolution; a
-/// `profile.json` tree reports the top allocating frames.
-fn run_memory(path: &str, top: usize, json_out: bool) {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
-    let Some(first_line) = text.lines().find(|l| !l.trim().is_empty()) else {
-        die(format!("{path}: empty file"));
-    };
-    if let Ok(doc) = Json::parse(first_line) {
-        if matches!(&doc["timeseries"], Json::Obj(_)) {
-            memory_from_timeseries(path, top, json_out);
-            return;
-        }
-    }
-    let doc = Json::parse(&text).unwrap_or_else(|e| {
-        die(format!(
-            "{path}: --memory needs a time-series JSONL or a profile.json tree (parse: {e})"
-        ))
-    });
-    if !matches!(&doc["frames"], Json::Arr(_)) {
-        die(format!("{path}: not a profile.json (no \"frames\" array) or time-series file"));
-    }
-    memory_from_profile(&doc, path, top, json_out);
 }
 
 /// For each component, follows the slowest root span down through its

@@ -1,5 +1,5 @@
 //! E12 — verifiable computing through redundant execution (extension;
-//! paper §IV-D's PTVC citation [10]: "the user can verify the correctness
+//! paper §IV-D's PTVC citation \[10\]: "the user can verify the correctness
 //! of computation results").
 //!
 //! Sweeps the cheating-host fraction against the redundancy factor `r`:

@@ -81,16 +81,12 @@ fn trace_runs_are_byte_identical_and_multi_component() {
 }
 
 #[test]
-fn vcstat_analytics_flags_report_latency_breakdowns() {
+fn vcstat_trace_report_holds_latency_breakdowns() {
     let dir = std::env::temp_dir().join(format!("vc_vcstat_cli_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let trace = dir.join("e3.jsonl");
     run_trace(&trace);
-    let out = Command::new(env!("CARGO_BIN_EXE_vcstat"))
-        .arg(&trace)
-        .args(["--critical-path", "--histograms", "--by-kind"])
-        .output()
-        .expect("vcstat runs");
+    let out = Command::new(env!("CARGO_BIN_EXE_vcstat")).arg(&trace).output().expect("vcstat runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let report = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(report.contains("span latency by kind"), "report: {report}");
@@ -153,7 +149,7 @@ fn vcstat_rejects_a_corrupt_trace_with_the_line_number() {
 }
 
 #[test]
-fn causal_timeline_and_json_modes_roundtrip() {
+fn causal_trace_and_timeseries_reports_roundtrip() {
     let dir = std::env::temp_dir().join(format!("vc_causal_cli_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let trace = dir.join("e8.jsonl");
@@ -171,12 +167,9 @@ fn causal_timeline_and_json_modes_roundtrip() {
     assert_eq!(sha256_hex(&bytes), CAUSAL_TRACE_SHA256, "the causal trace's bytes changed");
     assert_kinds(&String::from_utf8(bytes).expect("trace is UTF-8"), &[("net", "causal.origin")]);
 
-    // --causal reconstructs chains with percentiles and hop distribution.
-    let causal = Command::new(env!("CARGO_BIN_EXE_vcstat"))
-        .arg(&trace)
-        .arg("--causal")
-        .output()
-        .expect("vcstat runs");
+    // The trace report reconstructs chains with percentiles and hop distribution.
+    let causal =
+        Command::new(env!("CARGO_BIN_EXE_vcstat")).arg(&trace).output().expect("vcstat runs");
     assert!(causal.status.success(), "stderr: {}", String::from_utf8_lossy(&causal.stderr));
     let report = String::from_utf8_lossy(&causal.stdout).into_owned();
     assert!(report.contains("causal traces"), "report: {report}");
@@ -184,10 +177,10 @@ fn causal_timeline_and_json_modes_roundtrip() {
     assert!(report.contains("hop-count distribution"), "report: {report}");
     assert!(report.contains("slowest causal chains"), "report: {report}");
 
-    // --causal --json is machine-readable and consistent with the registry.
+    // --json is machine-readable and consistent with the registry.
     let json = Command::new(env!("CARGO_BIN_EXE_vcstat"))
         .arg(&trace)
-        .args(["--causal", "--json"])
+        .arg("--json")
         .output()
         .expect("vcstat runs");
     assert!(json.status.success());
@@ -197,12 +190,9 @@ fn causal_timeline_and_json_modes_roundtrip() {
     assert!(doc["causal"]["traces"].as_f64().unwrap_or(0.0) > 0.0);
     assert!(doc["causal"]["e2e_latency_s"]["p50"].as_f64().is_some());
 
-    // --timeline renders the per-tick evolution from the timeseries file.
-    let timeline = Command::new(env!("CARGO_BIN_EXE_vcstat"))
-        .arg(&ts)
-        .arg("--timeline")
-        .output()
-        .expect("vcstat runs");
+    // The time series renders its per-tick evolution.
+    let timeline =
+        Command::new(env!("CARGO_BIN_EXE_vcstat")).arg(&ts).output().expect("vcstat runs");
     assert!(timeline.status.success(), "stderr: {}", String::from_utf8_lossy(&timeline.stderr));
     let report = String::from_utf8_lossy(&timeline.stdout).into_owned();
     assert!(report.contains("timeline —"), "report: {report}");
@@ -210,26 +200,82 @@ fn causal_timeline_and_json_modes_roundtrip() {
 
     let timeline_json = Command::new(env!("CARGO_BIN_EXE_vcstat"))
         .arg(&ts)
-        .args(["--timeline", "--json"])
+        .arg("--json")
         .output()
         .expect("vcstat runs");
     assert!(timeline_json.status.success());
     let doc = vc_testkit::json::Json::parse(&String::from_utf8_lossy(&timeline_json.stdout))
         .expect("valid JSON output");
     assert!(doc["timeline"]["ticks"].as_f64().unwrap_or(0.0) > 0.0);
+    assert!(doc["memory"]["metrics"]["mem.fleet.bytes"]["peak"].as_f64().is_some());
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    // A flag the chosen mode does not read is rejected, not ignored.
-    for (file, args) in [
-        (&trace, &["--spike-mult", "3"][..]),
-        (&ts, &["--timeline", "--causal", "--by-kind"]),
-        (&ts, &["--timeline", "--memory"]),
+/// Runs `vcstat` in `dir` on `args` and returns its exit code, stdout and
+/// stderr.
+fn vcstat_in(dir: &std::path::Path, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_vcstat"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("vcstat runs");
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("vcstat writes UTF-8");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+#[test]
+fn vcstat_picks_the_report_from_the_file() {
+    let dir = std::env::temp_dir().join(format!("vc_vcstat_pick_{}", std::process::id()));
+    let blank = dir.join("blank");
+    std::fs::create_dir_all(&blank).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .current_dir(&dir)
+        .args(["--quick", "--seed", "7", "--timeseries", "ts.jsonl", "--profile", "prof.json"])
+        .arg("e8")
+        .output()
+        .expect("experiments runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+
+    // A time series gets the timeline and then the memory-gauge report.
+    let (code, report, err) = vcstat_in(&dir, &["ts.jsonl"]);
+    assert_eq!(code, Some(0), "stderr: {err}");
+    assert!(report.contains("timeline —"), "report: {report}");
+    assert!(report.contains("total deep footprint"), "report: {report}");
+    assert!(report.find("timeline —") < report.find("memory —"), "report: {report}");
+    let gauge_rows = |report: &str| {
+        let memory = report.split("memory —").nth(1).expect("a memory section");
+        memory.lines().filter(|l| l.starts_with("mem.")).count()
+    };
+    assert_eq!(gauge_rows(&report), 3, "report: {report}");
+    let (_, top1, _) = vcstat_in(&dir, &["ts.jsonl", "--top", "1"]);
+    assert_eq!(gauge_rows(&top1), 1, "report: {top1}");
+
+    // A leading blank line changes nothing: the header is the first
+    // non-blank line.
+    let ts = std::fs::read_to_string(dir.join("ts.jsonl")).expect("time series written");
+    std::fs::write(blank.join("ts.jsonl"), format!("\n{ts}")).expect("write copy");
+    assert_eq!(vcstat_in(&blank, &["ts.jsonl"]), (code, report, err));
+
+    // A profile gets the allocation report.
+    let (code, report, err) = vcstat_in(&dir, &["prof.json"]);
+    assert_eq!(code, Some(0), "stderr: {err}");
+    assert!(report.contains("allocating frames"), "report: {report}");
+    assert!(report.contains("allocation critical path"), "report: {report}");
+
+    // The flags that named a mode or a section are gone: each exits 2.
+    for flag in [
+        &["--timeline"][..],
+        &["--memory"],
+        &["--by-kind"],
+        &["--critical-path"],
+        &["--histograms"],
+        &["--causal"],
+        &["--spike-mult", "8"],
     ] {
-        let out =
-            Command::new(env!("CARGO_BIN_EXE_vcstat")).arg(file).args(args).output().expect("runs");
-        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("cannot be used with") && err.contains("usage:"), "stderr: {err}");
-        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        let (code, report, err) = vcstat_in(&dir, &[&["ts.jsonl"][..], flag].concat());
+        assert_eq!(code, Some(2), "{flag:?} must exit 2");
+        assert!(err.contains("unknown flag") && err.contains("usage:"), "stderr: {err}");
+        assert!(report.is_empty(), "{flag:?} printed a report");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

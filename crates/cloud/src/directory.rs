@@ -1,7 +1,7 @@
 //! The v-cloud resource directory (paper §V-A).
 //!
-//! "To allocate [a] computing task to a vehicle, we have to consider …
-//! what kind of sensors this vehicle has, if the automation level [is]
+//! "To allocate \[a\] computing task to a vehicle, we have to consider …
+//! what kind of sensors this vehicle has, if the automation level \[is\]
 //! suitable …". The directory is the broker-side inventory of lendable
 //! resources: registration, requirement queries, and reservation
 //! bookkeeping so concurrent allocations cannot oversubscribe a host.

@@ -1,8 +1,8 @@
 //! Encrypted task-checkpoint handover (paper §III-A).
 //!
-//! "A more interesting problem would be how the vehicle hand[s] over the
+//! "A more interesting problem would be how the vehicle hand\[s\] over the
 //! unfinished, **encrypted** task to some other vehicles in v-cloud
-//! environments without bring[ing] too much overhead."
+//! environments without bring\[ing\] too much overhead."
 //!
 //! A departing host serializes its partial task state into a
 //! [`Checkpoint`], seals it to the receiving host's public share

@@ -1,6 +1,6 @@
 //! Privacy-preserving lending incentives (paper §IV-B/§IV-C, after Kong et
-//! al. [17] "a secure and privacy-preserving incentive framework for
-//! vehicular cloud on the road" and [18]).
+//! al. \[17\] "a secure and privacy-preserving incentive framework for
+//! vehicular cloud on the road" and \[18\]).
 //!
 //! Vehicles lend compute/storage only if lending pays. The bank (TA-run,
 //! consulted offline like every authority here) issues **credit notes** to

@@ -26,7 +26,7 @@ pub struct TaskSpec {
     /// Optional completion deadline.
     pub deadline: Option<SimTime>,
     /// Minimum SAE automation level of the host (paper §V-A: "if the
-    /// automation level [is] suitable for receiving this task").
+    /// automation level \[is\] suitable for receiving this task").
     pub min_automation: SaeLevel,
 }
 

@@ -104,17 +104,7 @@ impl BeaconStore {
         if !verify_beacon(signed, sender_key) {
             return Err(BeaconReject::BadSignature);
         }
-        let b = signed.beacon;
-        if b.sent_at > now || now.saturating_since(b.sent_at) > self.freshness {
-            return Err(BeaconReject::Stale);
-        }
-        match self.entries.get(&b.sender) {
-            Some(held) if held.sent_at >= b.sent_at => Err(BeaconReject::Superseded),
-            _ => {
-                self.entries.insert(b.sender, b);
-                Ok(())
-            }
-        }
+        self.admit(signed.beacon, now)
     }
 
     /// Batched [`BeaconStore::ingest`] over one reception window: all
@@ -147,19 +137,25 @@ impl BeaconStore {
                 if bad.binary_search(&i).is_ok() {
                     return Err(BeaconReject::BadSignature);
                 }
-                let b = signed.beacon;
-                if b.sent_at > now || now.saturating_since(b.sent_at) > self.freshness {
-                    return Err(BeaconReject::Stale);
-                }
-                match self.entries.get(&b.sender) {
-                    Some(held) if held.sent_at >= b.sent_at => Err(BeaconReject::Superseded),
-                    _ => {
-                        self.entries.insert(b.sender, b);
-                        Ok(())
-                    }
-                }
+                self.admit(signed.beacon, now)
             })
             .collect()
+    }
+
+    /// The admission rule both ingest paths apply to a beacon whose
+    /// signature verified: it must fall inside the freshness window and be
+    /// newer than what is held from its sender.
+    fn admit(&mut self, b: Beacon, now: SimTime) -> Result<(), BeaconReject> {
+        if b.sent_at > now || now.saturating_since(b.sent_at) > self.freshness {
+            return Err(BeaconReject::Stale);
+        }
+        match self.entries.get(&b.sender) {
+            Some(held) if held.sent_at >= b.sent_at => Err(BeaconReject::Superseded),
+            _ => {
+                self.entries.insert(b.sender, b);
+                Ok(())
+            }
+        }
     }
 
     /// Evicts beacons that have aged past the freshness window.

@@ -3,10 +3,10 @@
 //!
 //! Two instantiations of one mechanism:
 //!
-//! * **Passive multi-hop clustering** (after Zhang et al. [46] in the paper):
+//! * **Passive multi-hop clustering** (after Zhang et al. \[46\] in the paper):
 //!   the most *stable* node in an N-hop neighborhood becomes cluster head
 //!   (CH); members attach to the nearest head within N hops.
-//! * **Moving zones** (after Lin et al. [22], the paper authors' MoZo): the
+//! * **Moving zones** (after Lin et al. \[22\], the paper authors' MoZo): the
 //!   same election restricted to edges between vehicles with *similar
 //!   velocity vectors*, so a zone holds together as it moves.
 //!

@@ -1,6 +1,6 @@
 //! The packet-level network simulation driver.
 //!
-//! Couples a [`Scenario`](vc_sim::scenario::Scenario) (mobility + radio)
+//! Couples a [`Scenario`] (mobility + radio)
 //! with a [`RoutingProtocol`]: each round the fleet moves, the neighbor
 //! table is rebuilt, and every live packet copy gets one forwarding
 //! opportunity over the lossy channel.
@@ -10,7 +10,7 @@
 //! A round has two phases. First every copy is evaluated, in canonical
 //! index order, against the start-of-round snapshot: it draws from its own
 //! RNG stream ([`SimRng::stream`] keyed by a per-round nonce and the copy's
-//! index) and yields a pure [`CopyOutcome`]. Then the merge replays the
+//! index) and yields a pure `CopyOutcome`. Then the merge replays the
 //! outcomes in the same order — emitting events, updating statistics, and
 //! deduplicating same-round deliveries/forwards. No copy sees another
 //! copy's same-round effect, so the result does not depend on evaluation
@@ -21,7 +21,7 @@
 //! When a [`Recorder`] is attached, the merge emits each copy's radio
 //! events from the attempts its evaluation recorded, in canonical copy
 //! order, before that copy's routing/causal events.
-//! With a [`Sampler`](vc_obs::Sampler) set, packets additionally carry a
+//! With a [`Sampler`] set, packets additionally carry a
 //! trace id and emit a `causal.origin` → `causal.hop`* →
 //! `causal.deliver`/`causal.drop` chain (see `vc_obs::causal`).
 

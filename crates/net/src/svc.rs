@@ -8,7 +8,7 @@
 //! [`MAX_FRAME_LEN`] — a reader confronted with a larger length declaration
 //! rejects the frame instead of allocating attacker-controlled amounts of
 //! memory, and every field read is length-checked by
-//! [`ByteReader`](crate::bytebuf::ByteReader), so truncated or malformed
+//! [`ByteReader`], so truncated or malformed
 //! frames return [`FrameError`]s rather than panicking.
 //!
 //! Large payloads (job result statistics, trace bytes) never travel in one

@@ -12,8 +12,7 @@
 //!   buffer (long runs), and exports deterministic JSONL built on
 //!   `vc-testkit`'s insertion-ordered JSON writer.
 //! * [`MetricsHub`] — a registry of counters, gauges, and fixed-bucket
-//!   log-scale [`Histogram`]s under hierarchical `component.metric` names,
-//!   with a snapshot-diff API for measuring deltas over a phase of a run.
+//!   log-scale [`Histogram`]s under hierarchical `component.metric` names.
 //! * [`profile::Profiler`] — the wall-clock half: scoped RAII frames
 //!   aggregated into a call tree with `profile.json` and collapsed-stack
 //!   (flamegraph) exports. Traces stay sim-time-only and byte-reproducible;
@@ -22,7 +21,7 @@
 //!   it on for a run (E8 does), each message then carries a [`TraceId`]
 //!   across hops, and the resulting
 //!   `causal.*` event chain reconstructs the full admission → relay →
-//!   delivery path (`vcstat --causal`).
+//!   delivery path (`vcstat`'s causal section).
 //! * [`mem`] — the heap half of the budget: a counting
 //!   `#[global_allocator]` wrapper (binaries opt in via
 //!   `counting_allocator!`), per-frame alloc accounting through the
@@ -30,8 +29,8 @@
 //!   deterministic `mem.*` gauges (written whenever the time series is
 //!   armed).
 //! * [`TimeSeries`] — the windowed per-tick mode of [`MetricsHub`]:
-//!   snapshot diffs pushed into a fixed-capacity ring, exported as JSONL
-//!   (`experiments --timeseries`, `vcstat --timeline`).
+//!   per-tick hub deltas pushed into a fixed-capacity ring, exported as
+//!   JSONL (`experiments --timeseries`, read back by `vcstat`).
 //!
 //! Instrumentation hooks throughout the workspace take
 //! `Option<&mut Recorder>`: passing `None` reduces every hook to a branch,
@@ -64,9 +63,7 @@ pub mod record;
 
 pub use causal::{Sampler, TraceId};
 pub use mem::{AllocDelta, AllocScope, CountingAlloc, MemSize};
-pub use metrics::{
-    Histogram, MetricsHub, Quantiles, Snapshot, SnapshotDiff, TickSample, TimeSeries,
-};
+pub use metrics::{Histogram, MetricsHub, Quantiles, TickSample, TimeSeries};
 pub use record::{Event, Recorder, SpanId, SpanPhase, Value};
 
 use vc_sim::scenario::Scenario;

@@ -7,7 +7,7 @@
 //!
 //! * [`CountingAlloc`] — a `#[global_allocator]` wrapper over
 //!   [`std::alloc::System`] maintaining per-thread cumulative allocation
-//!   counters. Binaries opt in with [`counting_allocator!`]; the libraries
+//!   counters. Binaries opt in with [`counting_allocator!`](crate::counting_allocator); the libraries
 //!   never install it, so library consumers keep whatever allocator they
 //!   chose.
 //! * [`AllocScope`] — RAII delta capture over the current thread's
@@ -32,7 +32,7 @@ thread_local! {
 }
 
 /// A counting wrapper over the system allocator. Install per binary with
-/// [`counting_allocator!`]; when not installed, every counter stays zero
+/// [`counting_allocator!`](crate::counting_allocator); when not installed, every counter stays zero
 /// and all reporting degrades to zeros.
 ///
 /// The counting path is allocation-free and never reads the environment:
@@ -105,7 +105,7 @@ pub(crate) fn thread_counters() -> (u64, u64) {
 
 /// Registers the counting allocator as `vc_testkit::bench`'s allocation
 /// probe, so bench suites report allocs/iter and alloc bytes/iter columns.
-/// Call once from a bench binary's `main` (after [`counting_allocator!`]).
+/// Call once from a bench binary's `main` (after [`counting_allocator!`](crate::counting_allocator)).
 pub fn register_bench_probe() {
     vc_testkit::bench::set_alloc_probe(thread_counters);
 }

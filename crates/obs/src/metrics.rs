@@ -119,7 +119,7 @@ impl Histogram {
     /// when empty.
     ///
     /// One call instead of three [`Histogram::approx_percentile`]s:
-    /// `vcstat --histograms` and `vcload` both report the same three
+    /// `vcstat`'s histogram section and `vcload` both report the same three
     /// percentiles, so the extraction lives here.
     pub fn quantiles(&self) -> Option<Quantiles> {
         Some(Quantiles {
@@ -127,17 +127,6 @@ impl Histogram {
             p90: self.approx_percentile(0.90)?,
             p99: self.approx_percentile(0.99)?,
         })
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Non-empty buckets as `(lower_bound, upper_bound, count)` triples.
@@ -234,15 +223,6 @@ impl MetricsHub {
         self.histograms.get(name)
     }
 
-    /// An immutable point-in-time copy for later [`Snapshot::diff`].
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-        }
-    }
-
     /// Names and values of all counters, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
@@ -257,64 +237,8 @@ impl MetricsHub {
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
-}
 
-/// A frozen copy of a [`MetricsHub`], taken with [`MetricsHub::snapshot`].
-#[derive(Debug, Clone, Default)]
-pub struct Snapshot {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl Snapshot {
-    /// The snapshot of an empty hub (everything diffs against zero).
-    pub fn empty() -> Snapshot {
-        Snapshot::default()
-    }
-}
-
-impl Snapshot {
-    /// Counter value at snapshot time (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Gauge value at snapshot time, `None` when never set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Histogram state at snapshot time, `None` when never observed.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// The change since an `earlier` snapshot: counters subtract
-    /// (saturating), gauges report their later value, histogram counts
-    /// subtract per name. Metrics that appeared after `earlier` diff
-    /// against zero/empty.
-    pub fn diff(&self, earlier: &Snapshot) -> SnapshotDiff {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, &v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
-            .filter(|(_, v)| *v > 0)
-            .collect();
-        let gauges = self.gauges.clone();
-        let histogram_counts = self
-            .histograms
-            .iter()
-            .map(|(k, v)| {
-                let before = earlier.histogram(k).map_or(0, Histogram::count);
-                (k.clone(), v.count().saturating_sub(before))
-            })
-            .filter(|(_, v)| *v > 0)
-            .collect();
-        SnapshotDiff { counters, gauges, histogram_counts }
-    }
-
-    /// Renders the snapshot as an insertion-ordered JSON object with
+    /// Renders the registry as an insertion-ordered JSON object with
     /// `counters`, `gauges`, and `histograms` sections.
     pub fn to_json(&self) -> Json {
         let counters = self.counters.iter().map(|(k, &v)| (k.clone(), Json::from(v)));
@@ -337,18 +261,6 @@ impl Snapshot {
     }
 }
 
-/// The change between two [`Snapshot`]s; see [`Snapshot::diff`].
-#[derive(Debug, Clone)]
-pub struct SnapshotDiff {
-    /// Counter increments over the interval (zero-delta entries omitted).
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge values at the end of the interval.
-    pub gauges: BTreeMap<String, f64>,
-    /// New histogram samples over the interval (zero-delta entries
-    /// omitted).
-    pub histogram_counts: BTreeMap<String, u64>,
-}
-
 /// One windowed time-series sample: what changed in the hub over one tick.
 #[derive(Debug, Clone)]
 pub struct TickSample {
@@ -357,16 +269,20 @@ pub struct TickSample {
     pub seq: u64,
     /// Sim-time of the tick, microseconds.
     pub at_us: u64,
-    /// Hub deltas since the previous tick.
-    pub diff: SnapshotDiff,
+    /// Counter increments since the previous tick (zero deltas omitted).
+    pub counters: BTreeMap<String, u64>,
+    /// Every gauge's value at this tick.
+    pub gauges: BTreeMap<String, f64>,
+    /// New histogram samples since the previous tick (zero deltas omitted).
+    pub histogram_counts: BTreeMap<String, u64>,
 }
 
 impl TickSample {
     /// Renders the sample as one compact, insertion-ordered JSON object.
     pub fn to_json(&self) -> Json {
-        let counters = self.diff.counters.iter().map(|(k, &v)| (k.clone(), Json::from(v)));
-        let gauges = self.diff.gauges.iter().map(|(k, &v)| (k.clone(), Json::from(v)));
-        let hists = self.diff.histogram_counts.iter().map(|(k, &v)| (k.clone(), Json::from(v)));
+        let counters = self.counters.iter().map(|(k, &v)| (k.clone(), Json::from(v)));
+        let gauges = self.gauges.iter().map(|(k, &v)| (k.clone(), Json::from(v)));
+        let hists = self.histogram_counts.iter().map(|(k, &v)| (k.clone(), Json::from(v)));
         Json::object([
             ("tick", Json::from(self.seq)),
             ("at_us", Json::from(self.at_us)),
@@ -380,8 +296,8 @@ impl TickSample {
 /// A fixed-capacity ring of per-tick [`MetricsHub`] deltas: the windowed
 /// time-series mode.
 ///
-/// Each [`TimeSeries::tick`] snapshots the hub, diffs it against the
-/// previous tick's snapshot, and pushes the delta; once the window is full
+/// Each [`TimeSeries::tick`] diffs the hub against a copy kept from the
+/// previous tick and pushes the delta; once the window is full
 /// the oldest sample is dropped (and counted, mirroring
 /// [`Recorder::ring`](crate::Recorder::ring)). Memory is bounded by the
 /// capacity regardless of run length, so million-tick runs can stream
@@ -390,7 +306,7 @@ impl TickSample {
 pub struct TimeSeries {
     cap: usize,
     samples: VecDeque<TickSample>,
-    last: Snapshot,
+    last: MetricsHub,
     seq: u64,
     dropped: u64,
 }
@@ -401,7 +317,7 @@ impl TimeSeries {
         TimeSeries {
             cap: capacity.max(1),
             samples: VecDeque::with_capacity(capacity.clamp(1, 4096)),
-            last: Snapshot::empty(),
+            last: MetricsHub::new(),
             seq: 0,
             dropped: 0,
         }
@@ -410,15 +326,37 @@ impl TimeSeries {
     /// Closes the current tick: records the hub's delta since the previous
     /// tick at sim-time `at_us`.
     pub fn tick(&mut self, at_us: u64, hub: &MetricsHub) {
-        let now = hub.snapshot();
-        let diff = now.diff(&self.last);
+        // Metrics that appeared since the last tick diff against zero.
+        let last = &self.last;
+        let counters = hub
+            .counters
+            .iter()
+            .map(|(k, &v)| (k.clone(), v.saturating_sub(last.counter(k))))
+            .filter(|(_, v)| *v > 0)
+            .collect();
+        let histogram_counts = hub
+            .histograms
+            .iter()
+            .map(|(k, h)| {
+                let before = last.histogram(k).map_or(0, Histogram::count);
+                (k.clone(), h.count().saturating_sub(before))
+            })
+            .filter(|(_, v)| *v > 0)
+            .collect();
+        let gauges = hub.gauges.clone();
         if self.samples.len() >= self.cap {
             self.samples.pop_front();
             self.dropped += 1;
         }
-        self.samples.push_back(TickSample { seq: self.seq, at_us, diff });
+        self.samples.push_back(TickSample {
+            seq: self.seq,
+            at_us,
+            counters,
+            gauges,
+            histogram_counts,
+        });
         self.seq += 1;
-        self.last = now;
+        self.last = hub.clone();
     }
 
     /// The retained samples, oldest first.
@@ -487,21 +425,9 @@ impl crate::mem::MemSize for MetricsHub {
     }
 }
 
-impl crate::mem::MemSize for Snapshot {
-    fn mem_bytes(&self) -> u64 {
-        self.counters.mem_bytes() + self.gauges.mem_bytes() + self.histograms.mem_bytes()
-    }
-}
-
-impl crate::mem::MemSize for SnapshotDiff {
-    fn mem_bytes(&self) -> u64 {
-        self.counters.mem_bytes() + self.gauges.mem_bytes() + self.histogram_counts.mem_bytes()
-    }
-}
-
 impl crate::mem::MemSize for TickSample {
     fn mem_bytes(&self) -> u64 {
-        self.diff.mem_bytes()
+        self.counters.mem_bytes() + self.gauges.mem_bytes() + self.histogram_counts.mem_bytes()
     }
 }
 
@@ -579,56 +505,27 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_adds_everything() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1.0);
-        b.record(50.0);
-        b.record(0.2);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Some(0.2));
-        assert_eq!(a.max(), Some(50.0));
-        assert_eq!(a.nonzero_buckets().count(), 3);
-    }
-
-    #[test]
-    fn hub_registers_and_snapshots_diff() {
-        let mut hub = MetricsHub::new();
-        hub.counter_add("net.forward", 3);
-        hub.gauge_set("sim.queue.depth", 7.0);
-        hub.observe("auth.handshake.us", 1500.0);
-        let before = hub.snapshot();
-        hub.counter_add("net.forward", 2);
-        hub.counter_add("cloud.place", 1);
-        hub.gauge_set("sim.queue.depth", 4.0);
-        hub.observe("auth.handshake.us", 900.0);
-        let after = hub.snapshot();
-        let diff = after.diff(&before);
-        assert_eq!(diff.counters.get("net.forward"), Some(&2));
-        assert_eq!(diff.counters.get("cloud.place"), Some(&1));
-        assert_eq!(diff.gauges.get("sim.queue.depth"), Some(&4.0));
-        assert_eq!(diff.histogram_counts.get("auth.handshake.us"), Some(&1));
-        // Unchanged counters are omitted from the diff.
-        let same = after.diff(&after);
-        assert!(same.counters.is_empty());
-    }
-
-    #[test]
     fn timeseries_diffs_per_tick_and_wraps() {
         let mut hub = MetricsHub::new();
         let mut ts = TimeSeries::new(2);
         hub.counter_add("net.routing.deliver", 3);
         hub.gauge_set("net.copies.live", 5.0);
+        hub.observe("net.e2e.s", 0.5);
         ts.tick(1_000, &hub);
         hub.counter_add("net.routing.deliver", 4);
+        hub.counter_add("cloud.place", 1);
+        hub.gauge_set("net.copies.live", 2.0);
         hub.observe("net.e2e.s", 0.25);
         ts.tick(2_000, &hub);
         // Tick deltas, not cumulative totals.
         let samples: Vec<&TickSample> = ts.samples().collect();
-        assert_eq!(samples[0].diff.counters.get("net.routing.deliver"), Some(&3));
-        assert_eq!(samples[1].diff.counters.get("net.routing.deliver"), Some(&4));
-        assert_eq!(samples[1].diff.histogram_counts.get("net.e2e.s"), Some(&1));
+        assert_eq!(samples[0].counters.get("net.routing.deliver"), Some(&3));
+        assert_eq!(samples[1].counters.get("net.routing.deliver"), Some(&4));
+        assert_eq!(samples[1].histogram_counts.get("net.e2e.s"), Some(&1));
+        // A counter that appeared mid-run diffs against zero; a gauge
+        // reports its later value.
+        assert_eq!(samples[1].counters.get("cloud.place"), Some(&1));
+        assert_eq!(samples[1].gauges.get("net.copies.live"), Some(&2.0));
         // A quiet tick still lands (empty diff) and the window wraps.
         ts.tick(3_000, &hub);
         assert_eq!(ts.len(), 2);
@@ -636,9 +533,11 @@ mod tests {
         assert_eq!(ts.dropped(), 1);
         assert_eq!(ts.samples().next().unwrap().seq, 1);
         let last = ts.samples().last().unwrap();
-        assert!(last.diff.counters.is_empty());
+        // Unchanged counters and histograms are omitted from the delta.
+        assert!(last.counters.is_empty());
+        assert!(last.histogram_counts.is_empty());
         // Gauges report their current value every tick.
-        assert_eq!(last.diff.gauges.get("net.copies.live"), Some(&5.0));
+        assert_eq!(last.gauges.get("net.copies.live"), Some(&2.0));
     }
 
     #[test]
@@ -733,16 +632,16 @@ mod tests {
         let mut ts = TimeSeries::new(8);
         let empty = ts.mem_bytes();
         ts.tick(1_000, &hub);
-        assert!(ts.mem_bytes() > empty, "snapshot + sample should add heap");
+        assert!(ts.mem_bytes() > empty, "the kept hub + sample should add heap");
     }
 
     #[test]
-    fn snapshot_json_is_deterministic() {
+    fn hub_json_is_deterministic() {
         let mut hub = MetricsHub::new();
         hub.counter_add("z.last", 1);
         hub.counter_add("a.first", 2);
         hub.observe("m.us", 3.0);
-        let s = hub.snapshot().to_json().to_string_compact();
+        let s = hub.to_json().to_string_compact();
         // BTreeMap ordering: a.first before z.last regardless of insertion.
         assert!(s.find("a.first").unwrap() < s.find("z.last").unwrap());
         assert!(s.contains(r#""m.us":{"count":1,"sum":3,"min":3,"max":3,"p95":3}"#));

@@ -68,7 +68,7 @@ struct Node {
 }
 
 /// A wall-clock call-tree profiler. See the [module docs](self) for the
-/// guard-based API; [`Profiler::enter`]/[`Profiler::exit`] are the
+/// guard-based API; `Profiler::enter`/`Profiler::exit` are the
 /// low-level equivalents for code that cannot use RAII scoping.
 #[derive(Debug, Default)]
 pub struct Profiler {

@@ -116,7 +116,7 @@ pub struct Event {
 impl Event {
     /// Builds this event as one insertion-ordered JSON object. Nothing on a
     /// hot path calls it: it is the reference for
-    /// [`Event::write_compact`], which must emit exactly
+    /// `Event::write_compact`, which must emit exactly
     /// `self.to_json().to_string_compact()`.
     pub fn to_json(&self) -> Json {
         let mut pairs: Vec<(String, Json)> = vec![
@@ -632,9 +632,9 @@ mod tests {
         let ts = rec.timeseries().unwrap();
         assert_eq!(ts.len(), 2);
         let samples: Vec<_> = ts.samples().collect();
-        assert_eq!(samples[0].diff.counters.get("sim.tick"), Some(&1));
-        assert_eq!(samples[1].diff.counters.get("net.routing.deliver"), Some(&1));
-        assert!(!samples[1].diff.counters.contains_key("sim.tick"));
+        assert_eq!(samples[0].counters.get("sim.tick"), Some(&1));
+        assert_eq!(samples[1].counters.get("net.routing.deliver"), Some(&1));
+        assert!(!samples[1].counters.contains_key("sim.tick"));
     }
 
     /// Extracts the `trace.end` trailer's `(retained, dropped)` from a

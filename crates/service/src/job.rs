@@ -178,7 +178,7 @@ pub enum JobError {
     UnknownScenario(String),
     /// Spec fails a static limit (ticks range, flag bits).
     BadRequest(&'static str),
-    /// The deterministic heap footprint crossed [`MEM_BUDGET_BYTES`].
+    /// The deterministic heap footprint crossed `MEM_BUDGET_BYTES`.
     BudgetExceeded {
         /// Measured footprint at the failing check.
         used: u64,
@@ -216,9 +216,9 @@ fn build_scenario(entry: &ScenarioEntry, seed: u64) -> Scenario {
 
 /// Runs a validated job to completion: at most `spec.ticks` rounds, and no
 /// round after the first that leaves no packet copy alive. `cancel` (when
-/// given) is polled every [`CHECK_EVERY_ROUNDS`] rounds and after the
+/// given) is polled every `CHECK_EVERY_ROUNDS` rounds and after the
 /// job's last round; the same polls re-measure the deterministic heap
-/// footprint against [`MEM_BUDGET_BYTES`], so a cancelled or over-budget
+/// footprint against `MEM_BUDGET_BYTES`, so a cancelled or over-budget
 /// job stops within a bounded number of rounds. The stats report
 /// `heap_bytes` as measured when the job stopped.
 ///

@@ -388,7 +388,7 @@ impl SupervisorHandle {
 
     /// Renders the `svc.*` metrics registry as compact JSON.
     pub fn metrics_json(&self) -> String {
-        self.inner.lock().hub.snapshot().to_json().to_string_compact()
+        self.inner.lock().hub.to_json().to_string_compact()
     }
 
     /// Stops admission and blocks until the queue is empty and no job is

@@ -436,7 +436,7 @@ impl SpatialGrid {
 
     /// All item indices strictly within `radius` of `center` (excluding
     /// entries at distance exactly ≥ radius), in
-    /// [`SpatialGrid::candidate_rows`] order. Allocates a fresh `Vec`;
+    /// `SpatialGrid::candidate_rows` order. Allocates a fresh `Vec`;
     /// per-round loops should filter the candidate rows in place.
     pub fn within(&self, center: Point, radius: f64) -> Vec<usize> {
         let r_sq = radius * radius;

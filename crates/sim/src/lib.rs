@@ -37,7 +37,6 @@ pub mod radio;
 pub mod rng;
 pub mod roadnet;
 pub mod scenario;
-pub mod shard;
 pub mod time;
 
 /// Convenient glob import of the commonly used types.
@@ -51,6 +50,5 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::roadnet::{NodeId, RoadId, RoadNetwork};
     pub use crate::scenario::{CanyonModel, Regime, Scenario, ScenarioBuilder};
-    pub use crate::shard::ShardPlan;
     pub use crate::time::{SimDuration, SimTime};
 }

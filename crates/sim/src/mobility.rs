@@ -17,7 +17,6 @@ use crate::geom::Point;
 use crate::node::{Kinematics, VehicleId, VehicleProfile};
 use crate::rng::SimRng;
 use crate::roadnet::{NodeId, RoadNetwork};
-use crate::shard::ShardPlan;
 
 /// How a vehicle moves.
 #[derive(Debug, Clone)]
@@ -314,10 +313,11 @@ impl Fleet {
         let n = self.vehicles.len();
         let Fleet { vehicles, pos, vel, online, rngs, lane_scratch: _, leaders } = self;
         let leaders: &[Option<(f64, f64)>] = leaders;
-        // Check the effective shard count before building a plan: the
-        // collapsed single-shard path must stay allocation-free at steady
-        // state (`ShardPlan::new` allocates its range vector).
-        if ShardPlan::effective(n, shards) <= 1 {
+        // At most one shard per 512 vehicles: fanning out a smaller chunk
+        // costs more than it saves. A fleet that collapses to one shard (an
+        // empty one included) steps inline and allocates nothing.
+        let chunks = shards.clamp(1, n.div_ceil(512).max(1));
+        if chunks == 1 {
             for i in 0..n {
                 if online[i] {
                     step_one(
@@ -335,20 +335,20 @@ impl Fleet {
             return;
         }
         let online: &[bool] = online;
-        let plan = ShardPlan::new(n, shards);
         std::thread::scope(|scope| {
             let mut veh_rest: &mut [Vehicle] = vehicles;
             let mut pos_rest: &mut [Point] = pos;
             let mut vel_rest: &mut [Point] = vel;
             let mut rng_rest: &mut [SimRng] = rngs;
-            for range in plan.ranges() {
-                let len = range.len();
+            let mut start = 0;
+            for chunk in 0..chunks {
+                // Contiguous near-equal chunks: the first `n % chunks` get one more.
+                let len = n / chunks + usize::from(chunk < n % chunks);
                 let (veh_chunk, vr) = veh_rest.split_at_mut(len);
                 let (pos_chunk, pr) = pos_rest.split_at_mut(len);
                 let (vel_chunk, lr) = vel_rest.split_at_mut(len);
                 let (rng_chunk, rr) = rng_rest.split_at_mut(len);
                 (veh_rest, pos_rest, vel_rest, rng_rest) = (vr, pr, lr, rr);
-                let start = range.start;
                 scope.spawn(move || {
                     for k in 0..len {
                         let i = start + k;
@@ -366,6 +366,7 @@ impl Fleet {
                         }
                     }
                 });
+                start += len;
             }
         });
     }
@@ -802,7 +803,7 @@ mod tests {
         let net = grid();
         let hwy = RoadNetwork::highway(2000.0, 3, 33.3);
         // Enough vehicles that the plan genuinely fans out (over
-        // MIN_ITEMS_PER_SHARD per shard at 2 shards).
+        // 512 vehicles per shard at 2 shards).
         type MakeFleet = fn(&RoadNetwork, &mut SimRng) -> Fleet;
         let build: [(&RoadNetwork, MakeFleet); 2] = [
             (&net, |net, rng| Fleet::urban(net, 1200, rng)),
@@ -841,7 +842,7 @@ mod tests {
     fn heap_bytes_is_deterministic_and_shard_invariant() {
         let hwy = RoadNetwork::highway(2000.0, 3, 33.3);
         let n = 1200;
-        assert!(ShardPlan::effective(n, 4) > 1, "test must exercise the fan-out");
+        assert!(n > 512, "test must exercise the fan-out (one shard per 512 vehicles)");
         let build = || {
             let mut rng = SimRng::seed_from(9);
             Fleet::highway(2000.0, n, &hwy, &mut rng)

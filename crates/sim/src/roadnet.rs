@@ -167,7 +167,7 @@ impl RoadNetwork {
 
     /// The intersection nearest to `p` (None for an empty network).
     ///
-    /// Served by the lazily built [`RoadIndex`]; bit-for-bit equal to a
+    /// Served by the lazily built `RoadIndex`; bit-for-bit equal to a
     /// linear `min_by` over [`Self::intersections`] (same `distance_sq`
     /// comparisons, ties broken toward the lowest id exactly as `min_by`
     /// keeps the first minimal element).

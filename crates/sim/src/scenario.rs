@@ -124,7 +124,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// A long-term parking lot (airport datacenter, [4] in the paper):
+    /// A long-term parking lot (airport datacenter, \[4\] in the paper):
     /// parked vehicles, one RSU gateway, healthy cellular.
     pub fn parking_lot(&self) -> Scenario {
         let mut rng = SimRng::seed_from(self.seed);

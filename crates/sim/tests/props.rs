@@ -684,7 +684,7 @@ prop! {
         n in 520usize..800,
         ticks in 1usize..5,
     ) {
-        // Sizes start past MIN_ITEMS_PER_SHARD so the plan genuinely fans
+        // Sizes start past 512 (one shard per 512 vehicles) so the step fans
         // out; every (regime, seed, shard count) must reproduce the
         // sequential trajectory bit for bit.
         let net = RoadNetwork::grid(5, 5, 120.0, 13.9);

@@ -7,11 +7,11 @@
 //! network availability is neither. `vc-testkit` therefore replaces the four
 //! registry crates such a workspace leans on:
 //!
-//! - [`prop`] — a seeded property-testing harness (replaces `proptest`).
+//! - [`prop`](mod@prop) — a seeded property-testing harness (replaces `proptest`).
 //!   Cases are generated from the simulator's own deterministic
 //!   [`vc_sim::rng::SimRng`], so a failing case is reproducible from the
 //!   printed seed alone. Failures are shrunk with a bounded greedy pass.
-//! - [`bench`] — a micro-benchmark harness (replaces `criterion`): warmup,
+//! - [`bench`](mod@bench) — a micro-benchmark harness (replaces `criterion`): warmup,
 //!   fixed iteration batches, median/p95 wall-clock, and a `BENCH_*.json`
 //!   artifact per suite.
 //! - [`json`] — a small hand-rolled JSON writer (replaces `serde_json`) used

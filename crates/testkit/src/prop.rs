@@ -1,6 +1,6 @@
 //! Seeded property testing with bounded shrinking.
 //!
-//! A property is an ordinary `#[test]` written through the [`prop!`] macro:
+//! A property is an ordinary `#[test]` written through the [`prop!`](crate::prop!) macro:
 //!
 //! ```
 //! use vc_testkit::prop::strategy::{any_u64, vec, any_u8};
@@ -325,7 +325,7 @@ pub mod strategy {
         VecStrategy { inner, lo, hi }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         inner: S,
         lo: usize,
@@ -504,7 +504,7 @@ where
     (best, best_msg)
 }
 
-/// Declares seeded property tests. See the [module docs](crate::prop) for an
+/// Declares seeded property tests. See the [module docs](mod@crate::prop) for an
 /// example. The `#![cases(N)]` header is mandatory and sets how many cases
 /// each property checks.
 #[macro_export]

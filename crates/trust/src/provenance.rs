@@ -1,5 +1,5 @@
 //! Provenance-based trustworthiness (paper §V-D pointer to Lim, Moon &
-//! Bertino [20]: "provenance-based trustworthiness assessment in sensor
+//! Bertino \[20\]: "provenance-based trustworthiness assessment in sensor
 //! networks").
 //!
 //! A data item's trust derives from *where it came from and how it
