@@ -328,6 +328,7 @@ impl PseudonymWallet {
 
     /// Signs `payload` at `now` under the current pseudonym.
     pub fn sign(&self, payload: &[u8], now: SimTime) -> PseudonymMessage {
+        let _sign = vc_obs::profile::frame("auth.pseudonym.sign");
         let cert = self.certs[self.current].clone();
         let key = &self.keys[self.current];
         let mut to_sign = payload.to_vec();

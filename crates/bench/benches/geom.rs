@@ -1,5 +1,5 @@
 //! Micro-benches for the geometry hot paths: road-network nearest queries
-//! through the spatial index, CSR neighbor-table
+//! through the spatial index, neighbor-table
 //! construction and in-place rebuild, canyon LOS links, and a full
 //! street-aware routing round.
 
@@ -117,9 +117,9 @@ fn main() {
 
     // The dynamic cloud's fleet: 1 000 vehicles on 1 km², mean degree about
     // 216, where rows are dense in the id space. `build` is a fresh table
-    // each call — the plain scan, rows ordered by bitmap; `rebuild` reuses
-    // one, so every call after the first is a matrix scan. `rebuild_guard.rs`
-    // holds the pair to a ratio.
+    // each call — the plain scan, rows ordered by bitmap into CSR; `rebuild`
+    // reuses one, so every call after the first is a matrix scan whose bit
+    // rows are the table. `rebuild_guard.rs` holds the pair to a ratio.
     {
         let pos = positions(1_000, 1_000.0, 7);
         let online = vec![true; pos.len()];

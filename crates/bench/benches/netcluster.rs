@@ -15,7 +15,7 @@ use vc_net::cluster::{form_clusters, maintain_clusters, ClusterConfig};
 use vc_net::netsim::NetSim;
 use vc_net::routing::{ClusterRouting, Epidemic, GreedyGeo, MozoRouting, RoutingProtocol};
 use vc_net::world::WorldView;
-use vc_sim::geom::Point;
+use vc_sim::geom::{Point, SpatialGrid};
 use vc_sim::node::VehicleId;
 use vc_sim::radio::NeighborTable;
 use vc_sim::rng::SimRng;
@@ -99,7 +99,9 @@ fn main() {
     // `cloud-pipeline`'s fleet, where a tenth of the candidates are scored,
     // and the 40-vehicle urban and 48-vehicle highway catalogue fleets of
     // `svc-mix`, which take one bucket and score everyone. Each after 30
-    // ticks of its own scenario.
+    // ticks of its own scenario, over the table a reused rebuild holds, as
+    // the cloud's tick and `NetSim`'s round hold one: bit rows for all
+    // three, the dense fleet's from the matrix scan.
     for (name, mut scenario, cfg) in [
         (
             "multi_hop/1000-dense",
@@ -118,7 +120,11 @@ fn main() {
         ),
     ] {
         scenario.run_ticks(30);
-        let table = scenario.neighbor_table();
+        let mut table = NeighborTable::new();
+        let mut grid = SpatialGrid::new(scenario.channel.range_m);
+        for _ in 0..2 {
+            scenario.neighbor_table_into(&mut table, &mut grid);
+        }
         let world = WorldView {
             positions: scenario.fleet.positions(),
             velocities: scenario.fleet.velocities(),

@@ -133,7 +133,7 @@ fn neighbor_rebuild_and_cluster_reform_steady_state_allocate_nothing() {
     // the bounding box moves, cells that were empty fill up, and the number
     // of clusters drifts. (The hash grid this replaced allocated a bucket on
     // every first visit to a cell.) Then the same with the 40 vehicles of a
-    // `vcloudd` job, whose rows are bit rows on the stack and whose grid is
+    // `vcloudd` job, whose rows are one-word bit rows and whose grid is
     // never built. Neither fleet is ever found where the last scan saw it,
     // so every rebuild is a scan and no candidate store is allocated.
     for (n, extent) in [(2_000, 5_000.0), (40, 1_500.0)] {
@@ -294,7 +294,8 @@ fn jsonl_export_allocates_per_call_not_per_event() {
 #[test]
 fn dynamic_cloud_tick_with_idle_scheduler_allocates_nothing() {
     // The Fig. 4(c) cloud over dense traffic: every tick rebuilds the
-    // neighbor table (rows ordered by bitmap), re-forms the clustering,
+    // neighbor table (bit rows out of the matrix scan, kept as they are),
+    // re-forms the clustering over them word by word,
     // picks the broker's cluster and refills the host list. A highway,
     // because urban waypoint mobility plans a fresh path (which allocates)
     // whenever a vehicle arrives, and that is not the cloud's doing.

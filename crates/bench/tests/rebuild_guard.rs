@@ -1,8 +1,8 @@
 //! Path guards for the neighbor rebuild.
 //!
 //! A fleet whose id space fits one machine word (at most 64 ids) gets its
-//! neighbor rows from an all-pairs pass into bit rows; a larger one goes
-//! through the cell list. Both give the same table, so an edit that quietly
+//! neighbor rows from an all-pairs pass into one-word bit rows, kept as the
+//! table; a larger one goes through the cell list. Both give the same table, so an edit that quietly
 //! sent small fleets back through the grid would pass every functional test
 //! while costing every `vcloudd` job a third of its run. This test times
 //! the fleets of the bench entries `neighbor_table/rebuild/64` and
@@ -14,9 +14,9 @@
 //! first rebuild of a table is the per-row scan on either side of 64 ids
 //! had the bit rows gone, so the ratio would read about 1.
 //!
-//! Measured on rustc 1.95: 0.40–0.49, the new table's allocations on both
-//! sides; 0.98–1.03 with the bit rows switched off (DESIGN.md, "Row
-//! ordering in the neighbor table").
+//! Measured on rustc 1.95: 0.27–0.34, the new table's allocations on both
+//! sides; 1.13 with the bit rows switched off (DESIGN.md, "Row ordering in
+//! the neighbor table").
 //!
 //! The second guard is the same idea for the large sparse fleet. A table
 //! rebuilt every tick over 10 000 vehicles that move 8 m a tick scans one
@@ -27,21 +27,22 @@
 //! `neighbor_table/drift` and `neighbor_table/scan` at city density and
 //! holds drift ÷ scan, per call, to 0.6.
 //!
-//! Measured on rustc 1.95: 0.33–0.35 (DESIGN.md, "Temporal coherence in the
+//! Measured on rustc 1.95: 0.28–0.36 (DESIGN.md, "Temporal coherence in the
 //! neighbor table").
 //!
 //! The third is the dense fleet's. A table whose last rebuild came out dense
-//! rebuilds through a bit matrix, every pair tested once, where a fresh
-//! table tests every pair from both ends and orders each row on its own; an
-//! edit that sent dense tables back to the per-row scan (a density test
-//! compared the wrong way round, a `flat` cleared before it is read) would
-//! give the same rows at the old cost. It times the bench entries
+//! rebuilds through a bit matrix, every pair tested once, and keeps the
+//! matrix as its rows, where a fresh table tests every pair from both ends
+//! and orders each row on its own into ids; an edit that sent dense tables
+//! back to the per-row scan (a density test compared the wrong way round, a
+//! degree total cleared before it is read) would give the same rows at the
+//! old cost. It times the bench entries
 //! `neighbor_table/rebuild/1000-dense` and `neighbor_table/build/1000-dense`
 //! — the dynamic cloud's 1 000 vehicles on 1 km² — and holds rebuild ÷
 //! build to 0.75.
 //!
-//! Measured on rustc 1.95: 0.50–0.55 (DESIGN.md, "Row ordering in the
-//! neighbor table").
+//! Measured on rustc 1.95: 0.35–0.44, and up to 0.61 while the host is busy
+//! (DESIGN.md, "Row ordering in the neighbor table").
 //!
 //! Timing tests, so they are ignored by default; the `bench-smoke` CI job
 //! runs them optimised:

@@ -74,7 +74,7 @@ impl ModeManager {
                 continue;
             }
             let src = VehicleId(i as u32);
-            for &dst in neighbors.of(src) {
+            for dst in neighbors.of(src).iter() {
                 let j = dst.0 as usize;
                 if snapshot[j] >= mode {
                     continue;

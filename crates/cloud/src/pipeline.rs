@@ -150,6 +150,7 @@ impl SecurePipeline {
         service: ServiceId,
         now: SimTime,
     ) -> Result<ServiceToken, PipelineError> {
+        let _admit = vc_obs::profile::frame("auth.admit");
         vc_auth::pseudonym::verify_with_front(
             hello,
             &self.ta.public_key(),
@@ -183,6 +184,7 @@ impl SecurePipeline {
         proof: &PossessionProof,
         ambient: &Context,
     ) -> Result<Vec<u8>, PipelineError> {
+        let _authorize = vc_obs::profile::frame("access.authorize");
         vc_auth::token::verify_token(token, &self.gateway.public_key(), service, ambient.now)
             .map_err(PipelineError::Auth)?;
         self.tpd
@@ -200,6 +202,7 @@ impl SecurePipeline {
     /// Fig. 3 question 4: validates reported event data before acting on it.
     /// Returns per-event (cluster centroid kind, trust score, decision).
     pub fn validate_reports(&mut self, reports: &[Report]) -> Vec<(usize, f64, bool)> {
+        let _validate = vc_obs::profile::frame("trust.validate");
         let clusters = classify(reports, &ClassifierConfig::default());
         clusters
             .iter()
@@ -222,6 +225,7 @@ impl SecurePipeline {
         package_id: u64,
         now: SimTime,
     ) -> PossessionProof {
+        let _proof = vc_obs::profile::frame("access.proof");
         prove_possession(
             &credentials.attribute_credential,
             &credentials.attribute_key,

@@ -101,8 +101,9 @@ pub struct NetSim<'a, P: RoutingProtocol> {
     stats: RoutingStats,
     next_id: u64,
     now: SimTime,
-    /// Neighbor table and spatial grid reused across rounds (CSR storage and
-    /// grid cells are rebuilt in place each round instead of reallocated).
+    /// Neighbor table and spatial grid reused across rounds (the table's rows
+    /// and the grid cells are rebuilt in place each round instead of
+    /// reallocated).
     table: NeighborTable,
     grid: SpatialGrid,
     /// Causal tracing: off unless [`NetSim::set_sampler`] turns it on.
@@ -187,7 +188,7 @@ fn copy_outcome<P: RoutingProtocol>(
     let mut rng = SimRng::stream(round_key, index as u64);
     let dst = state.packet.dst;
     // Direct delivery when the destination is a live neighbor.
-    if world.is_online(dst) && world.neighbors.of(copy.holder).contains(&dst) {
+    if world.is_online(dst) && world.neighbors.of(copy.holder).contains(dst) {
         let attempt =
             attempt_link(scenario, world, copy.holder, dst, state.packet.size_bytes, &mut rng);
         let fate = match attempt.latency {

@@ -56,7 +56,7 @@ impl RoutingProtocol for Epidemic {
         carried: &dyn Fn(VehicleId) -> bool,
         out: &mut Vec<VehicleId>,
     ) {
-        out.extend(world.neighbors.of(holder).iter().copied().filter(|&n| !carried(n)));
+        out.extend(world.neighbors.of(holder).iter().filter(|&n| !carried(n)));
     }
 }
 
@@ -88,7 +88,6 @@ impl RoutingProtocol for GreedyGeo {
             .neighbors
             .of(holder)
             .iter()
-            .copied()
             .filter(|&n| !carried(n))
             .map(|n| (world.pos(n).distance(dest_pos), n))
             .filter(|&(d, _)| d < my_dist)
@@ -153,7 +152,7 @@ impl RoutingProtocol for ClusterRouting {
 
         // If the destination's head is a neighbor, go there.
         if let Some(dest_head) = self.clustering.head_of(packet.dst) {
-            if neighbors.contains(&dest_head) && !carried(dest_head) {
+            if neighbors.contains(dest_head) && !carried(dest_head) {
                 out.push(dest_head);
                 return;
             }
@@ -163,7 +162,7 @@ impl RoutingProtocol for ClusterRouting {
             // Member: push to own head when fresh, even if not geographically
             // closer (the backbone handles direction).
             if let Some(head) = self.clustering.head_of(holder) {
-                if head != holder && neighbors.contains(&head) && !carried(head) {
+                if head != holder && neighbors.contains(head) && !carried(head) {
                     out.push(head);
                     return;
                 }
@@ -174,7 +173,7 @@ impl RoutingProtocol for ClusterRouting {
         // backbone — prefer neighbor heads, then any neighbor — requiring
         // geographic progress to avoid loops.
         let mut best: Option<(bool, f64, VehicleId)> = None;
-        for &n in neighbors {
+        for n in neighbors.iter() {
             if carried(n) {
                 continue;
             }
@@ -256,7 +255,7 @@ impl RoutingProtocol for MozoRouting {
         let dest_future = world.predicted_pos(packet.dst, h);
         let my_future_dist = world.predicted_pos(holder, h).distance(dest_future);
         let mut best: Option<(f64, bool, VehicleId)> = None;
-        for &n in world.neighbors.of(holder) {
+        for n in world.neighbors.of(holder).iter() {
             if carried(n) {
                 continue;
             }
@@ -343,7 +342,7 @@ impl RoutingProtocol for StreetAware {
         // Forward to the fresh neighbor making the most progress toward the
         // waypoint; accept destination progress as a fallback criterion.
         let mut best: Option<(f64, VehicleId)> = None;
-        for &n in world.neighbors.of(holder) {
+        for n in world.neighbors.of(holder).iter() {
             if carried(n) {
                 continue;
             }
@@ -485,7 +484,7 @@ mod tests {
         let p = pkt(0, 2);
         let head = proto.clustering().head_of(VehicleId(0)).unwrap();
         let hops =
-            hops_of(&proto, head, &p, &w, &|v| v != head && !w.neighbors.of(head).contains(&v));
+            hops_of(&proto, head, &p, &w, &|v| v != head && !w.neighbors.of(head).contains(v));
         // All candidates are behind; nothing closer exists.
         assert!(hops.len() <= 1);
         if let Some(&h) = hops.first() {

@@ -9,7 +9,7 @@ use vc_net::world::WorldView;
 use vc_obs::Sampler;
 use vc_sim::geom::Point;
 use vc_sim::node::VehicleId;
-use vc_sim::radio::NeighborTable;
+use vc_sim::radio::{NeighborTable, Row};
 use vc_sim::rng::SimRng;
 use vc_sim::time::SimTime;
 use vc_testkit::prop::strategy::{any_u16, any_u32, any_u64, from_fn, FromFn};
@@ -134,7 +134,6 @@ mod reference {
             .neighbors
             .of(id)
             .iter()
-            .copied()
             .filter(|&n| world.is_online(n))
             .filter(|&n| match cfg.velocity_similarity {
                 Some(band) => (world.vel(id) - world.vel(n)).norm() < band,
@@ -384,7 +383,7 @@ fn traced_twice_and_untraced<P: RoutingProtocol>(
 prop! {
     #![cases(64)]
 
-    // The CSR NeighborTable must equal the old nested-Vec build: per vehicle
+    // The NeighborTable must equal the old nested-Vec build: per vehicle
     // a sorted list of the online others strictly within range, empty for
     // offline vehicles. Both the fresh build and an in-place rebuild over a
     // dirty grid/table are checked against a brute-force reference.
@@ -414,8 +413,8 @@ prop! {
                     }
                 }
             }
-            prop_assert_eq!(table.of(id), expect.as_slice());
-            prop_assert_eq!(reused.of(id), expect.as_slice());
+            prop_assert_eq!(table.of(id).iter().collect::<Vec<_>>(), expect.clone());
+            prop_assert_eq!(reused.of(id).iter().collect::<Vec<_>>(), expect);
         }
     }
 
@@ -594,7 +593,7 @@ prop! {
                 for hop in hops_of(proto, holder, &packet, &world, &carried) {
                     prop_assert_ne!(hop, holder, "{} forwarded to self", proto.name());
                     prop_assert!(
-                        table.of(holder).contains(&hop),
+                        table.of(holder).contains(hop),
                         "{} forwarded to non-neighbor", proto.name()
                     );
                     prop_assert!(!carried(hop), "{} forwarded to carrier", proto.name());
@@ -976,5 +975,117 @@ prop! {
         w.put_u32(1 + (excess % 1024) + tail as u32);
         w.put_u64(job); // 8 bytes of "detail", fewer than declared
         prop_assert!(svc::Frame::decode(&w.into_vec()).is_err());
+    }
+}
+
+/// A dense fleet and the same fleet a round later, moved up to 30 m each
+/// and about one in ten taken offline: 20–64 vehicles (one word a row) or
+/// 150–400 on a 300–600 m square, where a 300 m radio makes every row
+/// dense in the id space. Velocities are random or three platoons.
+fn dense_world_pair() -> FromFn<impl Fn(&mut SimRng) -> (World, World)> {
+    from_fn(|rng| {
+        let n = if rng.chance(0.3) { rng.range_u64(20, 65) } else { rng.range_u64(150, 400) };
+        let side = rng.range_f64(300.0, 600.0);
+        let platoons = rng.chance(0.5);
+        let positions = (0..n)
+            .map(|_| Point::new(rng.range_f64(0.0, side), rng.range_f64(0.0, side)))
+            .collect();
+        let velocities = (0..n)
+            .map(|_| {
+                if platoons {
+                    let base =
+                        [Point::new(14.0, 0.0), Point::new(-14.0, 0.0), Point::new(0.0, 14.0)];
+                    base[rng.index(3)] + Point::new(rng.range_f64(-2.0, 2.0), 0.0)
+                } else {
+                    Point::new(rng.range_f64(-15.0, 15.0), rng.range_f64(-15.0, 15.0))
+                }
+            })
+            .collect();
+        let online = (0..n).map(|_| rng.chance(0.9)).collect();
+        let first = World { positions, velocities, online };
+        let mut second = first.clone();
+        for p in &mut second.positions {
+            *p = *p + Point::new(rng.range_f64(-30.0, 30.0), rng.range_f64(-30.0, 30.0));
+        }
+        for on in &mut second.online {
+            *on = *on && rng.chance(0.9);
+        }
+        (first, second)
+    })
+}
+
+/// The table a reused rebuild leaves over a dense fleet: bit rows, from the
+/// matrix scan past 64 ids.
+fn bit_row_table(w: &World) -> NeighborTable {
+    let mut table = NeighborTable::new();
+    let mut grid = vc_sim::geom::SpatialGrid::new(300.0);
+    table.rebuild(&mut grid, &w.positions, &w.online, 300.0);
+    table.rebuild(&mut grid, &w.positions, &w.online, 300.0);
+    table
+}
+
+/// Where two clusterings of an `n`-vehicle world differ in `head_of`,
+/// `heads()` or `members()`; `None` when they agree.
+fn difference(a: &Clustering, b: &Clustering, n: usize) -> Option<String> {
+    for id in (0..n as u32).map(VehicleId) {
+        if a.head_of(id) != b.head_of(id) {
+            return Some(format!("head_of({}): {:?} != {:?}", id.0, a.head_of(id), b.head_of(id)));
+        }
+        if a.members(id) != b.members(id) {
+            return Some(format!("members({}) differ", id.0));
+        }
+    }
+    let (heads_a, heads_b): (Vec<_>, Vec<_>) = (a.heads().collect(), b.heads().collect());
+    (heads_a != heads_b).then(|| format!("heads {heads_a:?} != {heads_b:?}"))
+}
+
+prop! {
+    #![cases(32)]
+
+    // Clustering walks bit rows word by word and CSR rows id by id; the two
+    // must elect and attach alike. The same dense fleet's links are taken
+    // once from its bit-row table and once as CSR, through the band filter
+    // with an infinite band, which keeps every link. Formation, then
+    // maintenance into the next round, under weightings that take the
+    // bucketed election, the one-bucket one and bounds rising with degree.
+    #[test]
+    fn clustering_on_bit_rows_matches_the_same_links_as_csr((before, after) in dense_world_pair(), hops in 0u32..4) {
+        let (table_before, table_after) = (bit_row_table(&before), bit_row_table(&after));
+        for table in [&table_before, &table_after] {
+            prop_assert!(matches!(table.of(VehicleId(0)), Row::Bits(..)), "bit rows");
+        }
+        let world_before = WorldView {
+            positions: &before.positions,
+            velocities: &before.velocities,
+            online: &before.online,
+            neighbors: &table_before,
+        };
+        let world_after = WorldView {
+            positions: &after.positions,
+            velocities: &after.velocities,
+            online: &after.online,
+            neighbors: &table_after,
+        };
+        let n = before.positions.len();
+        for (weight_degree, weight_stability) in [(1.0, 1.0), (1.0, 0.0), (0.0, 2.0), (1.0, -1.0), (-1.0, 1.0)] {
+            let bits = ClusterConfig {
+                max_hops: hops,
+                weight_degree,
+                weight_stability,
+                velocity_similarity: None,
+            };
+            let csr = ClusterConfig { velocity_similarity: Some(f64::INFINITY), ..bits.clone() };
+            let formed = form_clusters(&world_before, &bits);
+            let formed_csr = form_clusters(&world_before, &csr);
+            prop_assert_eq!(difference(&formed, &formed_csr, n), None, "form under {:?}", bits);
+            for quorum in [0.0, 0.5, 1.0] {
+                let kept = maintain_clusters(&formed, &world_after, &bits, quorum);
+                let kept_csr = maintain_clusters(&formed_csr, &world_after, &csr, quorum);
+                prop_assert_eq!(
+                    difference(&kept, &kept_csr, n), None,
+                    "maintain under {:?} at quorum {}", bits, quorum
+                );
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@
 //!   counters, used by the steady-state zero-alloc assertions and by
 //!   `vc_obs::profile` to report `allocs`/`bytes` per frame.
 //! * [`MemSize`] — deterministic *deep heap bytes* for std containers and
-//!   the workspace's big resident structures (`Fleet` slabs, the CSR
+//!   the workspace's big resident structures (`Fleet` slabs, the
 //!   neighbor table, recorder rings, metrics hub). Deep-bytes gauges are
 //!   derived from capacities and lengths only — never from allocator
 //!   state — so they are deterministic and feed the byte-compared

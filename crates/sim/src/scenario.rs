@@ -259,7 +259,7 @@ impl Scenario {
         table
     }
 
-    /// [`Scenario::neighbor_table`] into caller-owned buffers: `table`'s CSR
+    /// [`Scenario::neighbor_table`] into caller-owned buffers: `table`'s
     /// storage and `grid`'s buffers are reused, so per-round callers stop
     /// reallocating both. Produces exactly what [`Scenario::neighbor_table`]
     /// returns.
@@ -277,19 +277,25 @@ impl Scenario {
     /// the quantitative stand-in for the paper's qualitative "mobility" row
     /// in Fig. 2.
     pub fn neighbor_churn_per_minute(&mut self, ticks: usize) -> f64 {
-        use std::collections::BTreeSet;
-        let mut table = NeighborTable::new();
         let mut grid = SpatialGrid::new(self.channel.range_m.max(1.0));
-        self.neighbor_table_into(&mut table, &mut grid);
-        let mut prev: Vec<BTreeSet<u32>> = table.len_iter().collect();
+        let (mut before, mut after) = (NeighborTable::new(), NeighborTable::new());
+        self.neighbor_table_into(&mut before, &mut grid);
         let mut changes = 0usize;
         for _ in 0..ticks {
             self.tick();
-            self.neighbor_table_into(&mut table, &mut grid);
-            for (i, set) in table.len_iter().enumerate() {
-                changes += set.symmetric_difference(&prev[i]).count();
-                prev[i] = set;
+            self.neighbor_table_into(&mut after, &mut grid);
+            for id in (0..after.len() as u32).map(crate::node::VehicleId) {
+                // Both rows ascend: a merge counts the ids they share.
+                let (was, is) = (before.of(id), after.of(id));
+                let mut rest = was.iter().peekable();
+                let mut kept = 0;
+                for v in is.iter() {
+                    while rest.next_if(|&u| u < v).is_some() {}
+                    kept += usize::from(rest.next_if_eq(&v).is_some());
+                }
+                changes += was.len() + is.len() - 2 * kept;
             }
+            std::mem::swap(&mut before, &mut after);
         }
         let minutes = (ticks as f64 * self.dt) / 60.0;
         let n = self.fleet.len().max(1) as f64;
@@ -298,14 +304,6 @@ impl Scenario {
         } else {
             changes as f64 / n / minutes
         }
-    }
-}
-
-impl NeighborTable {
-    /// Iterates neighbor id sets per vehicle (helper for churn measurement).
-    pub(crate) fn len_iter(&self) -> impl Iterator<Item = std::collections::BTreeSet<u32>> + '_ {
-        (0..self.len())
-            .map(move |i| self.of(crate::node::VehicleId(i as u32)).iter().map(|v| v.0).collect())
     }
 }
 

@@ -250,6 +250,67 @@ fn quadratic_row(positions: &[Point], online: &[bool], range_m: f64, i: usize) -
         .collect()
 }
 
+/// Holds row `i` of `table` to [`quadratic_row`] in everything the table
+/// answers about it: the ascending `iter`, `len`, `is_empty` and `degree`,
+/// and `contains` for each member and, when `every_id` is set, for every id
+/// of the fleet and the one past it. Returns the row's length.
+fn check_row(
+    table: &NeighborTable,
+    positions: &[Point],
+    online: &[bool],
+    range_m: f64,
+    i: usize,
+    every_id: bool,
+) -> Result<usize, String> {
+    let id = VehicleId(i as u32);
+    let expect = quadratic_row(positions, online, range_m, i);
+    let row = table.of(id);
+    let got: Vec<VehicleId> = row.iter().collect();
+    if got != expect {
+        return Err(format!("row {i} is {got:?}, not {expect:?}"));
+    }
+    let lens = (row.len(), row.is_empty(), table.degree(id));
+    if lens != (expect.len(), expect.is_empty(), expect.len()) {
+        return Err(format!("row {i}: (len, is_empty, degree) {lens:?} for {} ids", expect.len()));
+    }
+    let ids = if every_id { positions.len() as u32 + 1 } else { 0 };
+    let mut members = expect.iter().peekable();
+    for j in (0..ids).map(VehicleId) {
+        if row.contains(j) != members.next_if_eq(&&j).is_some() {
+            return Err(format!("row {i} answers contains({}) wrong", j.0));
+        }
+    }
+    if let Some(j) = expect.iter().find(|&&j| !row.contains(j)) {
+        return Err(format!("row {i} does not contain its member {}", j.0));
+    }
+    Ok(expect.len())
+}
+
+/// [`check_row`] for every row, then `len` and `mean_degree` over the
+/// table. Returns the number of neighbors summed over the rows. Past 1 000
+/// ids, `contains` is put to every id on one row in 16 only: the full
+/// quadratic sweep would outlast the rest of the property.
+fn check_rows(
+    table: &NeighborTable,
+    positions: &[Point],
+    online: &[bool],
+    range_m: f64,
+) -> Result<usize, String> {
+    let n = positions.len();
+    if table.len() != n {
+        return Err(format!("{} rows for {n} vehicles", table.len()));
+    }
+    let mut total = 0;
+    for i in 0..n {
+        total += check_row(table, positions, online, range_m, i, n <= 1_000 || i % 16 == 0)?;
+    }
+    let mean = if n == 0 { 0.0 } else { total as f64 / n as f64 };
+    if table.mean_degree() != mean {
+        return Err(format!("mean degree {} for {total} links over {n}", table.mean_degree()));
+    }
+    Ok(total)
+}
+
 /// A fleet snapshot for the neighbor-table differential test, drawn from
 /// the layouts a cell list gets wrong first; the grid's cell is 100 m.
 #[derive(Debug, Clone)]
@@ -575,11 +636,8 @@ prop! {
         // A grid and table still holding another world.
         table.rebuild(&mut grid, &[Point::new(7.0, 7.0), Point::new(8.0, 8.0)], &[true, true], 50.0);
         table.rebuild(&mut grid, &s.positions, &s.online, s.range_m);
-        prop_assert_eq!(table.len(), n);
-        for i in 0..n {
-            let expect = quadratic_row(&s.positions, &s.online, s.range_m, i);
-            prop_assert_eq!(table.of(VehicleId(i as u32)), expect.as_slice());
-        }
+        let checked = check_rows(&table, &s.positions, &s.online, s.range_m);
+        prop_assert_eq!(checked.err(), None);
         prop_assert!(
             grid.heap_bytes() <= 64 * n as u64 + 1024,
             "{} grid bytes for {} vehicles", grid.heap_bytes(), n
@@ -594,7 +652,8 @@ prop! {
             let mut padded = NeighborTable::new();
             padded.rebuild(&mut grid, &positions, &online, s.range_m);
             for i in 0..n {
-                prop_assert_eq!(table.of(VehicleId(i as u32)), padded.of(VehicleId(i as u32)));
+                let id = VehicleId(i as u32);
+                prop_assert!(table.of(id).iter().eq(padded.of(id).iter()), "row {}", i);
             }
             for i in n..65 {
                 prop_assert!(padded.of(VehicleId(i as u32)).is_empty());
@@ -770,13 +829,9 @@ prop! {
             table.rebuild(&mut grid, &positions, &online, range_m);
             let scanned = table.scans() - before;
             prop_assert!(scanned <= 1);
-            prop_assert_eq!(table.len(), n);
-            let mut total = 0;
-            for i in 0..n {
-                let expect = quadratic_row(&positions, &online, range_m, i);
-                prop_assert_eq!(table.of(VehicleId(i as u32)), expect.as_slice(), "step {}", step);
-                total += expect.len();
-            }
+            let checked = check_rows(&table, &positions, &online, range_m);
+            prop_assert_eq!(checked.as_ref().err(), None, "step {}", step);
+            let total = checked.unwrap_or_default();
 
             let expect_scan = if n <= 64 {
                 true
@@ -872,16 +927,9 @@ prop! {
                 let range_m = if phase == 2 && step == 1 { g.bad_range } else { 250.0 };
                 let before = table.scans();
                 table.rebuild(&mut grid, &positions, &online, range_m);
-                let mut total = 0;
-                for i in 0..n {
-                    let expect = quadratic_row(&positions, &online, range_m, i);
-                    prop_assert_eq!(
-                        table.of(VehicleId(i as u32)),
-                        expect.as_slice(),
-                        "phase {} step {}", phase, step
-                    );
-                    total += expect.len();
-                }
+                let checked = check_rows(&table, &positions, &online, range_m);
+                prop_assert_eq!(checked.as_ref().err(), None, "phase {} step {}", phase, step);
+                let total = checked.unwrap_or_default();
                 if dense_before {
                     prop_assert_eq!(table.scans(), before + 1, "a dense table is always scanned");
                     matrix_scans[phase] += 1;
@@ -895,8 +943,9 @@ prop! {
 
 /// Candidate ids are 16 bits wide: a fleet of 65 536 ids is the largest
 /// that refilters, one of 65 537 scans every time, and both hold what a
-/// table built from nothing holds — and, for a sample of rows, what the
-/// quadratic scan finds.
+/// table built from nothing holds, degrees and mean degree included — and,
+/// for a sample of rows, everything [`check_row`] asks of the quadratic
+/// scan.
 #[test]
 fn the_last_fleet_with_a_skin_and_the_first_without() {
     let mut rng = SimRng::seed_from(65_536);
@@ -917,12 +966,13 @@ fn the_last_fleet_with_a_skin_and_the_first_without() {
                 start[..n].iter().map(|&p| p + Point::new(5.0, -3.0) * step as f64).collect();
             table.rebuild(&mut grid, &positions, &online[..n], 300.0);
             let fresh = NeighborTable::build(&positions, &online[..n], 300.0);
-            for i in 0..n {
-                assert_eq!(table.of(VehicleId(i as u32)), fresh.of(VehicleId(i as u32)));
+            for id in (0..n as u32).map(VehicleId) {
+                assert!(table.of(id).iter().eq(fresh.of(id).iter()), "row {}", id.0);
+                assert_eq!(table.degree(id), fresh.degree(id), "row {}", id.0);
             }
+            assert_eq!(table.mean_degree(), fresh.mean_degree());
             for i in [0, 1, 255, 256, 32_767, 32_768, 65_279, 65_534, n - 1] {
-                let expect = quadratic_row(&positions, &online[..n], 300.0, i);
-                assert_eq!(table.of(VehicleId(i as u32)), expect.as_slice(), "row {i}");
+                check_row(&table, &positions, &online[..n], 300.0, i, true).unwrap();
             }
         }
         assert_eq!(table.scans(), expect_scans, "{n} ids");
