@@ -204,6 +204,7 @@ const FILTER_PROBES: usize = 5;
 impl LinkageFilter {
     /// Expands every seed into its value at `at`: `|CRL|` linkage hashes.
     fn expand(seeds: &[LinkageSeed], at: LinkageIndex) -> LinkageFilter {
+        let _f = vc_obs::profile::frame("auth.crl.expand");
         let blocks = (seeds.len() * FILTER_BITS).div_ceil(512).max(1);
         let mut filter = LinkageFilter { blocks: vec![FilterBlock::default(); blocks] };
         linkage_values(seeds, at, |value| {
@@ -748,6 +749,7 @@ pub fn verify_with_front(
     now: SimTime,
     replay_window: SimDuration,
 ) -> Result<(), AuthError> {
+    let _f = vc_obs::profile::frame("auth.pseudonym.verify");
     let revoked = |cert: &PseudonymCert| front.is_revoked(cert.linkage_index(), cert.linkage_value);
     verify_checks(message, ta_key, revoked, now, replay_window)
 }

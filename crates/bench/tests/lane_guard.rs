@@ -29,6 +29,15 @@
 //! 10 000-entry scan: ≈ 0.08 as built under AVX-512F, ≈ 1.1 when a first
 //! sighting goes back to the linear scan.
 //!
+//! A signature costs one fixed-base exponentiation, for its commitment: the
+//! signer keeps its public key and does not recompute it. The fourth test
+//! times `sign_beacon` against `Element::base_pow`, failing above 2.8:
+//! 2.2–2.45 as built, 3.3–3.5 when `sign` pays a second `base_pow` for its
+//! own key. The fifth times a 30-beacon `verify_batch`, per beacon, against
+//! `base_pow`, failing above 3.5: 3.1–3.15 as built, 3.85–4.65 when the
+//! batch transcript is hashed again per item (docs/CRYPTO.md, "Cost
+//! model").
+//!
 //! Timing tests, so they are ignored by default; the `bench-smoke` CI job
 //! runs them optimised:
 //! `cargo test --release -p vc-bench --test lane_guard -- --ignored`.
@@ -40,6 +49,10 @@ use vc_auth::identity::{RealIdentity, TrustedAuthority};
 use vc_auth::pseudonym::{
     crl_matches, verify_with_front, LinkageIndex, LinkageSeed, PseudonymRegistry,
 };
+use vc_crypto::group::{Element, Scalar};
+use vc_crypto::schnorr::{verify_batch, Signature, SigningKey, VerifyingKey};
+use vc_net::beacon::{sign_beacon, Beacon};
+use vc_sim::geom::Point;
 use vc_sim::node::VehicleId;
 use vc_sim::time::{SimDuration, SimTime};
 
@@ -218,5 +231,69 @@ fn cold_first_sighting_costs_at_most_a_fifth_of_a_crl_scan() {
         ratio <= 0.2,
         "a first sighting in an expanded period costs {ratio:.2} CRL scans: the per-sighting \
          path is scanning the CRL instead of probing the period's filter"
+    );
+}
+
+/// One call of `f` in fixed-base exponentiations: the best of 300 calls of
+/// each, timed in alternation.
+fn per_base_pow(f: impl FnMut()) -> f64 {
+    let e = Scalar::hash_to_scalar(&[b"lane-guard-exponent"]);
+    let (f_ns, pow_ns) = best_pair_ns(300, f, || {
+        black_box(Element::base_pow(black_box(e)));
+    });
+    f_ns / pow_ns
+}
+
+/// The beacon `sender` sends at `t` µs.
+fn beacon(sender: u32, t: u64) -> Beacon {
+    Beacon {
+        sender: VehicleId(sender),
+        pos: Point::new(f64::from(sender) * 7.0, 0.5),
+        vel: Point::new(13.9, 0.0),
+        sent_at: SimTime::from_micros(t),
+    }
+}
+
+#[test]
+#[ignore = "timing: run with --release (bench-smoke CI step)"]
+fn a_signature_costs_one_fixed_base_exponentiation() {
+    let key = SigningKey::from_seed(b"lane-guard-signer");
+    let mut t = 0;
+    let ratio = per_base_pow(|| {
+        t += 1;
+        black_box(sign_beacon(beacon(1, t), black_box(&key)));
+    });
+    println!("sign_beacon / base_pow {ratio:.2}");
+    assert!(
+        ratio <= 2.8,
+        "sign_beacon costs {ratio:.2} fixed-base exponentiations: the signer is computing \
+         something beside its commitment, such as its own public key, again"
+    );
+}
+
+#[test]
+#[ignore = "timing: run with --release (bench-smoke CI step)"]
+fn a_batched_beacon_costs_at_most_three_and_a_half_fixed_base_exponentiations() {
+    const BEACONS: usize = 30;
+    let signed: Vec<(Vec<u8>, VerifyingKey, Signature)> = (0..BEACONS)
+        .map(|i| {
+            let key =
+                SigningKey::from_seed(&[b"lane-guard-sender".as_slice(), &[i as u8]].concat());
+            let body = [i as u8; 44].to_vec();
+            let signature = key.sign(&body);
+            (body, key.verifying_key(), signature)
+        })
+        .collect();
+    let items: Vec<(&[u8], VerifyingKey, Signature)> =
+        signed.iter().map(|(m, k, s)| (m.as_slice(), *k, *s)).collect();
+    let ratio = per_base_pow(|| {
+        black_box(verify_batch(black_box(&items), b"vc-beacon-batch"))
+            .expect("every beacon is valid");
+    }) / BEACONS as f64;
+    println!("verify_batch/{BEACONS} per beacon / base_pow {ratio:.2}");
+    assert!(
+        ratio <= 3.5,
+        "a {BEACONS}-beacon verify_batch costs {ratio:.2} fixed-base exponentiations a beacon: \
+         the batch is hashing its transcript more than once, or weighing items one hash each"
     );
 }

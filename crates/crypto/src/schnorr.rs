@@ -6,12 +6,15 @@
 //! and remove nonce-reuse foot-guns.
 
 use crate::group::{Element, Scalar};
-use crate::sha256::sha256_parts;
+use crate::sha256::{sha256_parts, Sha256};
 
-/// A signing (secret) key.
+/// A signing (secret) key, holding its public key `g^x` beside the secret so
+/// neither [`SigningKey::sign`] nor [`SigningKey::verifying_key`] pays a
+/// fixed-base exponentiation for it (64 B a key).
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SigningKey {
     secret: Scalar,
+    public: Element,
 }
 
 impl std::fmt::Debug for SigningKey {
@@ -49,15 +52,16 @@ impl SigningKey {
         if secret.is_zero() {
             secret = Scalar::one();
         }
-        SigningKey { secret }
+        SigningKey { secret, public: Element::base_pow(secret) }
     }
 
-    /// The matching verification key `y = g^x`.
+    /// The matching verification key `y = g^x`, computed once by
+    /// [`SigningKey::from_seed`].
     pub fn verifying_key(&self) -> VerifyingKey {
-        VerifyingKey { point: Element::base_pow(self.secret) }
+        VerifyingKey { point: self.public }
     }
 
-    /// Signs `message`.
+    /// Signs `message`: one fixed-base exponentiation, for the commitment.
     pub fn sign(&self, message: &[u8]) -> Signature {
         // Deterministic nonce bound to the secret and the message.
         let mut k =
@@ -132,9 +136,14 @@ impl Signature {
 /// g^(Σ r_i·s_i)  ==  Π R_i^{r_i} · Π y_i^{r_i·e_i}
 /// ```
 ///
-/// Sound except with probability ~2^-128 over the weights (derived by
-/// hashing the whole batch with `weight_seed`, so a forger cannot pick
-/// signatures after seeing them). An empty batch verifies trivially.
+/// Sound except with probability ~2^-128 over the weights. One SHA-256
+/// streams the whole batch once: a tag, then `weight_seed` and each item's
+/// message, each prefixed with its length, with each item's key and
+/// signature bytes after its message. So a forger cannot pick signatures
+/// after seeing the weights, and no two batches share a transcript. Each
+/// `SHA-256("vc-batch-weight" ‖ digest ‖ k)` gives the 128-bit weights of
+/// items `2k` and `2k + 1`, its low half and its high half. An empty batch
+/// verifies trivially.
 ///
 /// A failed batch says *some* signature is bad but not which; the one
 /// public entry, [`verify_batch`], falls back to per-signature verification
@@ -143,24 +152,30 @@ fn batch_verify(items: &[(&[u8], VerifyingKey, Signature)], weight_seed: &[u8]) 
     if items.is_empty() {
         return true;
     }
-    // Transcript hash binding all items, so weights depend on everything.
-    let mut transcript = Sha256Transcript::new(weight_seed);
+    // One transcript hash binding all items, so weights depend on everything.
+    let mut transcript = Sha256::new();
+    transcript.update(b"vc-batch-transcript");
+    absorb_framed(&mut transcript, weight_seed);
     for (msg, key, sig) in items {
-        transcript.absorb(msg);
-        transcript.absorb(&key.to_bytes());
-        transcript.absorb(&sig.to_bytes());
+        absorb_framed(&mut transcript, msg);
+        transcript.update(&key.to_bytes());
+        transcript.update(&sig.to_bytes());
     }
+    let digest = transcript.finalize();
     let mut s_combined = Scalar::zero();
     let mut bases = Vec::with_capacity(items.len() * 2);
     let mut exps = Vec::with_capacity(items.len() * 2);
-    for (i, (msg, key, sig)) in items.iter().enumerate() {
-        let weight = transcript.weight(i as u64);
-        let challenge = challenge_scalar(&sig.commitment, key, msg);
-        s_combined = s_combined.add(weight.mul(sig.response));
-        bases.push(sig.commitment);
-        exps.push(weight);
-        bases.push(key.element());
-        exps.push(weight.mul(challenge));
+    for (k, two) in items.chunks(2).enumerate() {
+        let pair = sha256_parts(&[b"vc-batch-weight", &digest, &(k as u64).to_be_bytes()]);
+        for ((msg, key, sig), half) in two.iter().zip([&pair[16..], &pair[..16]]) {
+            let weight = weight(half.try_into().expect("a digest half is 16 bytes"));
+            let challenge = challenge_scalar(&sig.commitment, key, msg);
+            s_combined = s_combined.add(weight.mul(sig.response));
+            bases.push(sig.commitment);
+            exps.push(weight);
+            bases.push(key.element());
+            exps.push(weight.mul(challenge));
+        }
     }
     let lhs = Element::base_pow(s_combined);
     let rhs = crate::group::multi_exp(&bases, &exps);
@@ -200,33 +215,23 @@ pub fn verify_batch(
         .collect())
 }
 
-/// Minimal transcript helper for deriving batch weights.
-struct Sha256Transcript {
-    state: [u8; 32],
+/// Absorbs `data` behind its length, so item boundaries are part of the
+/// transcript.
+fn absorb_framed(transcript: &mut Sha256, data: &[u8]) {
+    transcript.update(&(data.len() as u64).to_be_bytes());
+    transcript.update(data);
 }
 
-impl Sha256Transcript {
-    fn new(seed: &[u8]) -> Self {
-        Sha256Transcript { state: sha256_parts(&[b"vc-batch-transcript", seed]) }
-    }
-
-    fn absorb(&mut self, data: &[u8]) {
-        self.state = sha256_parts(&[&self.state, data]);
-    }
-
-    /// The i-th batch weight: the low 128 bits of a transcript-bound hash
-    /// (zero bumped to one). Half-width weights halve the multiply count
-    /// the commitment terms contribute to the shared multi-exponentiation
-    /// while keeping the forgery probability at the same 2^-128 bound the
-    /// full-width weights gave (the bound is `1/#weights`, not `1/q`).
-    fn weight(&self, index: u64) -> Scalar {
-        let digest = sha256_parts(&[b"vc-batch-weight", &self.state, &index.to_be_bytes()]);
-        let mut low = [0u8; 16];
-        low.copy_from_slice(&digest[16..]);
-        let mut w = Scalar::from_u256(crate::u256::U256::from(u128::from_be_bytes(low)));
-        if w.is_zero() {
-            w = Scalar::one();
-        }
+/// A batch weight from 128 bits of transcript-bound hash (zero bumped to
+/// one). Half-width weights halve the multiply count the commitment terms
+/// contribute to the shared multi-exponentiation while keeping the forgery
+/// probability at the same 2^-128 bound full-width weights give (the bound
+/// is `1/#weights`, not `1/q`).
+fn weight(half: [u8; 16]) -> Scalar {
+    let w = Scalar::from_u256(crate::u256::U256::from(u128::from_be_bytes(half)));
+    if w.is_zero() {
+        Scalar::one()
+    } else {
         w
     }
 }
@@ -282,6 +287,33 @@ mod tests {
         let vk = sk.verifying_key();
         let sig = sk.sign(b"beacon: pos=(12.0, 8.5) v=13.2");
         assert!(vk.verify(b"beacon: pos=(12.0, 8.5) v=13.2", &sig));
+    }
+
+    /// The bytes of one signature, as the signer gave them before it kept
+    /// its public key: holding `g^x` moves no signature byte.
+    #[test]
+    fn known_answer_signature() {
+        let sk = SigningKey::from_seed(b"vc-schnorr-kat");
+        let sig = sk.sign(b"beacon: pos=(12.0, 8.5) v=13.2");
+        assert_eq!(
+            crate::hex::encode(&sig.to_bytes()),
+            "2c7f19f3b9baf0e5c3425d95a11c214b712bdf8788b2bfb98ba4b6330ef2c9bf\
+             1d09afd9c29d0d90fbbe453da9ebe7cfeb110aa0fa073230002723e6724a8492"
+        );
+        assert_eq!(
+            crate::hex::encode(&sk.verifying_key().to_bytes()),
+            "432c23b10afa01eb9d95768024b58466c081eee9025e772bbc3e3888fef09261"
+        );
+    }
+
+    #[test]
+    fn kept_public_key_is_g_to_the_secret() {
+        let params = crate::group::group();
+        for seed in [&b"a"[..], b"vehicle 42 registration seed", &[0u8; 32]] {
+            let sk = SigningKey::from_seed(seed);
+            let y = params.g.pow_mod(sk.secret.as_u256(), params.p);
+            assert_eq!(sk.verifying_key().element().as_u256(), y);
+        }
     }
 
     #[test]

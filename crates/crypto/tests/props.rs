@@ -344,38 +344,63 @@ prop! {
     // the division-based verifier it checks, in `schnorr.rs`) ----
 
     // Batch verification is equivalent to sequential verification: an
-    // all-valid batch passes, and with exactly one forged signature the
-    // batch fails and attributes precisely that index.
+    // all-valid batch of 0–64 items passes (odd sizes leave the last weight
+    // pair half used), and after up to three forgeries (a flipped message
+    // byte, a response plus one, two items' keys or commitments swapped)
+    // it names exactly the items per-item `verify` rejects.
     #[test]
-    fn batch_verify_equivalent_to_sequential(count in 1usize..10, culprit in any_u8(),
-                                             tamper in any_u8()) {
-        let items: Vec<(Vec<u8>, vc_crypto::schnorr::VerifyingKey, vc_crypto::schnorr::Signature)> =
-            (0..count)
-                .map(|i| {
-                    let sk = SigningKey::from_seed(&[i as u8, 0xB, 0xC]);
-                    let msg = vec![i as u8; 1 + i];
-                    let sig = sk.sign(&msg);
-                    (msg, sk.verifying_key(), sig)
-                })
-                .collect();
-        let refs: Vec<(&[u8], _, _)> =
-            items.iter().map(|(m, k, s)| (m.as_slice(), *k, *s)).collect();
-        prop_assert_eq!(vc_crypto::schnorr::verify_batch(&refs, b"prop"), Ok(()));
-        // Forge exactly one signature (bump response or flip a payload byte).
-        let mut forged = items.clone();
-        let idx = culprit as usize % count;
-        if tamper & 1 == 0 {
-            forged[idx].2.response = forged[idx].2.response.add(Scalar::one());
-        } else {
-            forged[idx].0[0] ^= 1;
+    fn batch_verify_equivalent_to_sequential(count in 0usize..65,
+                                             forgeries in vec(any_u16(), 0..4)) {
+        type Item = (Vec<u8>, vc_crypto::schnorr::VerifyingKey, vc_crypto::schnorr::Signature);
+        fn refs(items: &[Item]) -> Vec<(&[u8], vc_crypto::schnorr::VerifyingKey,
+                                        vc_crypto::schnorr::Signature)> {
+            items.iter().map(|(m, k, s)| (m.as_slice(), *k, *s)).collect()
         }
-        let refs: Vec<(&[u8], _, _)> =
-            forged.iter().map(|(m, k, s)| (m.as_slice(), *k, *s)).collect();
-        prop_assert_eq!(vc_crypto::schnorr::verify_batch(&refs, b"prop"), Err(vec![idx]));
-        // Sequential ground truth agrees item by item.
-        for (i, (m, k, s)) in refs.iter().enumerate() {
-            prop_assert_eq!(k.verify(m, s), i != idx);
+        let signed: Vec<Item> = (0..count)
+            .map(|i| {
+                let sk = SigningKey::from_seed(&[i as u8, 0xB, 0xC]);
+                let msg = vec![i as u8; 1 + i];
+                let sig = sk.sign(&msg);
+                (msg, sk.verifying_key(), sig)
+            })
+            .collect();
+        prop_assert_eq!(vc_crypto::schnorr::verify_batch(&refs(&signed), b"prop"), Ok(()));
+        let mut forged = signed.clone();
+        for &f in forgeries.iter().filter(|_| count > 0) {
+            let idx = (f >> 2) as usize % count;
+            let other = (idx + 1) % count;
+            match f & 3 {
+                0 => forged[idx].0[0] ^= 1,
+                1 => forged[idx].2.response = forged[idx].2.response.add(Scalar::one()),
+                2 => {
+                    let key = forged[idx].1;
+                    forged[idx].1 = forged[other].1;
+                    forged[other].1 = key;
+                }
+                _ => {
+                    let commitment = forged[idx].2.commitment;
+                    forged[idx].2.commitment = forged[other].2.commitment;
+                    forged[other].2.commitment = commitment;
+                }
+            }
         }
+        // Sequential ground truth, item by item.
+        let bad: Vec<usize> = forged
+            .iter()
+            .enumerate()
+            .filter(|(_, (m, k, s))| !k.verify(m, s))
+            .map(|(i, _)| i)
+            .collect();
+        if let ([f], true) = (forgeries.as_slice(), count > 1) {
+            // One forgery of any kind is caught: one culprit, or the two
+            // items whose keys or commitments swapped.
+            let idx = (f >> 2) as usize % count;
+            let mut expect = if f & 3 < 2 { vec![idx] } else { vec![idx, (idx + 1) % count] };
+            expect.sort_unstable();
+            prop_assert_eq!(&bad, &expect);
+        }
+        let want = if bad.is_empty() { Ok(()) } else { Err(bad) };
+        prop_assert_eq!(vc_crypto::schnorr::verify_batch(&refs(&forged), b"prop"), want);
     }
 
     // ---- merkle ----

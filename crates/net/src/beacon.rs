@@ -55,6 +55,7 @@ pub struct SignedBeacon {
 
 /// Signs a beacon.
 pub fn sign_beacon(beacon: Beacon, key: &SigningKey) -> SignedBeacon {
+    let _f = vc_obs::profile::frame("crypto.sign");
     SignedBeacon { signature: key.sign(&beacon.bytes()), beacon }
 }
 
@@ -101,6 +102,7 @@ impl BeaconStore {
         sender_key: &VerifyingKey,
         now: SimTime,
     ) -> Result<(), BeaconReject> {
+        let _f = vc_obs::profile::frame("net.beacon.ingest");
         if !verify_beacon(signed, sender_key) {
             return Err(BeaconReject::BadSignature);
         }
@@ -120,7 +122,7 @@ impl BeaconStore {
         batch: &[(SignedBeacon, VerifyingKey)],
         now: SimTime,
     ) -> Vec<Result<(), BeaconReject>> {
-        let _f = vc_obs::profile::frame("auth.verify.batch");
+        let _f = vc_obs::profile::frame("net.beacon.ingest");
         let bodies: Vec<Vec<u8>> = batch.iter().map(|(sb, _)| sb.beacon.bytes()).collect();
         let items: Vec<(&[u8], VerifyingKey, Signature)> = batch
             .iter()
@@ -128,8 +130,10 @@ impl BeaconStore {
             .map(|((sb, key), body)| (body.as_slice(), *key, sb.signature))
             .collect();
         // `bad` is ascending (attribution enumerates in order).
-        let bad =
-            vc_crypto::schnorr::verify_batch(&items, b"vc-beacon-batch").err().unwrap_or_default();
+        let bad = {
+            let _f = vc_obs::profile::frame("auth.verify.batch");
+            vc_crypto::schnorr::verify_batch(&items, b"vc-beacon-batch").err().unwrap_or_default()
+        };
         batch
             .iter()
             .enumerate()
