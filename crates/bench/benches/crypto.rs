@@ -16,6 +16,11 @@ use vc_testkit::bench::{black_box, Suite};
 // alloc bytes/iter columns.
 vc_obs::counting_allocator!();
 
+/// The message the signature rows sign: a `vc_net::beacon` beacon's 44
+/// bytes (sender 4, position and velocity 32, timestamp 8). Every signer in
+/// the workspace signs 30–60 bytes, so a longer message would time hashing.
+const BEACON_LEN: usize = 44;
+
 fn main() {
     vc_obs::mem::register_bench_probe();
     let mut suite = Suite::new("crypto");
@@ -65,7 +70,7 @@ fn main() {
     // ---- signatures ----
     let sk = SigningKey::from_seed(b"bench");
     let vk = sk.verifying_key();
-    let msg = vec![0x42u8; 200];
+    let msg = vec![0x42u8; BEACON_LEN];
     let sig = sk.sign(&msg);
     suite.bench("schnorr/sign", || sk.sign(black_box(&msg)));
     suite.bench("schnorr/verify", || vk.verify(black_box(&msg), black_box(&sig)));
@@ -76,7 +81,7 @@ fn main() {
     )> = (0..64u8)
         .map(|i| {
             let sk = SigningKey::from_seed(&[i, 0xB, 0xE]);
-            let msg = vec![i; 200];
+            let msg = vec![i; BEACON_LEN];
             let sig = sk.sign(&msg);
             (msg, sk.verifying_key(), sig)
         })

@@ -7,7 +7,7 @@
 
 use std::process::ExitCode;
 
-use vc_service::server::{bind_and_announce, ServerConfig};
+use vc_service::server::{Server, ServerConfig};
 use vc_testkit::cli::{Cli, Flag};
 
 const USAGE: &str = "\
@@ -52,7 +52,8 @@ fn main() -> ExitCode {
     config.addr = args.value("--addr").map_or(config.addr, String::from);
     config.pool.workers = args.positive("--workers").unwrap_or(config.pool.workers);
     config.pool.queue_cap = args.positive("--queue").unwrap_or(config.pool.queue_cap);
-    let (server, addr) = match bind_and_announce(&config) {
+    let bound = Server::bind(&config).and_then(|server| Ok((server.local_addr()?, server)));
+    let (addr, server) = match bound {
         Ok(bound) => bound,
         Err(e) => {
             eprintln!("vcloudd: cannot bind {}: {e}", config.addr);

@@ -12,8 +12,8 @@
 //!   reject-with-backpressure admission, per-job observability state, and
 //!   graceful drain.
 //! * [`server`] — the `vcloudd` TCP daemon: length-prefixed
-//!   [`vc_net::svc`] frames over loopback, one handler thread per
-//!   connection, results streamed in chunks.
+//!   [`vc_net::svc`] frames over loopback, a fixed pool of connection
+//!   handlers with per-connection deadlines, results streamed in chunks.
 //! * [`client`] — a blocking client for the wire protocol.
 //! * [`loadgen`] — the `vcload` open/closed-loop load generator with
 //!   latency histograms ([`vc_obs::Quantiles`]) and a

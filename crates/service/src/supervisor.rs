@@ -239,8 +239,10 @@ impl Supervisor {
         let queue_cap = config.queue_cap.max(1);
         let mut hub = MetricsHub::new();
         hub.gauge_set("svc.workers", workers_n as f64);
+        hub.gauge_set("svc.handlers", crate::server::HANDLERS as f64);
         hub.gauge_set("svc.queue.cap", queue_cap as f64);
         hub.gauge_set("svc.results.bytes", 0.0);
+        hub.counter_add("svc.conn.refused", 0);
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -384,6 +386,12 @@ impl SupervisorHandle {
                 rec.waiters -= 1;
             }
         }
+    }
+
+    /// Counts a connection the server refused because every handler was
+    /// busy and every waiting slot taken.
+    pub(crate) fn conn_refused(&self) {
+        self.inner.lock().hub.counter_add("svc.conn.refused", 1);
     }
 
     /// Renders the `svc.*` metrics registry as compact JSON.
