@@ -42,6 +42,16 @@ fn main() {
     suite.bench_elems("fleet/urban/10000", 10_000, || {
         black_box(Fleet::urban(&city, 10_000, &mut SimRng::seed_from(42)).len())
     });
+    // That fleet's tick, warmed until 41 % of first trips have ended and a
+    // tick plans ≈ 8 new routes, as `city-secure`'s ticks plan several.
+    let mut fleet = Fleet::urban(&city, 10_000, &mut SimRng::seed_from(42));
+    for _ in 0..1_000 {
+        fleet.step(0.5, &city);
+    }
+    suite.bench_elems("fleet/step/city-10000", 10_000, || {
+        fleet.step(0.5, &city);
+        black_box(fleet.len())
+    });
 
     // ---- rng ----
     let mut rng = SimRng::seed_from(3);

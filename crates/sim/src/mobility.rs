@@ -34,6 +34,10 @@ pub enum Mobility {
 }
 
 /// State for [`Mobility::Waypoint`].
+///
+/// The current leg's geometry (start, heading, length and speed) is worked
+/// out once, when the vehicle starts the leg, and kept with the `leg` it
+/// belongs to; a changed `leg` works it out again.
 #[derive(Debug, Clone)]
 pub struct WaypointState {
     /// Remaining nodes on the current path (next leg target is `path[leg]`).
@@ -46,6 +50,37 @@ pub struct WaypointState {
     pub speed_factor: f64,
     /// Seconds of pause left at an intersection (traffic-light dwell).
     pub pause_s: f64,
+    /// The geometry of leg `geometry.leg`, cleared whenever `path` is
+    /// replaced.
+    geometry: LegGeometry,
+}
+
+/// One leg's geometry, from the same expressions on the same operands the
+/// step would otherwise evaluate every tick, so positions and velocities
+/// are bit-identical to recomputing it.
+#[derive(Debug, Clone, Copy)]
+struct LegGeometry {
+    /// The leg this was worked out for; `usize::MAX` for none.
+    leg: usize,
+    /// Position of the leg's start node.
+    start: Point,
+    /// Unit vector from the start node to the end node.
+    dir: Point,
+    /// Distance between the two nodes, meters.
+    len_m: f64,
+    /// The road's speed limit times the vehicle's speed factor, m/s.
+    speed: f64,
+}
+
+impl LegGeometry {
+    /// Matches no leg: the step works the geometry out on its next call.
+    const NONE: LegGeometry = LegGeometry {
+        leg: usize::MAX,
+        start: Point::new(0.0, 0.0),
+        dir: Point::new(0.0, 0.0),
+        len_m: 0.0,
+        speed: 0.0,
+    };
 }
 
 /// State for [`Mobility::Cruise`].
@@ -153,7 +188,8 @@ pub struct Fleet {
     /// fleet makes the steady-state tick allocation-free (asserted by the
     /// bench crate's memcheck tests).
     lane_scratch: Vec<((i8, i64), usize, f64, f64)>,
-    /// Reused per-vehicle leader output for [`Fleet::step_sharded`].
+    /// Reused per-vehicle leader output for [`Fleet::step_sharded`]; empty
+    /// when no online vehicle cruises.
     leaders: Vec<Option<(f64, f64)>>,
 }
 
@@ -161,6 +197,19 @@ impl Fleet {
     /// Creates an empty fleet.
     pub fn new() -> Self {
         Fleet::default()
+    }
+
+    /// An empty fleet with room for exactly `n` vehicles, so a fleet built
+    /// to a known size holds no `Vec`-doubling slack.
+    fn with_capacity(n: usize) -> Self {
+        Fleet {
+            vehicles: Vec::with_capacity(n),
+            pos: Vec::with_capacity(n),
+            vel: Vec::with_capacity(n),
+            online: Vec::with_capacity(n),
+            rngs: Vec::with_capacity(n),
+            ..Fleet::default()
+        }
     }
 
     /// Adds a vehicle, initialising its position from the mobility model and
@@ -325,7 +374,7 @@ impl Fleet {
                         &mut pos[i],
                         &mut vel[i],
                         &mut rngs[i],
-                        leaders[i],
+                        leaders.get(i).copied().flatten(),
                         &idm,
                         dt,
                         net,
@@ -358,7 +407,7 @@ impl Fleet {
                                 &mut pos_chunk[k],
                                 &mut vel_chunk[k],
                                 &mut rng_chunk[k],
-                                leaders[i],
+                                leaders.get(i).copied().flatten(),
                                 &idm,
                                 dt,
                                 net,
@@ -373,7 +422,8 @@ impl Fleet {
 
     /// IDM leader lookup: for each online cruiser, fills `self.leaders`
     /// with the (gap, leader speed) pair of the next vehicle ahead in its
-    /// (direction, lane); `None` everywhere else. Deterministic and
+    /// (direction, lane); `None` everywhere else, and an empty vector when
+    /// no online vehicle cruises (an urban fleet). Deterministic and
     /// shard-count independent — this read-only pass runs on the
     /// coordinator before the shards fan out.
     ///
@@ -405,6 +455,9 @@ impl Fleet {
             })
         });
         self.leaders.clear();
+        if self.lane_scratch.is_empty() {
+            return;
+        }
         self.leaders.resize(self.vehicles.len(), None);
         for w in self.lane_scratch.windows(2) {
             let (follower, leader) = (&w[0], &w[1]);
@@ -422,7 +475,7 @@ impl Fleet {
     ///
     /// Panics if the network has no intersections.
     pub fn urban(net: &RoadNetwork, n: usize, rng: &mut SimRng) -> Fleet {
-        let mut fleet = Fleet::new();
+        let mut fleet = Fleet::with_capacity(n);
         for i in 0..n {
             let profile = random_profile(VehicleId(i as u32), rng);
             let mobility = Mobility::Waypoint(new_waypoint(net, rng));
@@ -434,7 +487,7 @@ impl Fleet {
     /// Builds a highway fleet of `n` cruising vehicles on a corridor of
     /// `corridor_m` meters.
     pub fn highway(corridor_m: f64, n: usize, net: &RoadNetwork, rng: &mut SimRng) -> Fleet {
-        let mut fleet = Fleet::new();
+        let mut fleet = Fleet::with_capacity(n);
         for i in 0..n {
             let profile = random_profile(VehicleId(i as u32), rng);
             let desired = rng.range_f64(25.0, 36.0);
@@ -457,7 +510,7 @@ impl Fleet {
     /// Builds a parked fleet of `n` vehicles laid out in rows (a parking lot
     /// anchored at `origin` with 5 m pitch, 20 per row).
     pub fn parking_lot(origin: Point, n: usize, net: &RoadNetwork, rng: &mut SimRng) -> Fleet {
-        let mut fleet = Fleet::new();
+        let mut fleet = Fleet::with_capacity(n);
         for i in 0..n {
             let profile = random_profile(VehicleId(i as u32), rng);
             let row = i / 20;
@@ -523,6 +576,7 @@ fn new_waypoint(net: &RoadNetwork, rng: &mut SimRng) -> WaypointState {
         progress_m: 0.0,
         speed_factor: rng.range_f64(0.85, 1.15),
         pause_s: 0.0,
+        geometry: LegGeometry::NONE,
     }
 }
 
@@ -565,34 +619,42 @@ fn step_waypoint(
             w.path = random_path_from(net, here, rng);
             w.leg = 1;
             w.progress_m = 0.0;
+            w.geometry = LegGeometry::NONE;
         }
-        let from = w.path[w.leg - 1];
-        let to = w.path[w.leg];
-        if from == to {
-            // Degenerate stay-put path.
-            kin.pos = net.pos(from);
-            kin.velocity = Point::new(0.0, 0.0);
-            return;
+        if w.geometry.leg != w.leg {
+            let from = w.path[w.leg - 1];
+            let to = w.path[w.leg];
+            if from == to {
+                // Degenerate stay-put path.
+                kin.pos = net.pos(from);
+                kin.velocity = Point::new(0.0, 0.0);
+                return;
+            }
+            let a = net.pos(from);
+            let b = net.pos(to);
+            let speed_limit =
+                net.road_between(from, to).map_or(13.9, |rid| net.road(rid).speed_limit);
+            w.geometry = LegGeometry {
+                leg: w.leg,
+                start: a,
+                dir: (b - a).normalized(),
+                len_m: a.distance(b),
+                speed: speed_limit * w.speed_factor,
+            };
         }
-        let a = net.pos(from);
-        let b = net.pos(to);
-        let leg_len = a.distance(b);
-        let speed_limit = net.road_between(from, to).map_or(13.9, |rid| net.road(rid).speed_limit);
-        let speed = speed_limit * w.speed_factor;
+        let LegGeometry { start, dir, len_m, speed, .. } = w.geometry;
         let step_m = speed * remaining;
-        if w.progress_m + step_m < leg_len {
+        if w.progress_m + step_m < len_m {
             w.progress_m += step_m;
-            let dir = (b - a).normalized();
-            kin.pos = a + dir * w.progress_m;
+            kin.pos = start + dir * w.progress_m;
             kin.velocity = dir * speed;
             remaining = 0.0;
         } else {
             // Arrive at the intersection; consume proportional time, maybe dwell.
-            let travel_m = leg_len - w.progress_m;
+            let travel_m = len_m - w.progress_m;
             let travel_s = if speed > 0.0 { travel_m / speed } else { remaining };
             remaining = (remaining - travel_s).max(0.0);
-            kin.pos = b;
-            let dir = (b - a).normalized();
+            kin.pos = net.pos(w.path[w.leg]);
             kin.velocity = dir * speed;
             w.leg += 1;
             w.progress_m = 0.0;
@@ -637,6 +699,164 @@ mod tests {
 
     fn grid() -> RoadNetwork {
         RoadNetwork::grid(5, 5, 100.0, 13.9)
+    }
+
+    /// The waypoint step that works out the leg's geometry on every call:
+    /// the reference the cached `step_waypoint` must match bit for bit.
+    fn step_waypoint_reference(
+        w: &mut WaypointState,
+        kin: &mut Kinematics,
+        dt: f64,
+        net: &RoadNetwork,
+        rng: &mut SimRng,
+    ) {
+        let mut remaining = dt;
+        while remaining > 0.0 {
+            if w.pause_s > 0.0 {
+                let pause = w.pause_s.min(remaining);
+                w.pause_s -= pause;
+                remaining -= pause;
+                kin.velocity = Point::new(0.0, 0.0);
+                continue;
+            }
+            if w.leg >= w.path.len() {
+                let here = *w.path.last().expect("path non-empty");
+                w.path = random_path_from(net, here, rng);
+                w.leg = 1;
+                w.progress_m = 0.0;
+            }
+            let from = w.path[w.leg - 1];
+            let to = w.path[w.leg];
+            if from == to {
+                kin.pos = net.pos(from);
+                kin.velocity = Point::new(0.0, 0.0);
+                return;
+            }
+            let a = net.pos(from);
+            let b = net.pos(to);
+            let leg_len = a.distance(b);
+            let speed_limit =
+                net.road_between(from, to).map_or(13.9, |rid| net.road(rid).speed_limit);
+            let speed = speed_limit * w.speed_factor;
+            let step_m = speed * remaining;
+            if w.progress_m + step_m < leg_len {
+                w.progress_m += step_m;
+                let dir = (b - a).normalized();
+                kin.pos = a + dir * w.progress_m;
+                kin.velocity = dir * speed;
+                remaining = 0.0;
+            } else {
+                let travel_m = leg_len - w.progress_m;
+                let travel_s = if speed > 0.0 { travel_m / speed } else { remaining };
+                remaining = (remaining - travel_s).max(0.0);
+                kin.pos = b;
+                let dir = (b - a).normalized();
+                kin.velocity = dir * speed;
+                w.leg += 1;
+                w.progress_m = 0.0;
+                if rng.chance(0.3) {
+                    w.pause_s = rng.range_f64(1.0, 8.0);
+                }
+            }
+        }
+    }
+
+    /// Steps every online vehicle of an all-waypoint fleet with the
+    /// reference.
+    fn step_reference(fleet: &mut Fleet, dt: f64, net: &RoadNetwork) {
+        for i in 0..fleet.len() {
+            if !fleet.online[i] {
+                continue;
+            }
+            let Mobility::Waypoint(w) = &mut fleet.vehicles[i].mobility else {
+                panic!("the reference steps waypoint vehicles only")
+            };
+            let mut kin = Kinematics { pos: fleet.pos[i], velocity: fleet.vel[i] };
+            step_waypoint_reference(w, &mut kin, dt, net, &mut fleet.rngs[i]);
+            fleet.pos[i] = kin.pos;
+            fleet.vel[i] = kin.velocity;
+        }
+    }
+
+    #[test]
+    fn cached_legs_step_bit_for_bit_like_the_reference() {
+        // A 6x6 grid whose roads each draw a limit, so one trip mixes
+        // speeds, plus one intersection no road touches.
+        let mut draw = SimRng::seed_from(11);
+        let mut net = RoadNetwork::new();
+        for r in 0..6 {
+            for c in 0..6 {
+                net.add_intersection(Point::new(c as f64 * 120.0, r as f64 * 90.0));
+            }
+        }
+        let id = |c: usize, r: usize| NodeId(r * 6 + c);
+        for r in 0..6 {
+            for c in 0..6 {
+                for (dc, dr) in [(1, 0), (0, 1)] {
+                    if c + dc < 6 && r + dr < 6 {
+                        let limit = [8.3, 13.9, 22.2][draw.index(3)];
+                        net.add_two_way(id(c, r), id(c + dc, r + dr), limit, 1);
+                    }
+                }
+            }
+        }
+        let island = net.add_intersection(Point::new(-500.0, 700.0));
+        let mut rng = SimRng::seed_from(12);
+        let mut fleet = Fleet::urban(&net, 60, &mut rng);
+        // Hand-built legs: two with no road under them (the 13.9 m/s
+        // fallback), the second ending where no trip can start, so its
+        // next path is the stay-put `[island, island]`; and one stay-put
+        // path from the start.
+        let paths = [vec![id(0, 0), id(2, 3), id(5, 5)], vec![id(4, 1), island], vec![id(3, 3); 2]];
+        for path in paths {
+            let profile = random_profile(VehicleId(fleet.len() as u32), &mut rng);
+            let w = WaypointState {
+                path,
+                leg: 1,
+                progress_m: 0.0,
+                speed_factor: rng.range_f64(0.85, 1.15),
+                pause_s: 0.0,
+                geometry: LegGeometry::NONE,
+            };
+            fleet.push(Vehicle::new(profile, Mobility::Waypoint(w)), &net, &mut rng);
+        }
+        let mut reference = fleet.clone();
+        // From a tenth of a second, several steps a leg, to 40 s, where one
+        // step crosses several legs and pauses.
+        let dts = [0.1, 0.5, 1.0, 2.5, 7.0, 40.0];
+        let mut churn = SimRng::seed_from(13);
+        for tick in 0..600 {
+            let dt = dts[(tick / 7) % dts.len()];
+            fleet.step(dt, &net);
+            step_reference(&mut reference, dt, &net);
+            for i in 0..fleet.len() {
+                let (Mobility::Waypoint(got), Mobility::Waypoint(want)) =
+                    (&fleet.vehicles[i].mobility, &reference.vehicles[i].mobility)
+                else {
+                    unreachable!("all waypoint vehicles")
+                };
+                let at = format!("vehicle {i} after tick {tick} (dt {dt})");
+                for (g, r) in [(fleet.pos[i], reference.pos[i]), (fleet.vel[i], reference.vel[i])] {
+                    assert_eq!(
+                        (g.x.to_bits(), g.y.to_bits()),
+                        (r.x.to_bits(), r.y.to_bits()),
+                        "{at}"
+                    );
+                }
+                assert_eq!((got.leg, &got.path), (want.leg, &want.path), "{at}");
+                assert_eq!(got.progress_m.to_bits(), want.progress_m.to_bits(), "{at}");
+                assert_eq!(got.pause_s.to_bits(), want.pause_s.to_bits(), "{at}");
+            }
+            // Vehicles go offline and come back; both fleets alike.
+            for _ in 0..3 {
+                let v = VehicleId(churn.index(fleet.len()) as u32);
+                let online = !fleet.is_online(v);
+                fleet.set_online(v, online);
+                reference.set_online(v, online);
+            }
+        }
+        let Mobility::Waypoint(w) = &fleet.vehicles[61].mobility else { unreachable!() };
+        assert_eq!(w.path, vec![island, island], "the island vehicle ends on a stay-put path");
     }
 
     #[test]

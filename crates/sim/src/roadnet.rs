@@ -56,11 +56,8 @@ pub struct Road {
 pub struct RoadNetwork {
     intersections: Vec<Intersection>,
     roads: Vec<Road>,
-    /// adjacency[node] = outgoing road ids.
-    adjacency: Vec<Vec<RoadId>>,
-    /// travel[road] = free-flow travel time in seconds, the Dijkstra edge
-    /// weight, computed once by `add_road`.
-    travel: Vec<f64>,
+    /// Lazily built outgoing-road lists; invalidated by any mutation.
+    edges: OnceLock<Edges>,
     /// Lazily built spatial index over intersections and segments;
     /// invalidated by any mutation.
     index: OnceLock<RoadIndex>,
@@ -76,16 +73,9 @@ impl RoadNetwork {
     /// index, by capacity. Deterministic for identically constructed and
     /// identically queried networks.
     pub fn heap_bytes(&self) -> u64 {
-        let adjacency = self.adjacency.capacity() * std::mem::size_of::<Vec<RoadId>>()
-            + self
-                .adjacency
-                .iter()
-                .map(|a| a.capacity() * std::mem::size_of::<RoadId>())
-                .sum::<usize>();
         (self.intersections.capacity() * std::mem::size_of::<Intersection>()
-            + self.roads.capacity() * std::mem::size_of::<Road>()
-            + self.travel.capacity() * std::mem::size_of::<f64>()
-            + adjacency) as u64
+            + self.roads.capacity() * std::mem::size_of::<Road>()) as u64
+            + self.edges.get().map_or(0, Edges::heap_bytes)
             + self.index.get().map_or(0, RoadIndex::heap_bytes)
     }
 
@@ -96,10 +86,10 @@ impl RoadNetwork {
     /// Panics if either coordinate is NaN or infinite.
     pub fn add_intersection(&mut self, pos: Point) -> NodeId {
         assert!(pos.x.is_finite() && pos.y.is_finite(), "intersection position must be finite");
+        self.edges.take();
         self.index.take();
         let id = NodeId(self.intersections.len());
         self.intersections.push(Intersection { id, pos });
-        self.adjacency.push(Vec::new());
         id
     }
 
@@ -110,6 +100,7 @@ impl RoadNetwork {
     /// Panics if either endpoint does not exist, the endpoints coincide, the
     /// speed limit is not positive, or `lanes` is zero.
     pub fn add_road(&mut self, from: NodeId, to: NodeId, speed_limit: f64, lanes: u8) -> RoadId {
+        self.edges.take();
         self.index.take();
         assert!(from.0 < self.intersections.len(), "unknown from-node");
         assert!(to.0 < self.intersections.len(), "unknown to-node");
@@ -118,8 +109,6 @@ impl RoadNetwork {
         assert!(lanes > 0, "road needs at least one lane");
         let id = RoadId(self.roads.len());
         self.roads.push(Road { id, from, to, speed_limit, lanes });
-        self.adjacency[from.0].push(id);
-        self.travel.push(self.road_length(id) / speed_limit);
         id
     }
 
@@ -160,9 +149,10 @@ impl RoadNetwork {
         self.pos(r.from).distance(self.pos(r.to))
     }
 
-    /// Outgoing roads from a node.
+    /// Outgoing roads from a node, in id order.
     pub fn outgoing(&self, node: NodeId) -> &[RoadId] {
-        &self.adjacency[node.0]
+        let edges = self.edges();
+        &edges.roads[edges.span(node.0)]
     }
 
     /// The intersection nearest to `p` (None for an empty network).
@@ -207,6 +197,11 @@ impl RoadNetwork {
         best.map(|(_, id)| id)
     }
 
+    /// The lazily built outgoing-road lists.
+    fn edges(&self) -> &Edges {
+        self.edges.get_or_init(|| Edges::build(self))
+    }
+
     /// The lazily built spatial index (field and method share the name; Rust
     /// keeps fields and methods in separate namespaces).
     fn index(&self) -> &RoadIndex {
@@ -231,6 +226,7 @@ impl RoadNetwork {
             return Some(vec![from]);
         }
         const NO_PREV: usize = usize::MAX;
+        let edges = self.edges();
         let n = self.intersections.len();
         let mut dist = vec![f64::INFINITY; n];
         let mut prev = vec![NO_PREV; n];
@@ -251,9 +247,8 @@ impl RoadNetwork {
             if u == to.0 {
                 break;
             }
-            for &rid in &self.adjacency[u] {
-                let v = self.roads[rid.0].to.0;
-                let nd = d + self.travel[rid.0];
+            for &(v, travel) in &edges.hops[edges.span(u)] {
+                let nd = d + travel;
                 if nd < dist[v] {
                     dist[v] = nd;
                     prev[v] = u;
@@ -277,7 +272,10 @@ impl RoadNetwork {
 
     /// The road from `a` directly to `b`, if one exists.
     pub(crate) fn road_between(&self, a: NodeId, b: NodeId) -> Option<RoadId> {
-        self.outgoing(a).iter().copied().find(|&rid| self.road(rid).to == b)
+        let edges = self.edges();
+        let span = edges.span(a.0);
+        let k = edges.hops[span.clone()].iter().position(|&(to, _)| to == b.0)?;
+        Some(edges.roads[span.start + k])
     }
 
     /// Builds a `cols x rows` Manhattan grid with two-way streets.
@@ -365,6 +363,60 @@ impl RoadNetwork {
             });
         }
         best
+    }
+}
+
+/// Every road as a hop out of its start node, in flat arrays grouped by that
+/// node, roads of one node in id order (the order `add_road` saw them).
+///
+/// Built lazily by `RoadNetwork::edges` and dropped on any mutation, like
+/// `RoadIndex`. Dijkstra reads one contiguous `(to, travel)` run per
+/// settled node instead of chasing a road id into `roads` per edge.
+#[derive(Debug, Clone)]
+struct Edges {
+    /// Node `u`'s hops are `starts[u]..starts[u + 1]` of the arrays below.
+    starts: Vec<usize>,
+    /// `(end node, free-flow travel seconds)`: the Dijkstra edge weight,
+    /// `road_length / speed_limit`.
+    hops: Vec<(usize, f64)>,
+    /// The road of each hop.
+    roads: Vec<RoadId>,
+}
+
+impl Edges {
+    fn build(net: &RoadNetwork) -> Self {
+        let mut starts = vec![0; net.intersections.len() + 1];
+        for r in &net.roads {
+            starts[r.from.0 + 1] += 1;
+        }
+        for u in 1..starts.len() {
+            starts[u] += starts[u - 1];
+        }
+        // A counting sort by start node; roads go in id order, so each
+        // node's run keeps them in id order.
+        let mut next = starts.clone();
+        let mut hops = vec![(0, 0.0); net.roads.len()];
+        let mut roads = vec![RoadId(0); net.roads.len()];
+        for r in &net.roads {
+            let slot = next[r.from.0];
+            next[r.from.0] += 1;
+            hops[slot] = (r.to.0, net.road_length(r.id) / r.speed_limit);
+            roads[slot] = r.id;
+        }
+        Edges { starts, hops, roads }
+    }
+
+    /// Node `u`'s range of `hops` and `roads`.
+    fn span(&self, u: usize) -> std::ops::Range<usize> {
+        self.starts[u]..self.starts[u + 1]
+    }
+
+    /// Heap bytes of the three arrays, by capacity.
+    fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.starts.capacity() * size_of::<usize>()
+            + self.hops.capacity() * size_of::<(usize, f64)>()
+            + self.roads.capacity() * size_of::<RoadId>()) as u64
     }
 }
 

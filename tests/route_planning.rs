@@ -29,3 +29,22 @@ fn city_grid_routes_are_pinned() {
     assert_eq!(fleet.len(), 1_000);
     assert_eq!(path_digest(&fleet), 0x55b0_78fb_bd8c_1531);
 }
+
+/// The same fleet driven 600 steps of 0.5 s, past the end of the shorter
+/// first trips (177 vehicles plan a second route), so leg geometry on
+/// both trips enters the digest: FNV-1a over every vehicle's position and
+/// velocity, as the bits of `x` then `y`, little-endian.
+#[test]
+fn city_grid_positions_are_pinned() {
+    let net = RoadNetwork::grid(57, 57, 200.0, 13.9);
+    let mut fleet = Fleet::urban(&net, 1_000, &mut SimRng::seed_from(42));
+    for _ in 0..600 {
+        fleet.step(0.5, &net);
+    }
+    let mut bytes = Vec::new();
+    for p in fleet.positions().iter().chain(fleet.velocities()) {
+        bytes.extend(p.x.to_bits().to_le_bytes());
+        bytes.extend(p.y.to_bits().to_le_bytes());
+    }
+    assert_eq!(fnv1a64(&[&bytes]), 0x9c62_3b60_b6f8_f9fc);
+}
