@@ -8,7 +8,7 @@ use vc_crypto::group::{Element, Scalar};
 use vc_crypto::hmac::hmac_sha256;
 use vc_crypto::merkle::MerkleTree;
 use vc_crypto::schnorr::SigningKey;
-use vc_crypto::sha256::sha256;
+use vc_crypto::sha256::{compress_lanes, sha256};
 use vc_crypto::u256::{Mont, U256};
 use vc_testkit::bench::{black_box, Suite};
 
@@ -35,6 +35,19 @@ fn main() {
     let seed = LinkageSeed([0x5A; 16]);
     suite.bench("sha256/linkage_scalar", || {
         black_box(&seed).linkage_value(black_box(LinkageIndex { period: 0x0123_4567, j: 11 }))
+    });
+    // A batch verification's first lane pass: sixteen 3-block messages (a
+    // beacon's challenge or transcript entry is 128–148 bytes), scalar and
+    // in lanes. The lane hasher is crate-private, so the lane row runs its
+    // kernel on the same 48 block compressions, three one-block calls of
+    // sixteen lanes, without the packing.
+    let messages: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 148]).collect();
+    suite.bench("sha256/scalar/16x3blocks", || {
+        black_box(&messages).iter().map(|m| sha256(m)[0]).fold(0, |a, b| a ^ b)
+    });
+    let lane_blocks = [[0x5A5A_5A5Au32; 16]; 16];
+    suite.bench("sha256/lanes/16x3blocks", || {
+        (0..3).map(|_| compress_lanes(black_box(&lane_blocks))[0][0]).fold(0, |a, b| a ^ b)
     });
     let data = vec![0u8; 256];
     suite.bench("hmac_sha256/256B", || hmac_sha256(black_box(b"key"), black_box(&data)));
@@ -93,6 +106,15 @@ fn main() {
             vc_crypto::schnorr::verify_batch(black_box(&refs), b"bench").is_ok()
         });
     }
+    // One forged beacon in a window of 32: the failed check, the culprit
+    // equation and the culprit's own check.
+    let mut forged: Vec<(&[u8], _, _)> =
+        batch_items[..32].iter().map(|(m, k, s)| (m.as_slice(), *k, *s)).collect();
+    let tampered = vec![0xFFu8; BEACON_LEN];
+    forged[13].0 = &tampered;
+    suite.bench("schnorr/verify_batch/32-one-forged", || {
+        vc_crypto::schnorr::verify_batch(black_box(&forged), b"bench") == Err(vec![13])
+    });
     // Full-width exponent, as every real nonce, key and response is: a
     // short one touches only its own nonzero nibbles of the fixed-base table.
     let e = Scalar::hash_to_scalar(&[b"bench-exponent"]);

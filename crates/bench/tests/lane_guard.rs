@@ -31,18 +31,29 @@
 //!
 //! A signature costs one fixed-base exponentiation, for its commitment: the
 //! signer keeps its public key and does not recompute it. The fourth test
-//! times `sign_beacon` against `Element::base_pow`, failing above 2.8:
-//! 2.2–2.45 as built, 3.3–3.5 when `sign` pays a second `base_pow` for its
-//! own key. The fifth times a 30-beacon `verify_batch`, per beacon, against
-//! `base_pow`, failing above 3.5: 3.1–3.15 as built, 3.85–4.65 when the
-//! batch transcript is hashed again per item (docs/CRYPTO.md, "Cost
+//! times `sign_beacon` against `Element::base_pow`, failing above 3.7:
+//! 3.0–3.4 as built, 4.05–4.3 when `sign` pays a second `base_pow` for its
+//! own key. (A byte-window `base_pow` is ≈ 32 products, so the nonce and
+//! challenge hashes are most of a signature.) The fifth times a 30-beacon `verify_batch`, per
+//! beacon, against `base_pow`, failing above 5.0: 3.85–3.9 as built on a
+//! quiet host and up to 4.85 on a busy one, 5.1–5.2 when each challenge is
+//! hashed on its own instead of in SIMD lanes. A transcript hashed twice
+//! costs ≈ 0.2 `base_pow` a beacon (4.05–4.15), inside the as-built spread:
+//! no bound on this ratio separates it. The sixth times a 30-beacon window
+//! with one forged beacon against the same window all valid, failing above
+//! 2.5: 1.6–1.85 as built, 3.05–3.4 when a failed batch checks every item
+//! on its own instead of solving for the culprit (docs/CRYPTO.md, "Cost
 //! model").
+//!
+//! The tests take turns (`one_at_a_time`): timed beside each other on the
+//! harness's parallel threads, the ratios above spread past their bounds.
 //!
 //! Timing tests, so they are ignored by default; the `bench-smoke` CI job
 //! runs them optimised:
 //! `cargo test --release -p vc-bench --test lane_guard -- --ignored`.
 
 use std::hint::black_box;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use vc_auth::handshake::{run_handshake_obs, HandshakeObsParams};
 use vc_auth::identity::{RealIdentity, TrustedAuthority};
@@ -70,6 +81,17 @@ fn best_pair_ns(reps: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (f64, 
     (0..reps).fold((f64::INFINITY, f64::INFINITY), |(best_f, best_g), _| {
         (best_f.min(time(&mut f)), best_g.min(time(&mut g)))
     })
+}
+
+/// Holds the test that holds it apart from every other test in this file.
+///
+/// The harness runs tests on parallel threads, and a guard timed beside
+/// another on a sibling hyperthread reads skewed ratios: beside the CRL
+/// scans, `sign_beacon ÷ base_pow` read up to 4.4 where it reads 3.0 alone,
+/// as high as a signer paying a second exponentiation.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `ENTRIES` synthetic revoked seeds, in ascending order.
@@ -139,6 +161,7 @@ fn tier() -> (&'static str, f64) {
 #[test]
 #[ignore = "timing: run with --release (bench-smoke CI step)"]
 fn crl_scan_costs_at_most_six_tenths_of_a_scalar_hash_per_entry() {
+    let _turn = one_at_a_time();
     let (tier, bound) = tier();
     let seeds = seeds();
     let (scan_ns, scalar_ns) = best_pair_ns(
@@ -167,6 +190,7 @@ fn crl_scan_costs_at_most_six_tenths_of_a_scalar_hash_per_entry() {
 #[test]
 #[ignore = "timing: run with --release (bench-smoke CI step)"]
 fn warm_full_handshake_costs_at_most_half_a_crl_scan() {
+    let _turn = one_at_a_time();
     let (ta, reg, wallets) = registry_with_wallets(2, 1);
     let seeds = seeds();
     let params = HandshakeObsParams {
@@ -199,6 +223,7 @@ fn warm_full_handshake_costs_at_most_half_a_crl_scan() {
 #[test]
 #[ignore = "timing: run with --release (bench-smoke CI step)"]
 fn cold_first_sighting_costs_at_most_a_fifth_of_a_crl_scan() {
+    let _turn = one_at_a_time();
     const REPS: usize = 30;
     let (ta, reg, mut wallets) = registry_with_wallets(3, 16);
     let seeds = seeds();
@@ -234,11 +259,11 @@ fn cold_first_sighting_costs_at_most_a_fifth_of_a_crl_scan() {
     );
 }
 
-/// One call of `f` in fixed-base exponentiations: the best of 300 calls of
-/// each, timed in alternation.
-fn per_base_pow(f: impl FnMut()) -> f64 {
+/// One call of `f` in fixed-base exponentiations: the best of `reps` calls
+/// of each, timed in alternation.
+fn per_base_pow(reps: usize, f: impl FnMut()) -> f64 {
     let e = Scalar::hash_to_scalar(&[b"lane-guard-exponent"]);
-    let (f_ns, pow_ns) = best_pair_ns(300, f, || {
+    let (f_ns, pow_ns) = best_pair_ns(reps, f, || {
         black_box(Element::base_pow(black_box(e)));
     });
     f_ns / pow_ns
@@ -257,25 +282,27 @@ fn beacon(sender: u32, t: u64) -> Beacon {
 #[test]
 #[ignore = "timing: run with --release (bench-smoke CI step)"]
 fn a_signature_costs_one_fixed_base_exponentiation() {
+    let _turn = one_at_a_time();
     let key = SigningKey::from_seed(b"lane-guard-signer");
     let mut t = 0;
-    let ratio = per_base_pow(|| {
+    let ratio = per_base_pow(30_000, || {
         t += 1;
         black_box(sign_beacon(beacon(1, t), black_box(&key)));
     });
     println!("sign_beacon / base_pow {ratio:.2}");
     assert!(
-        ratio <= 2.8,
+        ratio <= 3.7,
         "sign_beacon costs {ratio:.2} fixed-base exponentiations: the signer is computing \
          something beside its commitment, such as its own public key, again"
     );
 }
 
-#[test]
-#[ignore = "timing: run with --release (bench-smoke CI step)"]
-fn a_batched_beacon_costs_at_most_three_and_a_half_fixed_base_exponentiations() {
-    const BEACONS: usize = 30;
-    let signed: Vec<(Vec<u8>, VerifyingKey, Signature)> = (0..BEACONS)
+/// Beacons in the windows the batch guards verify.
+const BEACONS: usize = 30;
+
+/// `BEACONS` signed 44-byte beacon bodies, each under its own key.
+fn signed_window() -> Vec<(Vec<u8>, VerifyingKey, Signature)> {
+    (0..BEACONS)
         .map(|i| {
             let key =
                 SigningKey::from_seed(&[b"lane-guard-sender".as_slice(), &[i as u8]].concat());
@@ -283,17 +310,59 @@ fn a_batched_beacon_costs_at_most_three_and_a_half_fixed_base_exponentiations() 
             let signature = key.sign(&body);
             (body, key.verifying_key(), signature)
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+#[ignore = "timing: run with --release (bench-smoke CI step)"]
+fn a_batched_beacon_costs_at_most_five_fixed_base_exponentiations() {
+    let _turn = one_at_a_time();
+    let signed = signed_window();
     let items: Vec<(&[u8], VerifyingKey, Signature)> =
         signed.iter().map(|(m, k, s)| (m.as_slice(), *k, *s)).collect();
-    let ratio = per_base_pow(|| {
+    let ratio = per_base_pow(2_000, || {
         black_box(verify_batch(black_box(&items), b"vc-beacon-batch"))
             .expect("every beacon is valid");
     }) / BEACONS as f64;
     println!("verify_batch/{BEACONS} per beacon / base_pow {ratio:.2}");
     assert!(
-        ratio <= 3.5,
+        ratio <= 5.0,
         "a {BEACONS}-beacon verify_batch costs {ratio:.2} fixed-base exponentiations a beacon: \
-         the batch is hashing its transcript more than once, or weighing items one hash each"
+         the batch is hashing its items one at a time instead of in SIMD lanes, or hashing its \
+         transcript more than once"
+    );
+}
+
+#[test]
+#[ignore = "timing: run with --release (bench-smoke CI step)"]
+fn a_window_with_one_forged_beacon_costs_at_most_two_and_a_half_valid_ones() {
+    let _turn = one_at_a_time();
+    let signed = signed_window();
+    let valid: Vec<(&[u8], VerifyingKey, Signature)> =
+        signed.iter().map(|(m, k, s)| (m.as_slice(), *k, *s)).collect();
+    let mut forged = valid.clone();
+    let tampered = [0xFFu8; 44];
+    forged[BEACONS / 2].0 = &tampered;
+    let (forged_ns, valid_ns) = best_pair_ns(
+        100,
+        || {
+            let culprits = verify_batch(black_box(&forged), b"vc-beacon-batch");
+            assert_eq!(black_box(culprits), Err(vec![BEACONS / 2]));
+        },
+        || {
+            black_box(verify_batch(black_box(&valid), b"vc-beacon-batch"))
+                .expect("every beacon is valid");
+        },
+    );
+    let ratio = forged_ns / valid_ns;
+    println!(
+        "verify_batch/{BEACONS} with one forged beacon {:.1} us, valid {:.1} us, ratio {ratio:.2}",
+        forged_ns / 1e3,
+        valid_ns / 1e3
+    );
+    assert!(
+        ratio <= 2.5,
+        "a {BEACONS}-beacon window with one forged beacon costs {ratio:.2} valid windows: the \
+         failed batch is checking its items one by one instead of solving for the culprit"
     );
 }

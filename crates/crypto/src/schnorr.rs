@@ -5,8 +5,9 @@
 //! nonces (RFC 6979 in spirit: `k = H(sk || msg)`) keep runs reproducible
 //! and remove nonce-reuse foot-guns.
 
-use crate::group::{Element, Scalar};
-use crate::sha256::{sha256_parts, Sha256};
+use crate::group::{ratio_exponent, BaseTables, Element, Scalar};
+use crate::sha256::{sha256_lanes, sha256_parts, Digest, Sha256};
+use crate::u256::U256;
 
 /// A signing (secret) key, holding its public key `g^x` beside the secret so
 /// neither [`SigningKey::sign`] nor [`SigningKey::verifying_key`] pays a
@@ -79,11 +80,7 @@ impl SigningKey {
 impl VerifyingKey {
     /// Verifies `signature` over `message`.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
-        let challenge = challenge_scalar(&signature.commitment, self, message);
-        // g^s == R * y^e
-        let lhs = Element::base_pow(signature.response);
-        let rhs = signature.commitment.mul(self.point.pow(challenge));
-        lhs == rhs
+        equation_holds(self, signature, challenge_scalar(&signature.commitment, self, message))
     }
 
     /// The public group element.
@@ -126,76 +123,176 @@ impl Signature {
     }
 }
 
-/// Batch verification of many (message, key, signature) triples — the
-/// technique the paper's time-critical authentication citations rely on
-/// ([21] batch verification, [44] real-time signatures).
+/// The per-item hashes and per-base tables of one batch (message, key,
+/// signature triples): what both of a failed batch's products read.
 ///
-/// Uses small random weights `r_i` and one simultaneous multi-exponentiation:
+/// Batch verification (the technique the paper's time-critical
+/// authentication citations rely on: [21] batch verification, [44]
+/// real-time signatures) weighs item `i` by a 128-bit `w_i` and checks one
+/// random linear combination with one simultaneous multi-exponentiation:
 ///
 /// ```text
-/// g^(Σ r_i·s_i)  ==  Π R_i^{r_i} · Π y_i^{r_i·e_i}
+/// g^(Σ w_i·s_i)  ==  Π R_i^{w_i} · Π y_i^{w_i·e_i}
 /// ```
 ///
-/// Sound except with probability ~2^-128 over the weights. One SHA-256
-/// streams the whole batch once: a tag, then `weight_seed` and each item's
-/// message, each prefixed with its length, with each item's key and
-/// signature bytes after its message. So a forger cannot pick signatures
-/// after seeing the weights, and no two batches share a transcript. Each
-/// `SHA-256("vc-batch-weight" ‖ digest ‖ k)` gives the 128-bit weights of
-/// items `2k` and `2k + 1`, its low half and its high half. An empty batch
-/// verifies trivially.
-///
-/// A failed batch says *some* signature is bad but not which; the one
-/// public entry, [`verify_batch`], falls back to per-signature verification
-/// to pinpoint culprits.
-fn batch_verify(items: &[(&[u8], VerifyingKey, Signature)], weight_seed: &[u8]) -> bool {
-    if items.is_empty() {
-        return true;
+/// Sound except with probability ~2^-128 over the weights. Each item's
+/// challenge `e_i` and its transcript entry
+/// `d_i = SHA-256(len(m_i) ‖ m_i ‖ y_i ‖ R_i ‖ s_i)` are independent of every
+/// other item's, so they hash side by side in SIMD lanes; the one
+/// sequential hash is the transcript
+/// `SHA-256("vc-batch-transcript" ‖ len(seed) ‖ seed ‖ d_0 ‖ … ‖ d_{n-1})`,
+/// 32 bytes an item. So a forger cannot pick signatures after seeing the
+/// weights, and no two batches share a transcript. Each
+/// `SHA-256("vc-batch-weight" ‖ transcript ‖ k)` gives the weights of items
+/// `2k` and `2k + 1`, its low half and its high half (zero bumped to one);
+/// those hash in lanes beside the challenges' hash-to-scalar step.
+struct Batch<'a> {
+    items: &'a [(&'a [u8], VerifyingKey, Signature)],
+    challenges: Vec<Scalar>,
+    weights: Vec<Scalar>,
+    /// `R_0, y_0, R_1, y_1, …`'s window tables.
+    tables: BaseTables,
+}
+
+impl<'a> Batch<'a> {
+    /// Hashes a nonempty batch and builds its bases' tables.
+    fn new(items: &'a [(&'a [u8], VerifyingKey, Signature)], weight_seed: &[u8]) -> Batch<'a> {
+        let (challenges, weights) = hash_batch(items, weight_seed);
+        let bases: Vec<Element> =
+            items.iter().flat_map(|(_, key, sig)| [sig.commitment, key.element()]).collect();
+        Batch { items, challenges, weights, tables: BaseTables::new(&bases) }
     }
-    // One transcript hash binding all items, so weights depend on everything.
+
+    /// Both sides of the batch equation with item `i` weighed by
+    /// `coefficients[i]`: `g^(Σ c_i·s_i)` and `Π R_i^{c_i} · y_i^{c_i·e_i}`.
+    fn sides(&self, coefficients: &[Scalar]) -> (Element, Element) {
+        let mut s_combined = Scalar::zero();
+        let mut exps = Vec::with_capacity(2 * coefficients.len());
+        for (((_, _, sig), c), e) in self.items.iter().zip(coefficients).zip(&self.challenges) {
+            s_combined = s_combined.add(c.mul(sig.response));
+            exps.push(*c);
+            exps.push(c.mul(*e));
+        }
+        (Element::base_pow(s_combined), self.tables.multi_exp(&exps))
+    }
+
+    /// Item `i`'s own verification equation, on its cached challenge.
+    fn holds(&self, i: usize) -> bool {
+        let (_, key, sig) = &self.items[i];
+        equation_holds(key, sig, self.challenges[i])
+    }
+
+    /// The one bad item that explains a failed batch, or `None` when none
+    /// does. `first` is the weighed equation's two sides.
+    ///
+    /// Write `δ_i = g^(s_i) / (R_i·y_i^(e_i))`, which is 1 exactly for a
+    /// valid item. The failed check says `D_1 = Π δ_i^(w_i) ≠ 1`; a second
+    /// product with the weights scaled by `i + 1` gives
+    /// `D_2 = Π δ_i^((i+1)·w_i)`. If item `j` alone is bad, `D_2 = D_1^(j+1)`,
+    /// and no other `c ≤ n` fits, since `D_1` has prime order `q > n`. The
+    /// candidate must then fail its own check to be named, so a valid item
+    /// never is. With two or more bad items some `c` fits only with
+    /// probability ≤ n·2^-128 over the weights, and even then a valid
+    /// candidate sends the caller to the per-item path.
+    fn lone_culprit(&self, first: (Element, Element)) -> Option<usize> {
+        let scaled: Vec<Scalar> =
+            self.weights.iter().zip(1..).map(|(w, i)| w.mul(Scalar::from_u64(i))).collect();
+        let c = ratio_exponent(first, self.sides(&scaled), self.items.len())?;
+        (!self.holds(c - 1)).then_some(c - 1)
+    }
+}
+
+/// Every item's challenge and weight, hashed in two lane passes around the
+/// sequential transcript (see `Batch`).
+fn hash_batch(
+    items: &[(&[u8], VerifyingKey, Signature)],
+    weight_seed: &[u8],
+) -> (Vec<Scalar>, Vec<Scalar>) {
+    let n = items.len();
+    // Pass one: every challenge's first hash, then every transcript entry.
+    let challenge_len = CHALLENGE_TAG.len() + 2 * 32;
+    let entry_len = 8 + 32 + SIGNATURE_LEN;
+    let messages: usize = items.iter().map(|(msg, _, _)| msg.len()).sum();
+    let mut bytes = Vec::with_capacity(n * (challenge_len + entry_len) + 2 * messages);
+    let mut ends = Vec::with_capacity(2 * n);
+    for (msg, key, sig) in items {
+        for part in [CHALLENGE_TAG, &sig.commitment.to_bytes(), &key.to_bytes(), msg] {
+            bytes.extend_from_slice(part);
+        }
+        ends.push(bytes.len());
+    }
+    for (msg, key, sig) in items {
+        for part in [&(msg.len() as u64).to_be_bytes(), *msg, &key.to_bytes(), &sig.to_bytes()] {
+            bytes.extend_from_slice(part);
+        }
+        ends.push(bytes.len());
+    }
+    let hashed = sha256_lanes(&split_at_ends(&bytes, &ends));
+    let (inner, entries) = hashed.split_at(n);
     let mut transcript = Sha256::new();
     transcript.update(b"vc-batch-transcript");
-    absorb_framed(&mut transcript, weight_seed);
-    for (msg, key, sig) in items {
-        absorb_framed(&mut transcript, msg);
-        transcript.update(&key.to_bytes());
-        transcript.update(&sig.to_bytes());
+    transcript.update(&(weight_seed.len() as u64).to_be_bytes());
+    transcript.update(weight_seed);
+    for entry in entries {
+        transcript.update(entry);
     }
-    let digest = transcript.finalize();
-    let mut s_combined = Scalar::zero();
-    let mut bases = Vec::with_capacity(items.len() * 2);
-    let mut exps = Vec::with_capacity(items.len() * 2);
-    for (k, two) in items.chunks(2).enumerate() {
-        let pair = sha256_parts(&[b"vc-batch-weight", &digest, &(k as u64).to_be_bytes()]);
-        for ((msg, key, sig), half) in two.iter().zip([&pair[16..], &pair[..16]]) {
-            let weight = weight(half.try_into().expect("a digest half is 16 bytes"));
-            let challenge = challenge_scalar(&sig.commitment, key, msg);
-            s_combined = s_combined.add(weight.mul(sig.response));
-            bases.push(sig.commitment);
-            exps.push(weight);
-            bases.push(key.element());
-            exps.push(weight.mul(challenge));
-        }
-    }
-    let lhs = Element::base_pow(s_combined);
-    let rhs = crate::group::multi_exp(&bases, &exps);
-    lhs == rhs
+    let transcript = transcript.finalize();
+    // Pass two: every challenge's hash-to-scalar, then every weight pair.
+    let pairs: Vec<[u8; 55]> = (0..n.div_ceil(2) as u64)
+        .map(|k| {
+            let mut m = [0u8; 55];
+            m[..15].copy_from_slice(b"vc-batch-weight");
+            m[15..47].copy_from_slice(&transcript);
+            m[47..].copy_from_slice(&k.to_be_bytes());
+            m
+        })
+        .collect();
+    let second: Vec<&[u8]> =
+        inner.iter().map(Digest::as_slice).chain(pairs.iter().map(|m| &m[..])).collect();
+    let hashed = sha256_lanes(&second);
+    let (outer, pairs) = hashed.split_at(n);
+    let challenges = outer.iter().map(|d| Scalar::from_u256(U256::from_be_bytes(d))).collect();
+    let weights = pairs
+        .iter()
+        .flat_map(|pair| [&pair[16..], &pair[..16]])
+        .take(n)
+        .map(|half| weight(half.try_into().expect("a digest half is 16 bytes")))
+        .collect();
+    (challenges, weights)
+}
+
+/// `bytes` cut into consecutive pieces ending at each of `ends`.
+fn split_at_ends<'b>(bytes: &'b [u8], ends: &[usize]) -> Vec<&'b [u8]> {
+    let mut start = 0;
+    ends.iter()
+        .map(|&end| {
+            let piece = &bytes[start..end];
+            start = end;
+            piece
+        })
+        .collect()
 }
 
 /// Batch verification with culprit attribution: semantically equivalent to
 /// verifying every triple individually, but a batch of valid signatures
-/// costs one random-linear-combination check.
+/// costs one random-linear-combination check (see `Batch` for the
+/// equation and its hashing).
 ///
-/// On success returns `Ok(())`. When the combined check fails, falls back
-/// to per-signature [`VerifyingKey::verify`] and returns the indices that
-/// fail individually — per-signature verification is the ground truth, so
-/// the result is exactly the set a sequential verifier would reject. (A
-/// batch of individually-valid signatures satisfies the combined equation
-/// *identically*, so the fallback never runs on an all-valid batch; the
-/// 2^-128 soundness gap runs the other way — see docs/CRYPTO.md.)
+/// On success returns `Ok(())`. When the combined check fails, a second
+/// product over the same tables names a lone forged item (`Batch`'s
+/// culprit equation), confirmed by that item's own check. Failing that
+/// (two or more bad items), every item is checked on its own, on the
+/// challenges the batch already hashed. Per-signature verification is the
+/// ground truth: a named item always fails it, and the result is the set a
+/// sequential verifier would reject, except with probability ≤ n·2^-128
+/// that a batch of several bad items names only one of them — the same
+/// one-sided error as accepting a passing batch. (A batch of
+/// individually-valid signatures satisfies the combined equation
+/// *identically*, so an all-valid batch never fails; see docs/CRYPTO.md.)
 ///
 /// Weights are derived by pure hashing of the batch transcript and
-/// `weight_seed` — never an RNG draw — so results are deterministic.
+/// `weight_seed` — never an RNG draw — so results are deterministic. An
+/// empty batch verifies trivially.
 ///
 /// # Errors
 ///
@@ -204,22 +301,18 @@ pub fn verify_batch(
     items: &[(&[u8], VerifyingKey, Signature)],
     weight_seed: &[u8],
 ) -> Result<(), Vec<usize>> {
-    if batch_verify(items, weight_seed) {
+    if items.is_empty() {
         return Ok(());
     }
-    Err(items
-        .iter()
-        .enumerate()
-        .filter(|(_, (msg, key, sig))| !key.verify(msg, sig))
-        .map(|(i, _)| i)
-        .collect())
-}
-
-/// Absorbs `data` behind its length, so item boundaries are part of the
-/// transcript.
-fn absorb_framed(transcript: &mut Sha256, data: &[u8]) {
-    transcript.update(&(data.len() as u64).to_be_bytes());
-    transcript.update(data);
+    let batch = Batch::new(items, weight_seed);
+    let (lhs, rhs) = batch.sides(&batch.weights);
+    if lhs == rhs {
+        return Ok(());
+    }
+    if let Some(culprit) = batch.lone_culprit((lhs, rhs)) {
+        return Err(vec![culprit]);
+    }
+    Err((0..items.len()).filter(|&i| !batch.holds(i)).collect())
 }
 
 /// A batch weight from 128 bits of transcript-bound hash (zero bumped to
@@ -236,10 +329,18 @@ fn weight(half: [u8; 16]) -> Scalar {
     }
 }
 
+/// The domain tag in front of every challenge hash.
+const CHALLENGE_TAG: &[u8] = b"vc-schnorr-challenge";
+
 fn challenge_scalar(commitment: &Element, key: &VerifyingKey, message: &[u8]) -> Scalar {
-    let digest =
-        sha256_parts(&[b"vc-schnorr-challenge", &commitment.to_bytes(), &key.to_bytes(), message]);
+    let digest = sha256_parts(&[CHALLENGE_TAG, &commitment.to_bytes(), &key.to_bytes(), message]);
     Scalar::hash_to_scalar(&[&digest])
+}
+
+/// `g^s == R · y^e`: one signature's verification equation, its challenge
+/// `e` already hashed.
+fn equation_holds(key: &VerifyingKey, signature: &Signature, challenge: Scalar) -> bool {
+    Element::base_pow(signature.response) == signature.commitment.mul(key.point.pow(challenge))
 }
 
 #[cfg(test)]
@@ -387,6 +488,83 @@ mod tests {
     fn debug_hides_secret() {
         let sk = SigningKey::from_seed(b"hidden");
         assert_eq!(format!("{sk:?}"), "SigningKey(..)");
+    }
+
+    /// The combined check alone: does the weighed equation hold?
+    fn batch_verify(items: &[(&[u8], VerifyingKey, Signature)], weight_seed: &[u8]) -> bool {
+        verify_batch(items, weight_seed).is_ok()
+    }
+
+    /// `count` signed items whose messages are `1 + i` bytes long.
+    fn signed(count: usize) -> Vec<(Vec<u8>, VerifyingKey, Signature)> {
+        (0..count)
+            .map(|i| {
+                let sk = SigningKey::from_seed(&(i as u32).to_be_bytes());
+                let msg = vec![i as u8; 1 + i];
+                let sig = sk.sign(&msg);
+                (msg, sk.verifying_key(), sig)
+            })
+            .collect()
+    }
+
+    fn as_refs(
+        items: &[(Vec<u8>, VerifyingKey, Signature)],
+    ) -> Vec<(&[u8], VerifyingKey, Signature)> {
+        items.iter().map(|(m, k, s)| (m.as_slice(), *k, *s)).collect()
+    }
+
+    /// The challenges a batch hashes in lanes are the ones `verify` hashes
+    /// one at a time, whatever block counts the messages pad to.
+    #[test]
+    fn batch_challenges_match_the_scalar_challenge() {
+        let items = signed(70);
+        let refs = as_refs(&items);
+        let batch = Batch::new(&refs, b"seed");
+        for ((msg, key, sig), e) in refs.iter().zip(&batch.challenges) {
+            assert_eq!(
+                *e,
+                challenge_scalar(&sig.commitment, key, msg),
+                "{}-byte message",
+                msg.len()
+            );
+        }
+        assert_eq!(batch.weights.len(), refs.len());
+        assert!(batch.weights.iter().all(|w| !w.is_zero()));
+    }
+
+    /// One forgery at every index of windows of 1, 2, 3, 8, 17 and 64 items
+    /// is named by the culprit equation, not by the per-item path.
+    #[test]
+    fn one_forgery_at_every_index_is_named_by_the_culprit_equation() {
+        for count in [1usize, 2, 3, 8, 17, 64] {
+            let items = signed(count);
+            for bad in 0..count {
+                let mut forged = items.clone();
+                if bad % 2 == 0 {
+                    forged[bad].0[0] ^= 1;
+                } else {
+                    forged[bad].2.response = forged[bad].2.response.add(Scalar::one());
+                }
+                let refs = as_refs(&forged);
+                assert_eq!(verify_batch(&refs, b"seed"), Err(vec![bad]), "{count} items");
+                let batch = Batch::new(&refs, b"seed");
+                let first = batch.sides(&batch.weights);
+                assert_ne!(first.0, first.1);
+                assert_eq!(batch.lone_culprit(first), Some(bad), "{count} items, forged #{bad}");
+            }
+        }
+    }
+
+    /// Two forgeries get no lone culprit: the per-item path names both.
+    #[test]
+    fn two_forgeries_reach_the_per_item_path() {
+        let mut items = signed(9);
+        items[2].0[0] ^= 1;
+        items[7].2.response = items[7].2.response.add(Scalar::one());
+        let refs = as_refs(&items);
+        let batch = Batch::new(&refs, b"seed");
+        assert_eq!(batch.lone_culprit(batch.sides(&batch.weights)), None);
+        assert_eq!(verify_batch(&refs, b"seed"), Err(vec![2, 7]));
     }
 
     #[test]

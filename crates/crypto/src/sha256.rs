@@ -208,6 +208,14 @@ fn compress_from<const N: usize>(state: &mut [[u32; N]; 8], block: &[[u32; N]; 1
 /// }
 /// ```
 pub fn compress_lanes<const N: usize>(blocks: &[[u32; N]; 16]) -> [[u32; N]; 8] {
+    chain_lanes(std::slice::from_ref(blocks))
+}
+
+/// [`compress_lanes`] over a chain of blocks: lane `l` of the result is the
+/// chaining value after `blocks[0][..][l]`, `blocks[1][..][l]`, … from the
+/// initial hash value, so every lane hashes a message of `blocks.len()`
+/// padded blocks.
+fn chain_lanes<const N: usize>(blocks: &[[[u32; N]; 16]]) -> [[u32; N]; 8] {
     TIERS
         .into_iter()
         .find_map(|tier| compress_on(tier, blocks))
@@ -225,10 +233,10 @@ enum Tier {
 /// Every build, best first: [`compress_lanes`] runs the first this CPU has.
 const TIERS: [Tier; 3] = [Tier::Avx512, Tier::Avx2, Tier::Portable];
 
-/// [`compress_lanes`] as `tier`'s build computes it, or `None` when this CPU
+/// [`chain_lanes`] as `tier`'s build computes it, or `None` when this CPU
 /// lacks the tier's feature.
 #[allow(unsafe_code)] // the two calls into a tier wrapper, each behind its feature check
-fn compress_on<const N: usize>(tier: Tier, blocks: &[[u32; N]; 16]) -> Option<[[u32; N]; 8]> {
+fn compress_on<const N: usize>(tier: Tier, blocks: &[[[u32; N]; 16]]) -> Option<[[u32; N]; 8]> {
     match tier {
         // SAFETY: avx512f was just detected, and the body is safe Rust with no intrinsics.
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -243,20 +251,22 @@ fn compress_on<const N: usize>(tier: Tier, blocks: &[[u32; N]; 16]) -> Option<[[
     }
 }
 
-/// The one body every tier builds: [`compress_from`] from the initial hash
-/// value, inlined into the caller so that it compiles with the caller's
-/// target features.
+/// The one body every tier builds: [`compress_from`] over each block in
+/// turn from the initial hash value, inlined into the caller so that it
+/// compiles with the caller's target features.
 #[inline(always)]
-fn lanes<const N: usize>(blocks: &[[u32; N]; 16]) -> [[u32; N]; 8] {
+fn lanes<const N: usize>(blocks: &[[[u32; N]; 16]]) -> [[u32; N]; 8] {
     let mut state = H0.map(|word| [word; N]);
-    compress_from(&mut state, blocks);
+    for block in blocks {
+        compress_from(&mut state, block);
+    }
     state
 }
 
 /// [`lanes`] compiled for AVX2: eight `u32` lanes per register.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx2")]
-fn lanes_avx2<const N: usize>(blocks: &[[u32; N]; 16]) -> [[u32; N]; 8] {
+fn lanes_avx2<const N: usize>(blocks: &[[[u32; N]; 16]]) -> [[u32; N]; 8] {
     lanes(blocks)
 }
 
@@ -264,8 +274,79 @@ fn lanes_avx2<const N: usize>(blocks: &[[u32; N]; 16]) -> [[u32; N]; 8] {
 /// rotate instruction.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 #[target_feature(enable = "avx512f")]
-fn lanes_avx512<const N: usize>(blocks: &[[u32; N]; 16]) -> [[u32; N]; 8] {
+fn lanes_avx512<const N: usize>(blocks: &[[[u32; N]; 16]]) -> [[u32; N]; 8] {
     lanes(blocks)
+}
+
+/// SHA-256 of every message, in order: `sha256_lanes(m)[i] == sha256(m[i])`.
+///
+/// Messages that pad to the same number of blocks hash side by side through
+/// [`chain_lanes`], sixteen lanes at a time, or eight when at most eight are
+/// left of their group; a lane costs about what one scalar block does
+/// divided by the tier's width. For callers that hash many independent
+/// short messages at once (the per-item hashes of a batch verification).
+pub(crate) fn sha256_lanes(messages: &[&[u8]]) -> Vec<Digest> {
+    let mut digests = vec![[0u8; DIGEST_LEN]; messages.len()];
+    let mut order: Vec<usize> = (0..messages.len()).collect();
+    order.sort_by_key(|&i| padded_blocks(messages[i].len()));
+    let same_blocks = |&a: &usize, &b: &usize| {
+        padded_blocks(messages[a].len()) == padded_blocks(messages[b].len())
+    };
+    for mut group in order.chunk_by(same_blocks) {
+        while group.len() > 8 {
+            let (lanes, rest) = group.split_at(group.len().min(16));
+            hash_side_by_side::<16>(messages, lanes, &mut digests);
+            group = rest;
+        }
+        if !group.is_empty() {
+            hash_side_by_side::<8>(messages, group, &mut digests);
+        }
+    }
+    digests
+}
+
+/// The number of 64-byte blocks a `len`-byte message pads to: it, the 0x80
+/// byte and the 8-byte bit length.
+fn padded_blocks(len: usize) -> usize {
+    (len + 9).div_ceil(64)
+}
+
+/// Hashes `messages[i]` for each `i` in `which` (at most `N`, all padding
+/// to the same block count) in lane order, into `digests[i]`. Unused lanes
+/// hash zero blocks and are dropped.
+fn hash_side_by_side<const N: usize>(messages: &[&[u8]], which: &[usize], digests: &mut [Digest]) {
+    let count = padded_blocks(messages[which[0]].len());
+    let mut blocks = vec![[[0u32; N]; 16]; count];
+    for (lane, &i) in which.iter().enumerate() {
+        for (b, block) in blocks.iter_mut().enumerate() {
+            let bytes = padded_block(messages[i], b, count);
+            for (word, be) in block.iter_mut().zip(bytes.chunks_exact(4)) {
+                word[lane] = u32::from_be_bytes([be[0], be[1], be[2], be[3]]);
+            }
+        }
+    }
+    let state = chain_lanes(&blocks);
+    for (lane, &i) in which.iter().enumerate() {
+        for (bytes, word) in digests[i].chunks_exact_mut(4).zip(&state) {
+            bytes.copy_from_slice(&word[lane].to_be_bytes());
+        }
+    }
+}
+
+/// Block `b` of `message` padded to `count` blocks: its bytes, the 0x80
+/// byte in the block the message ends in, the bit length in the last.
+fn padded_block(message: &[u8], b: usize, count: usize) -> [u8; 64] {
+    let mut block = [0u8; 64];
+    let start = (64 * b).min(message.len());
+    let data = &message[start..message.len().min(64 * b + 64)];
+    block[..data.len()].copy_from_slice(data);
+    if (64 * b..64 * b + 64).contains(&message.len()) {
+        block[message.len() - 64 * b] = 0x80;
+    }
+    if b + 1 == count {
+        block[56..].copy_from_slice(&(8 * message.len() as u64).to_be_bytes());
+    }
+    block
 }
 
 /// One-shot SHA-256 of `data`.
@@ -374,7 +455,7 @@ mod tests {
             }
         }
         for tier in TIERS {
-            let Some(words) = compress_on(tier, &blocks) else { continue };
+            let Some(words) = compress_on(tier, std::slice::from_ref(&blocks)) else { continue };
             for (lane, message) in messages[..N].iter().enumerate() {
                 let digest = sha256(message);
                 for (word, bytes) in words.iter().zip(digest.chunks_exact(4)) {
@@ -394,6 +475,70 @@ mod tests {
             every_tier_matches_sha256::<1>(&messages);
             every_tier_matches_sha256::<8>(&messages);
             every_tier_matches_sha256::<16>(&messages);
+        }
+    }
+
+    /// A message of `len` bytes whose bytes all differ from its neighbours'.
+    fn message(len: usize, salt: u8) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect()
+    }
+
+    /// Every length 0–200 in one call: block counts 1 to 4 mixed, and the
+    /// padding edges (55/56, 63/64, 119/120) each in a group of its own
+    /// block count.
+    #[test]
+    fn lane_hasher_matches_sha256_at_every_length() {
+        let messages: Vec<Vec<u8>> = (0..=200).map(|len| message(len, 0x5A)).collect();
+        let slices: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+        let digests = sha256_lanes(&slices);
+        assert_eq!(digests.len(), messages.len());
+        for (m, d) in messages.iter().zip(&digests) {
+            assert_eq!(*d, sha256(m), "length {}", m.len());
+        }
+        assert!(sha256_lanes(&[]).is_empty());
+    }
+
+    /// One to sixteen messages (the eight-lane build, the sixteen-lane
+    /// build, and partly filled lanes of each), of one length and of
+    /// interleaved lengths whose block counts differ.
+    #[test]
+    fn lane_hasher_matches_sha256_at_every_lane_count() {
+        for count in 1..=16usize {
+            for lengths in [[44usize, 44], [55, 56], [64, 128], [0, 183]] {
+                let messages: Vec<Vec<u8>> =
+                    (0..count).map(|i| message(lengths[i % 2], i as u8)).collect();
+                let slices: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
+                for (i, d) in sha256_lanes(&slices).iter().enumerate() {
+                    assert_eq!(*d, sha256(&messages[i]), "{count} messages {lengths:?}, #{i}");
+                }
+            }
+        }
+    }
+
+    /// Chained blocks on every build this CPU has: the multi-block path of
+    /// each tier, not only the one the lane hasher dispatches to.
+    #[test]
+    fn every_tier_chains_blocks_like_the_streaming_hasher() {
+        for len in [56usize, 64, 119, 120, 200] {
+            let count = padded_blocks(len);
+            let messages: Vec<Vec<u8>> = (0..8u8).map(|salt| message(len, salt)).collect();
+            let mut blocks = vec![[[0u32; 8]; 16]; count];
+            for (lane, m) in messages.iter().enumerate() {
+                for (b, block) in blocks.iter_mut().enumerate() {
+                    let bytes = padded_block(m, b, count);
+                    for (word, be) in block.iter_mut().zip(bytes.chunks_exact(4)) {
+                        word[lane] = u32::from_be_bytes([be[0], be[1], be[2], be[3]]);
+                    }
+                }
+            }
+            for tier in TIERS {
+                let Some(words) = compress_on(tier, &blocks) else { continue };
+                for (lane, m) in messages.iter().enumerate() {
+                    for (word, bytes) in words.iter().zip(sha256(m).chunks_exact(4)) {
+                        assert_eq!(word[lane].to_be_bytes(), bytes, "{tier:?}, len {len}");
+                    }
+                }
+            }
         }
     }
 

@@ -321,6 +321,11 @@ impl U256 {
         ((self.limbs[w / 16] >> ((w % 16) * 4)) & 0xF) as usize
     }
 
+    /// The `w`-th byte of the value (`w < 32`, 0 = least significant).
+    pub(crate) fn byte(&self, w: usize) -> usize {
+        ((self.limbs[w / 8] >> ((w % 8) * 8)) & 0xFF) as usize
+    }
+
     /// Modular inverse for a **prime** modulus, via Fermat's little theorem.
     ///
     /// Returns `None` when `self ≡ 0 (mod p)`.
@@ -445,7 +450,7 @@ impl Mont {
     /// `base^exp mod m`, canonical in and out: result-identical to
     /// [`U256::pow_mod`] for every odd `m` (including `m = 1`).
     pub fn pow(&self, base: U256, exp: U256) -> U256 {
-        self.from_mont(self.multi_pow(&[(self.powers(self.to_mont(base)), exp)]))
+        self.from_mont(self.multi_pow(&[self.powers(self.to_mont(base))], &[exp]))
     }
 
     /// `[b, b², …, b¹⁵]` for a Montgomery-form `b`: one base's table for
@@ -458,12 +463,15 @@ impl Mont {
         table
     }
 
-    /// `Π bᵢ^eᵢ` in Montgomery form over `(powers(bᵢ), eᵢ)` terms — 4-bit
-    /// windowed Straus interleaving: one squaring chain (four per window,
-    /// none above the longest exponent's top window) shared by all terms,
-    /// plus one multiply per nonzero exponent nibble.
-    pub(crate) fn multi_pow(&self, terms: &[([U256; 15], U256)]) -> U256 {
-        let max_bits = terms.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
+    /// `Π bᵢ^eᵢ` in Montgomery form over `tables[i] = powers(bᵢ)` and
+    /// `exps[i] = eᵢ` — 4-bit windowed Straus interleaving: one squaring
+    /// chain (four per window, none above the longest exponent's top window)
+    /// shared by all terms, plus one multiply per nonzero exponent nibble.
+    /// Tables apart from exponents, so one set of tables serves several
+    /// exponent vectors.
+    pub(crate) fn multi_pow(&self, tables: &[[U256; 15]], exps: &[U256]) -> U256 {
+        debug_assert_eq!(tables.len(), exps.len());
+        let max_bits = exps.iter().map(U256::bits).max().unwrap_or(0);
         let windows = max_bits.div_ceil(4);
         let mut acc = self.r;
         for w in (0..windows).rev() {
@@ -472,7 +480,7 @@ impl Mont {
                     acc = self.mul(acc, acc);
                 }
             }
-            for (table, exp) in terms {
+            for (table, exp) in tables.iter().zip(exps) {
                 let nibble = exp.nibble(w);
                 if nibble != 0 {
                     acc = self.mul(acc, table[nibble - 1]);

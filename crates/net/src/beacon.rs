@@ -32,14 +32,15 @@ pub struct Beacon {
 }
 
 impl Beacon {
-    fn bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 32 + 8);
-        out.extend_from_slice(&self.sender.0.to_be_bytes());
-        out.extend_from_slice(&self.pos.x.to_be_bytes());
-        out.extend_from_slice(&self.pos.y.to_be_bytes());
-        out.extend_from_slice(&self.vel.x.to_be_bytes());
-        out.extend_from_slice(&self.vel.y.to_be_bytes());
-        out.extend_from_slice(&self.sent_at.as_micros().to_be_bytes());
+    /// The signed bytes: sender 4, position and velocity 32, timestamp 8.
+    fn bytes(&self) -> [u8; 44] {
+        let mut out = [0u8; 44];
+        out[..4].copy_from_slice(&self.sender.0.to_be_bytes());
+        let fields = [self.pos.x, self.pos.y, self.vel.x, self.vel.y];
+        for (slot, field) in out[4..36].chunks_exact_mut(8).zip(fields) {
+            slot.copy_from_slice(&field.to_be_bytes());
+        }
+        out[36..].copy_from_slice(&self.sent_at.as_micros().to_be_bytes());
         out
     }
 }
@@ -123,7 +124,7 @@ impl BeaconStore {
         now: SimTime,
     ) -> Vec<Result<(), BeaconReject>> {
         let _f = vc_obs::profile::frame("net.beacon.ingest");
-        let bodies: Vec<Vec<u8>> = batch.iter().map(|(sb, _)| sb.beacon.bytes()).collect();
+        let bodies: Vec<[u8; 44]> = batch.iter().map(|(sb, _)| sb.beacon.bytes()).collect();
         let items: Vec<(&[u8], VerifyingKey, Signature)> = batch
             .iter()
             .zip(&bodies)
