@@ -1,5 +1,5 @@
-//! Micro-benches for the geometry hot paths: road-network nearest queries
-//! through the spatial index, neighbor-table
+//! Micro-benches for the geometry hot paths: the canyon's road test and
+//! nearest-node queries through the spatial index, neighbor-table
 //! construction and in-place rebuild, canyon LOS links, and a full
 //! street-aware routing round.
 
@@ -9,7 +9,7 @@ use vc_sim::geom::{Point, SpatialGrid};
 use vc_sim::radio::NeighborTable;
 use vc_sim::rng::SimRng;
 use vc_sim::roadnet::RoadNetwork;
-use vc_sim::scenario::ScenarioBuilder;
+use vc_sim::scenario::{CanyonModel, ScenarioBuilder};
 use vc_testkit::bench::{black_box, Suite};
 
 fn probes(n: usize, lo: f64, hi: f64, seed: u64) -> Vec<Point> {
@@ -37,7 +37,7 @@ fn main() {
     vc_obs::mem::register_bench_probe();
     let mut suite = Suite::new("geom");
 
-    // ---- nearest-road / nearest-node through the road index ----
+    // ---- the canyon's road test and nearest-node through the road index ----
     // 24x24 urban grid: 576 intersections, 2208 directed segments.
     let grid_map = RoadNetwork::grid(24, 24, 100.0, 13.9);
     // 20 km highway corridor: degenerate (collinear) bounding box.
@@ -45,12 +45,19 @@ fn main() {
     let grid_probes = probes(256, -200.0, 2500.0, 5);
     let hw_probes = corridor_probes(256, 20_000.0, 6);
 
-    suite.bench_elems("nearest_road/grid24/indexed", grid_probes.len() as u64, || {
-        grid_probes.iter().map(|&p| grid_map.distance_to_nearest_road(p)).sum::<f64>()
-    });
-    suite.bench_elems("nearest_road/highway/indexed", hw_probes.len() as u64, || {
-        hw_probes.iter().map(|&p| highway_map.distance_to_nearest_road(p)).sum::<f64>()
-    });
+    // A canyon link from a probe to itself, sampled once, is the road test
+    // at that probe: is a road within the 18 m street half-width?
+    for (name, map, probes) in [
+        ("canyon_los/point/grid24", &grid_map, &grid_probes),
+        ("canyon_los/point/highway", &highway_map, &hw_probes),
+    ] {
+        let mut canyon = ScenarioBuilder::new().vehicles(1).urban_canyon();
+        canyon.roadnet = map.clone();
+        canyon.canyon = Some(CanyonModel { samples: 1, ..CanyonModel::default() });
+        suite.bench_elems(name, probes.len() as u64, || {
+            probes.iter().map(|&p| canyon.los_factor(p, p)).sum::<f64>()
+        });
+    }
     suite.bench_elems("nearest_node/grid24/indexed", grid_probes.len() as u64, || {
         grid_probes.iter().filter_map(|&p| grid_map.nearest_node(p)).count()
     });
@@ -161,7 +168,7 @@ fn main() {
         });
     }
 
-    // ---- canyon LOS link (distance_to_nearest_road per sample) ----
+    // ---- canyon LOS link (the road test per sample) ----
     let mut builder = ScenarioBuilder::new();
     builder.seed(11).vehicles(10);
     let canyon = builder.urban_canyon();

@@ -19,7 +19,7 @@ const FLAGS: &[Flag] = &[
     Flag::value("--json", &[TABLES]),
     Flag::value("--trace", &[TABLES]),
     Flag::value("--timeseries", &[TABLES]),
-    Flag::value("--profile", &[TABLES]),
+    Flag::value("--profile", &[TABLES, JOB]),
     Flag::value("--folded", &[TABLES]),
     Flag::switch("--metrics", &[TABLES]),
     Flag::switch("--list", &[TABLES]),
@@ -36,7 +36,8 @@ fn usage() -> String {
     let mut usage = format!(
         "usage: experiments [--quick] [--seed N] [--json DIR] [--trace FILE] \
          [--timeseries FILE] [--profile FILE] [--folded FILE] [--metrics] [--list] [{} ...]\n\
-         \x20      experiments --job SCENARIO [--seed N] [--ticks N] [--job-trace] [--job-out DIR]\n\
+         \x20      experiments --job SCENARIO [--seed N] [--ticks N] [--job-trace] [--job-out DIR] \
+         [--profile FILE]\n\
          available experiments:",
         ids.join("|")
     );
@@ -49,10 +50,21 @@ fn usage() -> String {
 /// `--job` mode: run one service scenario job in-process via the same
 /// [`vc_service::job::run_job`] the `vcloudd` workers call, and write the
 /// exact result bytes out so CI can byte-compare them with a daemon
-/// RESULT stream.
-fn run_job_mode(scenario: &str, seed: u64, ticks: u32, trace: bool, out_dir: Option<&str>) -> ! {
+/// RESULT stream. With `profile`, a profiler watches `run_job` alone and
+/// its call tree goes to that file; the result bytes are the same.
+fn run_job_mode(
+    scenario: &str,
+    seed: u64,
+    ticks: u32,
+    trace: bool,
+    out_dir: Option<&str>,
+    profile: Option<&str>,
+) -> ! {
     let flags = if trace { vc_net::svc::FLAG_TRACE } else { 0 };
     let spec = vc_service::job::JobSpec { scenario: scenario.into(), seed, ticks, flags };
+    if profile.is_some() {
+        vc_obs::profile::install(vc_obs::profile::Profiler::new());
+    }
     let output = match vc_service::job::run_job(&spec, None) {
         Ok(output) => output,
         Err(e) => {
@@ -64,6 +76,12 @@ fn run_job_mode(scenario: &str, seed: u64, ticks: u32, trace: bool, out_dir: Opt
             std::process::exit(2);
         }
     };
+    if let Some(path) = profile {
+        let prof = vc_obs::profile::take().expect("profiler was installed above");
+        assert_eq!(prof.open_frames(), 0, "all profile frames must close before export");
+        std::fs::write(path, prof.to_json().to_string_pretty() + "\n").expect("write profile json");
+        eprintln!("profile: call tree -> {path}");
+    }
     // Same line format as `vcload --once`, so logs can be diffed directly.
     println!(
         "job {scenario} seed={seed} ticks={ticks} flags={flags} checksum={:#018x} stats_len={} trace_len={}",
@@ -92,7 +110,14 @@ fn main() {
     let seed = args.get("--seed").unwrap_or(42);
     if let Some(scenario) = args.value("--job") {
         let ticks = args.get("--ticks").unwrap_or(48);
-        run_job_mode(scenario, seed, ticks, args.has("--job-trace"), args.value("--job-out"));
+        run_job_mode(
+            scenario,
+            seed,
+            ticks,
+            args.has("--job-trace"),
+            args.value("--job-out"),
+            args.value("--profile"),
+        );
     }
 
     if args.has("--list") {

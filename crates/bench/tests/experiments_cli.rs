@@ -56,7 +56,7 @@ fn flags_of_the_other_mode_are_rejected_not_ignored() {
     let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
     let job = ["--job", "urban-epidemic", "--seed", "99", "--ticks", "48"];
     for args in [
-        [&job[..], &["--profile", &path("profile.json")]].concat(),
+        [&job[..], &["--folded", &path("job.folded")]].concat(),
         [&job[..], &["--trace", &path("trace.jsonl"), "--json", &path("json"), "e1"]].concat(),
         vec!["--quick", "--ticks", "5", "--job-trace", "--job-out", &path("job"), "e7"],
     ] {
@@ -94,6 +94,40 @@ fn job_mode_writes_the_exact_service_bytes() {
     assert_eq!(trace, reference.trace, "--job trace must be the service's exact bytes");
     let expected = format!("checksum={:#018x}", reference.checksum);
     assert!(stdout.contains(&expected), "stdout must carry the checksum: {stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn job_mode_profile_writes_the_call_tree_and_the_same_bytes() {
+    let dir = std::env::temp_dir().join(format!("vc_job_profile_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the test's dir");
+    let job = ["--job", "canyon-greedy", "--seed", "98", "--ticks", "64"];
+    let run = |extra: &[&str], out: &str| {
+        let out = experiments()
+            .args(job)
+            .args(extra)
+            .args(["--job-out", dir.join(out).to_str().unwrap()])
+            .output()
+            .expect("experiments runs");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let profile = dir.join("profile.json");
+    let profiled = run(&["--profile", profile.to_str().unwrap()], "profiled");
+    assert_eq!(profiled, run(&[], "plain"), "the checksum line must not change");
+    let stats = |out: &str| std::fs::read(dir.join(out).join("stats.json")).expect("stats");
+    assert_eq!(stats("profiled"), stats("plain"), "--profile must not change the job's bytes");
+
+    use vc_testkit::json::Json;
+    let text = std::fs::read_to_string(&profile).expect("profile written");
+    let tree = Json::parse(&text).expect("profile.json parses");
+    // The frame labelled `label` among a node's `key` array.
+    let frame = |node: &Json, key: &str, label: &str| -> Option<Json> {
+        let Some(Json::Arr(frames)) = node.get(key) else { return None };
+        frames.iter().find(|f| f.get("label").and_then(Json::as_str) == Some(label)).cloned()
+    };
+    let round = frame(&tree, "frames", "routing.round").expect("a routing.round root frame");
+    assert!(frame(&round, "children", "radio.delivery").is_some(), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -42,6 +42,28 @@ impl HolderSet {
         }
     }
 
+    /// The members among a bit row's word `w` (bit `j` is id `64 w + j`),
+    /// as the bits of `bits` whose ids are in the set: the inline word
+    /// itself for `w = 0`, one spill probe per set bit above it.
+    pub(crate) fn members_in_word(&self, w: usize, bits: u64) -> u64 {
+        if w == 0 {
+            return self.low & bits;
+        }
+        if self.high.is_empty() {
+            return 0;
+        }
+        let mut members = 0;
+        let mut rest = bits;
+        while rest != 0 {
+            let j = rest.trailing_zeros();
+            if self.high.contains(&VehicleId((w as u32) << 6 | j)) {
+                members |= 1 << j;
+            }
+            rest &= rest - 1;
+        }
+        members
+    }
+
     /// Adds `id`; `true` when it was not a member before.
     pub fn insert(&mut self, id: VehicleId) -> bool {
         if id.0 < WORD_BITS {
@@ -102,6 +124,20 @@ mod tests {
             assert!(set.contains(VehicleId(id)));
         }
         assert!(!set.contains(VehicleId(1)) && !set.contains(VehicleId(66)));
+    }
+
+    #[test]
+    fn members_in_word_reads_the_word_and_the_spill() {
+        let mut set = HolderSet::new();
+        for id in [1, 63, 64, 130] {
+            set.insert(VehicleId(id));
+        }
+        assert_eq!(set.members_in_word(0, !0), 1 << 1 | 1 << 63);
+        assert_eq!(set.members_in_word(0, 1 << 63 | 1 << 2), 1 << 63);
+        assert_eq!(set.members_in_word(1, !0), 1);
+        assert_eq!(set.members_in_word(2, !0), 1 << 2);
+        assert_eq!(set.members_in_word(2, !0 << 3), 0);
+        assert_eq!(HolderSet::new().members_in_word(1, !0), 0);
     }
 
     #[test]

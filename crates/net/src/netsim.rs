@@ -185,10 +185,13 @@ fn copy_outcome<P: RoutingProtocol>(
     if !world.is_online(copy.holder) {
         return CopyOutcome { attempts: first..first, fate: Fate::Dropped };
     }
-    let mut rng = SimRng::stream(round_key, index as u64);
+    // The copy's stream is seeded only on the paths that draw from it: a
+    // direct attempt, or at least one relay.
+    let rng = || SimRng::stream(round_key, index as u64);
     let dst = state.packet.dst;
     // Direct delivery when the destination is a live neighbor.
     if world.is_online(dst) && world.neighbors.of(copy.holder).contains(dst) {
+        let mut rng = rng();
         let attempt =
             attempt_link(scenario, world, copy.holder, dst, state.packet.size_bytes, &mut rng);
         let fate = match attempt.latency {
@@ -205,7 +208,11 @@ fn copy_outcome<P: RoutingProtocol>(
     }
     // Ask the protocol for relays.
     hops.clear();
-    protocol.next_hops(copy.holder, &state.packet, world, &|v| state.carried.contains(v), hops);
+    protocol.next_hops(copy.holder, &state.packet, world, &state.carried, hops);
+    if hops.is_empty() {
+        return CopyOutcome { attempts: first..first, fate: Fate::Forwarded { keeps: true } };
+    }
+    let mut rng = rng();
     let mut forwarded = false;
     for &target in hops.iter() {
         debug_assert!(target != copy.holder);
@@ -215,9 +222,9 @@ fn copy_outcome<P: RoutingProtocol>(
         attempts.push(attempt);
     }
     // Store-carry-forward: the holder keeps its copy unless the protocol
-    // handed it off (single-copy protocols move, epidemic replicates and
-    // also keeps).
-    let keeps = !forwarded || protocol.name() == "epidemic";
+    // handed it off (single-copy protocols move, replicating ones also
+    // keep).
+    let keeps = !forwarded || protocol.replicates();
     CopyOutcome { attempts: first..attempts.len(), fate: Fate::Forwarded { keeps } }
 }
 

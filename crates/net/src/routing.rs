@@ -7,9 +7,11 @@
 //! driver turns those answers into radio transmissions.
 
 use crate::cluster::{ClusterConfig, Clustering};
+use crate::holders::HolderSet;
 use crate::message::Packet;
 use crate::world::WorldView;
 use vc_sim::node::VehicleId;
+use vc_sim::radio::Row;
 
 /// A routing protocol's per-round forwarding logic.
 pub trait RoutingProtocol {
@@ -22,8 +24,8 @@ pub trait RoutingProtocol {
 
     /// Appends to `out` the next hops for the copy of `packet` held at
     /// `holder` (the driver asks once per live copy per round, so the buffer
-    /// is the caller's to reuse). `carried` reports whether a vehicle
-    /// already holds (or held) a copy — protocols use it to avoid loops.
+    /// is the caller's to reuse). `carried` holds every vehicle that holds
+    /// (or held) a copy — protocols use it to avoid loops.
     /// Direct delivery to the destination is handled by the driver; this is
     /// only consulted when the destination is not a neighbor.
     fn next_hops(
@@ -31,9 +33,16 @@ pub trait RoutingProtocol {
         holder: VehicleId,
         packet: &Packet,
         world: &WorldView<'_>,
-        carried: &dyn Fn(VehicleId) -> bool,
+        carried: &HolderSet,
         out: &mut Vec<VehicleId>,
     );
+
+    /// Whether a holder keeps its copy after relaying it (store-carry-
+    /// forward): `true` for a protocol that floods copies, `false` for one
+    /// that hands a single copy on.
+    fn replicates(&self) -> bool {
+        false
+    }
 }
 
 /// Epidemic flooding: hand a copy to every neighbor that has not carried the
@@ -48,15 +57,32 @@ impl RoutingProtocol for Epidemic {
 
     fn begin_round(&mut self, _world: &WorldView<'_>) {}
 
+    /// The fresh neighbors in ascending order. A bit row goes a word at a
+    /// time: the word's bits less the carriers among them.
     fn next_hops(
         &self,
         holder: VehicleId,
         _packet: &Packet,
         world: &WorldView<'_>,
-        carried: &dyn Fn(VehicleId) -> bool,
+        carried: &HolderSet,
         out: &mut Vec<VehicleId>,
     ) {
-        out.extend(world.neighbors.of(holder).iter().filter(|&n| !carried(n)));
+        match world.neighbors.of(holder) {
+            Row::Bits(words, _) => {
+                for (w, &word) in words.iter().enumerate() {
+                    let mut fresh = word & !carried.members_in_word(w, word);
+                    while fresh != 0 {
+                        out.push(VehicleId((w as u32) << 6 | fresh.trailing_zeros()));
+                        fresh &= fresh - 1;
+                    }
+                }
+            }
+            row => out.extend(row.iter().filter(|&n| !carried.contains(n))),
+        }
+    }
+
+    fn replicates(&self) -> bool {
+        true
     }
 }
 
@@ -79,7 +105,7 @@ impl RoutingProtocol for GreedyGeo {
         holder: VehicleId,
         packet: &Packet,
         world: &WorldView<'_>,
-        carried: &dyn Fn(VehicleId) -> bool,
+        carried: &HolderSet,
         out: &mut Vec<VehicleId>,
     ) {
         let dest_pos = world.pos(packet.dst);
@@ -88,10 +114,10 @@ impl RoutingProtocol for GreedyGeo {
             .neighbors
             .of(holder)
             .iter()
-            .filter(|&n| !carried(n))
+            .filter(|&n| !carried.contains(n))
             .map(|n| (world.pos(n).distance(dest_pos), n))
             .filter(|&(d, _)| d < my_dist)
-            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         out.extend(best.map(|(_, n)| n));
     }
 }
@@ -143,7 +169,7 @@ impl RoutingProtocol for ClusterRouting {
         holder: VehicleId,
         packet: &Packet,
         world: &WorldView<'_>,
-        carried: &dyn Fn(VehicleId) -> bool,
+        carried: &HolderSet,
         out: &mut Vec<VehicleId>,
     ) {
         let dest_pos = world.pos(packet.dst);
@@ -152,7 +178,7 @@ impl RoutingProtocol for ClusterRouting {
 
         // If the destination's head is a neighbor, go there.
         if let Some(dest_head) = self.clustering.head_of(packet.dst) {
-            if neighbors.contains(dest_head) && !carried(dest_head) {
+            if neighbors.contains(dest_head) && !carried.contains(dest_head) {
                 out.push(dest_head);
                 return;
             }
@@ -162,7 +188,7 @@ impl RoutingProtocol for ClusterRouting {
             // Member: push to own head when fresh, even if not geographically
             // closer (the backbone handles direction).
             if let Some(head) = self.clustering.head_of(holder) {
-                if head != holder && neighbors.contains(head) && !carried(head) {
+                if head != holder && neighbors.contains(head) && !carried.contains(head) {
                     out.push(head);
                     return;
                 }
@@ -174,7 +200,7 @@ impl RoutingProtocol for ClusterRouting {
         // geographic progress to avoid loops.
         let mut best: Option<(bool, f64, VehicleId)> = None;
         for n in neighbors.iter() {
-            if carried(n) {
+            if carried.contains(n) {
                 continue;
             }
             let d = world.pos(n).distance(dest_pos);
@@ -248,7 +274,7 @@ impl RoutingProtocol for MozoRouting {
         holder: VehicleId,
         packet: &Packet,
         world: &WorldView<'_>,
-        carried: &dyn Fn(VehicleId) -> bool,
+        carried: &HolderSet,
         out: &mut Vec<VehicleId>,
     ) {
         let h = self.horizon_s;
@@ -256,7 +282,7 @@ impl RoutingProtocol for MozoRouting {
         let my_future_dist = world.predicted_pos(holder, h).distance(dest_future);
         let mut best: Option<(f64, bool, VehicleId)> = None;
         for n in world.neighbors.of(holder).iter() {
-            if carried(n) {
+            if carried.contains(n) {
                 continue;
             }
             let d = world.predicted_pos(n, h).distance(dest_future);
@@ -310,7 +336,7 @@ impl RoutingProtocol for StreetAware {
         holder: VehicleId,
         packet: &Packet,
         world: &WorldView<'_>,
-        carried: &dyn Fn(VehicleId) -> bool,
+        carried: &HolderSet,
         out: &mut Vec<VehicleId>,
     ) {
         let my_pos = world.pos(holder);
@@ -343,7 +369,7 @@ impl RoutingProtocol for StreetAware {
         // waypoint; accept destination progress as a fallback criterion.
         let mut best: Option<(f64, VehicleId)> = None;
         for n in world.neighbors.of(holder).iter() {
-            if carried(n) {
+            if carried.contains(n) {
                 continue;
             }
             let p = world.pos(n);
@@ -409,11 +435,19 @@ mod tests {
         holder: VehicleId,
         packet: &Packet,
         world: &WorldView<'_>,
-        carried: &dyn Fn(VehicleId) -> bool,
+        carried: &HolderSet,
     ) -> Vec<VehicleId> {
         let mut out = Vec::new();
         proto.next_hops(holder, packet, world, carried, &mut out);
         out
+    }
+
+    fn holders(ids: impl IntoIterator<Item = u32>) -> HolderSet {
+        let mut set = HolderSet::new();
+        for id in ids {
+            set.insert(VehicleId(id));
+        }
+        set
     }
 
     fn pkt(src: u32, dst: u32) -> Packet {
@@ -426,7 +460,7 @@ mod tests {
         let w = f.world();
         let p = pkt(0, 3);
         let proto = Epidemic;
-        let hops = hops_of(&proto, VehicleId(1), &p, &w, &|v| v == VehicleId(0));
+        let hops = hops_of(&proto, VehicleId(1), &p, &w, &holders([0]));
         // Neighbors of 1 are 0 and 2; 0 already carried.
         assert_eq!(hops, vec![VehicleId(2)]);
     }
@@ -437,7 +471,7 @@ mod tests {
         let w = f.world();
         let p = pkt(0, 4);
         let proto = GreedyGeo;
-        let hops = hops_of(&proto, VehicleId(1), &p, &w, &|_| false);
+        let hops = hops_of(&proto, VehicleId(1), &p, &w, &HolderSet::new());
         assert_eq!(hops, vec![VehicleId(2)], "must pick the forward neighbor");
     }
 
@@ -452,7 +486,7 @@ mod tests {
         let f = Fixture::new(positions, vec![Point::new(0.0, 0.0); 3], 150.0);
         let w = f.world();
         let p = pkt(0, 2);
-        assert!(hops_of(&GreedyGeo, VehicleId(0), &p, &w, &|_| false).is_empty());
+        assert!(hops_of(&GreedyGeo, VehicleId(0), &p, &w, &HolderSet::new()).is_empty());
     }
 
     #[test]
@@ -468,7 +502,7 @@ mod tests {
             .find(|&v| !proto.clustering().is_head(v))
             .expect("has a non-head member");
         let p = pkt(member.0, if head.0 == 2 { 0 } else { 2 });
-        let hops = hops_of(&proto, member, &p, &w, &|_| false);
+        let hops = hops_of(&proto, member, &p, &w, &HolderSet::new());
         // Either the head directly or the destination's head (same here).
         assert_eq!(hops.len(), 1);
     }
@@ -483,8 +517,10 @@ mod tests {
         proto.begin_round(&w);
         let p = pkt(0, 2);
         let head = proto.clustering().head_of(VehicleId(0)).unwrap();
-        let hops =
-            hops_of(&proto, head, &p, &w, &|v| v != head && !w.neighbors.of(head).contains(v));
+        let carried = holders(
+            (0..3).filter(|&v| v != head.0 && !w.neighbors.of(head).contains(VehicleId(v))),
+        );
+        let hops = hops_of(&proto, head, &p, &w, &carried);
         // All candidates are behind; nothing closer exists.
         assert!(hops.len() <= 1);
         if let Some(&h) = hops.first() {
@@ -515,7 +551,7 @@ mod tests {
         let mut proto = MozoRouting::new();
         proto.begin_round(&w);
         let p = pkt(0, 3);
-        let hops = hops_of(&proto, VehicleId(0), &p, &w, &|_| false);
+        let hops = hops_of(&proto, VehicleId(0), &p, &w, &HolderSet::new());
         assert_eq!(hops, vec![VehicleId(2)]);
     }
 
@@ -524,7 +560,7 @@ mod tests {
         let f = chain(6, 80.0);
         let w = f.world();
         let p = pkt(0, 5);
-        let carried = |v: VehicleId| v.0.is_multiple_of(2); // evens carried
+        let carried = holders((0..6u32).filter(|v| v.is_multiple_of(2))); // evens carried
         let mut cluster = ClusterRouting::new();
         cluster.begin_round(&w);
         let mut mozo = MozoRouting::new();
@@ -533,7 +569,7 @@ mod tests {
         for proto in protos {
             for holder in 0..6 {
                 for hop in hops_of(proto, VehicleId(holder), &p, &w, &carried) {
-                    assert!(!carried(hop), "{} returned a carried node", proto.name());
+                    assert!(!carried.contains(hop), "{} returned a carried node", proto.name());
                 }
             }
         }
@@ -548,6 +584,81 @@ mod tests {
         assert_eq!(MozoRouting::new().name(), names[3]);
         let net = vc_sim::roadnet::RoadNetwork::grid(2, 2, 100.0, 10.0);
         assert_eq!(StreetAware::new(net).name(), "street-aware");
+    }
+
+    #[test]
+    fn only_epidemic_replicates() {
+        let net = vc_sim::roadnet::RoadNetwork::grid(2, 2, 100.0, 10.0);
+        assert!(Epidemic.replicates());
+        let single: [&dyn RoutingProtocol; 4] =
+            [&GreedyGeo, &ClusterRouting::new(), &MozoRouting::new(), &StreetAware::new(net)];
+        for proto in single {
+            assert!(!proto.replicates(), "{} moves its one copy", proto.name());
+        }
+    }
+
+    /// Epidemic's word walk over bit rows of 40, 64, 65 and 130 ids hands
+    /// out exactly what filtering `Row::iter` through `HolderSet::contains`
+    /// does, in the same order, with carriers on both sides of id 64.
+    #[test]
+    fn epidemic_word_walk_matches_the_filtered_row() {
+        use vc_sim::geom::SpatialGrid;
+        use vc_sim::rng::SimRng;
+        for n in [40u32, 64, 65, 130] {
+            let mut rng = SimRng::seed_from(u64::from(n));
+            let positions: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.range_f64(0.0, 600.0), rng.range_f64(0.0, 600.0)))
+                .collect();
+            let f = Fixture::new(positions, vec![Point::new(0.0, 0.0); n as usize], 250.0);
+            // Past 64 ids only a reused table whose last rebuild came out
+            // dense keeps bit rows: rebuild twice.
+            let mut table = NeighborTable::new();
+            let mut grid = SpatialGrid::new(250.0);
+            for _ in 0..2 {
+                table.rebuild(&mut grid, &f.positions, &f.online, 250.0);
+            }
+            let w = WorldView { neighbors: &table, ..f.world() };
+            let p = pkt(0, n - 1);
+            for carried in [
+                HolderSet::new(),
+                holders((0..n).filter(|_| rng.chance(0.4))),
+                holders([0, 5, 63, 64, 65, 100, 127, 128, 129].into_iter().filter(|&v| v < n)),
+                holders(0..n),
+            ] {
+                for holder in (0..n).map(VehicleId) {
+                    let row = w.neighbors.of(holder);
+                    assert!(matches!(row, Row::Bits(..)), "{n} ids: row {holder:?} is not bits");
+                    let want: Vec<VehicleId> =
+                        row.iter().filter(|&v| !carried.contains(v)).collect();
+                    assert_eq!(hops_of(&Epidemic, holder, &p, &w, &carried), want, "{n} ids");
+                }
+            }
+        }
+    }
+
+    /// A neighbor at a NaN position is never closer to the destination, so
+    /// greedy picks what it picks without that neighbor; a NaN destination
+    /// leaves nobody closer, and nothing panics.
+    #[test]
+    fn greedy_passes_over_nan_positions() {
+        let positions = vec![
+            Point::new(0.0, 0.0),   // 0 holder
+            Point::new(50.0, 0.0),  // 1
+            Point::new(80.0, 0.0),  // 2 closest to the destination
+            Point::new(60.0, 10.0), // 3 turns NaN
+            Point::new(500.0, 0.0), // 4 destination, out of range
+        ];
+        let f = Fixture::new(positions, vec![Point::new(0.0, 0.0); 5], 150.0);
+        let p = pkt(0, 4);
+        let without_3 = hops_of(&GreedyGeo, VehicleId(0), &p, &f.world(), &holders([3]));
+        assert_eq!(without_3, vec![VehicleId(2)]);
+        let mut positions = f.positions.clone();
+        positions[3] = Point::new(f64::NAN, f64::NAN);
+        let w = WorldView { positions: &positions, ..f.world() };
+        assert_eq!(hops_of(&GreedyGeo, VehicleId(0), &p, &w, &HolderSet::new()), without_3);
+        positions[4] = Point::new(f64::NAN, 0.0);
+        let w = WorldView { positions: &positions, ..f.world() };
+        assert!(hops_of(&GreedyGeo, VehicleId(0), &p, &w, &HolderSet::new()).is_empty());
     }
 
     #[test]
@@ -574,10 +685,10 @@ mod tests {
             neighbors: &table,
         };
         let p = pkt(0, 3);
-        let greedy_pick = hops_of(&GreedyGeo, VehicleId(0), &p, &world, &|_| false);
+        let greedy_pick = hops_of(&GreedyGeo, VehicleId(0), &p, &world, &HolderSet::new());
         assert_eq!(greedy_pick, vec![VehicleId(1)], "greedy cuts the corner");
         let street = StreetAware::new(net);
-        let street_pick = hops_of(&street, VehicleId(0), &p, &world, &|_| false);
+        let street_pick = hops_of(&street, VehicleId(0), &p, &world, &HolderSet::new());
         assert_eq!(street_pick, vec![VehicleId(2)], "street-aware follows the road");
     }
 
@@ -597,6 +708,9 @@ mod tests {
         };
         let p = pkt(0, 2);
         let street = StreetAware::new(net);
-        assert_eq!(hops_of(&street, VehicleId(0), &p, &world, &|_| false), vec![VehicleId(1)]);
+        assert_eq!(
+            hops_of(&street, VehicleId(0), &p, &world, &HolderSet::new()),
+            vec![VehicleId(1)]
+        );
     }
 }

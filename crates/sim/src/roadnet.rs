@@ -329,40 +329,42 @@ impl RoadNetwork {
         net
     }
 
-    /// Distance from `p` to the nearest road centerline, meters
-    /// (`f64::INFINITY` for an empty network). Drives the urban-canyon
-    /// radio obstruction model: points far from every street are "inside a
+    /// Whether some road centerline is within `radius` of `p`: `false`
+    /// exactly where `d > radius`, for `d` the least [`Segment::distance_to`]
+    /// over every road (`f64::INFINITY` when there is no road or every
+    /// distance is NaN). So a NaN `p` is near no road, and a NaN or
+    /// infinite `radius` reaches every point. Drives the urban-canyon radio
+    /// obstruction model: a point far from every street is "inside a
     /// building block".
-    pub fn distance_to_nearest_road(&self, p: Point) -> f64 {
-        if self.roads.is_empty() {
-            return f64::INFINITY;
+    ///
+    /// Visits only the index cells that cover the box `p ± radius`, widened
+    /// by one cell on each side, and returns at the first road within
+    /// reach. A road within `radius` has a point inside the box, and it is
+    /// registered in every cell its bounding box covers; the extra cell
+    /// absorbs the rounding of `p ± radius`, of the distance and of the
+    /// cell arithmetic, which are ulps of the coordinates against a cell of
+    /// at least 1/512 of the map (DESIGN.md, "A job's radio round").
+    pub(crate) fn road_within(&self, p: Point, radius: f64) -> bool {
+        if radius.is_nan() || radius == f64::INFINITY {
+            return true;
         }
         let idx = self.index();
-        let (qx, qy) = idx.cell_of(p);
-        let (k0, kmax) = idx.ring_bounds(qx, qy);
-        let mut best = f64::INFINITY;
-        for k in k0..=kmax {
-            if best.is_finite() {
-                // A segment first registered in a ring-k cell lies entirely in
-                // cells at ring >= k, hence at least (k-1) cell widths away;
-                // (k-2) leaves a full cell of fp slack. Segments already seen
-                // in nearer rings contributed their exact global distance.
-                let lb = ((k - 2).max(0)) as f64 * idx.cell_size;
-                if lb > best {
-                    break;
-                }
-            }
-            idx.for_each_ring_bucket(qx, qy, k, |bucket| {
-                for &ri in &idx.road_cells[bucket] {
+        let (x0, y0) = idx.cell_of(Point::new(p.x - radius, p.y - radius));
+        let (x1, y1) = idx.cell_of(Point::new(p.x + radius, p.y + radius));
+        // `as i64` saturates (NaN to 0), so the clamped ranges are in the
+        // grid or empty whatever `p` is.
+        let xs = x0.saturating_sub(1).max(0)..=x1.saturating_add(1).min(idx.nx - 1);
+        for cy in y0.saturating_sub(1).max(0)..=y1.saturating_add(1).min(idx.ny - 1) {
+            for cx in xs.clone() {
+                for &ri in &idx.road_cells[idx.bucket(cx, cy)] {
                     let r = &self.roads[ri as usize];
-                    let d = Segment::new(self.pos(r.from), self.pos(r.to)).distance_to(p);
-                    if d < best {
-                        best = d;
+                    if Segment::new(self.pos(r.from), self.pos(r.to)).distance_to(p) <= radius {
+                        return true;
                     }
                 }
-            });
+            }
         }
-        best
+        false
     }
 }
 
@@ -422,12 +424,13 @@ impl Edges {
 
 /// Uniform spatial grid over a road network's intersections and segments.
 ///
-/// Built lazily by `RoadNetwork::index` and dropped on any mutation. Queries
-/// run an expanding ring search outward from the query cell; the
-/// floating-point comparisons are the same ones the linear scans make, and
-/// the ring lower bound keeps a full cell of slack, so results are
-/// bit-for-bit identical to linear scans over every intersection and road
-/// (`crates/sim/tests/props.rs` holds the index to them).
+/// Built lazily by `RoadNetwork::index` and dropped on any mutation.
+/// `nearest_node` runs an expanding ring search outward from the query
+/// cell, `road_within` a box of cells around the query point; both make
+/// the same floating-point comparisons a linear scan makes and keep a full
+/// cell of slack, so their answers equal linear scans over every
+/// intersection and road (`crates/sim/tests/props.rs` holds the index to
+/// them).
 #[derive(Debug, Clone)]
 struct RoadIndex {
     cell_size: f64,
@@ -685,10 +688,10 @@ mod tests {
         assert_eq!(net.nearest_node(probe), Some(NodeId(4))); // forces index build
         let near = net.add_intersection(Point::new(150.0, 150.0));
         assert_eq!(net.nearest_node(probe), Some(near));
-        assert!(net.distance_to_nearest_road(probe) > 40.0);
+        assert!(!net.road_within(probe, 40.0));
         let c = net.add_intersection(Point::new(150.0, 160.0));
         net.add_road(near, c, 10.0, 1);
-        assert!(net.distance_to_nearest_road(probe) < 2.0);
+        assert!(net.road_within(probe, 2.0));
     }
 
     #[test]
@@ -696,25 +699,29 @@ mod tests {
         let mut net = RoadNetwork::new();
         let a = net.add_intersection(Point::new(7.0, -3.0));
         assert_eq!(net.nearest_node(Point::new(1e5, 1e5)), Some(a));
-        assert_eq!(net.distance_to_nearest_road(Point::new(0.0, 0.0)), f64::INFINITY);
+        assert!(!net.road_within(Point::new(0.0, 0.0), 1e9));
         // Collinear (zero-height bounding box) network with one road.
         let b = net.add_intersection(Point::new(107.0, -3.0));
         net.add_road(a, b, 10.0, 1);
-        assert!((net.distance_to_nearest_road(Point::new(57.0, 40.0)) - 43.0).abs() < 1e-9);
+        assert!(net.road_within(Point::new(57.0, 40.0), 43.0));
+        assert!(!net.road_within(Point::new(57.0, 40.0), 42.999));
     }
 
     #[test]
-    fn distance_to_nearest_road() {
+    fn road_within() {
         let net = RoadNetwork::grid(3, 3, 100.0, 10.0);
         // On a street.
-        assert!(net.distance_to_nearest_road(Point::new(50.0, 0.0)) < 1e-9);
+        assert!(net.road_within(Point::new(50.0, 0.0), 0.0));
         // Center of a block: 50 m from the surrounding streets.
-        assert!((net.distance_to_nearest_road(Point::new(50.0, 50.0)) - 50.0).abs() < 1e-9);
-        // Off-grid point.
-        assert!((net.distance_to_nearest_road(Point::new(-30.0, 0.0)) - 30.0).abs() < 1e-9);
-        assert_eq!(
-            RoadNetwork::new().distance_to_nearest_road(Point::new(0.0, 0.0)),
-            f64::INFINITY
-        );
+        assert!(net.road_within(Point::new(50.0, 50.0), 50.0));
+        assert!(!net.road_within(Point::new(50.0, 50.0), 49.999));
+        // Off-grid point, a whole cell beyond the index's extent.
+        assert!(net.road_within(Point::new(-30.0, 0.0), 30.0));
+        assert!(!net.road_within(Point::new(-30.0, 0.0), 29.999));
+        // NaN is near nothing; a NaN or infinite radius reaches everything.
+        assert!(!net.road_within(Point::new(f64::NAN, 0.0), 1e9));
+        assert!(net.road_within(Point::new(f64::NAN, 0.0), f64::INFINITY));
+        assert!(RoadNetwork::new().road_within(Point::new(0.0, 0.0), f64::NAN));
+        assert!(!RoadNetwork::new().road_within(Point::new(0.0, 0.0), 1e9));
     }
 }

@@ -237,7 +237,7 @@ impl Scenario {
         for i in 1..=canyon.samples {
             let t = i as f64 / (canyon.samples + 1) as f64;
             let sample = a.lerp(b, t);
-            if self.roadnet.distance_to_nearest_road(sample) > canyon.street_half_width {
+            if !self.roadnet.road_within(sample, canyon.street_half_width) {
                 return canyon.attenuation;
             }
         }

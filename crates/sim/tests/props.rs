@@ -7,6 +7,7 @@ use vc_sim::node::VehicleId;
 use vc_sim::radio::NeighborTable;
 use vc_sim::rng::SimRng;
 use vc_sim::roadnet::{NodeId, RoadNetwork};
+use vc_sim::scenario::{CanyonModel, Scenario, ScenarioBuilder};
 use vc_sim::time::{SimDuration, SimTime};
 use vc_testkit::prop::strategy::{any_u64, from_fn, vec, FromFn};
 use vc_testkit::{prop, prop_assert, prop_assert_eq};
@@ -49,12 +50,47 @@ fn nearest_node_linear(net: &RoadNetwork, p: Point) -> Option<NodeId> {
         .map(|i| i.id)
 }
 
-/// Linear-scan reference for `RoadNetwork::distance_to_nearest_road`.
-fn distance_to_nearest_road_linear(net: &RoadNetwork, p: Point) -> f64 {
+/// The least distance from `p` to a road centerline, by a linear scan
+/// (`f64::INFINITY` for no road; NaN distances never win the fold).
+fn nearest_road_distance_linear(net: &RoadNetwork, p: Point) -> f64 {
     net.roads()
         .iter()
         .map(|r| Segment::new(net.pos(r.from), net.pos(r.to)).distance_to(p))
         .fold(f64::INFINITY, f64::min)
+}
+
+/// A canyon scenario on a given map whose links are sampled once, at their
+/// midpoint. The link from `p` to itself is clear exactly when the road
+/// index finds a road within the street half-width of `p`, so
+/// `Scenario::los_factor`, the one caller of that crate-private test,
+/// answers it here.
+struct Canyon(Scenario);
+
+impl Canyon {
+    fn on(net: &RoadNetwork) -> Self {
+        let mut s = ScenarioBuilder::new().vehicles(1).urban_canyon();
+        s.roadnet = net.clone();
+        Canyon(s)
+    }
+
+    fn road_within(&mut self, p: Point, radius: f64) -> bool {
+        self.0.canyon =
+            Some(CanyonModel { street_half_width: radius, attenuation: 0.5, samples: 1 });
+        self.0.los_factor(p, p) == 1.0
+    }
+}
+
+/// Asserts the canyon's answer at `p` against the linear scan's least
+/// distance, at `radius`, at exactly that distance and one ulp short of
+/// it, at zero and at an infinite radius.
+fn check_road_within(canyon: &mut Canyon, p: Point, radius: f64) -> Result<(), String> {
+    let d = nearest_road_distance_linear(&canyon.0.roadnet, p);
+    for r in [radius, d, d.next_down(), 0.0, f64::INFINITY] {
+        if canyon.road_within(p, r) != (d <= r) {
+            return Err(format!("road within {r} of {p:?}: least distance {d}"));
+        }
+    }
+    Ok(())
 }
 
 /// Reference for `RoadNetwork::shortest_path`: Dijkstra over a heap of
@@ -192,7 +228,8 @@ impl Routing {
 /// probed at random, on its corner nodes, at a block centre and far
 /// outside (exact ties and the out-of-grid ring start); an 8-interchange
 /// highway; a lone node; a collinear network with a zero-height bounding
-/// box.
+/// box; an empty network. Every probe is asked again with a NaN
+/// coordinate.
 #[test]
 fn road_index_matches_linear_on_fixed_networks() {
     let grid = RoadNetwork::grid(6, 6, 100.0, 13.9);
@@ -222,15 +259,44 @@ fn road_index_matches_linear_on_fixed_networks() {
     cases.push((&lone, Point::new(1e5, 1e5)));
     cases.push((&lone, Point::new(0.0, 0.0)));
     cases.push((&collinear, Point::new(57.0, 40.0)));
+    let empty = RoadNetwork::new();
+    cases.push((&empty, Point::new(0.0, 0.0)));
 
     for (net, p) in cases {
         assert_eq!(net.nearest_node(p), nearest_node_linear(net, p), "node @ {p:?}");
-        assert_eq!(
-            net.distance_to_nearest_road(p).to_bits(),
-            distance_to_nearest_road_linear(net, p).to_bits(),
-            "road dist @ {p:?}"
-        );
+        let mut canyon = Canyon::on(net);
+        for q in [p, Point::new(f64::NAN, p.y), Point::new(p.x, f64::NAN)] {
+            check_road_within(&mut canyon, q, 18.0).unwrap();
+        }
     }
+}
+
+/// A random street map and a probe: a grid of 1–12 × 1–12 blocks of
+/// 20–300 m or a highway of 2–10 interchanges over 200–5 000 m, a point up
+/// to 400 m outside the map (a NaN coordinate one time in eight), and a
+/// street half-width of 0–60 m.
+fn street_probe() -> FromFn<impl Fn(&mut SimRng) -> (RoadNetwork, Point, f64)> {
+    from_fn(|rng| {
+        let net = if rng.chance(0.5) {
+            let (cols, rows) = (rng.range_u64(1, 13) as usize, rng.range_u64(1, 13) as usize);
+            RoadNetwork::grid(cols, rows, rng.range_f64(20.0, 300.0), 13.9)
+        } else {
+            RoadNetwork::highway(rng.range_f64(200.0, 5000.0), rng.range_u64(2, 11) as usize, 33.3)
+        };
+        let (mut lo, mut hi) = (Point::new(f64::MAX, f64::MAX), Point::new(f64::MIN, f64::MIN));
+        for i in net.intersections() {
+            lo = Point::new(lo.x.min(i.pos.x), lo.y.min(i.pos.y));
+            hi = Point::new(hi.x.max(i.pos.x), hi.y.max(i.pos.y));
+        }
+        let mut p = Point::new(
+            rng.range_f64(lo.x - 400.0, hi.x + 400.0),
+            rng.range_f64(lo.y - 400.0, hi.y + 400.0),
+        );
+        if rng.index(8) == 0 {
+            p.x = f64::NAN;
+        }
+        (net, p, rng.range_f64(0.0, 60.0))
+    })
 }
 
 /// Row `i` of the neighbor table by definition: the ascending ids of the
@@ -672,11 +738,19 @@ prop! {
         prop_assert_eq!(net.nearest_node(p), nearest_node_linear(&net, p));
     }
 
+    // The canyon's road test (a box of index cells, out at the first road
+    // in reach) says what the linear scan's least distance says: on random
+    // networks probed far beyond their extent, and on grids and highways
+    // probed around them.
     #[test]
-    fn road_index_nearest_road_matches_linear_bitwise(net in roadnet(), p in pt()) {
-        let fast = net.distance_to_nearest_road(p);
-        let slow = distance_to_nearest_road_linear(&net, p);
-        prop_assert_eq!(fast.to_bits(), slow.to_bits());
+    fn road_index_road_within_matches_linear(net in roadnet(), p in pt(), radius in 0.0f64..3000.0) {
+        prop_assert_eq!(check_road_within(&mut Canyon::on(&net), p, radius), Ok(()));
+    }
+
+    #[test]
+    fn road_index_road_within_matches_linear_on_street_maps(probe in street_probe()) {
+        let (net, p, radius) = probe;
+        prop_assert_eq!(check_road_within(&mut Canyon::on(&net), p, radius), Ok(()));
     }
 
     // ---- shortest path vs the float-keyed reference ----
