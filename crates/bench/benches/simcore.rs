@@ -3,7 +3,7 @@
 
 use vc_sim::mobility::Fleet;
 use vc_sim::rng::SimRng;
-use vc_sim::roadnet::RoadNetwork;
+use vc_sim::roadnet::{NodeId, RoadNetwork};
 use vc_testkit::bench::{black_box, Suite};
 
 // Count every heap allocation so Suite results carry allocs/iter and
@@ -31,9 +31,20 @@ fn main() {
     let to = net.intersections()[399].id;
     suite
         .bench("roadnet/shortest_path_20x20", || net.shortest_path(black_box(from), black_box(to)));
-    // The `city-secure` grid, corner to corner, and the fleet it sets up:
-    // one route per vehicle.
+    // The `city-secure` grid: 64 seeded random pairs an iteration, the
+    // routes trip planning asks for; corner to corner, the worst case, as
+    // that route settles the whole grid; and the fleet it sets up, one
+    // route per vehicle.
     let city = RoadNetwork::grid(57, 57, 200.0, 13.9);
+    let mut rng = SimRng::seed_from(57);
+    let nodes = city.intersections().len();
+    let pairs: Vec<(NodeId, NodeId)> =
+        (0..64).map(|_| (NodeId(rng.index(nodes)), NodeId(rng.index(nodes)))).collect();
+    suite.bench_elems("roadnet/shortest_path_57x57/random", 64, || {
+        for &(from, to) in &pairs {
+            black_box(city.shortest_path(black_box(from), black_box(to)));
+        }
+    });
     let from = city.intersections()[0].id;
     let to = city.intersections()[57 * 57 - 1].id;
     suite.bench("roadnet/shortest_path_57x57", || {

@@ -128,6 +128,7 @@ fn job_mode_profile_writes_the_call_tree_and_the_same_bytes() {
     };
     let round = frame(&tree, "frames", "routing.round").expect("a routing.round root frame");
     assert!(frame(&round, "children", "radio.delivery").is_some(), "{text}");
+    assert!(frame(&tree, "frames", "job.build").is_some(), "a job.build root frame: {text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

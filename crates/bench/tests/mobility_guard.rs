@@ -12,14 +12,16 @@
 //! which no host speed enters, to the bound below.
 //!
 //! Measured on rustc 1.95, 2-core Xeon, five alternating runs a side while
-//! the host was busy (a route read 78–131 µs, ≈ 50 on a quiet host): 7.0–8.0
-//! as built; 11.3–12.7 at the step before DESIGN.md's "Leg geometry, worked
-//! out once" (every leg worked out again each tick, a leader pass over
-//! every vehicle, Dijkstra over per-node road-id lists); 12.3–18.2 with only
-//! the cache's key made never to match. The bound sits halfway between the
-//! first two. Timed one after the other instead of in turn, as built and
-//! before read 5.0–9.7 and 8.5–10.8 on that host, so the two sides take
-//! turns here.
+//! the host was busy (a route read 113–172 µs): 3.7–3.8 as built;
+//! 7.2–7.8 with only the cache's key made never to match. The bound sits
+//! halfway between the two. The ratio was 7.0–8.4 before trip planning
+//! became a bounded search (DESIGN.md §5 "Path planning"): that search made
+//! a city tick's new routes cheaper and this corner-to-corner route, which
+//! settles the whole grid either way, dearer, so the bound of 10 that
+//! separated 7.0–8.0 from 12.3–18.2 no longer caught the broken cache.
+//! Timed one after the other instead of in turn, the two sides read
+//! 5.0–9.7 and 8.5–10.8 on that host before the search changed, so the
+//! sides take turns here.
 //!
 //! A timing test, so it is ignored by default; the `bench-smoke` CI job runs
 //! it optimised:
@@ -42,7 +44,7 @@ fn mean_ns(iters: usize, mut f: impl FnMut()) -> f64 {
 
 #[test]
 #[ignore = "timing: run with --release (bench-smoke CI step)"]
-fn a_city_tick_costs_at_most_ten_routes() {
+fn a_city_tick_costs_at_most_five_and_a_half_routes() {
     let city = RoadNetwork::grid(57, 57, 200.0, 13.9);
     let from = city.intersections()[0].id;
     let to = city.intersections()[57 * 57 - 1].id;
@@ -65,7 +67,7 @@ fn a_city_tick_costs_at_most_ten_routes() {
     let ratio = tick_ns / route_ns;
     println!("route {route_ns:.0} ns, tick {tick_ns:.0} ns, ratio {ratio:.2}");
     assert!(
-        ratio <= 10.0,
+        ratio <= 5.5,
         "a 10 000-vehicle city tick costs {tick_ns:.0} ns against {route_ns:.0} ns for one \
          corner-to-corner route ({ratio:.1}x): legs are no longer worked out once"
     );

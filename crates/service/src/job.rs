@@ -227,7 +227,10 @@ fn build_scenario(entry: &ScenarioEntry, seed: u64) -> Scenario {
 pub fn run_job(spec: &JobSpec, cancel: Option<&AtomicBool>) -> Result<JobOutput, JobError> {
     spec.validate()?;
     let entry = find_scenario(&spec.scenario).expect("validated above");
-    let mut scenario = build_scenario(entry, spec.seed);
+    let mut scenario = {
+        let _build = vc_obs::profile::frame("job.build");
+        build_scenario(entry, spec.seed)
+    };
     let mut recorder = spec.wants_trace().then(Recorder::new);
     let rec = recorder.as_mut();
     let (stats_json, rounds) = match entry.protocol {

@@ -7,6 +7,7 @@
 
 use crate::geom::{Point, Segment};
 use crate::rng::SimRng;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
@@ -217,57 +218,24 @@ impl RoadNetwork {
         }
     }
 
-    /// Shortest path by travel time (Dijkstra). Returns the node sequence
-    /// including both endpoints, or `None` when unreachable. Nodes are
-    /// settled cheapest first, the lower id on a cost tie, so of several
-    /// equally fast routes the same one always comes out.
+    /// Shortest path by travel time. Returns the node sequence including
+    /// both endpoints, or `None` when unreachable. Of several equally fast
+    /// routes the same one always comes out: the one a Dijkstra that
+    /// settles nodes cheapest first, the lower id on a cost tie, builds.
+    ///
+    /// The search is best-first on cost plus a lower bound on the rest of
+    /// the trip (the straight line to `to` at the fastest speed limit, less
+    /// a small margin), and on an equal-cost relaxation it moves a node's
+    /// predecessor to the tying node that Dijkstra would settle first; on a
+    /// network where the bound cannot be trusted under float rounding it
+    /// is that Dijkstra. DESIGN.md §5 "Path planning" argues why both give
+    /// the same route. Buffers are kept per thread between calls.
     pub fn shortest_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
         if from == to {
             return Some(vec![from]);
         }
-        const NO_PREV: usize = usize::MAX;
         let edges = self.edges();
-        let n = self.intersections.len();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev = vec![NO_PREV; n];
-        dist[from.0] = 0.0;
-        // One integer per heap entry: the cost's bits above the node id.
-        // Every cost pushed passed `nd < dist`, so it is finite, and it sums
-        // non-negative travel times, so its sign bit is clear; on such
-        // floats `to_bits` orders like the value.
-        let key = |cost: f64, node: usize| Reverse(u128::from(cost.to_bits()) << 64 | node as u128);
-        let mut heap = BinaryHeap::new();
-        heap.push(key(0.0, from.0));
-        while let Some(Reverse(k)) = heap.pop() {
-            let d = f64::from_bits((k >> 64) as u64);
-            let u = k as u64 as usize;
-            if d > dist[u] {
-                continue;
-            }
-            if u == to.0 {
-                break;
-            }
-            for &(v, travel) in &edges.hops[edges.span(u)] {
-                let nd = d + travel;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = u;
-                    heap.push(key(nd, v));
-                }
-            }
-        }
-        if dist[to.0].is_infinite() {
-            return None;
-        }
-        let mut path = vec![to];
-        let mut cur = to.0;
-        while prev[cur] != NO_PREV {
-            cur = prev[cur];
-            path.push(NodeId(cur));
-        }
-        path.reverse();
-        debug_assert_eq!(path[0], from);
-        Some(path)
+        SEARCH.with(|search| search.borrow_mut().route(self, edges, from, to))
     }
 
     /// The road from `a` directly to `b`, if one exists.
@@ -372,8 +340,8 @@ impl RoadNetwork {
 /// node, roads of one node in id order (the order `add_road` saw them).
 ///
 /// Built lazily by `RoadNetwork::edges` and dropped on any mutation, like
-/// `RoadIndex`. Dijkstra reads one contiguous `(to, travel)` run per
-/// settled node instead of chasing a road id into `roads` per edge.
+/// `RoadIndex`. The route search reads one contiguous `(to, travel)` run
+/// per settled node instead of chasing a road id into `roads` per edge.
 #[derive(Debug, Clone)]
 struct Edges {
     /// Node `u`'s hops are `starts[u]..starts[u + 1]` of the arrays below.
@@ -383,7 +351,21 @@ struct Edges {
     hops: Vec<(usize, f64)>,
     /// The road of each hop.
     roads: Vec<RoadId>,
+    /// `(1 − BOUND_MARGIN) / v_max`, seconds per meter of straight line
+    /// to the target, when the route search may use that lower bound;
+    /// `None` when rounding could defeat it (see `Edges::bound`).
+    secs_per_m: Option<f64>,
 }
+
+/// The route search's lower bound undershoots by this share of the
+/// straight-line time, so every equal-cost predecessor of a route node
+/// settles before the target (DESIGN.md §5 "Path planning").
+const BOUND_MARGIN: f64 = 1.0 / (1u64 << 24) as f64;
+
+/// 128 unit roundoffs: what the margin on the shortest road must exceed,
+/// per second of the network's total travel time plus its diagonal
+/// crossed at the fastest limit, for no rounding to reorder the search.
+const ROUNDING_SLACK: f64 = 64.0 * f64::EPSILON;
 
 impl Edges {
     fn build(net: &RoadNetwork) -> Self {
@@ -405,7 +387,27 @@ impl Edges {
             hops[slot] = (r.to.0, net.road_length(r.id) / r.speed_limit);
             roads[slot] = r.id;
         }
-        Edges { starts, hops, roads }
+        Edges { secs_per_m: Self::bound(net, &hops), starts, hops, roads }
+    }
+
+    /// The bound's rate, if the network lets rounding leave it sound. A
+    /// travel time of zero, an infinite or NaN one, or one whose margin
+    /// rounding could swallow (the shortest road against every road's time
+    /// summed plus the map's diagonal at `v_max`) turns it off, and so
+    /// does a network with no road: each makes the comparison below false.
+    fn bound(net: &RoadNetwork, hops: &[(usize, f64)]) -> Option<f64> {
+        let v_max = net.roads.iter().map(|r| r.speed_limit).fold(0.0, f64::max);
+        let (w_min, total) =
+            hops.iter().fold((f64::INFINITY, 0.0), |(lo, sum), &(_, w)| (lo.min(w), sum + w));
+        let inf = f64::INFINITY;
+        let (mut lo, mut hi) = (Point::new(inf, inf), Point::new(-inf, -inf));
+        for i in &net.intersections {
+            lo = Point::new(lo.x.min(i.pos.x), lo.y.min(i.pos.y));
+            hi = Point::new(hi.x.max(i.pos.x), hi.y.max(i.pos.y));
+        }
+        let crossing = lo.distance(hi) / v_max;
+        (BOUND_MARGIN * w_min > ROUNDING_SLACK * (total + crossing))
+            .then(|| (1.0 - BOUND_MARGIN) / v_max)
     }
 
     /// Node `u`'s range of `hops` and `roads`.
@@ -419,6 +421,115 @@ impl Edges {
         (self.starts.capacity() * size_of::<usize>()
             + self.hops.capacity() * size_of::<(usize, f64)>()
             + self.roads.capacity() * size_of::<RoadId>()) as u64
+    }
+}
+
+thread_local! {
+    /// Each thread's route-search buffers. They outlive every network, so
+    /// no `heap_bytes` counts them: 16 B a node of the largest network the
+    /// thread has routed on, plus the largest heap one search has held.
+    static SEARCH: RefCell<Search> = RefCell::new(Search::default());
+}
+
+/// `Slot::prev` of the source and of a node no relaxation has reached.
+const NO_PREV: u32 = u32::MAX;
+
+/// One node's search state. It belongs to the current call only when its
+/// `stamp` is that call's `reached` or `reached + 1` (settled); any other
+/// stamp reads as cost +∞ and no predecessor.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    dist: f64,
+    prev: u32,
+    stamp: u32,
+}
+
+/// Route-search buffers, reused by every call on the thread.
+#[derive(Debug, Default)]
+struct Search {
+    slots: Vec<Slot>,
+    /// This call's stamp for a reached node; it advances by two a call.
+    reached: u32,
+    heap: BinaryHeap<Reverse<u128>>,
+}
+
+impl Search {
+    /// `RoadNetwork::shortest_path` for `from != to`.
+    fn route(
+        &mut self,
+        net: &RoadNetwork,
+        edges: &Edges,
+        from: NodeId,
+        to: NodeId,
+    ) -> Option<Vec<NodeId>> {
+        let n = net.intersections.len();
+        assert!(n < NO_PREV as usize, "node ids must fit the search's u32 slots");
+        if self.slots.len() < n {
+            self.slots.resize(n, Slot::default());
+        }
+        if self.reached >= u32::MAX - 2 {
+            self.slots.iter_mut().for_each(|s| s.stamp = 0);
+            self.reached = 0;
+        }
+        self.reached += 2;
+        let (reached, settled) = (self.reached, self.reached + 1);
+        let Search { slots, heap, .. } = self;
+        heap.clear();
+        let target = net.pos(to);
+        // Cost so far plus the bound on the rest; the bare cost when the
+        // bound is off.
+        let bounded = edges.secs_per_m.is_some();
+        let key = |cost: f64, node: usize| {
+            let f = edges
+                .secs_per_m
+                .map_or(cost, |rate| cost + net.intersections[node].pos.distance(target) * rate);
+            // One integer per heap entry: the key's bits above the node id.
+            // Every cost pushed passed `nd < dist`, so it is finite, and so
+            // is the bound when it is on; both are sums of non-negative
+            // terms, so the sign bit is clear, and on such floats `to_bits`
+            // orders like the value.
+            Reverse(u128::from(f.to_bits()) << 64 | node as u128)
+        };
+        slots[from.0] = Slot { dist: 0.0, prev: NO_PREV, stamp: reached };
+        heap.push(key(0.0, from.0));
+        while let Some(Reverse(k)) = heap.pop() {
+            let u = k as u64 as usize;
+            if slots[u].stamp == settled {
+                continue;
+            }
+            slots[u].stamp = settled;
+            if u == to.0 {
+                break;
+            }
+            let d = slots[u].dist;
+            for &(v, travel) in &edges.hops[edges.span(u)] {
+                let nd = d + travel;
+                let slot = &mut slots[v];
+                let old = if slot.stamp < reached { f64::INFINITY } else { slot.dist };
+                if nd < old {
+                    *slot = Slot { dist: nd, prev: u as u32, stamp: reached };
+                    heap.push(key(nd, v));
+                } else if bounded && nd == old && slot.prev != NO_PREV {
+                    // A tie: keep the predecessor Dijkstra settles first.
+                    let p = slot.prev as usize;
+                    if (d, u) < (slots[p].dist, p) {
+                        slots[v].prev = u as u32;
+                    }
+                }
+            }
+        }
+        if slots[to.0].stamp != settled {
+            return None;
+        }
+        let mut path = vec![to];
+        let mut cur = slots[to.0].prev;
+        while cur != NO_PREV {
+            path.push(NodeId(cur as usize));
+            cur = slots[cur as usize].prev;
+        }
+        path.reverse();
+        debug_assert_eq!(path[0], from);
+        Some(path)
     }
 }
 
@@ -630,6 +741,47 @@ mod tests {
         net.add_road(mid, b, 50.0, 1);
         let path = net.shortest_path(a, b).unwrap();
         assert_eq!(path, vec![a, mid, b]);
+    }
+
+    #[test]
+    fn route_bound_is_off_where_rounding_could_defeat_it() {
+        let bound = |net: &RoadNetwork| net.edges().secs_per_m;
+        let city = RoadNetwork::grid(57, 57, 200.0, 13.9);
+        assert_eq!(bound(&city), Some((1.0 - BOUND_MARGIN) / 13.9));
+        let with = |edit: &dyn Fn(&mut RoadNetwork)| {
+            let mut net = RoadNetwork::grid(6, 6, 100.0, 13.9);
+            edit(&mut net);
+            bound(&net)
+        };
+        let beside = |dx: f64, limit: f64| {
+            move |net: &mut RoadNetwork| {
+                let p = net.pos(NodeId(7));
+                let twin = net.add_intersection(Point::new(p.x + dx, p.y));
+                net.add_two_way(NodeId(7), twin, limit, 1);
+            }
+        };
+        let lone = |far: f64| {
+            move |net: &mut RoadNetwork| {
+                net.add_intersection(Point::new(far, 0.0));
+            }
+        };
+        assert!(with(&beside(30.0, 20.0)).is_some_and(|rate| rate < 1.0 / 20.0));
+        assert_eq!(with(&beside(0.0, 13.9)), None, "a zero-length road");
+        assert_eq!(with(&beside(1e-9, 13.9)), None, "a road rounding can absorb");
+        assert_eq!(with(&beside(30.0, f64::INFINITY)), None, "an infinite limit");
+        assert!(with(&lone(1e7)).is_some());
+        assert_eq!(with(&lone(1e13)), None, "a diagonal that dwarfs the shortest road");
+        assert_eq!(bound(&RoadNetwork::new()), None);
+        let mut pair = RoadNetwork::new();
+        pair.add_intersection(Point::new(0.0, 0.0));
+        pair.add_intersection(Point::new(1.0, 0.0));
+        assert_eq!(bound(&pair), None, "no road");
+        let mut spread = RoadNetwork::new();
+        let (a, b) = (Point::new(-1e308, 0.0), Point::new(1e308, 0.0));
+        let (a, b) = (spread.add_intersection(a), spread.add_intersection(b));
+        spread.add_road(a, b, 13.9, 1);
+        assert_eq!(bound(&spread), None, "an infinite road length");
+        assert_eq!(spread.shortest_path(a, b), None);
     }
 
     #[test]

@@ -158,11 +158,22 @@ struct Routing {
     highway: bool,
     cols: usize,
     rows: usize,
+    /// Grid intersections moved up to 35 m off their 100 m lattice.
+    jitter: bool,
+    /// Each street loses one of its two directions with this chance.
+    one_way: f64,
+    /// Added to every coordinate of a grid: 0 or ±1e9 m on each axis.
+    offset: Point,
     /// A two-node road 10 km away that nothing reaches or leaves.
     island: bool,
+    /// A lone intersection this far from the grid, routed to and from.
+    far: Option<f64>,
     /// Intersections added on top of grid ones, joined to them by a
     /// zero-length road and to a neighbour of theirs.
     twins: usize,
+    /// An intersection a few ulps beside a grid one, joined to it by a
+    /// road whose travel time an addition of any other cost absorbs.
+    absorbed: bool,
     /// Draws every road's speed limit, the twins' places and the pairs.
     seed: u64,
 }
@@ -170,12 +181,22 @@ struct Routing {
 fn routing() -> FromFn<impl Fn(&mut SimRng) -> Routing> {
     from_fn(|rng| {
         let highway = rng.index(6) == 0;
+        let far_off = [0.0, 1e9, -1e9];
         Routing {
             highway,
             cols: rng.range_u64(2, 21) as usize,
             rows: rng.range_u64(2, 21) as usize,
+            jitter: !highway && rng.chance(0.3),
+            one_way: if highway { 0.0 } else { [0.0, 0.0, 0.1, 0.4][rng.index(4)] },
+            offset: if rng.chance(0.2) {
+                Point::new(far_off[rng.index(3)], far_off[rng.index(3)])
+            } else {
+                Point::new(0.0, 0.0)
+            },
             island: !highway && rng.chance(0.25),
-            twins: if highway { 0 } else { [0, 0, 1, 3][rng.index(4)] },
+            far: (!highway && rng.chance(0.2)).then(|| 10f64.powf(rng.range_f64(4.0, 7.0))),
+            twins: if highway { 0 } else { [0, 0, 0, 1, 3][rng.index(5)] },
+            absorbed: !highway && rng.chance(0.1),
             seed: rng.next_u64(),
         }
     })
@@ -183,16 +204,26 @@ fn routing() -> FromFn<impl Fn(&mut SimRng) -> Routing> {
 
 impl Routing {
     /// The network; the grid's roads each get one of three limits, two of
-    /// which make every block an exact float so equal-cost routes abound.
+    /// which make every block an exact float so equal-cost routes abound
+    /// (off the lattice, or one-way, far fewer do).
     fn build(&self, rng: &mut SimRng) -> RoadNetwork {
         if self.highway {
             return RoadNetwork::highway(100.0 * self.cols as f64, self.cols, 33.3);
         }
         let limits = [10.0, 13.9, 20.0];
         let mut net = RoadNetwork::new();
+        let o = self.offset;
         for r in 0..self.rows {
             for c in 0..self.cols {
-                net.add_intersection(Point::new(c as f64 * 100.0, r as f64 * 100.0));
+                let (dx, dy) = if self.jitter {
+                    (rng.range_f64(-35.0, 35.0), rng.range_f64(-35.0, 35.0))
+                } else {
+                    (0.0, 0.0)
+                };
+                net.add_intersection(Point::new(
+                    o.x + c as f64 * 100.0 + dx,
+                    o.y + r as f64 * 100.0 + dy,
+                ));
             }
         }
         let id = |c: usize, r: usize| NodeId(r * self.cols + c);
@@ -201,27 +232,81 @@ impl Routing {
                 for (dc, dr) in [(1, 0), (0, 1)] {
                     if c + dc < self.cols && r + dr < self.rows {
                         let (a, b) = (id(c, r), id(c + dc, r + dr));
-                        net.add_road(a, b, limits[rng.index(3)], 1);
-                        net.add_road(b, a, limits[rng.index(3)], 1);
+                        let (ab, ba) = (limits[rng.index(3)], limits[rng.index(3)]);
+                        let dropped = rng.chance(self.one_way).then(|| rng.chance(0.5));
+                        if dropped != Some(true) {
+                            net.add_road(a, b, ab, 1);
+                        }
+                        if dropped != Some(false) {
+                            net.add_road(b, a, ba, 1);
+                        }
                     }
                 }
             }
         }
         let grid = self.cols * self.rows;
+        // A node beside `under`, two-way to it and on to where `under`'s
+        // first road leads (when a one-way grid left it one).
+        let beside = |net: &mut RoadNetwork, rng: &mut SimRng, under: NodeId, at: Point| {
+            let onward = net.outgoing(under).first().map(|&road| net.road(road).to);
+            let twin = net.add_intersection(at);
+            net.add_two_way(under, twin, limits[rng.index(3)], 1);
+            if let Some(onward) = onward {
+                net.add_two_way(twin, onward, limits[rng.index(3)], 1);
+            }
+        };
         for _ in 0..self.twins {
             let under = NodeId(rng.index(grid));
-            let twin = net.add_intersection(net.pos(under));
-            net.add_two_way(under, twin, limits[rng.index(3)], 1);
-            let onward = net.road(net.outgoing(under)[0]).to;
-            net.add_two_way(twin, onward, limits[rng.index(3)], 1);
+            let at = net.pos(under);
+            beside(&mut net, rng, under, at);
+        }
+        if self.absorbed {
+            let under = NodeId(rng.index(grid));
+            let p = net.pos(under);
+            let at = Point::new(p.x + (p.x.abs() + 1.0) * 4.0 * f64::EPSILON, p.y);
+            beside(&mut net, rng, under, at);
         }
         if self.island {
-            let a = net.add_intersection(Point::new(1e4, 1e4));
-            let b = net.add_intersection(Point::new(1e4 + 100.0, 1e4));
+            let a = net.add_intersection(Point::new(o.x + 1e4, o.y + 1e4));
+            let b = net.add_intersection(Point::new(o.x + 1e4 + 100.0, o.y + 1e4));
             net.add_two_way(a, b, 13.9, 1);
+        }
+        if let Some(far) = self.far {
+            net.add_intersection(Point::new(o.x + far, o.y - far));
         }
         net
     }
+}
+
+/// Holds `shortest_path` to the reference on each pair: the same route or
+/// the same `None`, in a vector of the same capacity (the fleet's
+/// `heap_bytes` counts it).
+fn check_routes(net: &RoadNetwork, pairs: &[(NodeId, NodeId)]) -> Result<(), String> {
+    for &(from, to) in pairs {
+        let got = net.shortest_path(from, to);
+        let expect = shortest_path_reference(net, from, to);
+        let capacity = |route: &Option<Vec<NodeId>>| route.as_ref().map(Vec::capacity);
+        if got != expect || capacity(&got) != capacity(&expect) {
+            return Err(format!(
+                "{from:?} → {to:?}: {got:?} (capacity {:?}), reference {expect:?} (capacity {:?})",
+                capacity(&got),
+                capacity(&expect)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The `city-secure` grid, where equal-cost routes are everywhere: 2 000
+/// seeded random routes against the reference.
+#[test]
+fn shortest_path_matches_reference_on_the_city_grid() {
+    let net = RoadNetwork::grid(57, 57, 200.0, 13.9);
+    let n = net.intersections().len();
+    let mut rng = SimRng::seed_from(57);
+    let pairs: Vec<(NodeId, NodeId)> =
+        (0..2_000).map(|_| (NodeId(rng.index(n)), NodeId(rng.index(n)))).collect();
+    assert_eq!(check_routes(&net, &pairs), Ok(()));
 }
 
 /// The road index against the linear scans on fixed networks: a 6×6 grid
@@ -755,10 +840,11 @@ prop! {
 
     // ---- shortest path vs the float-keyed reference ----
 
-    // The same route or the same `None`, in a vector of the same capacity
-    // (the fleet's `heap_bytes` counts it), for random pairs, one in eight
-    // from a node to itself: on grids with tied and untied costs, highways,
-    // zero-length roads and an island no route reaches or leaves.
+    // Random pairs, one in eight from a node to itself: on grids with tied
+    // and untied costs, on and off the lattice, with one-way streets and
+    // ±1e9 m offsets; on highways; across a zero-length road between
+    // coincident intersections and a road too short to survive an
+    // addition; into an island and a lone node nothing reaches or leaves.
     #[test]
     fn shortest_path_matches_reference(case in routing()) {
         let mut rng = SimRng::seed_from(case.seed);
@@ -770,20 +856,12 @@ prop! {
                 (from, if rng.index(8) == 0 { from } else { NodeId(rng.index(n)) })
             })
             .collect();
-        if case.island {
+        if case.island || case.far.is_some() {
+            // The last node is the lone one's, or the island's.
             pairs.extend([(NodeId(0), NodeId(n - 1)), (NodeId(n - 1), NodeId(0))]);
             prop_assert!(shortest_path_reference(&net, NodeId(0), NodeId(n - 1)).is_none());
         }
-        for (from, to) in pairs {
-            let got = net.shortest_path(from, to);
-            let expect = shortest_path_reference(&net, from, to);
-            prop_assert_eq!(
-                got.as_ref().map(Vec::capacity),
-                expect.as_ref().map(Vec::capacity),
-                "{:?} → {:?}", from, to
-            );
-            prop_assert_eq!(got, expect, "{:?} → {:?}", from, to);
-        }
+        prop_assert_eq!(check_routes(&net, &pairs), Ok(()));
     }
 
     // ---- rng ----
