@@ -262,52 +262,6 @@ pub fn verify(
     Ok(())
 }
 
-/// Batched [`verify`] over a slice of messages: verdicts are identical to
-/// per-message `verify`, but all signatures surviving the epoch/replay
-/// checks are verified in one random-linear-combination batch under the
-/// group key ([`vc_crypto::schnorr::verify_batch`]) — the best case for
-/// batching, since every message shares one verifying key.
-pub fn verify_batch(
-    messages: &[GroupMessage],
-    group_key: &VerifyingKey,
-    current_epoch: u32,
-    now: SimTime,
-    replay_window: vc_sim::time::SimDuration,
-) -> Vec<Result<(), AuthError>> {
-    let _f = vc_obs::profile::frame("auth.verify.batch");
-    let mut results: Vec<Result<(), AuthError>> = messages
-        .iter()
-        .map(|m| {
-            if m.epoch != current_epoch {
-                Err(AuthError::Expired)
-            } else if m.sent_at > now || now.saturating_since(m.sent_at) > replay_window {
-                Err(AuthError::Replayed)
-            } else {
-                Ok(())
-            }
-        })
-        .collect();
-    let survivors: Vec<(usize, Vec<u8>)> = messages
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| results[*i].is_ok())
-        .map(|(i, m)| (i, m.signed_bytes()))
-        .collect();
-    if survivors.is_empty() {
-        return results;
-    }
-    let items: Vec<(&[u8], VerifyingKey, Signature)> = survivors
-        .iter()
-        .map(|(i, bytes)| (bytes.as_slice(), *group_key, messages[*i].signature))
-        .collect();
-    if let Err(bad) = vc_crypto::schnorr::verify_batch(&items, b"vc-group-batch") {
-        for pos in bad {
-            results[survivors[pos].0] = Err(AuthError::BadSignature);
-        }
-    }
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,41 +401,6 @@ mod tests {
             Err(AuthError::BadSignature)
         );
         assert!(coord.open_message(&msg).is_err());
-    }
-
-    #[test]
-    fn verify_batch_matches_sequential_on_mixed_batch() {
-        let (coord, alice, bob) = setup();
-        let now = SimTime::from_secs(10);
-        let mut msgs = vec![
-            alice.sign(b"a1", now, 1),
-            bob.sign(b"b1", now, 2),
-            alice.sign(b"a2", now, 3),
-            alice.sign(b"old", SimTime::from_secs(1), 4), // replayed
-            bob.sign(b"b2", now, 5),
-        ];
-        msgs[2].payload = b"tampered".to_vec();
-        msgs[4].epoch += 1; // wrong epoch → Expired
-        let batch = verify_batch(&msgs, &coord.group_public_key(), coord.epoch(), now, window());
-        for (m, got) in msgs.iter().zip(&batch) {
-            assert_eq!(*got, verify(m, &coord.group_public_key(), coord.epoch(), now, window()));
-        }
-        assert_eq!(batch[0], Ok(()));
-        assert_eq!(batch[2], Err(AuthError::BadSignature));
-        assert_eq!(batch[3], Err(AuthError::Replayed));
-        assert_eq!(batch[4], Err(AuthError::Expired));
-    }
-
-    #[test]
-    fn verify_batch_handles_empty_and_all_valid() {
-        let (coord, alice, _) = setup();
-        let now = SimTime::from_secs(10);
-        assert!(
-            verify_batch(&[], &coord.group_public_key(), coord.epoch(), now, window()).is_empty()
-        );
-        let msgs: Vec<GroupMessage> = (0..8).map(|i| alice.sign(&[i], now, i as u64)).collect();
-        let batch = verify_batch(&msgs, &coord.group_public_key(), coord.epoch(), now, window());
-        assert!(batch.iter().all(|r| r.is_ok()));
     }
 
     #[test]

@@ -238,87 +238,6 @@ pub fn verify(
     Ok(())
 }
 
-/// Batched [`verify`] over a slice of messages: per-message verdicts are
-/// identical to calling `verify` on each, but all surviving signatures are
-/// checked in one random-linear-combination batch
-/// ([`vc_crypto::schnorr::verify_batch`]), and duplicate certificates —
-/// the common case when one sender's cert rides many messages — pay their
-/// issuer-signature check once instead of once per message.
-///
-/// Non-signature checks (expiry, replay) run first and keep the sequential
-/// error precedence: a message failing both its certificate and message
-/// signature still reports [`AuthError::BadCredential`].
-pub fn verify_batch(
-    messages: &[HybridMessage],
-    issuer_key: &VerifyingKey,
-    now: SimTime,
-    replay_window: SimDuration,
-) -> Vec<Result<(), AuthError>> {
-    let _f = vc_obs::profile::frame("auth.verify.batch");
-    let mut results: Vec<Result<(), AuthError>> = messages
-        .iter()
-        .map(|m| {
-            if now > m.cert.valid_until {
-                Err(AuthError::Expired)
-            } else if m.sent_at > now || now.saturating_since(m.sent_at) > replay_window {
-                Err(AuthError::Replayed)
-            } else {
-                Ok(())
-            }
-        })
-        .collect();
-    // Distinct certificates among survivors (deduped by signed body + sig).
-    let mut cert_items: Vec<(Vec<u8>, Signature)> = Vec::new();
-    let mut cert_index: std::collections::BTreeMap<Vec<u8>, usize> =
-        std::collections::BTreeMap::new();
-    // (message index, cert batch slot, message bytes to check)
-    let mut survivors: Vec<(usize, usize, Vec<u8>)> = Vec::new();
-    for (i, m) in messages.iter().enumerate() {
-        if results[i].is_err() {
-            continue;
-        }
-        let body = ShortCert::signed_bytes(
-            &m.cert.key,
-            &m.cert.trapdoor,
-            &m.cert.trapdoor_share,
-            m.cert.valid_until,
-        );
-        let mut dedupe = body.clone();
-        dedupe.extend_from_slice(&m.cert.issuer_signature.to_bytes());
-        let next = cert_items.len();
-        let slot = *cert_index.entry(dedupe).or_insert(next);
-        if slot == next {
-            cert_items.push((body, m.cert.issuer_signature));
-        }
-        let mut to_check = m.payload.clone();
-        to_check.extend_from_slice(&m.sent_at.as_micros().to_be_bytes());
-        survivors.push((i, slot, to_check));
-    }
-    if survivors.is_empty() {
-        return results;
-    }
-    // One batch: distinct cert signatures first, then message signatures.
-    let mut items: Vec<(&[u8], VerifyingKey, Signature)> =
-        Vec::with_capacity(cert_items.len() + survivors.len());
-    for (body, sig) in &cert_items {
-        items.push((body.as_slice(), *issuer_key, *sig));
-    }
-    for (i, _, to_check) in &survivors {
-        items.push((to_check.as_slice(), messages[*i].cert.key, messages[*i].signature));
-    }
-    if let Err(bad) = vc_crypto::schnorr::verify_batch(&items, b"vc-hybrid-batch") {
-        let n_certs = cert_items.len();
-        for (pos, (i, slot, _)) in survivors.iter().enumerate() {
-            if bad.contains(slot) {
-                results[*i] = Err(AuthError::BadCredential);
-            } else if bad.contains(&(n_certs + pos)) {
-                results[*i] = Err(AuthError::BadSignature);
-            }
-        }
-    }
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,45 +346,5 @@ mod tests {
             verify(&msg, &issuer.public_key(), SimTime::from_secs(20), window()),
             Err(AuthError::Replayed)
         );
-    }
-
-    #[test]
-    fn verify_batch_matches_sequential_on_mixed_batch() {
-        let (_, _, mut issuer) = setup();
-        let now = SimTime::from_secs(10);
-        // Two senders; the first sends three messages under one cert, so the
-        // batch dedupes its issuer-signature check.
-        let cred_a = issuer.issue(&RealIdentity::for_vehicle(VehicleId(1)), now).unwrap();
-        let cred_b = issuer.issue(&RealIdentity::for_vehicle(VehicleId(2)), now).unwrap();
-        let mut msgs = vec![
-            cred_a.sign(b"a1", now),
-            cred_a.sign(b"a2", now),
-            cred_b.sign(b"b1", now),
-            cred_a.sign(b"a3", now),
-            cred_b.sign(b"b2", now),
-            cred_a.sign(b"old", SimTime::from_secs(1)), // replayed
-        ];
-        // Tamper one payload (BadSignature) and one cert (BadCredential).
-        msgs[1].payload = b"evil".to_vec();
-        msgs[4].cert.valid_until = SimTime::from_secs(99_999);
-        let batch = verify_batch(&msgs, &issuer.public_key(), now, window());
-        for (m, got) in msgs.iter().zip(&batch) {
-            assert_eq!(*got, verify(m, &issuer.public_key(), now, window()));
-        }
-        assert_eq!(batch[0], Ok(()));
-        assert_eq!(batch[1], Err(AuthError::BadSignature));
-        assert_eq!(batch[4], Err(AuthError::BadCredential));
-        assert_eq!(batch[5], Err(AuthError::Replayed));
-    }
-
-    #[test]
-    fn verify_batch_handles_empty_and_all_valid() {
-        let (_, _, mut issuer) = setup();
-        let now = SimTime::from_secs(10);
-        assert!(verify_batch(&[], &issuer.public_key(), now, window()).is_empty());
-        let cred = issuer.issue(&RealIdentity::for_vehicle(VehicleId(3)), now).unwrap();
-        let msgs: Vec<HybridMessage> = (0..8).map(|i| cred.sign(&[i], now)).collect();
-        let batch = verify_batch(&msgs, &issuer.public_key(), now, window());
-        assert!(batch.iter().all(|r| r.is_ok()));
     }
 }

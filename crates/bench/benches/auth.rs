@@ -145,16 +145,6 @@ fn main() {
         )
     });
     suite.bench("group/open", || coord.open_message(black_box(&gmsg)));
-    let gbatch: Vec<_> = (0..32u8).map(|i| member.sign(&[i], now, i as u64)).collect();
-    suite.bench("group/verify_batch/32", || {
-        vc_auth::groupsig::verify_batch(
-            black_box(&gbatch),
-            &coord.group_public_key(),
-            coord.epoch(),
-            now,
-            window(),
-        )
-    });
 
     // ---- hybrid regional certs ----
     let ta2 = TrustedAuthority::new(b"bench-hybrid-ta");
@@ -167,10 +157,6 @@ fn main() {
     let hmsg = cred.sign(b"beacon", now);
     suite.bench("hybrid/verify", || {
         vc_auth::hybrid::verify(black_box(&hmsg), &issuer.public_key(), now, window())
-    });
-    let hbatch: Vec<_> = (0..32u8).map(|i| cred.sign(&[i], now)).collect();
-    suite.bench("hybrid/verify_batch/32", || {
-        vc_auth::hybrid::verify_batch(black_box(&hbatch), &issuer.public_key(), now, window())
     });
 
     // ---- capability tokens ----

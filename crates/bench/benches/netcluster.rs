@@ -1,7 +1,6 @@
 //! Micro-benches for clustering, routing rounds and the dynamic cloud's
 //! tick — the per-round cost basis of experiments E8 and E2 — plus the
-//! cloud's checkpoint sealing and credit notes and the net layer's wire
-//! encoding.
+//! cloud's checkpoint sealing and credit notes.
 
 use vc_cloud::arch::{ArchitectureKind, CloudSim};
 use vc_cloud::handover::{open_checkpoint, seal_checkpoint, Checkpoint};
@@ -191,26 +190,6 @@ fn main() {
     suite.bench("credit/validate_1_endorsement", || {
         bank.validate(black_box(&moved)).expect("valid")
     });
-
-    // ---- wire encoding ----
-    {
-        use vc_net::beacon::{sign_beacon, Beacon};
-        use vc_net::wire::{decode_beacon, encode_beacon};
-        use vc_sim::time::SimTime;
-        let key = SigningKey::from_seed(b"wire-bench");
-        let sb = sign_beacon(
-            Beacon {
-                sender: VehicleId(1),
-                pos: Point::new(1.0, 2.0),
-                vel: Point::new(30.0, 0.0),
-                sent_at: SimTime::from_secs(1),
-            },
-            &key,
-        );
-        suite.bench("wire/encode_beacon", || encode_beacon(black_box(&sb)));
-        let frame = encode_beacon(&sb);
-        suite.bench("wire/decode_beacon", || decode_beacon(black_box(&frame)).expect("decodes"));
-    }
 
     suite.finish();
 }

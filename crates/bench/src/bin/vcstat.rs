@@ -88,6 +88,9 @@ const CLI: Cli = Cli {
 /// metric's median over its active ticks.
 const SPIKE_MULT: f64 = 4.0;
 
+/// The alphabet of both sparklines, lowest level first.
+const LEVELS: [char; 8] = ['.', ':', '-', '=', '+', '*', '#', '@'];
+
 fn main() {
     let args = CLI.parse_env();
     let [path] = &args.positionals[..] else { CLI.fail("give exactly one file") };
@@ -331,7 +334,6 @@ fn print_by_kind(hists: &BTreeMap<String, Histogram>) {
 /// Renders bucket counts as a fixed-alphabet sparkline from the histogram's
 /// lowest to highest non-empty bucket (log-2 value scale left to right).
 fn sparkline(h: &Histogram) -> String {
-    const LEVELS: [char; 8] = ['.', ':', '-', '=', '+', '*', '#', '@'];
     let nonzero: Vec<(usize, u64)> =
         h.nonzero_buckets().map(|(lo, _, n)| (Histogram::bucket_index(lo), n)).collect();
     let (Some(&(first, _)), Some(&(last, _))) = (nonzero.first(), nonzero.last()) else {
@@ -581,7 +583,6 @@ fn causal_json(chains: &BTreeMap<u64, TraceChain>, top: usize) -> Json {
 /// Renders a time-ordered series as a fixed-alphabet sparkline, chunking
 /// (by mean) down to at most 60 columns.
 fn series_sparkline(values: &[f64]) -> String {
-    const LEVELS: [char; 8] = ['.', ':', '-', '=', '+', '*', '#', '@'];
     const MAX_COLS: usize = 60;
     if values.is_empty() {
         return String::new();

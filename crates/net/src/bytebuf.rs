@@ -1,4 +1,5 @@
-//! Length-checked byte buffer primitives for wire encoding.
+//! Length-checked byte buffer primitives for the `vcloudd` frame codec
+//! ([`crate::svc`]).
 //!
 //! In-tree replacement for the `bytes` crate's `Buf`/`BufMut`: a
 //! [`ByteWriter`] appends big-endian fields to a growable buffer, a
@@ -40,11 +41,6 @@ impl ByteWriter {
 
     /// Appends a big-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian IEEE-754 `f64`.
-    pub(crate) fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
@@ -103,16 +99,6 @@ impl<'a> ByteReader<'a> {
     pub(crate) fn get_u64(&mut self) -> Option<u64> {
         self.take(8).map(|s| u64::from_be_bytes(s.try_into().expect("8 bytes")))
     }
-
-    /// Consumes a big-endian IEEE-754 `f64`.
-    pub(crate) fn get_f64(&mut self) -> Option<f64> {
-        self.take(8).map(|s| f64::from_be_bytes(s.try_into().expect("8 bytes")))
-    }
-
-    /// Consumes `N` bytes into a fixed array.
-    pub(crate) fn get_array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        self.take(N).map(|s| s.try_into().expect("N bytes"))
-    }
 }
 
 #[cfg(test)]
@@ -125,15 +111,13 @@ mod tests {
         w.put_u8(0xAB);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(0x0123_4567_89AB_CDEF);
-        w.put_f64(-2.5);
         w.put_slice(b"tail");
-        assert_eq!(w.len(), 1 + 4 + 8 + 8 + 4);
+        assert_eq!(w.len(), 1 + 4 + 8 + 4);
         let frame = w.into_vec();
         let mut r = ByteReader::new(&frame);
         assert_eq!(r.get_u8(), Some(0xAB));
         assert_eq!(r.get_u32(), Some(0xDEAD_BEEF));
         assert_eq!(r.get_u64(), Some(0x0123_4567_89AB_CDEF));
-        assert_eq!(r.get_f64(), Some(-2.5));
         assert_eq!(r.take(4), Some(&b"tail"[..]));
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.get_u8(), None);
@@ -155,13 +139,5 @@ mod tests {
         let mut r = ByteReader::new(&frame);
         let head = r.take(8).unwrap();
         assert_eq!(head.as_ptr(), frame.as_ptr(), "borrowed, not copied");
-    }
-
-    #[test]
-    fn get_array_reads_exact_width() {
-        let mut r = ByteReader::new(&[1, 2, 3, 4]);
-        assert_eq!(r.get_array::<3>(), Some([1, 2, 3]));
-        assert_eq!(r.get_array::<2>(), None);
-        assert_eq!(r.get_array::<1>(), Some([4]));
     }
 }

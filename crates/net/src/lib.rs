@@ -3,8 +3,8 @@
 //! The basic supporting architecture of the paper's §III-A/§IV-A.1:
 //! neighbor-aware routing protocols ([`routing`]: epidemic, greedy
 //! geographic, cluster backbone, moving-zone, street-aware) over lossy V2V
-//! radio, signed beaconing ([`beacon`]), wire formats ([`wire`]), the
-//! `vcloudd` service frame protocol ([`svc`]), vehicle
+//! radio, signed beaconing ([`beacon`]), the `vcloudd` service frame
+//! protocol ([`svc`]) over length-checked byte buffers ([`bytebuf`]), vehicle
 //! clustering with incremental maintenance ([`cluster`]), and a packet-level
 //! driver ([`netsim`]) measuring delivery ratio, latency, hops, and overhead
 //! — the metrics experiments E8/E14 report.
@@ -36,7 +36,6 @@ pub mod message;
 pub mod netsim;
 pub mod routing;
 pub mod svc;
-pub mod wire;
 pub mod world;
 
 /// Convenient glob import of the commonly used types.
@@ -56,9 +55,6 @@ pub mod prelude {
     pub use crate::svc::{
         read_decode, read_frame, write_frame, Channel as SvcChannel, Frame, FrameError, JobPhase,
         JobTimes, RejectReason, CHUNK_LEN, FLAG_TRACE, MAX_FRAME_LEN,
-    };
-    pub use crate::wire::{
-        decode_beacon, decode_packet, encode_beacon, encode_packet, WIRE_VERSION,
     };
     pub use crate::world::WorldView;
 }
